@@ -5,14 +5,15 @@
 //!   reuse ratios per loop level, annotation one-hots (Fig. 13);
 //! * [`gbt`] — from-scratch gradient-boosted trees with regression and
 //!   pairwise-rank objectives (§5.2);
-//! * [`mlp`] — the neural-network alternative cost model the paper
-//!   compares against (its TreeRNN stand-in);
-//! * [`tuner`] — parallel simulated-annealing explorer guided by the cost
-//!   model, plus the random-search and genetic-algorithm baselines of
-//!   Fig. 12 (§5.3);
-//! * [`pool`] — the RPC device-pool protocol against simulated devices,
-//!   with fault-tolerant scheduling (timeouts, retries, quarantine,
-//!   replica verification) under injected chaos (§5.4);
+//! * [`tuner`] — the one search loop of Fig. 11 (propose → measure →
+//!   journal → fit), the per-run memo cache and the online cost model;
+//!   each [`TunerKind`] — GBT + simulated annealing, model-guided
+//!   evolution, and the random / genetic / predefined baselines of
+//!   Fig. 12 and Table 1 — contributes only a proposer (§5.3);
+//! * [`pool`] — the RPC device-pool control flow against simulated
+//!   devices, with fault-tolerant scheduling (timeouts, retries,
+//!   quarantine, replica verification) under injected chaos (§5.4);
+//!   observed through counters and health snapshots, not a transcript;
 //! * [`db`] — JSON-lines tuning logs backed by a crash-safe,
 //!   checksummed append-only journal;
 //! * [`sketch`] — automatic sketch generation: structural schedule
@@ -27,8 +28,8 @@ pub mod db;
 pub mod error;
 pub mod features;
 pub mod gbt;
-pub mod mlp;
 pub mod pool;
+mod propose;
 pub mod sketch;
 pub mod transfer;
 pub mod tuner;
@@ -43,8 +44,7 @@ pub use features::{
 pub use gbt::{
     fit, fit_more, fit_profiled, pairwise_accuracy, FitProfile, Gbt, GbtParams, Objective,
 };
-pub use mlp::{fit_mlp, Mlp, MlpParams};
-pub use pool::{DeviceHealth, JobOutcome, MeasureError, PoolStats, RetryPolicy, RpcMsg, Tracker};
+pub use pool::{DeviceHealth, JobOutcome, MeasureError, PoolStats, RetryPolicy, Tracker};
 pub use sketch::{sketch_space_size, sketch_task, SketchTask};
 pub use transfer::{map_config, warm_start_seeds};
 pub use tuner::{

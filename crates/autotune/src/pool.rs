@@ -26,41 +26,15 @@
 //! [`Tracker::run_batch`] dispatches a whole batch of uploads across the
 //! fleet concurrently (the paper's parallel measurement on a device
 //! cluster): device assignment — including every retry and replica — is
-//! decided serially so the transcript is deterministic, the simulator
+//! decided serially so dispatch is deterministic, the simulator
 //! evaluations (and fault-plan lookups, keyed by the serially assigned
 //! per-device attempt number) run on rayon workers, and the results and
-//! accounting are committed in job order — the transcript, outcomes and
-//! per-device stats are bit-for-bit identical at any worker count.
+//! accounting are committed in job order — outcomes, per-device stats and
+//! health are bit-for-bit identical at any worker count.
 
 use rayon::prelude::*;
 use tvm_ir::LoweredFunc;
 use tvm_sim::{estimate_with, Fault, FaultPlan, SimOptions, Target};
-
-/// Messages of the RPC protocol (kept explicit so tests can assert on the
-/// exchange).
-#[derive(Clone, Debug, PartialEq)]
-pub enum RpcMsg {
-    /// Client asks for a device of a type.
-    RequestDevice(String),
-    /// Tracker grants a device id.
-    DeviceGranted(usize),
-    /// Client uploads a compiled module (by name).
-    Upload(usize, String),
-    /// Client runs the module and asks for timing.
-    Run(usize),
-    /// Device reports measured milliseconds.
-    Perf(usize, f64),
-    /// Client releases the device.
-    Release(usize),
-    /// Device failed the attempt (fault label: "crash"/"hang"/...).
-    Error(usize, String),
-    /// Circuit breaker quarantined the device.
-    Quarantine(usize),
-    /// Quarantine expired; device re-admitted on probation.
-    Readmit(usize),
-    /// Device declared permanently dead.
-    Died(usize),
-}
 
 /// Retry / quarantine / re-measurement policy of the scheduler.
 #[derive(Clone, Debug)]
@@ -251,13 +225,12 @@ impl Device {
     }
 }
 
-/// The tracker: owns the device fleet, the fault plan, the scheduling
-/// policy and the message log.
+/// The tracker: owns the device fleet, the fault plan and the scheduling
+/// policy. It keeps counters, not a transcript: a tracker lives as long as
+/// the service that owns it.
 pub struct Tracker {
     devices: Vec<Device>,
     next_rr: usize,
-    /// Full protocol transcript.
-    pub log: Vec<RpcMsg>,
     sim_opts: SimOptions,
     fault_plan: FaultPlan,
     policy: RetryPolicy,
@@ -297,7 +270,6 @@ impl Tracker {
                 })
                 .collect(),
             next_rr: 0,
-            log: Vec::new(),
             sim_opts: SimOptions::default(),
             fault_plan: FaultPlan::none(),
             policy: RetryPolicy::default(),
@@ -399,12 +371,9 @@ impl Tracker {
     /// between equally-loaded devices. Dead and quarantined devices are
     /// never granted here.
     pub fn request(&mut self, target_name: &str) -> Option<usize> {
-        self.log
-            .push(RpcMsg::RequestDevice(target_name.to_string()));
         let picked = self.pick(target_name, &[], &[], &[]);
         if let Some(id) = picked {
             self.next_rr = (id + 1) % self.devices.len();
-            self.log.push(RpcMsg::DeviceGranted(id));
         }
         picked
     }
@@ -413,14 +382,11 @@ impl Tracker {
     /// This is the simple fault-free protocol path; chaos injection and
     /// retries live in [`Tracker::run_batch_detailed`].
     pub fn run(&mut self, device: usize, func: &LoweredFunc) -> f64 {
-        self.log.push(RpcMsg::Upload(device, func.name.clone()));
-        self.log.push(RpcMsg::Run(device));
         let d = &mut self.devices[device];
         let ms = estimate_with(func, &d.target, &self.sim_opts).millis();
         d.busy_ms += ms;
         d.runs += 1;
         d.attempts += 1;
-        self.log.push(RpcMsg::Perf(device, ms));
         ms
     }
 
@@ -438,7 +404,6 @@ impl Tracker {
     fn readmit(&mut self, id: usize) {
         self.devices[id].state = DevState::Probation;
         self.devices[id].consecutive = 0;
-        self.log.push(RpcMsg::Readmit(id));
         self.stats.readmissions += 1;
     }
 
@@ -449,7 +414,6 @@ impl Tracker {
             until: self.dispatch_clock + term.max(1),
         };
         d.quarantines += 1;
-        self.log.push(RpcMsg::Quarantine(id));
         self.stats.quarantines += 1;
     }
 
@@ -547,8 +511,6 @@ impl Tracker {
                 if job.done.is_some() || job.samples.len() >= job.need {
                     continue;
                 }
-                self.log
-                    .push(RpcMsg::RequestDevice(target_name.to_string()));
                 if !any_match {
                     job.done = Some(Err(MeasureError::NoDevice));
                     continue;
@@ -595,7 +557,6 @@ impl Tracker {
                 };
                 pending[picked] += est;
                 self.next_rr = (picked + 1) % self.devices.len();
-                self.log.push(RpcMsg::DeviceGranted(picked));
                 let seq = self.devices[picked].attempts;
                 self.devices[picked].attempts += 1;
                 self.dispatch_clock += 1;
@@ -620,14 +581,12 @@ impl Tracker {
                     Some(f) => Err(f),
                 })
                 .collect();
-            // Phase 3 (serial, job order): commit transcript, accounting
-            // and health transitions.
+            // Phase 3 (serial, job order): commit accounting and health
+            // transitions.
             for (&(j, id, _seq), res) in round.iter().zip(&evals) {
                 let job = &mut jobs[j];
                 job.attempts += 1;
                 self.stats.attempts += 1;
-                self.log.push(RpcMsg::Upload(id, funcs[j].name.clone()));
-                self.log.push(RpcMsg::Run(id));
                 match res {
                     Ok(ms) => {
                         let d = &mut self.devices[id];
@@ -637,14 +596,10 @@ impl Tracker {
                         if d.state == DevState::Probation {
                             d.state = DevState::Healthy;
                         }
-                        self.log.push(RpcMsg::Perf(id, *ms));
-                        self.log.push(RpcMsg::Release(id));
                         job.samples.push(*ms);
                         job.sampled_devices.push(id);
                     }
                     Err(fault) => {
-                        self.log.push(RpcMsg::Error(id, fault.label().to_string()));
-                        self.log.push(RpcMsg::Release(id));
                         let was_probation = self.devices[id].state == DevState::Probation;
                         {
                             let d = &mut self.devices[id];
@@ -665,7 +620,6 @@ impl Tracker {
                         }
                         if *fault == Fault::Crash {
                             self.devices[id].state = DevState::Dead;
-                            self.log.push(RpcMsg::Died(id));
                         } else if was_probation
                             || self.devices[id].consecutive >= self.policy.quarantine_after
                         {
@@ -742,10 +696,10 @@ impl Tracker {
             .collect()
     }
 
-    /// Releases a device back to the pool.
-    pub fn release(&mut self, device: usize) {
-        self.log.push(RpcMsg::Release(device));
-    }
+    /// Releases a device back to the pool: the closing step of the serial
+    /// request → run → release protocol. Devices are granted by load, not
+    /// held, so there is nothing to undo.
+    pub fn release(&mut self, _device: usize) {}
 
     /// Per-device (runs, busy-ms) accounting.
     pub fn stats(&self) -> Vec<(u64, f64)> {
@@ -825,20 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_transcript_shape() {
-        let mut t = Tracker::new(vec![arm_a53()]);
-        let f = small_func();
-        let d = t.request("a53-sim").expect("granted");
-        t.run(d, &f);
-        t.release(d);
-        assert_eq!(t.log.len(), 6);
-        assert!(matches!(t.log[0], RpcMsg::RequestDevice(_)));
-        assert!(matches!(t.log[1], RpcMsg::DeviceGranted(0)));
-        assert!(matches!(t.log[4], RpcMsg::Perf(0, ms) if ms > 0.0));
-        assert!(matches!(t.log[5], RpcMsg::Release(0)));
-    }
-
-    #[test]
     fn batch_spreads_over_fleet_and_matches_serial_runs() {
         let funcs: Vec<LoweredFunc> = (0..6)
             .map(|i| sized_func(64 * (i + 1), &format!("f{i}")))
@@ -862,27 +802,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_transcript_is_deterministic_across_worker_counts() {
+    fn batch_is_deterministic_across_worker_counts() {
         let funcs: Vec<LoweredFunc> = (0..5)
             .map(|i| sized_func(128 * (i + 2), &format!("g{i}")))
             .collect();
         let refs: Vec<&LoweredFunc> = funcs.iter().collect();
-        let run_with = |threads: usize| -> (Vec<RpcMsg>, Vec<(u64, f64)>) {
+        let run_with = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool")
                 .install(|| {
                     let mut t = Tracker::new(vec![arm_a53(), arm_a53()]);
-                    t.run_batch("a53-sim", &refs);
-                    let stats = t.stats();
-                    (t.log, stats)
+                    let out = t.run_batch("a53-sim", &refs);
+                    (out, t.stats(), t.pool_stats().clone(), t.health())
                 })
         };
-        let (log1, stats1) = run_with(1);
-        let (log4, stats4) = run_with(4);
-        assert_eq!(log1, log4);
-        assert_eq!(stats1, stats4);
+        assert_eq!(run_with(1), run_with(4));
     }
 
     #[test]
@@ -931,7 +867,7 @@ mod tests {
         let health = t.health();
         assert!(health[0].dead);
         assert_eq!(health[1].runs, 4);
-        assert!(t.log.contains(&RpcMsg::Died(0)));
+        assert!(t.pool_stats().crash_faults >= 1);
     }
 
     #[test]
@@ -985,9 +921,9 @@ mod tests {
         let out = t.run_batch_detailed("a53-sim", &refs);
         assert!(out.iter().all(|o| o.ms.is_ok()), "{out:?}");
         assert!(t.pool_stats().quarantines >= 1);
-        assert!(t.log.contains(&RpcMsg::Quarantine(0)));
         let health = t.health();
         assert!(health[0].quarantines >= 1);
+        assert_eq!(health[1].quarantines, 0);
     }
 
     #[test]
@@ -1009,9 +945,8 @@ mod tests {
         t.set_fault_plan(plan);
         let out = t.run_batch_detailed("a53-sim", &refs);
         assert!(out.iter().all(|o| o.ms.is_ok()), "{out:?}");
-        assert!(t.log.contains(&RpcMsg::Quarantine(0)));
-        assert!(t.log.contains(&RpcMsg::Readmit(0)));
         let health = t.health();
+        assert_eq!(health[0].quarantines, 1);
         assert!(health[0].runs > 0, "device 0 must recover: {health:?}");
         assert!(!health[0].quarantined);
         assert_eq!(t.pool_stats().readmissions, 1);
@@ -1145,14 +1080,9 @@ mod tests {
                         },
                     ));
                     let out = t.run_batch("a53-sim", &refs);
-                    (out, t.stats(), t.pool_stats().clone(), t.log)
+                    (out, t.stats(), t.pool_stats().clone(), t.health())
                 })
         };
-        let a = run_with(1);
-        let b = run_with(4);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
-        assert_eq!(a.2, b.2);
-        assert_eq!(a.3, b.3);
+        assert_eq!(run_with(1), run_with(4));
     }
 }

@@ -1,13 +1,12 @@
 //! The automated schedule optimizer (§5): schedule explorer + ML cost
 //! model + measurement loop (Fig. 11).
 //!
-//! Tuners implemented, matching the Fig. 12 comparison:
-//!
-//! * **GBT (rank / regression)** — the ML-based optimizer: a
-//!   gradient-boosted-tree cost model trained online on measured trials
-//!   guides a parallel simulated-annealing explorer (§5.3).
-//! * **Random** — blackbox random search.
-//! * **Genetic** — blackbox genetic algorithm over knob digit vectors.
+//! Fig. 11 is one loop and so is [`tune_with`]: a proposer
+//! (the `propose` module, one per [`TunerKind`]) names a batch, the loop
+//! truncates it to the remaining budget, measures it, records and
+//! journals every trial, feeds the online cost model, and reports the
+//! costs back to the proposer. Everything that is not proposal logic
+//! lives here, once.
 //!
 //! Measurement ("run on real hardware") is a full architectural-simulator
 //! evaluation per DESIGN.md.
@@ -26,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 
 use tvm_ir::LoweredFunc;
@@ -36,8 +35,9 @@ use tvm_te::TeError;
 use crate::config::{ConfigEntity, ConfigSpace};
 use crate::db::{DbRecord, Journal};
 use crate::features::FeatureCache;
-use crate::gbt::{fit_more, FitProfile, Gbt, GbtParams, Objective};
+use crate::gbt::{fit_more, FitProfile, Gbt, GbtParams};
 use crate::pool::{DeviceHealth, PoolStats, Tracker};
+use crate::propose::{proposer_for, Round};
 
 /// Template callback: lowers one configuration, or rejects it with an
 /// error. `Send + Sync` so measurement workers can lower configs
@@ -189,8 +189,9 @@ pub struct TuneStats {
 #[derive(Clone, Debug)]
 pub struct WorkPhase {
     /// What the items were: `"measure"` (lower + simulate), `"lower"`
-    /// (pool path), `"anneal"` (one SA chain per item), or `"fit"` (one
-    /// parallel region inside a cost-model fit).
+    /// (pool path), `"anneal"` (one SA chain per item), `"evolve"` (one
+    /// model scoring per item) or `"fit"` (one parallel region inside a
+    /// cost-model fit).
     pub label: &'static str,
     /// Per-item durations in seconds, in proposal order.
     pub durs_s: Vec<f64>,
@@ -251,7 +252,7 @@ struct CacheSlot {
 /// Measurement/lowering memoization for one tuning run (keyed by config
 /// index): duplicate configs proposed by SA or the genetic explorer reuse
 /// the first lowering, feature vector and simulated cost.
-struct MeasureCache<'a> {
+pub(crate) struct MeasureCache<'a> {
     task: &'a TuningTask,
     slots: Mutex<HashMap<u64, Arc<CacheSlot>>>,
     features: FeatureCache,
@@ -311,7 +312,7 @@ impl<'a> MeasureCache<'a> {
     }
 
     /// Records one parallelizable phase's per-item durations.
-    fn record_phase(&self, label: &'static str, durs_s: Vec<f64>) {
+    pub(crate) fn record_phase(&self, label: &'static str, durs_s: Vec<f64>) {
         if durs_s.is_empty() {
             return;
         }
@@ -328,7 +329,7 @@ impl<'a> MeasureCache<'a> {
     }
 
     /// Lowered function + feature vector for a config; memoized.
-    fn lowered(&self, idx: u64) -> Lowered {
+    pub(crate) fn lowered(&self, idx: u64) -> Lowered {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let slot = self.slot(idx);
         slot.lowered
@@ -372,7 +373,10 @@ impl<'a> MeasureCache<'a> {
 /// Maps `f` over `items` on the rayon workers, returning results in input
 /// order alongside each item's wall-clock duration — the raw material of
 /// a [`WorkPhase`].
-fn timed_par_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> (Vec<U>, Vec<f64>) {
+pub(crate) fn timed_par_map<T: Send, U: Send>(
+    items: Vec<T>,
+    f: impl Fn(T) -> U + Sync,
+) -> (Vec<U>, Vec<f64>) {
     let timed: Vec<(U, f64)> = items
         .into_par_iter()
         .map(|item| {
@@ -404,8 +408,8 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
         timed_par_map(batch.to_vec(), |idx| cache.lowered(idx));
     cache.record_phase("lower", durs);
     // Queue each distinct not-yet-measured valid config once, in batch
-    // order (the pool's dispatch order is part of the deterministic
-    // transcript).
+    // order (the pool's dispatch order decides which device, and so
+    // which fault, each job meets).
     let mut queued: HashSet<u64> = HashSet::new();
     let mut jobs: Vec<u64> = Vec::new();
     let mut funcs: Vec<Arc<LoweredFunc>> = Vec::new();
@@ -451,12 +455,7 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
             // outcome went missing anyway (a tracker bug, a short outcome
             // vector), degrade that config to "invalid" rather than
             // aborting the whole tuning run.
-            let cost = cache
-                .slot(idx)
-                .cost
-                .get()
-                .copied()
-                .unwrap_or(f64::INFINITY);
+            let cost = cache.slot(idx).cost.get().copied().unwrap_or(f64::INFINITY);
             (cost, low.map(|(_, feats)| feats))
         })
         .collect()
@@ -480,9 +479,9 @@ pub fn tune(task: &TuningTask, opts: &TuneOptions, kind: TunerKind) -> TuneResul
 ///   (a previous run was killed), their costs are replayed into the
 ///   measurement cache and the run resumes: the deterministic explorer
 ///   re-derives the same proposals, replayed trials cost nothing, and
-///   only new trials are measured and appended. Errors if the journal
-///   was written under a different seed (resuming it would silently
-///   diverge).
+///   only new trials are measured and appended. Errors at the first
+///   failed append, or if the journal was written under a different seed
+///   (resuming it would silently diverge).
 ///
 /// The result is bit-for-bit identical to the equivalent uninterrupted
 /// [`tune`] run at any worker count, as long as every pooled job
@@ -493,7 +492,7 @@ pub fn tune_with(
     opts: &TuneOptions,
     kind: TunerKind,
     pool: Option<&mut Tracker>,
-    journal: Option<&mut Journal>,
+    mut journal: Option<&mut Journal>,
 ) -> std::io::Result<TuneResult> {
     let _tune_span = tvm_obs::span_with(
         "tune",
@@ -508,14 +507,13 @@ pub fn tune_with(
     let lower_before = tvm_te::lower_stats();
     let intern_before = tvm_ir::intern_stats();
 
-    // Declared before `h`: the journal sink inside `h` borrows this cell,
-    // so it must outlive the history.
-    let journal_err: std::cell::RefCell<Option<std::io::Error>> = std::cell::RefCell::new(None);
     // Effective options: `warm_start` may be filled from the journal's
     // nearest neighbor below.
     let mut eff = opts.clone();
-    let mut h = History::new();
-    if let Some(j) = journal {
+    // Trials already journaled by a previous (killed) run: replayed from
+    // the memo cache and not appended again.
+    let mut journaled = 0usize;
+    if let Some(j) = journal.as_deref_mut() {
         if let Some(seed) = j.meta_seed(&task.name) {
             if seed != opts.seed {
                 return Err(std::io::Error::new(
@@ -543,42 +541,84 @@ pub fn tune_with(
             j.append_sig(&task.name, &sig)?;
         }
         let prior = j.trials_for(&task.name);
-        h.skip = prior.len();
+        journaled = prior.len();
         for rec in prior {
             cache.preload_cost(rec.config_index, rec.cost_ms);
         }
-        let name = task.name.clone();
-        let err = &journal_err;
-        h.sink = Some(Box::new(move |trial, cfg: &ConfigEntity, cost| {
-            if err.borrow().is_some() {
-                return;
-            }
-            let rec = DbRecord {
-                task: name.clone(),
-                trial: trial as u64,
-                config_index: cfg.index,
-                config: cfg.summary(),
-                cost_ms: cost,
-            };
-            if let Err(e) = j.append(rec) {
-                *err.borrow_mut() = Some(e);
-            }
-        }));
     }
 
     let opts = &eff;
-    let mut result = match kind {
-        TunerKind::Random => tune_random(task, &cache, opts, &mut rng, h),
-        TunerKind::Genetic => tune_genetic(task, &cache, opts, &mut rng, h),
-        TunerKind::GbtRank => tune_ml(task, &cache, opts, Objective::Rank, &mut rng, h),
-        TunerKind::GbtReg => tune_ml(task, &cache, opts, Objective::Regression, &mut rng, h),
-        TunerKind::Predefined => tune_predefined(task, &cache, opts, &mut rng, h),
-        TunerKind::Evolutionary => tune_evolutionary(task, &cache, opts, &mut rng, h),
-    };
-    if let Some(e) = journal_err.borrow_mut().take() {
-        return Err(e);
+    let (mut proposer, model_spec) = proposer_for(kind, &task.space, opts, &mut rng);
+    let mut model = model_spec.map(|(objective, trees_per_round)| CostModel {
+        params: GbtParams {
+            objective,
+            ..GbtParams::default()
+        },
+        trees_per_round,
+        ..CostModel::default()
+    });
+    let (mut history, mut best_curve) = (Vec::new(), Vec::new());
+    let (mut best_ms, mut best_config) = (f64::INFINITY, None);
+    let mut visited: HashSet<u64> = HashSet::new();
+    while history.len() < opts.n_trials {
+        let remaining = opts.n_trials - history.len();
+        // Propose serially (RNG), measure in parallel, record in proposal
+        // order.
+        let round = Round {
+            space: &task.space,
+            cache: &cache,
+            opts,
+            visited: &visited,
+            model: model.as_mut().and_then(|m| m.refit(&cache, opts.batch)),
+            remaining,
+            want: opts.batch.min(remaining).max(1),
+        };
+        let mut batch = proposer.propose(&round, &mut rng);
+        batch.truncate(remaining);
+        visited.extend(&batch);
+        let mut measured: Vec<(u64, f64)> = Vec::with_capacity(batch.len());
+        for (&idx, (cost, feats)) in batch.iter().zip(measure_batch(&cache, &batch)) {
+            let valid = feats.filter(|_| cost.is_finite());
+            let cost = if valid.is_some() { cost } else { f64::INFINITY };
+            if let (Some(m), Some(feats)) = (&mut model, valid) {
+                m.xs.push(feats.as_ref().clone());
+                m.ys.push(-(cost.max(1e-9)).ln());
+            }
+            let cfg = task.space.get(idx);
+            let trial = history.len() + 1;
+            if trial > journaled {
+                if let Some(j) = journal.as_deref_mut() {
+                    j.append(DbRecord {
+                        task: task.name.clone(),
+                        trial: trial as u64,
+                        config_index: idx,
+                        config: cfg.summary(),
+                        cost_ms: cost,
+                    })?;
+                }
+            }
+            history.push(TrialRecord {
+                trial,
+                config_index: idx,
+                cost_ms: cost,
+            });
+            if cost < best_ms {
+                best_ms = cost;
+                best_config = Some(cfg);
+            }
+            best_curve.push(best_ms);
+            measured.push((idx, cost));
+        }
+        proposer.observe(&measured);
     }
-    result.stats = cache.stats();
+    let mut result = TuneResult {
+        history,
+        best_ms,
+        best_config,
+        best_curve,
+        stats: cache.stats(),
+        work: std::mem::take(cache.work.get_mut().unwrap_or_else(|e| e.into_inner())),
+    };
     let lower_after = tvm_te::lower_stats();
     let (ih_before, im_before) = intern_before;
     let (ih_after, im_after) = tvm_ir::intern_stats();
@@ -594,7 +634,6 @@ pub fn tune_with(
     result.stats.lock_wait_ns += lower_after
         .lock_wait_ns
         .saturating_sub(lower_before.lock_wait_ns);
-    result.work = std::mem::take(cache.work.get_mut().unwrap_or_else(|e| e.into_inner()));
     if let Some(m) = cache.pool.take() {
         let tracker: &mut Tracker = m.into_inner().unwrap_or_else(|e| e.into_inner());
         let before = pool_before.unwrap_or_default();
@@ -643,741 +682,50 @@ fn publish_stats(task: &str, result: &TuneResult) {
     }
 }
 
-/// Static heuristic score (higher = predicted faster): rewards SIMD-able
-/// unit-stride inner loops, parallelism and small inner-tile footprints —
-/// the kind of rules a hand-written cost model encodes. Deliberately
-/// ignores the memory hierarchy's actual behavior (that is the "model
-/// bias" the paper's Table 1 calls out).
-fn predefined_score(func: &tvm_ir::LoweredFunc) -> f64 {
-    let an = tvm_sim::analyze(func);
-    let vec_frac = if an.flops > 0.0 {
-        an.vector_flops / an.flops
-    } else {
-        0.0
-    };
-    let par = (an.parallel_extent as f64).clamp(1.0, 8.0);
-    let unit_stride = an
-        .accesses
-        .iter()
-        .filter(|a| a.innermost_stride == 1 || a.innermost_stride == 0)
-        .count() as f64
-        / an.accesses.len().max(1) as f64;
-    let overhead = an.loop_iterations / an.flops.max(1.0);
-    // GPU-flavored terms: total parallelism and coalesced global access.
-    let threads = (an.block_threads() * an.grid_blocks()) as f64;
-    let global: Vec<_> = an
-        .accesses
-        .iter()
-        .filter(|a| a.scope == tvm_ir::MemScope::Global)
-        .collect();
-    let coalesced = global
-        .iter()
-        .filter(|a| matches!(a.thread_stride, Some(0) | Some(1)))
-        .count() as f64
-        / global.len().max(1) as f64;
-    threads.clamp(1.0, 16384.0).log2()
-        + 3.0 * coalesced
-        + 3.0 * vec_frac
-        + par.log2()
-        + 2.0 * unit_stride
-        - overhead
+/// The online cost model (§5.2): a GBT ensemble over the features of every
+/// valid measured config, extended warm-start each round — every batch of
+/// new measurements adds `trees_per_round` boosting rounds on the grown
+/// history instead of refitting the whole ensemble, so the serial fit
+/// stays off the measurement loop's critical path.
+#[derive(Default)]
+struct CostModel {
+    params: GbtParams,
+    trees_per_round: usize,
+    /// Feature vectors and `-ln(cost)` scores of the valid trials.
+    xs: Vec<Vec<f64>>,
+    ys: Vec<f64>,
+    gbt: Gbt,
+    /// Samples the ensemble has been fitted on.
+    trained: usize,
 }
 
-fn tune_predefined(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    // Score a sizeable random sample with the static model, then measure
-    // only the predicted-best configurations. Sampling is serial (RNG),
-    // lowering + scoring run on the workers.
-    let sample = (opts.n_trials * 8).max(64);
-    let sample_idx: Vec<u64> = (0..sample).map(|_| task.space.random_index(rng)).collect();
-    let mut scored: Vec<(u64, f64)> = sample_idx
-        .par_iter()
-        .map(|&idx| cache.lowered(idx).map(|(f, _)| (idx, predefined_score(&f))))
-        .collect::<Vec<Option<(u64, f64)>>>()
-        .into_iter()
-        .flatten()
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-    scored.dedup_by_key(|(i, _)| *i);
-    let picked: Vec<u64> = scored
-        .into_iter()
-        .take(opts.n_trials)
-        .map(|(i, _)| i)
-        .collect();
-    for (&idx, (cost, _)) in picked.iter().zip(measure_batch(cache, &picked)) {
-        h.push(&task.space.get(idx), cost);
-    }
-    while h.records.len() < opts.n_trials {
-        let idx = task.space.random_index(rng);
-        let (cost, _) = measure_batch(cache, &[idx])[0].clone();
-        h.push(&task.space.get(idx), cost);
-    }
-    h.finish()
-}
-
-/// Per-trial observer: `(trial, config, cost)` for every trial past the
-/// journal-replay prefix. Used to append to the crash-safe journal as
-/// trials complete (not at the end of the run).
-type TrialSink<'s> = Box<dyn FnMut(usize, &ConfigEntity, f64) + 's>;
-
-struct History<'s> {
-    records: Vec<TrialRecord>,
-    best_ms: f64,
-    best_config: Option<ConfigEntity>,
-    best_curve: Vec<f64>,
-    /// Trials already journaled by a previous (killed) run; the sink is
-    /// not called for them, so resume never duplicates journal lines.
-    skip: usize,
-    sink: Option<TrialSink<'s>>,
-}
-
-impl<'s> History<'s> {
-    fn new() -> Self {
-        History {
-            records: Vec::new(),
-            best_ms: f64::INFINITY,
-            best_config: None,
-            best_curve: Vec::new(),
-            skip: 0,
-            sink: None,
+impl CostModel {
+    /// The model fitted on every sample so far, or `None` while it has
+    /// fewer than one batch of them (the proposer bootstraps randomly).
+    fn refit(&mut self, cache: &MeasureCache, batch: usize) -> Option<&Gbt> {
+        if self.xs.is_empty() || self.xs.len() < batch {
+            return None;
         }
-    }
-
-    fn push(&mut self, cfg: &ConfigEntity, cost: f64) {
-        if cost < self.best_ms {
-            self.best_ms = cost;
-            self.best_config = Some(cfg.clone());
-        }
-        self.records.push(TrialRecord {
-            trial: self.records.len() + 1,
-            config_index: cfg.index,
-            cost_ms: cost,
-        });
-        self.best_curve.push(self.best_ms);
-        let trial = self.records.len();
-        if trial > self.skip {
-            if let Some(sink) = &mut self.sink {
-                sink(trial, cfg, cost);
+        if self.xs.len() > self.trained {
+            let _fit_span = tvm_obs::span_with("fit", &[("samples", &self.xs.len().to_string())]);
+            let prof = FitProfile::default();
+            fit_more(
+                &mut self.gbt,
+                &self.xs,
+                &self.ys,
+                &self.params,
+                self.trees_per_round,
+                Some(&prof),
+            );
+            self.trained = self.xs.len();
+            // Each parallel region inside the fit (per-feature split
+            // searches, rank-gradient chunks, prediction updates) is one
+            // replayable phase; item durations within a region are
+            // uniform to first order, so the total is split evenly.
+            for (dur_s, items) in prof.take() {
+                cache.record_phase("fit", vec![dur_s / items as f64; items]);
             }
         }
+        Some(&self.gbt)
     }
-
-    fn finish(self) -> TuneResult {
-        TuneResult {
-            history: self.records,
-            best_ms: self.best_ms,
-            best_config: self.best_config,
-            best_curve: self.best_curve,
-            stats: TuneStats::default(),
-            work: WorkLog::default(),
-        }
-    }
-}
-
-fn tune_random(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    let mut visited = HashSet::new();
-    while h.records.len() < opts.n_trials {
-        // Propose a batch serially (RNG), measure it in parallel.
-        let want = opts.batch.min(opts.n_trials - h.records.len()).max(1);
-        let mut batch = Vec::with_capacity(want);
-        while batch.len() < want {
-            let idx = task.space.random_index(rng);
-            if task.space.size() > opts.n_trials as u64 && !visited.insert(idx) {
-                continue;
-            }
-            batch.push(idx);
-        }
-        for (&idx, (cost, _)) in batch.iter().zip(measure_batch(cache, &batch)) {
-            h.push(&task.space.get(idx), cost);
-        }
-    }
-    h.finish()
-}
-
-fn tune_genetic(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    let pop_size = opts.batch.max(8);
-    // Initial population, measured as one parallel batch.
-    let init: Vec<u64> = (0..pop_size.min(opts.n_trials))
-        .map(|_| task.space.random_index(rng))
-        .collect();
-    let mut pop: Vec<(u64, f64)> = Vec::new();
-    for (&idx, (cost, _)) in init.iter().zip(measure_batch(cache, &init)) {
-        h.push(&task.space.get(idx), cost);
-        pop.push((idx, cost));
-    }
-    while h.records.len() < opts.n_trials {
-        // One generation: select/cross/mutate a batch of children from the
-        // current population (serial, RNG-driven), measure them in
-        // parallel, then fold the results back into the population.
-        let parent = |rng: &mut StdRng, pop: &[(u64, f64)]| -> u64 {
-            let a = &pop[rng.random_range(0..pop.len())];
-            let b = &pop[rng.random_range(0..pop.len())];
-            if a.1 < b.1 {
-                a.0
-            } else {
-                b.0
-            }
-        };
-        let want = opts.batch.min(opts.n_trials - h.records.len()).max(1);
-        let children: Vec<u64> = (0..want)
-            .map(|_| {
-                let pa = parent(rng, &pop);
-                let pb = parent(rng, &pop);
-                let child = crossover(&task.space, pa, pb, rng);
-                if rng.random_range(0.0..1.0) < 0.3 {
-                    task.space.neighbor(child, rng)
-                } else {
-                    child
-                }
-            })
-            .collect();
-        for (&child, (cost, _)) in children.iter().zip(measure_batch(cache, &children)) {
-            h.push(&task.space.get(child), cost);
-            // Replace the worst member.
-            if let Some(worst) = pop
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-                .map(|(i, _)| i)
-            {
-                if cost < pop[worst].1 {
-                    pop[worst] = (child, cost);
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Binary-tournament parent selection over the measured population.
-fn tournament(rng: &mut StdRng, pop: &[(u64, f64)]) -> u64 {
-    let a = &pop[rng.random_range(0..pop.len())];
-    let b = &pop[rng.random_range(0..pop.len())];
-    if a.1 < b.1 {
-        a.0
-    } else {
-        b.0
-    }
-}
-
-/// Evolutionary search guided by the GBT cost model (the sketch-space
-/// driver): children are bred serially (tournament + knob-wise crossover
-/// + neighbor mutation) from a per-generation RNG, scored by the model in
-/// proposal order on the worker pool, and only the predicted-best are
-/// measured. The per-generation RNG makes each generation's child stream
-/// a pure function of `(seed, generation)` — like the annealing path,
-/// the whole run is bit-for-bit identical at any worker count.
-/// [`TuneOptions::warm_start`] seeds join the initial population ahead of
-/// the random fill, which is all transfer needs: a good neighbor config
-/// is measured in generation zero and its genes spread from there.
-fn tune_evolutionary(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    const TREES_PER_ROUND: usize = 8;
-    let pop_size = (opts.batch * 2).max(16);
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    let mut model = Gbt::default();
-    let mut trained = 0usize;
-    let mut pop: Vec<(u64, f64)> = Vec::new();
-
-    // Initial population: the space's own declared seeds first (sketch
-    // generators emit occupancy-heuristic starting points, the analogue
-    // of TVM's fallback configs — putting them at fixed positions keeps
-    // cold and warmed runs comparable trial-for-trial), then transfer
-    // seeds, random fill after.
-    let mut init: Vec<u64> = Vec::new();
-    let init_size = pop_size.min(opts.n_trials).max(1);
-    for &c in &task.space.seeds {
-        let c = c % task.space.size().max(1);
-        if init.len() < init_size && !init.contains(&c) {
-            init.push(c);
-        }
-    }
-    for &s in &opts.warm_start {
-        let s = s % task.space.size().max(1);
-        if init.len() < init_size && !init.contains(&s) {
-            init.push(s);
-        }
-    }
-    let mut attempts = 0;
-    while init.len() < init_size {
-        let idx = task.space.random_index(rng);
-        attempts += 1;
-        if !init.contains(&idx) || task.space.size() <= init_size as u64 || attempts > 256 {
-            init.push(idx);
-        }
-    }
-    init.truncate(opts.n_trials);
-    let absorb = |idx: u64,
-                      cost: f64,
-                      feats: Option<Arc<Vec<f64>>>,
-                      h: &mut History<'_>,
-                      pop: &mut Vec<(u64, f64)>,
-                      xs: &mut Vec<Vec<f64>>,
-                      ys: &mut Vec<f64>| {
-        let cfg = task.space.get(idx);
-        match feats {
-            Some(f) if cost.is_finite() => {
-                xs.push(f.as_ref().clone());
-                ys.push(-(cost.max(1e-9)).ln());
-                h.push(&cfg, cost);
-                pop.push((idx, cost));
-            }
-            _ => h.push(&cfg, f64::INFINITY),
-        }
-    };
-    for (&idx, (cost, feats)) in init.iter().zip(measure_batch(cache, &init)) {
-        visited.insert(idx);
-        absorb(idx, cost, feats, &mut h, &mut pop, &mut xs, &mut ys);
-    }
-
-    while h.records.len() < opts.n_trials {
-        // Keep the population best-first and bounded.
-        pop.sort_by(|a, b| a.1.total_cmp(&b.1));
-        pop.dedup_by_key(|(i, _)| *i);
-        pop.truncate(pop_size);
-        let want = opts.batch.min(opts.n_trials - h.records.len()).max(1);
-        let batch: Vec<u64> = if pop.is_empty() || xs.len() < opts.batch {
-            // No usable population / model yet: random bootstrap.
-            let mut b = Vec::new();
-            let mut attempts = 0;
-            while b.len() < want {
-                let idx = task.space.random_index(rng);
-                attempts += 1;
-                if !visited.contains(&idx)
-                    || task.space.size() <= opts.n_trials as u64
-                    || attempts > 256
-                {
-                    b.push(idx);
-                }
-            }
-            b
-        } else {
-            if xs.len() > trained {
-                let _fit_span = tvm_obs::span_with("fit", &[("samples", &xs.len().to_string())]);
-                let params = GbtParams {
-                    objective: Objective::Rank,
-                    ..GbtParams::default()
-                };
-                let prof = FitProfile::default();
-                fit_more(&mut model, &xs, &ys, &params, TREES_PER_ROUND, Some(&prof));
-                trained = xs.len();
-                for (dur_s, items) in prof.take() {
-                    cache.record_phase("fit", vec![dur_s / items as f64; items]);
-                }
-            }
-            // Evolve a virtual population against the model: several
-            // selection + breeding rounds run purely on predicted scores
-            // between hardware measurements, so each measured batch is
-            // the outcome of a real search over the model rather than a
-            // single breed step. All breeding is serial from a dedicated
-            // per-generation RNG (the child stream is a pure function of
-            // (seed, generation index)); only the scoring fans out, in
-            // proposal order, so the whole search is thread-count
-            // independent.
-            const EVOLVE_ROUNDS: usize = 6;
-            let pool = (want * 8).max(64);
-            let mut grng = StdRng::seed_from_u64(rng.next_u64());
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut scored: Vec<(u64, f64)> = Vec::new();
-            // Round zero: the measured population plus uniform immigrants.
-            let mut cands: Vec<u64> = Vec::new();
-            for &(i, _) in pop.iter() {
-                if seen.insert(i) {
-                    cands.push(i);
-                }
-            }
-            let mut attempts = 0;
-            while cands.len() < pool && attempts < pool * 8 {
-                attempts += 1;
-                let idx = task.space.random_index(&mut grng);
-                if seen.insert(idx) {
-                    cands.push(idx);
-                }
-            }
-            for _ in 0..EVOLVE_ROUNDS {
-                if cands.is_empty() {
-                    break;
-                }
-                let (scores, durs) = timed_par_map(cands.clone(), |idx| {
-                    cache
-                        .lowered(idx)
-                        .map(|(_, f)| model.predict(&f))
-                        .unwrap_or(f64::NEG_INFINITY)
-                });
-                cache.record_phase("evolve", durs);
-                scored.extend(cands.iter().copied().zip(scores));
-                // Parents: the best-predicted candidates seen so far
-                // (negated score, so the tournament's lower-is-better
-                // convention applies unchanged).
-                let mut parents: Vec<(u64, f64)> =
-                    scored.iter().map(|&(i, s)| (i, -s)).collect();
-                parents.sort_by(|a, b| a.1.total_cmp(&b.1));
-                parents.dedup_by_key(|(i, _)| *i);
-                parents.truncate(pop_size);
-                cands.clear();
-                let mut attempts = 0;
-                while cands.len() < pool && attempts < pool * 8 {
-                    attempts += 1;
-                    let pa = tournament(&mut grng, &parents);
-                    let pb = tournament(&mut grng, &parents);
-                    let mut child = crossover(&task.space, pa, pb, &mut grng);
-                    if grng.random_range(0.0..1.0) < 0.3 {
-                        child = task.space.neighbor(child, &mut grng);
-                    }
-                    if seen.insert(child) {
-                        cands.push(child);
-                    }
-                }
-                // A slice of uniform immigrants each round keeps fresh
-                // regions in play, not only recombinations of the elite.
-                let mut attempts = 0;
-                while cands.len() < pool + pool / 4 && attempts < pool * 2 {
-                    attempts += 1;
-                    let idx = task.space.random_index(&mut grng);
-                    if seen.insert(idx) {
-                        cands.push(idx);
-                    }
-                }
-            }
-            // Measure the best-predicted unvisited candidates.
-            let mut ranked: Vec<(u64, f64)> = scored
-                .into_iter()
-                .filter(|(i, _)| !visited.contains(i))
-                .collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            // Same proposal guards as the annealing path: spread exploit
-            // slots across predicted-score plateaus, keep a random tail.
-            let explore = (want / 4).max(1);
-            let exploit = want.saturating_sub(explore);
-            let mut out: Vec<u64> = Vec::new();
-            let mut per_score: HashMap<u64, usize> = HashMap::new();
-            for &(i, s) in &ranked {
-                if out.len() >= exploit {
-                    break;
-                }
-                let level = per_score.entry(s.to_bits()).or_insert(0);
-                if *level < 1 {
-                    *level += 1;
-                    out.push(i);
-                }
-            }
-            for &(i, _) in &ranked {
-                if out.len() >= exploit {
-                    break;
-                }
-                if !out.contains(&i) {
-                    out.push(i);
-                }
-            }
-            let mut attempts = 0;
-            while out.len() < want {
-                let idx = task.space.random_index(&mut grng);
-                attempts += 1;
-                if (!visited.contains(&idx) && !out.contains(&idx))
-                    || task.space.size() <= opts.n_trials as u64
-                    || attempts > 64
-                {
-                    out.push(idx);
-                }
-            }
-            out
-        };
-        for &idx in &batch {
-            visited.insert(idx);
-        }
-        for (&idx, (cost, feats)) in batch.iter().zip(measure_batch(cache, &batch)) {
-            absorb(idx, cost, feats, &mut h, &mut pop, &mut xs, &mut ys);
-        }
-    }
-    h.finish()
-}
-
-fn crossover(space: &ConfigSpace, a: u64, b: u64, rng: &mut StdRng) -> u64 {
-    let (mut ra, mut rb) = (a % space.size().max(1), b % space.size().max(1));
-    let mut out = 0u64;
-    let mut mult = 1u64;
-    for k in &space.knobs {
-        let n = k.options.len() as u64;
-        let da = ra % n;
-        let db = rb % n;
-        ra /= n;
-        rb /= n;
-        let d = if rng.random_range(0.0..1.0) < 0.5 {
-            da
-        } else {
-            db
-        };
-        out += d * mult;
-        mult *= n;
-    }
-    out
-}
-
-fn tune_ml(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    opts: &TuneOptions,
-    objective: Objective,
-    rng: &mut StdRng,
-    mut h: History<'_>,
-) -> TuneResult {
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    // Online cost model, extended warm-start each round: every batch of
-    // new measurements adds `TREES_PER_ROUND` boosting rounds on the
-    // grown history instead of refitting the whole ensemble, so the
-    // serial fit stays off the measurement loop's critical path.
-    const TREES_PER_ROUND: usize = 4;
-    let mut model = Gbt::default();
-    let mut trained = 0usize;
-    // Best measured configs so far; annealing restarts exploit these basins.
-    let mut elites: Vec<(u64, f64)> = Vec::new();
-    // Exploration state persists across model updates (§5.3).
-    let mut chains: Vec<u64> = (0..opts.sa_chains)
-        .map(|_| task.space.random_index(rng))
-        .collect();
-    // Rounds since the best cost last improved; widens exploration when the
-    // search plateaus (tree predictions tie over large flat regions of the
-    // space, and a purely greedy batch would keep harvesting one basin).
-    let mut stagnant = 0usize;
-    while h.records.len() < opts.n_trials {
-        let prev_best = h.best_ms;
-        let mut batch: Vec<u64> = if xs.len() < opts.batch {
-            // No training data yet: random candidates (§5.3).
-            let mut b = Vec::new();
-            while b.len() < opts.batch {
-                let idx = task.space.random_index(rng);
-                if visited.contains(&idx) && task.space.size() > opts.n_trials as u64 {
-                    continue;
-                }
-                b.push(idx);
-            }
-            b
-        } else {
-            let params = GbtParams {
-                objective,
-                ..GbtParams::default()
-            };
-            if xs.len() > trained {
-                let _fit_span = tvm_obs::span_with("fit", &[("samples", &xs.len().to_string())]);
-                let prof = FitProfile::default();
-                fit_more(&mut model, &xs, &ys, &params, TREES_PER_ROUND, Some(&prof));
-                trained = xs.len();
-                // Each parallel region inside the fit (per-feature split
-                // searches, rank-gradient chunks, prediction updates) is
-                // one replayable phase; item durations within a region are
-                // uniform to first order, so the total is split evenly.
-                for (dur_s, items) in prof.take() {
-                    cache.record_phase("fit", vec![dur_s / items as f64; items]);
-                }
-            }
-            let _sa_span = tvm_obs::span("propose_sa");
-            propose_sa(
-                task,
-                cache,
-                &model,
-                &mut chains,
-                &elites,
-                &visited,
-                stagnant,
-                opts,
-                rng,
-            )
-        };
-        batch.truncate(opts.n_trials - h.records.len());
-        for &idx in &batch {
-            visited.insert(idx);
-        }
-        for (&idx, (cost, feats)) in batch.iter().zip(measure_batch(cache, &batch)) {
-            let cfg = task.space.get(idx);
-            match feats {
-                Some(feats) if cost.is_finite() => {
-                    xs.push(feats.as_ref().clone());
-                    ys.push(-(cost.max(1e-9)).ln());
-                    h.push(&cfg, cost);
-                    elites.push((idx, cost));
-                }
-                _ => h.push(&cfg, f64::INFINITY),
-            }
-        }
-        elites.sort_by(|a, b| a.1.total_cmp(&b.1));
-        elites.dedup_by_key(|(i, _)| *i);
-        elites.truncate(8);
-        stagnant = if h.best_ms < prev_best {
-            0
-        } else {
-            stagnant + 1
-        };
-    }
-    h.finish()
-}
-
-/// Parallel simulated annealing over the space, scored by the cost model;
-/// returns the best-predicted unvisited batch with a reserved fraction of
-/// epsilon-greedy random slots (so a biased early model cannot trap the
-/// search in one basin). Each chain anneals on its own rayon worker with
-/// its own RNG (seeded serially from the master RNG), and candidates are
-/// merged in chain order — the proposal is thread-count independent.
-#[allow(clippy::too_many_arguments)] // explorer state threaded through one round
-fn propose_sa(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    model: &Gbt,
-    chains: &mut [u64],
-    elites: &[(u64, f64)],
-    visited: &HashSet<u64>,
-    stagnant: usize,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-) -> Vec<u64> {
-    // Restart half the chains each round; persisting every chain across
-    // model updates lets one early bad basin capture the whole explorer.
-    // Restarts alternate between the best *measured* configs (exploit
-    // known-good basins) and fresh random points (keep exploring).
-    let mut elite_cursor = 0usize;
-    for (i, c) in chains.iter_mut().enumerate() {
-        if i % 2 == 1 {
-            *c = if i % 4 == 1 && !elites.is_empty() {
-                let pick = elites[elite_cursor % elites.len()].0;
-                elite_cursor += 1;
-                pick
-            } else {
-                task.space.random_index(rng)
-            };
-        }
-    }
-    let jobs: Vec<(u64, u64)> = chains.iter().map(|&c| (c, rng.next_u64())).collect();
-    let (runs, durs) = timed_par_map(jobs, |(start, seed)| {
-        anneal_chain(task, cache, model, start, seed, opts)
-    });
-    cache.record_phase("anneal", durs);
-    let mut cand: Vec<(u64, f64)> = Vec::new();
-    for ((head, chain_cands), slot) in runs.into_iter().zip(chains.iter_mut()) {
-        *slot = head;
-        cand.extend(
-            chain_cands
-                .into_iter()
-                .filter(|(i, _)| !visited.contains(i)),
-        );
-    }
-    cand.sort_by(|a, b| b.1.total_cmp(&a.1));
-    // Exact dedup: tree predictions are piecewise constant, so distinct
-    // configs frequently tie on score and duplicates of one index need not
-    // be adjacent after the sort — adjacent-only dedup would let one config
-    // eat several trial slots.
-    let mut seen: HashSet<u64> = HashSet::new();
-    // Epsilon-greedy batch: most slots go to the model's best proposals, the
-    // tail is pure random exploration. The random tail widens while the
-    // search is stagnant — predicted-best proposals keep landing in the
-    // plateau the best already sits on, and random picks are what escape it.
-    let explore = ((opts.batch / 4).max(1) * (1 + stagnant.min(3))).min(opts.batch / 2);
-    let exploit = opts.batch.saturating_sub(explore.max(1));
-    // Cap picks per distinct predicted score: tree predictions plateau, and
-    // a batch drawn from one plateau is nearly redundant — spread the
-    // exploit slots across score levels instead.
-    let mut out: Vec<u64> = Vec::new();
-    let mut per_score: HashMap<u64, usize> = HashMap::new();
-    for &(i, s) in &cand {
-        if out.len() >= exploit {
-            break;
-        }
-        let level = per_score.entry(s.to_bits()).or_insert(0);
-        if *level < 1 && seen.insert(i) {
-            *level += 1;
-            out.push(i);
-        }
-    }
-    // Backfill from the remaining candidates if the cap left slots empty.
-    for (i, _) in cand {
-        if out.len() >= exploit {
-            break;
-        }
-        if seen.insert(i) {
-            out.push(i);
-        }
-    }
-    // Fill the exploration slots (and any exploit shortfall) with random
-    // unvisited picks.
-    let mut attempts = 0;
-    while out.len() < opts.batch {
-        let idx = task.space.random_index(rng);
-        attempts += 1;
-        if (!visited.contains(&idx) && seen.insert(idx))
-            || task.space.size() <= opts.n_trials as u64
-            || attempts > 64
-        {
-            out.push(idx);
-        }
-    }
-    out
-}
-
-/// One annealing chain: walks `sa_steps` neighbors under a geometric
-/// cooling schedule, scoring via the memoized lowering cache. Returns the
-/// final chain head and every accepted state (with its predicted score).
-fn anneal_chain(
-    task: &TuningTask,
-    cache: &MeasureCache,
-    model: &Gbt,
-    start: u64,
-    seed: u64,
-    opts: &TuneOptions,
-) -> (u64, Vec<(u64, f64)>) {
-    let score = |idx: u64| -> f64 {
-        match cache.lowered(idx) {
-            Some((_, feats)) => model.predict(&feats),
-            None => f64::NEG_INFINITY,
-        }
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut c = start;
-    let mut s = score(c);
-    let mut cand: Vec<(u64, f64)> = Vec::new();
-    let mut temp = 1.0f64;
-    let cooling = 0.9f64;
-    for _ in 0..opts.sa_steps {
-        let nb = task.space.neighbor(c, &mut rng);
-        let ns = score(nb);
-        // Every scored state is a candidate — the model already paid for
-        // the prediction, so rejected moves still inform the proposal.
-        if ns.is_finite() {
-            cand.push((nb, ns));
-        }
-        let accept = ns > s || rng.random_range(0.0..1.0) < ((ns - s) / temp).exp();
-        if accept && ns.is_finite() {
-            c = nb;
-            s = ns;
-        }
-        temp *= cooling;
-    }
-    // Also consider the final chain head.
-    if s.is_finite() {
-        cand.push((c, s));
-    }
-    (c, cand)
 }

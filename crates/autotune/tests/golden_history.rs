@@ -1,0 +1,327 @@
+//! Golden tuning histories: every [`TunerKind`] on the tasks the other
+//! suites build, hashed trial by trial and compared against digests
+//! captured before the search loop was unified. A shifted RNG draw, a
+//! reordered measurement or a changed memo-cache counter in any kind —
+//! including the four the benchmark never runs — changes a digest.
+//!
+//! When a digest legitimately changes, the failure message prints the
+//! whole table in source form.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use tvm_autotune::{
+    sketch_task, tune, tune_with, ConfigEntity, ConfigSpace, Journal, TuneOptions, TuneResult,
+    TunerKind, TuningTask,
+};
+use tvm_ir::DType;
+use tvm_sim::arm_a53;
+use tvm_te::{compute, create_schedule, lower, placeholder, reduce_axis, sum, TeError, Tensor};
+
+const KINDS: [TunerKind; 6] = [
+    TunerKind::GbtRank,
+    TunerKind::GbtReg,
+    TunerKind::Random,
+    TunerKind::Genetic,
+    TunerKind::Predefined,
+    TunerKind::Evolutionary,
+];
+
+/// The 2-D copy of `tuner_behavior.rs` / `parallel_determinism.rs`: tile
+/// knobs change the simulated cost, a poison knob invalidates a quarter of
+/// the space, and every builder call is counted.
+fn copy_task(name: &str, counter: Arc<AtomicUsize>) -> TuningTask {
+    let mut space = ConfigSpace::new();
+    space.define_split("tile", 256, 64);
+    space.define_knob("vec", &[0, 1]);
+    space.define_knob("poison", &[0, 0, 0, 1]);
+    let builder = move |cfg: &ConfigEntity| -> Result<tvm_ir::LoweredFunc, TeError> {
+        counter.fetch_add(1, Ordering::SeqCst);
+        if cfg.get("poison") == 1 {
+            return Err(TeError::msg("invalid configuration"));
+        }
+        let n = 256i64;
+        let a = placeholder(&[n, n], DType::float32(), "A");
+        let a2 = a.clone();
+        let b = compute(&[n, n], "B", move |i| {
+            a2.at(&[i[1].clone(), i[0].clone()]) + 1
+        });
+        let mut s = create_schedule(std::slice::from_ref(&b));
+        let ax = b.op.axes();
+        let (_, wi) = s.split(&b, &ax[1], cfg.get("tile")).unwrap();
+        if cfg.get("vec") == 1 {
+            s.vectorize(&b, &wi).unwrap();
+        }
+        lower(&s, &[a, b], "copy_t")
+    };
+    TuningTask {
+        name: name.into(),
+        space,
+        builder: Arc::new(builder),
+        target: arm_a53(),
+        sim_opts: Default::default(),
+    }
+}
+
+/// The sketch-derived matmul space of `sketch_determinism.rs`.
+fn mm_sketch_task(n: i64) -> TuningTask {
+    let a = placeholder(&[n, n], DType::float32(), "A");
+    let b = placeholder(&[n, n], DType::float32(), "B");
+    let k = reduce_axis(n, "k");
+    let c: Tensor = compute(&[n, n], "C", |i| {
+        sum(
+            a.at(&[i[0].clone(), k.expr()]) * b.at(&[k.expr(), i[1].clone()]),
+            std::slice::from_ref(&k),
+        )
+    });
+    sketch_task(
+        format!("sketch_mm{n}"),
+        std::slice::from_ref(&c),
+        &[a, b, c.clone()],
+        arm_a53(),
+    )
+    .expect("matmul is sketchable")
+}
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Everything a run is contracted to reproduce: trials, best, curve, the
+/// memo-cache counters and the labelled parallel phases with their widths.
+fn digest(r: &TuneResult) -> u64 {
+    let mut h = Fnv::new();
+    for t in &r.history {
+        h.u64(t.trial as u64);
+        h.u64(t.config_index);
+        h.u64(t.cost_ms.to_bits());
+    }
+    h.u64(r.best_ms.to_bits());
+    h.u64(r.best_config.as_ref().map_or(u64::MAX, |c| c.index));
+    for c in &r.best_curve {
+        h.u64(c.to_bits());
+    }
+    h.u64(r.stats.lowerings as u64);
+    h.u64(r.stats.simulations as u64);
+    h.u64(r.stats.lookups as u64);
+    for p in &r.work.phases {
+        h.bytes(p.label.as_bytes());
+        h.u64(p.durs_s.len() as u64);
+    }
+    h.0
+}
+
+fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
+/// `(task label, trial budget, batch)`: a budget the batch does not divide
+/// (the loop truncates the last round), a budget larger than the 56-point
+/// copy space (the "space exhausted" acceptance paths), the counted task
+/// at its suite's settings, and the sketch space.
+const TASKS: [(&str, usize, usize); 4] = [
+    ("synthetic", 29, 8),
+    ("synthetic_full", 60, 8),
+    ("counting", 32, 6),
+    ("sketch_mm64", 36, 8),
+];
+
+fn build(task: &str, counter: &Arc<AtomicUsize>) -> TuningTask {
+    match task {
+        "synthetic" | "synthetic_full" => copy_task("synthetic_copy", counter.clone()),
+        "counting" => copy_task("parallel_copy", counter.clone()),
+        _ => mm_sketch_task(64),
+    }
+}
+
+/// Digests captured on the commit before the six `tune_*` drivers became
+/// proposers behind one loop.
+const GOLDEN: &[(&str, u64)] = &[
+    ("journal/1t/bytes", 0x1270247d19865378),
+    ("journal/1t/fresh", 0x4b80fd74772856a7),
+    ("journal/4t/bytes", 0x1270247d19865378),
+    ("journal/4t/fresh", 0x4b80fd74772856a7),
+    ("synthetic/GbtRank/seed0", 0x5c669bfcd09bc3bd),
+    ("synthetic/GbtRank/seed7", 0x06fa257d96a0ee91),
+    ("synthetic/GbtReg/seed0", 0x54e8a3ebf775e73d),
+    ("synthetic/GbtReg/seed7", 0xc3cefdb92423310b),
+    ("synthetic/Random/seed0", 0xcbbb853c0899c21d),
+    ("synthetic/Random/seed7", 0x2d7ee3d5a63f364e),
+    ("synthetic/Genetic/seed0", 0xa5ee5bb7c1fc6b7b),
+    ("synthetic/Genetic/seed7", 0x7eb73f5bdb4c69de),
+    ("synthetic/Predefined/seed0", 0xf9230c43889506e7),
+    ("synthetic/Predefined/seed7", 0x2231cf420c2c3311),
+    ("synthetic/Evolutionary/seed0", 0xdd6c8481751bd5a8),
+    ("synthetic/Evolutionary/seed7", 0xc2ee16ace55b2489),
+    ("synthetic_full/GbtRank/seed0", 0x8732f95439b7d646),
+    ("synthetic_full/GbtRank/seed7", 0x4e956165be030062),
+    ("synthetic_full/GbtReg/seed0", 0xf8d5da27861cde97),
+    ("synthetic_full/GbtReg/seed7", 0xddc9c48442802a02),
+    ("synthetic_full/Random/seed0", 0x6b70814902c40b95),
+    ("synthetic_full/Random/seed7", 0x619b218e6e18ced7),
+    ("synthetic_full/Genetic/seed0", 0xb2b0041a18d23c42),
+    ("synthetic_full/Genetic/seed7", 0xa435ab4007687bc6),
+    ("synthetic_full/Predefined/seed0", 0xfdfba5efeca4d009),
+    ("synthetic_full/Predefined/seed7", 0x59781283589602d6),
+    ("synthetic_full/Evolutionary/seed0", 0x8084b5cbbaf794b5),
+    ("synthetic_full/Evolutionary/seed7", 0xd2bf38eee71cd7b8),
+    ("counting/GbtRank/seed0", 0xad163ab7075b50c7),
+    ("counting/GbtRank/seed7", 0x8c855af4e7de00e9),
+    ("counting/GbtReg/seed0", 0x7a0ca7d756c90229),
+    ("counting/GbtReg/seed7", 0xa6427db70058636f),
+    ("counting/Random/seed0", 0x03b21fe64858fec7),
+    ("counting/Random/seed7", 0xdcfcf0a0a7142891),
+    ("counting/Genetic/seed0", 0xd08585d19a355a2c),
+    ("counting/Genetic/seed7", 0xe6d65187f55b0a0f),
+    ("counting/Predefined/seed0", 0x6f90542847eaa670),
+    ("counting/Predefined/seed7", 0x791dbe8b91674605),
+    ("counting/Evolutionary/seed0", 0x4ef863f8e993496c),
+    ("counting/Evolutionary/seed7", 0x5e21e0abc784ffc5),
+    ("sketch_mm64/GbtRank/seed0", 0x6da1f4173f9c4f3b),
+    ("sketch_mm64/GbtRank/seed7", 0x2551ae6360079613),
+    ("sketch_mm64/GbtReg/seed0", 0x44d60fc896adb5f3),
+    ("sketch_mm64/GbtReg/seed7", 0xb8cccd18f51e6cc8),
+    ("sketch_mm64/Random/seed0", 0x16d562b9f91a36d9),
+    ("sketch_mm64/Random/seed7", 0x3d43aa7acb22eb78),
+    ("sketch_mm64/Genetic/seed0", 0x59cf065e0068097e),
+    ("sketch_mm64/Genetic/seed7", 0x4fc477604f468d5b),
+    ("sketch_mm64/Predefined/seed0", 0x0116803b6caeb016),
+    ("sketch_mm64/Predefined/seed7", 0x58573676030fb7eb),
+    ("sketch_mm64/Evolutionary/seed0", 0xf874a8785650008c),
+    ("sketch_mm64/Evolutionary/seed7", 0x702633c452e36319),
+];
+
+#[test]
+fn all_six_kinds_reproduce_their_pre_refactor_histories() {
+    let mut actual: Vec<(String, u64)> = Vec::new();
+    for (task, n_trials, batch) in TASKS {
+        for kind in KINDS {
+            for seed in [0u64, 7] {
+                let opts = TuneOptions {
+                    n_trials,
+                    batch,
+                    seed,
+                    // Explicit transfer seeds on one seed of each pair, so
+                    // the warm-start prefix of generation zero is covered.
+                    warm_start: if seed == 7 {
+                        vec![3, 17, 99]
+                    } else {
+                        Vec::new()
+                    },
+                    ..Default::default()
+                };
+                let mut per_threads = Vec::new();
+                for threads in [1usize, 4] {
+                    let counter = Arc::new(AtomicUsize::new(0));
+                    let t = build(task, &counter);
+                    let r = with_threads(threads, || tune(&t, &opts, kind));
+                    assert_eq!(r.history.len(), n_trials);
+                    if !task.starts_with("sketch") {
+                        assert_eq!(counter.load(Ordering::SeqCst), r.stats.lowerings);
+                    }
+                    per_threads.push(digest(&r));
+                }
+                let name = format!("{task}/{kind:?}/seed{seed}");
+                assert_eq!(
+                    per_threads[0], per_threads[1],
+                    "{name}: 1 and 4 workers tuned differently"
+                );
+                actual.push((name, per_threads[0]));
+            }
+        }
+    }
+    check(&actual);
+}
+
+/// A journaled `Evolutionary` run — fresh, then killed after five trials
+/// and resumed — must leave the same journal bytes as before the refactor.
+#[test]
+fn journaled_evolutionary_run_writes_the_same_bytes() {
+    let opts = TuneOptions {
+        n_trials: 20,
+        batch: 8,
+        seed: 7,
+        ..Default::default()
+    };
+    let mut actual: Vec<(String, u64)> = Vec::new();
+    for threads in [1usize, 4] {
+        let path = std::env::temp_dir().join(format!("tvm_rs_golden_journal_{threads}.jsonl"));
+        let _ = std::fs::remove_file(&path);
+        let run = |j: &mut Journal| {
+            with_threads(threads, || {
+                tune_with(
+                    &mm_sketch_task(64),
+                    &opts,
+                    TunerKind::Evolutionary,
+                    None,
+                    Some(j),
+                )
+                .expect("tunes")
+            })
+        };
+        let mut j = Journal::create(&path).expect("create");
+        let fresh = run(&mut j);
+        drop(j);
+        let full = std::fs::read(&path).expect("read");
+
+        // Kill: keep meta + signature + the first five trials.
+        let text = String::from_utf8(full.clone()).expect("utf8");
+        let prefix: String = text.lines().take(7).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, prefix).expect("truncate");
+        let (mut j, report) = Journal::open(&path).expect("open");
+        assert!(report.clean(), "{report:?}");
+        let resumed = run(&mut j);
+        drop(j);
+        let after_resume = std::fs::read(&path).expect("read");
+        let _ = std::fs::remove_file(&path);
+
+        assert_eq!(full, after_resume, "resume rewrote or duplicated lines");
+        assert_eq!(digest_trials(&fresh), digest_trials(&resumed));
+        let mut h = Fnv::new();
+        h.bytes(&full);
+        actual.push((format!("journal/{threads}t/bytes"), h.0));
+        actual.push((format!("journal/{threads}t/fresh"), digest(&fresh)));
+    }
+    assert_eq!(actual[0].1, actual[2].1, "journal bytes depend on workers");
+    check(&actual);
+}
+
+/// History-only digest: a resumed run replays journaled trials from the
+/// memo cache, so its counters legitimately differ from the fresh run's.
+fn digest_trials(r: &TuneResult) -> u64 {
+    let mut h = Fnv::new();
+    for t in &r.history {
+        h.u64(t.config_index);
+        h.u64(t.cost_ms.to_bits());
+    }
+    h.u64(r.best_ms.to_bits());
+    h.0
+}
+
+fn check(actual: &[(String, u64)]) {
+    let golden = |name: &str| GOLDEN.iter().find(|(n, _)| *n == name).map(|(_, d)| *d);
+    let stale = actual.iter().any(|(name, d)| golden(name) != Some(*d));
+    if stale {
+        let table: String = actual
+            .iter()
+            .map(|(n, d)| format!("    (\"{n}\", 0x{d:016x}),\n"))
+            .collect();
+        panic!("golden digests differ; this run produced:\n{table}");
+    }
+}

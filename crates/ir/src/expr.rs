@@ -8,7 +8,7 @@
 use std::fmt;
 use std::ops;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use crate::dtype::{DType, TypeCode};
 
@@ -218,23 +218,28 @@ pub enum ExprNode {
 #[derive(Clone, Debug)]
 pub struct Expr(pub Arc<ExprNode>);
 
-/// Range of `int32` immediates kept in the global intern pool. Lowering
-/// builds loop bounds, strides, tile extents and guard constants from this
-/// range overwhelmingly often, so [`Expr::int`] serves them as `Arc` clones
-/// of pre-built nodes instead of fresh allocations.
+/// Range of `int32` immediates kept in the intern pool. Lowering builds
+/// loop bounds, strides, tile extents and guard constants from this range
+/// overwhelmingly often, so [`Expr::int`] serves them as `Arc` clones of
+/// pre-built nodes instead of fresh allocations.
 const INTERN_MIN: i64 = -8;
 const INTERN_MAX: i64 = 512;
 
-static INT_POOL: LazyLock<Vec<Expr>> = LazyLock::new(|| {
-    (INTERN_MIN..=INTERN_MAX)
+thread_local! {
+    /// One pool per thread: workers lowering side by side would otherwise
+    /// bounce the reference counts of the same few nodes (0, 1, ...) between
+    /// their cores on every clone and drop, which costs more than the
+    /// allocations the pool saves and makes a lowering's time depend on what
+    /// the other workers are doing.
+    static INT_POOL: Vec<Expr> = (INTERN_MIN..=INTERN_MAX)
         .map(|value| {
             Expr(Arc::new(ExprNode::IntImm {
                 value,
                 dtype: DType::int32(),
             }))
         })
-        .collect()
-});
+        .collect();
+}
 
 static INTERN_HITS: AtomicU64 = AtomicU64::new(0);
 static INTERN_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -254,11 +259,11 @@ impl Expr {
         Expr(Arc::new(node))
     }
 
-    /// `int32` immediate. Small values come from a global intern pool.
+    /// `int32` immediate. Small values come from the thread's intern pool.
     pub fn int(value: i64) -> Self {
         if (INTERN_MIN..=INTERN_MAX).contains(&value) {
             INTERN_HITS.fetch_add(1, Ordering::Relaxed);
-            return INT_POOL[(value - INTERN_MIN) as usize].clone();
+            return INT_POOL.with(|pool| pool[(value - INTERN_MIN) as usize].clone());
         }
         INTERN_MISSES.fetch_add(1, Ordering::Relaxed);
         Expr::new(ExprNode::IntImm {
