@@ -2,46 +2,31 @@
 //! crash-safe journal.
 //!
 //! Records are JSON lines keyed by task name, mirroring upstream TVM's
-//! autotvm log format, extended for durability:
+//! autotvm log format. Durability — per-line checksums, recovery with a
+//! [`RecoveryReport`], torn-tail truncation, flush-per-append, atomic
+//! compaction — is the shared [`crate::log`]; this module owns only the
+//! tuner's line format, [`JournalLine`]:
 //!
-//! * every record carries a **CRC32 checksum** over a canonical encoding
-//!   of its payload, so torn writes and bit rot are detected;
-//! * every trial carries its **1-based trial number** within its task,
-//!   so replayed/duplicated records are detected;
-//! * [`Database::load`] never aborts on corrupt input: it recovers the
-//!   valid records and a [`RecoveryReport`] says exactly what was
-//!   dropped (truncated tail, garbage bytes, checksum mismatches,
-//!   duplicates);
-//! * [`Journal`] is the append-only write path: each record is flushed
-//!   at a line boundary, opening a journal truncates a torn tail back to
-//!   the last valid record, and [`Journal::compact`] rewrites the file
-//!   atomically (temp file + rename).
+//! * a **trial** ([`DbRecord`]) carries its 1-based trial number within
+//!   its task, so a replayed append is detected as a duplicate;
+//! * a **meta** line pins the tuner seed a task was journaled under, so a
+//!   resume under a different seed is refused instead of diverging;
+//! * a **sig** line is the task's invariant feature signature, the key of
+//!   the transfer lookup.
 //!
 //! A tuning run journaled through [`crate::tuner::tune_with`] can
 //! therefore be killed at any record boundary and resumed to the
 //! identical final best configuration.
 
 use std::collections::HashMap;
-use std::io::{Read, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use tvm_json::Value;
 
 use crate::config::ConfigEntity;
+pub use crate::log::{crc32, LineError, RecoveryReport};
+use crate::log::{f64_field, str_field, u64_field, Field, Log, Record};
 use crate::tuner::TuneResult;
-
-/// CRC32 (IEEE polynomial, bitwise) — the record checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// One persisted measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,25 +41,6 @@ pub struct DbRecord {
     pub config: String,
     /// Measured milliseconds (`f64::INFINITY` for invalid configs).
     pub cost_ms: f64,
-}
-
-/// Canonical payload encoding the checksum covers. The cost uses its
-/// exact bit pattern so the check is byte-stable across serialization.
-fn trial_canonical(
-    task: &str,
-    trial: u64,
-    config_index: u64,
-    config: &str,
-    cost_ms: f64,
-) -> String {
-    format!(
-        "trial|{trial}|{task}|{config_index}|{config}|{:016x}",
-        cost_ms.to_bits()
-    )
-}
-
-fn meta_canonical(task: &str, seed: u64) -> String {
-    format!("meta|{task}|{seed}")
 }
 
 /// Signatures are serialized as exact f64 bit patterns (hex, comma
@@ -96,49 +62,9 @@ fn sig_from_string(s: &str) -> Option<Vec<f64>> {
         .collect()
 }
 
-fn sig_canonical(task: &str, sig: &[f64]) -> String {
-    format!("sig|{task}|{}", sig_to_string(sig))
-}
-
-/// JSON for a possibly non-finite cost (JSON itself has no `inf`).
-fn cost_to_value(cost_ms: f64) -> Value {
-    if cost_ms.is_finite() {
-        Value::Float(cost_ms)
-    } else if cost_ms == f64::INFINITY {
-        Value::Str("inf".into())
-    } else if cost_ms == f64::NEG_INFINITY {
-        Value::Str("-inf".into())
-    } else {
-        Value::Str("nan".into())
-    }
-}
-
-fn cost_from_value(v: &Value) -> Option<f64> {
-    if let Some(f) = v.as_f64() {
-        return Some(f);
-    }
-    match v.as_str() {
-        Some("inf") => Some(f64::INFINITY),
-        Some("-inf") => Some(f64::NEG_INFINITY),
-        Some("nan") => Some(f64::NAN),
-        _ => None,
-    }
-}
-
-/// Why a journal line was rejected.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LineError {
-    /// Not valid JSON, or missing/ill-typed fields.
-    Malformed(String),
-    /// Parsed fine but the stored checksum disagrees with the payload.
-    Checksum,
-}
-
-/// One parsed journal line.
+/// One line of a tuning journal.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalLine {
-    /// Blank (kept, carries no data).
-    Blank,
     /// Run metadata: task + tuner seed.
     Meta {
         /// Task name.
@@ -158,162 +84,81 @@ pub enum JournalLine {
 }
 
 impl JournalLine {
-    /// Parses and checksum-verifies one journal line.
-    pub fn parse(line: &str) -> Result<JournalLine, LineError> {
-        if line.trim().is_empty() {
-            return Ok(JournalLine::Blank);
+    /// Parses and checksum-verifies one journal line (`None` if blank).
+    pub fn parse(line: &str) -> Result<Option<JournalLine>, LineError> {
+        crate::log::parse_line(line)
+    }
+}
+
+/// Pre-journal logs carry neither `crc` nor `trial`, and a trial line has
+/// no `kind`: its canonical string alone leads with `trial`.
+impl Record for JournalLine {
+    const CRC_OPTIONAL: bool = true;
+
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        let kind = |k: &str| ("kind", Field::Str(k.into()));
+        match self {
+            JournalLine::Meta { task, seed } => vec![
+                kind("meta"),
+                ("task", Field::Str(task.clone())),
+                ("seed", Field::U64(*seed)),
+            ],
+            JournalLine::Sig { task, sig } => vec![
+                kind("sig"),
+                ("task", Field::Str(task.clone())),
+                ("sig", Field::Str(sig_to_string(sig))),
+            ],
+            JournalLine::Trial(rec) => vec![
+                ("", Field::Str("trial".into())),
+                ("trial", Field::U64(rec.trial)),
+                ("task", Field::Str(rec.task.clone())),
+                ("config_index", Field::U64(rec.config_index)),
+                ("config", Field::Str(rec.config.clone())),
+                ("cost_ms", Field::F64(rec.cost_ms)),
+            ],
         }
-        let v = tvm_json::from_str(line).map_err(|e| LineError::Malformed(e.to_string()))?;
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| LineError::Malformed(format!("missing field `{k}`")))
-        };
-        let stored_crc = match v.get("crc") {
-            Some(c) => Some(
-                c.as_i64()
-                    .ok_or_else(|| LineError::Malformed("crc must be an integer".into()))?
-                    as u32,
-            ),
-            None => None,
-        };
-        if v.get("kind").and_then(|k| k.as_str()) == Some("meta") {
-            let task = field("task")?
-                .as_str()
-                .ok_or_else(|| LineError::Malformed("task must be a string".into()))?
-                .to_string();
-            let seed = field("seed")?
-                .as_i64()
-                .ok_or_else(|| LineError::Malformed("seed must be an integer".into()))?
-                as u64;
-            if let Some(crc) = stored_crc {
-                if crc != crc32(meta_canonical(&task, seed).as_bytes()) {
-                    return Err(LineError::Checksum);
-                }
-            }
-            return Ok(JournalLine::Meta { task, seed });
+    }
+
+    fn decode(line: &Value) -> Result<JournalLine, String> {
+        let task = str_field(line, "task")?;
+        match line.get("kind").and_then(|k| k.as_str()) {
+            Some("meta") => Ok(JournalLine::Meta {
+                task,
+                seed: u64_field(line, "seed")?,
+            }),
+            Some("sig") => Ok(JournalLine::Sig {
+                task,
+                sig: sig_from_string(&str_field(line, "sig")?).ok_or("sig must be hex f64 bits")?,
+            }),
+            _ => Ok(JournalLine::Trial(DbRecord {
+                task,
+                trial: match line.get("trial") {
+                    Some(_) => u64_field(line, "trial")?,
+                    None => 0,
+                },
+                config_index: u64_field(line, "config_index")?,
+                config: str_field(line, "config")?,
+                cost_ms: f64_field(line, "cost_ms")?,
+            })),
         }
-        if v.get("kind").and_then(|k| k.as_str()) == Some("sig") {
-            let task = field("task")?
-                .as_str()
-                .ok_or_else(|| LineError::Malformed("task must be a string".into()))?
-                .to_string();
-            let sig = sig_from_string(
-                field("sig")?
-                    .as_str()
-                    .ok_or_else(|| LineError::Malformed("sig must be a string".into()))?,
-            )
-            .ok_or_else(|| LineError::Malformed("sig must be hex f64 bits".into()))?;
-            if let Some(crc) = stored_crc {
-                if crc != crc32(sig_canonical(&task, &sig).as_bytes()) {
-                    return Err(LineError::Checksum);
-                }
-            }
-            return Ok(JournalLine::Sig { task, sig });
+    }
+
+    /// First writer wins for a task's meta and signature; legacy trials
+    /// are numbered after the load, so they never collide.
+    fn dedup_key(&self) -> Option<String> {
+        match self {
+            JournalLine::Meta { task, .. } => Some(format!("meta of task `{task}`")),
+            JournalLine::Sig { task, .. } => Some(format!("signature of task `{task}`")),
+            JournalLine::Trial(rec) if rec.trial == 0 => None,
+            JournalLine::Trial(rec) => Some(format!("task `{}`, trial {}", rec.task, rec.trial)),
         }
-        let task = field("task")?
-            .as_str()
-            .ok_or_else(|| LineError::Malformed("task must be a string".into()))?
-            .to_string();
-        let trial = match v.get("trial") {
-            Some(t) => t
-                .as_i64()
-                .ok_or_else(|| LineError::Malformed("trial must be an integer".into()))?
-                as u64,
-            None => 0, // legacy record without trial numbering
-        };
-        let config_index = field("config_index")?
-            .as_i64()
-            .ok_or_else(|| LineError::Malformed("config_index must be an integer".into()))?
-            as u64;
-        let config = field("config")?
-            .as_str()
-            .ok_or_else(|| LineError::Malformed("config must be a string".into()))?
-            .to_string();
-        let cost_ms = cost_from_value(field("cost_ms")?)
-            .ok_or_else(|| LineError::Malformed("cost_ms must be a number".into()))?;
-        if let Some(crc) = stored_crc {
-            if crc
-                != crc32(trial_canonical(&task, trial, config_index, &config, cost_ms).as_bytes())
-            {
-                return Err(LineError::Checksum);
-            }
-        }
-        Ok(JournalLine::Trial(DbRecord {
-            task,
-            trial,
-            config_index,
-            config,
-            cost_ms,
-        }))
     }
 }
 
 impl DbRecord {
     /// Compact JSON form (one checksummed log line).
     pub fn to_json(&self) -> String {
-        let crc = crc32(
-            trial_canonical(
-                &self.task,
-                self.trial,
-                self.config_index,
-                &self.config,
-                self.cost_ms,
-            )
-            .as_bytes(),
-        );
-        Value::object([
-            ("task", Value::from(self.task.clone())),
-            ("trial", Value::from(self.trial)),
-            ("config_index", Value::from(self.config_index)),
-            ("config", Value::from(self.config.clone())),
-            ("cost_ms", cost_to_value(self.cost_ms)),
-            ("crc", Value::Int(crc as i64)),
-        ])
-        .to_string()
-    }
-
-    /// Parses one log line (legacy API; see [`JournalLine::parse`]).
-    pub fn from_json(line: &str) -> Result<DbRecord, String> {
-        match JournalLine::parse(line) {
-            Ok(JournalLine::Trial(r)) => Ok(r),
-            Ok(JournalLine::Meta { .. }) => Err("meta record, not a trial".into()),
-            Ok(JournalLine::Sig { .. }) => Err("signature record, not a trial".into()),
-            Ok(JournalLine::Blank) => Err("blank line".into()),
-            Err(LineError::Checksum) => Err("checksum mismatch".into()),
-            Err(LineError::Malformed(e)) => Err(e),
-        }
-    }
-}
-
-/// What `load` recovered and what it had to drop.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RecoveryReport {
-    /// Valid records kept.
-    pub kept: usize,
-    /// Partial final line dropped (torn append).
-    pub dropped_truncated: usize,
-    /// Unparseable interior lines dropped.
-    pub dropped_corrupt: usize,
-    /// Lines whose checksum disagreed with their payload.
-    pub dropped_checksum: usize,
-    /// Records whose (task, trial) pair was already present.
-    pub dropped_duplicates: usize,
-    /// Human-readable notes, one per dropped line.
-    pub notes: Vec<String>,
-}
-
-impl RecoveryReport {
-    /// Total dropped lines.
-    pub fn dropped(&self) -> usize {
-        self.dropped_truncated
-            + self.dropped_corrupt
-            + self.dropped_checksum
-            + self.dropped_duplicates
-    }
-
-    /// True when nothing was dropped.
-    pub fn clean(&self) -> bool {
-        self.dropped() == 0
+        crate::log::encode_line(&JournalLine::Trial(self.clone()))
     }
 }
 
@@ -373,15 +218,8 @@ impl Database {
     /// a crash mid-save leaves either the old file or the new one, never
     /// a half-written mix.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = tmp_path(path);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            for r in &self.records {
-                writeln!(f, "{}", r.to_json())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        let lines = self.records.iter().cloned().map(JournalLine::Trial);
+        crate::log::save::<JournalLine>(path, lines)
     }
 
     /// Loads JSON lines, recovering from corruption (see
@@ -390,143 +228,38 @@ impl Database {
         Ok(Self::load_with_report(path)?.0)
     }
 
-    /// Loads JSON lines; corrupt, torn, checksum-failing and duplicate
-    /// lines are dropped (not fatal) and itemized in the report.
+    /// Loads the trials of a tuning log or journal; corrupt, torn,
+    /// checksum-failing and duplicate lines are dropped (not fatal) and
+    /// itemized in the report (which also counts meta and signature
+    /// lines).
     pub fn load_with_report(path: &Path) -> std::io::Result<(Database, RecoveryReport)> {
-        let scan = scan_journal(path)?;
-        Ok((scan.db, scan.report))
+        let (lines, report) = crate::log::load::<JournalLine>(path)?;
+        let mut db = Database::new();
+        for line in lines {
+            if let JournalLine::Trial(rec) = line {
+                db.records.push(rec);
+            }
+        }
+        db.number_legacy_trials();
+        Ok((db, report))
+    }
+
+    /// Legacy logs carry no trial numbers: count them per task, in file
+    /// order.
+    fn number_legacy_trials(&mut self) {
+        let mut counts: HashMap<String, u64> = HashMap::new();
+        for rec in self.records.iter_mut().filter(|r| r.trial == 0) {
+            let n = counts.entry(rec.task.clone()).or_insert(0);
+            *n += 1;
+            rec.trial = *n;
+        }
     }
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-/// Everything one pass over a journal file yields.
-struct JournalScan {
-    db: Database,
-    metas: Vec<(String, u64)>,
-    sigs: Vec<(String, Vec<f64>)>,
-    report: RecoveryReport,
-    /// Byte offset after the last valid line; the file tail beyond it is
-    /// entirely invalid (torn) when `tail_torn` is set.
-    valid_end: u64,
-    tail_torn: bool,
-}
-
-fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let mut db = Database::new();
-    let mut metas: Vec<(String, u64)> = Vec::new();
-    let mut sigs: Vec<(String, Vec<f64>)> = Vec::new();
-    let mut report = RecoveryReport::default();
-    let mut seen: HashMap<(String, u64), ()> = HashMap::new();
-    // Per-task running count for legacy records without trial numbers.
-    let mut legacy_counts: HashMap<String, u64> = HashMap::new();
-    let mut valid_end = 0u64;
-    let mut tail_torn = false;
-    let mut offset = 0usize;
-    let mut lineno = 0usize;
-    while offset < bytes.len() {
-        lineno += 1;
-        let nl = bytes[offset..].iter().position(|&b| b == b'\n');
-        let (end, complete) = match nl {
-            Some(i) => (offset + i + 1, true),
-            None => (bytes.len(), false),
-        };
-        let raw = &bytes[offset..end];
-        let text = String::from_utf8_lossy(raw);
-        let line = text.trim_end_matches('\n');
-        let mut good = false;
-        match JournalLine::parse(line) {
-            Ok(JournalLine::Blank) => good = true,
-            Ok(JournalLine::Meta { task, seed }) => {
-                good = true;
-                if !metas.iter().any(|(t, _)| *t == task) {
-                    metas.push((task, seed));
-                }
-            }
-            Ok(JournalLine::Sig { task, sig }) => {
-                good = true;
-                if !sigs.iter().any(|(t, _)| *t == task) {
-                    sigs.push((task, sig));
-                }
-            }
-            Ok(JournalLine::Trial(mut rec)) => {
-                if rec.trial == 0 {
-                    let c = legacy_counts.entry(rec.task.clone()).or_insert(0);
-                    *c += 1;
-                    rec.trial = *c;
-                }
-                if seen.insert((rec.task.clone(), rec.trial), ()).is_some() {
-                    report.dropped_duplicates += 1;
-                    report.notes.push(format!(
-                        "line {lineno}: duplicate record (task `{}`, trial {})",
-                        rec.task, rec.trial
-                    ));
-                    // A format-valid duplicate still extends the valid
-                    // prefix (compaction removes it; truncation must not).
-                    good = true;
-                } else {
-                    good = true;
-                    report.kept += 1;
-                    db.records.push(rec);
-                }
-            }
-            Err(LineError::Checksum) => {
-                report.dropped_checksum += 1;
-                report
-                    .notes
-                    .push(format!("line {lineno}: checksum mismatch"));
-            }
-            Err(LineError::Malformed(e)) => {
-                if !complete {
-                    report.dropped_truncated += 1;
-                    report
-                        .notes
-                        .push(format!("line {lineno}: truncated final line ({e})"));
-                } else {
-                    report.dropped_corrupt += 1;
-                    report.notes.push(format!("line {lineno}: {e}"));
-                }
-            }
-        }
-        if good {
-            if tail_torn {
-                // Valid data after an invalid run: the damage was
-                // interior, not a torn tail.
-                tail_torn = false;
-            }
-            valid_end = end as u64;
-        } else {
-            tail_torn = true;
-        }
-        offset = end;
-    }
-    // Count kept records that were dup-checked but not "kept" above: the
-    // `kept` counter tracks stored trials; metas/blanks are not records.
-    Ok(JournalScan {
-        db,
-        metas,
-        sigs,
-        report,
-        valid_end,
-        tail_torn,
-    })
-}
-
-/// Append-only crash-safe tuning journal.
-///
-/// Line format: one checksummed JSON record per line (see [`DbRecord`]),
-/// plus `{"kind":"meta",...}` run-metadata lines. Appends flush at line
-/// boundaries; recovery on open truncates a torn tail back to the last
-/// valid record; compaction rewrites atomically via temp-file + rename.
+/// Append-only crash-safe tuning journal: a [`Log`] of [`JournalLine`]s
+/// plus the tables they fold into.
 pub struct Journal {
-    path: PathBuf,
-    file: std::fs::File,
+    log: Log<JournalLine>,
     /// Recovered + appended records.
     pub db: Database,
     metas: Vec<(String, u64)>,
@@ -534,57 +267,48 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates a fresh (truncated) journal.
-    pub fn create(path: &Path) -> std::io::Result<Journal> {
-        let file = std::fs::File::create(path)?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file,
+    fn over(log: Log<JournalLine>) -> Journal {
+        Journal {
+            log,
             db: Database::new(),
             metas: Vec::new(),
             sigs: Vec::new(),
-        })
+        }
+    }
+
+    /// Creates a fresh (truncated) journal.
+    pub fn create(path: &Path) -> std::io::Result<Journal> {
+        Log::create(path).map(Journal::over)
     }
 
     /// Opens (or creates) a journal, recovering valid records and
     /// truncating any torn tail so subsequent appends land on a clean
     /// record boundary.
     pub fn open(path: &Path) -> std::io::Result<(Journal, RecoveryReport)> {
-        if !path.exists() {
-            return Ok((Self::create(path)?, RecoveryReport::default()));
-        }
-        let scan = scan_journal(path)?;
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        if scan.tail_torn {
-            file.set_len(scan.valid_end)?;
-        }
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-                db: scan.db,
-                metas: scan.metas,
-                sigs: scan.sigs,
-            },
-            scan.report,
-        ))
+        let (log, lines, report) = Log::open(path)?;
+        let mut journal = Journal::over(log);
+        lines.into_iter().for_each(|line| journal.absorb(line));
+        journal.db.number_legacy_trials();
+        Ok((journal, report))
     }
 
-    /// Journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn absorb(&mut self, line: JournalLine) {
+        match line {
+            JournalLine::Meta { task, seed } => self.metas.push((task, seed)),
+            JournalLine::Sig { task, sig } => self.sigs.push((task, sig)),
+            JournalLine::Trial(rec) => self.db.records.push(rec),
+        }
+    }
+
+    fn write(&mut self, line: JournalLine) -> std::io::Result<()> {
+        self.log.append(&line)?;
+        self.absorb(line);
+        Ok(())
     }
 
     /// Appends one record and flushes it to the OS at a line boundary.
     pub fn append(&mut self, rec: DbRecord) -> std::io::Result<()> {
-        writeln!(self.file, "{}", rec.to_json())?;
-        self.file.flush()?;
-        self.db.records.push(rec);
-        Ok(())
+        self.write(JournalLine::Trial(rec))
     }
 
     /// Records run metadata for a task (first writer wins).
@@ -592,18 +316,8 @@ impl Journal {
         if self.meta_seed(task).is_some() {
             return Ok(());
         }
-        let crc = crc32(meta_canonical(task, seed).as_bytes());
-        let line = Value::object([
-            ("kind", Value::Str("meta".into())),
-            ("task", Value::from(task.to_string())),
-            ("seed", Value::from(seed)),
-            ("crc", Value::Int(crc as i64)),
-        ])
-        .to_string();
-        writeln!(self.file, "{line}")?;
-        self.file.flush()?;
-        self.metas.push((task.to_string(), seed));
-        Ok(())
+        let task = task.to_string();
+        self.write(JournalLine::Meta { task, seed })
     }
 
     /// The journaled tuner seed for a task, if any.
@@ -617,18 +331,8 @@ impl Journal {
         if self.signature(task).is_some() {
             return Ok(());
         }
-        let crc = crc32(sig_canonical(task, sig).as_bytes());
-        let line = Value::object([
-            ("kind", Value::Str("sig".into())),
-            ("task", Value::from(task.to_string())),
-            ("sig", Value::Str(sig_to_string(sig))),
-            ("crc", Value::Int(crc as i64)),
-        ])
-        .to_string();
-        writeln!(self.file, "{line}")?;
-        self.file.flush()?;
-        self.sigs.push((task.to_string(), sig.to_vec()));
-        Ok(())
+        let (task, sig) = (task.to_string(), sig.to_vec());
+        self.write(JournalLine::Sig { task, sig })
     }
 
     /// The journaled signature for a task, if any.
@@ -664,51 +368,20 @@ impl Journal {
 
     /// Forces journal contents to stable storage.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.file.sync_data()
+        self.log.sync()
     }
 
     /// Rewrites the journal atomically with only valid, deduplicated
     /// content (metas and signatures first, then records in order). A
     /// crash during compaction leaves the old journal intact.
     pub fn compact(&mut self) -> std::io::Result<()> {
-        let tmp = tmp_path(&self.path);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            for (task, seed) in &self.metas {
-                let crc = crc32(meta_canonical(task, *seed).as_bytes());
-                let line = Value::object([
-                    ("kind", Value::Str("meta".into())),
-                    ("task", Value::from(task.clone())),
-                    ("seed", Value::from(*seed)),
-                    ("crc", Value::Int(crc as i64)),
-                ])
-                .to_string();
-                writeln!(f, "{line}")?;
-            }
-            for (task, sig) in &self.sigs {
-                let crc = crc32(sig_canonical(task, sig).as_bytes());
-                let line = Value::object([
-                    ("kind", Value::Str("sig".into())),
-                    ("task", Value::from(task.clone())),
-                    ("sig", Value::Str(sig_to_string(sig))),
-                    ("crc", Value::Int(crc as i64)),
-                ])
-                .to_string();
-                writeln!(f, "{line}")?;
-            }
-            for r in &self.db.records {
-                writeln!(f, "{}", r.to_json())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)?;
-        file.seek(std::io::SeekFrom::End(0))?;
-        self.file = file;
-        Ok(())
+        let metas = self.metas.iter().cloned();
+        let sigs = self.sigs.iter().cloned();
+        let lines = metas
+            .map(|(task, seed)| JournalLine::Meta { task, seed })
+            .chain(sigs.map(|(task, sig)| JournalLine::Sig { task, sig }))
+            .chain(self.db.records.iter().cloned().map(JournalLine::Trial));
+        self.log.compact(lines)
     }
 }
 
@@ -768,9 +441,7 @@ mod tests {
             cost_ms: f64::INFINITY,
         };
         let line = rec.to_json();
-        let back = DbRecord::from_json(&line).expect("parses");
-        assert_eq!(back.cost_ms, f64::INFINITY);
-        assert_eq!(back, rec);
+        assert_eq!(JournalLine::parse(&line), Ok(Some(JournalLine::Trial(rec))));
     }
 
     #[test]
@@ -783,12 +454,40 @@ mod tests {
             cost_ms: 2.5,
         };
         let line = rec.to_json();
-        assert!(DbRecord::from_json(&line).is_ok());
+        assert!(JournalLine::parse(&line).is_ok());
         let tampered = line.replace("2.5", "9.5");
         assert_eq!(
             JournalLine::parse(&tampered),
             Err(LineError::Checksum),
             "{tampered}"
+        );
+    }
+
+    #[test]
+    fn crc_outside_u32_is_malformed_not_truncated() {
+        let rec = DbRecord {
+            task: "t".into(),
+            trial: 1,
+            config_index: u64::MAX,
+            config: "k=1".into(),
+            cost_ms: 2.5,
+        };
+        let line = rec.to_json();
+        assert!(line.contains("\"ffffffffffffffff\""), "{line}");
+        assert_eq!(
+            JournalLine::parse(&line),
+            Ok(Some(JournalLine::Trial(rec.clone())))
+        );
+        // `crc + 2^32` used to alias `crc` through `as u32`.
+        let crc = crc32(b"trial|1|t|18446744073709551615|k=1|4004000000000000");
+        let aliased = line.replace(
+            &format!("\"crc\":{crc}"),
+            &format!("\"crc\":{}", u64::from(crc) + (1 << 32)),
+        );
+        assert_ne!(aliased, line);
+        assert!(
+            matches!(JournalLine::parse(&aliased), Err(LineError::Malformed(_))),
+            "{aliased}"
         );
     }
 
@@ -832,7 +531,7 @@ mod tests {
         }
         let line = std::fs::read_to_string(&path).expect("read");
         match JournalLine::parse(line.trim_end()) {
-            Ok(JournalLine::Sig { task, sig }) => {
+            Ok(Some(JournalLine::Sig { task, sig })) => {
                 assert_eq!(task, "t");
                 assert_eq!(sig, vec![1.0, 2.0]);
             }
@@ -841,7 +540,10 @@ mod tests {
         // Flip one bit of the signature payload.
         let tampered = line.replacen("3ff", "3fe", 1);
         assert_ne!(tampered, line);
-        assert_eq!(JournalLine::parse(tampered.trim_end()), Err(LineError::Checksum));
+        assert_eq!(
+            JournalLine::parse(tampered.trim_end()),
+            Err(LineError::Checksum)
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -871,7 +573,9 @@ mod tests {
     #[test]
     fn legacy_lines_without_checksum_still_load() {
         let legacy = r#"{"task": "t", "config_index": 2, "config": "k=8", "cost_ms": 1.5}"#;
-        let rec = DbRecord::from_json(legacy).expect("legacy parse");
+        let Ok(Some(JournalLine::Trial(rec))) = JournalLine::parse(legacy) else {
+            panic!("legacy line must parse as a trial");
+        };
         assert_eq!(rec.cost_ms, 1.5);
         assert_eq!(rec.trial, 0, "legacy records carry no trial number");
     }

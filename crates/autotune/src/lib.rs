@@ -14,8 +14,14 @@
 //!   devices, with fault-tolerant scheduling (timeouts, retries,
 //!   quarantine, replica verification) under injected chaos (§5.4);
 //!   observed through counters and health snapshots, not a transcript;
-//! * [`db`] — JSON-lines tuning logs backed by a crash-safe,
-//!   checksummed append-only journal;
+//! * [`log`] — the one crash-safe, checksummed append-only log, generic
+//!   over a record codec (the tuner's journal here; `tvm-serve`'s
+//!   lifecycle and artifact journals are its other two clients);
+//! * [`db`] — the tuning-log database and journal: the tuner's line
+//!   format (meta / signature / trial) over [`log`];
+//! * [`planned`] — the one planned-task constructor behind template and
+//!   sketch tasks alike: structural plan cache, annotation knobs,
+//!   cooperative loads, hardware-limit validation;
 //! * [`sketch`] — automatic sketch generation: structural schedule
 //!   derivations enumerated from the tensor-expression DAG itself, no
 //!   hand-written template required;
@@ -28,6 +34,8 @@ pub mod db;
 pub mod error;
 pub mod features;
 pub mod gbt;
+pub mod log;
+pub mod planned;
 pub mod pool;
 mod propose;
 pub mod sketch;

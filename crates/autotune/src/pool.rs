@@ -2,10 +2,13 @@
 //!
 //! The paper scales measurement with a tracker + RPC protocol: clients
 //! request a device of a given type, upload a cross-compiled module, run
-//! it and fetch profiling results. This module reproduces that control
-//! flow against simulated devices — requests queue, devices are granted
-//! least-busy-first, and per-device utilization is accounted — without
-//! a network (see DESIGN.md's substitution table).
+//! it and fetch profiling results. Here the unit of that protocol is the
+//! batch: a client hands [`Tracker::run_batch`] the modules to time on a
+//! device type, the tracker places each on the least-busy usable device
+//! (round-robin between equals, so a fast device absorbs more of the
+//! fleet's work than a slow one), runs them against simulated devices and
+//! accounts per-device utilization — without a network (see DESIGN.md's
+//! substitution table).
 //!
 //! Real fleets crash, hang and lie about timings, so the tracker is a
 //! *health-aware* scheduler. Under a [`tvm_sim::FaultPlan`]:
@@ -365,31 +368,6 @@ impl Tracker {
         pass(true).or_else(|| pass(false))
     }
 
-    /// Requests a device whose target name matches; the least-busy usable
-    /// matching device is granted (so a fast device absorbs more of the
-    /// fleet's work than a slow one), with round-robin as the tie-break
-    /// between equally-loaded devices. Dead and quarantined devices are
-    /// never granted here.
-    pub fn request(&mut self, target_name: &str) -> Option<usize> {
-        let picked = self.pick(target_name, &[], &[], &[]);
-        if let Some(id) = picked {
-            self.next_rr = (id + 1) % self.devices.len();
-        }
-        picked
-    }
-
-    /// Uploads a module and runs it, returning measured milliseconds.
-    /// This is the simple fault-free protocol path; chaos injection and
-    /// retries live in [`Tracker::run_batch_detailed`].
-    pub fn run(&mut self, device: usize, func: &LoweredFunc) -> f64 {
-        let d = &mut self.devices[device];
-        let ms = estimate_with(func, &d.target, &self.sim_opts).millis();
-        d.busy_ms += ms;
-        d.runs += 1;
-        d.attempts += 1;
-        ms
-    }
-
     /// Re-admits quarantined devices whose term expired.
     fn expire_quarantines(&mut self) {
         for id in 0..self.devices.len() {
@@ -696,11 +674,6 @@ impl Tracker {
             .collect()
     }
 
-    /// Releases a device back to the pool: the closing step of the serial
-    /// request → run → release protocol. Devices are granted by load, not
-    /// held, so there is nothing to undo.
-    pub fn release(&mut self, _device: usize) {}
-
     /// Per-device (runs, busy-ms) accounting.
     pub fn stats(&self) -> Vec<(u64, f64)> {
         self.devices.iter().map(|d| (d.runs, d.busy_ms)).collect()
@@ -740,9 +713,7 @@ mod tests {
         let mut t = Tracker::new(vec![arm_a53(), arm_a53()]);
         let f = small_func();
         for _ in 0..4 {
-            let d = t.request("a53-sim").expect("granted");
-            t.run(d, &f);
-            t.release(d);
+            assert!(t.run_batch("a53-sim", &[&f])[0].is_some());
         }
         let stats = t.stats();
         assert_eq!(stats[0].0, 2);
@@ -756,26 +727,15 @@ mod tests {
         let mut t = Tracker::new(vec![arm_a53(), arm_a53()]);
         let big = sized_func(65536, "big");
         let small = small_func();
-        let d = t.request("a53-sim").expect("granted");
-        assert_eq!(d, 0);
-        t.run(d, &big);
-        t.release(d);
+        assert_eq!(t.run_batch_detailed("a53-sim", &[&big])[0].device, Some(0));
         for _ in 0..3 {
-            let d = t.request("a53-sim").expect("granted");
-            assert_eq!(d, 1, "idle device must absorb the load");
-            t.run(d, &small);
-            t.release(d);
+            let out = t.run_batch_detailed("a53-sim", &[&small]);
+            assert_eq!(out[0].device, Some(1), "idle device must absorb the load");
         }
         let stats = t.stats();
         assert_eq!(stats[0].0, 1);
         assert_eq!(stats[1].0, 3);
         assert!(stats[0].1 > stats[1].1, "device 0 still the busiest");
-    }
-
-    #[test]
-    fn unknown_target_not_granted() {
-        let mut t = Tracker::new(vec![arm_a53()]);
-        assert!(t.request("titanx-sim").is_none());
     }
 
     #[test]
@@ -787,12 +747,10 @@ mod tests {
         let mut batch = Tracker::new(vec![arm_a53(), arm_a53(), arm_a53()]);
         let ms = batch.run_batch("a53-sim", &refs);
         assert!(ms.iter().all(|m| m.is_some()));
-        // Same timings as the serial protocol.
+        // Same timings as one device taking the jobs one at a time.
         let mut serial = Tracker::new(vec![arm_a53()]);
         for (f, m) in refs.iter().zip(&ms) {
-            let d = serial.request("a53-sim").expect("granted");
-            assert_eq!(serial.run(d, f), m.expect("measured"));
-            serial.release(d);
+            assert_eq!(serial.run_batch("a53-sim", &[f]), vec![*m]);
         }
         // Every device did work, and the fleet makespan beats one device.
         let stats = batch.stats();
@@ -959,11 +917,7 @@ mod tests {
         // vote whose clean majority recovers the true timing exactly.
         let funcs = [small_func()];
         let refs: Vec<&LoweredFunc> = funcs.iter().collect();
-        let truth = {
-            let mut clean = Tracker::new(vec![arm_a53()]);
-            let d = clean.request("a53-sim").expect("granted");
-            clean.run(d, &funcs[0])
-        };
+        let truth = Tracker::new(vec![arm_a53()]).run_batch("a53-sim", &refs)[0].expect("clean");
         let mut t = Tracker::new(vec![arm_a53(), arm_a53(), arm_a53()]);
         t.set_retry_policy(RetryPolicy {
             replicas: 2,

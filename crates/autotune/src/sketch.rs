@@ -23,73 +23,21 @@
 //! hand-written template — sketches extend the system, they do not
 //! remove the escape hatch.
 
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use tvm_ir::{LoweredFunc, MemScope, ThreadTag};
-use tvm_sim::analysis::analyze;
+use tvm_ir::{MemScope, ThreadTag};
 use tvm_sim::Target;
-use tvm_te::{
-    create_schedule, emit_planned, plan_schedule, ComputeBody, IterVar, LowerOptions, LowerPlan,
-    PlanCache, Schedule, TeError, Tensor,
-};
+use tvm_te::{ComputeBody, IterVar, Schedule, TeError, Tensor};
 
 use crate::config::{ConfigEntity, ConfigSpace};
 use crate::error::TuneError;
+use crate::planned::{cooperative_load, planned_task, AnnPoints};
 use crate::tuner::TuningTask;
-
-/// Annotation-only knobs: same set as the template layer, so
-/// configurations differing only in these share one lowering plan.
-const ANNOTATION_KNOBS: [&str; 3] = ["vec", "par", "unroll"];
 
 /// Cap on tile-knob options (divisors up to this bound).
 const MAX_TILE: i64 = 32;
 /// Cap on reduce-split options.
 const MAX_RSPLIT: i64 = 64;
-
-fn structural_key(cfg: &ConfigEntity) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (name, v) in &cfg.values {
-        if !ANNOTATION_KNOBS.contains(&name.as_str()) {
-            name.hash(&mut h);
-            v.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-/// Where a derivation's annotation holes landed.
-#[derive(Clone, Default)]
-struct Holes {
-    /// `unroll = k` unrolls the first `k` entries.
-    unroll: Vec<(Tensor, IterVar)>,
-    vec: Option<(Tensor, IterVar)>,
-    par: Option<(Tensor, IterVar)>,
-}
-
-fn apply_annotations(s: &mut Schedule, cfg: &ConfigEntity, holes: &Holes) -> Result<(), TeError> {
-    let knob = |name: &str| {
-        cfg.values
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    let n = knob("unroll").clamp(0, holes.unroll.len() as i64) as usize;
-    for (t, iv) in &holes.unroll[..n] {
-        s.unroll(t, iv)?;
-    }
-    if knob("vec") == 1 {
-        if let Some((t, iv)) = &holes.vec {
-            s.vectorize(t, iv)?;
-        }
-    }
-    if knob("par") == 1 {
-        if let Some((t, iv)) = &holes.par {
-            s.parallel(t, iv)?;
-        }
-    }
-    Ok(())
-}
 
 /// One structural derivation the `sketch` knob selects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -331,7 +279,7 @@ impl SketchTask {
     }
 
     /// Applies the derivation selected by `cfg` to a fresh schedule.
-    fn apply(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<Holes, TeError> {
+    fn apply(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<AnnPoints, TeError> {
         let sk = cfg.try_get("sketch")?;
         let kind = *self
             .sketches
@@ -354,7 +302,7 @@ impl SketchTask {
     /// `[outer tiles..., reduce-outer, other reduces..., inner tiles
     /// (except last), reduce-inner, last inner tile]` — the classic
     /// register-blocked accumulator nest with a vectorizable last axis.
-    fn apply_cpu_tile(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<Holes, TeError> {
+    fn apply_cpu_tile(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<AnnPoints, TeError> {
         self.inline_interiors(s)?;
         let out = &self.anchor;
         let axes = out.op.axes();
@@ -377,7 +325,7 @@ impl SketchTask {
             order.push(last);
         }
         s.reorder(out, &order)?;
-        let mut holes = Holes {
+        let mut holes = AnnPoints {
             unroll: vec![(out.clone(), ki.clone())],
             vec: inners.last().map(|iv| (out.clone(), iv.clone())),
             par: outers.first().map(|iv| (out.clone(), iv.clone())),
@@ -393,7 +341,11 @@ impl SketchTask {
     /// CPU sketch 1: tile the output's spatial axes, then compute the
     /// reduction in a `Local` cache-write stage attached at a knob-chosen
     /// outer loop (`at = 1` hoists it to the outermost tile loop).
-    fn apply_cpu_tile_cache(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<Holes, TeError> {
+    fn apply_cpu_tile_cache(
+        &self,
+        s: &mut Schedule,
+        cfg: &ConfigEntity,
+    ) -> Result<AnnPoints, TeError> {
         let out = &self.anchor;
         // cache_write must be the first primitive touching the stage.
         let cl = s.cache_write(out, MemScope::Local)?;
@@ -422,7 +374,7 @@ impl SketchTask {
         let mut cl_order: Vec<&IterVar> = vec![&ko, &ki];
         cl_order.extend(cl_axes.iter());
         s.reorder(&cl, &cl_order)?;
-        Ok(Holes {
+        Ok(AnnPoints {
             unroll: vec![(cl.clone(), ki.clone())],
             vec: cl_axes.last().map(|iv| (cl.clone(), iv.clone())),
             par: outers.first().map(|iv| (out.clone(), iv.clone())),
@@ -435,7 +387,7 @@ impl SketchTask {
         s: &mut Schedule,
         cfg: &ConfigEntity,
         gpu: bool,
-    ) -> Result<Holes, TeError> {
+    ) -> Result<AnnPoints, TeError> {
         self.inline_interiors(s)?;
         let out = &self.anchor;
         let axes = out.op.axes();
@@ -447,9 +399,9 @@ impl SketchTask {
         if gpu {
             s.bind(out, &o, ThreadTag::BlockIdxX)?;
             s.bind(out, &i, ThreadTag::ThreadIdxX)?;
-            Ok(Holes::default())
+            Ok(AnnPoints::default())
         } else {
-            Ok(Holes {
+            Ok(AnnPoints {
                 unroll: Vec::new(),
                 vec: Some((out.clone(), i)),
                 par: Some((out.clone(), o)),
@@ -467,7 +419,11 @@ impl SketchTask {
     /// `[r-outer, other reduces, r-inner, micro-tile]` so every loaded
     /// operand is reused across the whole micro-tile; shared-memory
     /// cooperative loads hang off the r-outer loop.
-    fn apply_gpu_thread_tile(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<Holes, TeError> {
+    fn apply_gpu_thread_tile(
+        &self,
+        s: &mut Schedule,
+        cfg: &ConfigEntity,
+    ) -> Result<AnnPoints, TeError> {
         let out = &self.anchor;
         let cl = s.cache_write(out, MemScope::Local)?;
         self.inline_interiors(s)?;
@@ -532,7 +488,7 @@ impl SketchTask {
             threads.push((ttag, e));
             inner_thread = t.clone();
         }
-        let mut holes = Holes::default();
+        let mut holes = AnnPoints::default();
         s.compute_at(&cl, out, &inner_thread)?;
         let cl_reduces = cl.op.reduce_axes();
         let (ko, ki) = s.split(&cl, &cl_reduces[0], cfg.try_get("r0")?)?;
@@ -557,65 +513,6 @@ impl SketchTask {
     }
 }
 
-/// Distributes a cache stage's copy loops across the thread block (the
-/// cooperative-fetch pattern; local copy of the template layer's helper
-/// to keep the dependency direction autotune <- topi).
-fn cooperative_load(
-    s: &mut Schedule,
-    t: &Tensor,
-    threads: &[(ThreadTag, i64)],
-) -> Result<(), TeError> {
-    let axes = t.op.axes();
-    let mut fused = axes[0].clone();
-    for a in &axes[1..] {
-        fused = s.fuse(t, &fused, a)?;
-    }
-    let total: i64 = threads.iter().map(|(_, e)| *e).product();
-    let (_serial, mut rest) = s.split(t, &fused, total)?;
-    let mut bound: Vec<(ThreadTag, IterVar)> = Vec::new();
-    for (tag, ext) in threads.iter().rev() {
-        let (outer, inner) = s.split(t, &rest, *ext)?;
-        bound.push((*tag, inner));
-        rest = outer;
-    }
-    for (tag, iv) in bound {
-        s.bind(t, &iv, tag)?;
-    }
-    Ok(())
-}
-
-/// Hardware-limit checks on the lowered candidate.
-fn validate(func: &LoweredFunc, target: &Target) -> Result<(), TeError> {
-    let an = analyze(func);
-    if let Target::Gpu(g) = target {
-        let shared = an
-            .alloc_bytes
-            .get(&MemScope::Shared)
-            .copied()
-            .unwrap_or(0.0);
-        if shared > g.shared_bytes_per_sm as f64 {
-            return Err(TeError::msg(format!(
-                "shared memory overflow: {shared} bytes"
-            )));
-        }
-        if an.block_threads() > 1024 {
-            return Err(TeError::msg(format!(
-                "too many threads: {}",
-                an.block_threads()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// A cached structural derivation: pre-annotation schedule, lowering
-/// plan, and the annotation holes.
-struct PlannedSketch {
-    sched: Schedule,
-    plan: LowerPlan,
-    holes: Holes,
-}
-
 /// Size of the sketch search space for a DAG, when sketchable. This is
 /// what EXPERIMENTS.md reports: structural derivations x hole fillings.
 pub fn sketch_space_size(outputs: &[Tensor], target: &Target) -> Option<u64> {
@@ -636,43 +533,23 @@ pub fn sketch_task(
     let st = Arc::new(SketchTask::analyze(outputs, &target)?);
     let space = st.space(&target);
     let name = name.into();
-    let t2 = target.clone();
-    let fname = name.clone();
-    let cache: PlanCache<PlannedSketch> = PlanCache::default();
-    let args: Vec<Tensor> = args.to_vec();
-    let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let planned = cache.get_or_build(
-            structural_key(cfg),
-            || -> Result<PlannedSketch, TeError> {
-                let mut s = create_schedule(std::slice::from_ref(&st.anchor));
-                let holes = st.apply(&mut s, cfg)?;
-                let plan = plan_schedule(&s)?;
-                Ok(PlannedSketch {
-                    sched: s,
-                    plan,
-                    holes,
-                })
-            },
-        )?;
-        let mut s = planned.sched.clone();
-        apply_annotations(&mut s, cfg, &planned.holes)?;
-        let f = emit_planned(&s, &planned.plan, &args, &fname, &LowerOptions::default())?;
-        validate(&f, &t2)?;
-        Ok(f)
-    };
-    Ok(TuningTask {
-        name,
+    let structural = move |s: &mut Schedule, cfg: &ConfigEntity| st.apply(s, cfg);
+    Ok(planned_task(
+        name.clone(),
         space,
-        builder: Arc::new(builder),
         target,
-        sim_opts: Default::default(),
-    })
+        outputs,
+        args,
+        name,
+        structural,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tvm_ir::DType;
+    use tvm_sim::analysis::analyze;
     use tvm_sim::target::{arm_a53, titanx};
     use tvm_te::{compute, placeholder, reduce_axis, sum};
 
@@ -778,7 +655,11 @@ mod tests {
         let an = analyze(&f);
         assert_eq!(an.block_threads(), 64, "8x8 thread tile");
         assert!(
-            an.alloc_bytes.get(&MemScope::Shared).copied().unwrap_or(0.0) > 0.0,
+            an.alloc_bytes
+                .get(&MemScope::Shared)
+                .copied()
+                .unwrap_or(0.0)
+                > 0.0,
             "use_shared=1 must allocate shared memory"
         );
     }

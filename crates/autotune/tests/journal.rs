@@ -207,3 +207,48 @@ fn atomic_save_replaces_not_mixes() {
     assert_eq!(loaded.records[0].cost_ms, 2.0);
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn seed_above_i64_max_is_journaled_and_guards_the_resume() {
+    // JSON integers stop at i64::MAX; a seed above it used to be written
+    // as a float the reader refused, so the meta line was lost and a
+    // resume under any other seed went through.
+    use tvm_autotune::{tune_with, ConfigEntity, TuneOptions, TunerKind, TuningTask};
+    use tvm_te::{compute, create_schedule, lower, placeholder};
+
+    let mut space = ConfigSpace::new();
+    space.define_split("tile", 64, 64);
+    let builder = |cfg: &ConfigEntity| {
+        let a = placeholder(&[64], tvm_ir::DType::float32(), "A");
+        let b = compute(&[64], "B", |i| a.at(&[i[0].clone()]) + 1);
+        let mut s = create_schedule(std::slice::from_ref(&b));
+        s.split(&b, &b.op.axes()[0], cfg.get("tile"))?;
+        lower(&s, &[a.clone(), b], "inc")
+    };
+    let task = TuningTask {
+        name: "inc64".into(),
+        space,
+        builder: std::sync::Arc::new(builder),
+        target: tvm_sim::arm_a53(),
+        sim_opts: Default::default(),
+    };
+    let opts = TuneOptions {
+        n_trials: 4,
+        seed: u64::MAX,
+        ..Default::default()
+    };
+    let path = tmp("tvm_rs_journal_big_seed.jsonl");
+    {
+        let mut j = Journal::create(&path).expect("create");
+        tune_with(&task, &opts, TunerKind::Random, None, Some(&mut j)).expect("tunes");
+    }
+    let (mut j, report) = Journal::open(&path).expect("open");
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(j.meta_seed("inc64"), Some(u64::MAX));
+    assert_eq!(j.trials_for("inc64").len(), 4);
+    let other = TuneOptions { seed: 1, ..opts };
+    let err = tune_with(&task, &other, TunerKind::Random, None, Some(&mut j))
+        .expect_err("a journal written under another seed must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let _ = std::fs::remove_file(&path);
+}

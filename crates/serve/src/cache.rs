@@ -3,14 +3,14 @@
 //! Serving compiles each model once per (batch bucket, target, schedule
 //! hash) and keeps the [`Module`] in memory behind an [`Arc`] so every
 //! batch shares it. What survives a restart is the *decision log*: the
-//! per-group schedule strategies the compiler searched over, journaled in
-//! the PR 4 append-only checksummed format (torn tails truncated,
-//! duplicates deduped, compaction atomic). A warm start replays the
+//! per-group schedule strategies the compiler searched over, journaled as
+//! [`ArtifactRecord`]s in the shared checksummed append-only [`Log`] (torn
+//! tails truncated, replayed appends dropped). A warm start replays the
 //! recorded decisions — each group builds exactly once along the recorded
 //! path instead of enumerating and cost-comparing candidates — and a
 //! module fingerprint check guards against a stale journal: on mismatch
-//! the entry is rebuilt cold and re-journaled under a higher trial number
-//! (the loader takes the highest trial per key, so newest wins).
+//! the entry is rebuilt cold and re-journaled under the next generation
+//! (the highest generation per key wins).
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -18,9 +18,12 @@ use std::sync::Arc;
 
 use tvm::compiler::{build_with_report, BuildOptions, GroupDecision};
 use tvm::target::Target;
-use tvm_autotune::db::crc32;
-use tvm_autotune::{Database, DbRecord, Journal, RecoveryReport};
+use tvm_autotune::log::{
+    crc32, f64_field, str_field, u64_field, Field, Log, Record, RecoveryReport,
+};
+use tvm_autotune::Database;
 use tvm_graph::Graph;
+use tvm_json::Value;
 use tvm_runtime::Module;
 
 use crate::{Model, ServeError};
@@ -96,10 +99,60 @@ fn fingerprint(module: &Module, decisions: &[GroupDecision]) -> u32 {
     crc32(canon.as_bytes())
 }
 
+/// One journaled compile — the cache's line format:
+/// `{"crc":…,"decisions":"ATTA","fingerprint":2868759204,"generation":1,"key":"serve/mlp64/b4/…","total_ms":0.0123}`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ArtifactRecord {
+    /// The compile's [`ArtifactCache::key`].
+    pub key: String,
+    /// 1-based rebuild count of this key; the highest generation is the
+    /// entry a warm start replays.
+    pub generation: u64,
+    /// [`fingerprint`] of the module the decisions produced.
+    pub fingerprint: u32,
+    /// The searched schedule strategy of each fused group, in group order.
+    pub decisions: Vec<GroupDecision>,
+    /// The module's simulated latency (informational).
+    pub total_ms: f64,
+}
+
+impl Record for ArtifactRecord {
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        vec![
+            ("key", Field::Str(self.key.clone())),
+            ("generation", Field::U64(self.generation)),
+            ("fingerprint", Field::U64(u64::from(self.fingerprint))),
+            ("decisions", Field::Str(encode_decisions(&self.decisions))),
+            ("total_ms", Field::F64(self.total_ms)),
+        ]
+    }
+
+    fn decode(line: &Value) -> Result<ArtifactRecord, String> {
+        Ok(ArtifactRecord {
+            key: str_field(line, "key")?,
+            generation: u64_field(line, "generation")?,
+            fingerprint: u32::try_from(u64_field(line, "fingerprint")?)
+                .map_err(|_| "fingerprint must fit 32 bits")?,
+            decisions: decode_decisions(&str_field(line, "decisions")?)
+                .ok_or("decisions must be a string of `A`/`T`")?,
+            total_ms: f64_field(line, "total_ms")?,
+        })
+    }
+
+    fn dedup_key(&self) -> Option<String> {
+        Some(format!(
+            "key `{}`, generation {}",
+            self.key, self.generation
+        ))
+    }
+}
+
 /// The compiled-artifact cache: in-memory `Arc<Module>` map plus an
 /// optional on-disk decision journal.
 pub struct ArtifactCache {
-    journal: Option<Journal>,
+    journal: Option<Log<ArtifactRecord>>,
+    /// The newest journaled entry per key.
+    journaled: HashMap<String, ArtifactRecord>,
     modules: HashMap<String, Arc<Module>>,
     stats: CacheStats,
     recovery: RecoveryReport,
@@ -110,6 +163,7 @@ impl ArtifactCache {
     pub fn in_memory() -> ArtifactCache {
         ArtifactCache {
             journal: None,
+            journaled: HashMap::new(),
             modules: HashMap::new(),
             stats: CacheStats::default(),
             recovery: RecoveryReport::default(),
@@ -120,14 +174,22 @@ impl ArtifactCache {
     /// the existing journal — torn tails truncated, corrupt or duplicate
     /// lines dropped — are available via [`ArtifactCache::recovery`].
     pub fn open(path: &Path) -> Result<ArtifactCache, ServeError> {
-        let (journal, recovery) =
-            Journal::open(path).map_err(|e| ServeError::CacheIo(e.to_string()))?;
-        Ok(ArtifactCache {
+        let (journal, records, recovery) = Log::open(path)?;
+        let mut cache = ArtifactCache {
             journal: Some(journal),
-            modules: HashMap::new(),
-            stats: CacheStats::default(),
             recovery,
-        })
+            ..ArtifactCache::in_memory()
+        };
+        records.into_iter().for_each(|rec| cache.remember(rec));
+        Ok(cache)
+    }
+
+    /// Keeps `rec` if it is its key's newest generation.
+    fn remember(&mut self, rec: ArtifactRecord) {
+        let newest = self.journaled.get(&rec.key).map_or(0, |r| r.generation);
+        if rec.generation > newest {
+            self.journaled.insert(rec.key.clone(), rec);
+        }
     }
 
     /// What journal recovery found on open.
@@ -176,45 +238,37 @@ impl ArtifactCache {
         }
         let _sp = tvm_obs::span_with("serve.cache.build", &[("key", key.as_str())]);
         let graph = model.build_graph(bucket);
-        let recorded = self.journal.as_ref().and_then(|j| {
-            j.trials_for(&key)
-                .last()
-                .map(|r| (r.config.clone(), r.config_index, r.trial))
-        });
 
         // Warm path: replay the journaled per-group decisions.
-        if let Some((config, fp_recorded, _trial)) = &recorded {
-            if let Some(decisions) = decode_decisions(config) {
-                let opts = BuildOptions {
-                    db,
-                    decisions: Some(&decisions),
-                    ..BuildOptions::default()
-                };
-                if let Ok((module, report)) = build_with_report(&graph, target, &opts) {
-                    let fp = fingerprint(&module, &report.decisions);
-                    if u64::from(fp) == *fp_recorded {
-                        // A replayed decision list skips the candidate
-                        // search, so the rebuilt module gets the full
-                        // graph-layer verification (memory-plan safety,
-                        // fusion legality, slot contracts) before it is
-                        // allowed to serve — a stale or corrupt journal
-                        // must degrade to a cold build, never to a module
-                        // with an unsound plan.
-                        let verdict = module.verify();
-                        if verdict.has_errors() {
-                            self.stats.verify_rejects += 1;
-                            tvm_obs::counter_add("serve.cache.verify_rejects", 1);
-                        } else {
-                            self.stats.warm_builds += 1;
-                            tvm_obs::counter_add("serve.cache.warm_builds", 1);
-                            let m = Arc::new(module);
-                            self.modules.insert(key, Arc::clone(&m));
-                            return Ok(m);
-                        }
+        if let Some(recorded) = self.journaled.get(&key) {
+            let opts = BuildOptions {
+                db,
+                decisions: Some(&recorded.decisions),
+                ..BuildOptions::default()
+            };
+            if let Ok((module, report)) = build_with_report(&graph, target, &opts) {
+                if fingerprint(&module, &report.decisions) == recorded.fingerprint {
+                    // A replayed decision list skips the candidate
+                    // search, so the rebuilt module gets the full
+                    // graph-layer verification (memory-plan safety,
+                    // fusion legality, slot contracts) before it is
+                    // allowed to serve — a stale or corrupt journal
+                    // must degrade to a cold build, never to a module
+                    // with an unsound plan.
+                    let verdict = module.verify();
+                    if verdict.has_errors() {
+                        self.stats.verify_rejects += 1;
+                        tvm_obs::counter_add("serve.cache.verify_rejects", 1);
                     } else {
-                        self.stats.fingerprint_mismatches += 1;
-                        tvm_obs::counter_add("serve.cache.fingerprint_mismatches", 1);
+                        self.stats.warm_builds += 1;
+                        tvm_obs::counter_add("serve.cache.warm_builds", 1);
+                        let m = Arc::new(module);
+                        self.modules.insert(key, Arc::clone(&m));
+                        return Ok(m);
                     }
+                } else {
+                    self.stats.fingerprint_mismatches += 1;
+                    tvm_obs::counter_add("serve.cache.fingerprint_mismatches", 1);
                 }
             }
         }
@@ -231,18 +285,16 @@ impl ArtifactCache {
             })?;
         self.stats.cold_builds += 1;
         tvm_obs::counter_add("serve.cache.cold_builds", 1);
-        let fp = fingerprint(&module, &report.decisions);
         if let Some(j) = self.journal.as_mut() {
-            let trial = j.trials_for(&key).last().map(|r| r.trial).unwrap_or(0) + 1;
-            let rec = DbRecord {
-                task: key.clone(),
-                trial,
-                config_index: u64::from(fp),
-                config: encode_decisions(&report.decisions),
-                cost_ms: module.total_ms(),
+            let rec = ArtifactRecord {
+                key: key.clone(),
+                generation: self.journaled.get(&key).map_or(0, |r| r.generation) + 1,
+                fingerprint: fingerprint(&module, &report.decisions),
+                decisions: report.decisions,
+                total_ms: module.total_ms(),
             };
-            j.append(rec)
-                .map_err(|e| ServeError::CacheIo(e.to_string()))?;
+            j.append(&rec)?;
+            self.remember(rec);
         }
         let m = Arc::new(module);
         self.modules.insert(key, Arc::clone(&m));
@@ -253,7 +305,7 @@ impl ArtifactCache {
     /// right after this returns).
     pub fn sync(&mut self) -> Result<(), ServeError> {
         if let Some(j) = self.journal.as_mut() {
-            j.sync().map_err(|e| ServeError::CacheIo(e.to_string()))?;
+            j.sync()?;
         }
         Ok(())
     }

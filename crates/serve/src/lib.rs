@@ -33,7 +33,7 @@ pub mod traffic;
 pub mod version;
 
 pub use batch::{bucket_for, BatchPolicy};
-pub use cache::{schedule_hash, ArtifactCache, CacheStats};
+pub use cache::{schedule_hash, ArtifactCache, ArtifactRecord, CacheStats};
 pub use model::{Model, ALL_MODELS};
 pub use service::{
     row_digest, HedgePolicy, HedgeStats, Request, ResponseRecord, ServeOutcome, Service,
@@ -41,7 +41,9 @@ pub use service::{
 };
 pub use tenancy::{AdmissionConfig, TenantConfig};
 pub use traffic::{generate, BurstSpec, TenantTraffic, TrafficSpec};
-pub use version::{ModelVersion, RolloutConfig, RolloutStats, VersionRegistry};
+pub use version::{
+    LifecycleOp, LifecycleRecord, ModelVersion, RolloutConfig, RolloutStats, VersionRegistry,
+};
 
 use tvm_runtime::RuntimeError;
 
@@ -178,5 +180,12 @@ impl std::error::Error for ServeError {}
 impl From<RuntimeError> for ServeError {
     fn from(e: RuntimeError) -> ServeError {
         ServeError::Runtime(e)
+    }
+}
+
+/// The only files the service touches are its two journals.
+impl From<std::io::Error> for ServeError {
+    fn from(e: std::io::Error) -> ServeError {
+        ServeError::CacheIo(e.to_string())
     }
 }

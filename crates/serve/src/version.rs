@@ -7,16 +7,16 @@
 //! (what tenants are served) and at most one **candidate** (the blue/
 //! green "green" side, executed only in canary shadow until the health
 //! gate promotes it). Every lifecycle transition — register, promote,
-//! roll back — is journaled in the PR 4 append-only checksummed format,
-//! so a crash mid-promotion recovers to the pre-promotion stable
-//! version: torn tails are truncated at a record boundary and replay is
-//! a pure fold over the surviving records.
+//! roll back — is journaled as a [`LifecycleRecord`] in the shared
+//! checksummed append-only [`Log`], so a crash mid-promotion recovers to
+//! the pre-promotion stable version: torn tails are truncated at a record
+//! boundary and replay is a pure fold over the surviving records.
 
 use std::collections::HashMap;
 use std::path::Path;
 
-use tvm_autotune::db::crc32;
-use tvm_autotune::{DbRecord, Journal, RecoveryReport};
+use tvm_autotune::log::{crc32, str_field, u64_field, Field, Log, Record, RecoveryReport};
+use tvm_json::Value;
 use tvm_sim::mix64;
 
 use crate::{Model, ServeError, ALL_MODELS};
@@ -116,34 +116,85 @@ pub struct RolloutStats {
     pub rollbacks: u64,
 }
 
-/// Lifecycle record ops, as encoded in the journal's `config` field.
-enum LifecycleOp {
-    Register { weights: u64, label: String },
-    Promote { weights: u64, label: String },
+/// What a lifecycle record does to its model's rollout state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LifecycleOp {
+    /// The version becomes the model's canary candidate.
+    Register,
+    /// The version becomes stable; the rollout ends. Self-contained, so a
+    /// re-journaled promotion replays as an idempotent no-op.
+    Promote,
+    /// The candidate is discarded; stable is untouched.
     Rollback,
 }
 
-fn decode_op(config: &str, config_index: u64) -> Option<LifecycleOp> {
-    let (tag, label) = config.split_once(':')?;
-    match tag {
-        "R" => Some(LifecycleOp::Register {
-            weights: config_index,
-            label: label.to_string(),
-        }),
-        "P" => Some(LifecycleOp::Promote {
-            weights: config_index,
-            label: label.to_string(),
-        }),
-        // Rollback records carry `B:<label>|<reason>`; replay only needs
-        // the op (the candidate is discarded whatever it was).
-        "B" => Some(LifecycleOp::Rollback),
-        _ => None,
+impl LifecycleOp {
+    const ALL: [LifecycleOp; 3] = [Self::Register, Self::Promote, Self::Rollback];
+
+    fn name(self) -> &'static str {
+        match self {
+            LifecycleOp::Register => "register",
+            LifecycleOp::Promote => "promote",
+            LifecycleOp::Rollback => "rollback",
+        }
+    }
+}
+
+/// One journaled lifecycle transition — the registry's line format:
+/// `{"crc":…,"label":"v1","model":"mlp64","op":"promote","reason":"","seq":2,"weights":5}`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LifecycleRecord {
+    /// 1-based transition number within the model; a replayed append
+    /// repeats it and is dropped as a duplicate.
+    pub seq: u64,
+    /// The transition.
+    pub op: LifecycleOp,
+    /// The version registered, promoted or rolled back.
+    pub version: ModelVersion,
+    /// Why the candidate was rolled back (empty for other ops).
+    pub reason: String,
+}
+
+impl Record for LifecycleRecord {
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        vec![
+            ("model", Field::Str(self.version.model.name().into())),
+            ("seq", Field::U64(self.seq)),
+            ("op", Field::Str(self.op.name().into())),
+            ("weights", Field::U64(self.version.weights)),
+            ("label", Field::Str(self.version.label.clone())),
+            ("reason", Field::Str(self.reason.clone())),
+        ]
+    }
+
+    fn decode(line: &Value) -> Result<LifecycleRecord, String> {
+        let model = str_field(line, "model")?;
+        let op = str_field(line, "op")?;
+        Ok(LifecycleRecord {
+            seq: u64_field(line, "seq")?,
+            op: LifecycleOp::ALL
+                .into_iter()
+                .find(|o| o.name() == op)
+                .ok_or_else(|| format!("unknown lifecycle op `{op}`"))?,
+            version: ModelVersion {
+                model: Model::from_name(&model)
+                    .ok_or_else(|| format!("unknown model `{model}`"))?,
+                weights: u64_field(line, "weights")?,
+                label: str_field(line, "label")?,
+            },
+            reason: str_field(line, "reason")?,
+        })
+    }
+
+    fn dedup_key(&self) -> Option<String> {
+        let model = self.version.model.name();
+        Some(format!("model `{model}`, transition {}", self.seq))
     }
 }
 
 /// The per-model version registry with journaled lifecycle transitions.
 pub struct VersionRegistry {
-    journal: Option<Journal>,
+    journal: Option<Log<LifecycleRecord>>,
     stable: HashMap<Model, ModelVersion>,
     candidate: HashMap<Model, ModelVersion>,
     seq: HashMap<Model, u64>,
@@ -151,10 +202,6 @@ pub struct VersionRegistry {
 }
 
 impl VersionRegistry {
-    fn task_for(model: Model) -> String {
-        format!("version/{}", model.name())
-    }
-
     /// A purely in-memory registry (no persistence).
     pub fn in_memory() -> VersionRegistry {
         VersionRegistry {
@@ -167,61 +214,59 @@ impl VersionRegistry {
     }
 
     /// Opens (or creates) a journal-backed registry and replays the
-    /// recorded lifecycle. Torn tails, duplicate trials and garbage
-    /// lines are handled by journal recovery; an interrupted promotion
-    /// (no `P` record survived) replays to the pre-promotion stable.
+    /// recorded lifecycle. Torn tails, replayed appends and garbage
+    /// lines are handled by log recovery; an interrupted promotion (no
+    /// promote record survived) replays to the pre-promotion stable.
     pub fn open(path: &Path) -> Result<VersionRegistry, ServeError> {
-        let (journal, recovery) =
-            Journal::open(path).map_err(|e| ServeError::CacheIo(e.to_string()))?;
+        let (journal, records, recovery) = Log::open(path)?;
         let mut reg = VersionRegistry {
             journal: Some(journal),
-            stable: baseline_map(),
-            candidate: HashMap::new(),
-            seq: HashMap::new(),
             recovery,
+            ..VersionRegistry::in_memory()
         };
-        reg.replay();
+        records.into_iter().for_each(|rec| reg.apply(rec));
         Ok(reg)
     }
 
-    fn replay(&mut self) {
-        let Some(j) = &self.journal else { return };
-        for m in ALL_MODELS {
-            let task = Self::task_for(m);
-            let mut stable = ModelVersion::baseline(m);
-            let mut candidate: Option<ModelVersion> = None;
-            let mut seq = 0;
-            for rec in j.trials_for(&task) {
-                seq = seq.max(rec.trial);
-                match decode_op(&rec.config, rec.config_index) {
-                    Some(LifecycleOp::Register { weights, label }) => {
-                        candidate = Some(ModelVersion {
-                            model: m,
-                            weights,
-                            label,
-                        });
-                    }
-                    Some(LifecycleOp::Promote { weights, label }) => {
-                        // The promote record is self-contained, so a
-                        // duplicate (re-journaled) promotion is an
-                        // idempotent no-op on replay.
-                        stable = ModelVersion {
-                            model: m,
-                            weights,
-                            label,
-                        };
-                        candidate = None;
-                    }
-                    Some(LifecycleOp::Rollback) => candidate = None,
-                    None => {} // unknown op: skip, never crash recovery
-                }
+    /// Folds one transition into the registry state — the single step of
+    /// both replay and live operation.
+    fn apply(&mut self, rec: LifecycleRecord) {
+        let model = rec.version.model;
+        let seq = self.seq.entry(model).or_insert(0);
+        *seq = rec.seq.max(*seq);
+        match rec.op {
+            LifecycleOp::Register => {
+                self.candidate.insert(model, rec.version);
             }
-            self.stable.insert(m, stable);
-            if let Some(c) = candidate {
-                self.candidate.insert(m, c);
+            LifecycleOp::Promote => {
+                self.candidate.remove(&model);
+                self.stable.insert(model, rec.version);
             }
-            self.seq.insert(m, seq);
+            LifecycleOp::Rollback => {
+                self.candidate.remove(&model);
+            }
         }
+    }
+
+    /// Journals a transition, then applies it: a failed append leaves the
+    /// registry as it was.
+    fn transition(
+        &mut self,
+        op: LifecycleOp,
+        version: ModelVersion,
+        reason: &str,
+    ) -> Result<(), ServeError> {
+        let rec = LifecycleRecord {
+            seq: self.seq.get(&version.model).copied().unwrap_or(0) + 1,
+            op,
+            version,
+            reason: reason.to_string(),
+        };
+        if let Some(j) = self.journal.as_mut() {
+            j.append(&rec)?;
+        }
+        self.apply(rec);
+        Ok(())
     }
 
     /// What journal recovery found on open.
@@ -242,31 +287,8 @@ impl VersionRegistry {
         self.candidate.get(&model)
     }
 
-    fn journal_op(
-        &mut self,
-        model: Model,
-        config: String,
-        config_index: u64,
-    ) -> Result<(), ServeError> {
-        let seq = self.seq.entry(model).or_insert(0);
-        *seq += 1;
-        let trial = *seq;
-        if let Some(j) = self.journal.as_mut() {
-            j.append(DbRecord {
-                task: Self::task_for(model),
-                trial,
-                config_index,
-                config,
-                cost_ms: 0.0,
-            })
-            .map_err(|e| ServeError::CacheIo(e.to_string()))?;
-        }
-        Ok(())
-    }
-
-    /// Registers a rollout candidate. Labels are sanitized (`:` and `|`
-    /// are record delimiters); starting a rollout while one is already
-    /// in progress is a typed error, not a silent replacement.
+    /// Registers a rollout candidate. Starting a rollout while one is
+    /// already in progress is a typed error, not a silent replacement.
     pub fn register_candidate(
         &mut self,
         model: Model,
@@ -280,14 +302,10 @@ impl VersionRegistry {
                 model.name()
             )));
         }
-        let label: String = label
-            .chars()
-            .map(|c| if c == ':' || c == '|' { '_' } else { c })
-            .collect();
         let v = ModelVersion {
             model,
             weights,
-            label: label.clone(),
+            label: label.to_string(),
         };
         if v == self.stable(model) {
             return Err(ServeError::Rollout(format!(
@@ -295,8 +313,7 @@ impl VersionRegistry {
                 model.name()
             )));
         }
-        self.journal_op(model, format!("R:{label}"), weights)?;
-        self.candidate.insert(model, v.clone());
+        self.transition(LifecycleOp::Register, v.clone(), "")?;
         Ok(v)
     }
 
@@ -308,9 +325,7 @@ impl VersionRegistry {
                 model.name()
             )));
         };
-        self.journal_op(model, format!("P:{}", c.label), c.weights)?;
-        self.candidate.remove(&model);
-        self.stable.insert(model, c.clone());
+        self.transition(LifecycleOp::Promote, c.clone(), "")?;
         Ok(c)
     }
 
@@ -323,19 +338,14 @@ impl VersionRegistry {
                 model.name()
             )));
         };
-        let reason: String = reason
-            .chars()
-            .map(|ch| if ch == ':' || ch == '|' { '_' } else { ch })
-            .collect();
-        self.journal_op(model, format!("B:{}|{reason}", c.label), c.weights)?;
-        self.candidate.remove(&model);
+        self.transition(LifecycleOp::Rollback, c, reason)?;
         Ok(self.stable(model))
     }
 
     /// Forces the lifecycle journal to stable storage.
     pub fn sync(&mut self) -> Result<(), ServeError> {
         if let Some(j) = self.journal.as_mut() {
-            j.sync().map_err(|e| ServeError::CacheIo(e.to_string()))?;
+            j.sync()?;
         }
         Ok(())
     }

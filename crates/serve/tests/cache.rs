@@ -7,9 +7,11 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use tvm::compiler::GroupDecision;
+use tvm_autotune::log::Log;
 use tvm_serve::{
-    generate, ArtifactCache, BatchPolicy, Model, ServeOutcome, Service, ServiceConfig,
-    TenantConfig, TenantTraffic, TrafficSpec,
+    generate, ArtifactCache, ArtifactRecord, BatchPolicy, Model, ServeOutcome, Service,
+    ServiceConfig, TenantConfig, TenantTraffic, TrafficSpec,
 };
 
 fn tmp_journal(name: &str) -> PathBuf {
@@ -181,8 +183,8 @@ fn stale_fingerprint_falls_back_to_cold_build_and_self_heals() {
     let path = tmp_journal("stale");
     let target = tvm::target::arm_a53();
 
-    // Hand-write a journal entry whose decision string parses but whose
-    // fingerprint can't match any real build.
+    // Journal one real build, then a stale entry whose decisions decode
+    // but whose fingerprint can't match any real build.
     {
         let mut cache = ArtifactCache::open(&path).expect("open");
         let m = cache
@@ -191,32 +193,24 @@ fn stale_fingerprint_falls_back_to_cold_build_and_self_heals() {
         drop(m);
         cache.sync().expect("sync");
     }
-    // Corrupt the fingerprint by rewriting the record with a bogus
-    // config_index but a valid checksum (an "honest" stale entry, e.g.
-    // from an older compiler version).
-    let body = std::fs::read_to_string(&path).expect("read");
-    let line = body.lines().next().expect("one record").to_string();
-    let stale = {
-        // Re-journal under a higher trial with a wrong fingerprint via
-        // the public Journal API so the checksum stays valid.
-        use tvm_autotune::{DbRecord, Journal};
-        let (mut j, _) = Journal::open(&path).expect("journal");
-        let task = line
-            .split("\"task\":\"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-            .expect("task name")
-            .to_string();
-        j.append(DbRecord {
-            task: task.clone(),
-            trial: 99,
-            config_index: 0xDEAD_BEEF,
-            config: "A".into(),
-            cost_ms: 1.0,
+    // Re-journal the entry under a higher generation with a fingerprint
+    // no real build can match, through the log itself so the checksum
+    // stays valid (an "honest" stale entry, e.g. from an older compiler
+    // version).
+    {
+        let (mut log, records, _) = Log::<ArtifactRecord>::open(&path).expect("journal");
+        let [built] = &records[..] else {
+            panic!("one record expected, got {records:?}");
+        };
+        log.append(&ArtifactRecord {
+            generation: 99,
+            fingerprint: 0xDEAD_BEEF,
+            decisions: vec![GroupDecision::Attach],
+            total_ms: 1.0,
+            ..built.clone()
         })
         .expect("append stale");
-        task
-    };
+    }
 
     let mut cache = ArtifactCache::open(&path).expect("reopen");
     let m = cache
@@ -232,7 +226,8 @@ fn stale_fingerprint_falls_back_to_cold_build_and_self_heals() {
         stats.cold_builds, 1,
         "mismatch must fall back to cold build"
     );
-    // The cold build re-journaled under trial 100; a third open warm-builds.
+    // The cold build re-journaled under generation 100; a third open
+    // warm-builds.
     drop(cache);
     let mut cache2 = ArtifactCache::open(&path).expect("third open");
     let _ = cache2
@@ -240,6 +235,5 @@ fn stale_fingerprint_falls_back_to_cold_build_and_self_heals() {
         .expect("warm");
     assert_eq!(cache2.stats().warm_builds, 1, "cache did not self-heal");
     assert_eq!(cache2.stats().cold_builds, 0);
-    let _ = stale;
     let _ = std::fs::remove_file(&path);
 }

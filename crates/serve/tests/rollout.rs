@@ -13,10 +13,11 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::PathBuf;
 
+use tvm_autotune::log::Log;
 use tvm_serve::{
-    generate, AdmissionConfig, BatchPolicy, Model, ModelVersion, ResponseRecord, RolloutConfig,
-    Service, ServiceConfig, ServiceStats, TenantConfig, TenantTraffic, TrafficSpec,
-    VersionRegistry,
+    generate, AdmissionConfig, BatchPolicy, LifecycleOp, LifecycleRecord, Model, ModelVersion,
+    ResponseRecord, RolloutConfig, Service, ServiceConfig, ServiceStats, TenantConfig,
+    TenantTraffic, TrafficSpec, VersionRegistry,
 };
 use tvm_sim::FaultPlan;
 
@@ -315,17 +316,19 @@ fn duplicate_promotion_records_replay_idempotently() {
     assert_eq!(reg.stable(Model::Mlp).weights, 5);
     assert!(reg.candidate(Model::Mlp).is_none());
 
-    // A *re-journaled* promotion under a fresh trial (not a byte-level
+    // A *re-journaled* promotion under a fresh sequence number (not a byte-level
     // duplicate) must also be an idempotent no-op on replay.
     {
-        use tvm_autotune::{DbRecord, Journal};
-        let (mut j, _) = Journal::open(&path).expect("journal");
-        j.append(DbRecord {
-            task: format!("version/{}", Model::Mlp.name()),
-            trial: 99,
-            config_index: 5,
-            config: "P:v1".into(),
-            cost_ms: 0.0,
+        let (mut log, _, _) = Log::<LifecycleRecord>::open(&path).expect("journal");
+        log.append(&LifecycleRecord {
+            seq: 99,
+            op: LifecycleOp::Promote,
+            version: ModelVersion {
+                model: Model::Mlp,
+                weights: 5,
+                label: "v1".into(),
+            },
+            reason: String::new(),
         })
         .expect("append");
     }
@@ -333,6 +336,62 @@ fn duplicate_promotion_records_replay_idempotently() {
     assert_eq!(reg.stable(Model::Mlp).weights, 5);
     assert_eq!(reg.stable(Model::Mlp).label, "v1");
     assert!(reg.candidate(Model::Mlp).is_none());
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn weights_above_i64_max_survive_a_restart() {
+    // JSON integers stop at i64::MAX; a weight seed above it used to be
+    // written as a float the reader refused, so the promoted version
+    // silently un-promoted on restart.
+    let path = tmp_path("big_weights");
+    let weights = u64::MAX - 5;
+    {
+        let mut reg = VersionRegistry::open(&path).expect("open");
+        reg.register_candidate(Model::Mlp, weights, "v1")
+            .expect("register");
+        reg.promote(Model::Mlp).expect("promote");
+        reg.sync().expect("sync");
+    }
+    let reg = VersionRegistry::open(&path).expect("reopen");
+    assert!(reg.recovery().clean(), "{:?}", reg.recovery());
+    assert_eq!(reg.recovery().kept, 2);
+    assert_eq!(reg.stable(Model::Mlp).weights, weights);
+    assert_eq!(reg.stable(Model::Mlp).label, "v1");
+    assert!(reg.candidate(Model::Mlp).is_none());
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn labels_and_reasons_round_trip_verbatim() {
+    // `:` and `|` were the old record encoding's delimiters and were
+    // rewritten to `_`; a typed record carries any text as it is.
+    let path = tmp_path("label");
+    let label = "rc:1|hotfix";
+    let in_memory = VersionRegistry::in_memory()
+        .register_candidate(Model::Mlp, 3, label)
+        .expect("register");
+    assert_eq!(in_memory.label, label);
+    {
+        let mut reg = VersionRegistry::open(&path).expect("open");
+        let v = reg
+            .register_candidate(Model::Mlp, 3, label)
+            .expect("register");
+        assert_eq!(v, in_memory);
+        reg.rollback(Model::Mlp, "digest|mismatch: row 3 \"bad\"")
+            .expect("rollback");
+        reg.register_candidate(Model::Mlp, 3, label)
+            .expect("register again");
+        reg.sync().expect("sync");
+    }
+    let reg = VersionRegistry::open(&path).expect("reopen");
+    assert!(reg.recovery().clean(), "{:?}", reg.recovery());
+    let reopened = reg.candidate(Model::Mlp).expect("candidate survives");
+    assert_eq!(reopened, &in_memory);
+    assert_eq!(reopened.fingerprint(), in_memory.fingerprint());
+    let (records, _) = tvm_autotune::log::load::<LifecycleRecord>(&path).expect("load");
+    assert_eq!(records[1].op, LifecycleOp::Rollback);
+    assert_eq!(records[1].reason, "digest|mismatch: row 3 \"bad\"");
     let _ = std::fs::remove_file(&path);
 }
 

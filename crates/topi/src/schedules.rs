@@ -2,16 +2,12 @@
 //! specification API"), for CPU and GPU targets, plus the tuning-task
 //! constructors the optimizer consumes.
 
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
-
+use tvm_autotune::planned::planned_task;
+pub use tvm_autotune::planned::{apply_annotations, cooperative_load, AnnPoints};
 use tvm_autotune::{ConfigEntity, ConfigSpace, TuningTask};
-use tvm_ir::{LoweredFunc, MemScope, ThreadTag};
-use tvm_sim::{analyze, Target};
-use tvm_te::{
-    create_schedule, emit_planned, plan_schedule, IterVar, LowerOptions, LowerPlan, PlanCache,
-    Schedule, TeError, Tensor,
-};
+use tvm_ir::{MemScope, ThreadTag};
+use tvm_sim::Target;
+use tvm_te::{Schedule, TeError, Tensor};
 
 use crate::nn::{conv2d, dense, depthwise_conv2d, Conv2dOp};
 use crate::workloads::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload};
@@ -42,115 +38,6 @@ pub fn schedule_injective(s: &mut Schedule, out: &Tensor, target: &Target) -> Re
         s.vectorize(out, &i)?;
     }
     Ok(())
-}
-
-/// Distributes a cache stage's copy loops across the thread block — the
-/// cooperative-fetch pattern of §4.2.
-pub fn cooperative_load(
-    s: &mut Schedule,
-    t: &Tensor,
-    threads: &[(ThreadTag, i64)],
-) -> Result<(), TeError> {
-    let axes = t.op.axes();
-    let mut fused = axes[0].clone();
-    for a in &axes[1..] {
-        fused = s.fuse(t, &fused, a)?;
-    }
-    let total: i64 = threads.iter().map(|(_, e)| *e).product();
-    let (_serial, mut rest) = s.split(t, &fused, total)?;
-    // Peel thread axes innermost-first.
-    let mut bound: Vec<(ThreadTag, IterVar)> = Vec::new();
-    for (tag, ext) in threads.iter().rev() {
-        let (outer, inner) = s.split(t, &rest, *ext)?;
-        bound.push((*tag, inner));
-        rest = outer;
-    }
-    for (tag, iv) in bound {
-        s.bind(t, &iv, tag)?;
-    }
-    Ok(())
-}
-
-/// Knobs that only annotate loops (vectorize / parallel / unroll) without
-/// changing loop structure, bounds or dataflow. Configurations differing
-/// only in these share one [`LowerPlan`] — the incremental-lowering cache
-/// is keyed on everything else.
-const ANNOTATION_KNOBS: [&str; 3] = ["vec", "par", "unroll"];
-
-/// Digest of the structural (non-annotation) part of a configuration,
-/// used as the [`PlanCache`] key. Per-task caches mean collisions across
-/// templates are impossible; within a task the knob list is fixed, so
-/// hashing (name, value) pairs in declaration order is a stable identity.
-fn structural_key(cfg: &ConfigEntity) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (name, v) in &cfg.values {
-        if !ANNOTATION_KNOBS.contains(&name.as_str()) {
-            name.hash(&mut h);
-            v.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-/// Where a template's annotation knobs land: which loops `unroll`, `vec`
-/// and `par` mark, captured while applying the structural schedule so the
-/// annotations can be re-applied to a cloned schedule on a plan-cache hit.
-#[derive(Clone)]
-pub struct AnnPoints {
-    /// `unroll = k` unrolls the first `k` entries.
-    unroll: Vec<(Tensor, IterVar)>,
-    vec: Option<(Tensor, IterVar)>,
-    par: Option<(Tensor, IterVar)>,
-}
-
-impl AnnPoints {
-    fn none() -> AnnPoints {
-        AnnPoints {
-            unroll: Vec::new(),
-            vec: None,
-            par: None,
-        }
-    }
-}
-
-/// Applies the annotation-only knobs of `cfg` at the recorded points.
-/// Missing knobs (e.g. no `vec` on GPU spaces) read as 0.
-pub fn apply_annotations(
-    s: &mut Schedule,
-    cfg: &ConfigEntity,
-    points: &AnnPoints,
-) -> Result<(), TeError> {
-    let knob = |name: &str| {
-        cfg.values
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    let n = knob("unroll").clamp(0, points.unroll.len() as i64) as usize;
-    for (t, iv) in &points.unroll[..n] {
-        s.unroll(t, iv)?;
-    }
-    if knob("vec") == 1 {
-        if let Some((t, iv)) = &points.vec {
-            s.vectorize(t, iv)?;
-        }
-    }
-    if knob("par") == 1 {
-        if let Some((t, iv)) = &points.par {
-            s.parallel(t, iv)?;
-        }
-    }
-    Ok(())
-}
-
-/// A structurally-scheduled template cached per structural key: the
-/// schedule (pre-annotation), its lowering plan, and the annotation
-/// points. Emitting a candidate from this is a clone + annotate +
-/// [`emit_planned`] — no re-inlining or bound inference.
-struct PlannedTemplate {
-    sched: Schedule,
-    plan: LowerPlan,
-    points: AnnPoints,
 }
 
 /// The conv2d schedule space for a target.
@@ -200,7 +87,7 @@ fn apply_conv2d_structural(
     target: &Target,
     cfg: &ConfigEntity,
 ) -> Result<AnnPoints, TeError> {
-    let mut points = AnnPoints::none();
+    let mut points = AnnPoints::default();
     if let Some(p) = &op.pad {
         s.compute_inline(p)?;
     }
@@ -277,73 +164,20 @@ fn apply_conv2d_structural(
     Ok(points)
 }
 
-/// Post-lowering validity checks that stand in for hardware limits.
-fn validate(func: &LoweredFunc, target: &Target) -> Result<(), TeError> {
-    let an = analyze(func);
-    if let Target::Gpu(g) = target {
-        let shared = an
-            .alloc_bytes
-            .get(&MemScope::Shared)
-            .copied()
-            .unwrap_or(0.0);
-        if shared > g.shared_bytes_per_sm as f64 {
-            return Err(TeError::msg(format!(
-                "shared memory overflow: {shared} bytes"
-            )));
-        }
-        if an.block_threads() > 1024 {
-            return Err(TeError::msg(format!(
-                "too many threads: {}",
-                an.block_threads()
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Builds the tuning task for a conv2d workload.
 pub fn conv2d_task(w: Conv2dWorkload, dtype: tvm_ir::DType, target: Target) -> TuningTask {
-    let space = conv2d_space(&w, &target);
-    let t2 = target.clone();
-    // Ops are immutable, so one declaration DAG serves every candidate;
-    // per-config rewrites (cache_read/cache_write/inline) live in each
-    // schedule's own context and never touch the shared ops.
     let op = conv2d(&w, dtype);
-    let cache: PlanCache<PlannedTemplate> = PlanCache::default();
-    let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let planned = cache.get_or_build(
-            structural_key(cfg),
-            || -> Result<PlannedTemplate, TeError> {
-                let mut s = create_schedule(std::slice::from_ref(&op.out));
-                let points = apply_conv2d_structural(&mut s, &op, &t2, cfg)?;
-                let plan = plan_schedule(&s)?;
-                Ok(PlannedTemplate {
-                    sched: s,
-                    plan,
-                    points,
-                })
-            },
-        )?;
-        let mut s = planned.sched.clone();
-        apply_annotations(&mut s, cfg, &planned.points)?;
-        let args = [op.data.clone(), op.weight.clone(), op.out.clone()];
-        let f = emit_planned(
-            &s,
-            &planned.plan,
-            &args,
-            &w.describe(),
-            &LowerOptions::default(),
-        )?;
-        validate(&f, &t2)?;
-        Ok(f)
-    };
-    TuningTask {
-        name: format!("{}@{}", w.describe(), target.name()),
-        space,
-        builder: Arc::new(builder),
+    let args = [op.data.clone(), op.weight.clone(), op.out.clone()];
+    let t2 = target.clone();
+    planned_task(
+        format!("{}@{}", w.describe(), target.name()),
+        conv2d_space(&w, &target),
         target,
-        sim_opts: Default::default(),
-    }
+        std::slice::from_ref(&args[2]),
+        &args,
+        w.describe(),
+        move |s, cfg| apply_conv2d_structural(s, &op, &t2, cfg),
+    )
 }
 
 /// The depthwise-conv2d schedule space.
@@ -374,44 +208,18 @@ pub fn depthwise_task(
     dtype: tvm_ir::DType,
     target: Target,
 ) -> TuningTask {
-    let space = depthwise_space(&w, &target);
-    let t2 = target.clone();
     let op = depthwise_conv2d(&w, dtype);
-    let cache: PlanCache<PlannedTemplate> = PlanCache::default();
-    let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let planned = cache.get_or_build(
-            structural_key(cfg),
-            || -> Result<PlannedTemplate, TeError> {
-                let mut s = create_schedule(std::slice::from_ref(&op.out));
-                let points = apply_depthwise_structural(&mut s, &op, &t2, cfg)?;
-                let plan = plan_schedule(&s)?;
-                Ok(PlannedTemplate {
-                    sched: s,
-                    plan,
-                    points,
-                })
-            },
-        )?;
-        let mut s = planned.sched.clone();
-        apply_annotations(&mut s, cfg, &planned.points)?;
-        let args = [op.data.clone(), op.weight.clone(), op.out.clone()];
-        let f = emit_planned(
-            &s,
-            &planned.plan,
-            &args,
-            &w.describe(),
-            &LowerOptions::default(),
-        )?;
-        validate(&f, &t2)?;
-        Ok(f)
-    };
-    TuningTask {
-        name: format!("{}@{}", w.describe(), target.name()),
-        space,
-        builder: Arc::new(builder),
+    let args = [op.data.clone(), op.weight.clone(), op.out.clone()];
+    let t2 = target.clone();
+    planned_task(
+        format!("{}@{}", w.describe(), target.name()),
+        depthwise_space(&w, &target),
         target,
-        sim_opts: Default::default(),
-    }
+        std::slice::from_ref(&args[2]),
+        &args,
+        w.describe(),
+        move |s, cfg| apply_depthwise_structural(s, &op, &t2, cfg),
+    )
 }
 
 /// Applies a depthwise-conv schedule configuration.
@@ -435,7 +243,7 @@ fn apply_depthwise_structural(
     if !target.is_gpu() {
         return apply_conv2d_structural(s, op, target, cfg);
     }
-    let mut points = AnnPoints::none();
+    let mut points = AnnPoints::default();
     if let Some(p) = &op.pad {
         s.compute_inline(p)?;
     }
@@ -501,7 +309,7 @@ fn apply_dense_structural(
     target: &Target,
     cfg: &ConfigEntity,
 ) -> Result<AnnPoints, TeError> {
-    let mut points = AnnPoints::none();
+    let mut points = AnnPoints::default();
     if target.is_gpu() {
         let cl = s.cache_write(out, MemScope::Local)?;
         let ax = out.op.axes();
@@ -544,39 +352,19 @@ fn apply_dense_structural(
 
 /// Builds the tuning task for a dense workload.
 pub fn dense_task(w: DenseWorkload, target: Target) -> TuningTask {
-    let space = dense_space(&w, &target);
-    let t2 = target.clone();
+    let func_name = format!("dense_{}x{}x{}", w.m, w.n, w.k);
     let (d, wt, out) = dense(&w);
-    let cache: PlanCache<PlannedTemplate> = PlanCache::default();
-    let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let planned = cache.get_or_build(
-            structural_key(cfg),
-            || -> Result<PlannedTemplate, TeError> {
-                let mut s = create_schedule(std::slice::from_ref(&out));
-                let points = apply_dense_structural(&mut s, &d, &wt, &out, &t2, cfg)?;
-                let plan = plan_schedule(&s)?;
-                Ok(PlannedTemplate {
-                    sched: s,
-                    plan,
-                    points,
-                })
-            },
-        )?;
-        let mut s = planned.sched.clone();
-        apply_annotations(&mut s, cfg, &planned.points)?;
-        let args = [d.clone(), wt.clone(), out.clone()];
-        let name = format!("dense_{}x{}x{}", w.m, w.n, w.k);
-        let f = emit_planned(&s, &planned.plan, &args, &name, &LowerOptions::default())?;
-        validate(&f, &t2)?;
-        Ok(f)
-    };
-    TuningTask {
-        name: format!("dense_{}x{}x{}@{}", w.m, w.n, w.k, target.name()),
-        space,
-        builder: Arc::new(builder),
+    let args = [d.clone(), wt.clone(), out.clone()];
+    let t2 = target.clone();
+    planned_task(
+        format!("{func_name}@{}", target.name()),
+        dense_space(&w, &target),
         target,
-        sim_opts: Default::default(),
-    }
+        std::slice::from_ref(&args[2]),
+        &args,
+        func_name,
+        move |s, cfg| apply_dense_structural(s, &d, &wt, &out, &t2, cfg),
+    )
 }
 
 /// Builds a dense tuning task whose space and schedule derivations come
