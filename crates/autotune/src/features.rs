@@ -5,10 +5,6 @@
 //! loop level, plus one-hot encodings of loop annotations such as
 //! vectorize, unroll and parallel.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
 use tvm_ir::{LoweredFunc, MemScope};
 use tvm_sim::analysis::{analyze, ProgramAnalysis};
 
@@ -183,64 +179,6 @@ pub fn extract_analysis(an: &ProgramAnalysis) -> Vec<f64> {
     f
 }
 
-/// Memoizes [`extract`] per lowered function within a tuning run, keyed by
-/// the caller's stable id for the function (the tuner uses the config
-/// index). GBT refit rounds and annealing chains revisit the same lowered
-/// functions many times; the cache makes each feature vector a one-time
-/// cost. Thread-safe: tuning workers share one cache.
-#[derive(Default)]
-pub struct FeatureCache {
-    map: Mutex<HashMap<u64, Arc<Vec<f64>>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl FeatureCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        FeatureCache::default()
-    }
-
-    /// The feature vector for `func`, extracting it only on first sight of
-    /// `key`.
-    pub fn get_or_extract(&self, key: u64, func: &LoweredFunc) -> Arc<Vec<f64>> {
-        // Recover from poisoning: the map holds plain data, so a panic in
-        // another worker mid-insert leaves at worst a missing entry —
-        // re-extraction is always safe, abandoning the whole tuning run
-        // is not.
-        if let Some(hit) = self
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        // Extract outside the lock so concurrent misses on different keys
-        // don't serialize; a racing duplicate insert is harmless (vectors
-        // for one key are identical).
-        let feats = Arc::new(extract(func));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_insert(feats)
-            .clone()
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of extractions actually performed.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,37 +268,5 @@ mod tests {
             intra < inter,
             "intra-task {intra} should be < inter-task {inter}"
         );
-    }
-
-    #[test]
-    fn feature_cache_survives_a_poisoned_lock() {
-        let cache = Arc::new(FeatureCache::new());
-        let func = mm(8);
-        cache.get_or_extract(1, &func);
-        // Poison the mutex by panicking while holding it.
-        let c2 = cache.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = c2.map.lock().unwrap();
-            panic!("poison");
-        })
-        .join();
-        // Lookups still work: hit on the existing key, miss-and-insert on
-        // a new one.
-        let a = cache.get_or_extract(1, &func);
-        assert_eq!(*a, extract(&func));
-        let b = cache.get_or_extract(2, &func);
-        assert_eq!(*b, extract(&func));
-    }
-
-    #[test]
-    fn feature_cache_extracts_once_per_key() {
-        let cache = FeatureCache::new();
-        let func = mm(8);
-        let a = cache.get_or_extract(42, &func);
-        let b = cache.get_or_extract(42, &func);
-        assert_eq!(a, b);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(*a, extract(&func));
     }
 }

@@ -34,7 +34,6 @@ use tvm_te::TeError;
 
 use crate::config::{ConfigEntity, ConfigSpace};
 use crate::db::{DbRecord, Journal};
-use crate::features::FeatureCache;
 use crate::gbt::{fit_more, FitProfile, Gbt, GbtParams};
 use crate::pool::{DeviceHealth, PoolStats, Tracker};
 use crate::propose::{proposer_for, Round};
@@ -255,7 +254,6 @@ struct CacheSlot {
 pub(crate) struct MeasureCache<'a> {
     task: &'a TuningTask,
     slots: Mutex<HashMap<u64, Arc<CacheSlot>>>,
-    features: FeatureCache,
     lowerings: AtomicUsize,
     simulations: AtomicUsize,
     lookups: AtomicUsize,
@@ -276,7 +274,6 @@ impl<'a> MeasureCache<'a> {
         MeasureCache {
             task,
             slots: Mutex::new(HashMap::new()),
-            features: FeatureCache::new(),
             lowerings: AtomicUsize::new(0),
             simulations: AtomicUsize::new(0),
             lookups: AtomicUsize::new(0),
@@ -338,7 +335,7 @@ impl<'a> MeasureCache<'a> {
                 let cfg = self.task.space.get(idx);
                 let func = (self.task.builder)(&cfg).ok()?;
                 let func = Arc::new(func);
-                let feats = self.features.get_or_extract(idx, &func);
+                let feats = Arc::new(crate::features::extract(&func));
                 Some((func, feats))
             })
             .clone()

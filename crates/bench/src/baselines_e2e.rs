@@ -42,16 +42,6 @@ fn dense_lib(fw: Framework) -> Library {
 /// Simulated cost of one stand-alone injective/reduction node executed as
 /// its own kernel (what a non-fusing framework pays).
 fn single_op_ms(g: &Graph, id: tvm_graph::NodeId, target: &Target) -> f64 {
-    let group = tvm_graph::Group {
-        nodes: vec![id],
-        master: id,
-        output: id,
-    };
-    let fused = tvm_graph::FusedGraph {
-        groups: vec![group],
-        group_of: vec![usize::MAX; g.nodes.len()],
-    };
-    let _ = &fused;
     // Build a one-op kernel through the compiler path.
     let node = g.node(id);
     let inputs: Vec<tvm_te::Tensor> = node

@@ -1,6 +1,6 @@
 //! Data generators for every evaluation figure and table of the paper.
-//! Each function returns the rows the corresponding plot/table shows; the
-//! binaries print them and `tests/` assert the paper's qualitative shape.
+//! Each function returns the rows the corresponding plot/table shows;
+//! `entries` prints them and checks the paper's claims against them.
 
 use tvm::compiler::{build, BuildOptions};
 use tvm_autotune::{tune, Database, TuneOptions, TunerKind, TuningTask};
@@ -112,16 +112,11 @@ pub fn fig04_fusion() -> Vec<FusionRow> {
     ];
     for (name, g) in cases {
         let fused = build(&g, &target, &BuildOptions::default()).expect("builds");
-        let unfused = build(
-            &g,
-            &target,
-            &BuildOptions {
-                no_fusion: true,
-                db: None,
-                decisions: None,
-            },
-        )
-        .expect("builds");
+        let no_fusion = BuildOptions {
+            no_fusion: true,
+            ..BuildOptions::default()
+        };
+        let unfused = build(&g, &target, &no_fusion).expect("builds");
         rows.push(FusionRow {
             name: name.to_string(),
             no_fusion_ms: unfused.total_ms(),
@@ -257,22 +252,21 @@ pub fn fig12_tuning(trials: usize) -> (Vec<TuneCurve>, f64) {
 
 // ------------------------------------------------- Figs. 14 / 16 / 19
 
-/// One end-to-end row: model name and per-system times.
-pub struct E2eRow {
-    /// Model name.
-    pub model: String,
+/// One comparison row: a model or operator label and per-system times.
+pub struct Row {
+    /// Model name or operator label (C1..C12, D1..D9).
+    pub name: String,
     /// (system label, ms) pairs.
     pub systems: Vec<(String, f64)>,
 }
 
-impl E2eRow {
-    /// Time of a labeled system.
-    pub fn get(&self, label: &str) -> f64 {
+impl Row {
+    /// Time of a labeled system, if the row has it.
+    pub fn get(&self, label: &str) -> Option<f64> {
         self.systems
             .iter()
             .find(|(l, _)| l == label)
             .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
     }
 }
 
@@ -280,147 +274,88 @@ fn tune_graph_convs(g: &Graph, target: &Target, trials: usize) -> Database {
     let mut db = Database::new();
     let mut seen: Vec<String> = Vec::new();
     for node in &g.nodes {
-        match &node.op {
-            tvm_graph::OpType::Conv2d(w) => {
-                let task = topi::conv2d_task(*w, node.dtype, target.clone());
-                if !seen.contains(&task.name) {
-                    seen.push(task.name.clone());
-                    let r = tune(&task, &quick_tune_opts(trials), TunerKind::GbtRank);
-                    db.add_result(&task.name, &task.space, &r);
-                }
-            }
+        let task = match &node.op {
+            tvm_graph::OpType::Conv2d(w) => topi::conv2d_task(*w, node.dtype, target.clone()),
             tvm_graph::OpType::DepthwiseConv2d(w) => {
-                let task = topi::depthwise_task(*w, node.dtype, target.clone());
-                if !seen.contains(&task.name) {
-                    seen.push(task.name.clone());
-                    let r = tune(&task, &quick_tune_opts(trials), TunerKind::GbtRank);
-                    db.add_result(&task.name, &task.space, &r);
-                }
+                topi::depthwise_task(*w, node.dtype, target.clone())
             }
-            tvm_graph::OpType::Dense(w) => {
-                let task = topi::dense_task(*w, target.clone());
-                if !seen.contains(&task.name) {
-                    seen.push(task.name.clone());
-                    let r = tune(&task, &quick_tune_opts(trials), TunerKind::GbtRank);
-                    db.add_result(&task.name, &task.space, &r);
-                }
-            }
-            _ => {}
+            tvm_graph::OpType::Dense(w) => topi::dense_task(*w, target.clone()),
+            _ => continue,
+        };
+        if !seen.contains(&task.name) {
+            seen.push(task.name.clone());
+            let r = tune(&task, &quick_tune_opts(trials), TunerKind::GbtRank);
+            db.add_result(&task.name, &task.space, &r);
         }
     }
     db
 }
 
-fn e2e_row(
-    model: &str,
-    g: &Graph,
+/// One row per model: each framework baseline, then TVM without and with
+/// graph optimization, both built from one per-op tuning database.
+fn e2e_rows(
+    models: Vec<(&str, Graph)>,
     target: &Target,
     baselines: &[Framework],
     trials: usize,
-) -> E2eRow {
-    let db = tune_graph_convs(g, target, trials);
-    let tvm_full = build(
-        g,
-        target,
-        &BuildOptions {
-            no_fusion: false,
-            db: Some(&db),
-            decisions: None,
-        },
-    )
-    .expect("builds");
-    let tvm_nograph = build(
-        g,
-        target,
-        &BuildOptions {
-            no_fusion: true,
-            db: Some(&db),
-            decisions: None,
-        },
-    )
-    .expect("builds");
-    let mut systems: Vec<(String, f64)> = baselines
-        .iter()
-        .map(|fw| (format!("{fw:?}"), framework_e2e_ms(g, *fw, target)))
-        .collect();
-    systems.push(("TVM w/o graph opt".to_string(), tvm_nograph.total_ms()));
-    systems.push(("TVM".to_string(), tvm_full.total_ms()));
-    E2eRow {
-        model: model.to_string(),
-        systems,
-    }
+) -> Vec<Row> {
+    let row = |(model, g): &(&str, Graph)| {
+        let db = tune_graph_convs(g, target, trials);
+        let tvm_ms = |no_fusion| {
+            let opts = BuildOptions {
+                no_fusion,
+                db: Some(&db),
+                decisions: None,
+            };
+            build(g, target, &opts).expect("builds").total_ms()
+        };
+        let mut systems: Vec<(String, f64)> = baselines
+            .iter()
+            .map(|fw| (format!("{fw:?}"), framework_e2e_ms(g, *fw, target)))
+            .collect();
+        systems.push(("TVM w/o graph opt".to_string(), tvm_ms(true)));
+        systems.push(("TVM".to_string(), tvm_ms(false)));
+        Row {
+            name: model.to_string(),
+            systems,
+        }
+    };
+    models.iter().map(row).collect()
 }
 
 /// Fig. 14: server-GPU end-to-end comparison. `input_size` scales the
 /// vision models (224 = paper scale); `trials` is the per-op tuning
 /// budget.
-pub fn fig14_gpu_e2e(input_size: i64, trials: usize) -> Vec<E2eRow> {
-    let target = titanx();
+pub fn fig14_gpu_e2e(input_size: i64, trials: usize) -> Vec<Row> {
+    let models = vec![
+        ("ResNet-18", tvm_models::resnet18(input_size)),
+        ("MobileNet", tvm_models::mobilenet(input_size)),
+        ("LSTM LM", tvm_models::lstm_lm(128, 4)),
+        ("DQN", tvm_models::dqn()),
+        ("DCGAN", tvm_models::dcgan_generator()),
+    ];
     let fws = [
         Framework::MxNet,
         Framework::TensorFlow,
         Framework::TensorFlowXla,
     ];
-    vec![
-        e2e_row(
-            "ResNet-18",
-            &tvm_models::resnet18(input_size),
-            &target,
-            &fws,
-            trials,
-        ),
-        e2e_row(
-            "MobileNet",
-            &tvm_models::mobilenet(input_size),
-            &target,
-            &fws,
-            trials,
-        ),
-        e2e_row(
-            "LSTM LM",
-            &tvm_models::lstm_lm(128, 4),
-            &target,
-            &fws,
-            trials,
-        ),
-        e2e_row("DQN", &tvm_models::dqn(), &target, &fws, trials),
-        e2e_row(
-            "DCGAN",
-            &tvm_models::dcgan_generator(),
-            &target,
-            &fws,
-            trials,
-        ),
-    ]
+    e2e_rows(models, &titanx(), &fws, trials)
 }
 
 /// Fig. 16: ARM A53 end-to-end vs the TFLite model.
-pub fn fig16_arm_e2e(input_size: i64, trials: usize) -> Vec<E2eRow> {
-    let target = arm_a53();
-    let fws = [Framework::TfLite];
-    vec![
-        e2e_row(
-            "ResNet-18",
-            &tvm_models::resnet18(input_size),
-            &target,
-            &fws,
-            trials,
-        ),
-        e2e_row(
-            "MobileNet",
-            &tvm_models::mobilenet(input_size),
-            &target,
-            &fws,
-            trials,
-        ),
-        e2e_row("DQN", &tvm_models::dqn(), &target, &fws, trials),
-    ]
+pub fn fig16_arm_e2e(input_size: i64, trials: usize) -> Vec<Row> {
+    let models = vec![
+        ("ResNet-18", tvm_models::resnet18(input_size)),
+        ("MobileNet", tvm_models::mobilenet(input_size)),
+        ("DQN", tvm_models::dqn()),
+    ];
+    e2e_rows(models, &arm_a53(), &[Framework::TfLite], trials)
 }
 
 /// Fig. 19: Mali GPU, fp32 and fp16, vs the ARM Compute Library model.
 /// Reported per model as the sum of its conv workload times (the
 /// convolution-dominated portion), for both precisions.
-pub fn fig19_mali(trials: usize) -> Vec<E2eRow> {
+pub fn fig19_mali(trials: usize) -> Vec<Row> {
     let target = mali_t860();
     let mut rows = Vec::new();
     let models: Vec<(&str, Vec<topi::Conv2dWorkload>)> = vec![
@@ -436,8 +371,8 @@ pub fn fig19_mali(trials: usize) -> Vec<E2eRow> {
                 let task = topi::conv2d_task(*w, dt, target.clone());
                 tvm_t += tuned_ms(&task, trials);
             }
-            rows.push(E2eRow {
-                model: format!("{name} {label}"),
+            rows.push(Row {
+                name: format!("{name} {label}"),
                 systems: vec![
                     ("ARMComputeLib".to_string(), acl),
                     ("TVM".to_string(), tvm_t),
@@ -450,37 +385,9 @@ pub fn fig19_mali(trials: usize) -> Vec<E2eRow> {
 
 // ---------------------------------------------------- Figs. 15 / 17
 
-/// Per-operator speedup row (relative to the figure's baseline).
-pub struct OpRow {
-    /// Operator label (C1..C12, D1..D9).
-    pub name: String,
-    /// (system, ms).
-    pub systems: Vec<(String, f64)>,
-}
-
-impl OpRow {
-    /// Speedup of `system` relative to `baseline`.
-    pub fn speedup(&self, system: &str, baseline: &str) -> f64 {
-        let b = self
-            .systems
-            .iter()
-            .find(|(l, _)| l == baseline)
-            .map(|(_, v)| *v);
-        let s = self
-            .systems
-            .iter()
-            .find(|(l, _)| l == system)
-            .map(|(_, v)| *v);
-        match (b, s) {
-            (Some(b), Some(s)) => b / s,
-            _ => f64::NAN,
-        }
-    }
-}
-
 /// Figs. 15 (GPU) / 17 (ARM): per-operator comparison over all Table 2
 /// workloads. `gpu` selects the target and baselines.
-pub fn per_op_rows(gpu: bool, trials: usize) -> Vec<OpRow> {
+pub fn per_op_rows(gpu: bool, trials: usize) -> Vec<Row> {
     let target = if gpu { titanx() } else { arm_a53() };
     let mut rows = Vec::new();
     for (i, w) in topi::resnet18_convs().iter().enumerate() {
@@ -509,7 +416,7 @@ pub fn per_op_rows(gpu: bool, trials: usize) -> Vec<OpRow> {
             let pt = topi::winograd_task(*w, DType::float32(), target.clone());
             systems.push(("TVM PT".to_string(), tuned_ms(&pt, trials)));
         }
-        rows.push(OpRow {
+        rows.push(Row {
             name: format!("C{}", i + 1),
             systems,
         });
@@ -529,7 +436,7 @@ pub fn per_op_rows(gpu: bool, trials: usize) -> Vec<OpRow> {
         }
         let task = topi::depthwise_task(*w, DType::float32(), target.clone());
         systems.push(("TVM".to_string(), tuned_ms(&task, trials)));
-        rows.push(OpRow {
+        rows.push(Row {
             name: format!("D{}", i + 1),
             systems,
         });
@@ -542,7 +449,7 @@ pub fn per_op_rows(gpu: bool, trials: usize) -> Vec<OpRow> {
 /// Fig. 18: ultra-low-precision (2-bit activation, 1-bit weight) conv on
 /// ARM vs the Caffe2 ultra-low-precision model; single- and multi-
 /// threaded TVM.
-pub fn fig18_lowprec(trials: usize) -> Vec<OpRow> {
+pub fn fig18_lowprec(trials: usize) -> Vec<Row> {
     let target = arm_a53();
     let mut rows = Vec::new();
     for (i, c) in topi::resnet18_convs().iter().enumerate().skip(1) {
@@ -560,7 +467,7 @@ pub fn fig18_lowprec(trials: usize) -> Vec<OpRow> {
         let base = topi::vendor_conv2d_ms(Library::Caffe2LowPrec, c, DType::uint(8), &target) / 9.0; // low-precision kernels are ~9x cheaper than int8 MACs
         let single = tvm_topi::bitserial::bitserial_task(w, target.clone(), false);
         let multi = tvm_topi::bitserial::bitserial_task(w, target.clone(), true);
-        rows.push(OpRow {
+        rows.push(Row {
             name: format!("C{}", i + 1),
             systems: vec![
                 ("Hand optimized".to_string(), base),

@@ -1,7 +1,7 @@
-//! Shared workload and helpers for the `tvm-prof` profiling harness and
-//! its golden test: a small deterministic CNN compiled end-to-end, run
-//! under the graph executor's per-op profiler with compile-pass tracing
-//! enabled.
+//! Shared workload and helpers for the `tvm-prof` tool and its tests
+//! (`tests/golden_prof.rs`): a small deterministic CNN compiled
+//! end-to-end and run under the graph executor's per-op profiler, with or
+//! without compile-pass tracing.
 
 use tvm::BuildOptions;
 use tvm_graph::Graph;
@@ -9,18 +9,18 @@ use tvm_runtime::{GraphExecutor, Module, NDArray};
 use tvm_sim::{estimate, Target};
 use tvm_topi::Conv2dWorkload;
 
+const SIZE: i64 = 16;
+const CHANNELS: i64 = 8;
+
 /// The profiled workload: conv → bn → relu → conv → residual add → relu.
-/// `quick` shrinks the spatial size so CI finishes in seconds.
-pub fn demo_graph(quick: bool) -> Graph {
-    let size = if quick { 16 } else { 32 };
-    let ch = if quick { 8 } else { 16 };
+pub fn demo_graph() -> Graph {
     let mut g = Graph::new();
-    let x = g.input(&[1, 3, size, size], "data");
+    let x = g.input(&[1, 3, SIZE, SIZE], "data");
     let w1 = Conv2dWorkload {
         batch: 1,
-        size,
+        size: SIZE,
         in_c: 3,
-        out_c: ch,
+        out_c: CHANNELS,
         kernel: 3,
         stride: 1,
         pad: 1,
@@ -29,13 +29,8 @@ pub fn demo_graph(quick: bool) -> Graph {
     let b1 = g.batch_norm(c1, "b1");
     let r1 = g.relu(b1, "r1");
     let w2 = Conv2dWorkload {
-        batch: 1,
-        size,
-        in_c: ch,
-        out_c: ch,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
+        in_c: CHANNELS,
+        ..w1
     };
     let c2 = g.conv2d(r1, w2, "c2");
     let res = g.add_op(c2, r1, "res");
@@ -45,20 +40,15 @@ pub fn demo_graph(quick: bool) -> Graph {
 }
 
 /// Compiles the demo graph for `target`.
-pub fn build_demo(target: &Target, quick: bool) -> Module {
-    let g = demo_graph(quick);
-    tvm::build(&g, target, &BuildOptions::default()).expect("demo graph builds")
+pub fn build_demo(target: &Target) -> Module {
+    tvm::build(&demo_graph(), target, &BuildOptions::default()).expect("demo graph builds")
 }
 
-/// The deterministic input tensor for the demo graph.
-pub fn demo_input(quick: bool) -> NDArray {
-    let size = if quick { 16 } else { 32 };
-    NDArray::seeded(&[1, 3, size, size], 42)
-}
-
-/// Binds the input and runs once; returns the flat output values.
-pub fn run_once(ex: &mut GraphExecutor, quick: bool) -> Vec<f32> {
-    ex.set_input("data", demo_input(quick)).expect("binds");
+/// Binds the deterministic demo input and runs once; returns the flat
+/// output values.
+pub fn run_once(ex: &mut GraphExecutor) -> Vec<f32> {
+    ex.set_input("data", NDArray::seeded(&[1, 3, SIZE, SIZE], 42))
+        .expect("binds");
     ex.run().expect("runs");
     ex.get_output(0).expect("output").data.clone()
 }
@@ -74,12 +64,23 @@ pub fn sim_cycles(module: &Module, target: &Target) -> f64 {
         .sum()
 }
 
-/// Builds, profiles one run, and returns the per-op breakdown table — the
-/// deterministic artifact the golden test pins.
-pub fn demo_table(target: &Target, quick: bool) -> String {
-    let module = build_demo(target, quick);
-    let mut ex = GraphExecutor::new(module);
+/// Builds the demo graph and runs it once under the per-op profiler; the
+/// executor's `profiler().table()` is the deterministic artifact the
+/// golden test pins.
+pub fn profiled_run(target: &Target) -> (GraphExecutor, Vec<f32>) {
+    let mut ex = GraphExecutor::new(build_demo(target));
     ex.enable_profiling();
-    run_once(&mut ex, quick);
-    ex.profiler().expect("profiling enabled").table()
+    let out = run_once(&mut ex);
+    (ex, out)
+}
+
+/// [`profiled_run`] with `tvm-obs` tracing on from compilation through
+/// execution; also returns the Chrome `trace_event` JSON of the run.
+/// Resets the global registry, so concurrent callers would mix spans.
+pub fn traced_run(target: &Target) -> (GraphExecutor, String) {
+    tvm_obs::Registry::global().reset();
+    tvm_obs::set_enabled(true);
+    let (ex, _) = profiled_run(target);
+    tvm_obs::set_enabled(false);
+    (ex, tvm_obs::Registry::global().chrome_trace())
 }

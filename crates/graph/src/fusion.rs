@@ -137,6 +137,17 @@ pub fn fuse(g: &Graph, enabled: bool) -> FusedGraph {
             }
         }
     }
+    // A group was appended where its *first* member sits, but an injective
+    // tail that joined it later (a residual `add`) may read another group
+    // created in between. Only a group's `output` leaves it, and every
+    // external input of a group precedes that group's output in node
+    // order, so ordering groups by output node is a topological order.
+    groups.sort_by_key(|grp| grp.output.0);
+    for (gi, grp) in groups.iter().enumerate() {
+        for &m in &grp.nodes {
+            group_of[m.0] = gi;
+        }
+    }
     FusedGraph { groups, group_of }
 }
 

@@ -460,6 +460,26 @@ pub fn check_fusion(g: &Graph, fused: &FusedGraph) -> GraphReport {
             }
         }
 
+        // Dependency order: the executor walks kernels in group order and
+        // the memory plan computes liveness over it, so every tensor a
+        // group reads from outside must come from an earlier group.
+        for &m in &grp.nodes {
+            for &inp in &g.node(m).inputs {
+                let pg = fused.group_of[inp.0];
+                if pg != usize::MAX && pg > gi {
+                    diags.push(Diagnostic::error(
+                        "fusion",
+                        format!(
+                            "group {gi}: `{}` reads `{}` before group {pg} produces it",
+                            g.node(m).name,
+                            g.node(inp).name
+                        ),
+                        Some(format!("at op {gi}")),
+                    ));
+                }
+            }
+        }
+
         // Fused intermediates never materialize: no consumer outside the
         // group, and never a graph output.
         for &m in &grp.nodes {

@@ -216,3 +216,48 @@ fn fusion_disabled_is_the_identity_grouping() {
         assert_eq!(grp.output, *id);
     }
 }
+
+#[test]
+fn residual_block_groups_are_in_dependency_order() {
+    // ResNet's projection-shortcut block: conv-bn on the main branch, then
+    // a 1x1 conv-bn on the shortcut, then add + relu. The add joins the
+    // main branch's group, which was created *before* the shortcut group
+    // it reads from, so creation order is not a dependency order.
+    let mut g = Graph::new();
+    let x = g.input(&[1, 8, 6, 6], "data");
+    let c2 = g.conv2d(x, conv_w(6, 8), "c2");
+    let c2_bn = g.batch_norm(c2, "c2_bn");
+    let ds = g.conv2d(
+        x,
+        Conv2dWorkload {
+            kernel: 1,
+            pad: 0,
+            ..conv_w(6, 8)
+        },
+        "ds",
+    );
+    let ds_bn = g.batch_norm(ds, "ds_bn");
+    let sum = g.add_op(c2_bn, ds_bn, "res");
+    let out = g.relu(sum, "out");
+    g.outputs.push(out);
+    let fused = fuse(&g, true);
+    check_invariants(&g, &fused);
+    assert_eq!(fused.groups.len(), 2);
+    assert_eq!(fused.group_of[c2.0], fused.group_of[out.0]);
+    assert!(
+        fused.group_of[ds_bn.0] < fused.group_of[sum.0],
+        "the shortcut group must run before the group whose add reads it"
+    );
+    for (gi, grp) in fused.groups.iter().enumerate() {
+        for &m in &grp.nodes {
+            for &inp in &g.node(m).inputs {
+                let pg = fused.group_of[inp.0];
+                assert!(
+                    pg == usize::MAX || pg <= gi,
+                    "group {gi} reads `{}` from later group {pg}",
+                    g.node(inp).name
+                );
+            }
+        }
+    }
+}

@@ -129,6 +129,25 @@ fn external_consumer_of_intermediate_is_flagged() {
     check_golden("external_consumer.expected", &report.render());
 }
 
+/// Groups listed out of dependency order: the executor would run a
+/// consumer before its producer and the plan's liveness would be wrong.
+#[test]
+fn permuted_group_order_is_rejected() {
+    let g = conv_chain(2);
+    let mut fused = fuse(&g, true);
+    assert!(!check_fusion(&g, &fused).has_errors());
+    fused.groups.swap(0, 1);
+    for gi in fused.group_of.iter_mut().filter(|gi| **gi != usize::MAX) {
+        *gi = 1 - *gi;
+    }
+    let report = check_fusion(&g, &fused);
+    assert!(report.has_errors());
+    assert!(report
+        .errors()
+        .all(|d| d.message.contains("before group 1 produces it")));
+    check_golden("permuted_groups.expected", &report.render());
+}
+
 /// A plan whose shared slot is smaller than its occupants need, caught
 /// twice: by the plan-level byte check and — cross-layer — by the bounds
 /// machinery refuting the kernel's touch set with a loop-index witness.

@@ -1,6 +1,6 @@
-//! Executor tests against hand-assembled modules (no compiler dependency):
-//! argument binding, kernel sequencing through intermediate values, and
-//! parameter override.
+//! Executor tests, mostly against hand-assembled modules: argument binding,
+//! kernel sequencing through intermediate values, parameter override, and
+//! one compiled two-branch graph whose groups must run in dependency order.
 
 use tvm_graph::{fuse, plan_memory, Graph, OpType};
 use tvm_ir::{DType, Expr, LoweredFunc, Stmt, Var};
@@ -249,4 +249,105 @@ fn params_are_seeded_and_overridable() {
     );
     ex.run().expect("runs");
     assert_eq!(ex.get_output(0).expect("output").data, vec![11.0, 22.0]);
+}
+
+/// Plain-Rust NCHW conv2d (batch 1, square), the reference for the
+/// compiled residual block below.
+fn conv2d_ref(x: &[f32], wt: &[f32], w: &tvm_topi::Conv2dWorkload) -> Vec<f32> {
+    let (s, o, k) = (w.size, w.out_size(), w.kernel);
+    let mut out = vec![0.0f32; (w.out_c * o * o) as usize];
+    for oc in 0..w.out_c {
+        for oy in 0..o {
+            for ox in 0..o {
+                let mut acc = 0.0f32;
+                for ic in 0..w.in_c {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let (iy, ix) = (oy * w.stride + ky - w.pad, ox * w.stride + kx - w.pad);
+                            if iy >= 0 && iy < s && ix >= 0 && ix < s {
+                                acc += x[((ic * s + iy) * s + ix) as usize]
+                                    * wt[(((oc * w.in_c + ic) * k + ky) * k + kx) as usize];
+                            }
+                        }
+                    }
+                }
+                out[((oc * o + oy) * o + ox) as usize] = acc;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn compiled_residual_block_runs_and_matches_reference() {
+    // ResNet's projection-shortcut block. The residual add fuses into the
+    // main branch's conv group, which must still run *after* the shortcut
+    // group it reads; with groups in creation order the executor failed
+    // here with `MissingInput("ds_bn")`.
+    let main = tvm_topi::Conv2dWorkload {
+        batch: 1,
+        size: 8,
+        in_c: 4,
+        out_c: 4,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let proj = tvm_topi::Conv2dWorkload {
+        kernel: 1,
+        pad: 0,
+        ..main
+    };
+    let mut g = Graph::new();
+    let x = g.input(&[1, 4, 8, 8], "data");
+    let c2 = g.conv2d(x, main, "c2");
+    let c2_bn = g.batch_norm(c2, "c2_bn");
+    let ds = g.conv2d(x, proj, "ds");
+    let ds_bn = g.batch_norm(ds, "ds_bn");
+    let sum = g.add_op(c2_bn, ds_bn, "res");
+    let out = g.relu(sum, "out");
+    g.outputs.push(out);
+
+    let module =
+        tvm::build(&g, &tvm::target::arm_a53(), &tvm::BuildOptions::default()).expect("builds");
+    assert!(
+        !module.verify().has_errors(),
+        "{}",
+        module.verify().render()
+    );
+    let mut ex = GraphExecutor::new(module);
+    let input = NDArray::seeded(&[1, 4, 8, 8], 7);
+    ex.set_input("data", input.clone()).expect("bind");
+    ex.run()
+        .expect("every group's inputs are produced before it runs");
+
+    // Parameters take the executor's default values, seeded by node id.
+    let param = |id: tvm_graph::NodeId| NDArray::seeded(&g.node(id).shape, id.0 as u64 + 1).data;
+    let bn = |v: Vec<f32>, node: tvm_graph::NodeId| -> Vec<f32> {
+        let (scale, shift) = (param(g.node(node).inputs[1]), param(g.node(node).inputs[2]));
+        v.iter()
+            .enumerate()
+            .map(|(i, &e)| e * scale[i / 64] + shift[i / 64])
+            .collect()
+    };
+    let a = bn(
+        conv2d_ref(&input.data, &param(g.node(c2).inputs[1]), &main),
+        c2_bn,
+    );
+    let b = bn(
+        conv2d_ref(&input.data, &param(g.node(ds).inputs[1]), &proj),
+        ds_bn,
+    );
+    let got = &ex.get_output(0).expect("output").data;
+    assert_eq!(got.len(), a.len());
+    for (i, (&got, want)) in got
+        .iter()
+        .zip(a.iter().zip(&b).map(|(a, b)| (a + b).max(0.0)))
+        .enumerate()
+    {
+        assert!(
+            (got - want).abs() <= 1e-4 * want.abs().max(1.0),
+            "element {i}: got {got}, expected {want}"
+        );
+    }
 }

@@ -1,8 +1,10 @@
-//! Golden test for the `tvm-prof` per-op breakdown: the profiled demo
-//! CNN must produce exactly the checked-in table. Every column is
+//! Tests of what `tvm-prof` prints and writes. The profiled demo CNN must
+//! produce exactly the checked-in per-op table: every column is
 //! deterministic — kernel names from fusion, costs from the simulator,
 //! sizes and slots from the memory plan — so any drift is a real change
-//! to fusion, costing, or planning.
+//! to fusion, costing, or planning. Three more contracts ride along:
+//! profiling has no observer effect, its accounting closes, and the trace
+//! it exports is well-formed.
 //!
 //! Regenerate intentionally with
 //!
@@ -12,12 +14,14 @@
 
 use std::path::Path;
 
-use tvm_bench::profiling::demo_table;
+use tvm_bench::profiling::{build_demo, profiled_run, run_once, sim_cycles, traced_run};
+use tvm_runtime::GraphExecutor;
 use tvm_sim::titanx;
 
 #[test]
 fn per_op_breakdown_is_stable() {
-    let actual = demo_table(&titanx(), true);
+    let (ex, _) = profiled_run(&titanx());
+    let actual = ex.profiler().expect("profiling enabled").table();
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/prof_table.expected");
     if std::env::var_os("TVM_REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &actual).expect("write golden");
@@ -35,4 +39,42 @@ fn per_op_breakdown_is_stable() {
         "\nper-op profile for the demo graph changed; if intentional, \
          regenerate with TVM_REGEN_GOLDEN=1 and review the diff"
     );
+}
+
+#[test]
+fn profiled_outputs_are_bit_identical_to_unprofiled() {
+    let (_, profiled) = profiled_run(&titanx());
+    let plain = run_once(&mut GraphExecutor::new(build_demo(&titanx())));
+    assert_eq!(profiled, plain);
+}
+
+#[test]
+fn per_op_cycles_sum_to_the_end_to_end_figure() {
+    let target = titanx();
+    let (ex, _) = profiled_run(&target);
+    let per_op = ex.profiler().expect("profiling enabled").total_cycles();
+    let e2e = sim_cycles(ex.module(), &target);
+    assert!(
+        (per_op - e2e).abs() <= 0.01 * e2e,
+        "per-op cycle sum {per_op:.0} drifts more than 1% from end-to-end {e2e:.0}"
+    );
+}
+
+#[test]
+fn chrome_trace_parses_and_spans_compile_and_execute() {
+    use tvm_json::Value;
+    let (_, trace) = traced_run(&titanx());
+    let root = tvm_json::from_str(&trace).expect("trace is JSON");
+    let events = root
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents array");
+    let complete = |name: &str| {
+        events.iter().any(|e| {
+            e.get("ph").and_then(Value::as_str) == Some("X")
+                && e.get("name").and_then(Value::as_str) == Some(name)
+        })
+    };
+    assert!(complete("lower"), "no compile-side `lower` span");
+    assert!(complete("run_op"), "no execute-side `run_op` span");
 }
