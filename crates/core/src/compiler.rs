@@ -434,6 +434,7 @@ fn build_group_with(
         func,
         args,
         name: name.to_string(),
+        program: std::sync::OnceLock::new(),
     })
 }
 

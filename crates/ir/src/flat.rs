@@ -1,0 +1,1969 @@
+//! Flat register programs: what [`Interp::run`](crate::Interp::run)
+//! executes.
+//!
+//! [`Program::compile`] lowers a [`LoweredFunc`] once into a vector of
+//! fixed-width `Op`s over two register files (`i64` and `f64`) and a slot
+//! table of buffers:
+//!
+//! * every `Var` is resolved to a register, every buffer to a slot whose
+//!   storage kind is known, so no op inspects a type at run time;
+//! * pure operations are value-numbered, and each is placed at the
+//!   outermost loop level that defines its operands (its *level*), in the
+//!   preheader of the next loop in — common subexpressions are computed
+//!   once and loop-invariant ones leave the loop. Integer `+ - *` is
+//!   regrouped as an affine sum ordered by level first, which is exact
+//!   because the walker computes them wrapping in `i64`;
+//! * loads, stores, checked division, intrinsic calls and faults stay where
+//!   the statement stands, so they happen in the walker's order and raise
+//!   the walker's errors.
+//!
+//! A thread nest that contains a barrier becomes a `Nest`: its body is
+//! compiled once, for one thread (a *lane*), into a frame with registers of
+//! its own. At run time every lane gets a window of those registers and its
+//! own copy of the allocations made inside the nest, and the lanes take
+//! turns in row-major thread order, each running until its next barrier:
+//! every statement runs once per thread, between the same barriers as on
+//! hardware (§4.2). A nest without barriers is compiled as plain loops.
+//!
+//! Limits the walker does not have, each raised as
+//! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
+//! function, an allocation of non-constant extent inside a barriered nest,
+//! and a `select` between buffer handles. A `select` (or predicated load)
+//! whose arms are an integer and a float yields a float.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use crate::dtype::{DType, TypeCode};
+use crate::expr::{BinOp, CallKind, CmpOp, Expr, ExprNode, Var, VarId};
+use crate::interp::{
+    round_f16, Buffer, Data, HwHandlerFn, InterpError, MemState, Result, Slot, Value,
+};
+use crate::interval::{floor_div, floor_mod};
+use crate::stmt::{ForKind, LoweredFunc, Stmt, StmtNode};
+
+/// How the elements of a bound buffer are held.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Storage {
+    /// `Vec<f32>`.
+    F32,
+    /// `Vec<f64>`.
+    F64,
+    /// `Vec<i64>`.
+    I64,
+}
+
+impl Storage {
+    /// Storage of an allocation of `dtype`: the narrowest that holds every
+    /// value of the type exactly.
+    fn of(dtype: DType) -> Storage {
+        match (dtype.code, dtype.bits) {
+            (TypeCode::Float, 64) => Storage::F64,
+            (TypeCode::Float, _) => Storage::F32,
+            _ => Storage::I64,
+        }
+    }
+
+    fn zeros(self, n: usize) -> Data {
+        match self {
+            Storage::F32 => Data::F32(vec![0.0; n]),
+            Storage::F64 => Data::F64(vec![0.0; n]),
+            Storage::I64 => Data::I64(vec![0; n]),
+        }
+    }
+
+    fn kind(self) -> Kind {
+        match self {
+            Storage::I64 => Kind::Int,
+            _ => Kind::Float,
+        }
+    }
+}
+
+type Reg = u16;
+
+/// Operation codes. `d`, `a`, `b`, `c` are the fields of [`Op`]; `i[x]` /
+/// `f[x]` is integer / float register `x`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[repr(u8)]
+enum Code {
+    /// `i[d] = iconsts[a]`
+    IConst,
+    /// `f[d] = fconsts[a]`
+    FConst,
+    IMov,
+    FMov,
+    IAdd,
+    ISub,
+    IMul,
+    /// `i[d] = i[a] + i[b] * i[c]`
+    IMulAdd,
+    /// Floor division; faults on zero.
+    IDiv,
+    IMod,
+    /// Floor division by a register known to hold a non-zero constant.
+    IDivNz,
+    IModNz,
+    IMin,
+    IMax,
+    IAnd,
+    IOr,
+    IXor,
+    IShl,
+    IShr,
+    IEq,
+    INe,
+    ILt,
+    ILe,
+    /// `i[d] = (i[a] == 0)`
+    INot,
+    /// `i[d] = (i[a] != 0)`
+    IBool,
+    /// `i[d] = i[a]` wrapped to `b & 0xff` bits, sign-extended if `b >> 8`.
+    IQuant,
+    IAbs,
+    IPopcount,
+    /// `i[d] = i[a] != 0 ? i[b] : i[c]`
+    ISelect,
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    FMod,
+    FMin,
+    FMax,
+    /// Float comparisons write an integer register.
+    FEq,
+    FNe,
+    FLt,
+    FLe,
+    /// `f[d] = f[a] as f32 as f64`
+    FRound32,
+    FRound16,
+    /// `f[d] = UNARY[b](f[a])`
+    FUnary,
+    FPow,
+    /// `f[d] = i[a] != 0 ? f[b] : f[c]`
+    FSelect,
+    IToF,
+    /// `i[d] = f[a] as i64` (the walker's `as_int`).
+    FToITrunc,
+    /// `i[d] = f[a].floor() as i64` (the walker's integer cast).
+    FToIFloor,
+    /// `f[d] = slot[a][i[b] + i[c]]`, by storage kind. The index is a sum
+    /// so that its last term, the one that changes fastest, costs no op.
+    LoadF32,
+    LoadF64,
+    LoadI64,
+    /// `slot[a][i[b] + i[d]] = f[c]` rounded to the slot's type.
+    StoreF32,
+    StoreF16,
+    StoreF64,
+    StoreI64,
+    /// Slot `a` becomes `max(i[b], 0)` zeros.
+    Alloc,
+    /// `pc += a`
+    Jump,
+    /// `if i[a] == 0 { pc += b }`
+    JumpIfZero,
+    JumpIfNonZero,
+    /// `if i[a] >= i[b] { pc += c }`: loop entry, `a` the variable, `b` the
+    /// limit.
+    LoopGuard,
+    /// `i[a] += 1; if i[a] < i[b] { pc -= c }`
+    LoopNext,
+    /// Returns `errors[a]`.
+    Raise,
+    /// Calls `hw_calls[a]`.
+    HwCall,
+    /// Runs `nests[a]`, whose code follows this op.
+    Nest,
+    /// Ends the lane's turn.
+    Barrier,
+}
+
+/// One instruction: ten bytes, so that the programs a module caches stay a
+/// few KiB per kernel.
+#[derive(Clone, Copy)]
+struct Op {
+    code: Code,
+    d: u16,
+    a: u16,
+    b: u16,
+    c: u16,
+}
+
+impl Op {
+    fn new(code: Code, d: u16, a: u16, b: u16, c: u16) -> Op {
+        Op { code, d, a, b, c }
+    }
+}
+
+const UNARY: [fn(f64) -> f64; 8] = [
+    f64::exp,
+    f64::ln,
+    f64::sqrt,
+    f64::tanh,
+    |x| 1.0 / (1.0 + (-x).exp()),
+    f64::abs,
+    f64::floor,
+    f64::round,
+];
+
+fn unary_index(name: &str) -> Option<u16> {
+    [
+        "exp", "log", "sqrt", "tanh", "sigmoid", "abs", "floor", "round",
+    ]
+    .iter()
+    .position(|n| *n == name)
+    .map(|i| i as u16)
+}
+
+struct SlotDecl {
+    id: VarId,
+    name: Arc<str>,
+    dtype: DType,
+    storage: Storage,
+}
+
+enum HwArg {
+    Int(Reg),
+    Float(Reg),
+    /// A buffer handle and the slot it names at this call.
+    Handle(VarId, u16),
+}
+
+struct HwCall {
+    name: String,
+    args: Vec<HwArg>,
+    /// Where the handler's return value goes, when the call is an operand.
+    ret: Option<(Kind, Reg)>,
+}
+
+/// A barriered thread nest. Register numbers on the `inner` side index a
+/// lane's window.
+struct Nest {
+    /// Thread variable (inner) and the registers of the enclosing frame
+    /// that hold its `min` and `extent`, outermost axis first.
+    axes: Vec<(Reg, Reg, Reg)>,
+    /// Ops of lane code following the `Nest` op.
+    len: u16,
+    ints: u16,
+    floats: u16,
+    /// `(outer, inner)` registers copied into each lane's window on entry.
+    live_ints: Vec<(Reg, Reg)>,
+    live_floats: Vec<(Reg, Reg)>,
+    /// Allocations made inside the nest, one copy per lane: `(slot, extent)`.
+    lane_slots: Vec<(u16, usize)>,
+}
+
+/// A lowered function compiled for one binding of its parameters.
+pub struct Program {
+    name: String,
+    params: Vec<(Storage, DType)>,
+    ops: Vec<Op>,
+    ints: u16,
+    floats: u16,
+    iconsts: Vec<i64>,
+    fconsts: Vec<f64>,
+    /// Parameters first, then one per `Allocate`.
+    slots: Vec<SlotDecl>,
+    errors: Vec<InterpError>,
+    hw_calls: Vec<HwCall>,
+    nests: Vec<Nest>,
+}
+
+impl Program {
+    /// Compiles `func` for parameters held as `params` says (storage and
+    /// element type of each, in order), with `scalars` as constants.
+    pub fn compile(
+        func: &LoweredFunc,
+        params: &[(Storage, DType)],
+        scalars: &HashMap<VarId, Value>,
+    ) -> Program {
+        Compiler::new(scalars).finish(func, params)
+    }
+
+    /// Compiles `func` for [`Interp::run_compiled`](crate::Interp::run_compiled):
+    /// every parameter a `float32` array.
+    pub fn compile_f32(func: &LoweredFunc) -> Program {
+        let params = vec![(Storage::F32, DType::float32()); func.params.len()];
+        Program::compile(func, &params, &HashMap::new())
+    }
+
+    /// Name of the function this was compiled from.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Number of buffers a run binds.
+    pub fn param_count(&self) -> usize {
+        self.params.len()
+    }
+
+    pub(crate) fn takes_f32_arrays(&self) -> bool {
+        self.params
+            .iter()
+            .all(|p| *p == (Storage::F32, DType::float32()))
+    }
+
+    /// Runs the program on `buffers` (one per parameter, held as it was
+    /// compiled for), which it leaves as the first slots of `mem`. Returns
+    /// the outcome and the number of stores executed.
+    pub(crate) fn execute(
+        &self,
+        buffers: Vec<Buffer>,
+        mem: &mut MemState,
+        hw: &mut HashMap<String, HwHandlerFn>,
+    ) -> (Result<()>, u64) {
+        let mut buffers = buffers.into_iter();
+        for (i, decl) in self.slots.iter().enumerate() {
+            let buf = match buffers.next() {
+                Some(buf) => buf,
+                None => Buffer {
+                    dtype: decl.dtype,
+                    data: decl.storage.zeros(0),
+                },
+            };
+            mem.slots.push(Slot::whole(Arc::clone(&decl.name), buf));
+            if i < self.params.len() && !self.hw_calls.is_empty() {
+                mem.alias(decl.id, i);
+            }
+        }
+        let mismatch = self
+            .params
+            .iter()
+            .zip(&mem.slots)
+            .any(|(p, s)| *p != (s.buf.data.storage(), s.buf.dtype));
+        if mismatch {
+            let msg = format!("`{}` run on buffers it was not compiled for", self.name);
+            return (Err(InterpError::Malformed(msg)), 0);
+        }
+        let mut machine = Machine {
+            program: self,
+            mem,
+            hw,
+            stores: 0,
+        };
+        let mut ints = vec![0i64; self.ints as usize];
+        let mut floats = vec![0f64; self.floats as usize];
+        let result = machine
+            .run(0, self.ops.len(), &mut ints, &mut floats)
+            .map(|_| ());
+        (result, machine.stores)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Execution
+// ---------------------------------------------------------------------------
+
+struct Machine<'a> {
+    program: &'a Program,
+    mem: &'a mut MemState,
+    hw: &'a mut HashMap<String, HwHandlerFn>,
+    stores: u64,
+}
+
+/// Why [`Machine::run`] returned.
+enum Stop {
+    /// Reached the end of its range.
+    End,
+    /// A lane reached a barrier; it resumes at this op.
+    Barrier(usize),
+}
+
+fn wrap_int(v: i64, spec: u16) -> i64 {
+    let bits = (spec & 0xff) as u32;
+    let low = v & ((1i64 << bits) - 1);
+    if spec >> 8 != 0 && low & (1i64 << (bits - 1)) != 0 {
+        low - (1i64 << bits)
+    } else {
+        low
+    }
+}
+
+#[cold]
+fn wrong_storage(slot: &Slot) -> InterpError {
+    InterpError::Malformed(format!(
+        "buffer `{}` changed storage under a run",
+        slot.name
+    ))
+}
+
+impl Machine<'_> {
+    /// Executes `ops[pc..end]` on one register window.
+    fn run(
+        &mut self,
+        mut pc: usize,
+        end: usize,
+        ints: &mut [i64],
+        floats: &mut [f64],
+    ) -> Result<Stop> {
+        use Code::*;
+        let program = self.program;
+        let ops = &program.ops[..end];
+        while let Some(&Op { code, d, a, b, c }) = ops.get(pc) {
+            let (d, a, b, c) = (d as usize, a as usize, b as usize, c as usize);
+            pc += 1;
+            match code {
+                IConst => ints[d] = program.iconsts[a],
+                FConst => floats[d] = program.fconsts[a],
+                IMov => ints[d] = ints[a],
+                FMov => floats[d] = floats[a],
+                IAdd => ints[d] = ints[a].wrapping_add(ints[b]),
+                ISub => ints[d] = ints[a].wrapping_sub(ints[b]),
+                IMul => ints[d] = ints[a].wrapping_mul(ints[b]),
+                IMulAdd => ints[d] = ints[a].wrapping_add(ints[b].wrapping_mul(ints[c])),
+                IDiv | IMod => {
+                    if ints[b] == 0 {
+                        return Err(InterpError::DivideByZero);
+                    }
+                    ints[d] = if code == IDiv {
+                        floor_div(ints[a], ints[b])
+                    } else {
+                        floor_mod(ints[a], ints[b])
+                    };
+                }
+                IDivNz => ints[d] = floor_div(ints[a], ints[b]),
+                IModNz => ints[d] = floor_mod(ints[a], ints[b]),
+                IMin => ints[d] = ints[a].min(ints[b]),
+                IMax => ints[d] = ints[a].max(ints[b]),
+                IAnd => ints[d] = ints[a] & ints[b],
+                IOr => ints[d] = ints[a] | ints[b],
+                IXor => ints[d] = ints[a] ^ ints[b],
+                IShl => ints[d] = ints[a].wrapping_shl(ints[b] as u32),
+                IShr => ints[d] = ints[a].wrapping_shr(ints[b] as u32),
+                IEq => ints[d] = (ints[a] == ints[b]) as i64,
+                INe => ints[d] = (ints[a] != ints[b]) as i64,
+                ILt => ints[d] = (ints[a] < ints[b]) as i64,
+                ILe => ints[d] = (ints[a] <= ints[b]) as i64,
+                INot => ints[d] = (ints[a] == 0) as i64,
+                IBool => ints[d] = (ints[a] != 0) as i64,
+                IQuant => ints[d] = wrap_int(ints[a], b as u16),
+                IAbs => ints[d] = ints[a].wrapping_abs(),
+                IPopcount => ints[d] = ints[a].count_ones() as i64,
+                ISelect => ints[d] = if ints[a] != 0 { ints[b] } else { ints[c] },
+                FAdd => floats[d] = floats[a] + floats[b],
+                FSub => floats[d] = floats[a] - floats[b],
+                FMul => floats[d] = floats[a] * floats[b],
+                FDiv => floats[d] = floats[a] / floats[b],
+                FMod => floats[d] = floats[a].rem_euclid(floats[b]),
+                FMin => floats[d] = floats[a].min(floats[b]),
+                FMax => floats[d] = floats[a].max(floats[b]),
+                FEq => ints[d] = (floats[a] == floats[b]) as i64,
+                FNe => ints[d] = (floats[a] != floats[b]) as i64,
+                FLt => ints[d] = (floats[a] < floats[b]) as i64,
+                FLe => ints[d] = (floats[a] <= floats[b]) as i64,
+                FRound32 => floats[d] = floats[a] as f32 as f64,
+                FRound16 => floats[d] = round_f16(floats[a]),
+                FUnary => floats[d] = UNARY[b](floats[a]),
+                FPow => floats[d] = floats[a].powf(floats[b]),
+                FSelect => floats[d] = if ints[a] != 0 { floats[b] } else { floats[c] },
+                IToF => floats[d] = ints[a] as f64,
+                FToITrunc => ints[d] = floats[a] as i64,
+                FToIFloor => ints[d] = floats[a].floor() as i64,
+                LoadF32 => {
+                    let slot = &self.mem.slots[a];
+                    let i = slot.at(ints[b].wrapping_add(ints[c]))?;
+                    let Data::F32(v) = &slot.buf.data else {
+                        return Err(wrong_storage(slot));
+                    };
+                    floats[d] = v[i] as f64;
+                }
+                LoadF64 => {
+                    let slot = &self.mem.slots[a];
+                    let i = slot.at(ints[b].wrapping_add(ints[c]))?;
+                    let Data::F64(v) = &slot.buf.data else {
+                        return Err(wrong_storage(slot));
+                    };
+                    floats[d] = v[i];
+                }
+                LoadI64 => {
+                    let slot = &self.mem.slots[a];
+                    let i = slot.at(ints[b].wrapping_add(ints[c]))?;
+                    let Data::I64(v) = &slot.buf.data else {
+                        return Err(wrong_storage(slot));
+                    };
+                    ints[d] = v[i];
+                }
+                StoreF32 | StoreF16 => {
+                    self.stores += 1;
+                    let slot = &mut self.mem.slots[a];
+                    let i = slot.at(ints[b].wrapping_add(ints[d]))?;
+                    let Data::F32(v) = &mut slot.buf.data else {
+                        return Err(wrong_storage(slot));
+                    };
+                    v[i] = if code == StoreF32 {
+                        floats[c] as f32
+                    } else {
+                        round_f16(floats[c]) as f32
+                    };
+                }
+                StoreF64 => {
+                    self.stores += 1;
+                    let slot = &mut self.mem.slots[a];
+                    let i = slot.at(ints[b].wrapping_add(ints[d]))?;
+                    let bits = slot.buf.dtype.bits;
+                    let Data::F64(v) = &mut slot.buf.data else {
+                        return Err(wrong_storage(slot));
+                    };
+                    v[i] = match bits {
+                        16 => round_f16(floats[c]),
+                        32 => floats[c] as f32 as f64,
+                        _ => floats[c],
+                    };
+                }
+                StoreI64 => {
+                    self.stores += 1;
+                    let slot = &mut self.mem.slots[a];
+                    let i = slot.at(ints[b].wrapping_add(ints[d]))?;
+                    let dtype = slot.buf.dtype;
+                    let Data::I64(v) = &mut slot.buf.data else {
+                        return Err(wrong_storage(slot));
+                    };
+                    v[i] = if dtype.bits >= 64 {
+                        ints[c]
+                    } else {
+                        let signed = (dtype.code == TypeCode::Int) as u16;
+                        wrap_int(ints[c], dtype.bits as u16 | signed << 8)
+                    };
+                }
+                Alloc => {
+                    let n = ints[b].max(0) as usize;
+                    let slot = &mut self.mem.slots[a];
+                    slot.buf.data.zero(n);
+                    (slot.base, slot.len) = (0, n);
+                }
+                Jump => pc += a,
+                JumpIfZero => {
+                    if ints[a] == 0 {
+                        pc += b;
+                    }
+                }
+                JumpIfNonZero => {
+                    if ints[a] != 0 {
+                        pc += b;
+                    }
+                }
+                LoopGuard => {
+                    if ints[a] >= ints[b] {
+                        pc += c;
+                    }
+                }
+                LoopNext => {
+                    ints[a] += 1;
+                    if ints[a] < ints[b] {
+                        pc -= c;
+                    }
+                }
+                Raise => return Err(program.errors[a].clone()),
+                HwCall => self.hw_call(&program.hw_calls[a], ints, floats)?,
+                Nest => {
+                    let nest = &program.nests[a];
+                    self.run_nest(nest, pc, ints, floats)?;
+                    pc += nest.len as usize;
+                }
+                Barrier => return Ok(Stop::Barrier(pc)),
+            }
+        }
+        Ok(Stop::End)
+    }
+
+    fn hw_call(&mut self, call: &HwCall, ints: &mut [i64], floats: &mut [f64]) -> Result<()> {
+        let mut args = Vec::with_capacity(call.args.len());
+        for arg in &call.args {
+            args.push(match *arg {
+                HwArg::Int(r) => Value::Int(ints[r as usize]),
+                HwArg::Float(r) => Value::Float(floats[r as usize]),
+                HwArg::Handle(id, slot) => {
+                    self.mem.alias(id, slot as usize);
+                    Value::Handle(id)
+                }
+            });
+        }
+        let handler = self
+            .hw
+            .get_mut(&call.name)
+            .ok_or_else(|| InterpError::UnknownIntrinsic(call.name.clone()))?;
+        let value = handler(&args, self.mem)?;
+        match call.ret {
+            Some((Kind::Int, r)) => ints[r as usize] = value.as_int()?,
+            Some((Kind::Float, r)) => floats[r as usize] = value.as_float()?,
+            None => {}
+        }
+        Ok(())
+    }
+
+    /// Runs the lanes of `nest`, whose code starts at `start`, in turns
+    /// from barrier to barrier.
+    fn run_nest(&mut self, nest: &Nest, start: usize, ints: &[i64], floats: &[f64]) -> Result<()> {
+        let mut lanes = 1usize;
+        for &(_, _, n) in &nest.axes {
+            lanes = lanes.saturating_mul(ints[n as usize].max(0) as usize);
+        }
+        if lanes == 0 {
+            return Ok(());
+        }
+        let (ni, nf) = (nest.ints as usize, nest.floats as usize);
+        let mut lane_ints = vec![0i64; lanes * ni];
+        let mut lane_floats = vec![0f64; lanes * nf];
+        for lane in 0..lanes {
+            let wi = &mut lane_ints[lane * ni..(lane + 1) * ni];
+            let wf = &mut lane_floats[lane * nf..(lane + 1) * nf];
+            for &(outer, inner) in &nest.live_ints {
+                wi[inner as usize] = ints[outer as usize];
+            }
+            for &(outer, inner) in &nest.live_floats {
+                wf[inner as usize] = floats[outer as usize];
+            }
+            // Row-major: the last axis varies fastest.
+            let mut rest = lane as i64;
+            for &(var, lo, n) in nest.axes.iter().rev() {
+                let n = ints[n as usize];
+                wi[var as usize] = ints[lo as usize].wrapping_add(rest % n);
+                rest /= n;
+            }
+        }
+        for &(slot, extent) in &nest.lane_slots {
+            let slot = &mut self.mem.slots[slot as usize];
+            slot.buf.data.zero(lanes * extent);
+            slot.len = extent;
+        }
+        let end = start + nest.len as usize;
+        let mut pcs = vec![start; lanes];
+        loop {
+            let mut waiting = 0;
+            for (lane, pc) in pcs.iter_mut().enumerate() {
+                for &(slot, extent) in &nest.lane_slots {
+                    self.mem.slots[slot as usize].base = lane * extent;
+                }
+                let wi = &mut lane_ints[lane * ni..(lane + 1) * ni];
+                let wf = &mut lane_floats[lane * nf..(lane + 1) * nf];
+                match self.run(*pc, end, wi, wf)? {
+                    Stop::Barrier(next) => {
+                        *pc = next;
+                        waiting += 1;
+                    }
+                    Stop::End => *pc = end,
+                }
+            }
+            if waiting == 0 {
+                return Ok(());
+            }
+            if waiting != lanes {
+                return Err(InterpError::Malformed(
+                    "barrier count diverges across threads".into(),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Compilation
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    Int,
+    Float,
+}
+
+/// A value number: one computed value, wherever its register lives.
+type Vid = u32;
+
+/// What an expression evaluates to — the walker's `Value`, with the variant
+/// known at compile time.
+#[derive(Clone, Copy)]
+enum V {
+    Int(Vid),
+    Float(Vid),
+    /// A buffer variable and its slot.
+    Handle(VarId, u16),
+}
+
+#[derive(Clone, Copy)]
+struct ValInfo {
+    kind: Kind,
+    /// Loop level that computes it; it is invariant in every level deeper.
+    level: usize,
+    /// Frame and register that hold it.
+    frame: usize,
+    reg: Reg,
+    /// Known to be 0 or 1.
+    is_bool: bool,
+    konst: Option<i64>,
+}
+
+/// Value-numbering key: the op and its operands' value numbers (or literal
+/// fields), `u32::MAX` where there is none.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Key(Code, [u32; 3]);
+
+/// One register space: the function's, or a barriered nest's lane window.
+#[derive(Default)]
+struct Frame {
+    parent: usize,
+    ints: u32,
+    floats: u32,
+    /// Values of enclosing frames used here, and the window register each
+    /// is copied into on nest entry.
+    imports: HashMap<Vid, Reg>,
+    live_ints: Vec<(Reg, Reg)>,
+    live_floats: Vec<(Reg, Reg)>,
+    lane_slots: Vec<(u16, usize)>,
+}
+
+/// One loop level under construction (level 0 is the function body).
+struct Level {
+    frame: usize,
+    /// Ops hoisted in front of this level's loop header; they use the
+    /// registers of the enclosing level's frame.
+    pre: Vec<Op>,
+    body: Vec<Op>,
+    /// The scope the header stands in, which owns what is hoisted to `pre`.
+    outer_scope: usize,
+}
+
+struct OpenLoop {
+    var: VarId,
+    shadowed: Option<V>,
+    counter: Vid,
+    lo: Vid,
+    limit: Vid,
+}
+
+/// `c + Σ coeff · value`, the canonical form of integer `+ - *`.
+struct Affine {
+    c: i64,
+    terms: Vec<(Vid, i64)>,
+}
+
+impl Affine {
+    fn konst(c: i64) -> Affine {
+        Affine {
+            c,
+            terms: Vec::new(),
+        }
+    }
+
+    fn as_const(&self) -> Option<i64> {
+        self.terms.is_empty().then_some(self.c)
+    }
+
+    fn add_scaled(&mut self, other: &Affine, k: i64) {
+        self.c = self.c.wrapping_add(other.c.wrapping_mul(k));
+        for &(v, coeff) in &other.terms {
+            let coeff = coeff.wrapping_mul(k);
+            match self.terms.iter_mut().find(|(w, _)| *w == v) {
+                Some((_, sum)) => *sum = sum.wrapping_add(coeff),
+                None => self.terms.push((v, coeff)),
+            }
+        }
+        self.terms.retain(|&(_, coeff)| coeff != 0);
+    }
+}
+
+struct Compiler<'a> {
+    scalars: &'a HashMap<VarId, Value>,
+    frames: Vec<Frame>,
+    levels: Vec<Level>,
+    values: Vec<ValInfo>,
+    vn: HashMap<Key, Vid>,
+    /// Keys to forget when each open block (loop body, branch) closes: a
+    /// value computed under a condition is not available after it.
+    scopes: Vec<Vec<Key>>,
+    vars: HashMap<VarId, V>,
+    iconsts: Vec<i64>,
+    fconsts: Vec<f64>,
+    slots: Vec<SlotDecl>,
+    errors: Vec<InterpError>,
+    hw_calls: Vec<HwCall>,
+    nests: Vec<Nest>,
+    /// A frame ran out of `u16` registers.
+    too_large: bool,
+}
+
+const NONE: u32 = u32::MAX;
+
+impl<'a> Compiler<'a> {
+    fn new(scalars: &'a HashMap<VarId, Value>) -> Self {
+        Compiler {
+            scalars,
+            frames: vec![Frame::default()],
+            levels: vec![Level {
+                frame: 0,
+                pre: Vec::new(),
+                body: Vec::new(),
+                outer_scope: 0,
+            }],
+            values: Vec::new(),
+            vn: HashMap::new(),
+            scopes: vec![Vec::new()],
+            vars: HashMap::new(),
+            iconsts: Vec::new(),
+            fconsts: Vec::new(),
+            slots: Vec::new(),
+            errors: Vec::new(),
+            hw_calls: Vec::new(),
+            nests: Vec::new(),
+            too_large: false,
+        }
+    }
+
+    fn finish(mut self, func: &LoweredFunc, params: &[(Storage, DType)]) -> Program {
+        for (var, &(storage, dtype)) in func.params.iter().zip(params) {
+            self.vars
+                .insert(var.id(), V::Handle(var.id(), self.slots.len() as u16));
+            self.slots.push(SlotDecl {
+                id: var.id(),
+                name: var.name().into(),
+                dtype,
+                storage,
+            });
+        }
+        self.stmt(&func.body);
+        let mut ops = self.levels.pop().expect("level 0 stays open").body;
+        // Every index an op carries is a `u16`; one that wrapped on the way
+        // here is never executed.
+        let sizes = [
+            ops.len(),
+            self.slots.len(),
+            self.iconsts.len(),
+            self.fconsts.len(),
+            self.errors.len(),
+            self.hw_calls.len(),
+            self.nests.len(),
+        ];
+        if self.too_large || sizes.iter().any(|&n| n > u16::MAX as usize) {
+            self.errors = vec![InterpError::Unsupported(format!(
+                "`{}` is too large for the flat engine",
+                func.name
+            ))];
+            ops = vec![Op::new(Code::Raise, 0, 0, 0, 0)];
+        }
+        Program {
+            name: func.name.clone(),
+            params: params.to_vec(),
+            ops,
+            ints: self.frames[0].ints as u16,
+            floats: self.frames[0].floats as u16,
+            iconsts: self.iconsts,
+            fconsts: self.fconsts,
+            slots: self.slots,
+            errors: self.errors,
+            hw_calls: self.hw_calls,
+            nests: self.nests,
+        }
+    }
+
+    // --- registers, values, placement -------------------------------------
+
+    fn cur_level(&self) -> usize {
+        self.levels.len() - 1
+    }
+
+    fn cur_frame(&self) -> usize {
+        self.levels[self.cur_level()].frame
+    }
+
+    fn alloc(&mut self, frame: usize, kind: Kind) -> Reg {
+        let f = &mut self.frames[frame];
+        let n = match kind {
+            Kind::Int => &mut f.ints,
+            Kind::Float => &mut f.floats,
+        };
+        if *n >= u16::MAX as u32 {
+            self.too_large = true;
+            return 0;
+        }
+        *n += 1;
+        (*n - 1) as Reg
+    }
+
+    /// A value that is assigned where the code stands and never shared: a
+    /// loop counter, a loaded element, the result of a branchy `select`.
+    fn fresh(&mut self, kind: Kind) -> Vid {
+        let level = self.cur_level();
+        let frame = self.cur_frame();
+        let reg = self.alloc(frame, kind);
+        self.values.push(ValInfo {
+            kind,
+            level,
+            frame,
+            reg,
+            is_bool: false,
+            konst: None,
+        });
+        (self.values.len() - 1) as Vid
+    }
+
+    /// The register of `frame` that holds value `v`, importing it through
+    /// every nest boundary between its home frame and `frame`.
+    fn reg_in(&mut self, v: Vid, frame: usize) -> Reg {
+        let info = self.values[v as usize];
+        if info.frame == frame {
+            return info.reg;
+        }
+        if let Some(&r) = self.frames[frame].imports.get(&v) {
+            return r;
+        }
+        assert!(
+            frame != 0,
+            "a value is used outside the nest that computes it"
+        );
+        let outer = self.reg_in(v, self.frames[frame].parent);
+        let inner = self.alloc(frame, info.kind);
+        let f = &mut self.frames[frame];
+        f.imports.insert(v, inner);
+        match info.kind {
+            Kind::Int => f.live_ints.push((outer, inner)),
+            Kind::Float => f.live_floats.push((outer, inner)),
+        }
+        inner
+    }
+
+    fn reg(&mut self, v: Vid) -> Reg {
+        let frame = self.cur_frame();
+        self.reg_in(v, frame)
+    }
+
+    /// Emits (or finds) the pure op `code` over `args`, with `lit` in the
+    /// field after them. Unless `pinned`, it is placed at the level of its
+    /// deepest operand; a pinned op may fault and stays where it stands.
+    fn pure(
+        &mut self,
+        code: Code,
+        kind: Kind,
+        args: &[Vid],
+        lit: Option<u16>,
+        pinned: bool,
+    ) -> Vid {
+        let mut key = [NONE; 3];
+        for (k, &v) in key.iter_mut().zip(args) {
+            *k = v;
+        }
+        if let Some(l) = lit {
+            key[args.len()] = l as u32;
+        }
+        let key = Key(code, key);
+        if let Some(&v) = self.vn.get(&key) {
+            return v;
+        }
+        let cur = self.cur_level();
+        let level = if pinned {
+            cur
+        } else {
+            args.iter()
+                .map(|&v| self.values[v as usize].level)
+                .max()
+                .unwrap_or(0)
+        };
+        let frame = self.levels[level].frame;
+        let mut f = [0u16; 3];
+        for (slot, &v) in f.iter_mut().zip(args) {
+            *slot = self.reg_in(v, frame);
+        }
+        if let Some(l) = lit {
+            f[args.len()] = l;
+        }
+        let d = self.alloc(frame, kind);
+        let op = Op::new(code, d, f[0], f[1], f[2]);
+        if level == cur {
+            self.levels[cur].body.push(op);
+            self.scopes.last_mut().expect("a scope is open").push(key);
+        } else {
+            let next = &mut self.levels[level + 1];
+            next.pre.push(op);
+            self.scopes[next.outer_scope].push(key);
+        }
+        let is_bool = matches!(
+            code,
+            Code::IEq
+                | Code::INe
+                | Code::ILt
+                | Code::ILe
+                | Code::INot
+                | Code::IBool
+                | Code::FEq
+                | Code::FNe
+                | Code::FLt
+                | Code::FLe
+        ) || (code == Code::IAnd
+            && args.iter().all(|&v| self.values[v as usize].is_bool));
+        self.values.push(ValInfo {
+            kind,
+            level,
+            frame,
+            reg: d,
+            is_bool,
+            konst: None,
+        });
+        let v = (self.values.len() - 1) as Vid;
+        self.vn.insert(key, v);
+        v
+    }
+
+    /// [`Compiler::pure`] for the common case: register operands only, free
+    /// to move.
+    fn op(&mut self, code: Code, kind: Kind, args: &[Vid]) -> Vid {
+        self.pure(code, kind, args, None, false)
+    }
+
+    fn iconst(&mut self, value: i64) -> Vid {
+        let k = intern(&mut self.iconsts, value, |c| c == value);
+        let v = self.pure(Code::IConst, Kind::Int, &[], Some(k), false);
+        let info = &mut self.values[v as usize];
+        info.konst = Some(value);
+        info.is_bool = value == 0 || value == 1;
+        v
+    }
+
+    fn fconst(&mut self, value: f64) -> Vid {
+        let k = intern(&mut self.fconsts, value, |c| c.to_bits() == value.to_bits());
+        self.pure(Code::FConst, Kind::Float, &[], Some(k), false)
+    }
+
+    fn push(&mut self, op: Op) {
+        let cur = self.cur_level();
+        self.levels[cur].body.push(op);
+    }
+
+    fn push_scope(&mut self) {
+        self.scopes.push(Vec::new());
+    }
+
+    fn pop_scope(&mut self) {
+        for key in self.scopes.pop().expect("a scope is open") {
+            self.vn.remove(&key);
+        }
+    }
+
+    /// Emits a fault at this point; what follows it is unreachable.
+    fn raise(&mut self, err: InterpError) {
+        self.push(Op::new(Code::Raise, 0, self.errors.len() as u16, 0, 0));
+        self.errors.push(err);
+    }
+
+    fn unsupported(&mut self, what: &str) {
+        self.raise(InterpError::Unsupported(what.into()));
+    }
+
+    /// A placeholder for the value of an expression that faulted.
+    fn dummy(&mut self, float: bool) -> V {
+        if float {
+            V::Float(self.fconst(0.0))
+        } else {
+            V::Int(self.iconst(0))
+        }
+    }
+
+    // --- control flow -------------------------------------------------------
+
+    /// Emits a conditional jump on `cond` whose target [`Compiler::land`]
+    /// fills in, and opens the scope of the code it guards.
+    fn branch(&mut self, code: Code, cond: Vid) -> usize {
+        let c = self.reg(cond);
+        self.push(Op::new(code, 0, c, 0, 0));
+        self.push_scope();
+        self.levels[self.cur_level()].body.len() - 1
+    }
+
+    /// Points the jump at `at` to the next op emitted.
+    fn patch(&mut self, at: usize) {
+        let cur = self.cur_level();
+        let body = &mut self.levels[cur].body;
+        let off = (body.len() - at - 1) as u16;
+        match body[at].code {
+            Code::Jump => body[at].a = off,
+            _ => body[at].b = off,
+        }
+    }
+
+    /// Closes the scope [`Compiler::branch`] opened and lands its jump.
+    fn land(&mut self, at: usize) {
+        self.pop_scope();
+        self.patch(at);
+    }
+
+    /// Opens a loop level (and its scope) whose code uses `frame`.
+    fn open_level(&mut self, frame: usize) {
+        self.levels.push(Level {
+            frame,
+            pre: Vec::new(),
+            body: Vec::new(),
+            outer_scope: self.scopes.len() - 1,
+        });
+        self.push_scope();
+    }
+
+    fn close_level(&mut self) -> Level {
+        self.pop_scope();
+        self.levels.pop().expect("a level is open")
+    }
+
+    fn open_loop(&mut self, var: &Var, lo: Vid, n: Vid) -> OpenLoop {
+        let mut limit = self.affine_of(lo);
+        limit.add_scaled(&self.affine_of(n), 1);
+        let limit = self.materialize(limit);
+        self.open_level(self.cur_frame());
+        let counter = self.fresh(Kind::Int);
+        OpenLoop {
+            var: var.id(),
+            shadowed: self.vars.insert(var.id(), V::Int(counter)),
+            counter,
+            lo,
+            limit,
+        }
+    }
+
+    fn close_loop(&mut self, l: OpenLoop) {
+        self.unbind(l.var, l.shadowed);
+        let level = self.close_level();
+        let var = self.values[l.counter as usize].reg;
+        let (lo, limit) = (self.reg(l.lo), self.reg(l.limit));
+        let skip = (level.body.len() + 1) as u16;
+        let cur = self.cur_level();
+        let out = &mut self.levels[cur].body;
+        out.extend(level.pre);
+        out.push(Op::new(Code::IMov, var, lo, 0, 0));
+        out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
+        out.extend(level.body);
+        out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
+    }
+
+    fn unbind(&mut self, var: VarId, shadowed: Option<V>) {
+        match shadowed {
+            Some(v) => self.vars.insert(var, v),
+            None => self.vars.remove(&var),
+        };
+    }
+
+    // --- statements ---------------------------------------------------------
+
+    fn stmt(&mut self, s: &Stmt) {
+        use StmtNode::*;
+        match &*s.0 {
+            LetStmt { var, value, body } => {
+                let v = self.expr(value);
+                let shadowed = self.vars.insert(var.id(), v);
+                self.stmt(body);
+                self.unbind(var.id(), shadowed);
+            }
+            AttrStmt { body, .. } => self.stmt(body),
+            Store {
+                buffer,
+                index,
+                value,
+                predicate,
+            } => {
+                let guard = predicate.as_ref().map(|p| {
+                    let c = self.truthy(p);
+                    self.branch(Code::JumpIfZero, c)
+                });
+                let idx = self.index_of(index);
+                let val = self.expr(value);
+                self.store(buffer, idx, val);
+                if let Some(at) = guard {
+                    self.land(at);
+                }
+            }
+            Allocate {
+                buffer,
+                dtype,
+                extent,
+                body,
+                ..
+            } => {
+                let n = self.int_of(extent);
+                let slot = self.slots.len() as u16;
+                self.slots.push(SlotDecl {
+                    id: buffer.id(),
+                    name: buffer.name().into(),
+                    dtype: *dtype,
+                    storage: Storage::of(*dtype),
+                });
+                let frame = self.cur_frame();
+                if frame == 0 {
+                    let n = self.reg(n);
+                    self.push(Op::new(Code::Alloc, 0, slot, n, 0));
+                } else {
+                    // Inside a barriered nest the walker creates the buffer
+                    // once per thread and keeps it, unzeroed, until the nest
+                    // ends: one copy per lane, made on nest entry.
+                    match self.values[n as usize].konst {
+                        Some(k) => self.frames[frame]
+                            .lane_slots
+                            .push((slot, k.max(0) as usize)),
+                        None => self.unsupported(
+                            "allocation of non-constant extent inside a barriered thread nest",
+                        ),
+                    }
+                }
+                let shadowed = self.vars.insert(buffer.id(), V::Handle(buffer.id(), slot));
+                self.stmt(body);
+                self.unbind(buffer.id(), shadowed);
+            }
+            For {
+                var,
+                min,
+                extent,
+                kind,
+                body,
+            } => match kind {
+                ForKind::ThreadBinding(tag) if !tag.is_block() => self.thread_nest(s),
+                _ => {
+                    let lo = self.int_of(min);
+                    let n = self.int_of(extent);
+                    let l = self.open_loop(var, lo, n);
+                    self.stmt(body);
+                    self.close_loop(l);
+                }
+            },
+            Seq(stmts) => {
+                for st in stmts {
+                    self.stmt(st);
+                }
+            }
+            IfThenElse {
+                cond,
+                then_case,
+                else_case,
+            } => {
+                let c = self.truthy(cond);
+                let to_else = self.branch(Code::JumpIfZero, c);
+                self.stmt(then_case);
+                match else_case {
+                    Some(e) => {
+                        self.pop_scope();
+                        self.push(Op::new(Code::Jump, 0, 0, 0, 0));
+                        let to_end = self.levels[self.cur_level()].body.len() - 1;
+                        self.patch(to_else);
+                        self.push_scope();
+                        self.stmt(e);
+                        self.land(to_end);
+                    }
+                    None => self.land(to_else),
+                }
+            }
+            Evaluate(e) => match &*e.0 {
+                ExprNode::Call {
+                    name,
+                    args,
+                    kind: CallKind::HardwareIntrinsic,
+                    ..
+                } => self.hw_call(name, args, None),
+                _ => {
+                    self.expr(e);
+                }
+            },
+            Barrier => {
+                // Outside a barriered nest there is nobody to wait for.
+                if self.cur_frame() != 0 {
+                    self.push(Op::new(Code::Barrier, 0, 0, 0, 0));
+                }
+            }
+            PushDep { .. } | PopDep { .. } => {} // timing-only; no data effect
+        }
+    }
+
+    fn store(&mut self, buffer: &Var, (base, last): (Vid, Vid), val: V) {
+        let Some(&V::Handle(_, slot)) = self.vars.get(&buffer.id()) else {
+            return self.raise(InterpError::UnknownBuffer("?".into()));
+        };
+        let decl = &self.slots[slot as usize];
+        let code = match (decl.storage, decl.dtype.bits) {
+            (Storage::F32, 16) => Code::StoreF16,
+            (Storage::F32, _) => Code::StoreF32,
+            (Storage::F64, _) => Code::StoreF64,
+            (Storage::I64, _) => Code::StoreI64,
+        };
+        let v = match decl.storage.kind() {
+            Kind::Float => self.as_float(val),
+            Kind::Int => self.as_int(val),
+        };
+        let (base, last, v) = (self.reg(base), self.reg(last), self.reg(v));
+        self.push(Op::new(code, last, slot, base, v));
+    }
+
+    /// A run of consecutive thread-bound loops: lanes taking turns between
+    /// barriers when the body has one, plain loops when it has none.
+    fn thread_nest(&mut self, root: &Stmt) {
+        // Like the walker, evaluate every axis before binding any.
+        let mut axes: Vec<(&Var, Vid, Vid)> = Vec::new();
+        let mut body = root;
+        while let StmtNode::For {
+            var,
+            min,
+            extent,
+            kind: ForKind::ThreadBinding(tag),
+            body: inner,
+        } = &*body.0
+        {
+            if tag.is_block() {
+                break;
+            }
+            let lo = self.int_of(min);
+            let n = self.int_of(extent);
+            axes.push((var, lo, n));
+            body = inner;
+        }
+        if static_barriers(body).is_err() {
+            self.raise(InterpError::Malformed(
+                "barrier count diverges across branches".into(),
+            ));
+        }
+        if !body.contains_barrier() {
+            let loops: Vec<OpenLoop> = axes
+                .iter()
+                .map(|&(var, lo, n)| self.open_loop(var, lo, n))
+                .collect();
+            self.stmt(body);
+            for l in loops.into_iter().rev() {
+                self.close_loop(l);
+            }
+            return;
+        }
+        let outer = self.cur_frame();
+        let frame = self.frames.len();
+        self.frames.push(Frame {
+            parent: outer,
+            ..Frame::default()
+        });
+        self.open_level(frame);
+        let bound: Vec<(VarId, Option<V>, Vid)> = axes
+            .iter()
+            .map(|&(var, _, _)| {
+                let t = self.fresh(Kind::Int);
+                (var.id(), self.vars.insert(var.id(), V::Int(t)), t)
+            })
+            .collect();
+        self.stmt(body);
+        for &(var, shadowed, _) in bound.iter().rev() {
+            self.unbind(var, shadowed);
+        }
+        let level = self.close_level();
+        let nest_axes = axes
+            .iter()
+            .zip(&bound)
+            .map(|(&(_, lo, n), &(_, _, t))| {
+                (
+                    self.values[t as usize].reg,
+                    self.reg_in(lo, outer),
+                    self.reg_in(n, outer),
+                )
+            })
+            .collect();
+        let f = std::mem::take(&mut self.frames[frame]);
+        let id = self.nests.len() as u16;
+        self.nests.push(Nest {
+            axes: nest_axes,
+            len: level.body.len() as u16,
+            ints: f.ints as u16,
+            floats: f.floats as u16,
+            live_ints: f.live_ints,
+            live_floats: f.live_floats,
+            lane_slots: f.lane_slots,
+        });
+        let cur = self.cur_level();
+        let out = &mut self.levels[cur].body;
+        out.extend(level.pre);
+        out.push(Op::new(Code::Nest, 0, id, 0, 0));
+        out.extend(level.body);
+    }
+
+    // --- expressions --------------------------------------------------------
+
+    /// The walker's `as_int`.
+    fn as_int(&mut self, v: V) -> Vid {
+        match v {
+            V::Int(x) => x,
+            V::Float(x) => self.op(Code::FToITrunc, Kind::Int, &[x]),
+            V::Handle(..) => {
+                self.unsupported("handle used as int");
+                self.iconst(0)
+            }
+        }
+    }
+
+    /// The walker's `as_float`.
+    fn as_float(&mut self, v: V) -> Vid {
+        match v {
+            V::Float(x) => x,
+            V::Int(x) => self.op(Code::IToF, Kind::Float, &[x]),
+            V::Handle(..) => {
+                self.unsupported("handle used as float");
+                self.fconst(0.0)
+            }
+        }
+    }
+
+    /// `e` evaluated and tested for non-zero: a 0/1 value.
+    fn truthy(&mut self, e: &Expr) -> Vid {
+        let v = self.expr(e);
+        let x = self.as_int(v);
+        if self.values[x as usize].is_bool {
+            x
+        } else {
+            self.op(Code::IBool, Kind::Int, &[x])
+        }
+    }
+
+    /// `e` evaluated as an integer, `+ - *` regrouped by level.
+    fn int_of(&mut self, e: &Expr) -> Vid {
+        let a = self.affine(e);
+        self.materialize(a)
+    }
+
+    /// `e` as a buffer index: two values whose sum it is, the second its
+    /// deepest term when that has coefficient one (zero otherwise), which
+    /// the load or store adds itself.
+    fn index_of(&mut self, e: &Expr) -> (Vid, Vid) {
+        let mut a = self.affine(e);
+        a.terms
+            .sort_by_key(|&(v, _)| (self.values[v as usize].level, v));
+        let last = match a.terms.last() {
+            Some(&(v, 1)) if a.terms.len() > 1 || a.c != 0 => {
+                a.terms.pop();
+                v
+            }
+            _ => self.iconst(0),
+        };
+        (self.materialize(a), last)
+    }
+
+    fn affine(&mut self, e: &Expr) -> Affine {
+        match &*e.0 {
+            ExprNode::IntImm { value, .. } => Affine::konst(*value),
+            ExprNode::Binary {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul),
+                a,
+                b,
+            } if !a.dtype().is_float() => {
+                let mut x = self.affine(a);
+                let y = self.affine(b);
+                match (op, x.as_const(), y.as_const()) {
+                    (BinOp::Add, _, _) => x.add_scaled(&y, 1),
+                    (BinOp::Sub, _, _) => x.add_scaled(&y, -1),
+                    (_, _, Some(k)) => {
+                        let unscaled = std::mem::replace(&mut x, Affine::konst(0));
+                        x.add_scaled(&unscaled, k);
+                    }
+                    (_, Some(k), None) => {
+                        x = Affine::konst(0);
+                        x.add_scaled(&y, k);
+                    }
+                    (_, None, None) => {
+                        let (vx, vy) = (self.materialize(x), self.materialize(y));
+                        let product = self.op(Code::IMul, Kind::Int, &[vx, vy]);
+                        x = Affine {
+                            c: 0,
+                            terms: vec![(product, 1)],
+                        };
+                    }
+                }
+                x
+            }
+            _ => {
+                let v = self.expr(e);
+                let x = self.as_int(v);
+                self.affine_of(x)
+            }
+        }
+    }
+
+    fn affine_of(&self, x: Vid) -> Affine {
+        match self.values[x as usize].konst {
+            Some(k) => Affine::konst(k),
+            None => Affine {
+                c: 0,
+                terms: vec![(x, 1)],
+            },
+        }
+    }
+
+    /// Sums the terms shallowest level first, so that each partial sum is
+    /// hoisted as far as its own terms allow.
+    fn materialize(&mut self, mut a: Affine) -> Vid {
+        a.terms
+            .sort_by_key(|&(v, _)| (self.values[v as usize].level, v));
+        let mut acc = (a.c != 0 || a.terms.is_empty()).then(|| self.iconst(a.c));
+        for (v, k) in a.terms {
+            acc = Some(match (acc, k) {
+                (None, 1) => v,
+                (None, _) => {
+                    let k = self.iconst(k);
+                    self.op(Code::IMul, Kind::Int, &[v, k])
+                }
+                (Some(s), 1) => self.op(Code::IAdd, Kind::Int, &[s, v]),
+                (Some(s), -1) => self.op(Code::ISub, Kind::Int, &[s, v]),
+                (Some(s), _) => {
+                    let k = self.iconst(k);
+                    self.op(Code::IMulAdd, Kind::Int, &[s, v, k])
+                }
+            });
+        }
+        acc.expect("an affine form has a constant or a term")
+    }
+
+    fn expr(&mut self, e: &Expr) -> V {
+        use ExprNode::*;
+        match &*e.0 {
+            IntImm { value, .. } => V::Int(self.iconst(*value)),
+            FloatImm { value, .. } => V::Float(self.fconst(*value)),
+            StringImm(_) => {
+                self.unsupported("string immediate");
+                self.dummy(false)
+            }
+            Var(v) => {
+                if let Some(&bound) = self.vars.get(&v.id()) {
+                    return bound;
+                }
+                match self.scalars.get(&v.id()) {
+                    Some(Value::Int(x)) => V::Int(self.iconst(*x)),
+                    Some(Value::Float(x)) => V::Float(self.fconst(*x)),
+                    Some(Value::Handle(_)) => {
+                        self.unsupported("buffer handle bound as a scalar");
+                        self.dummy(false)
+                    }
+                    None => {
+                        self.raise(InterpError::UnboundVar(v.name().to_string()));
+                        self.dummy(v.dtype().is_float())
+                    }
+                }
+            }
+            Cast { dtype, value } => {
+                let v = self.expr(value);
+                let t = dtype.element();
+                if t.is_int() {
+                    let x = match v {
+                        V::Int(x) => x,
+                        V::Float(x) => self.op(Code::FToIFloor, Kind::Int, &[x]),
+                        V::Handle(..) => {
+                            self.unsupported("handle cast");
+                            self.iconst(0)
+                        }
+                    };
+                    if t.bits >= 64 {
+                        return V::Int(x);
+                    }
+                    let spec = t.bits as u16 | ((t.code == TypeCode::Int) as u16) << 8;
+                    V::Int(self.pure(Code::IQuant, Kind::Int, &[x], Some(spec), false))
+                } else {
+                    let x = self.as_float(v);
+                    V::Float(match t.bits {
+                        16 => self.op(Code::FRound16, Kind::Float, &[x]),
+                        32 => self.op(Code::FRound32, Kind::Float, &[x]),
+                        _ => x,
+                    })
+                }
+            }
+            Binary { op, a, b } => self.binary(e, *op, a, b),
+            Cmp { op, a, b } => {
+                let float = a.dtype().is_float();
+                let (x, y) = if float {
+                    let va = self.expr(a);
+                    let x = self.as_float(va);
+                    let vb = self.expr(b);
+                    (x, self.as_float(vb))
+                } else {
+                    (self.int_of(a), self.int_of(b))
+                };
+                let (code, x, y) = match (op, float) {
+                    (CmpOp::Eq, false) => (Code::IEq, x, y),
+                    (CmpOp::Ne, false) => (Code::INe, x, y),
+                    (CmpOp::Lt, false) => (Code::ILt, x, y),
+                    (CmpOp::Le, false) => (Code::ILe, x, y),
+                    (CmpOp::Gt, false) => (Code::ILt, y, x),
+                    (CmpOp::Ge, false) => (Code::ILe, y, x),
+                    (CmpOp::Eq, true) => (Code::FEq, x, y),
+                    (CmpOp::Ne, true) => (Code::FNe, x, y),
+                    (CmpOp::Lt, true) => (Code::FLt, x, y),
+                    (CmpOp::Le, true) => (Code::FLe, x, y),
+                    (CmpOp::Gt, true) => (Code::FLt, y, x),
+                    (CmpOp::Ge, true) => (Code::FLe, y, x),
+                };
+                V::Int(self.op(code, Kind::Int, &[x, y]))
+            }
+            And { a, b } => self.short_circuit(a, b, Code::JumpIfZero),
+            Or { a, b } => self.short_circuit(a, b, Code::JumpIfNonZero),
+            Not { a } => {
+                let v = self.expr(a);
+                let x = self.as_int(v);
+                V::Int(self.op(Code::INot, Kind::Int, &[x]))
+            }
+            Select {
+                cond,
+                then_case,
+                else_case,
+            } => self.select(cond, then_case, else_case),
+            Load {
+                buffer,
+                index,
+                predicate,
+            } => match predicate {
+                None => {
+                    let idx = self.index_of(index);
+                    self.load(buffer, idx)
+                }
+                Some(p) => {
+                    // The walker yields a zero of the variable's type when
+                    // the predicate fails and an element of the storage's
+                    // kind when it holds; where the two differ, a float.
+                    let c = self.truthy(p);
+                    let stored = match self.vars.get(&buffer.id()) {
+                        Some(&V::Handle(_, s)) => self.slots[s as usize].storage.kind(),
+                        _ => Kind::Int,
+                    };
+                    let float = buffer.dtype().is_float() || stored == Kind::Float;
+                    let zero = self.dummy(float);
+                    let d = self.fresh(if float { Kind::Float } else { Kind::Int });
+                    self.assign(d, zero);
+                    let skip = self.branch(Code::JumpIfZero, c);
+                    let idx = self.index_of(index);
+                    let v = self.load(buffer, idx);
+                    self.assign(d, v);
+                    self.land(skip);
+                    if float {
+                        V::Float(d)
+                    } else {
+                        V::Int(d)
+                    }
+                }
+            },
+            Ramp { .. } | Broadcast { .. } => {
+                self.unsupported("vector value (run pre-vectorized IR)");
+                self.dummy(e.dtype().is_float())
+            }
+            Let { var, value, body } => {
+                let v = self.expr(value);
+                let shadowed = self.vars.insert(var.id(), v);
+                let r = self.expr(body);
+                self.unbind(var.id(), shadowed);
+                r
+            }
+            Call {
+                name,
+                args,
+                kind,
+                dtype,
+            } => match kind {
+                CallKind::PureIntrinsic => self.pure_call(name, args, *dtype),
+                CallKind::HardwareIntrinsic => {
+                    let kind = if dtype.is_float() {
+                        Kind::Float
+                    } else {
+                        Kind::Int
+                    };
+                    let d = self.fresh(kind);
+                    let ret = (kind, self.values[d as usize].reg);
+                    self.hw_call(name, args, Some(ret));
+                    match kind {
+                        Kind::Float => V::Float(d),
+                        Kind::Int => V::Int(d),
+                    }
+                }
+            },
+        }
+    }
+
+    fn binary(&mut self, e: &Expr, op: BinOp, a: &Expr, b: &Expr) -> V {
+        use BinOp::*;
+        if a.dtype().is_float() {
+            let va = self.expr(a);
+            let x = self.as_float(va);
+            let vb = self.expr(b);
+            let y = self.as_float(vb);
+            let code = match op {
+                Add => Code::FAdd,
+                Sub => Code::FSub,
+                Mul => Code::FMul,
+                Div => Code::FDiv,
+                Mod => Code::FMod,
+                Min => Code::FMin,
+                Max => Code::FMax,
+                _ => {
+                    self.unsupported("bitwise op on float");
+                    return self.dummy(true);
+                }
+            };
+            return V::Float(self.op(code, Kind::Float, &[x, y]));
+        }
+        if matches!(op, Add | Sub | Mul) {
+            return V::Int(self.int_of(e));
+        }
+        let (x, y) = (self.int_of(a), self.int_of(b));
+        let nonzero = self.values[y as usize].konst.is_some_and(|k| k != 0);
+        let (code, pinned) = match op {
+            Div if nonzero => (Code::IDivNz, false),
+            Mod if nonzero => (Code::IModNz, false),
+            Div => (Code::IDiv, true),
+            Mod => (Code::IMod, true),
+            Min => (Code::IMin, false),
+            Max => (Code::IMax, false),
+            BitAnd => (Code::IAnd, false),
+            BitOr => (Code::IOr, false),
+            BitXor => (Code::IXor, false),
+            Shl => (Code::IShl, false),
+            Shr => (Code::IShr, false),
+            Add | Sub | Mul => unreachable!("affine ops are handled above"),
+        };
+        V::Int(self.pure(code, Kind::Int, &[x, y], None, pinned))
+    }
+
+    /// `a && b` (`skip` = `JumpIfZero`) or `a || b` (`JumpIfNonZero`): `b`
+    /// is evaluated only when `a` does not decide, unless evaluating it
+    /// cannot be observed.
+    fn short_circuit(&mut self, a: &Expr, b: &Expr, skip: Code) -> V {
+        let x = self.truthy(a);
+        if self.speculable(b) {
+            let y = self.truthy(b);
+            let code = if skip == Code::JumpIfZero {
+                Code::IAnd
+            } else {
+                Code::IOr
+            };
+            let v = self.op(code, Kind::Int, &[x, y]);
+            self.values[v as usize].is_bool = true;
+            return V::Int(v);
+        }
+        let d = self.fresh(Kind::Int);
+        self.values[d as usize].is_bool = true;
+        self.assign(d, V::Int(x));
+        let at = self.branch(skip, x);
+        let y = self.truthy(b);
+        self.assign(d, V::Int(y));
+        self.land(at);
+        V::Int(d)
+    }
+
+    fn select(&mut self, cond: &Expr, then_case: &Expr, else_case: &Expr) -> V {
+        let c = self.truthy(cond);
+        if self.speculable(then_case) && self.speculable(else_case) {
+            let (t, f) = (self.expr(then_case), self.expr(else_case));
+            return match (t, f) {
+                (V::Int(t), V::Int(f)) => V::Int(self.op(Code::ISelect, Kind::Int, &[c, t, f])),
+                (V::Handle(..), _) | (_, V::Handle(..)) => {
+                    self.unsupported("select between buffer handles");
+                    self.dummy(false)
+                }
+                (t, f) => {
+                    let (t, f) = (self.as_float(t), self.as_float(f));
+                    V::Float(self.op(Code::FSelect, Kind::Float, &[c, t, f]))
+                }
+            };
+        }
+        // Each arm runs only when chosen and moves its value into `d`; the
+        // moves are emitted once both kinds are known.
+        let to_else = self.branch(Code::JumpIfZero, c);
+        let t = self.expr(then_case);
+        self.push(Op::new(Code::IMov, 0, 0, 0, 0));
+        let then_mov = self.levels[self.cur_level()].body.len() - 1;
+        self.pop_scope();
+        self.push(Op::new(Code::Jump, 0, 0, 0, 0));
+        let to_end = then_mov + 1;
+        self.patch(to_else);
+        self.push_scope();
+        let f = self.expr(else_case);
+        self.push(Op::new(Code::IMov, 0, 0, 0, 0));
+        let else_mov = self.levels[self.cur_level()].body.len() - 1;
+        self.land(to_end);
+        let kind = match (t, f) {
+            (V::Int(_), V::Int(_)) => Kind::Int,
+            (V::Handle(..), _) | (_, V::Handle(..)) => {
+                self.unsupported("select between buffer handles");
+                return self.dummy(false);
+            }
+            _ => Kind::Float,
+        };
+        let d = self.fresh(kind);
+        for (at, v) in [(then_mov, t), (else_mov, f)] {
+            let mov = self.mov(d, v);
+            let cur = self.cur_level();
+            self.levels[cur].body[at] = mov;
+        }
+        match kind {
+            Kind::Int => V::Int(d),
+            Kind::Float => V::Float(d),
+        }
+    }
+
+    /// The op that moves `v` into the register of `d`, converting an
+    /// integer to a float where `d` is one.
+    fn mov(&mut self, d: Vid, v: V) -> Op {
+        let info = self.values[d as usize];
+        match (info.kind, v) {
+            (Kind::Int, V::Int(x)) => Op::new(Code::IMov, info.reg, self.reg(x), 0, 0),
+            (Kind::Float, V::Float(x)) => Op::new(Code::FMov, info.reg, self.reg(x), 0, 0),
+            (Kind::Float, V::Int(x)) => Op::new(Code::IToF, info.reg, self.reg(x), 0, 0),
+            _ => unreachable!("a float or a handle is never moved into an integer"),
+        }
+    }
+
+    fn assign(&mut self, d: Vid, v: V) {
+        let op = self.mov(d, v);
+        self.push(op);
+    }
+
+    fn load(&mut self, buffer: &Var, (base, last): (Vid, Vid)) -> V {
+        let Some(&V::Handle(_, slot)) = self.vars.get(&buffer.id()) else {
+            self.raise(InterpError::UnknownBuffer("?".into()));
+            return self.dummy(buffer.dtype().is_float());
+        };
+        let storage = self.slots[slot as usize].storage;
+        let d = self.fresh(storage.kind());
+        let code = match storage {
+            Storage::F32 => Code::LoadF32,
+            Storage::F64 => Code::LoadF64,
+            Storage::I64 => Code::LoadI64,
+        };
+        let (base, last) = (self.reg(base), self.reg(last));
+        self.push(Op::new(code, self.values[d as usize].reg, slot, base, last));
+        match storage.kind() {
+            Kind::Float => V::Float(d),
+            Kind::Int => V::Int(d),
+        }
+    }
+
+    fn pure_call(&mut self, name: &str, args: &[Expr], dtype: DType) -> V {
+        let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
+        let arity = if name == "pow" { 2 } else { 1 };
+        let known = unary_index(name).is_some() || name == "pow" || name == "popcount";
+        if !known {
+            self.raise(InterpError::UnknownIntrinsic(name.to_string()));
+            return self.dummy(dtype.is_float());
+        }
+        if vals.len() < arity {
+            self.raise(InterpError::Malformed("missing intrinsic arg".into()));
+            return self.dummy(dtype.is_float());
+        }
+        match name {
+            "pow" => {
+                let (x, y) = (self.as_float(vals[0]), self.as_float(vals[1]));
+                V::Float(self.op(Code::FPow, Kind::Float, &[x, y]))
+            }
+            "popcount" => {
+                let x = self.as_int(vals[0]);
+                V::Int(self.op(Code::IPopcount, Kind::Int, &[x]))
+            }
+            "abs" if !dtype.is_float() => {
+                let x = self.as_int(vals[0]);
+                V::Int(self.op(Code::IAbs, Kind::Int, &[x]))
+            }
+            _ => {
+                let x = self.as_float(vals[0]);
+                let f = unary_index(name).expect("checked above");
+                V::Float(self.pure(Code::FUnary, Kind::Float, &[x], Some(f), false))
+            }
+        }
+    }
+
+    fn hw_call(&mut self, name: &str, args: &[Expr], ret: Option<(Kind, Reg)>) {
+        let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
+        let args = vals
+            .into_iter()
+            .map(|v| match v {
+                V::Int(x) => HwArg::Int(self.reg(x)),
+                V::Float(x) => HwArg::Float(self.reg(x)),
+                V::Handle(id, slot) => HwArg::Handle(id, slot),
+            })
+            .collect();
+        self.push(Op::new(Code::HwCall, 0, self.hw_calls.len() as u16, 0, 0));
+        self.hw_calls.push(HwCall {
+            name: name.to_string(),
+            args,
+            ret,
+        });
+    }
+
+    /// True if evaluating `e` can neither fault nor be observed, so that it
+    /// may run where the walker would have skipped it.
+    fn speculable(&self, e: &Expr) -> bool {
+        use ExprNode::*;
+        match &*e.0 {
+            IntImm { .. } | FloatImm { .. } => true,
+            Var(v) => matches!(self.vars.get(&v.id()), Some(V::Int(_) | V::Float(_))),
+            Cast { value, .. } => self.speculable(value),
+            Binary { op, a, b } => {
+                let float = a.dtype().is_float();
+                let safe = match op {
+                    BinOp::Div | BinOp::Mod => float || b.as_int().is_some_and(|k| k != 0),
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Min | BinOp::Max => true,
+                    _ => !float,
+                };
+                safe && self.speculable(a) && self.speculable(b)
+            }
+            Cmp { a, b, .. } | And { a, b } | Or { a, b } => {
+                self.speculable(a) && self.speculable(b)
+            }
+            Not { a } => self.speculable(a),
+            Select {
+                cond,
+                then_case,
+                else_case,
+            } => self.speculable(cond) && self.speculable(then_case) && self.speculable(else_case),
+            StringImm(_)
+            | Load { .. }
+            | Ramp { .. }
+            | Broadcast { .. }
+            | Let { .. }
+            | Call { .. } => false,
+        }
+    }
+}
+
+/// Index of `value` in `pool`, added if `same` finds no equal. An index past
+/// `u16` wraps; [`Compiler::finish`] rejects a program whose pools are that
+/// large.
+fn intern<T: Copy>(pool: &mut Vec<T>, value: T, same: impl Fn(T) -> bool) -> u16 {
+    let k = pool.iter().position(|&c| same(c)).unwrap_or_else(|| {
+        pool.push(value);
+        pool.len() - 1
+    });
+    k as u16
+}
+
+/// The walker's static barrier count of one thread running `s`: `Err` when
+/// two branches of a conditional disagree, `Ok(None)` when a loop extent on
+/// the way is not a constant (the lanes' turns catch a divergence then).
+fn static_barriers(s: &Stmt) -> std::result::Result<Option<u64>, ()> {
+    use StmtNode::*;
+    Ok(match &*s.0 {
+        Barrier => Some(1),
+        For { extent, body, .. } => match extent.as_int() {
+            Some(n) if n <= 0 => Some(0),
+            n => match (n, static_barriers(body)?) {
+                (_, Some(0)) => Some(0),
+                (Some(n), Some(per)) => Some(per * n as u64),
+                _ => None,
+            },
+        },
+        Seq(stmts) => {
+            let mut total = Some(0);
+            for st in stmts {
+                total = total.zip(static_barriers(st)?).map(|(t, n)| t + n);
+            }
+            total
+        }
+        IfThenElse {
+            then_case,
+            else_case,
+            ..
+        } => {
+            let a = static_barriers(then_case)?;
+            let b = match else_case {
+                Some(e) => static_barriers(e)?,
+                None => Some(0),
+            };
+            if a.zip(b).is_some_and(|(a, b)| a != b) {
+                return Err(());
+            }
+            a.zip(b).map(|(a, _)| a)
+        }
+        LetStmt { body, .. } | AttrStmt { body, .. } | Allocate { body, .. } => {
+            static_barriers(body)?
+        }
+        _ => Some(0),
+    })
+}

@@ -1,22 +1,26 @@
-//! Reference interpreter for lowered loop programs.
+//! Interpreter for lowered loop programs.
 //!
-//! The interpreter is the *correctness oracle* of the stack: every schedule
-//! transformation must preserve program semantics, which the test suite
-//! checks by executing the scheduled program and the naive program on the
-//! same inputs and comparing outputs.
+//! [`Interp::run`] / [`Interp::run_f32`] lower the function once into a
+//! flat register program ([`crate::flat::Program`]) and execute that; it is
+//! the engine every caller — the graph executor, the serving layer, the
+//! fuzzer — runs. The tree walker below ([`Interp::eval`], [`Interp::exec`]
+//! and the one entry point [`Interp::run_reference`]) is kept only as the
+//! oracle the flat engine is tested against.
 //!
-//! GPU semantics: loops bound to block axes are independent and run
-//! serially; loops bound to thread axes whose body contains barriers are
-//! executed in *phases* — every thread runs the region between consecutive
-//! barriers before any thread proceeds past the barrier, which is exactly
-//! the synchronization contract `memory_barrier_among_threads()` provides
-//! on real hardware (§4.2).
+//! GPU semantics, in both: loops bound to block axes are independent and
+//! run serially; loops bound to thread axes whose body contains barriers
+//! are executed in *phases* — every thread runs the region between
+//! consecutive barriers before any thread proceeds past the barrier, which
+//! is exactly the synchronization contract
+//! `memory_barrier_among_threads()` provides on real hardware (§4.2).
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::dtype::{DType, TypeCode};
 use crate::expr::{BinOp, CallKind, CmpOp, Expr, ExprNode, Var, VarId};
+use crate::flat::{Program, Storage};
 use crate::interval::{floor_div, floor_mod};
 use crate::stmt::{ForKind, LoweredFunc, Stmt, StmtNode};
 
@@ -114,6 +118,10 @@ pub enum Data {
     F64(Vec<f64>),
     /// Integer element storage.
     I64(Vec<i64>),
+    /// Single-precision storage: what [`Interp::run_f32`] binds in place.
+    /// Every `float32`/`float16` value survives the round trip through
+    /// `f32` unchanged, so it holds the same values `F64` storage would.
+    F32(Vec<f32>),
 }
 
 impl Data {
@@ -121,6 +129,33 @@ impl Data {
         match self {
             Data::F64(v) => v.len(),
             Data::I64(v) => v.len(),
+            Data::F32(v) => v.len(),
+        }
+    }
+
+    /// Becomes `n` zeros, keeping its allocation.
+    pub(crate) fn zero(&mut self, n: usize) {
+        match self {
+            Data::F64(v) => {
+                v.clear();
+                v.resize(n, 0.0);
+            }
+            Data::I64(v) => {
+                v.clear();
+                v.resize(n, 0);
+            }
+            Data::F32(v) => {
+                v.clear();
+                v.resize(n, 0.0);
+            }
+        }
+    }
+
+    pub(crate) fn storage(&self) -> Storage {
+        match self {
+            Data::F64(_) => Storage::F64,
+            Data::I64(_) => Storage::I64,
+            Data::F32(_) => Storage::F32,
         }
     }
 }
@@ -159,6 +194,7 @@ impl Buffer {
         match &self.data {
             Data::I64(v) => v.clone(),
             Data::F64(v) => v.iter().map(|&x| x as i64).collect(),
+            Data::F32(v) => v.iter().map(|&x| x as i64).collect(),
         }
     }
 
@@ -175,6 +211,7 @@ impl Buffer {
         match &self.data {
             Data::F64(v) => v.iter().map(|&x| x as f32).collect(),
             Data::I64(v) => v.iter().map(|&x| x as f32).collect(),
+            Data::F32(v) => v.clone(),
         }
     }
 
@@ -189,21 +226,31 @@ impl Buffer {
     }
 
     fn get(&self, idx: i64, name: &str) -> Result<Value> {
-        let i = self.check(idx, name)?;
-        Ok(match &self.data {
-            Data::F64(v) => Value::Float(v[i]),
-            Data::I64(v) => Value::Int(v[i]),
-        })
+        Ok(self.read(self.check(idx, name)?))
     }
 
     fn set(&mut self, idx: i64, val: Value, name: &str) -> Result<()> {
         let i = self.check(idx, name)?;
+        self.write(i, val)
+    }
+
+    fn read(&self, i: usize) -> Value {
+        match &self.data {
+            Data::F64(v) => Value::Float(v[i]),
+            Data::I64(v) => Value::Int(v[i]),
+            Data::F32(v) => Value::Float(v[i] as f64),
+        }
+    }
+
+    fn write(&mut self, i: usize, val: Value) -> Result<()> {
         let q = quantize(val, self.dtype)?;
         match (&mut self.data, q) {
             (Data::F64(v), Value::Float(x)) => v[i] = x,
             (Data::I64(v), Value::Int(x)) => v[i] = x,
             (Data::F64(v), Value::Int(x)) => v[i] = x as f64,
             (Data::I64(v), Value::Float(x)) => v[i] = x as i64,
+            (Data::F32(v), Value::Float(x)) => v[i] = x as f32,
+            (Data::F32(v), Value::Int(x)) => v[i] = x as f32,
             _ => return Err(InterpError::Unsupported("handle store".into())),
         }
         Ok(())
@@ -327,52 +374,116 @@ pub fn quantize(val: Value, dtype: DType) -> Result<Value> {
 /// arguments and mutable access to the memory state.
 pub type HwHandlerFn = Box<dyn FnMut(&[Value], &mut MemState) -> Result<Value>>;
 
+/// One bound or allocated buffer. The flat engine addresses slots by
+/// position; the walker and hardware-intrinsic handlers by variable id.
+pub(crate) struct Slot {
+    pub(crate) name: Arc<str>,
+    pub(crate) buf: Buffer,
+    /// The addressable elements are `buf[base .. base + len]`: the whole
+    /// buffer, except for a per-thread allocation inside a barriered thread
+    /// nest, where `buf` holds every lane's copy and the window is the
+    /// running lane's.
+    pub(crate) base: usize,
+    pub(crate) len: usize,
+}
+
+impl Slot {
+    pub(crate) fn whole(name: Arc<str>, buf: Buffer) -> Slot {
+        let len = buf.len();
+        Slot {
+            name,
+            buf,
+            base: 0,
+            len,
+        }
+    }
+
+    /// Position of element `idx` in `buf`, or the out-of-bounds fault.
+    #[inline]
+    pub(crate) fn at(&self, idx: i64) -> Result<usize> {
+        if (idx as u64) < self.len as u64 {
+            Ok(self.base + idx as usize)
+        } else {
+            Err(self.out_of_bounds(idx))
+        }
+    }
+
+    #[cold]
+    fn out_of_bounds(&self, idx: i64) -> InterpError {
+        InterpError::OutOfBounds {
+            buffer: self.name.to_string(),
+            index: idx,
+            extent: self.len,
+        }
+    }
+
+    fn load(&self, idx: i64) -> Result<Value> {
+        Ok(self.buf.read(self.at(idx)?))
+    }
+
+    fn store(&mut self, idx: i64, val: Value) -> Result<()> {
+        let i = self.at(idx)?;
+        self.buf.write(i, val)
+    }
+}
+
 /// The interpreter's buffer store, exposed to hardware-intrinsic handlers.
 #[derive(Default)]
 pub struct MemState {
-    buffers: HashMap<VarId, Buffer>,
-    names: HashMap<VarId, String>,
+    pub(crate) slots: Vec<Slot>,
+    by_id: HashMap<VarId, usize>,
 }
 
 impl MemState {
     /// Allocates or rebinds a buffer.
     pub fn bind(&mut self, var: &Var, buf: Buffer) {
-        self.names.insert(var.id(), var.name().to_string());
-        self.buffers.insert(var.id(), buf);
+        let slot = Slot::whole(var.name().into(), buf);
+        match self.by_id.get(&var.id()) {
+            Some(&i) => self.slots[i] = slot,
+            None => {
+                self.by_id.insert(var.id(), self.slots.len());
+                self.slots.push(slot);
+            }
+        }
     }
 
     /// Removes and returns a buffer.
     pub fn take(&mut self, id: VarId) -> Option<Buffer> {
-        self.buffers.remove(&id)
+        let i = self.by_id.remove(&id)?;
+        for j in self.by_id.values_mut() {
+            if *j > i {
+                *j -= 1;
+            }
+        }
+        Some(self.slots.remove(i).buf)
     }
 
     /// Immutable access.
     pub fn get(&self, id: VarId) -> Option<&Buffer> {
-        self.buffers.get(&id)
+        self.by_id.get(&id).map(|&i| &self.slots[i].buf)
     }
 
     /// Loads an element.
     pub fn load(&self, id: VarId, idx: i64) -> Result<Value> {
-        let name = self.names.get(&id).map(|s| s.as_str()).unwrap_or("?");
-        let buf = self
-            .buffers
-            .get(&id)
-            .ok_or_else(|| InterpError::UnknownBuffer(name.to_string()))?;
-        buf.get(idx, name)
+        match self.by_id.get(&id) {
+            Some(&i) => self.slots[i].load(idx),
+            None => Err(InterpError::UnknownBuffer("?".to_string())),
+        }
     }
 
     /// Stores an element (with dtype quantization).
     pub fn store(&mut self, id: VarId, idx: i64, val: Value) -> Result<()> {
-        let name = self
-            .names
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| "?".to_string());
-        let buf = self
-            .buffers
-            .get_mut(&id)
-            .ok_or_else(|| InterpError::UnknownBuffer(name.clone()))?;
-        buf.set(idx, val, &name)
+        match self.by_id.get(&id) {
+            Some(&i) => self.slots[i].store(idx, val),
+            None => Err(InterpError::UnknownBuffer("?".to_string())),
+        }
+    }
+
+    /// Names slot `slot` as `id` for the handlers ([`MemState::load`] /
+    /// [`MemState::store`]); the flat engine calls it for the handles it
+    /// passes to a hardware intrinsic.
+    pub(crate) fn alias(&mut self, id: VarId, slot: usize) {
+        self.by_id.insert(id, slot);
     }
 }
 
@@ -382,7 +493,8 @@ type ThreadBufKey = (VarId, Vec<i64>);
 /// The interpreter.
 #[derive(Default)]
 pub struct Interp {
-    /// Global memory state (externally bound + global allocations).
+    /// The walker's global memory state (externally bound + global
+    /// allocations). A flat run builds its own.
     pub mem: MemState,
     env: HashMap<VarId, Value>,
     hw: HashMap<String, HwHandlerFn>,
@@ -416,19 +528,82 @@ impl Interp {
         self.stores
     }
 
-    /// Runs a lowered function with buffers bound positionally.
+    /// Runs a lowered function with buffers bound positionally: compiles
+    /// it to a flat [`Program`] and executes that.
     ///
     /// `buffers` must match `func.params` order; contents are moved in and
     /// the (possibly updated) buffers are returned in the same order.
     pub fn run(&mut self, func: &LoweredFunc, buffers: Vec<Buffer>) -> Result<Vec<Buffer>> {
-        if buffers.len() != func.params.len() {
+        check_param_count(&func.name, func.params.len(), buffers.len())?;
+        let kinds: Vec<(Storage, DType)> = buffers
+            .iter()
+            .map(|b| (b.data.storage(), b.dtype))
+            .collect();
+        let program = Program::compile(func, &kinds, &self.env);
+        let (result, buffers) = self.execute(&program, buffers);
+        result.map(|()| buffers)
+    }
+
+    /// Convenience wrapper: run with f32 arrays, all `float32` buffers. The
+    /// arrays are read and written in place; after an error their contents
+    /// are whatever the program had stored by then.
+    pub fn run_f32(&mut self, func: &LoweredFunc, arrays: &mut [Vec<f32>]) -> Result<()> {
+        check_param_count(&func.name, func.params.len(), arrays.len())?;
+        let kinds = vec![(Storage::F32, DType::float32()); arrays.len()];
+        let program = Program::compile(func, &kinds, &self.env);
+        self.run_compiled(&program, arrays)
+    }
+
+    /// [`Interp::run_f32`] with a program compiled earlier by
+    /// [`Program::compile_f32`], so a kernel that runs many times is
+    /// lowered once. Scalars bound with [`Interp::bind_scalar`] are not
+    /// consulted: they were constants of the compilation.
+    pub fn run_compiled(&mut self, program: &Program, arrays: &mut [Vec<f32>]) -> Result<()> {
+        check_param_count(program.name(), program.param_count(), arrays.len())?;
+        if !program.takes_f32_arrays() {
             return Err(InterpError::Malformed(format!(
-                "function `{}` expects {} params, got {}",
-                func.name,
-                func.params.len(),
-                buffers.len()
+                "program `{}` was not compiled for float32 arrays",
+                program.name()
             )));
         }
+        let buffers = arrays
+            .iter_mut()
+            .map(|a| Buffer {
+                dtype: DType::float32(),
+                data: Data::F32(std::mem::take(a)),
+            })
+            .collect();
+        let (result, buffers) = self.execute(program, buffers);
+        for (array, buf) in arrays.iter_mut().zip(buffers) {
+            if let Data::F32(v) = buf.data {
+                *array = v;
+            }
+        }
+        result
+    }
+
+    /// Executes `program` on `buffers` and hands them back, also after a
+    /// fault.
+    fn execute(&mut self, program: &Program, buffers: Vec<Buffer>) -> (Result<()>, Vec<Buffer>) {
+        let mut mem = MemState::default();
+        let (result, stores) = program.execute(buffers, &mut mem, &mut self.hw);
+        self.stores += stores;
+        let params = program.param_count();
+        (
+            result,
+            mem.slots.drain(..params).map(|slot| slot.buf).collect(),
+        )
+    }
+
+    /// The tree walker's `run`: the oracle the flat engine is tested
+    /// against (parity tests and the differential fuzzer), and nothing
+    /// else's way to execute a function.
+    pub fn run_reference(
+        &mut self,
+        func: &LoweredFunc,
+        buffers: Vec<Buffer>,
+    ) -> Result<Vec<Buffer>> {
+        check_param_count(&func.name, func.params.len(), buffers.len())?;
         for (var, buf) in func.params.iter().zip(buffers) {
             self.mem.bind(var, buf);
         }
@@ -442,16 +617,6 @@ impl Interp {
             );
         }
         Ok(out)
-    }
-
-    /// Convenience wrapper: run with f32 slices, all `float32` buffers.
-    pub fn run_f32(&mut self, func: &LoweredFunc, arrays: &mut [Vec<f32>]) -> Result<()> {
-        let bufs: Vec<Buffer> = arrays.iter().map(|a| Buffer::from_f32(a)).collect();
-        let out = self.run(func, bufs)?;
-        for (arr, buf) in arrays.iter_mut().zip(out) {
-            *arr = buf.to_f32();
-        }
-        Ok(())
     }
 
     fn effects_active(&self) -> bool {
@@ -915,6 +1080,15 @@ impl Interp {
             _ => 0,
         })
     }
+}
+
+fn check_param_count(name: &str, expected: usize, got: usize) -> Result<()> {
+    if expected == got {
+        return Ok(());
+    }
+    Err(InterpError::Malformed(format!(
+        "function `{name}` expects {expected} params, got {got}"
+    )))
 }
 
 impl Value {

@@ -20,6 +20,7 @@
 
 pub mod dtype;
 pub mod expr;
+pub mod flat;
 pub mod interp;
 pub mod interval;
 pub mod printer;
@@ -29,6 +30,7 @@ pub mod visit;
 
 pub use dtype::{DType, TypeCode};
 pub use expr::{intern_stats, BinOp, CallKind, CmpOp, Expr, ExprNode, Range, Var, VarId};
+pub use flat::{Program, Storage};
 pub use interp::{Buffer, Interp, InterpError, MemState, Value};
 pub use interval::{eval_interval, floor_div, floor_mod, prove_cmp, Interval};
 pub use simplify::{simplify, simplify_stmt, simplify_with, Simplifier};

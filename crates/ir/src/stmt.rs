@@ -303,6 +303,27 @@ impl Stmt {
     pub fn evaluate(e: Expr) -> Stmt {
         Stmt::new(StmtNode::Evaluate(e))
     }
+
+    /// True if a `Barrier` statement occurs anywhere in this statement.
+    pub fn contains_barrier(&self) -> bool {
+        match &*self.0 {
+            StmtNode::Barrier => true,
+            StmtNode::For { body, .. }
+            | StmtNode::LetStmt { body, .. }
+            | StmtNode::AttrStmt { body, .. }
+            | StmtNode::Allocate { body, .. } => body.contains_barrier(),
+            StmtNode::Seq(items) => items.iter().any(Stmt::contains_barrier),
+            StmtNode::IfThenElse {
+                then_case,
+                else_case,
+                ..
+            } => {
+                then_case.contains_barrier()
+                    || else_case.as_ref().is_some_and(Stmt::contains_barrier)
+            }
+            _ => false,
+        }
+    }
 }
 
 impl fmt::Display for Stmt {

@@ -1,9 +1,13 @@
-//! Edge-case tests for the reference interpreter: error reporting, type
-//! quantization on stores, predicated access, and GPU phasing corner cases.
+//! Edge-case tests for the interpreter: error reporting, type quantization
+//! on stores, predicated access, hardware intrinsics and GPU phasing corner
+//! cases. Every program runs through the flat engine (`Interp::run`) and
+//! through the reference walker (`Interp::run_reference`), which must agree
+//! on every buffer bit, on the store count, and on the fault and its fields.
 
+use tvm_ir::interp::Data;
 use tvm_ir::{
-    Buffer, DType, Expr, ForKind, Interp, InterpError, LoweredFunc, Stmt, StmtNode, ThreadTag,
-    Value, Var,
+    Buffer, DType, Expr, ExprNode, ForKind, Interp, InterpError, LoweredFunc, MemScope, MemState,
+    Stmt, StmtNode, ThreadTag, Value, Var,
 };
 
 fn func(params: Vec<Var>, dtypes: Vec<DType>, extents: Vec<usize>, body: Stmt) -> LoweredFunc {
@@ -16,17 +20,81 @@ fn func(params: Vec<Var>, dtypes: Vec<DType>, extents: Vec<usize>, body: Stmt) -
     }
 }
 
+fn bits(b: &Buffer) -> Vec<u64> {
+    match &b.data {
+        Data::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        Data::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+        Data::I64(v) => v.iter().map(|&x| x as u64).collect(),
+    }
+}
+
+/// Runs `f` on `bufs` in both engines, `setup` preparing each interpreter,
+/// and returns the outcome they agree on.
+fn both_with(
+    f: &LoweredFunc,
+    bufs: Vec<Buffer>,
+    setup: impl Fn(&mut Interp),
+) -> Result<Vec<Buffer>, InterpError> {
+    let (mut flat, mut walker) = (Interp::new(), Interp::new());
+    setup(&mut flat);
+    setup(&mut walker);
+    let got = flat.run(f, bufs.clone());
+    let want = walker.run_reference(f, bufs);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => {
+            assert_eq!(g.len(), w.len());
+            for (p, (g, w)) in g.iter().zip(w).enumerate() {
+                assert_eq!(g.dtype, w.dtype, "param {p}");
+                assert_eq!(bits(g), bits(w), "param {p}\n{}", f.body);
+            }
+            assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
+        }
+        (Err(g), Err(w)) => assert_eq!(format!("{g:?}"), format!("{w:?}")),
+        _ => panic!(
+            "flat {:?}, walker {:?}\n{}",
+            got.as_ref().map(|_| "ran"),
+            want.as_ref().map(|_| "ran"),
+            f.body
+        ),
+    }
+    got
+}
+
+fn both(f: &LoweredFunc, bufs: Vec<Buffer>) -> Result<Vec<Buffer>, InterpError> {
+    both_with(f, bufs, |_| {})
+}
+
+/// `both` on float32 arrays.
+fn both_f32(f: &LoweredFunc, arrays: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, InterpError> {
+    let bufs = arrays.iter().map(|a| Buffer::from_f32(a)).collect();
+    both(f, bufs).map(|out| out.iter().map(Buffer::to_f32).collect())
+}
+
+fn f32_func(params: Vec<Var>, extents: Vec<usize>, body: Stmt) -> LoweredFunc {
+    let n = params.len();
+    func(params, vec![DType::float32(); n], extents, body)
+}
+
+fn threads(var: &Var, n: i64, body: Stmt) -> Stmt {
+    Stmt::loop_(
+        var,
+        0,
+        n,
+        ForKind::ThreadBinding(ThreadTag::ThreadIdxX),
+        body,
+    )
+}
+
+fn barrier() -> Stmt {
+    Stmt::new(StmtNode::Barrier)
+}
+
 #[test]
 fn unbound_variable_is_reported_by_name() {
     let out = Var::new("O", DType::float32());
     let ghost = Var::int("ghost");
     let body = Stmt::store(&out, ghost.to_expr(), Expr::f32(1.0));
-    let err = Interp::new()
-        .run_f32(
-            &func(vec![out], vec![DType::float32()], vec![4], body),
-            &mut [vec![0.0; 4]],
-        )
-        .unwrap_err();
+    let err = both_f32(&f32_func(vec![out], vec![4], body), &[vec![0.0; 4]]).unwrap_err();
     match err {
         InterpError::UnboundVar(n) => assert_eq!(n, "ghost"),
         other => panic!("unexpected {other}"),
@@ -38,10 +106,57 @@ fn division_by_zero_is_an_error_not_a_crash() {
     let out = Var::new("O", DType::int32());
     let body = Stmt::store(&out, Expr::int(0), Expr::int(1) / Expr::int(0));
     let bufs = vec![Buffer::zeros(DType::int32(), 1)];
-    let err = Interp::new()
-        .run(&func(vec![out], vec![DType::int32()], vec![1], body), bufs)
-        .unwrap_err();
+    let err = both(&func(vec![out], vec![DType::int32()], vec![1], body), bufs).unwrap_err();
     assert!(matches!(err, InterpError::DivideByZero));
+}
+
+#[test]
+fn division_by_a_zero_that_is_never_reached_does_not_fault() {
+    // The divisor is zero only in iterations the guard skips: the flat
+    // engine must not hoist the division out of the conditional.
+    let out = Var::new("O", DType::int32());
+    let i = Var::int("i");
+    let guarded = Stmt::if_then(
+        i.to_expr().gt(Expr::int(0)),
+        Stmt::store(&out, i.to_expr(), Expr::int(12) / i.to_expr()),
+    );
+    let body = Stmt::for_(&i, 0, 4, guarded);
+    let bufs = vec![Buffer::zeros(DType::int32(), 4)];
+    let got = both(&func(vec![out], vec![DType::int32()], vec![4], body), bufs).expect("runs");
+    assert_eq!(got[0].to_i64(), vec![0, 12, 6, 4]);
+}
+
+#[test]
+fn out_of_bounds_names_buffer_index_and_extent() {
+    let a = Var::new("A", DType::float32());
+    let o = Var::new("O", DType::float32());
+    let i = Var::int("i");
+    // The load walks off `A` at i = 4; three stores have happened by then.
+    let body = Stmt::for_(
+        &i,
+        0,
+        6,
+        Stmt::store(&o, i.to_expr(), Expr::load(&a, i.clone() + 1)),
+    );
+    let err = both_f32(
+        &f32_func(vec![a, o], vec![4, 6], body),
+        &[vec![1.0; 4], vec![0.0; 6]],
+    )
+    .unwrap_err();
+    match err {
+        InterpError::OutOfBounds {
+            buffer,
+            index,
+            extent,
+        } => assert_eq!((buffer.as_str(), index, extent), ("A", 4, 4)),
+        other => panic!("unexpected {other}"),
+    }
+    // A negative store index, through the integer path.
+    let o = Var::new("O", DType::int8());
+    let body = Stmt::store(&o, Expr::int(-1), Expr::int(1));
+    let bufs = vec![Buffer::zeros(DType::int8(), 2)];
+    let err = both(&func(vec![o], vec![DType::int8()], vec![2], body), bufs).unwrap_err();
+    assert!(matches!(err, InterpError::OutOfBounds { index: -1, .. }));
 }
 
 #[test]
@@ -55,14 +170,34 @@ fn predicated_store_skips_when_false() {
         predicate: Some(i.to_expr().lt(Expr::int(2))),
     });
     let body = Stmt::for_(&i, 0, 4, pred_store);
-    let mut arrays = vec![vec![0.0f32; 4]];
-    Interp::new()
-        .run_f32(
-            &func(vec![out], vec![DType::float32()], vec![4], body),
-            &mut arrays,
-        )
-        .expect("runs");
-    assert_eq!(arrays[0], vec![7.0, 7.0, 0.0, 0.0]);
+    let got = both_f32(&f32_func(vec![out], vec![4], body), &[vec![0.0; 4]]).expect("runs");
+    assert_eq!(got[0], vec![7.0, 7.0, 0.0, 0.0]);
+}
+
+#[test]
+fn predicated_load_reads_only_when_true() {
+    // `A[i] if i < 3 else 0`, with i running past the end of `A`: the
+    // predicate keeps the out-of-bounds element from being read.
+    let a = Var::new("A", DType::float32());
+    let out = Var::new("O", DType::float32());
+    let i = Var::int("i");
+    let load = Expr::new(ExprNode::Load {
+        buffer: a.clone(),
+        index: i.to_expr(),
+        predicate: Some(i.to_expr().lt(Expr::int(3))),
+    });
+    let body = Stmt::for_(
+        &i,
+        0,
+        5,
+        Stmt::store(&out, i.to_expr(), load + Expr::f32(1.0)),
+    );
+    let got = both_f32(
+        &f32_func(vec![a, out], vec![3, 5], body),
+        &[vec![10.0, 20.0, 30.0], vec![0.0; 5]],
+    )
+    .expect("runs");
+    assert_eq!(got[1], vec![11.0, 21.0, 31.0, 1.0, 1.0]);
 }
 
 #[test]
@@ -75,34 +210,85 @@ fn stores_quantize_to_buffer_dtype() {
         Stmt::store(&out, Expr::int(1), Expr::int(200)),
     ]);
     let bufs = vec![Buffer::zeros(DType::int8(), 2)];
-    let out_bufs = Interp::new()
-        .run(&func(vec![out], vec![DType::int8()], vec![2], body), bufs)
-        .expect("runs");
+    let out_bufs = both(&func(vec![out], vec![DType::int8()], vec![2], body), bufs).expect("runs");
     assert_eq!(out_bufs[0].to_i64(), vec![3, -56]);
+}
+
+#[test]
+fn uint2_stores_wrap_in_params_and_allocations() {
+    // 0..8 stored into a uint2 scratch allocation and copied out: both the
+    // allocation and the parameter keep the low two bits.
+    let out = Var::new("O", DType::uint(2));
+    let tmp = Var::new("T", DType::uint(2));
+    let i = Var::int("i");
+    let fill = Stmt::for_(&i, 0, 8, Stmt::store(&tmp, i.to_expr(), i.clone() - 2));
+    let copy = Stmt::for_(
+        &i,
+        0,
+        8,
+        Stmt::store(&out, i.to_expr(), Expr::load(&tmp, i.to_expr()) + 5),
+    );
+    let body = Stmt::allocate(
+        &tmp,
+        DType::uint(2),
+        8,
+        MemScope::Global,
+        Stmt::seq(vec![fill, copy]),
+    );
+    let bufs = vec![Buffer::zeros(DType::uint(2), 8)];
+    let got = both(&func(vec![out], vec![DType::uint(2)], vec![8], body), bufs).expect("runs");
+    // tmp = (i - 2) mod 4 = 2 3 0 1 ..., out = (tmp + 5) mod 4.
+    assert_eq!(got[0].to_i64(), vec![3, 0, 1, 2, 3, 0, 1, 2]);
 }
 
 #[test]
 fn f16_buffer_rounds_on_store() {
     let out = Var::new("O", DType::float16());
-    let body = Stmt::store(&out, Expr::int(0), Expr::f32(1.0 / 3.0));
-    let bufs = vec![Buffer::zeros(DType::float16(), 1)];
-    let got = Interp::new()
-        .run(
-            &func(vec![out], vec![DType::float16()], vec![1], body),
-            bufs,
-        )
-        .expect("runs")[0]
-        .to_f32()[0];
-    assert_ne!(got, 1.0f32 / 3.0);
-    assert!((got - 1.0 / 3.0).abs() < 1e-3);
+    let tmp = Var::new("T", DType::float16());
+    // Through an f16 allocation (f32 storage in the flat engine, f64 in
+    // the walker) and into an f16 parameter.
+    let body = Stmt::allocate(
+        &tmp,
+        DType::float16(),
+        1,
+        MemScope::Global,
+        Stmt::seq(vec![
+            Stmt::store(&tmp, Expr::int(0), Expr::f32(1.0 / 3.0)),
+            Stmt::store(&out, Expr::int(0), Expr::load(&tmp, Expr::int(0))),
+            Stmt::store(&out, Expr::int(1), Expr::f32(1.0e9)),
+        ]),
+    );
+    let bufs = vec![Buffer::zeros(DType::float16(), 2)];
+    let got = both(
+        &func(vec![out], vec![DType::float16()], vec![2], body),
+        bufs,
+    )
+    .expect("runs")[0]
+        .to_f32();
+    assert_ne!(got[0], 1.0f32 / 3.0);
+    assert!((got[0] - 1.0 / 3.0).abs() < 1e-3);
+    assert!(got[1].is_infinite());
 }
 
 #[test]
 fn param_count_mismatch_is_malformed() {
     let out = Var::new("O", DType::float32());
-    let f = func(vec![out], vec![DType::float32()], vec![1], Stmt::nop());
-    let err = Interp::new().run(&f, vec![]).unwrap_err();
+    let f = f32_func(vec![out], vec![1], Stmt::nop());
+    let err = both(&f, vec![]).unwrap_err();
     assert!(matches!(err, InterpError::Malformed(_)));
+}
+
+#[test]
+fn vector_values_are_unsupported() {
+    let out = Var::new("O", DType::float32());
+    let ramp = Expr::new(ExprNode::Ramp {
+        base: Expr::int(0),
+        stride: Expr::int(1),
+        lanes: 4,
+    });
+    let body = Stmt::store(&out, ramp, Expr::f32(1.0));
+    let err = both_f32(&f32_func(vec![out], vec![4], body), &[vec![0.0; 4]]).unwrap_err();
+    assert!(matches!(err, InterpError::Unsupported(_)), "{err}");
 }
 
 #[test]
@@ -114,34 +300,203 @@ fn divergent_barrier_counts_are_rejected() {
     let t = Var::int("t");
     let body = Stmt::new(StmtNode::IfThenElse {
         cond: t.to_expr().lt(Expr::int(1)),
-        then_case: Stmt::new(StmtNode::Barrier),
+        then_case: barrier(),
         else_case: Some(Stmt::store(&out, Expr::int(0), Expr::f32(1.0))),
     });
     // Make the nest contain at least one barrier so phasing engages.
-    let with_sync = Stmt::seq(vec![Stmt::new(StmtNode::Barrier), body]);
-    let nest = Stmt::loop_(
-        &t,
-        0,
-        2,
-        ForKind::ThreadBinding(ThreadTag::ThreadIdxX),
-        with_sync,
-    );
-    let err = Interp::new()
-        .run_f32(
-            &func(vec![out], vec![DType::float32()], vec![1], nest),
-            &mut [vec![0.0]],
-        )
-        .unwrap_err();
+    let with_sync = Stmt::seq(vec![barrier(), body]);
+    let nest = threads(&t, 2, with_sync);
+    let err = both_f32(&f32_func(vec![out], vec![1], nest), &[vec![0.0]]).unwrap_err();
     assert!(matches!(err, InterpError::Malformed(_)), "{err}");
 }
 
 #[test]
-fn scalar_bindings_reach_expressions() {
+fn shared_staging_is_read_by_a_sibling_thread_after_the_barrier() {
+    // Each thread t writes S[t], barrier, then reads S[(t+1) % N], twice
+    // over (a serial loop around the two regions, barrier at both edges).
+    let n = 4i64;
+    let s = Var::new("S", DType::float32());
+    let out = Var::new("O", DType::float32());
+    let (t, k) = (Var::int("t"), Var::int("k"));
+    let write = Stmt::store(
+        &s,
+        t.to_expr(),
+        (t.clone() * 10 + k.clone()).cast(DType::float32()),
+    );
+    let read = Stmt::store(
+        &out,
+        k.clone() * n + t.clone(),
+        Expr::load(&s, (t.clone() + 1) % n),
+    );
+    let rounds = Stmt::for_(&k, 0, 2, Stmt::seq(vec![write, barrier(), read, barrier()]));
+    let kernel = Stmt::allocate(
+        &s,
+        DType::float32(),
+        n,
+        MemScope::Shared,
+        threads(&t, n, rounds),
+    );
+    let got = both_f32(&f32_func(vec![out], vec![8], kernel), &[vec![0.0; 8]]).expect("runs");
+    assert_eq!(got[0], vec![10.0, 20.0, 30.0, 0.0, 11.0, 21.0, 31.0, 1.0]);
+}
+
+#[test]
+fn local_accumulator_persists_across_a_barriered_loop() {
+    // acc[0] += k across a barriered k-loop, in a 2x3 nest: correct only
+    // if each thread's allocation and registers survive its barriers.
+    let acc = Var::new("acc", DType::float32());
+    let out = Var::new("O", DType::float32());
+    let (ty, tx, k) = (Var::int("ty"), Var::int("tx"), Var::int("k"));
+    let init = Stmt::store(
+        &acc,
+        Expr::int(0),
+        (ty.clone() * 3 + tx.clone()).cast(DType::float32()),
+    );
+    let update = Stmt::store(
+        &acc,
+        Expr::int(0),
+        Expr::load(&acc, Expr::int(0)) + k.to_expr().cast(DType::float32()),
+    );
+    let kloop = Stmt::for_(&k, 0, 4, Stmt::seq(vec![barrier(), update]));
+    let writeback = Stmt::store(
+        &out,
+        ty.clone() * 3 + tx.clone(),
+        Expr::load(&acc, Expr::int(0)),
+    );
+    let body = Stmt::allocate(
+        &acc,
+        DType::float32(),
+        1,
+        MemScope::Local,
+        Stmt::seq(vec![init, kloop, writeback]),
+    );
+    let nest = Stmt::loop_(
+        &ty,
+        0,
+        2,
+        ForKind::ThreadBinding(ThreadTag::ThreadIdxY),
+        threads(&tx, 3, body),
+    );
+    let got = both_f32(&f32_func(vec![out], vec![6], nest), &[vec![0.0; 6]]).expect("runs");
+    assert_eq!(got[0], vec![6.0, 7.0, 8.0, 9.0, 10.0, 11.0]);
+}
+
+#[test]
+fn let_bound_before_a_barrier_keeps_its_value_in_the_flat_engine() {
+    // let x = S[0]; barrier; thread 0 overwrites S[0]; O[t] = x.
+    // Every thread reads S[0] before the barrier and the write comes after
+    // it, so under §4.2's contract the program is race-free and both
+    // threads store the old value: the flat engine's answer. The walker
+    // re-executes the whole body once per phase and so re-evaluates the
+    // `let` in the later phase, against memory that phase has already
+    // changed: thread 1 sees thread 0's new S[0]. This is the one place the
+    // two engines are pinned apart, each to its own answer.
+    let s = Var::new("S", DType::float32());
+    let out = Var::new("O", DType::float32());
+    let (t, x) = (Var::int("t"), Var::new("x", DType::float32()));
+    let overwrite = Stmt::if_then(
+        t.to_expr().eq(Expr::int(0)),
+        Stmt::store(&s, Expr::int(0), Expr::f32(9.0)),
+    );
+    let body = Stmt::new(StmtNode::LetStmt {
+        var: x.clone(),
+        value: Expr::load(&s, Expr::int(0)),
+        body: Stmt::seq(vec![
+            barrier(),
+            overwrite,
+            Stmt::store(&out, t.to_expr(), x.to_expr()),
+        ]),
+    });
+    let f = f32_func(vec![s, out], vec![1, 2], threads(&t, 2, body));
+    let mut flat = vec![vec![5.0f32], vec![0.0; 2]];
+    Interp::new().run_f32(&f, &mut flat).expect("runs");
+    assert_eq!(flat[1], vec![5.0, 5.0]);
+    let walker = Interp::new()
+        .run_reference(
+            &f,
+            vec![Buffer::from_f32(&[5.0]), Buffer::from_f32(&[0.0; 2])],
+        )
+        .expect("runs");
+    assert_eq!(walker[1].to_f32(), vec![5.0, 9.0]);
+}
+
+#[test]
+fn hardware_intrinsic_writes_through_a_handle() {
+    // fill(T, base, n, v) on a scratch allocation inside a loop, then a
+    // copy out: the handler addresses the allocation by its variable.
+    let out = Var::new("O", DType::float32());
+    let tmp = Var::new("T", DType::float32());
+    let (i, j) = (Var::int("i"), Var::int("j"));
+    let call = Expr::hw_call(
+        "fill",
+        vec![
+            tmp.to_expr(),
+            Expr::int(1),
+            Expr::int(2),
+            (i.clone() + 1).cast(DType::float32()),
+        ],
+        DType::int32(),
+    );
+    let copy = Stmt::for_(
+        &j,
+        0,
+        3,
+        Stmt::store(
+            &out,
+            i.clone() * 3 + j.clone(),
+            Expr::load(&tmp, j.to_expr()),
+        ),
+    );
+    let body = Stmt::for_(
+        &i,
+        0,
+        2,
+        Stmt::allocate(
+            &tmp,
+            DType::float32(),
+            3,
+            MemScope::Global,
+            Stmt::seq(vec![Stmt::evaluate(call), copy]),
+        ),
+    );
+    let setup = |it: &mut Interp| {
+        it.register_hw(
+            "fill",
+            Box::new(|args: &[Value], mem: &mut MemState| {
+                let Value::Handle(id) = args[0] else {
+                    return Err(InterpError::Unsupported("bad handle".into()));
+                };
+                let (base, n) = (args[1].as_int()?, args[2].as_int()?);
+                for k in base..base + n {
+                    let seen = mem.load(id, k)?.as_float()?;
+                    mem.store(id, k, Value::Float(seen + args[3].as_float()?))?;
+                }
+                Ok(Value::Int(0))
+            }),
+        );
+    };
+    let f = f32_func(vec![out], vec![6], body);
+    let got = both_with(&f, vec![Buffer::from_f32(&[0.0; 6])], setup).expect("runs")[0].to_f32();
+    assert_eq!(got, vec![0.0, 1.0, 1.0, 0.0, 2.0, 2.0]);
+    // Without the handler both engines name the intrinsic.
+    let err = both(&f, vec![Buffer::from_f32(&[0.0; 6])]).unwrap_err();
+    assert!(matches!(err, InterpError::UnknownIntrinsic(n) if n == "fill"));
+}
+
+#[test]
+fn scalar_bindings_reach_expressions_and_programs() {
     let mut it = Interp::new();
     let x = Var::int("x");
     it.bind_scalar(&x, Value::Int(21));
     let v = it.eval(&(x.clone() * 2)).expect("evaluates");
     assert_eq!(v.as_int().expect("int"), 42);
+    // ... and a run sees the binding as a constant.
+    let out = Var::new("O", DType::float32());
+    let body = Stmt::store(&out, Expr::int(0), (x.clone() * 2).cast(DType::float32()));
+    let f = f32_func(vec![out], vec![1], body);
+    let bind = |it: &mut Interp| it.bind_scalar(&x, Value::Int(21));
+    let got = both_with(&f, vec![Buffer::from_f32(&[0.0])], bind).expect("runs");
+    assert_eq!(got[0].to_f32(), vec![42.0]);
 }
 
 #[test]
@@ -150,11 +505,8 @@ fn store_count_tracks_dynamic_work() {
     let i = Var::int("i");
     let body = Stmt::for_(&i, 0, 10, Stmt::store(&out, i.to_expr(), Expr::f32(1.0)));
     let mut it = Interp::new();
-    it.run_f32(
-        &func(vec![out], vec![DType::float32()], vec![10], body),
-        &mut [vec![0.0; 10]],
-    )
-    .expect("runs");
+    it.run_f32(&f32_func(vec![out], vec![10], body), &mut [vec![0.0; 10]])
+        .expect("runs");
     assert_eq!(it.store_count(), 10);
 }
 
@@ -169,12 +521,31 @@ fn vthread_loops_execute_serially_outside_dae() {
         ForKind::VThread,
         Stmt::store(&out, v.to_expr(), (v.clone() + 1).cast(DType::float32())),
     );
-    let mut arrays = vec![vec![0.0f32; 3]];
-    Interp::new()
-        .run_f32(
-            &func(vec![out], vec![DType::float32()], vec![3], body),
-            &mut arrays,
-        )
-        .expect("runs");
-    assert_eq!(arrays[0], vec![1.0, 2.0, 3.0]);
+    let got = both_f32(&f32_func(vec![out], vec![3], body), &[vec![0.0; 3]]).expect("runs");
+    assert_eq!(got[0], vec![1.0, 2.0, 3.0]);
+}
+
+#[test]
+fn run_f32_reads_and_writes_the_arrays_in_place() {
+    // The same program through `run_f32`: the arrays come back updated,
+    // bit for bit what `run` on widened buffers returns.
+    let a = Var::new("A", DType::float32());
+    let out = Var::new("O", DType::float32());
+    let i = Var::int("i");
+    let body = Stmt::for_(
+        &i,
+        0,
+        4,
+        Stmt::store(
+            &out,
+            i.to_expr(),
+            Expr::load(&a, i.to_expr()) * Expr::f32(1.1) + Expr::f32(0.3),
+        ),
+    );
+    let f = f32_func(vec![a, out], vec![4, 4], body);
+    let input = vec![vec![0.1f32, 0.7, -3.3, 1e-3], vec![0.0; 4]];
+    let want = both_f32(&f, &input).expect("runs");
+    let mut arrays = input;
+    Interp::new().run_f32(&f, &mut arrays).expect("runs");
+    assert_eq!(arrays, want);
 }

@@ -3,15 +3,18 @@
 //! compiled kernels and memory plan, and a [`GraphExecutor`] with the
 //! `set_input` / `run` / `get_output` interface.
 //!
-//! Execution is *functional* (the reference interpreter computes real
-//! values) while timing is *simulated* (each kernel carries the cost its
-//! target simulator estimated at compile time) — see DESIGN.md.
+//! Execution is *functional* (the interpreter computes real values) while
+//! timing is *simulated* (each kernel carries the cost its target simulator
+//! estimated at compile time) — see DESIGN.md. A kernel is lowered to a
+//! flat [`Program`] the first time it runs and the program is kept on the
+//! module, so every later run, on any executor over the same
+//! `Arc<Module>`, only executes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tvm_graph::{FusedGraph, Graph, GraphReport, KernelView, MemoryPlan, NodeId, OpType};
-use tvm_ir::{Interp, LoweredFunc};
+use tvm_ir::{Interp, LoweredFunc, Program};
 
 /// Typed executor failures: malformed bindings and interpreter faults are
 /// recoverable `Err`s, not process aborts — a serving layer can reject one
@@ -59,8 +62,13 @@ pub enum RuntimeError {
         /// Elements supplied.
         got: usize,
     },
-    /// The reference interpreter faulted while executing a kernel.
-    Interp(tvm_ir::InterpError),
+    /// The interpreter faulted while executing a kernel.
+    Interp {
+        /// Display name of the kernel that faulted.
+        kernel: String,
+        /// The fault.
+        error: tvm_ir::InterpError,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -93,16 +101,19 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::DataMismatch { expected, got } => {
                 write!(f, "payload has {got} elements, shape implies {expected}")
             }
-            RuntimeError::Interp(e) => write!(f, "interpreter fault: {e:?}"),
+            RuntimeError::Interp { kernel, error } => {
+                write!(f, "interpreter fault in kernel `{kernel}`: {error}")
+            }
         }
     }
 }
 
-impl std::error::Error for RuntimeError {}
-
-impl From<tvm_ir::InterpError> for RuntimeError {
-    fn from(e: tvm_ir::InterpError) -> Self {
-        RuntimeError::Interp(e)
+impl std::error::Error for RuntimeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RuntimeError::Interp { error, .. } => Some(error),
+            _ => None,
+        }
     }
 }
 
@@ -209,6 +220,21 @@ pub struct CompiledGroup {
     pub cost: GroupCost,
     /// Display name.
     pub name: String,
+    /// The flat program of `func`, compiled by the first run that needs it
+    /// (start it as `OnceLock::new()`): a build never pays for it, and a
+    /// module shared through an `Arc` compiles each kernel once however
+    /// many executors run it.
+    pub program: OnceLock<Program>,
+}
+
+impl CompiledGroup {
+    /// The kernel's flat program, compiling it on first use.
+    pub fn program(&self) -> &Program {
+        self.program.get_or_init(|| {
+            tvm_obs::counter_add("runtime.programs_compiled", 1);
+            Program::compile_f32(&self.func)
+        })
+    }
 }
 
 /// A deployable module: optimized graph + generated operators + plan —
@@ -504,64 +530,65 @@ impl GraphExecutor {
         if let Some(p) = self.profiler.as_mut() {
             p.ops.clear();
         }
-        for gi in 0..self.module.kernels.len() {
-            let k = &self.module.kernels[gi];
-            let out_id = *k
+        let module = Arc::clone(&self.module);
+        let mut it = Interp::new();
+        if let Some(setup) = &self.interp_setup {
+            setup(&mut it);
+        }
+        for k in &module.kernels {
+            let (&out_id, inputs) = k
                 .args
-                .last()
+                .split_last()
                 .ok_or_else(|| RuntimeError::MalformedKernel(k.name.clone()))?;
-            let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(k.args.len());
-            let mut input_bytes = 0usize;
-            for (ai, &arg) in k.args.iter().enumerate() {
-                let is_output = ai + 1 == k.args.len();
-                let node = self.module.graph.get(arg).ok_or(RuntimeError::BadNodeRef {
+            let node_of = |arg: NodeId| {
+                module.graph.get(arg).ok_or(RuntimeError::BadNodeRef {
                     kernel: k.name.clone(),
                     node: arg.0,
-                })?;
-                if is_output {
-                    let n = numel_of(&node.shape).ok_or(RuntimeError::BadNodeRef {
-                        kernel: k.name.clone(),
-                        node: arg.0,
-                    })?;
-                    bufs.push(vec![0.0; n]);
-                } else {
-                    let v = self
-                        .values
-                        .get(&arg)
-                        .ok_or_else(|| RuntimeError::MissingInput(node.name.clone()))?;
-                    input_bytes += v.data.len() * std::mem::size_of::<f32>();
-                    bufs.push(v.data.clone());
+                })
+            };
+            let out_node = node_of(out_id)?;
+            let out_len = numel_of(&out_node.shape).ok_or(RuntimeError::BadNodeRef {
+                kernel: k.name.clone(),
+                node: out_id.0,
+            })?;
+            for &arg in inputs {
+                if !self.values.contains_key(&arg) {
+                    return Err(RuntimeError::MissingInput(node_of(arg)?.name.clone()));
                 }
             }
-            let mut it = Interp::new();
-            if let Some(setup) = &self.interp_setup {
-                setup(&mut it);
+            // The kernel reads its inputs in place: each tensor is moved
+            // out of `values` for the run and moved back after it.
+            let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(k.args.len());
+            let mut input_bytes = 0usize;
+            for (ai, arg) in inputs.iter().enumerate() {
+                let buf = match inputs[..ai].iter().position(|a| a == arg) {
+                    Some(first) => bufs[first].clone(), // one tensor bound twice
+                    None => std::mem::take(&mut self.values.get_mut(arg).expect("checked").data),
+                };
+                input_bytes += buf.len() * std::mem::size_of::<f32>();
+                bufs.push(buf);
             }
-            {
+            bufs.push(vec![0.0; out_len]);
+            let result = {
                 let _op_span = if self.profiler.is_some() {
                     Some(tvm_obs::span_with("run_op", &[("kernel", &k.name)]))
                 } else {
                     None
                 };
-                it.run_f32(&k.func, &mut bufs)?;
+                it.run_compiled(k.program(), &mut bufs)
+            };
+            let out = bufs.pop().expect("the output was pushed last");
+            for (ai, (arg, buf)) in inputs.iter().zip(bufs).enumerate() {
+                if !inputs[..ai].contains(arg) {
+                    self.values.get_mut(arg).expect("checked").data = buf;
+                }
             }
-            let out_shape = self
-                .module
-                .graph
-                .get(out_id)
-                .ok_or(RuntimeError::BadNodeRef {
-                    kernel: k.name.clone(),
-                    node: out_id.0,
-                })?
-                .shape
-                .clone();
-            let out = bufs
-                .pop()
-                .ok_or_else(|| RuntimeError::MalformedKernel(k.name.clone()))?;
+            result.map_err(|error| RuntimeError::Interp {
+                kernel: k.name.clone(),
+                error,
+            })?;
             if let Some(p) = self.profiler.as_mut() {
-                let out_node = self.module.graph.node(out_id);
-                let slot = self
-                    .module
+                let slot = module
                     .plan
                     .storage_of
                     .get(out_id.0)
@@ -581,8 +608,9 @@ impl GraphExecutor {
                 tvm_obs::counter_add("runtime.kernel_launches", 1);
                 tvm_obs::counter_add("runtime.output_bytes", out_bytes as u64);
             }
-            self.values.insert(out_id, NDArray::new(&out_shape, out));
-            total += self.module.kernels[gi].est_ms;
+            self.values
+                .insert(out_id, NDArray::new(&out_node.shape, out));
+            total += k.est_ms;
         }
         if let Some(p) = self.profiler.as_mut() {
             p.runs += 1;

@@ -52,6 +52,7 @@ fn two_stage_module() -> (Module, tvm_graph::NodeId) {
                 dram_bytes: 32.0,
             },
             name: "k1".into(),
+            program: Default::default(),
         },
         CompiledGroup {
             func: affine_kernel(4, 3.0, 0.0, "k2"),
@@ -63,6 +64,7 @@ fn two_stage_module() -> (Module, tvm_graph::NodeId) {
                 dram_bytes: 16.0,
             },
             name: "k2".into(),
+            program: Default::default(),
         },
     ];
     (
@@ -192,6 +194,34 @@ fn unknown_names_and_bad_output_are_typed_errors() {
 }
 
 #[test]
+fn interpreter_fault_names_the_kernel_and_reads_like_a_sentence() {
+    // The second kernel walks twice as far as its tensors are long.
+    let (mut module, _) = two_stage_module();
+    module.kernels[1].func = affine_kernel(8, 3.0, 0.0, "k2");
+    let mut ex = GraphExecutor::new(module);
+    ex.set_input("data", NDArray::new(&[1, 4], vec![1.0; 4]))
+        .expect("bind");
+    let err = ex.run().unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "interpreter fault in kernel `k2`: index 4 out of bounds for `src` (extent 4)"
+    );
+    let source = std::error::Error::source(&err).expect("the interpreter's error is the source");
+    assert_eq!(
+        source.to_string(),
+        "index 4 out of bounds for `src` (extent 4)"
+    );
+    assert!(matches!(
+        err,
+        RuntimeError::Interp { ref kernel, error: tvm_ir::InterpError::OutOfBounds { index: 4, .. } }
+            if kernel == "k2"
+    ));
+    // The fault took nothing with it: the first kernel's input and output
+    // are still bound, so the same run fails the same way again.
+    assert_eq!(ex.run().unwrap_err().to_string(), err.to_string());
+}
+
+#[test]
 fn params_are_seeded_and_overridable() {
     let mut g = Graph::new();
     let x = g.input(&[1, 2], "data");
@@ -231,6 +261,7 @@ fn params_are_seeded_and_overridable() {
             est_ms: 0.1,
             cost: Default::default(),
             name: "add".into(),
+            program: Default::default(),
         }],
         plan,
         target_name: "test".into(),

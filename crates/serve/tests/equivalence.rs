@@ -170,3 +170,86 @@ fn deterministic_at_multiple_worker_counts() {
     assert_eq!(runs[0], runs[1], "1 vs 2 workers diverged");
     assert_eq!(runs[0], runs[2], "1 vs 4 workers diverged");
 }
+
+#[test]
+fn flat_engine_matches_the_walker_on_every_serving_kernel() {
+    // Every kernel of both serving models, batch 1 and 8, CPU- and
+    // GPU-scheduled, on the activations a real inference feeds it: the flat
+    // engine the executor runs and the reference tree walker must leave
+    // bit-identical buffers and count the same stores.
+    use tvm_ir::{Buffer, Interp};
+    use tvm_runtime::NDArray;
+    let mut kernels = 0;
+    for model in tvm_serve::ALL_MODELS {
+        for batch in [1i64, 8] {
+            for target in [tvm::target::arm_a53(), tvm::target::titanx()] {
+                let graph = model.build_graph(batch);
+                let module = tvm::build(&graph, &target, &tvm::BuildOptions::default())
+                    .expect("serving models build");
+                // The values each kernel sees, taken from a flat run.
+                let mut values: BTreeMap<usize, Vec<f32>> = graph
+                    .nodes
+                    .iter()
+                    .map(|n| (n.id.0, NDArray::seeded(&n.shape, n.id.0 as u64 + 7).data))
+                    .collect();
+                for k in &module.kernels {
+                    let what = format!("{} b{batch} {} `{}`", model.name(), target.name(), k.name);
+                    let mut arrays: Vec<Vec<f32>> =
+                        k.args.iter().map(|a| values[&a.0].clone()).collect();
+                    arrays.last_mut().expect("output").fill(0.0);
+                    let mut walker = Interp::new();
+                    let want = walker
+                        .run_reference(
+                            &k.func,
+                            arrays.iter().map(|a| Buffer::from_f32(a)).collect(),
+                        )
+                        .unwrap_or_else(|e| panic!("{what}: walker: {e}"));
+                    let mut flat = Interp::new();
+                    flat.run_f32(&k.func, &mut arrays)
+                        .unwrap_or_else(|e| panic!("{what}: flat: {e}"));
+                    for (p, (got, want)) in arrays.iter().zip(&want).enumerate() {
+                        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u32> = want.to_f32().iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "{what}: param {p}");
+                    }
+                    assert_eq!(flat.store_count(), walker.store_count(), "{what}");
+                    let out = k.args.last().expect("output").0;
+                    values.insert(out, arrays.pop().expect("output"));
+                    kernels += 1;
+                }
+            }
+        }
+    }
+    assert!(kernels >= 24, "only {kernels} kernels compared");
+}
+
+#[test]
+fn batch_8_models_run_on_titanx_and_agree_with_arm_a53() {
+    // The ledger left these two out at 8 s an inference, and `Mlp` batch 8
+    // once faulted on `titanx` ("barrier count diverges across branches").
+    use tvm_runtime::{GraphExecutor, NDArray};
+    for model in tvm_serve::ALL_MODELS {
+        let graph = model.build_graph(8);
+        let input = NDArray::seeded(&model.input_shape(8), 3);
+        let infer = |target: tvm::target::Target| -> Vec<f32> {
+            let module = tvm::build(&graph, &target, &tvm::BuildOptions::default())
+                .unwrap_or_else(|e| panic!("{} b8 {}: {e}", model.name(), target.name()));
+            let mut ex = GraphExecutor::new(module);
+            ex.set_input(model.input_name(), input.clone())
+                .expect("binds");
+            ex.run()
+                .unwrap_or_else(|e| panic!("{} b8 {}: {e}", model.name(), target.name()));
+            ex.get_output(0).expect("output").data.clone()
+        };
+        let got = infer(tvm::target::titanx());
+        let want = infer(tvm::target::arm_a53());
+        assert_eq!(got.len(), 8 * model.out_row_len());
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-3 * b.abs().max(1.0),
+                "{} b8 output {i}: titanx {a} vs arm_a53 {b}",
+                model.name()
+            );
+        }
+    }
+}

@@ -9,7 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use tvm_ir::Interp;
+use tvm_ir::{Buffer, Interp, InterpError, LoweredFunc};
 use tvm_te::{create_schedule, lower};
 
 use crate::apply::apply_trace;
@@ -89,6 +89,55 @@ pub(crate) fn quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
+/// What both engines made of one run: the arrays after it and the stores
+/// executed, or the fault.
+pub type EngineResult = Result<(Vec<Vec<f32>>, u64), InterpError>;
+
+/// Executes `func` on `arrays` in the flat engine (`Interp::run_f32`, what
+/// everything else runs) and in the reference tree walker, and compares:
+/// bit-identical arrays and equal store counts, or the same fault with the
+/// same fields. `Ok` carries the outcome both agree on, `Err` says how they
+/// differ.
+pub fn run_both(func: &LoweredFunc, arrays: Vec<Vec<f32>>) -> Result<EngineResult, String> {
+    let mut walker = Interp::new();
+    let reference = walker
+        .run_reference(func, arrays.iter().map(|a| Buffer::from_f32(a)).collect())
+        .map(|bufs| bufs.iter().map(Buffer::to_f32).collect::<Vec<_>>());
+    let mut flat = Interp::new();
+    let mut got = arrays;
+    let ran = flat.run_f32(func, &mut got);
+    match (ran, reference) {
+        (Ok(()), Ok(want)) => {
+            for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+                let differs = |(a, b): (&f32, &f32)| a.to_bits() != b.to_bits();
+                if g.len() != w.len() {
+                    return Err(format!("param {p}: {} vs {} elements", g.len(), w.len()));
+                }
+                if let Some(i) = g.iter().zip(w).position(differs) {
+                    return Err(format!(
+                        "param {p}[{i}]: flat {:?}, walker {:?}",
+                        g[i], w[i]
+                    ));
+                }
+            }
+            if flat.store_count() != walker.store_count() {
+                return Err(format!(
+                    "stores: flat {}, walker {}",
+                    flat.store_count(),
+                    walker.store_count()
+                ));
+            }
+            Ok(Ok((got, flat.store_count())))
+        }
+        (Err(g), Err(w)) if format!("{g:?}") == format!("{w:?}") => Ok(Err(g)),
+        (g, w) => Err(format!(
+            "flat {:?}, walker {:?}",
+            g.map(|()| "ran"),
+            w.map(|_| "ran")
+        )),
+    }
+}
+
 /// Runs the naive (primitive-free) lowering of a workload on seeded inputs
 /// and returns the output buffer.
 pub fn run_naive(kind: WorkloadKind, seed: u64) -> Vec<f32> {
@@ -114,9 +163,10 @@ pub fn run_case(kind: WorkloadKind, seed: u64, trace: &[Primitive]) -> Outcome {
         apply_trace(&mut s, trace).map_err(Outcome::Invalid)?;
         let f = lower(&s, &w.args, &format!("{kind}_fuzz"))
             .map_err(|e| Outcome::Invalid(e.to_string()))?;
-        let mut bufs = input_buffers(&w, seed);
-        Interp::new()
-            .run_f32(&f, &mut bufs)
+        // Every scheduled program also checks the flat engine against the
+        // walker, so a fuzzing run is a parity run on the same seeds.
+        let (mut bufs, _) = run_both(&f, input_buffers(&w, seed))
+            .map_err(|diff| Outcome::ExecError(format!("engines disagree: {diff}")))?
             .map_err(|e| Outcome::ExecError(e.to_string()))?;
         Ok(bufs.pop().expect("output buffer"))
     });

@@ -46,7 +46,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 pub use apply::{apply_one, apply_trace};
-pub use diff::{run_case, run_naive, Outcome, TOLERANCE};
+pub use diff::{run_both, run_case, run_naive, EngineResult, Outcome, TOLERANCE};
 pub use generate::generate;
 pub use graph_lint::{graph_lint, graph_lint_filtered, GraphLintResult};
 pub use graph_oracle::{check_graph_static, GraphOracleStats};

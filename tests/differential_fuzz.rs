@@ -114,3 +114,153 @@ fn property_checks_hold_under_the_ci_seed() {
     tvm_verify::check_simplify(0xC0FFEE, 48).expect("simplify is semantics-preserving");
     tvm_verify::check_plan_memory(0xC0FFEE, 48).expect("memory plan is alias-free");
 }
+
+// ---------------------------------------------------------------------------
+// Flat engine vs. reference walker. `fuzz` above already compares the two on
+// every scheduled program it draws (`run_case` executes through
+// `tvm_verify::run_both`); the tests below count what was compared and carry
+// the comparison to compiled model kernels.
+// ---------------------------------------------------------------------------
+
+use tvm_ir::{Expr, ForKind, LoweredFunc, Mutator, Stmt, StmtNode};
+use tvm_runtime::NDArray;
+use tvm_sim::{arm_a53, mali_t860, titanx, Target};
+use tvm_verify::{apply_trace, build, case_seed, generate, input_buffers, run_both};
+
+#[test]
+fn flat_engine_matches_the_walker_on_the_pinned_traces() {
+    // The two fuzz tiers above share one seed, so the 48 static-oracle cases
+    // are the first 48 of these 60.
+    let mut compared = 0;
+    for case in 0..60 {
+        let kind = ALL_WORKLOADS[case % ALL_WORKLOADS.len()];
+        let seed = case_seed(0xC0FFEE, case);
+        let w = build(kind);
+        let trace = generate(kind, &w, seed);
+        let mut s = tvm_te::create_schedule(std::slice::from_ref(&w.output));
+        apply_trace(&mut s, &trace).expect("pinned traces apply");
+        let f = tvm_te::lower(&s, &w.args, &format!("{kind}_parity")).expect("pinned traces lower");
+        let outcome = run_both(&f, input_buffers(&w, seed))
+            .unwrap_or_else(|diff| panic!("{kind} case {case}: {diff}\n{}", f.body));
+        let (_, stores) = outcome.unwrap_or_else(|e| panic!("{kind} case {case}: {e}"));
+        assert!(stores > 0);
+        compared += 1;
+    }
+    assert_eq!(compared, 60);
+}
+
+/// The conv-bn-relu-residual CNN of `tests/end_to_end.rs`.
+fn residual_cnn() -> tvm_graph::Graph {
+    let conv = |in_c| tvm_topi::Conv2dWorkload {
+        batch: 1,
+        size: 16,
+        in_c,
+        out_c: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let mut g = tvm_graph::Graph::new();
+    let x = g.input(&[1, 3, 16, 16], "data");
+    let c1 = g.conv2d(x, conv(3), "c1");
+    let b1 = g.batch_norm(c1, "b1");
+    let r1 = g.relu(b1, "r1");
+    let c2 = g.conv2d(r1, conv(8), "c2");
+    let res = g.add_op(c2, r1, "res");
+    let out = g.relu(res, "out");
+    g.outputs.push(out);
+    g
+}
+
+/// Cuts a kernel down to what the walker can run in tier-1: every
+/// block-bound loop, and failing that the outermost loop, keeps only its
+/// first iteration, and a serial loop around a barrier its first two (the
+/// walker replays the whole nest once per barrier executed, so its time
+/// grows with the square of that loop). The thread nests, the barriers and
+/// the allocations stay as the compiler emitted them.
+struct Cut {
+    outermost: bool,
+}
+
+impl Mutator for Cut {
+    fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
+        let StmtNode::For {
+            var,
+            min,
+            extent,
+            kind,
+            body,
+        } = &*s.0
+        else {
+            return self.default_mutate_stmt(s);
+        };
+        let keep = match kind {
+            ForKind::ThreadBinding(tag) if tag.is_block() => 1,
+            ForKind::ThreadBinding(_) => i64::MAX,
+            _ if std::mem::take(&mut self.outermost) => 1,
+            _ if body.contains_barrier() => 2,
+            _ => return s.clone(),
+        };
+        self.outermost = false;
+        let extent = extent
+            .as_int()
+            .map_or(extent.clone(), |n| Expr::int(n.min(keep)));
+        Stmt::loop_(var, min.clone(), extent, *kind, self.mutate_stmt(body))
+    }
+}
+
+/// Compares the two engines on every kernel of `graph` built for `target`,
+/// on seeded inputs. A kernel of more than `full_below` stores is compared
+/// as [`Cut`] leaves it; returns how many were.
+fn kernels_agree(name: &str, graph: &tvm_graph::Graph, target: &Target, full_below: u64) -> usize {
+    let module = tvm::build(graph, target, &tvm::BuildOptions::default()).expect("builds");
+    let mut cut = 0;
+    for (ki, k) in module.kernels.iter().enumerate() {
+        let what = format!("{name} {} #{ki} `{}`", target.name(), k.name);
+        let arrays = |f: &LoweredFunc| -> Vec<Vec<f32>> {
+            let mut arrays: Vec<Vec<f32>> = f
+                .param_extents
+                .iter()
+                .enumerate()
+                .map(|(p, &n)| NDArray::seeded(&[n as i64], (ki * 16 + p) as u64 + 1).data)
+                .collect();
+            arrays.last_mut().expect("output").fill(0.0);
+            arrays
+        };
+        let mut probe = arrays(&k.func);
+        let mut flat = tvm_ir::Interp::new();
+        flat.run_f32(&k.func, &mut probe)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let func = if flat.store_count() <= full_below {
+            k.func.clone()
+        } else {
+            cut += 1;
+            LoweredFunc {
+                body: Cut { outermost: true }.mutate_stmt(&k.func.body),
+                ..k.func.clone()
+            }
+        };
+        let (_, stores) = run_both(&func, arrays(&func))
+            .unwrap_or_else(|diff| panic!("{what}: {diff}"))
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(stores > 0, "{what}: nothing stored");
+    }
+    cut
+}
+
+#[test]
+fn flat_engine_matches_the_walker_on_model_kernels() {
+    for target in [arm_a53(), titanx(), mali_t860()] {
+        // Whole kernels of the small CNN ...
+        assert_eq!(
+            kernels_agree("cnn16", &residual_cnn(), &target, u64::MAX),
+            0
+        );
+        // ... and of resnet18(32) where the walker can afford them: it needs
+        // ten to twenty seconds for one 250k-store GPU-scheduled kernel,
+        // minutes for the model. The whole kernels run, on the flat engine,
+        // in `tests/end_to_end.rs`.
+        let cut = kernels_agree("resnet18", &tvm_models::resnet18(32), &target, 50_000);
+        assert!(cut >= 20, "{}: only {cut} kernels were cut", target.name());
+    }
+}

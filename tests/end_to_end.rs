@@ -88,6 +88,41 @@ fn fused_and_unfused_builds_agree_numerically() {
 }
 
 #[test]
+fn resnet18_fused_and_unfused_agree_at_model_scale() {
+    // The flagship model, executed: the fused kernels against the unfused
+    // ones, whose groups must run in dependency order through the residual
+    // and projection-shortcut branches.
+    let g = tvm_models::resnet18(32);
+    let input = NDArray::seeded(&[1, 3, 32, 32], 11);
+    let infer = |no_fusion: bool| {
+        let opts = BuildOptions {
+            no_fusion,
+            db: None,
+            decisions: None,
+        };
+        let module = tvm::build(&g, &arm_a53(), &opts).expect("builds");
+        let kernels = module.kernels.len();
+        let mut ex = GraphExecutor::new(module);
+        ex.set_input("data", input.clone()).expect("binds");
+        ex.run().expect("runs");
+        (kernels, ex.get_output(0).expect("output").data.clone())
+    };
+    let (fused_kernels, got) = infer(false);
+    let (unfused_kernels, want) = infer(true);
+    assert!(fused_kernels < unfused_kernels);
+    assert_eq!(got.len(), 1000);
+    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-3 * b.abs().max(1.0),
+            "class {i} differs: {a} vs {b}"
+        );
+    }
+    // A softmax head: a distribution, and not a degenerate one.
+    assert!((got.iter().sum::<f32>() - 1.0).abs() < 1e-3);
+    assert!(got.iter().all(|p| p.is_finite() && *p >= 0.0));
+}
+
+#[test]
 fn fusion_reduces_kernel_count_and_time() {
     let g = small_cnn();
     let t = titanx();
