@@ -2,13 +2,15 @@
 //! structure comes from a hand-written template (`tvm-topi`) or a sketch
 //! ([`crate::sketch`]): plan a structure once, then turn each candidate
 //! into a clone + annotate + [`emit_planned`] and check it against the
-//! hardware limits.
+//! hardware limits — with the one [`ProgramAnalysis`] that the tuner then
+//! reads features and simulated cost from ([`build_analyzed`]).
 
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use tvm_ir::{LoweredFunc, MemScope, ThreadTag};
-use tvm_sim::{analyze, Target};
+use tvm_ir::{LoweredFunc, MemScope, Stmt, ThreadTag};
+use tvm_sim::{analyze, ProgramAnalysis, Target};
 use tvm_te::{
     create_schedule, emit_planned, plan_schedule, IterVar, LowerOptions, LowerPlan, PlanCache,
     Schedule, TeError, Tensor,
@@ -109,8 +111,7 @@ pub fn cooperative_load(
 }
 
 /// Post-lowering validity checks that stand in for hardware limits.
-fn validate(func: &LoweredFunc, target: &Target) -> Result<(), TeError> {
-    let an = analyze(func);
+fn validate(an: &ProgramAnalysis, target: &Target) -> Result<(), TeError> {
     if let Target::Gpu(g) = target {
         let shared = an
             .alloc_bytes
@@ -130,6 +131,30 @@ fn validate(func: &LoweredFunc, target: &Target) -> Result<(), TeError> {
         }
     }
     Ok(())
+}
+
+thread_local! {
+    /// The analysis the last [`planned_task`] builder call on this thread
+    /// checked the limits with, and the body it describes. `builder` can
+    /// only return the function, so the analysis waits here for
+    /// [`build_analyzed`], which runs next on the same thread.
+    static CHECKED: RefCell<Option<(Stmt, ProgramAnalysis)>> = const { RefCell::new(None) };
+}
+
+/// Lowers `cfg` with `task.builder` and analyzes the function, once per
+/// candidate: a [`planned_task`] builder has analyzed it already to check the
+/// hardware limits, and that analysis is taken over; any other builder's
+/// function is analyzed here.
+pub(crate) fn build_analyzed(
+    task: &TuningTask,
+    cfg: &ConfigEntity,
+) -> Result<(LoweredFunc, ProgramAnalysis), TeError> {
+    let func = (task.builder)(cfg)?;
+    let an = match CHECKED.with(|c| c.borrow_mut().take()) {
+        Some((body, an)) if body.same_as(&func.body) => an,
+        _ => analyze(&func),
+    };
+    Ok((func, an))
 }
 
 /// A structurally-scheduled candidate family cached per structural key:
@@ -185,7 +210,9 @@ pub fn planned_task(
             &func_name,
             &LowerOptions::default(),
         )?;
-        validate(&f, &limits)?;
+        let an = analyze(&f);
+        validate(&an, &limits)?;
+        CHECKED.with(|c| *c.borrow_mut() = Some((f.body.clone(), an)));
         Ok(f)
     };
     TuningTask {

@@ -124,7 +124,7 @@ fn keep_best(pop: &mut Vec<(u64, f64)>, n: usize) {
 /// Predicted score of a config (higher is better); `-inf` when invalid.
 fn predict(cache: &MeasureCache, model: &Gbt, idx: u64) -> f64 {
     match cache.lowered(idx) {
-        Some((_, feats)) => model.predict(&feats),
+        Some(c) => model.predict(&c.feats),
         None => f64::NEG_INFINITY,
     }
 }
@@ -258,8 +258,7 @@ impl Proposer for Genetic {
 /// the kind of rules a hand-written cost model encodes. Deliberately
 /// ignores the memory hierarchy's actual behavior (that is the "model
 /// bias" the paper's Table 1 calls out).
-fn predefined_score(func: &tvm_ir::LoweredFunc) -> f64 {
-    let an = tvm_sim::analyze(func);
+fn predefined_score(an: &tvm_sim::ProgramAnalysis) -> f64 {
     let vec_frac = if an.flops > 0.0 {
         an.vector_flops / an.flops
     } else {
@@ -316,7 +315,7 @@ impl Proposer for Predefined {
             .map(|&idx| {
                 r.cache
                     .lowered(idx)
-                    .map(|(f, _)| (idx, predefined_score(&f)))
+                    .map(|c| (idx, predefined_score(&c.analysis)))
             })
             .collect::<Vec<Option<(u64, f64)>>>()
             .into_iter()

@@ -11,10 +11,11 @@
 //! Measurement ("run on real hardware") is a full architectural-simulator
 //! evaluation per DESIGN.md.
 //!
-//! The whole loop — lower → simulate → feature-extract → anneal — runs on
-//! rayon workers, and every (lowering, feature vector, simulated cost) is
-//! memoized per run keyed by config index, so duplicate configs proposed
-//! by the explorers are never re-lowered or re-simulated. The run is
+//! The whole loop — lower → analyze → feature-extract → simulate → anneal —
+//! runs on rayon workers, and every candidate (one lowering, one
+//! `ProgramAnalysis`, its feature vector, its simulated cost) is memoized
+//! per run keyed by config index, so duplicate configs proposed by the
+//! explorers are never re-lowered, re-analyzed or re-simulated. The run is
 //! bit-for-bit deterministic for a fixed seed at any worker count: batches
 //! are proposed serially, measured in parallel, and recorded in proposal
 //! order, and each annealing chain owns its own seeded RNG.
@@ -29,12 +30,13 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use tvm_ir::LoweredFunc;
-use tvm_sim::{estimate_with, SimOptions, Target};
+use tvm_sim::{estimate_analysis, ProgramAnalysis, SimOptions, Target};
 use tvm_te::TeError;
 
 use crate::config::{ConfigEntity, ConfigSpace};
 use crate::db::{DbRecord, Journal};
 use crate::gbt::{fit_more, FitProfile, Gbt, GbtParams};
+use crate::planned::build_analyzed;
 use crate::pool::{DeviceHealth, PoolStats, Tracker};
 use crate::propose::{proposer_for, Round};
 
@@ -63,8 +65,8 @@ pub struct TuningTask {
 impl TuningTask {
     /// Builds and "measures" one configuration; `None` when invalid.
     pub fn measure(&self, cfg: &ConfigEntity) -> Option<(LoweredFunc, f64)> {
-        let f = (self.builder)(cfg).ok()?;
-        let ms = estimate_with(&f, &self.target, &self.sim_opts).millis();
+        let (f, an) = build_analyzed(self, cfg).ok()?;
+        let ms = estimate_analysis(&an, &self.target, &self.sim_opts).millis();
         Some((f, ms))
     }
 }
@@ -169,6 +171,11 @@ pub struct TuneStats {
     pub intern_hits: u64,
     /// Int immediates allocated outside the intern pool during this run.
     pub intern_misses: u64,
+    /// `tvm_sim::analyze` calls during this run (delta of
+    /// [`tvm_sim::analysis::analyze_calls`]): one per candidate whose
+    /// lowering produced a function, plus the device pool's own when one
+    /// is attached.
+    pub analyses: u64,
     /// Contended lock acquisitions observed during this run (measurement
     /// memo cache + plan caches).
     pub lock_waits: u64,
@@ -234,13 +241,25 @@ impl TuneResult {
 
 // ------------------------------------------------------------ memo cache
 
-/// A memoized lowering: the function plus its feature vector; `None` for
-/// invalid configs (builder error).
-type Lowered = Option<(Arc<LoweredFunc>, Arc<Vec<f64>>)>;
+/// A memoized candidate: what one lowering and one analysis of a valid
+/// config leave behind.
+pub(crate) struct Candidate {
+    /// Feature vector the cost model scores.
+    pub(crate) feats: Arc<Vec<f64>>,
+    /// The analysis the features came from and the simulated cost will.
+    pub(crate) analysis: ProgramAnalysis,
+    /// The function itself, kept only when a device pool is attached (the
+    /// pool ships functions to its devices); otherwise every scored
+    /// candidate's loop tree would stay alive for the whole run.
+    func: Option<Box<LoweredFunc>>,
+}
 
-/// Per-config memo slot: the lowering (with features) and the simulated
-/// cost are each computed exactly once per tuning run, even when several
-/// workers race on the same config.
+/// `None` for invalid configs (builder error).
+type Lowered = Option<Arc<Candidate>>;
+
+/// Per-config memo slot: the candidate and the simulated cost are each
+/// computed exactly once per tuning run, even when several workers race on
+/// the same config.
 #[derive(Default)]
 struct CacheSlot {
     lowered: OnceLock<Lowered>,
@@ -325,7 +344,7 @@ impl<'a> MeasureCache<'a> {
         map.entry(idx).or_default().clone()
     }
 
-    /// Lowered function + feature vector for a config; memoized.
+    /// The lowered, analyzed candidate for a config; memoized.
     pub(crate) fn lowered(&self, idx: u64) -> Lowered {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let slot = self.slot(idx);
@@ -333,10 +352,12 @@ impl<'a> MeasureCache<'a> {
             .get_or_init(|| {
                 self.lowerings.fetch_add(1, Ordering::Relaxed);
                 let cfg = self.task.space.get(idx);
-                let func = (self.task.builder)(&cfg).ok()?;
-                let func = Arc::new(func);
-                let feats = Arc::new(crate::features::extract(&func));
-                Some((func, feats))
+                let (func, analysis) = build_analyzed(self.task, &cfg).ok()?;
+                Some(Arc::new(Candidate {
+                    feats: Arc::new(crate::features::extract_analysis(&analysis)),
+                    analysis,
+                    func: self.pool.is_some().then(|| Box::new(func)),
+                }))
             })
             .clone()
     }
@@ -347,12 +368,12 @@ impl<'a> MeasureCache<'a> {
         let slot = self.slot(idx);
         let cost = *slot.cost.get_or_init(|| match &lowered {
             None => f64::INFINITY,
-            Some((func, _)) => {
+            Some(c) => {
                 self.simulations.fetch_add(1, Ordering::Relaxed);
-                estimate_with(func, &self.task.target, &self.task.sim_opts).millis()
+                estimate_analysis(&c.analysis, &self.task.target, &self.task.sim_opts).millis()
             }
         });
-        (cost, lowered.map(|(_, feats)| feats))
+        (cost, lowered.map(|c| Arc::clone(&c.feats)))
     }
 
     fn stats(&self) -> TuneStats {
@@ -409,16 +430,17 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
     // which fault, each job meets).
     let mut queued: HashSet<u64> = HashSet::new();
     let mut jobs: Vec<u64> = Vec::new();
-    let mut funcs: Vec<Arc<LoweredFunc>> = Vec::new();
+    let mut funcs: Vec<&LoweredFunc> = Vec::new();
     for (&idx, low) in batch.iter().zip(&lowered) {
         let slot = cache.slot(idx);
         if slot.cost.get().is_some() || !queued.insert(idx) {
             continue;
         }
-        match low {
-            Some((f, _)) => {
+        // With a pool attached every valid candidate kept its function.
+        match low.as_ref().and_then(|c| c.func.as_deref()) {
+            Some(f) => {
                 jobs.push(idx);
-                funcs.push(Arc::clone(f));
+                funcs.push(f);
             }
             None => {
                 let _ = slot.cost.get_or_init(|| f64::INFINITY);
@@ -426,14 +448,13 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
         }
     }
     if !jobs.is_empty() {
-        let refs: Vec<&LoweredFunc> = funcs.iter().map(|f| f.as_ref()).collect();
         let outcomes = {
             // Poison recovery: a panic on another thread mid-dispatch
             // leaves the tracker in whatever state its own error handling
             // produced — still usable, and far better than cascading the
             // panic through every remaining measurement.
             let mut tracker = pool.lock().unwrap_or_else(|e| e.into_inner());
-            tracker.run_batch_detailed(cache.task.target.name(), &refs)
+            tracker.run_batch_detailed(cache.task.target.name(), &funcs)
         };
         for (&idx, outcome) in jobs.iter().zip(&outcomes) {
             let cost = *outcome.ms.as_ref().unwrap_or(&f64::INFINITY);
@@ -453,7 +474,7 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
             // vector), degrade that config to "invalid" rather than
             // aborting the whole tuning run.
             let cost = cache.slot(idx).cost.get().copied().unwrap_or(f64::INFINITY);
-            (cost, low.map(|(_, feats)| feats))
+            (cost, low.map(|c| Arc::clone(&c.feats)))
         })
         .collect()
 }
@@ -503,6 +524,7 @@ pub fn tune_with(
     // intern-pool behavior to this run's stats.
     let lower_before = tvm_te::lower_stats();
     let intern_before = tvm_ir::intern_stats();
+    let analyses_before = tvm_sim::analysis::analyze_calls();
 
     // Effective options: `warm_start` may be filled from the journal's
     // nearest neighbor below.
@@ -529,7 +551,10 @@ pub fn tune_with(
         // The canonical config index 0 keeps the fingerprint identical
         // across runs; the invariant block is the feature vector's tail.
         let probe = [0u64, task.space.size() / 2];
-        if let Some(feats) = probe.iter().find_map(|&i| cache.lowered(i).map(|(_, f)| f)) {
+        if let Some(feats) = probe
+            .iter()
+            .find_map(|&i| cache.lowered(i).map(|c| Arc::clone(&c.feats)))
+        {
             let sig = feats[feats.len() - crate::features::INVARIANT_FEATURES..].to_vec();
             if eff.warm_start.is_empty() {
                 eff.warm_start =
@@ -625,6 +650,7 @@ pub fn tune_with(
         .saturating_sub(lower_before.plan_misses);
     result.stats.intern_hits = ih_after.saturating_sub(ih_before);
     result.stats.intern_misses = im_after.saturating_sub(im_before);
+    result.stats.analyses = tvm_sim::analysis::analyze_calls().saturating_sub(analyses_before);
     result.stats.lock_waits += lower_after
         .lock_waits
         .saturating_sub(lower_before.lock_waits);
@@ -661,6 +687,7 @@ fn publish_stats(task: &str, result: &TuneResult) {
     tvm_obs::counter_add("autotune.plan_misses", s.plan_misses);
     tvm_obs::counter_add("autotune.intern_hits", s.intern_hits);
     tvm_obs::counter_add("autotune.intern_misses", s.intern_misses);
+    tvm_obs::counter_add("autotune.analyses", s.analyses);
     tvm_obs::counter_add("autotune.lock_waits", s.lock_waits);
     tvm_obs::counter_add("autotune.lock_wait_ns", s.lock_wait_ns);
     tvm_obs::counter_add("autotune.pool.attempts", s.pool.attempts as u64);

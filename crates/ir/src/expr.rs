@@ -518,6 +518,12 @@ impl Expr {
         })
     }
 
+    /// True when both handles point at the same node — how a
+    /// [`crate::Mutator`] reports "unchanged".
+    pub fn same_as(&self, other: &Expr) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// Structural equality modulo variable identity (ids must match).
     pub fn structural_eq(&self, other: &Expr) -> bool {
         structural_eq(self, other)

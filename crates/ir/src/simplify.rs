@@ -91,7 +91,11 @@ impl Simplifier {
         })
     }
 
-    fn simplify_binary(&mut self, op: BinOp, a: Expr, b: Expr) -> Expr {
+    /// Simplifies `a op b` with both operands already simplified. `node` is
+    /// the tree being rewritten when `a` and `b` are its (possibly
+    /// unchanged) operands: it is handed back instead of an equal copy when
+    /// nothing folds.
+    fn simplify_binary(&mut self, op: BinOp, a: Expr, b: Expr, node: Option<&Expr>) -> Expr {
         // Constant folding.
         if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
             if let Some(v) = Self::fold_int_binop(op, x, y) {
@@ -137,6 +141,7 @@ impl Simplifier {
                                 BinOp::Add,
                                 x.clone(),
                                 Expr::int_of(c, x.dtype()),
+                                None,
                             );
                         }
                     }
@@ -188,6 +193,7 @@ impl Simplifier {
                                 BinOp::Mul,
                                 x.clone(),
                                 Expr::int_of(c, x.dtype()),
+                                None,
                             );
                         }
                     }
@@ -247,14 +253,25 @@ impl Simplifier {
             }
             _ => {}
         }
+        if let Some(n) = node {
+            if let ExprNode::Binary { a: na, b: nb, .. } = &*n.0 {
+                if a.same_as(na) && b.same_as(nb) {
+                    return n.clone();
+                }
+            }
+        }
         Expr::binary(op, a, b)
     }
 
-    fn simplify_cmp(&mut self, op: CmpOp, a: Expr, b: Expr) -> Expr {
+    /// Like [`Self::simplify_binary`], for the comparison `node`.
+    fn simplify_cmp(&mut self, op: CmpOp, a: Expr, b: Expr, node: &Expr) -> Expr {
         if let Some(v) = prove_cmp(op, &a, &b, &self.bounds) {
             return Expr::bool_(v);
         }
-        Expr::cmp(op, a, b)
+        match &*node.0 {
+            ExprNode::Cmp { a: na, b: nb, .. } if a.same_as(na) && b.same_as(nb) => node.clone(),
+            _ => Expr::cmp(op, a, b),
+        }
     }
 }
 
@@ -279,7 +296,7 @@ fn linearize(e: &Expr) -> Option<Linear> {
         } => {
             let (ta, ca) = linearize(a)?;
             let (tb, cb) = linearize(b)?;
-            Some((merge_terms(ta, tb, 1), ca.checked_add(cb)?))
+            Some((merge_terms(ta, tb, 1)?, ca.checked_add(cb)?))
         }
         ExprNode::Binary {
             op: BinOp::Sub,
@@ -288,7 +305,7 @@ fn linearize(e: &Expr) -> Option<Linear> {
         } => {
             let (ta, ca) = linearize(a)?;
             let (tb, cb) = linearize(b)?;
-            Some((merge_terms(ta, tb, -1), ca.checked_sub(cb)?))
+            Some((merge_terms(ta, tb, -1)?, ca.checked_sub(cb)?))
         }
         ExprNode::Binary {
             op: BinOp::Mul,
@@ -315,27 +332,29 @@ fn linearize(e: &Expr) -> Option<Linear> {
     }
 }
 
-fn merge_terms(a: Vec<(Expr, i64)>, b: Vec<(Expr, i64)>, sign: i64) -> Vec<(Expr, i64)> {
+/// `a + sign * b`, merging structurally equal atoms; `None` when a
+/// coefficient overflows (the caller keeps the unsimplified tree).
+fn merge_terms(a: Vec<(Expr, i64)>, b: Vec<(Expr, i64)>, sign: i64) -> Option<Vec<(Expr, i64)>> {
     let mut out = a;
     'next: for (atom, coef) in b {
-        let coef = coef * sign;
+        let coef = coef.checked_mul(sign)?;
         for (ex, c) in out.iter_mut() {
             if ex.structural_eq(&atom) {
-                *c += coef;
+                *c = c.checked_add(coef)?;
                 continue 'next;
             }
         }
         out.push((atom, coef));
     }
     out.retain(|(_, c)| *c != 0);
-    out
+    Some(out)
 }
 
 /// Rebuilds `la - lb` as a canonical sum if any term cancels; `None` when no
 /// cancellation happens (keep the original tree to avoid churn).
 fn rebuild_linear_diff(la: Linear, lb: Linear, dtype: DType) -> Option<Expr> {
     let before = la.0.len() + lb.0.len();
-    let terms = merge_terms(la.0, lb.0, -1);
+    let terms = merge_terms(la.0, lb.0, -1)?;
     let konst = la.1.checked_sub(lb.1)?;
     if terms.len() >= before {
         return None;
@@ -372,7 +391,9 @@ fn rebuild_linear_diff(la: Linear, lb: Linear, dtype: DType) -> Option<Expr> {
             None => piece,
         });
     }
-    let base = acc.unwrap_or_else(|| Expr::zero(dtype));
+    let Some(base) = acc else {
+        return Some(Expr::int_of(konst, dtype));
+    };
     Some(if konst == 0 {
         base
     } else if konst > 0 {
@@ -396,10 +417,21 @@ fn is_one(e: &Expr) -> bool {
 
 impl Mutator for Simplifier {
     fn mutate_expr(&mut self, e: &Expr) -> Expr {
+        // Binary and compare nodes are built by their rules, once, and only
+        // when an operand changed or something folded.
+        match &*e.0 {
+            ExprNode::Binary { op, a, b } => {
+                let (a, b) = (self.mutate_expr(a), self.mutate_expr(b));
+                return self.simplify_binary(*op, a, b, Some(e));
+            }
+            ExprNode::Cmp { op, a, b } => {
+                let (a, b) = (self.mutate_expr(a), self.mutate_expr(b));
+                return self.simplify_cmp(*op, a, b, e);
+            }
+            _ => {}
+        }
         let e = self.default_mutate_expr(e);
         match &*e.0 {
-            ExprNode::Binary { op, a, b } => self.simplify_binary(*op, a.clone(), b.clone()),
-            ExprNode::Cmp { op, a, b } => self.simplify_cmp(*op, a.clone(), b.clone()),
             ExprNode::And { a, b } => {
                 if a.is_const_int(1) {
                     return b.clone();
@@ -477,22 +509,29 @@ impl Mutator for Simplifier {
         {
             let min_s = self.mutate_expr(min);
             let ext_s = self.mutate_expr(extent);
+            match ext_s.as_int() {
+                Some(0) => return Stmt::nop(),
+                Some(1) => {
+                    // Single-iteration loop: inline the loop var, then
+                    // simplify the body once.
+                    let mut m = HashMap::new();
+                    m.insert(var.id(), min_s);
+                    let inlined = crate::visit::substitute_stmt(body, &m);
+                    return self.mutate_stmt(&inlined);
+                }
+                _ => {}
+            }
             if let (Some(lo), Some(n)) = (min_s.as_int(), ext_s.as_int()) {
-                if n > 0 {
-                    self.bounds.insert(var.id(), Interval::new(lo, lo + n - 1));
+                // A range past i64 is not recorded; the body is then
+                // simplified without it.
+                if let Some(hi) = (n > 0).then(|| lo.checked_add(n - 1)).flatten() {
+                    self.bounds.insert(var.id(), Interval::new(lo, hi));
                 }
             }
             let body_s = self.mutate_stmt(body);
             self.bounds.remove(&var.id());
-            if ext_s.as_int() == Some(1) {
-                // Single-iteration loop: inline the loop var.
-                let mut m = HashMap::new();
-                m.insert(var.id(), min_s);
-                let inlined = crate::visit::substitute_stmt(&body_s, &m);
-                return self.mutate_stmt(&inlined);
-            }
-            if ext_s.as_int() == Some(0) {
-                return Stmt::nop();
+            if min_s.same_as(min) && ext_s.same_as(extent) && body_s.same_as(body) {
+                return s.clone();
             }
             return Stmt::loop_(var, min_s, ext_s, *kind, body_s);
         }
@@ -684,6 +723,65 @@ mod tests {
         let e = a.clone() - b.clone();
         let s = simplify(&e);
         assert!(s.structural_eq(&(a.clone() - b.clone())), "{s}");
+    }
+
+    #[test]
+    fn coefficient_and_range_overflow_keep_the_tree() {
+        // `x*MAX - x*(-1)` merges to a coefficient of MAX + 1; `a - x*MIN`
+        // negates MIN. Both used to overflow (a panic in debug builds, a
+        // wrapped coefficient in release builds).
+        let x = Var::int("x");
+        let a = Var::int("a");
+        let e = x.clone() * i64::MAX - x.clone() * -1;
+        assert!(simplify(&e).structural_eq(&e), "{}", simplify(&e));
+        let e = a.clone() - x.clone() * i64::MIN;
+        assert!(simplify(&e).structural_eq(&e), "{}", simplify(&e));
+        // A loop whose last index is past i64: the body is simplified
+        // without a range for `x`, the loop stays.
+        let buf = Var::new("b", DType::float32());
+        let s = Stmt::for_(
+            &x,
+            i64::MAX,
+            2,
+            Stmt::store(&buf, x.to_expr() + 0, Expr::f32(1.0)),
+        );
+        match &*simplify_stmt(&s).0 {
+            StmtNode::For {
+                min, extent, body, ..
+            } => {
+                assert_eq!(min.as_int(), Some(i64::MAX));
+                assert_eq!(extent.as_int(), Some(2));
+                assert!(
+                    matches!(&*body.0, StmtNode::Store { index, .. } if index.as_var() == Some(&x))
+                );
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fully_cancelled_difference_folds_to_its_constant() {
+        // `c - (c + 1)` used to come back as the unfolded `0 - 1`, which a
+        // second pass then folded: the simplifier was not idempotent.
+        let c = Var::int("c");
+        assert_eq!(simplify(&(c.clone() - (c.clone() + 1))).as_int(), Some(-1));
+        assert_eq!(simplify(&((c.clone() + 3) - c.to_expr())).as_int(), Some(3));
+    }
+
+    #[test]
+    fn unchanged_trees_are_returned_not_rebuilt() {
+        let x = Var::int("x");
+        let y = Var::int("y");
+        let e = (x.clone() * 4 + y.clone()).lt(Expr::int(64));
+        assert!(simplify(&e).same_as(&e));
+        let buf = Var::new("b", DType::float32());
+        let s = Stmt::for_(
+            &x,
+            0,
+            8,
+            Stmt::store(&buf, x.clone() * 4 + y, Expr::f32(1.0)),
+        );
+        assert!(simplify_stmt(&s).same_as(&s));
     }
 
     #[test]

@@ -264,6 +264,12 @@ impl Stmt {
         matches!(&*self.0, StmtNode::Seq(v) if v.is_empty())
     }
 
+    /// True when both handles point at the same node — how a
+    /// [`crate::Mutator`] reports "unchanged".
+    pub fn same_as(&self, other: &Stmt) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// Allocation wrapper.
     pub fn allocate(
         buffer: &Var,

@@ -10,6 +10,15 @@ use crate::stmt::{Stmt, StmtNode};
 ///
 /// Implementors override [`Mutator::mutate_expr`] / [`Mutator::mutate_stmt`]
 /// and call the `default_*` helpers to recurse.
+///
+/// Contract: **return your input when you change nothing.** Trees are
+/// immutable and shared, so "unchanged" is reported by handing back the very
+/// `Arc` that came in ([`Expr::same_as`] / [`Stmt::same_as`]). The `default_*`
+/// helpers keep the contract for every node whose rewritten children are all
+/// pointer-identical to the old ones, which makes a pass cost allocations only
+/// along the paths it actually rewrites; an override that rebuilds a node it
+/// did not change forfeits that for all of the node's ancestors. Callers may
+/// rely on it: `te::lower` skips re-validating a body a pass returned as is.
 pub trait Mutator {
     /// Rewrites one expression (override point).
     fn mutate_expr(&mut self, e: &Expr) -> Expr {
@@ -21,150 +30,283 @@ pub trait Mutator {
         self.default_mutate_stmt(s)
     }
 
-    /// Recurses into an expression's children.
+    /// Recurses into an expression's children; returns `e` itself when none
+    /// of them changed.
     fn default_mutate_expr(&mut self, e: &Expr) -> Expr {
         use ExprNode::*;
         match &*e.0 {
             IntImm { .. } | FloatImm { .. } | StringImm(_) | Var(_) => e.clone(),
-            Cast { dtype, value } => Expr::new(Cast {
-                dtype: *dtype,
-                value: self.mutate_expr(value),
-            }),
-            Binary { op, a, b } => Expr::new(Binary {
-                op: *op,
-                a: self.mutate_expr(a),
-                b: self.mutate_expr(b),
-            }),
-            Cmp { op, a, b } => Expr::new(Cmp {
-                op: *op,
-                a: self.mutate_expr(a),
-                b: self.mutate_expr(b),
-            }),
-            And { a, b } => Expr::new(And {
-                a: self.mutate_expr(a),
-                b: self.mutate_expr(b),
-            }),
-            Or { a, b } => Expr::new(Or {
-                a: self.mutate_expr(a),
-                b: self.mutate_expr(b),
-            }),
-            Not { a } => Expr::new(Not {
-                a: self.mutate_expr(a),
-            }),
+            Cast { dtype, value } => {
+                let v = self.mutate_expr(value);
+                if v.same_as(value) {
+                    return e.clone();
+                }
+                Expr::new(Cast {
+                    dtype: *dtype,
+                    value: v,
+                })
+            }
+            Binary { op, a, b } => {
+                let (na, nb) = (self.mutate_expr(a), self.mutate_expr(b));
+                if na.same_as(a) && nb.same_as(b) {
+                    return e.clone();
+                }
+                Expr::new(Binary {
+                    op: *op,
+                    a: na,
+                    b: nb,
+                })
+            }
+            Cmp { op, a, b } => {
+                let (na, nb) = (self.mutate_expr(a), self.mutate_expr(b));
+                if na.same_as(a) && nb.same_as(b) {
+                    return e.clone();
+                }
+                Expr::new(Cmp {
+                    op: *op,
+                    a: na,
+                    b: nb,
+                })
+            }
+            And { a, b } => {
+                let (na, nb) = (self.mutate_expr(a), self.mutate_expr(b));
+                if na.same_as(a) && nb.same_as(b) {
+                    return e.clone();
+                }
+                Expr::new(And { a: na, b: nb })
+            }
+            Or { a, b } => {
+                let (na, nb) = (self.mutate_expr(a), self.mutate_expr(b));
+                if na.same_as(a) && nb.same_as(b) {
+                    return e.clone();
+                }
+                Expr::new(Or { a: na, b: nb })
+            }
+            Not { a } => {
+                let na = self.mutate_expr(a);
+                if na.same_as(a) {
+                    return e.clone();
+                }
+                Expr::new(Not { a: na })
+            }
             Select {
                 cond,
                 then_case,
                 else_case,
-            } => Expr::new(Select {
-                cond: self.mutate_expr(cond),
-                then_case: self.mutate_expr(then_case),
-                else_case: self.mutate_expr(else_case),
-            }),
+            } => {
+                let c = self.mutate_expr(cond);
+                let t = self.mutate_expr(then_case);
+                let f = self.mutate_expr(else_case);
+                if c.same_as(cond) && t.same_as(then_case) && f.same_as(else_case) {
+                    return e.clone();
+                }
+                Expr::new(Select {
+                    cond: c,
+                    then_case: t,
+                    else_case: f,
+                })
+            }
             Load {
                 buffer,
                 index,
                 predicate,
-            } => Expr::new(Load {
-                buffer: buffer.clone(),
-                index: self.mutate_expr(index),
-                predicate: predicate.as_ref().map(|p| self.mutate_expr(p)),
-            }),
+            } => {
+                let i = self.mutate_expr(index);
+                let p = predicate.as_ref().map(|p| self.mutate_expr(p));
+                if i.same_as(index) && same_opt(&p, predicate, Expr::same_as) {
+                    return e.clone();
+                }
+                Expr::new(Load {
+                    buffer: buffer.clone(),
+                    index: i,
+                    predicate: p,
+                })
+            }
             Ramp {
                 base,
                 stride,
                 lanes,
-            } => Expr::new(Ramp {
-                base: self.mutate_expr(base),
-                stride: self.mutate_expr(stride),
-                lanes: *lanes,
-            }),
-            Broadcast { value, lanes } => Expr::new(Broadcast {
-                value: self.mutate_expr(value),
-                lanes: *lanes,
-            }),
-            Let { var, value, body } => Expr::new(Let {
-                var: var.clone(),
-                value: self.mutate_expr(value),
-                body: self.mutate_expr(body),
-            }),
+            } => {
+                let (nb, ns) = (self.mutate_expr(base), self.mutate_expr(stride));
+                if nb.same_as(base) && ns.same_as(stride) {
+                    return e.clone();
+                }
+                Expr::new(Ramp {
+                    base: nb,
+                    stride: ns,
+                    lanes: *lanes,
+                })
+            }
+            Broadcast { value, lanes } => {
+                let v = self.mutate_expr(value);
+                if v.same_as(value) {
+                    return e.clone();
+                }
+                Expr::new(Broadcast {
+                    value: v,
+                    lanes: *lanes,
+                })
+            }
+            Let { var, value, body } => {
+                let (v, b) = (self.mutate_expr(value), self.mutate_expr(body));
+                if v.same_as(value) && b.same_as(body) {
+                    return e.clone();
+                }
+                Expr::new(Let {
+                    var: var.clone(),
+                    value: v,
+                    body: b,
+                })
+            }
             Call {
                 dtype,
                 name,
                 args,
                 kind,
-            } => Expr::new(Call {
-                dtype: *dtype,
-                name: name.clone(),
-                args: args.iter().map(|a| self.mutate_expr(a)).collect(),
-                kind: *kind,
-            }),
+            } => {
+                let new_args: Vec<Expr> = args.iter().map(|a| self.mutate_expr(a)).collect();
+                if new_args.iter().zip(args).all(|(n, o)| n.same_as(o)) {
+                    return e.clone();
+                }
+                Expr::new(Call {
+                    dtype: *dtype,
+                    name: name.clone(),
+                    args: new_args,
+                    kind: *kind,
+                })
+            }
         }
     }
 
-    /// Recurses into a statement's children.
+    /// Recurses into a statement's children; returns `s` itself when none of
+    /// them changed.
     fn default_mutate_stmt(&mut self, s: &Stmt) -> Stmt {
         use StmtNode::*;
         match &*s.0 {
-            LetStmt { var, value, body } => Stmt::new(LetStmt {
-                var: var.clone(),
-                value: self.mutate_expr(value),
-                body: self.mutate_stmt(body),
-            }),
-            AttrStmt { key, value, body } => Stmt::new(AttrStmt {
-                key: key.clone(),
-                value: self.mutate_expr(value),
-                body: self.mutate_stmt(body),
-            }),
+            LetStmt { var, value, body } => {
+                let v = self.mutate_expr(value);
+                let b = self.mutate_stmt(body);
+                if v.same_as(value) && b.same_as(body) {
+                    return s.clone();
+                }
+                Stmt::new(LetStmt {
+                    var: var.clone(),
+                    value: v,
+                    body: b,
+                })
+            }
+            AttrStmt { key, value, body } => {
+                let v = self.mutate_expr(value);
+                let b = self.mutate_stmt(body);
+                if v.same_as(value) && b.same_as(body) {
+                    return s.clone();
+                }
+                Stmt::new(AttrStmt {
+                    key: key.clone(),
+                    value: v,
+                    body: b,
+                })
+            }
             Store {
                 buffer,
                 index,
                 value,
                 predicate,
-            } => Stmt::new(Store {
-                buffer: buffer.clone(),
-                index: self.mutate_expr(index),
-                value: self.mutate_expr(value),
-                predicate: predicate.as_ref().map(|p| self.mutate_expr(p)),
-            }),
+            } => {
+                let i = self.mutate_expr(index);
+                let v = self.mutate_expr(value);
+                let p = predicate.as_ref().map(|p| self.mutate_expr(p));
+                if i.same_as(index) && v.same_as(value) && same_opt(&p, predicate, Expr::same_as) {
+                    return s.clone();
+                }
+                Stmt::new(Store {
+                    buffer: buffer.clone(),
+                    index: i,
+                    value: v,
+                    predicate: p,
+                })
+            }
             Allocate {
                 buffer,
                 dtype,
                 extent,
                 scope,
                 body,
-            } => Stmt::new(Allocate {
-                buffer: buffer.clone(),
-                dtype: *dtype,
-                extent: self.mutate_expr(extent),
-                scope: *scope,
-                body: self.mutate_stmt(body),
-            }),
+            } => {
+                let e = self.mutate_expr(extent);
+                let b = self.mutate_stmt(body);
+                if e.same_as(extent) && b.same_as(body) {
+                    return s.clone();
+                }
+                Stmt::new(Allocate {
+                    buffer: buffer.clone(),
+                    dtype: *dtype,
+                    extent: e,
+                    scope: *scope,
+                    body: b,
+                })
+            }
             For {
                 var,
                 min,
                 extent,
                 kind,
                 body,
-            } => Stmt::new(For {
-                var: var.clone(),
-                min: self.mutate_expr(min),
-                extent: self.mutate_expr(extent),
-                kind: *kind,
-                body: self.mutate_stmt(body),
-            }),
-            Seq(stmts) => Stmt::seq(stmts.iter().map(|st| self.mutate_stmt(st)).collect()),
+            } => {
+                let m = self.mutate_expr(min);
+                let e = self.mutate_expr(extent);
+                let b = self.mutate_stmt(body);
+                if m.same_as(min) && e.same_as(extent) && b.same_as(body) {
+                    return s.clone();
+                }
+                Stmt::loop_(var, m, e, *kind, b)
+            }
+            Seq(stmts) => {
+                let new: Vec<Stmt> = stmts.iter().map(|st| self.mutate_stmt(st)).collect();
+                // A sequence `Stmt::seq` would flatten or unwrap is rebuilt
+                // even when no child changed.
+                let normal = stmts.len() != 1 && !stmts.iter().any(|st| matches!(&*st.0, Seq(_)));
+                if normal && new.iter().zip(stmts).all(|(n, o)| n.same_as(o)) {
+                    return s.clone();
+                }
+                Stmt::seq(new)
+            }
             IfThenElse {
                 cond,
                 then_case,
                 else_case,
-            } => Stmt::new(IfThenElse {
-                cond: self.mutate_expr(cond),
-                then_case: self.mutate_stmt(then_case),
-                else_case: else_case.as_ref().map(|e| self.mutate_stmt(e)),
-            }),
-            Evaluate(e) => Stmt::new(Evaluate(self.mutate_expr(e))),
+            } => {
+                let c = self.mutate_expr(cond);
+                let t = self.mutate_stmt(then_case);
+                let f = else_case.as_ref().map(|e| self.mutate_stmt(e));
+                if c.same_as(cond) && t.same_as(then_case) && same_opt(&f, else_case, Stmt::same_as)
+                {
+                    return s.clone();
+                }
+                Stmt::new(IfThenElse {
+                    cond: c,
+                    then_case: t,
+                    else_case: f,
+                })
+            }
+            Evaluate(e) => {
+                let ne = self.mutate_expr(e);
+                if ne.same_as(e) {
+                    return s.clone();
+                }
+                Stmt::new(Evaluate(ne))
+            }
             Barrier | PushDep { .. } | PopDep { .. } => s.clone(),
         }
+    }
+}
+
+/// Pointer identity of an optional rewritten child and its original.
+fn same_opt<T>(new: &Option<T>, old: &Option<T>, same: impl Fn(&T, &T) -> bool) -> bool {
+    match (new, old) {
+        (Some(n), Some(o)) => same(n, o),
+        (None, None) => true,
+        _ => false,
     }
 }
 

@@ -1,11 +1,15 @@
-//! Property tests on the IR: the simplifier preserves semantics, and
-//! interval analysis is sound.
+//! Property tests on the IR: the simplifier preserves semantics, interval
+//! analysis is sound, and tree rewrites hand back the trees they do not
+//! change.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use tvm_ir::{eval_interval, simplify, BinOp, DType, Expr, Interp, Interval, Value, Var, VarId};
+use tvm_ir::{
+    eval_interval, simplify, simplify_stmt, substitute, substitute_stmt, BinOp, DType, Expr,
+    ForKind, Interp, Interval, MemScope, Mutator, Stmt, StmtNode, Value, Var, VarId,
+};
 
 /// A random integer expression over up to three variables.
 fn arb_expr(vars: Vec<Var>, depth: u32) -> BoxedStrategy<Expr> {
@@ -38,6 +42,42 @@ fn arb_expr(vars: Vec<Var>, depth: u32) -> BoxedStrategy<Expr> {
     .boxed()
 }
 
+/// The variables random expressions and statements are built over; the
+/// first two are also the loop variables of [`arb_stmt`].
+fn corpus_vars() -> Vec<Var> {
+    vec![Var::int("a"), Var::int("b"), Var::int("c")]
+}
+
+/// A random statement over `vars`: two nested loops on `vars[0]` and
+/// `vars[1]` (unit, empty and ordinary extents; serial, unrolled and
+/// vectorized) around an allocation, a sequence, a guarded store with an
+/// else arm and an unguarded store of random index and value expressions.
+fn arb_stmt(vars: Vec<Var>) -> BoxedStrategy<Stmt> {
+    let e = || arb_expr(vars.clone(), 3);
+    let exprs = (e(), e(), e(), e(), e());
+    let shape = (0i64..4, 0i64..4, -2i64..3, 0usize..3);
+    (exprs, shape)
+        .prop_map(move |((i1, v1, i2, v2, c), (n0, n1, lo, kind))| {
+            let buf = Var::new("buf", DType::int32());
+            let tmp = Var::new("tmp", DType::int32());
+            let guarded = Stmt::new(StmtNode::IfThenElse {
+                cond: c.lt(Expr::int(3)),
+                then_case: Stmt::store(&buf, i1, v1.clone()),
+                else_case: Some(Stmt::store(&tmp, Expr::int(0), v1)),
+            });
+            let body = Stmt::seq(vec![guarded, Stmt::store(&buf, i2, v2)]);
+            let body = Stmt::allocate(&tmp, DType::int32(), 4, MemScope::Local, body);
+            let kind = [ForKind::Serial, ForKind::Unrolled, ForKind::Vectorized][kind];
+            let inner = Stmt::loop_(&vars[1], lo, n1, kind, body);
+            Stmt::for_(&vars[0], 0, n0, inner)
+        })
+        .boxed()
+}
+
+/// The mutator that overrides nothing.
+struct Identity;
+impl Mutator for Identity {}
+
 fn eval_with(e: &Expr, bindings: &[(Var, i64)]) -> i64 {
     let mut it = Interp::new();
     for (v, x) in bindings {
@@ -66,6 +106,35 @@ proptest! {
         let bindings: Vec<(Var, i64)> =
             vars.into_iter().zip(vals.iter().copied()).collect();
         prop_assert_eq!(eval_with(&e, &bindings), eval_with(&simplified, &bindings));
+    }
+
+    /// A rewrite that changes nothing returns the tree it was given, not a
+    /// copy: the identity mutator and a substitution of an absent variable.
+    #[test]
+    fn unchanged_trees_come_back_pointer_identical(
+        e in arb_expr(corpus_vars(), 4),
+        s in arb_stmt(corpus_vars()),
+    ) {
+        prop_assert!(Identity.mutate_expr(&e).same_as(&e), "identity copied {e}");
+        prop_assert!(Identity.mutate_stmt(&s).same_as(&s), "identity copied\n{s}");
+        let mut absent = HashMap::new();
+        absent.insert(Var::int("absent").id(), Expr::int(7));
+        prop_assert!(substitute(&e, &absent).same_as(&e), "substitute copied {e}");
+        prop_assert!(substitute_stmt(&s, &absent).same_as(&s), "substitute copied\n{s}");
+    }
+
+    /// The simplifier is idempotent, and says so by identity: simplifying a
+    /// simplified tree returns that very tree.
+    #[test]
+    fn simplifying_twice_returns_the_first_result(
+        e in arb_expr(corpus_vars(), 4),
+        s in arb_stmt(corpus_vars()),
+    ) {
+        let once = simplify(&e);
+        prop_assert!(simplify(&once).same_as(&once), "{e}\nonce:  {once}\ntwice: {}", simplify(&once));
+        let once = simplify_stmt(&s);
+        let twice = simplify_stmt(&once);
+        prop_assert!(twice.same_as(&once), "{s}\nonce:\n{once}\ntwice:\n{twice}");
     }
 
     /// eval_interval is a sound over-approximation: the concrete value of

@@ -7,6 +7,7 @@
 //! both consume this analysis.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
@@ -150,8 +151,19 @@ struct Walker {
     cond_scale: f64,
 }
 
+static ANALYZE_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// [`analyze`] calls since process start. An analysis is the price of a
+/// cost-model query; callers that hold one are expected to reuse it
+/// (`estimate_analysis`, the tuner's candidate memo), and deltas of this
+/// count are how tests hold them to it.
+pub fn analyze_calls() -> u64 {
+    ANALYZE_CALLS.load(Ordering::Relaxed)
+}
+
 /// Analyzes a lowered function.
 pub fn analyze(func: &LoweredFunc) -> ProgramAnalysis {
+    ANALYZE_CALLS.fetch_add(1, Ordering::Relaxed);
     let mut w = Walker {
         loops: Vec::new(),
         scopes: HashMap::new(),

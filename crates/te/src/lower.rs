@@ -423,6 +423,7 @@ pub fn emit_planned(
         sched,
         plan,
         buffers,
+        thread_sub: HashMap::new(),
     };
 
     // Emit root stages in order, wrapping non-param roots in allocations.
@@ -432,7 +433,7 @@ pub fn emit_planned(
         if matches!(stage.attach, Attach::Root) {
             let mut s = tvm_obs::span("emit_stage");
             s.arg("stage", stage.tensor.name());
-            pieces.push((stage.op_id(), em.emit_stage(stage.op_id())?));
+            pieces.push((stage.op_id(), em.emit_root(stage.op_id())?));
         }
     }
     drop(emit_span);
@@ -475,12 +476,13 @@ pub fn emit_planned(
         .collect();
     let param_extents: Vec<usize> = args.iter().map(|t| t.numel() as usize).collect();
 
-    validate_stage("emit", name, &body, &params, &param_extents)?;
+    let mut hook = ValidationHook::new(name, &params, &param_extents);
+    hook.check("emit", &body)?;
     let body = {
         let _s = tvm_obs::span("hoist_shared_allocs");
         hoist_shared_allocs(&body)
     };
-    validate_stage("hoist_shared_allocs", name, &body, &params, &param_extents)?;
+    hook.check("hoist_shared_allocs", &body)?;
     let body = {
         let _s = tvm_obs::span(if opts.dae_sync {
             "lower_dae"
@@ -493,12 +495,12 @@ pub fn emit_planned(
             crate::vthread::lower_vthreads(&body)
         }
     };
-    validate_stage("lower_vthreads", name, &body, &params, &param_extents)?;
+    hook.check("lower_vthreads", &body)?;
     let body = {
         let _s = tvm_obs::span("simplify");
         tvm_ir::simplify_stmt(&body)
     };
-    validate_stage("simplify", name, &body, &params, &param_extents)?;
+    hook.check("simplify", &body)?;
 
     Ok(LoweredFunc {
         name: name.to_string(),
@@ -512,38 +514,55 @@ pub fn emit_planned(
 /// Runs the static verifier (`tvm-analysis`, ssa + bounds + sync) on the
 /// intermediate body after each lowering stage, turning any error finding
 /// into a `TeError` that names the offending pass. Enabled in debug
-/// builds; override with `TVM_VALIDATE_LOWER=1` / `=0`.
-fn validate_stage(
-    stage: &str,
-    func: &str,
-    body: &Stmt,
-    params: &[Var],
-    param_extents: &[usize],
-) -> Result<(), TeError> {
-    if !validation_enabled() {
-        return Ok(());
-    }
-    let _s = tvm_obs::span_with("validate", &[("after", stage)]);
-    let report = tvm_analysis::analyze_stmt(
-        body,
-        params,
-        param_extents,
-        &tvm_analysis::AnalysisOptions::lowering_hook(),
-    );
-    if report.has_errors() {
-        let msgs: Vec<String> = report.errors().map(|d| d.to_string()).collect();
-        return err(format!(
-            "IR validation failed after `{stage}` while lowering `{func}`: {}",
-            msgs.join("; ")
-        ));
-    }
-    Ok(())
+/// builds; override with `TVM_VALIDATE_LOWER=1` / `=0` (read once per
+/// lowering).
+struct ValidationHook<'a> {
+    enabled: bool,
+    func: &'a str,
+    params: &'a [Var],
+    param_extents: &'a [usize],
+    /// The last body that passed. A pass that changes nothing returns its
+    /// input (the [`tvm_ir::Mutator`] contract), and the same immutable
+    /// tree gets the same verdict.
+    passed: Option<Stmt>,
 }
 
-fn validation_enabled() -> bool {
-    match std::env::var("TVM_VALIDATE_LOWER") {
-        Ok(v) => v != "0",
-        Err(_) => cfg!(debug_assertions),
+impl<'a> ValidationHook<'a> {
+    fn new(func: &'a str, params: &'a [Var], param_extents: &'a [usize]) -> Self {
+        let enabled = match std::env::var("TVM_VALIDATE_LOWER") {
+            Ok(v) => v != "0",
+            Err(_) => cfg!(debug_assertions),
+        };
+        ValidationHook {
+            enabled,
+            func,
+            params,
+            param_extents,
+            passed: None,
+        }
+    }
+
+    fn check(&mut self, stage: &str, body: &Stmt) -> Result<(), TeError> {
+        if !self.enabled || self.passed.as_ref().is_some_and(|p| p.same_as(body)) {
+            return Ok(());
+        }
+        let _s = tvm_obs::span_with("validate", &[("after", stage)]);
+        let report = tvm_analysis::analyze_stmt(
+            body,
+            self.params,
+            self.param_extents,
+            &tvm_analysis::AnalysisOptions::lowering_hook(),
+        );
+        if report.has_errors() {
+            let msgs: Vec<String> = report.errors().map(|d| d.to_string()).collect();
+            return err(format!(
+                "IR validation failed after `{stage}` while lowering `{}`: {}",
+                self.func,
+                msgs.join("; ")
+            ));
+        }
+        self.passed = Some(body.clone());
+        Ok(())
     }
 }
 
@@ -1075,6 +1094,10 @@ struct Emitter<'a> {
     sched: &'a Schedule,
     plan: &'a LowerPlan,
     buffers: HashMap<OpId, Var>,
+    /// Thread-bound leaf -> canonical thread variable, recorded while the
+    /// current root stage's nest (attached stages included) is emitted and
+    /// applied to that nest in one substitution.
+    thread_sub: HashMap<VarId, Expr>,
 }
 
 struct Plan {
@@ -1381,6 +1404,17 @@ impl Emitter<'_> {
         })
     }
 
+    /// Emits a root stage's nest and unifies its thread-bound leaves with
+    /// the canonical thread variables.
+    fn emit_root(&mut self, op: OpId) -> Result<Stmt, TeError> {
+        let nest = self.emit_stage(op)?;
+        if self.thread_sub.is_empty() {
+            return Ok(nest);
+        }
+        let sub = std::mem::take(&mut self.thread_sub);
+        Ok(tvm_ir::substitute_stmt(&nest, &sub))
+    }
+
     fn emit_stage(&mut self, op: OpId) -> Result<Stmt, TeError> {
         let plan = self.plan_stage(op)?;
         self.emit_from(&plan, 0)
@@ -1457,13 +1491,11 @@ impl Emitter<'_> {
             let (tv, text) = self.plan.thread_vars.get(&tag).cloned().ok_or_else(|| {
                 TeError::msg(format!("thread axis {} not pre-scanned", tag.name()))
             })?;
-            let mut m = HashMap::new();
-            m.insert(leaf.var.id(), tv.to_expr());
-            let unified = tvm_ir::substitute_stmt(&inner, &m);
+            self.thread_sub.insert(leaf.var.id(), tv.to_expr());
             if ext < text {
-                Stmt::if_then(tv.to_expr().lt(Expr::int(ext)), unified)
+                Stmt::if_then(tv.to_expr().lt(Expr::int(ext)), inner)
             } else {
-                unified
+                inner
             }
         } else {
             let kind = match attr.ann {
@@ -1486,6 +1518,19 @@ impl Emitter<'_> {
                 let e = sd.extents[&l.var.id()];
                 init = Stmt::for_(&l.var, 0, e, init);
             }
+            // The reset loops over every data leaf under the reduction,
+            // thread-bound ones included, so those leaves unify here, in the
+            // update nest only, and not in the root's substitution.
+            let under: HashMap<VarId, Expr> = plan
+                .init_loop_leaves
+                .iter()
+                .filter_map(|l| self.thread_sub.remove_entry(&l.var.id()))
+                .collect();
+            let loop_stmt = if under.is_empty() {
+                loop_stmt
+            } else {
+                tvm_ir::substitute_stmt(&loop_stmt, &under)
+            };
             Ok(Stmt::seq(vec![init, loop_stmt]))
         } else {
             Ok(loop_stmt)
@@ -1507,6 +1552,11 @@ fn hoist_shared_allocs(s: &Stmt) -> Stmt {
     use tvm_ir::Mutator;
     struct H;
     impl Mutator for H {
+        // Allocations are statements: no expression is rewritten.
+        fn mutate_expr(&mut self, e: &Expr) -> Expr {
+            e.clone()
+        }
+
         fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
             if let StmtNode::For {
                 kind: ForKind::ThreadBinding(tag),
@@ -1535,6 +1585,10 @@ fn strip_shared(s: &Stmt, specs: &mut Vec<(Var, DType, Expr)>) -> Stmt {
         specs: &'a mut Vec<(Var, DType, Expr)>,
     }
     impl Mutator for S<'_> {
+        fn mutate_expr(&mut self, e: &Expr) -> Expr {
+            e.clone()
+        }
+
         fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
             if let StmtNode::Allocate {
                 buffer,

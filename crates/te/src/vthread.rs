@@ -29,6 +29,11 @@ use tvm_ir::{Expr, ForKind, MemScope, Mutator, PipeStage, Stmt, Var, VarId, Visi
 pub fn lower_vthreads(s: &Stmt) -> Stmt {
     struct M;
     impl Mutator for M {
+        // Only loop kinds change: no expression is rewritten.
+        fn mutate_expr(&mut self, e: &Expr) -> Expr {
+            e.clone()
+        }
+
         fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
             if let StmtNode::For {
                 var,

@@ -207,6 +207,37 @@ fn gpu_matmul_with_thread_binding() {
 }
 
 #[test]
+fn thread_bound_leaf_under_the_reduction_keeps_its_serial_reset() {
+    // Lowering unifies thread-bound leaves with the canonical thread
+    // variables in one substitution per root stage. A bound leaf *under* the
+    // reduce loop is also a loop of the reset nest, which must keep looping
+    // over the leaf itself: the text below is what the per-leaf
+    // substitution printed.
+    let (a, b, c) = matmul_decl(8, 16, 4);
+    let mut s = create_schedule(std::slice::from_ref(&c));
+    let ax = c.op.axes();
+    let r = c.op.reduce_axes();
+    let (jo, ji) = s.split(&c, &ax[1], 4).unwrap();
+    s.reorder(&c, &[&ax[0], &r[0], &jo, &ji]).unwrap();
+    s.bind(&c, &ax[0], ThreadTag::BlockIdxX).unwrap();
+    s.bind(&c, &jo, ThreadTag::ThreadIdxX).unwrap();
+    let f = lower(&s, &[a, b, c], "under").expect("lowers");
+    let expected = "\
+for blockIdx.x bound to blockIdx.x in range(0, 0 + 8):
+  for threadIdx.x bound to threadIdx.x in range(0, 0 + 4):
+    for C_i1.o in range(4):
+      for C_i1.i in range(4):
+        C[((blockIdx.x * 16) + ((C_i1.o * 4) + C_i1.i))] = 0.0
+    for k in range(4):
+      for C_i1.i in range(4):
+        C[((blockIdx.x * 16) + ((threadIdx.x * 4) + C_i1.i))] = \
+(C[((blockIdx.x * 16) + ((threadIdx.x * 4) + C_i1.i))] + \
+(A[((blockIdx.x * 4) + k)] * B[((k * 16) + ((threadIdx.x * 4) + C_i1.i))]))
+";
+    assert_eq!(f.body.to_string(), expected);
+}
+
+#[test]
 fn gpu_cooperative_shared_memory_matmul() {
     // The full §4.2 pattern: block/thread tiling, local accumulator,
     // cooperative shared-memory fetch of both inputs with barriers.
