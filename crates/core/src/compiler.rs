@@ -9,10 +9,11 @@
 //! complex master inside the element-wise output's loops so intermediates
 //! never touch DRAM.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 use tvm_autotune::Database;
-use tvm_graph::{fuse, plan_memory, FusedGraph, Graph, Group, NodeId, OpType, Pattern};
+use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, NodeId, OpType, Pattern};
 use tvm_ir::MemScope;
 use tvm_runtime::{CompiledGroup, Module};
 use tvm_sim::{estimate, Target};
@@ -38,7 +39,7 @@ pub struct BuildOptions<'a> {
 /// The schedule strategy a fused group was built with — the part of a
 /// compile that is *searched* rather than derived, and therefore the part
 /// worth journaling in a build cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GroupDecision {
     /// Master nested inside the element-wise output's loops.
     Attach,
@@ -52,6 +53,9 @@ pub enum GroupDecision {
 pub struct BuildReport {
     /// Strategy chosen for each fused group, in group order.
     pub decisions: Vec<GroupDecision>,
+    /// Kernels actually scheduled, lowered and costed; every other group
+    /// was a structural repeat of one of them.
+    pub distinct_kernels: usize,
 }
 
 /// Compiles a graph for a target — `t.compiler.build(graph, target, params)`
@@ -69,14 +73,39 @@ pub fn build_with_report(
 ) -> Result<(Module, BuildReport), TeError> {
     let fused = fuse(graph, !opts.no_fusion);
     let plan = plan_memory(graph, &fused);
-    let mut kernels = Vec::with_capacity(fused.groups.len());
+    let mut kernels: Vec<CompiledGroup> = Vec::with_capacity(fused.groups.len());
     let mut report = BuildReport::default();
+    // Index of the first kernel built for each group structure. It lives
+    // for this one call: target and database are fixed within it, which is
+    // what lets the key leave them out.
+    let mut first_built: HashMap<(GroupKey, Option<GroupDecision>), usize> = HashMap::new();
     for (gi, group) in fused.groups.iter().enumerate() {
         let forced = opts.decisions.and_then(|d| d.get(gi)).copied();
-        let (kernel, decision) = build_group(graph, &fused, group, target, opts, forced)?;
+        let (key, args) = GroupKey::of(graph, group);
+        let (kernel, decision) = match first_built.entry((key, forced)) {
+            Entry::Occupied(first) => {
+                let k = &kernels[*first.get()];
+                let repeat = CompiledGroup {
+                    func: k.func.clone(),
+                    args,
+                    est_ms: k.est_ms,
+                    cost: k.cost,
+                    name: k.name.clone(),
+                    program: Arc::clone(&k.program),
+                };
+                (repeat, report.decisions[*first.get()])
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(gi);
+                let (kernel, decision) = build_group(graph, group, target, opts, forced)?;
+                debug_assert_eq!(kernel.args, args, "key walk and codegen disagree on args");
+                (kernel, decision)
+            }
+        };
         kernels.push(kernel);
         report.decisions.push(decision);
     }
+    report.distinct_kernels = first_built.len();
     let module = Module {
         graph: graph.clone(),
         fused,
@@ -230,17 +259,18 @@ fn emit_compute(g: &Graph, gb: &mut GroupBuild, id: NodeId, member_ids: &[NodeId
     out
 }
 
-/// Looks up the tuned configuration for an operator task, if any.
+/// Looks up the tuned configuration for an operator workload (its
+/// `describe()`) on `target`, if any.
 fn tuned_config(
     db: Option<&Database>,
-    task: &tvm_autotune::TuningTask,
+    workload: &str,
+    target: &Target,
+    space: &tvm_autotune::ConfigSpace,
 ) -> tvm_autotune::ConfigEntity {
-    if let Some(db) = db {
-        if let Some(rec) = db.best(&task.name) {
-            return task.space.get(rec.config_index);
-        }
+    if let Some(rec) = db.and_then(|db| db.best(&topi::task_name(workload, target))) {
+        return space.get(rec.config_index);
     }
-    topi::default_config(&task.space)
+    topi::default_config(space)
 }
 
 /// How a fused group with a complex master is scheduled.
@@ -287,8 +317,7 @@ fn schedule_group(
         }
         match &g.node(group.master).op {
             OpType::Conv2d(w) => {
-                let task = topi::conv2d_task(*w, master_out.dtype(), target.clone());
-                let cfg = tuned_config(db, &task);
+                let cfg = tuned_config(db, &w.describe(), target, &topi::conv2d_space(w, target));
                 let op = topi::Conv2dOp {
                     data: gb.tensors[&g.node(group.master).inputs[0]].clone(),
                     weight: gb.tensors[&g.node(group.master).inputs[1]].clone(),
@@ -298,8 +327,8 @@ fn schedule_group(
                 topi::apply_conv2d_schedule(s, &op, target, &cfg)?;
             }
             OpType::DepthwiseConv2d(w) => {
-                let task = topi::depthwise_task(*w, master_out.dtype(), target.clone());
-                let cfg = tuned_config(db, &task);
+                let space = topi::depthwise_space(w, target);
+                let cfg = tuned_config(db, &w.describe(), target, &space);
                 let op = topi::Conv2dOp {
                     data: gb.tensors[&g.node(group.master).inputs[0]].clone(),
                     weight: gb.tensors[&g.node(group.master).inputs[1]].clone(),
@@ -309,8 +338,7 @@ fn schedule_group(
                 topi::apply_depthwise_schedule(s, &op, target, &cfg)?;
             }
             OpType::Dense(w) => {
-                let task = topi::dense_task(*w, target.clone());
-                let cfg = tuned_config(db, &task);
+                let cfg = tuned_config(db, &w.describe(), target, &topi::dense_space(w, target));
                 let data = gb.tensors[&g.node(group.master).inputs[0]].clone();
                 let weight = gb.tensors[&g.node(group.master).inputs[1]].clone();
                 topi::apply_dense_schedule(s, &data, &weight, &master_out, target, &cfg)?;
@@ -434,7 +462,7 @@ fn build_group_with(
         func,
         args,
         name: name.to_string(),
-        program: std::sync::OnceLock::new(),
+        program: Arc::default(),
     })
 }
 
@@ -449,9 +477,10 @@ fn strategy_of(d: GroupDecision) -> FuseStrategy {
     }
 }
 
-fn build_group(
+/// Schedules, lowers and costs one fused group on its own — what a build
+/// does for the first group of each structure.
+pub fn build_group(
     g: &Graph,
-    _fused: &FusedGraph,
     group: &Group,
     target: &Target,
     opts: &BuildOptions,

@@ -38,5 +38,7 @@ pub mod prelude {
     pub use tvm_runtime::{GraphExecutor, Module, NDArray};
 }
 
-pub use compiler::{build, build_with_report, BuildOptions, BuildReport, GroupDecision};
+pub use compiler::{
+    build, build_group, build_with_report, BuildOptions, BuildReport, GroupDecision,
+};
 pub use frontend::from_json;

@@ -3,6 +3,8 @@
 //! complex-out-fusable op absorbs element-wise ops applied to its output;
 //! reductions fuse their input injective ops; opaque ops stand alone.
 
+use tvm_ir::DType;
+
 use crate::ir::{Graph, NodeId, OpType, Pattern};
 
 /// A fused group: one kernel after fusion.
@@ -20,6 +22,70 @@ impl Group {
     /// True if the group is a single node.
     pub fn is_single(&self) -> bool {
         self.nodes.len() == 1
+    }
+}
+
+/// Where a member's operand comes from, inside a [`GroupKey`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Edge {
+    /// The member at this position of the group.
+    Member(usize),
+    /// A tensor from outside the group, numbered by first use.
+    External(usize),
+}
+
+/// The structure of a fused group with every name left out. Code generation
+/// reads a node's name only to label buffers, so two groups with equal keys
+/// compile, for one target and tuning database, to the same kernel up to
+/// those labels. Keys are compared by equality; the hash only finds the
+/// bucket.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct GroupKey {
+    /// Per member in topological order: operation with its attributes,
+    /// output shape, dtype and operand edges.
+    members: Vec<(OpType, Vec<i64>, DType, Vec<Edge>)>,
+    /// Shape and dtype of each external, in first-use order.
+    externals: Vec<(Vec<i64>, DType)>,
+    /// Position of the master among the members.
+    master: usize,
+    /// Position of the output among the members.
+    output: usize,
+}
+
+impl GroupKey {
+    /// The key of `group`, and the nodes its kernel binds in parameter
+    /// order: the externals by first use, then the group output.
+    pub fn of(g: &Graph, group: &Group) -> (GroupKey, Vec<NodeId>) {
+        let position = |id: NodeId| group.nodes.iter().position(|&m| m == id);
+        let mut args: Vec<NodeId> = Vec::new();
+        let mut externals = Vec::new();
+        let mut members = Vec::with_capacity(group.nodes.len());
+        for &m in &group.nodes {
+            let node = g.node(m);
+            let mut edges = Vec::with_capacity(node.inputs.len());
+            for &inp in &node.inputs {
+                edges.push(match position(inp) {
+                    Some(p) => Edge::Member(p),
+                    None => {
+                        Edge::External(args.iter().position(|&a| a == inp).unwrap_or_else(|| {
+                            let src = g.node(inp);
+                            externals.push((src.shape.clone(), src.dtype));
+                            args.push(inp);
+                            args.len() - 1
+                        }))
+                    }
+                });
+            }
+            members.push((node.op.clone(), node.shape.clone(), node.dtype, edges));
+        }
+        args.push(group.output);
+        let key = GroupKey {
+            members,
+            externals,
+            master: position(group.master).expect("the master is a member"),
+            output: position(group.output).expect("the output is a member"),
+        };
+        (key, args)
     }
 }
 

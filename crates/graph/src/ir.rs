@@ -24,7 +24,7 @@ pub enum Pattern {
 }
 
 /// Graph operation types.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OpType {
     /// External input.
     Input,

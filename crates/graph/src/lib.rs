@@ -8,7 +8,7 @@ pub mod layout;
 pub mod memplan;
 pub mod verify;
 
-pub use fusion::{fuse, FusedGraph, Group};
+pub use fusion::{fuse, FusedGraph, Group, GroupKey};
 pub use ir::{Graph, Node, NodeId, OpType, Pattern};
 pub use layout::{cpu_preference, transform_layouts};
 pub use memplan::{constant_foldable, plan_memory, MemoryPlan};

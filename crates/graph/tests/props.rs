@@ -1,9 +1,10 @@
-//! Property tests on the graph passes: fusion partitions the graph, and
-//! the memory planner never aliases two live tensors.
+//! Property tests on the graph passes: fusion partitions the graph, the
+//! memory planner never aliases two live tensors, and a group's structural
+//! key sees everything about the group except its names.
 
 use proptest::prelude::*;
 
-use tvm_graph::{fuse, plan_memory, Graph, OpType};
+use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, Node, OpType};
 use tvm_topi::Conv2dWorkload;
 
 /// Builds a random chain/diamond graph from a small op alphabet.
@@ -125,4 +126,91 @@ proptest! {
             }
         }
     }
+
+    /// Renaming every node leaves a group's key (and its argument list)
+    /// alone; changing one attribute, shape, dtype, edge, or the master or
+    /// output position of any member changes it.
+    #[test]
+    fn group_key_is_the_structure_without_the_names(g in arb_graph()) {
+        let fused = fuse(&g, true);
+        let mut renamed = g.clone();
+        for n in &mut renamed.nodes {
+            n.name = format!("other{}", n.id.0);
+        }
+        for grp in &fused.groups {
+            let (key, args) = GroupKey::of(&g, grp);
+            prop_assert_eq!(&GroupKey::of(&renamed, grp), &(key.clone(), args.clone()));
+            let key_of = |g2: &Graph, grp2: &Group| GroupKey::of(g2, grp2).0;
+            let edited = |id: tvm_graph::NodeId, f: &dyn Fn(&mut Node)| {
+                let mut g2 = g.clone();
+                f(&mut g2.nodes[id.0]);
+                key_of(&g2, grp)
+            };
+            for (p, &m) in grp.nodes.iter().enumerate() {
+                let attr = edited(m, &|n| {
+                    n.op = match &n.op {
+                        OpType::Conv2d(w) => OpType::Conv2d(Conv2dWorkload { pad: w.pad + 1, ..*w }),
+                        _ => OpType::Sigmoid,
+                    }
+                });
+                prop_assert_ne!(&attr, &key, "op attribute of member {}", p);
+                prop_assert_ne!(&edited(m, &|n| n.shape[1] += 1), &key, "shape of member {}", p);
+                prop_assert_ne!(
+                    &edited(m, &|n| n.dtype = tvm_ir::DType::float16()),
+                    &key,
+                    "dtype of member {}",
+                    p
+                );
+                // An edge that pointed at a member now points outside.
+                if let Some(e) = g.node(m).inputs.iter().position(|i| grp.nodes.contains(i)) {
+                    let mut g2 = g.clone();
+                    let shape = g.node(g.node(m).inputs[e]).shape.clone();
+                    let outside = g2.param(&shape, "outside");
+                    g2.nodes[m.0].inputs[e] = outside;
+                    prop_assert_ne!(&key_of(&g2, grp), &key, "edge {} of member {}", e, p);
+                }
+                if m != grp.master {
+                    let moved = Group { master: m, ..grp.clone() };
+                    prop_assert_ne!(&key_of(&g, &moved), &key, "master at {}", p);
+                }
+                if m != grp.output {
+                    let moved = Group { output: m, ..grp.clone() };
+                    prop_assert_ne!(&key_of(&g, &moved), &key, "output at {}", p);
+                }
+            }
+            // What the group reads from outside is part of its structure too.
+            for &a in &args[..args.len() - 1] {
+                prop_assert_ne!(&edited(a, &|n| n.shape[0] += 1), &key, "external shape");
+                prop_assert_ne!(
+                    &edited(a, &|n| n.dtype = tvm_ir::DType::float16()),
+                    &key,
+                    "external dtype"
+                );
+            }
+        }
+    }
+}
+
+/// One tensor bound to both operands is one kernel parameter; two tensors
+/// of one shape are two. The kernels differ, so must the keys.
+#[test]
+fn group_key_tells_one_external_read_twice_from_two_externals() {
+    let mut g = Graph::new();
+    let x = g.input(&[1, 8], "x");
+    let y = g.input(&[1, 8], "y");
+    let twice = g.add_op(x, x, "twice");
+    let pair = g.add_op(x, y, "pair");
+    let alone = |id| Group {
+        nodes: vec![id],
+        master: id,
+        output: id,
+    };
+    let (k_twice, a_twice) = GroupKey::of(&g, &alone(twice));
+    let (k_pair, a_pair) = GroupKey::of(&g, &alone(pair));
+    assert_eq!(a_twice, vec![x, twice]);
+    assert_eq!(a_pair, vec![x, y, pair]);
+    assert_ne!(k_twice, k_pair);
+    // The same shape read from somewhere else is the same structure.
+    let other = g.add_op(y, x, "other");
+    assert_eq!(GroupKey::of(&g, &alone(other)).0, k_pair);
 }

@@ -10,7 +10,7 @@
 //! module, so every later run, on any executor over the same
 //! `Arc<Module>`, only executes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use tvm_graph::{FusedGraph, Graph, GraphReport, KernelView, MemoryPlan, NodeId, OpType};
@@ -221,10 +221,11 @@ pub struct CompiledGroup {
     /// Display name.
     pub name: String,
     /// The flat program of `func`, compiled by the first run that needs it
-    /// (start it as `OnceLock::new()`): a build never pays for it, and a
+    /// (start it as `Default::default()`): a build never pays for it, and a
     /// module shared through an `Arc` compiles each kernel once however
-    /// many executors run it.
-    pub program: OnceLock<Program>,
+    /// many executors run it. Kernels a build found structurally equal hold
+    /// the same cell, so they are compiled and kept once between them.
+    pub program: Arc<OnceLock<Program>>,
 }
 
 impl CompiledGroup {
@@ -279,12 +280,24 @@ impl Module {
         tvm_graph::verify_build(&self.graph, &self.fused, &self.plan, &views)
     }
 
+    /// Kernels with a program cell of their own: what the build compiled,
+    /// as opposed to handed on to a structural repeat.
+    pub fn distinct_kernels(&self) -> usize {
+        let cells: HashSet<_> = self
+            .kernels
+            .iter()
+            .map(|k| Arc::as_ptr(&k.program))
+            .collect();
+        cells.len()
+    }
+
     /// Human-readable per-kernel breakdown.
     pub fn describe(&self) -> String {
         let mut s = format!(
-            "module for {} ({} kernels)\n",
+            "module for {} ({} kernels, {} distinct)\n",
             self.target_name,
-            self.kernels.len()
+            self.kernels.len(),
+            self.distinct_kernels()
         );
         for k in &self.kernels {
             s.push_str(&format!("  {:<40} {:>10.4} ms\n", k.name, k.est_ms));

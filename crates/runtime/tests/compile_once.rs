@@ -1,6 +1,7 @@
 //! A kernel's flat program is compiled by the first run that needs it and
 //! kept on the module: however many times it runs, on however many
-//! executors over one `Arc<Module>`, each kernel is lowered once. This file
+//! executors over one `Arc<Module>`, each distinct kernel is lowered once —
+//! kernels a build found structurally equal share one program. This file
 //! holds one test because it reads a process-wide `tvm-obs` counter.
 
 use std::sync::Arc;
@@ -19,16 +20,22 @@ fn runs_and_executors_share_one_compilation_per_kernel() {
         k,
         dtype: tvm_ir::DType::float32(),
     };
-    let d1 = g.dense(x, dense(2, 8, 16), "fc1");
-    let r = g.relu(d1, "relu1");
-    let d2 = g.dense(r, dense(2, 4, 8), "fc2");
-    let shape = g.node(d2).shape.clone();
-    let sm = g.add(tvm_graph::OpType::Softmax, vec![d2], shape, "prob");
+    // Three dense+relu layers of one shape (one distinct kernel between
+    // them), then a head of another.
+    let mut h = x;
+    for i in 0..3 {
+        let d = g.dense(h, dense(2, 16, 16), &format!("fc{i}"));
+        h = g.relu(d, &format!("relu{i}"));
+    }
+    let head = g.dense(h, dense(2, 4, 16), "head");
+    let shape = g.node(head).shape.clone();
+    let sm = g.add(tvm_graph::OpType::Softmax, vec![head], shape, "prob");
     g.outputs.push(sm);
     let module = Arc::new(
         tvm::build(&g, &tvm::target::arm_a53(), &BuildOptions::default()).expect("builds"),
     );
-    assert!(module.kernels.len() >= 2);
+    let distinct = module.distinct_kernels() as u64;
+    assert_eq!((module.kernels.len(), distinct), (5, 3));
     assert!(
         module.kernels.iter().all(|k| k.program.get().is_none()),
         "a build compiles no program"
@@ -47,6 +54,8 @@ fn runs_and_executors_share_one_compilation_per_kernel() {
     let mut first = GraphExecutor::from_arc(Arc::clone(&module));
     let want: Vec<Vec<u32>> = (0..3).map(|seed| infer(&mut first, seed)).collect();
     assert_eq!(infer(&mut first, 0), want[0]);
+    let compiled = || tvm_obs::counter_get("runtime.programs_compiled") - before;
+    assert_eq!(compiled(), distinct, "one executor");
     // ... and M more executors on the same module, two at a time.
     std::thread::scope(|s| {
         for _ in 0..2 {
@@ -60,7 +69,6 @@ fn runs_and_executors_share_one_compilation_per_kernel() {
             });
         }
     });
-    let compiled = tvm_obs::counter_get("runtime.programs_compiled") - before;
+    assert_eq!(compiled(), distinct, "four more executors on two threads");
     tvm_obs::set_enabled(false);
-    assert_eq!(compiled, module.kernels.len() as u64);
 }

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
@@ -34,8 +35,8 @@ pub struct LoopLevel {
 pub struct AccessRecord {
     /// Buffer variable id.
     pub buffer: VarId,
-    /// Buffer display name.
-    pub name: String,
+    /// Buffer display name, shared by every record of the buffer.
+    pub name: Arc<str>,
     /// Memory scope the buffer was allocated in (global for params).
     pub scope: MemScope,
     /// Element type.
@@ -52,8 +53,9 @@ pub struct AccessRecord {
     pub innermost_stride: i64,
     /// Element stride with respect to `threadIdx.x`, if bound.
     pub thread_stride: Option<i64>,
-    /// Enclosing loops, outermost first.
-    pub loops: Vec<LoopLevel>,
+    /// Enclosing loops, outermost first, shared by every record made
+    /// under the same nest.
+    pub loops: Arc<[LoopLevel]>,
 }
 
 impl AccessRecord {
@@ -146,7 +148,11 @@ impl ProgramAnalysis {
 
 struct Walker {
     loops: Vec<LoopLevel>,
-    scopes: HashMap<VarId, MemScope>,
+    /// `loops` as records hold it, built by the first access under a nest.
+    shared_loops: Option<Arc<[LoopLevel]>>,
+    /// Display name and scope of each buffer met so far; a buffer first met
+    /// at an access was not allocated here, so it is a global parameter.
+    buffers: HashMap<VarId, (Arc<str>, MemScope)>,
     out: ProgramAnalysis,
     cond_scale: f64,
 }
@@ -166,7 +172,8 @@ pub fn analyze(func: &LoweredFunc) -> ProgramAnalysis {
     ANALYZE_CALLS.fetch_add(1, Ordering::Relaxed);
     let mut w = Walker {
         loops: Vec::new(),
-        scopes: HashMap::new(),
+        shared_loops: None,
+        buffers: HashMap::new(),
         out: ProgramAnalysis::default(),
         cond_scale: 1.0,
     };
@@ -209,8 +216,10 @@ impl Walker {
                     extent: n.max(1),
                     kind: *kind,
                 });
+                let enclosing = self.shared_loops.take();
                 self.walk(body);
                 self.loops.pop();
+                self.shared_loops = enclosing;
             }
             StmtNode::Seq(items) => {
                 for it in items {
@@ -224,7 +233,8 @@ impl Walker {
                 scope,
                 body,
             } => {
-                self.scopes.insert(buffer.id(), *scope);
+                self.buffers
+                    .insert(buffer.id(), (buffer.name().into(), *scope));
                 let bytes = extent.as_int().unwrap_or(0) as f64 * dtype.bytes() as f64;
                 *self.out.alloc_bytes.entry(*scope).or_insert(0.0) += bytes;
                 self.walk(body);
@@ -313,14 +323,17 @@ impl Walker {
             .iter()
             .find(|l| matches!(l.kind, ForKind::ThreadBinding(ThreadTag::ThreadIdxX)))
             .map(|l| stride_wrt(index, &l.var, &self.loops));
-        let scope = self
-            .scopes
-            .get(&buffer.id())
-            .copied()
-            .unwrap_or(MemScope::Global);
+        let (name, scope) = self
+            .buffers
+            .entry(buffer.id())
+            .or_insert_with(|| (buffer.name().into(), MemScope::Global))
+            .clone();
+        let loops = self
+            .shared_loops
+            .get_or_insert_with(|| self.loops.as_slice().into());
         self.out.accesses.push(AccessRecord {
             buffer: buffer.id(),
-            name: buffer.name().to_string(),
+            name,
             scope,
             dtype: buffer.dtype(),
             is_store,
@@ -328,7 +341,7 @@ impl Walker {
             footprint_at_depth: footprints,
             innermost_stride,
             thread_stride,
-            loops: self.loops.clone(),
+            loops: Arc::clone(loops),
         });
     }
 
@@ -484,12 +497,12 @@ mod tests {
         let b_naive = naive
             .accesses
             .iter()
-            .find(|a| a.name == "B" && !a.is_store)
+            .find(|a| &*a.name == "B" && !a.is_store)
             .expect("B access");
         let b_tiled = tiled
             .accesses
             .iter()
-            .find(|a| a.name == "B" && !a.is_store)
+            .find(|a| &*a.name == "B" && !a.is_store)
             .expect("B access");
         // Innermost two loops of the tiled version touch far fewer distinct
         // elements of B than the naive version's innermost two loops.
@@ -510,12 +523,12 @@ mod tests {
         let a_load = an
             .accesses
             .iter()
-            .find(|x| x.name == "A" && !x.is_store)
+            .find(|x| &*x.name == "A" && !x.is_store)
             .expect("A");
         let b_load = an
             .accesses
             .iter()
-            .find(|x| x.name == "B" && !x.is_store)
+            .find(|x| &*x.name == "B" && !x.is_store)
             .expect("B");
         // Innermost loop is k: A[y*64+k] has stride 1, B[k*64+x] stride 64.
         assert_eq!(a_load.innermost_stride, 1);
@@ -529,14 +542,14 @@ mod tests {
         let b_load = an
             .accesses
             .iter()
-            .find(|x| x.name == "B" && !x.is_store)
+            .find(|x| &*x.name == "B" && !x.is_store)
             .expect("B");
         assert_eq!(b_load.trips, 64f64.powi(3));
         // Init store runs 64^2 times; update store 64^3.
         let stores: Vec<&AccessRecord> = an
             .accesses
             .iter()
-            .filter(|a| a.name == "C" && a.is_store)
+            .filter(|a| &*a.name == "C" && a.is_store)
             .collect();
         assert_eq!(stores.len(), 2);
         let mut t: Vec<f64> = stores.iter().map(|a| a.trips).collect();
@@ -551,7 +564,7 @@ mod tests {
         let a_load = an
             .accesses
             .iter()
-            .find(|x| x.name == "A" && !x.is_store)
+            .find(|x| &*x.name == "A" && !x.is_store)
             .expect("A");
         // Within one iteration of the innermost loop, reuse is 1.
         let d = a_load.loops.len();

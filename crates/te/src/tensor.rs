@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use tvm_ir::expr::{CallKind, ExprNode};
 use tvm_ir::{DType, Expr, Range, Var};
@@ -378,11 +378,7 @@ impl Tensor {
             self.ndim(),
             indices.len()
         );
-        CONSTRUCTION_CTX.with(|ctx| {
-            ctx.borrow_mut()
-                .entry(self.op_id())
-                .or_insert_with(|| self.clone());
-        });
+        CONSTRUCTION_CTX.with(|ctx| ctx.borrow_mut().note(self));
         Expr::new(ExprNode::Call {
             dtype: self.dtype(),
             name: read_key(self.op_id()),
@@ -412,21 +408,53 @@ pub fn parse_read_key(name: &str) -> Option<OpId> {
         .map(OpId)
 }
 
-thread_local! {
-    /// Tensors read via [`Tensor::at`] on this thread, so [`compute`] can
-    /// resolve its body's read keys without touching any shared state
-    /// (the former process-wide `TENSOR_REGISTRY` RwLock serialized every
-    /// concurrent lowering). Entries are tiny (an id plus an `Arc`) and
-    /// graph construction is rare after task setup, so the map is never
-    /// pruned; two tuning runs on different threads — or sequential runs
-    /// holding only their own schedules — can no longer observe each
-    /// other's tensors.
-    static CONSTRUCTION_CTX: RefCell<HashMap<OpId, Tensor>> = RefCell::new(HashMap::new());
+/// Tensors read via [`Tensor::at`] on one thread, held weakly: a strong
+/// entry would pin the op's whole body and, through its reads, every input
+/// below it for the life of the thread (a long-lived `tvm-serve` worker
+/// grew by a model's worth of tensors per build).
+#[derive(Default)]
+struct ConstructionCtx {
+    ops: HashMap<OpId, Weak<OpNode>>,
+    /// Length at which dead entries are next swept; doubling it keeps the
+    /// sweep amortised O(1) per noted read.
+    sweep_at: usize,
 }
 
-/// Resolves an op id noted by [`Tensor::at`] on the *current* thread.
+impl ConstructionCtx {
+    fn note(&mut self, t: &Tensor) {
+        if self.ops.len() >= self.sweep_at {
+            self.ops.retain(|_, op| op.strong_count() > 0);
+            self.sweep_at = (2 * self.ops.len()).max(64);
+        }
+        self.ops
+            .entry(t.op_id())
+            .or_insert_with(|| Arc::downgrade(&t.op));
+    }
+}
+
+thread_local! {
+    /// So [`compute`] can resolve its body's read keys without touching any
+    /// shared state (the former process-wide `TENSOR_REGISTRY` RwLock
+    /// serialized every concurrent lowering); two tuning runs on different
+    /// threads — or sequential runs holding only their own schedules — cannot
+    /// observe each other's tensors.
+    static CONSTRUCTION_CTX: RefCell<ConstructionCtx> = RefCell::default();
+}
+
+/// Resolves an op id noted by [`Tensor::at`] on the *current* thread, while
+/// the tensor it named is alive.
 fn construction_lookup(id: OpId) -> Option<Tensor> {
-    CONSTRUCTION_CTX.with(|ctx| ctx.borrow().get(&id).cloned())
+    CONSTRUCTION_CTX.with(|ctx| {
+        let op = ctx.borrow().ops.get(&id)?.upgrade()?;
+        Some(Tensor { op })
+    })
+}
+
+/// Entries in this thread's construction context, dead ones included until
+/// the next sweep. A thread that builds model after model keeps this near
+/// the number of tensors alive at once, not the number ever read.
+pub fn noted_reads() -> usize {
+    CONSTRUCTION_CTX.with(|ctx| ctx.borrow().ops.len())
 }
 
 /// Walks an expression calling `f` for every tensor read `(tensor, indices)`,

@@ -23,7 +23,7 @@ pub use nn::{
 pub use schedules::{
     apply_conv2d_schedule, apply_dense_schedule, apply_depthwise_schedule, conv2d_sketch_task,
     conv2d_space, conv2d_task, cooperative_load, default_config, dense_sketch_task, dense_space,
-    dense_task, depthwise_space, depthwise_task, schedule_injective,
+    dense_task, depthwise_space, depthwise_task, schedule_injective, task_name,
 };
 pub use winograd::{
     apply_winograd_schedule, transform_weights_host, winograd_conv2d, winograd_space,

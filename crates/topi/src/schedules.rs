@@ -164,13 +164,20 @@ fn apply_conv2d_structural(
     Ok(points)
 }
 
+/// The name a workload's tuning task carries on `target`, and so the key
+/// of its records in a tuning [`Database`](tvm_autotune::Database).
+/// `workload` is the workload's `describe()`.
+pub fn task_name(workload: &str, target: &Target) -> String {
+    format!("{workload}@{}", target.name())
+}
+
 /// Builds the tuning task for a conv2d workload.
 pub fn conv2d_task(w: Conv2dWorkload, dtype: tvm_ir::DType, target: Target) -> TuningTask {
     let op = conv2d(&w, dtype);
     let args = [op.data.clone(), op.weight.clone(), op.out.clone()];
     let t2 = target.clone();
     planned_task(
-        format!("{}@{}", w.describe(), target.name()),
+        task_name(&w.describe(), &target),
         conv2d_space(&w, &target),
         target,
         std::slice::from_ref(&args[2]),
@@ -212,7 +219,7 @@ pub fn depthwise_task(
     let args = [op.data.clone(), op.weight.clone(), op.out.clone()];
     let t2 = target.clone();
     planned_task(
-        format!("{}@{}", w.describe(), target.name()),
+        task_name(&w.describe(), &target),
         depthwise_space(&w, &target),
         target,
         std::slice::from_ref(&args[2]),
@@ -352,12 +359,12 @@ fn apply_dense_structural(
 
 /// Builds the tuning task for a dense workload.
 pub fn dense_task(w: DenseWorkload, target: Target) -> TuningTask {
-    let func_name = format!("dense_{}x{}x{}", w.m, w.n, w.k);
+    let func_name = w.describe();
     let (d, wt, out) = dense(&w);
     let args = [d.clone(), wt.clone(), out.clone()];
     let t2 = target.clone();
     planned_task(
-        format!("{func_name}@{}", target.name()),
+        task_name(&func_name, &target),
         dense_space(&w, &target),
         target,
         std::slice::from_ref(&args[2]),

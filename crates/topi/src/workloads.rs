@@ -5,7 +5,7 @@
 use tvm_ir::DType;
 
 /// A 2-D convolution workload (NCHW).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Conv2dWorkload {
     /// Batch size.
     pub batch: i64,
@@ -55,7 +55,7 @@ impl Conv2dWorkload {
 }
 
 /// A depthwise 2-D convolution workload (channel multiplier 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DepthwiseConv2dWorkload {
     /// Batch size.
     pub batch: i64,
@@ -93,7 +93,7 @@ impl DepthwiseConv2dWorkload {
 }
 
 /// A dense (fully-connected) workload: `out[m, n] = data[m, k] x w[n, k]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DenseWorkload {
     /// Rows (batch).
     pub m: i64,
@@ -109,6 +109,11 @@ impl DenseWorkload {
     /// FLOPs.
     pub fn flops(&self) -> f64 {
         2.0 * self.m as f64 * self.n as f64 * self.k as f64
+    }
+
+    /// Short description for logs/task names.
+    pub fn describe(&self) -> String {
+        format!("dense_{}x{}x{}", self.m, self.n, self.k)
     }
 }
 
