@@ -154,8 +154,7 @@ impl ConfigEntity {
     /// Panics when the knob does not exist (a template bug). Builders on
     /// the measurement path should prefer [`ConfigEntity::try_get`].
     pub fn get(&self, name: &str) -> i64 {
-        self.try_get(name)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.try_get(name).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Value of a knob by name, or a typed error when the space never

@@ -46,8 +46,8 @@ pub use config::{ConfigEntity, ConfigSpace, Knob};
 pub use db::{Database, DbRecord, Journal, RecoveryReport};
 pub use error::TuneError;
 pub use features::{
-    extract, extract_analysis, invariant_features, signature_distance, task_signature,
-    FEATURE_LEN, INVARIANT_FEATURES, TASK_SIG_LEN,
+    extract, extract_analysis, invariant_features, signature_distance, task_signature, FEATURE_LEN,
+    INVARIANT_FEATURES, TASK_SIG_LEN,
 };
 pub use gbt::{
     fit, fit_more, fit_profiled, pairwise_accuracy, FitProfile, Gbt, GbtParams, Objective,

@@ -3,12 +3,15 @@
 //! The paper scales measurement with a tracker + RPC protocol: clients
 //! request a device of a given type, upload a cross-compiled module, run
 //! it and fetch profiling results. Here the unit of that protocol is the
-//! batch: a client hands [`Tracker::run_batch`] the modules to time on a
-//! device type, the tracker places each on the least-busy usable device
+//! batch: a client hands [`Tracker::run_costs`] the fault-free device time
+//! of each job on a device type (whoever lowered the kernel already
+//! simulated it: `tvm::build` keeps `est_ms`, the tuner memo keeps the
+//! analysis), the tracker places each on the least-busy usable device
 //! (round-robin between equals, so a fast device absorbs more of the
-//! fleet's work than a slow one), runs them against simulated devices and
-//! accounts per-device utilization — without a network (see DESIGN.md's
-//! substitution table).
+//! fleet's work than a slow one), reports that time back under the
+//! device's faults and accounts per-device utilization — without a network
+//! (see DESIGN.md's substitution table). A device type is its name: two
+//! devices with one name cost a kernel the same.
 //!
 //! Real fleets crash, hang and lie about timings, so the tracker is a
 //! *health-aware* scheduler. Under a [`tvm_sim::FaultPlan`]:
@@ -26,18 +29,17 @@
 //!   is sampled on distinct devices where possible, disagreement
 //!   escalates to a median-of-k vote, and the median rejects outliers.
 //!
-//! [`Tracker::run_batch`] dispatches a whole batch of uploads across the
-//! fleet concurrently (the paper's parallel measurement on a device
-//! cluster): device assignment — including every retry and replica — is
-//! decided serially so dispatch is deterministic, the simulator
-//! evaluations (and fault-plan lookups, keyed by the serially assigned
-//! per-device attempt number) run on rayon workers, and the results and
-//! accounting are committed in job order — outcomes, per-device stats and
-//! health are bit-for-bit identical at any worker count.
+//! A batch spreads across the fleet (the paper's parallel measurement on a
+//! device cluster) in rounds of one attempt per unresolved job: device
+//! assignment — including every retry and replica — is planned against the
+//! health the round started with, then results and accounting are committed
+//! in job order. The scheduler is serial and never simulates;
+//! [`Tracker::run_batch`] / [`Tracker::run_batch_detailed`] are the "upload
+//! a module" convenience that costs each function once and calls it.
 
 use rayon::prelude::*;
 use tvm_ir::LoweredFunc;
-use tvm_sim::{estimate_with, Fault, FaultPlan, SimOptions, Target};
+use tvm_sim::{estimate, Fault, FaultPlan, Target};
 
 /// Retry / quarantine / re-measurement policy of the scheduler.
 #[derive(Clone, Debug)]
@@ -234,7 +236,6 @@ impl Device {
 pub struct Tracker {
     devices: Vec<Device>,
     next_rr: usize,
-    sim_opts: SimOptions,
     fault_plan: FaultPlan,
     policy: RetryPolicy,
     stats: PoolStats,
@@ -242,7 +243,7 @@ pub struct Tracker {
     dispatch_clock: u64,
 }
 
-/// Per-job bookkeeping inside one `run_batch_detailed`.
+/// Per-job bookkeeping inside one `run_costs`.
 struct JobState {
     samples: Vec<f64>,
     need: usize,
@@ -273,17 +274,11 @@ impl Tracker {
                 })
                 .collect(),
             next_rr: 0,
-            sim_opts: SimOptions::default(),
             fault_plan: FaultPlan::none(),
             policy: RetryPolicy::default(),
             stats: PoolStats::default(),
             dispatch_clock: 0,
         }
-    }
-
-    /// Sets intrinsic cost hints forwarded to the simulator.
-    pub fn set_sim_options(&mut self, opts: SimOptions) {
-        self.sim_opts = opts;
     }
 
     /// Installs a fault plan (chaos injection) for subsequent batches.
@@ -434,30 +429,24 @@ impl Tracker {
         None
     }
 
-    /// Dispatches a batch of modules across the fleet with retries,
+    /// Schedules one job per entry of `costs_ms` — its fault-free time on
+    /// a device of type `target_name` — across the fleet with retries,
     /// quarantine and replica verification, returning one [`JobOutcome`]
-    /// per job in job order.
-    pub fn run_batch_detailed(
+    /// per job in job order. A fault-free attempt reports the job's cost,
+    /// a noisy one the cost scaled by the fault's factor.
+    ///
+    /// No attempt, retry or replica lands on a device in `banned` (hedged
+    /// execution re-issues a straggling batch on a *different* replica);
+    /// if every matching device is banned the jobs report
+    /// [`MeasureError::NoDevice`].
+    pub fn run_costs(
         &mut self,
         target_name: &str,
-        funcs: &[&LoweredFunc],
-    ) -> Vec<JobOutcome> {
-        self.run_batch_banned(target_name, funcs, &[])
-    }
-
-    /// [`Tracker::run_batch_detailed`] with a hard device exclusion list:
-    /// no attempt, retry, or replica of this batch lands on a device in
-    /// `banned`. Hedged execution uses this to re-issue a straggling
-    /// batch on a *different* replica; if every matching device is
-    /// banned the jobs report [`MeasureError::NoDevice`].
-    pub fn run_batch_banned(
-        &mut self,
-        target_name: &str,
-        funcs: &[&LoweredFunc],
+        costs_ms: &[f64],
         banned: &[usize],
     ) -> Vec<JobOutcome> {
         let need = self.policy.replicas.max(1);
-        let mut jobs: Vec<JobState> = funcs
+        let mut jobs: Vec<JobState> = costs_ms
             .iter()
             .map(|_| JobState {
                 samples: Vec::new(),
@@ -480,7 +469,7 @@ impl Tracker {
         // to every unresolved job), but guard against logic slips anyway.
         let round_cap = self.policy.max_attempts + (self.policy.max_replicas.max(3) | 1) + 2;
         for _round in 0..round_cap {
-            // Phase 1 (serial): plan one attempt per unresolved job.
+            // Phase 1: plan one attempt per unresolved job.
             self.expire_quarantines();
             let est = self.mean_run_ms();
             let mut pending = vec![0.0f64; self.devices.len()];
@@ -543,25 +532,15 @@ impl Tracker {
             if round.is_empty() {
                 break;
             }
-            // Phase 2 (parallel): evaluate every attempt. The fault-plan
-            // lookup is pure — it is keyed by the serially assigned
-            // (device, attempt) pair — so this stage is order-free.
-            let devices = &self.devices;
-            let sim_opts = &self.sim_opts;
-            let plan = &self.fault_plan;
-            let evals: Vec<Result<f64, Fault>> = round
-                .par_iter()
-                .map(|&(j, id, seq)| match plan.fault_at(id, seq) {
-                    None => Ok(estimate_with(funcs[j], &devices[id].target, sim_opts).millis()),
-                    Some(Fault::Noise(k)) => {
-                        Ok(estimate_with(funcs[j], &devices[id].target, sim_opts).millis() * k)
-                    }
+            // Phase 2 (job order): commit accounting and health
+            // transitions. What an attempt reports is keyed by its
+            // (device, attempt number) pair in the fault plan.
+            for (j, id, seq) in round {
+                let res = match self.fault_plan.fault_at(id, seq) {
+                    None => Ok(costs_ms[j]),
+                    Some(Fault::Noise(k)) => Ok(costs_ms[j] * k),
                     Some(f) => Err(f),
-                })
-                .collect();
-            // Phase 3 (serial, job order): commit accounting and health
-            // transitions.
-            for (&(j, id, _seq), res) in round.iter().zip(&evals) {
+                };
                 let job = &mut jobs[j];
                 job.attempts += 1;
                 self.stats.attempts += 1;
@@ -574,7 +553,7 @@ impl Tracker {
                         if d.state == DevState::Probation {
                             d.state = DevState::Healthy;
                         }
-                        job.samples.push(*ms);
+                        job.samples.push(ms);
                         job.sampled_devices.push(id);
                     }
                     Err(fault) => {
@@ -596,7 +575,7 @@ impl Tracker {
                                 Fault::Noise(_) => {}
                             }
                         }
-                        if *fault == Fault::Crash {
+                        if fault == Fault::Crash {
                             self.devices[id].state = DevState::Dead;
                         } else if was_probation
                             || self.devices[id].consecutive >= self.policy.quarantine_after
@@ -619,7 +598,7 @@ impl Tracker {
                     }
                 }
             }
-            // Phase 4 (serial): settle jobs whose sample sets are full.
+            // Phase 3: settle jobs whose sample sets are full.
             for job in jobs.iter_mut() {
                 if job.done.is_none() && job.samples.len() >= job.need {
                     let escalating = job.remeasured;
@@ -664,9 +643,30 @@ impl Tracker {
             .collect()
     }
 
-    /// Dispatches a batch of modules across the fleet concurrently and
-    /// returns each job's measured milliseconds in job order (`None` when
-    /// no device matches or the job failed past its retry budget).
+    /// "Upload a module": costs each function once on the named device
+    /// type with default simulator options, then schedules those costs
+    /// ([`Tracker::run_costs`]). A caller that already holds a kernel's
+    /// cost, or costs it with its own options, passes the cost instead.
+    pub fn run_batch_detailed(
+        &mut self,
+        target_name: &str,
+        funcs: &[&LoweredFunc],
+    ) -> Vec<JobOutcome> {
+        let device = self.devices.iter().find(|d| d.target.name() == target_name);
+        let costs_ms: Vec<f64> = match device {
+            Some(d) => funcs
+                .par_iter()
+                .map(|f| estimate(f, &d.target).millis())
+                .collect(),
+            // No device of the type: every job reports `NoDevice` unread.
+            None => vec![f64::NAN; funcs.len()],
+        };
+        self.run_costs(target_name, &costs_ms, &[])
+    }
+
+    /// [`Tracker::run_batch_detailed`] reduced to each job's measured
+    /// milliseconds in job order (`None` when no device matches or the job
+    /// failed past its retry budget).
     pub fn run_batch(&mut self, target_name: &str, funcs: &[&LoweredFunc]) -> Vec<Option<f64>> {
         self.run_batch_detailed(target_name, funcs)
             .into_iter()
@@ -996,16 +996,15 @@ mod tests {
 
     #[test]
     fn banned_devices_are_never_dispatched() {
-        let funcs: Vec<LoweredFunc> = (0..4).map(|i| sized_func(64, &format!("b{i}"))).collect();
-        let refs: Vec<&LoweredFunc> = funcs.iter().collect();
+        let costs = [0.25; 4];
         let mut t = Tracker::new(vec![arm_a53(), arm_a53(), arm_a53()]);
-        let out = t.run_batch_banned("a53-sim", &refs, &[0]);
-        assert!(out.iter().all(|o| o.ms.is_ok()), "{out:?}");
+        let out = t.run_costs("a53-sim", &costs, &[0]);
+        assert!(out.iter().all(|o| o.ms == Ok(0.25)), "{out:?}");
         assert!(out.iter().all(|o| o.device != Some(0)), "{out:?}");
         let health = t.health();
         assert_eq!(health[0].attempts, 0, "banned device was dispatched");
         // Banning every matching device fails typed, not panicking.
-        let out = t.run_batch_banned("a53-sim", &refs, &[0, 1, 2]);
+        let out = t.run_costs("a53-sim", &costs, &[0, 1, 2]);
         assert!(out.iter().all(|o| o.ms == Err(MeasureError::NoDevice)));
     }
 

@@ -34,12 +34,7 @@ pub fn map_config(space: &ConfigSpace, summary: &str) -> u64 {
                 .options
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    (*a - want)
-                        .abs()
-                        .cmp(&(*b - want).abs())
-                        .then(a.cmp(b))
-                })
+                .min_by(|(_, a), (_, b)| (*a - want).abs().cmp(&(*b - want).abs()).then(a.cmp(b)))
                 .map(|(i, _)| i as u64)
                 .unwrap_or(0),
             // Unmentioned knob: keep the first (identity-leaning) option.
@@ -139,9 +134,7 @@ mod tests {
         // Tuning `near` itself never transfers from `near`: the seeds
         // come from `far` (whose best used t0=1).
         let self_seeds = warm_start_seeds(&j, "near", &[1.0, 1.0], &target, 2);
-        assert!(self_seeds
-            .iter()
-            .all(|s| target.get(*s).get("t0") == 1));
+        assert!(self_seeds.iter().all(|s| target.get(*s).get("t0") == 1));
         let _ = std::fs::remove_file(&path);
     }
 }

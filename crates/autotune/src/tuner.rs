@@ -166,15 +166,9 @@ pub struct TuneStats {
     pub plan_hits: u64,
     /// Plan-cache misses (full plans built) during this run.
     pub plan_misses: u64,
-    /// Interned int immediates served from the IR pool during this run
-    /// (delta of [`tvm_ir::intern_stats`]).
-    pub intern_hits: u64,
-    /// Int immediates allocated outside the intern pool during this run.
-    pub intern_misses: u64,
     /// `tvm_sim::analyze` calls during this run (delta of
     /// [`tvm_sim::analysis::analyze_calls`]): one per candidate whose
-    /// lowering produced a function, plus the device pool's own when one
-    /// is attached.
+    /// lowering produced a function, with or without a device pool.
     pub analyses: u64,
     /// Contended lock acquisitions observed during this run (measurement
     /// memo cache + plan caches).
@@ -247,11 +241,9 @@ pub(crate) struct Candidate {
     /// Feature vector the cost model scores.
     pub(crate) feats: Arc<Vec<f64>>,
     /// The analysis the features came from and the simulated cost will.
+    /// The function itself is dropped: every scored candidate's loop tree
+    /// would otherwise stay alive for the whole run.
     pub(crate) analysis: ProgramAnalysis,
-    /// The function itself, kept only when a device pool is attached (the
-    /// pool ships functions to its devices); otherwise every scored
-    /// candidate's loop tree would stay alive for the whole run.
-    func: Option<Box<LoweredFunc>>,
 }
 
 /// `None` for invalid configs (builder error).
@@ -344,33 +336,42 @@ impl<'a> MeasureCache<'a> {
         map.entry(idx).or_default().clone()
     }
 
-    /// The lowered, analyzed candidate for a config; memoized.
-    pub(crate) fn lowered(&self, idx: u64) -> Lowered {
+    /// One served lookup of `idx`'s candidate in its slot.
+    fn lowered_in(&self, idx: u64, slot: &CacheSlot) -> Lowered {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let slot = self.slot(idx);
         slot.lowered
             .get_or_init(|| {
                 self.lowerings.fetch_add(1, Ordering::Relaxed);
                 let cfg = self.task.space.get(idx);
-                let (func, analysis) = build_analyzed(self.task, &cfg).ok()?;
+                let (_func, analysis) = build_analyzed(self.task, &cfg).ok()?;
                 Some(Arc::new(Candidate {
                     feats: Arc::new(crate::features::extract_analysis(&analysis)),
                     analysis,
-                    func: self.pool.is_some().then(|| Box::new(func)),
                 }))
             })
             .clone()
     }
 
+    /// The lowered, analyzed candidate for a config; memoized.
+    pub(crate) fn lowered(&self, idx: u64) -> Lowered {
+        self.lowered_in(idx, &self.slot(idx))
+    }
+
+    /// A candidate's fault-free cost on the task's target, under the
+    /// task's simulator options.
+    fn cost_of(&self, c: &Candidate) -> f64 {
+        estimate_analysis(&c.analysis, &self.task.target, &self.task.sim_opts).millis()
+    }
+
     /// Simulated cost (and features when valid) for a config; memoized.
     fn measure(&self, idx: u64) -> (f64, Option<Arc<Vec<f64>>>) {
-        let lowered = self.lowered(idx);
         let slot = self.slot(idx);
+        let lowered = self.lowered_in(idx, &slot);
         let cost = *slot.cost.get_or_init(|| match &lowered {
             None => f64::INFINITY,
             Some(c) => {
                 self.simulations.fetch_add(1, Ordering::Relaxed);
-                estimate_analysis(&c.analysis, &self.task.target, &self.task.sim_opts).millis()
+                self.cost_of(c)
             }
         });
         (cost, lowered.map(|c| Arc::clone(&c.feats)))
@@ -409,11 +410,11 @@ pub(crate) fn timed_par_map<T: Send, U: Send>(
 /// Measures a proposed batch on the rayon workers; results come back in
 /// proposal order, so the recorded history is thread-count independent.
 ///
-/// With a device pool attached, unmeasured configs are dispatched as one
-/// batch through [`Tracker::run_batch_detailed`] — retries, quarantine
-/// and replica verification included — and permanently failed jobs (all
-/// devices dead, retries exhausted) record as `INFINITY` rather than
-/// aborting the run.
+/// With a device pool attached, the costs of the unmeasured configs are
+/// dispatched as one batch through [`Tracker::run_costs`] — retries,
+/// quarantine and replica verification included — and permanently failed
+/// jobs (all devices dead, retries exhausted) record as `INFINITY` rather
+/// than aborting the run.
 fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Vec<f64>>>)> {
     let _span = tvm_obs::span_with("measure", &[("batch", &batch.len().to_string())]);
     let Some(pool) = &cache.pool else {
@@ -430,17 +431,16 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
     // which fault, each job meets).
     let mut queued: HashSet<u64> = HashSet::new();
     let mut jobs: Vec<u64> = Vec::new();
-    let mut funcs: Vec<&LoweredFunc> = Vec::new();
+    let mut costs_ms: Vec<f64> = Vec::new();
     for (&idx, low) in batch.iter().zip(&lowered) {
         let slot = cache.slot(idx);
         if slot.cost.get().is_some() || !queued.insert(idx) {
             continue;
         }
-        // With a pool attached every valid candidate kept its function.
-        match low.as_ref().and_then(|c| c.func.as_deref()) {
-            Some(f) => {
+        match low {
+            Some(c) => {
                 jobs.push(idx);
-                funcs.push(f);
+                costs_ms.push(cache.cost_of(c));
             }
             None => {
                 let _ = slot.cost.get_or_init(|| f64::INFINITY);
@@ -454,7 +454,7 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
             // produced — still usable, and far better than cascading the
             // panic through every remaining measurement.
             let mut tracker = pool.lock().unwrap_or_else(|e| e.into_inner());
-            tracker.run_batch_detailed(cache.task.target.name(), &funcs)
+            tracker.run_costs(cache.task.target.name(), &costs_ms, &[])
         };
         for (&idx, outcome) in jobs.iter().zip(&outcomes) {
             let cost = *outcome.ms.as_ref().unwrap_or(&f64::INFINITY);
@@ -520,10 +520,9 @@ pub fn tune_with(
     let mut cache = MeasureCache::new(task);
     let pool_before: Option<PoolStats> = pool.as_ref().map(|t| t.pool_stats().clone());
     cache.pool = pool.map(Mutex::new);
-    // Process-wide counters: deltas over the run attribute plan-cache and
-    // intern-pool behavior to this run's stats.
+    // Process-wide counters: deltas over the run attribute plan-cache
+    // behavior and analyses to this run's stats.
     let lower_before = tvm_te::lower_stats();
-    let intern_before = tvm_ir::intern_stats();
     let analyses_before = tvm_sim::analysis::analyze_calls();
 
     // Effective options: `warm_start` may be filled from the journal's
@@ -642,14 +641,10 @@ pub fn tune_with(
         work: std::mem::take(cache.work.get_mut().unwrap_or_else(|e| e.into_inner())),
     };
     let lower_after = tvm_te::lower_stats();
-    let (ih_before, im_before) = intern_before;
-    let (ih_after, im_after) = tvm_ir::intern_stats();
     result.stats.plan_hits = lower_after.plan_hits.saturating_sub(lower_before.plan_hits);
     result.stats.plan_misses = lower_after
         .plan_misses
         .saturating_sub(lower_before.plan_misses);
-    result.stats.intern_hits = ih_after.saturating_sub(ih_before);
-    result.stats.intern_misses = im_after.saturating_sub(im_before);
     result.stats.analyses = tvm_sim::analysis::analyze_calls().saturating_sub(analyses_before);
     result.stats.lock_waits += lower_after
         .lock_waits
@@ -685,8 +680,6 @@ fn publish_stats(task: &str, result: &TuneResult) {
     );
     tvm_obs::counter_add("autotune.plan_hits", s.plan_hits);
     tvm_obs::counter_add("autotune.plan_misses", s.plan_misses);
-    tvm_obs::counter_add("autotune.intern_hits", s.intern_hits);
-    tvm_obs::counter_add("autotune.intern_misses", s.intern_misses);
     tvm_obs::counter_add("autotune.analyses", s.analyses);
     tvm_obs::counter_add("autotune.lock_waits", s.lock_waits);
     tvm_obs::counter_add("autotune.lock_wait_ns", s.lock_wait_ns);

@@ -113,7 +113,11 @@ fn a_builder_that_always_fails_degrades_gracefully() {
         seed: 9,
         ..Default::default()
     };
-    for kind in [TunerKind::Evolutionary, TunerKind::GbtRank, TunerKind::Random] {
+    for kind in [
+        TunerKind::Evolutionary,
+        TunerKind::GbtRank,
+        TunerKind::Random,
+    ] {
         let r = tune(&task, &opts, kind);
         assert_eq!(r.history.len(), 20, "{kind:?} spent the whole budget");
         assert!(r.history.iter().all(|t| t.cost_ms.is_infinite()));

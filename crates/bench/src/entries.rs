@@ -740,20 +740,20 @@ fn pool() -> Vec<Claim> {
     let mut scaling = Vec::new();
     for (name, task) in [("dense_64x512x512", &dense), ("resnet18_C7_conv2d", &conv)] {
         let r = tune(task, &opts, TunerKind::GbtRank);
+        // The run already costed every config it measured, with the task's
+        // own simulator options.
         let mut seen = std::collections::HashSet::new();
-        let funcs: Vec<_> = r
+        let costs_ms: Vec<f64> = r
             .history
             .iter()
             .filter(|h| h.cost_ms.is_finite() && seen.insert(h.config_index))
-            .filter_map(|h| (task.builder)(&task.space.get(h.config_index)).ok())
+            .map(|h| h.cost_ms)
             .collect();
-        let refs: Vec<&tvm_ir::LoweredFunc> = funcs.iter().collect();
         let makespans: Vec<f64> = [1usize, 2, 4]
             .iter()
             .map(|&n| {
                 let mut tracker = Tracker::new(vec![task.target.clone(); n]);
-                tracker.set_sim_options(task.sim_opts.clone());
-                tracker.run_batch(task.target.name(), &refs);
+                tracker.run_costs(task.target.name(), &costs_ms, &[]);
                 tracker.makespan_ms()
             })
             .collect();
@@ -791,7 +791,6 @@ fn pool() -> Vec<Claim> {
         ("three_devices_dead", three_dead),
     ] {
         let mut tracker = Tracker::new(vec![dense.target.clone(); 4]);
-        tracker.set_sim_options(dense.sim_opts.clone());
         tracker.set_fault_plan(plan);
         // Timeout budget sized to the workload (sub-ms kernels): hangs
         // charge ~50ms of device time instead of the 10s default, so the

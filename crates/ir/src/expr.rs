@@ -7,7 +7,7 @@
 
 use std::fmt;
 use std::ops;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::dtype::{DType, TypeCode};
@@ -241,18 +241,6 @@ thread_local! {
         .collect();
 }
 
-static INTERN_HITS: AtomicU64 = AtomicU64::new(0);
-static INTERN_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// `(hits, misses)` of the integer-immediate intern pool since process
-/// start. A hit is an `Expr::int`-family request served without allocating.
-pub fn intern_stats() -> (u64, u64) {
-    (
-        INTERN_HITS.load(Ordering::Relaxed),
-        INTERN_MISSES.load(Ordering::Relaxed),
-    )
-}
-
 impl Expr {
     /// Wraps a node.
     pub fn new(node: ExprNode) -> Self {
@@ -262,10 +250,8 @@ impl Expr {
     /// `int32` immediate. Small values come from the thread's intern pool.
     pub fn int(value: i64) -> Self {
         if (INTERN_MIN..=INTERN_MAX).contains(&value) {
-            INTERN_HITS.fetch_add(1, Ordering::Relaxed);
             return INT_POOL.with(|pool| pool[(value - INTERN_MIN) as usize].clone());
         }
-        INTERN_MISSES.fetch_add(1, Ordering::Relaxed);
         Expr::new(ExprNode::IntImm {
             value,
             dtype: DType::int32(),

@@ -29,7 +29,7 @@ pub mod stmt;
 pub mod visit;
 
 pub use dtype::{DType, TypeCode};
-pub use expr::{intern_stats, BinOp, CallKind, CmpOp, Expr, ExprNode, Range, Var, VarId};
+pub use expr::{BinOp, CallKind, CmpOp, Expr, ExprNode, Range, Var, VarId};
 pub use flat::{Program, Storage};
 pub use interp::{Buffer, Interp, InterpError, MemState, Value};
 pub use interval::{eval_interval, floor_div, floor_mod, prove_cmp, Interval};

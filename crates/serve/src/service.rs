@@ -798,10 +798,11 @@ impl Service {
         module: &Arc<tvm_runtime::Module>,
         banned: &[usize],
     ) -> (f64, Option<usize>, Option<ServeError>, u64) {
-        let funcs: Vec<&tvm_ir::LoweredFunc> = module.kernels.iter().map(|k| &k.func).collect();
+        // `tvm::build` costed each kernel on this target when it lowered it.
+        let costs_ms: Vec<f64> = module.kernels.iter().map(|k| k.est_ms).collect();
         let outcomes = self
             .tracker
-            .run_batch_banned(self.target.name(), &funcs, banned);
+            .run_costs(self.target.name(), &costs_ms, banned);
         let mut total = 0.0;
         let mut device = None;
         let mut failure: Option<ServeError> = None;

@@ -8,7 +8,9 @@ use rand::{RngExt, SeedableRng};
 use tvm_ir::{DType, Interp, LoweredFunc};
 use tvm_sim::arm_a53;
 use tvm_te::{create_schedule, lower, Tensor};
-use tvm_topi::{conv2d, conv2d_sketch_task, dense, dense_sketch_task, Conv2dWorkload, DenseWorkload};
+use tvm_topi::{
+    conv2d, conv2d_sketch_task, dense, dense_sketch_task, Conv2dWorkload, DenseWorkload,
+};
 use tvm_verify::lint::lint_task;
 
 fn small_dense() -> DenseWorkload {
@@ -72,7 +74,9 @@ fn check_against_oracle(task: &tvm_autotune::TuningTask, args: &[Tensor], want: 
         // Some sampled configs are structurally invalid (e.g. a tile the
         // validator rejects); that is normal. Every config that lowers
         // must compute exactly what the naive program computes.
-        let Ok(f) = (task.builder)(&cfg) else { continue };
+        let Ok(f) = (task.builder)(&cfg) else {
+            continue;
+        };
         let got = run(&f, args, seed);
         assert_eq!(got.len(), want.len());
         for (j, (g, w)) in got.iter().zip(want).enumerate() {
@@ -85,7 +89,11 @@ fn check_against_oracle(task: &tvm_autotune::TuningTask, args: &[Tensor], want: 
         }
         checked += 1;
     }
-    assert!(checked >= 4, "{}: only {checked} configs lowered", task.name);
+    assert!(
+        checked >= 4,
+        "{}: only {checked} configs lowered",
+        task.name
+    );
 }
 
 #[test]
