@@ -81,11 +81,10 @@ impl ConfigSpace {
         rng.random_range(0..self.size().max(1))
     }
 
-    /// Declares a preferred starting configuration by knob value. Knobs
-    /// not mentioned take their first option; a value with no exact
-    /// option maps to the nearest one, so seeds stay valid as the space
-    /// evolves.
-    pub fn add_seed(&mut self, values: &[(&str, i64)]) {
+    /// The flat index of the configuration nearest `values`: knobs not
+    /// mentioned take their first option; a value with no exact option
+    /// maps to the nearest one.
+    pub fn index_near(&self, values: &[(&str, i64)]) -> u64 {
         let mut idx = 0u64;
         let mut mult = 1u64;
         for k in &self.knobs {
@@ -102,6 +101,14 @@ impl ConfigSpace {
             idx += digit as u64 * mult;
             mult *= k.options.len() as u64;
         }
+        idx
+    }
+
+    /// Declares a preferred starting configuration by knob value
+    /// ([`index_near`](ConfigSpace::index_near) it, so seeds stay valid as
+    /// the space evolves).
+    pub fn add_seed(&mut self, values: &[(&str, i64)]) {
+        let idx = self.index_near(values);
         if !self.seeds.contains(&idx) {
             self.seeds.push(idx);
         }

@@ -47,8 +47,8 @@ fn structural_key(cfg: &ConfigEntity) -> u64 {
 pub struct AnnPoints {
     /// `unroll = k` unrolls the first `k` entries.
     pub unroll: Vec<(Tensor, IterVar)>,
-    /// The loop `vec = 1` vectorizes.
-    pub vec: Option<(Tensor, IterVar)>,
+    /// The loops `vec = 1` vectorizes.
+    pub vec: Vec<(Tensor, IterVar)>,
     /// The loop `par = 1` parallelizes.
     pub par: Option<(Tensor, IterVar)>,
 }
@@ -71,7 +71,7 @@ pub fn apply_annotations(
         s.unroll(t, iv)?;
     }
     if knob("vec") == 1 {
-        if let Some((t, iv)) = &points.vec {
+        for (t, iv) in &points.vec {
             s.vectorize(t, iv)?;
         }
     }

@@ -327,7 +327,7 @@ impl SketchTask {
         s.reorder(out, &order)?;
         let mut holes = AnnPoints {
             unroll: vec![(out.clone(), ki.clone())],
-            vec: inners.last().map(|iv| (out.clone(), iv.clone())),
+            vec: Vec::from_iter(inners.last().map(|iv| (out.clone(), iv.clone()))),
             par: outers.first().map(|iv| (out.clone(), iv.clone())),
         };
         if inners.len() >= 2 {
@@ -376,7 +376,7 @@ impl SketchTask {
         s.reorder(&cl, &cl_order)?;
         Ok(AnnPoints {
             unroll: vec![(cl.clone(), ki.clone())],
-            vec: cl_axes.last().map(|iv| (cl.clone(), iv.clone())),
+            vec: Vec::from_iter(cl_axes.last().map(|iv| (cl.clone(), iv.clone()))),
             par: outers.first().map(|iv| (out.clone(), iv.clone())),
         })
     }
@@ -403,7 +403,7 @@ impl SketchTask {
         } else {
             Ok(AnnPoints {
                 unroll: Vec::new(),
-                vec: Some((out.clone(), i)),
+                vec: vec![(out.clone(), i)],
                 par: Some((out.clone(), o)),
             })
         }

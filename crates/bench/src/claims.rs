@@ -87,11 +87,7 @@ pub fn run(args: &[String], entries: &[Entry], pins: &[Pin]) -> i32 {
     }
     let mut failures: Vec<String> = Vec::new();
     for &(name, entry) in selected {
-        // A fresh thread per entry: `topi::expert_ms` memoizes vendor
-        // baselines per thread under a task name that omits the dtype, so
-        // entries sharing a thread would read each other's baselines and a
-        // figure's numbers would depend on which entries ran before it.
-        let claims = std::thread::scope(|s| s.spawn(entry).join()).expect("entry panicked");
+        let claims = entry();
         if claims.is_empty() {
             failures.push(format!("{name}: entry made no claim"));
         }

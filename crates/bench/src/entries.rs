@@ -50,17 +50,11 @@ pub const PINS: &[Pin] = &[
     },
     Pin {
         id: "fig14.tvm_beats_best_framework",
-        cause: "ResNet-18, MobileNet and DQN lose to the best framework model: the frameworks \
-                run a seed-7 search of the same templates times a library factor of 1.1 on \
-                standard convs, and fused groups give back the tuned configs (see \
-                fig14.graph_opt_never_slows); ROADMAP item 3",
-    },
-    Pin {
-        id: "fig14.graph_opt_never_slows",
-        cause: "MobileNet and DQN are slower fused: a fused conv group is built from two \
-                unsearched candidates (a fixed-tile attach nest, or the tuned template with its \
-                element-wise tail at root) while the unfused build applies the tuned config to \
-                the bare operator; ROADMAP item 3 (joint graph + operator optimization)",
+        cause:
+            "DQN ties the TensorFlow-XLA model at 1.00x (0.384 against 0.383 ms): the framework \
+                runs a seed-7 search of the same templates times a library factor and TVM a \
+                seed-42 search, so with the fused build costing its tuned operators the row is \
+                search variance at 32 trials; ROADMAP item 1 (the group as the tuning task)",
     },
     Pin {
         id: "fig15.speedup_ge_1x",
@@ -73,11 +67,6 @@ pub const PINS: &[Pin] = &[
         cause: "D1-D9 are all exactly 1.60x: baseline and TVM search the same small depthwise \
                 template to the same optimum, so the ratio is the MX-kernel factor 1.6, not a \
                 search result; ROADMAP item 3 (sketch coverage for depthwise)",
-    },
-    Pin {
-        id: "fig16.graph_opt_never_slows",
-        cause: "all three models are slower fused on a53-sim, by the fig14.graph_opt_never_slows \
-                mechanism (fused groups are not searched); ROADMAP item 3",
     },
     Pin {
         id: "fig17.speedup_ge_1x",
@@ -94,12 +83,6 @@ pub const PINS: &[Pin] = &[
         cause: "the multi-threaded space only adds a `par` knob on the output-channel tile and \
                 a53-sim prices these bit-serial kernels as memory-bound, so no 24-trial search \
                 ends on a parallel config that beats the single-threaded best; ROADMAP item 3",
-    },
-    Pin {
-        id: "serving.goodput_holds_at_saturation",
-        cause: "goodput falls from 37.8k rps at 0.5x to 28.9k at 1.0x of a capacity calibrated \
-                fault-free while the load levels run with chaos faults; whether that or batching \
-                collapse near saturation explains it is ROADMAP item 4 (serving sanity)",
     },
 ];
 
@@ -139,7 +122,7 @@ fn opt_ms(v: Option<f64>) -> String {
 }
 
 fn fig04() -> Vec<Claim> {
-    let rows = fig04_fusion();
+    let rows = fig04_fusion(48);
     print_table(
         "Figure 4: operator fusion speedup (titanx-sim)",
         &["workload", "w/o fusion (ms)", "w/ fusion (ms)", "speedup"],

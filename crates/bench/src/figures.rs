@@ -49,7 +49,7 @@ impl FusionRow {
 }
 
 /// Fig. 4: fused vs non-fused operations on the server GPU model.
-pub fn fig04_fusion() -> Vec<FusionRow> {
+pub fn fig04_fusion(trials: usize) -> Vec<FusionRow> {
     let target = titanx();
     let mut rows = Vec::new();
     let cases: Vec<(&str, Graph)> = vec![
@@ -111,16 +111,18 @@ pub fn fig04_fusion() -> Vec<FusionRow> {
         ("lstm cell h=128", { tvm_models::lstm_lm(128, 1) }),
     ];
     for (name, g) in cases {
-        let fused = build(&g, &target, &BuildOptions::default()).expect("builds");
-        let no_fusion = BuildOptions {
-            no_fusion: true,
-            ..BuildOptions::default()
+        let db = tune_graph_convs(&g, &target, trials);
+        let total_ms = |no_fusion| {
+            let opts = BuildOptions {
+                no_fusion,
+                db: Some(&db),
+            };
+            build(&g, &target, &opts).expect("builds").total_ms()
         };
-        let unfused = build(&g, &target, &no_fusion).expect("builds");
         rows.push(FusionRow {
             name: name.to_string(),
-            no_fusion_ms: unfused.total_ms(),
-            fusion_ms: fused.total_ms(),
+            no_fusion_ms: total_ms(true),
+            fusion_ms: total_ms(false),
         });
     }
     rows
@@ -305,7 +307,6 @@ fn e2e_rows(
             let opts = BuildOptions {
                 no_fusion,
                 db: Some(&db),
-                decisions: None,
             };
             build(g, target, &opts).expect("builds").total_ms()
         };
@@ -512,7 +513,6 @@ pub fn fig21_offload(input_size: i64, trials: usize) -> Vec<OffloadRow> {
         &BuildOptions {
             no_fusion: false,
             db: Some(&db),
-            decisions: None,
         },
     )
     .expect("builds");

@@ -4,17 +4,16 @@
 //! `build` runs the §3 graph passes (fusion, memory planning), then
 //! generates one kernel per fused group: member operators become tensor
 //! expressions, injective members are inlined into the group output, and
-//! the group is scheduled — either with the operator's (optionally tuned)
-//! schedule template, or with the fused-group schedule that nests the
-//! complex master inside the element-wise output's loops so intermediates
-//! never touch DRAM.
+//! the group gets one schedule — its master's (optionally tuned) operator
+//! template, applied to the group's output so the master accumulates in
+//! registers under the element-wise tail and intermediates never touch
+//! DRAM. The kernel a tuning record was measured on is the kernel built.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
-use tvm_autotune::Database;
-use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, NodeId, OpType, Pattern};
-use tvm_ir::MemScope;
+use tvm_autotune::{ConfigEntity, ConfigSpace, Database};
+use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, Node, NodeId, OpType, Pattern};
 use tvm_runtime::{CompiledGroup, Module};
 use tvm_sim::{estimate, Target};
 use tvm_te::{compute, create_schedule, lower, placeholder, Schedule, TeError, Tensor};
@@ -27,31 +26,23 @@ pub struct BuildOptions<'a> {
     pub no_fusion: bool,
     /// Tuning-log database consulted for operator configurations.
     pub db: Option<&'a Database>,
-    /// Forced per-group schedule strategies (index-aligned with the fused
-    /// groups). A serving-layer artifact cache journals the decisions a
-    /// build made so a restart can replay them: each group builds exactly
-    /// once along the recorded path instead of enumerating and
-    /// cost-comparing candidates. Missing entries fall back to the normal
-    /// candidate search.
-    pub decisions: Option<&'a [GroupDecision]>,
 }
 
-/// The schedule strategy a fused group was built with — the part of a
-/// compile that is *searched* rather than derived, and therefore the part
-/// worth journaling in a build cache.
+/// How a fused group's master sits in its kernel. Every group is built
+/// [`Attach`](GroupDecision::Attach); `TemplateRoot` is what older serving
+/// journals may still record for the second candidate builds used to try.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GroupDecision {
     /// Master nested inside the element-wise output's loops.
     Attach,
-    /// Master kept at root under its operator template.
+    /// Master kept at root under its operator template (no longer built).
     TemplateRoot,
 }
 
-/// What a build decided, group by group (replayable via
-/// [`BuildOptions::decisions`]).
+/// What a build did, group by group.
 #[derive(Clone, Debug, Default)]
 pub struct BuildReport {
-    /// Strategy chosen for each fused group, in group order.
+    /// One entry per fused group, in group order.
     pub decisions: Vec<GroupDecision>,
     /// Kernels actually scheduled, lowered and costed; every other group
     /// was a structural repeat of one of them.
@@ -64,8 +55,7 @@ pub fn build(graph: &Graph, target: &Target, opts: &BuildOptions) -> Result<Modu
     build_with_report(graph, target, opts).map(|(m, _)| m)
 }
 
-/// [`build`], also returning the per-group schedule decisions so callers
-/// (the serving artifact cache) can journal and later replay them.
+/// [`build`], also returning the [`BuildReport`].
 pub fn build_with_report(
     graph: &Graph,
     target: &Target,
@@ -78,33 +68,31 @@ pub fn build_with_report(
     // Index of the first kernel built for each group structure. It lives
     // for this one call: target and database are fixed within it, which is
     // what lets the key leave them out.
-    let mut first_built: HashMap<(GroupKey, Option<GroupDecision>), usize> = HashMap::new();
+    let mut first_built: HashMap<GroupKey, usize> = HashMap::new();
     for (gi, group) in fused.groups.iter().enumerate() {
-        let forced = opts.decisions.and_then(|d| d.get(gi)).copied();
         let (key, args) = GroupKey::of(graph, group);
-        let (kernel, decision) = match first_built.entry((key, forced)) {
+        let kernel = match first_built.entry(key) {
             Entry::Occupied(first) => {
                 let k = &kernels[*first.get()];
-                let repeat = CompiledGroup {
+                CompiledGroup {
                     func: k.func.clone(),
                     args,
                     est_ms: k.est_ms,
                     cost: k.cost,
                     name: k.name.clone(),
                     program: Arc::clone(&k.program),
-                };
-                (repeat, report.decisions[*first.get()])
+                }
             }
             Entry::Vacant(slot) => {
                 slot.insert(gi);
-                let (kernel, decision) = build_group(graph, group, target, opts, forced)?;
+                let kernel = build_group(graph, group, target, opts)?;
                 debug_assert_eq!(kernel.args, args, "key walk and codegen disagree on args");
-                (kernel, decision)
+                kernel
             }
         };
         kernels.push(kernel);
-        report.decisions.push(decision);
     }
+    report.decisions = vec![GroupDecision::Attach; kernels.len()];
     report.distinct_kernels = first_built.len();
     let module = Module {
         graph: graph.clone(),
@@ -145,7 +133,9 @@ fn validate_graph(module: &Module) -> Result<(), TeError> {
 struct GroupBuild {
     tensors: HashMap<NodeId, Tensor>,
     inputs: Vec<(NodeId, Tensor)>,
-    pads: Vec<Tensor>,
+    /// The group's convolution as `topi` declared it, padding stage
+    /// included: what its schedule template is applied to.
+    conv: Option<topi::Conv2dOp>,
 }
 
 impl GroupBuild {
@@ -178,16 +168,16 @@ fn emit_compute(g: &Graph, gb: &mut GroupBuild, id: NodeId, member_ids: &[NodeId
         OpType::Conv2d(w) => {
             let data = arg(gb, 0);
             let weight = arg(gb, 1);
-            let op = topi::conv2d_compute(&data, &weight, w);
-            gb.pads.extend(op.pad.clone());
-            op.out
+            gb.conv
+                .insert(topi::conv2d_compute(&data, &weight, w))
+                .out
+                .clone()
         }
         OpType::DepthwiseConv2d(w) => {
             let data = arg(gb, 0);
             let weight = arg(gb, 1);
             let op = topi::depthwise_conv2d_compute(&data, &weight, w);
-            gb.pads.extend(op.pad.clone());
-            op.out
+            gb.conv.insert(op).out.clone()
         }
         OpType::Dense(w) => {
             let data = arg(gb, 0);
@@ -207,8 +197,7 @@ fn emit_compute(g: &Graph, gb: &mut GroupBuild, id: NodeId, member_ids: &[NodeId
             let op = topi::conv2d_transpose_compute(
                 &data, &weight, 1, *in_c, *in_size, *out_c, *kernel, *stride, *out_pad,
             );
-            gb.pads.extend(op.pad.clone());
-            op.out
+            gb.conv.insert(op).out.clone()
         }
         OpType::Relu => topi::relu(&arg(gb, 0)),
         OpType::BiasAdd => {
@@ -259,222 +248,121 @@ fn emit_compute(g: &Graph, gb: &mut GroupBuild, id: NodeId, member_ids: &[NodeId
     out
 }
 
-/// Looks up the tuned configuration for an operator workload (its
-/// `describe()`) on `target`, if any.
-fn tuned_config(
+/// Untuned tiles by knob name, for a space with no record in the database;
+/// a knob takes its option nearest the value named here. GPUs get a 4x4x8
+/// thread tile reducing through shared memory eight channels at a time,
+/// CPUs the largest register tile of a convolution's space and a dense
+/// row's reduction run one output at a time.
+const GPU_FALLBACK: &[(&str, i64)] = &[
+    ("tile_oc", 4),
+    ("tile_oh", 4),
+    ("tile_ow", 8),
+    ("tile_rc", 8),
+    ("tile_m", 1),
+    ("tile_n", 32),
+    ("tile_k", 16),
+    ("use_shared", 1),
+];
+const CPU_FALLBACK: &[(&str, i64)] = &[
+    ("tile_oc", 32),
+    ("tile_ow", 32),
+    ("tile_rc", 32),
+    ("tile_m", 1),
+    ("tile_n", 1),
+    ("tile_k", 32),
+    ("vec", 1),
+    ("par", 1),
+    ("unroll", 1),
+];
+
+fn fallback_config(target: &Target, space: &ConfigSpace) -> ConfigEntity {
+    space.get(space.index_near(if target.is_gpu() {
+        GPU_FALLBACK
+    } else {
+        CPU_FALLBACK
+    }))
+}
+
+/// The configuration a templated operator is scheduled with, alone or under
+/// a tail: its best record in the tuning database, else the fallback tiles.
+/// `workload` is the operator's `describe()`.
+fn config_for(
     db: Option<&Database>,
     workload: &str,
     target: &Target,
-    space: &tvm_autotune::ConfigSpace,
-) -> tvm_autotune::ConfigEntity {
-    if let Some(rec) = db.and_then(|db| db.best(&topi::task_name(workload, target))) {
-        return space.get(rec.config_index);
+    space: &ConfigSpace,
+) -> ConfigEntity {
+    match db.and_then(|db| db.best(&topi::task_name(workload, target))) {
+        Some(rec) => space.get(rec.config_index),
+        None => fallback_config(target, space),
     }
-    topi::default_config(space)
 }
 
-/// How a fused group with a complex master is scheduled.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FuseStrategy {
-    /// Nest the master inside the element-wise output's thread loops so
-    /// the intermediate lives in registers.
-    Attach,
-    /// Keep the master at root with its (tuned) operator template; the
-    /// output tail is scheduled injectively in the same kernel.
-    TemplateRoot,
-}
-
+/// Gives a group's kernel its one schedule. `out_t` is the stage the kernel
+/// writes; every injective member between it and the master is inlined.
 fn schedule_group(
     s: &mut Schedule,
-    g: &Graph,
-    group: &Group,
-    gb: &GroupBuild,
+    master: &Node,
+    gb: &mut GroupBuild,
+    out_t: &Tensor,
     target: &Target,
     db: Option<&Database>,
-    strategy: FuseStrategy,
 ) -> Result<(), TeError> {
-    // Inline padding stages and all injective members except the output.
-    for p in &gb.pads {
-        s.compute_inline(p)?;
-    }
-    for &m in &group.nodes {
-        if m != group.output && m != group.master && g.node(m).op.pattern() == Pattern::Injective {
-            s.compute_inline(&gb.tensors[&m])?;
+    let master_t = gb.tensors[&master.id].clone();
+    // The operator templates own the whole group: padding stage, master and
+    // the element-wise tail, which reads the master point for point.
+    let tail = (out_t.op_id() != master_t.op_id()).then_some(out_t);
+    let mut conv = gb.conv.take();
+    if tail.is_none_or(|t| t.shape() == master_t.shape()) {
+        if let Some(op) = &mut conv {
+            op.tail = tail.cloned();
         }
-    }
-    let master_t = gb.tensors[&group.master].clone();
-    let out_t = gb.tensors[&group.output].clone();
-    let master_is_complex = g.node(group.master).op.pattern() == Pattern::ComplexOutFusable;
-
-    if group.master == group.output || (master_is_complex && strategy == FuseStrategy::TemplateRoot)
-    {
-        // Use the operator's schedule template on the master; when the
-        // group has an element-wise tail it is scheduled injectively in
-        // the same kernel (the intermediate stays function-local).
-        let master_out = master_t.clone();
-        if group.master != group.output {
-            topi::schedule_injective(s, &out_t, target)?;
-        }
-        match &g.node(group.master).op {
-            OpType::Conv2d(w) => {
-                let cfg = tuned_config(db, &w.describe(), target, &topi::conv2d_space(w, target));
-                let op = topi::Conv2dOp {
-                    data: gb.tensors[&g.node(group.master).inputs[0]].clone(),
-                    weight: gb.tensors[&g.node(group.master).inputs[1]].clone(),
-                    pad: None, // already inlined above
-                    out: master_out,
-                };
-                topi::apply_conv2d_schedule(s, &op, target, &cfg)?;
+        match (&master.op, &conv) {
+            (OpType::Conv2d(w), Some(op)) => {
+                let cfg = config_for(db, &w.describe(), target, &topi::conv2d_space(w, target));
+                return topi::apply_conv2d_schedule(s, op, target, &cfg);
             }
-            OpType::DepthwiseConv2d(w) => {
+            (
+                OpType::Conv2dTranspose {
+                    in_c,
+                    in_size,
+                    out_c,
+                    kernel,
+                    stride,
+                    out_pad,
+                },
+                Some(op),
+            ) => {
+                // A unit-stride convolution over the dilated input; it has
+                // no tuning task, so always the fallback tiles.
+                let w = topi::conv2d_transpose_as_conv(
+                    1, *in_c, *in_size, *out_c, *kernel, *stride, *out_pad,
+                );
+                let cfg = fallback_config(target, &topi::conv2d_space(&w, target));
+                return topi::apply_conv2d_schedule(s, op, target, &cfg);
+            }
+            (OpType::DepthwiseConv2d(w), Some(op)) => {
                 let space = topi::depthwise_space(w, target);
-                let cfg = tuned_config(db, &w.describe(), target, &space);
-                let op = topi::Conv2dOp {
-                    data: gb.tensors[&g.node(group.master).inputs[0]].clone(),
-                    weight: gb.tensors[&g.node(group.master).inputs[1]].clone(),
-                    pad: None,
-                    out: master_out,
-                };
-                topi::apply_depthwise_schedule(s, &op, target, &cfg)?;
+                let cfg = config_for(db, &w.describe(), target, &space);
+                return topi::apply_depthwise_schedule(s, op, target, &cfg);
             }
-            OpType::Dense(w) => {
-                let cfg = tuned_config(db, &w.describe(), target, &topi::dense_space(w, target));
-                let data = gb.tensors[&g.node(group.master).inputs[0]].clone();
-                let weight = gb.tensors[&g.node(group.master).inputs[1]].clone();
-                topi::apply_dense_schedule(s, &data, &weight, &master_out, target, &cfg)?;
+            (OpType::Dense(w), _) => {
+                let cfg = config_for(db, &w.describe(), target, &topi::dense_space(w, target));
+                let data = &gb.tensors[&master.inputs[0]];
+                let weight = &gb.tensors[&master.inputs[1]];
+                return topi::apply_dense_schedule_with_tail(
+                    s, data, weight, &master_t, tail, target, &cfg,
+                );
             }
-            _ if group.master != group.output => {
-                // No template for this master: the injective tail already
-                // got the kernel's loop structure above.
-            }
-            _ => topi::schedule_injective(s, &out_t, target)?,
+            _ => {}
         }
-    } else if master_is_complex {
-        // Fused complex + element-wise tail: give the *output* the loop
-        // structure and nest the master inside its innermost parallel
-        // loop, so the intermediate lives in registers/local memory.
-        s.set_scope(&master_t, MemScope::Local)?;
-        let axes = out_t.op.axes();
-        if target.is_gpu() {
-            use tvm_ir::ThreadTag::*;
-            // Mirror the operator template's structure on the *output*:
-            // thread tiles, master in registers, shared-memory staging of
-            // the master's operands with cooperative fetch.
-            let shared_inputs: Vec<tvm_te::Tensor> = master_t.op.input_tensors();
-            let reduce = master_t.op.reduce_axes();
-            if axes.len() == 4 {
-                let t_c = 4.min(out_t.shape()[1]);
-                let t_y = 4.min(out_t.shape()[2]);
-                let t_x = 8.min(out_t.shape()[3]);
-                let (bz, tz) = s.split(&out_t, &axes[1], t_c)?;
-                let (by, ty) = s.split(&out_t, &axes[2], t_y)?;
-                let (bx, tx) = s.split(&out_t, &axes[3], t_x)?;
-                s.reorder(&out_t, &[&axes[0], &bz, &by, &bx, &tz, &ty, &tx])?;
-                s.bind(&out_t, &bz, BlockIdxZ)?;
-                s.bind(&out_t, &by, BlockIdxY)?;
-                s.bind(&out_t, &bx, BlockIdxX)?;
-                s.bind(&out_t, &tz, ThreadIdxZ)?;
-                s.bind(&out_t, &ty, ThreadIdxY)?;
-                s.bind(&out_t, &tx, ThreadIdxX)?;
-                s.compute_at(&master_t, &out_t, &tx)?;
-                if !reduce.is_empty() {
-                    let f = reduce[0].const_extent().unwrap_or(1).clamp(1, 8);
-                    let (rco, _rci) = s.split(&master_t, &reduce[0], f)?;
-                    let threads = [(ThreadIdxZ, t_c), (ThreadIdxY, t_y), (ThreadIdxX, t_x)];
-                    for inp in shared_inputs.iter().take(2) {
-                        let cs = s.cache_read(inp, MemScope::Shared, &[&master_t])?;
-                        s.compute_at(&cs, &master_t, &rco)?;
-                        topi::cooperative_load(&mut *s, &cs, &threads)?;
-                    }
-                }
-            } else {
-                let last = axes.len() - 1;
-                let t_x = 32.min(out_t.shape()[last]);
-                let (bx, tx) = s.split(&out_t, &axes[last], t_x)?;
-                s.reorder(&out_t, &[&axes[0], &bx, &tx])?;
-                s.bind(&out_t, &axes[0], BlockIdxY)?;
-                s.bind(&out_t, &bx, BlockIdxX)?;
-                s.bind(&out_t, &tx, ThreadIdxX)?;
-                s.compute_at(&master_t, &out_t, &tx)?;
-                if !reduce.is_empty() {
-                    let f = reduce[0].const_extent().unwrap_or(1).clamp(1, 16);
-                    let (rco, _rci) = s.split(&master_t, &reduce[0], f)?;
-                    let threads = [(ThreadIdxX, t_x)];
-                    for inp in shared_inputs.iter().take(2) {
-                        let cs = s.cache_read(inp, MemScope::Shared, &[&master_t])?;
-                        s.compute_at(&cs, &master_t, &rco)?;
-                        topi::cooperative_load(&mut *s, &cs, &threads)?;
-                    }
-                }
-            }
-        } else if axes.len() == 4 {
-            let last = axes.len() - 1;
-            let (wo, wi) = s.split(&out_t, &axes[last], 8.min(out_t.shape()[last]))?;
-            s.vectorize(&out_t, &wi)?;
-            s.parallel(&out_t, &axes[1])?;
-            s.compute_at(&master_t, &out_t, &axes[2])?;
-            let _ = wo;
-        } else {
-            let last = axes.len() - 1;
-            let (_, wi) = s.split(&out_t, &axes[last], 8.min(out_t.shape()[last]))?;
-            s.vectorize(&out_t, &wi)?;
-            s.compute_at(&master_t, &out_t, &axes[0])?;
-        }
-    } else {
-        // Injective/reduction group.
-        topi::schedule_injective(s, &out_t, target)?;
     }
-    Ok(())
-}
-
-fn build_group_with(
-    g: &Graph,
-    group: &Group,
-    target: &Target,
-    opts: &BuildOptions,
-    strategy: FuseStrategy,
-    name: &str,
-) -> Result<CompiledGroup, TeError> {
-    let mut gb = GroupBuild {
-        tensors: HashMap::new(),
-        inputs: Vec::new(),
-        pads: Vec::new(),
-    };
-    for &m in &group.nodes {
-        emit_compute(g, &mut gb, m, &group.nodes);
+    // Injective and reduction groups, and a complex master whose tail
+    // reshapes it mid-chain: the output's flat nest, producers at root.
+    if let Some(pad) = conv.and_then(|op| op.pad) {
+        s.compute_inline(&pad)?;
     }
-    let out_t = gb.tensors[&group.output].clone();
-    let mut s = create_schedule(std::slice::from_ref(&out_t));
-    schedule_group(&mut s, g, group, &gb, target, opts.db, strategy)?;
-    let mut arg_tensors: Vec<Tensor> = gb.inputs.iter().map(|(_, t)| t.clone()).collect();
-    arg_tensors.push(out_t);
-    let mut args: Vec<NodeId> = gb.inputs.iter().map(|(id, _)| *id).collect();
-    args.push(group.output);
-    let func = lower(&s, &arg_tensors, name)?;
-    let cost = estimate(func_ref(&func), target);
-    Ok(CompiledGroup {
-        est_ms: cost.millis(),
-        cost: tvm_runtime::GroupCost {
-            cycles: cost.cycles,
-            flops: cost.flops,
-            dram_bytes: cost.dram_bytes,
-        },
-        func,
-        args,
-        name: name.to_string(),
-        program: Arc::default(),
-    })
-}
-
-fn func_ref(f: &tvm_ir::LoweredFunc) -> &tvm_ir::LoweredFunc {
-    f
-}
-
-fn strategy_of(d: GroupDecision) -> FuseStrategy {
-    match d {
-        GroupDecision::Attach => FuseStrategy::Attach,
-        GroupDecision::TemplateRoot => FuseStrategy::TemplateRoot,
-    }
+    topi::schedule_injective(s, out_t, target)
 }
 
 /// Schedules, lowers and costs one fused group on its own — what a build
@@ -484,8 +372,7 @@ pub fn build_group(
     group: &Group,
     target: &Target,
     opts: &BuildOptions,
-    forced: Option<GroupDecision>,
-) -> Result<(CompiledGroup, GroupDecision), TeError> {
+) -> Result<CompiledGroup, TeError> {
     let name = format!(
         "fused_{}",
         group
@@ -495,32 +382,49 @@ pub fn build_group(
             .collect::<Vec<_>>()
             .join("_")
     );
-    let master_is_complex = g.node(group.master).op.pattern() == Pattern::ComplexOutFusable;
-    if master_is_complex && group.master != group.output {
-        // Two candidate strategies for fused complex groups; keep the one
-        // the cost model prefers (a compiler decision the simulator makes
-        // cheap to evaluate). A forced decision (artifact-cache replay)
-        // builds only the recorded candidate.
-        if let Some(d) = forced {
-            return build_group_with(g, group, target, opts, strategy_of(d), &name)
-                .map(|cg| (cg, d));
-        }
-        let a = build_group_with(g, group, target, opts, FuseStrategy::Attach, &name);
-        let b = build_group_with(g, group, target, opts, FuseStrategy::TemplateRoot, &name);
-        match (a, b) {
-            (Ok(x), Ok(y)) => Ok(if x.est_ms <= y.est_ms {
-                (x, GroupDecision::Attach)
-            } else {
-                (y, GroupDecision::TemplateRoot)
-            }),
-            (Ok(x), Err(_)) => Ok((x, GroupDecision::Attach)),
-            (Err(_), Ok(y)) => Ok((y, GroupDecision::TemplateRoot)),
-            (Err(e), Err(_)) => Err(e),
-        }
-    } else {
-        // Single-path groups always schedule via Attach; record it so a
-        // replayed decision list stays index-aligned with the groups.
-        build_group_with(g, group, target, opts, FuseStrategy::Attach, &name)
-            .map(|cg| (cg, GroupDecision::Attach))
+    let mut gb = GroupBuild {
+        tensors: HashMap::new(),
+        inputs: Vec::new(),
+        conv: None,
+    };
+    // A flatten / reshape that ends a complex master's group is a view of
+    // the tensor it reads: both are row-major over the same flat buffer, so
+    // the kernel writes that tensor straight into the group's output and
+    // the view costs no loop nest (nor the template its output's shape).
+    let (master, output) = (g.node(group.master), g.node(group.output));
+    let is_view = matches!(output.op, OpType::Flatten | OpType::Reshape)
+        && master.op.pattern() == Pattern::ComplexOutFusable;
+    let (members, written) = match group.nodes.split_last() {
+        Some((_, members)) if is_view => (members, output.inputs[0]),
+        _ => (&group.nodes[..], group.output),
+    };
+    for &m in members {
+        emit_compute(g, &mut gb, m, members);
     }
+    let out_t = gb.tensors[&written].clone();
+    let mut s = create_schedule(std::slice::from_ref(&out_t));
+    for &m in members {
+        if m != group.master && m != written && g.node(m).op.pattern() == Pattern::Injective {
+            s.compute_inline(&gb.tensors[&m])?;
+        }
+    }
+    schedule_group(&mut s, master, &mut gb, &out_t, target, opts.db)?;
+    let mut arg_tensors: Vec<Tensor> = gb.inputs.iter().map(|(_, t)| t.clone()).collect();
+    arg_tensors.push(out_t);
+    let mut args: Vec<NodeId> = gb.inputs.iter().map(|(id, _)| *id).collect();
+    args.push(group.output);
+    let func = lower(&s, &arg_tensors, &name)?;
+    let cost = estimate(&func, target);
+    Ok(CompiledGroup {
+        est_ms: cost.millis(),
+        cost: tvm_runtime::GroupCost {
+            cycles: cost.cycles,
+            flops: cost.flops,
+            dram_bytes: cost.dram_bytes,
+        },
+        func,
+        args,
+        name,
+        program: Arc::default(),
+    })
 }

@@ -2,7 +2,7 @@
 //! every repeat. Each repeat is rebuilt here on its own, through the same
 //! `build_group` a build calls for a first occurrence, and must come out
 //! the same in everything but buffer names: cost bits, parameter types and
-//! extents, schedule decision, and interpreter output bit for bit.
+//! extents, and interpreter output bit for bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,6 +40,7 @@ fn check(tag: &str, graph: &Graph, target: &Target, no_fusion: bool) -> (usize, 
         ..Default::default()
     };
     let (module, report) = build_with_report(graph, target, &opts).expect("builds");
+    assert_eq!(report.decisions.len(), module.kernels.len(), "{tag}");
     let keys: Vec<GroupKey> = module
         .fused
         .groups
@@ -57,15 +58,14 @@ fn check(tag: &str, graph: &Graph, target: &Target, no_fusion: bool) -> (usize, 
             continue;
         }
         repeats += 1;
-        let (alone, decision) =
-            build_group(graph, &module.fused.groups[i], target, &opts, None).expect("builds alone");
+        let alone =
+            build_group(graph, &module.fused.groups[i], target, &opts).expect("builds alone");
         let at = format!(
             "{tag}: kernel {i} `{}` (first built as {first})",
             shared.name
         );
         assert_eq!(alone.name, shared.name, "{at}");
         assert_eq!(alone.args, shared.args, "{at}");
-        assert_eq!(decision, report.decisions[i], "{at}");
         assert_eq!(cost_bits(&alone), cost_bits(shared), "{at}");
         assert_eq!(alone.func.param_dtypes, shared.func.param_dtypes, "{at}");
         assert_eq!(alone.func.param_extents, shared.func.param_extents, "{at}");
@@ -74,26 +74,6 @@ fn check(tag: &str, graph: &Graph, target: &Target, no_fusion: bool) -> (usize, 
     }
     assert_eq!(report.distinct_kernels, module.kernels.len() - repeats);
     assert_eq!(module.distinct_kernels(), report.distinct_kernels);
-
-    // Replaying the build's own decisions forces every group; forced
-    // decisions are part of the memo key, and the kernels come out the same.
-    let replay = BuildOptions {
-        no_fusion,
-        decisions: Some(&report.decisions),
-        ..Default::default()
-    };
-    let (again, again_report) = build_with_report(graph, target, &replay).expect("replays");
-    assert_eq!(again_report.decisions, report.decisions, "{tag}");
-    assert_eq!(
-        again_report.distinct_kernels, report.distinct_kernels,
-        "{tag}"
-    );
-    for (a, b) in again.kernels.iter().zip(&module.kernels) {
-        assert_eq!(a.name, b.name, "{tag}");
-        assert_eq!(a.args, b.args, "{tag}");
-        assert_eq!(cost_bits(a), cost_bits(b), "{tag}");
-        assert_eq!(a.func.body.to_string(), b.func.body.to_string(), "{tag}");
-    }
     (module.kernels.len(), repeats)
 }
 

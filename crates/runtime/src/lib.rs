@@ -265,8 +265,8 @@ impl Module {
     /// safety (recomputed liveness + interference), fusion legality, and
     /// the cross-layer slot contracts proving each kernel's touch set fits
     /// the planner's allocation. Used by the debug-build/`TVM_VALIDATE_GRAPH`
-    /// hook, `tvm-lint --graph`, and the serving artifact cache when it
-    /// replays journaled build decisions.
+    /// hook, `tvm-lint --graph`, and the serving artifact cache when a
+    /// rebuild matches its journaled fingerprint.
     pub fn verify(&self) -> GraphReport {
         let views: Vec<KernelView<'_>> = self
             .kernels

@@ -2,15 +2,15 @@
 //!
 //! Serving compiles each model once per (batch bucket, target, schedule
 //! hash) and keeps the [`Module`] in memory behind an [`Arc`] so every
-//! batch shares it. What survives a restart is the *decision log*: the
-//! per-group schedule strategies the compiler searched over, journaled as
-//! [`ArtifactRecord`]s in the shared checksummed append-only [`Log`] (torn
-//! tails truncated, replayed appends dropped). A warm start replays the
-//! recorded decisions — each group builds exactly once along the recorded
-//! path instead of enumerating and cost-comparing candidates — and a
-//! module fingerprint check guards against a stale journal: on mismatch
-//! the entry is rebuilt cold and re-journaled under the next generation
-//! (the highest generation per key wins).
+//! batch shares it. What survives a restart is the journal of what was
+//! built: one [`ArtifactRecord`] per compile — its fingerprint and
+//! per-group report — in the shared checksummed append-only [`Log`] (torn
+//! tails truncated, replayed appends dropped). A build is a pure function
+//! of graph, target and tuning state, so a warm start rebuilds the module
+//! and checks it against the journaled fingerprint: on mismatch (a stale
+//! journal, a changed compiler) the entry counts as a cold build and is
+//! re-journaled under the next generation (the highest generation per key
+//! wins).
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -33,13 +33,13 @@ use crate::{Model, ServeError};
 pub struct CacheStats {
     /// Served from the in-memory module map.
     pub hits: u64,
-    /// Full dual-candidate compiles (no usable journal entry).
+    /// Compiles with no usable journal entry.
     pub cold_builds: u64,
-    /// Single-path compiles replayed from journaled decisions.
+    /// Compiles that reproduced their journaled fingerprint.
     pub warm_builds: u64,
     /// Journal entries whose fingerprint no longer matched the rebuild.
     pub fingerprint_mismatches: u64,
-    /// Warm replays rejected by the graph-layer static verifiers.
+    /// Warm rebuilds rejected by the graph-layer static verifiers.
     pub verify_rejects: u64,
 }
 
@@ -106,11 +106,12 @@ pub struct ArtifactRecord {
     /// The compile's [`ArtifactCache::key`].
     pub key: String,
     /// 1-based rebuild count of this key; the highest generation is the
-    /// entry a warm start replays.
+    /// entry a warm start checks its rebuild against.
     pub generation: u64,
-    /// [`fingerprint`] of the module the decisions produced.
+    /// [`fingerprint`] of the module that was built.
     pub fingerprint: u32,
-    /// The searched schedule strategy of each fused group, in group order.
+    /// The build's [`BuildReport::decisions`](tvm::BuildReport), one per
+    /// fused group (`T` only in journals older compilers wrote).
     pub decisions: Vec<GroupDecision>,
     /// The module's simulated latency (informational).
     pub total_ms: f64,
@@ -148,7 +149,7 @@ impl Record for ArtifactRecord {
 }
 
 /// The compiled-artifact cache: in-memory `Arc<Module>` map plus an
-/// optional on-disk decision journal.
+/// optional on-disk journal.
 pub struct ArtifactCache {
     journal: Option<Log<ArtifactRecord>>,
     /// The newest journaled entry per key.
@@ -217,10 +218,10 @@ impl ArtifactCache {
     }
 
     /// Returns the compiled module for `model` at batch bucket `bucket`
-    /// under version fingerprint `version`, building it if needed. Build
-    /// order of preference: in-memory hit → journaled-decision replay
-    /// (fingerprint-verified) → cold dual-candidate search (journaled
-    /// for next time).
+    /// under version fingerprint `version`, building it if needed: an
+    /// in-memory hit, else a build — warm when it reproduces the journaled
+    /// fingerprint and verifies, cold (and journaled for next time)
+    /// otherwise.
     pub fn get_or_build(
         &mut self,
         model: Model,
@@ -238,42 +239,6 @@ impl ArtifactCache {
         }
         let _sp = tvm_obs::span_with("serve.cache.build", &[("key", key.as_str())]);
         let graph = model.build_graph(bucket);
-
-        // Warm path: replay the journaled per-group decisions.
-        if let Some(recorded) = self.journaled.get(&key) {
-            let opts = BuildOptions {
-                db,
-                decisions: Some(&recorded.decisions),
-                ..BuildOptions::default()
-            };
-            if let Ok((module, report)) = build_with_report(&graph, target, &opts) {
-                if fingerprint(&module, &report.decisions) == recorded.fingerprint {
-                    // A replayed decision list skips the candidate
-                    // search, so the rebuilt module gets the full
-                    // graph-layer verification (memory-plan safety,
-                    // fusion legality, slot contracts) before it is
-                    // allowed to serve — a stale or corrupt journal
-                    // must degrade to a cold build, never to a module
-                    // with an unsound plan.
-                    let verdict = module.verify();
-                    if verdict.has_errors() {
-                        self.stats.verify_rejects += 1;
-                        tvm_obs::counter_add("serve.cache.verify_rejects", 1);
-                    } else {
-                        self.stats.warm_builds += 1;
-                        tvm_obs::counter_add("serve.cache.warm_builds", 1);
-                        let m = Arc::new(module);
-                        self.modules.insert(key, Arc::clone(&m));
-                        return Ok(m);
-                    }
-                } else {
-                    self.stats.fingerprint_mismatches += 1;
-                    tvm_obs::counter_add("serve.cache.fingerprint_mismatches", 1);
-                }
-            }
-        }
-
-        // Cold path: full candidate search, then journal the decisions.
         let opts = BuildOptions {
             db,
             ..BuildOptions::default()
@@ -283,18 +248,42 @@ impl ArtifactCache {
                 model: model.name().to_string(),
                 detail: e.to_string(),
             })?;
-        self.stats.cold_builds += 1;
-        tvm_obs::counter_add("serve.cache.cold_builds", 1);
-        if let Some(j) = self.journal.as_mut() {
-            let rec = ArtifactRecord {
-                key: key.clone(),
-                generation: self.journaled.get(&key).map_or(0, |r| r.generation) + 1,
-                fingerprint: fingerprint(&module, &report.decisions),
-                decisions: report.decisions,
-                total_ms: module.total_ms(),
-            };
-            j.append(&rec)?;
-            self.remember(rec);
+        let built = fingerprint(&module, &report.decisions);
+
+        // Warm: the journal already holds this very module, and it passes
+        // the graph-layer verification (memory-plan safety, fusion
+        // legality, slot contracts) a stale journal must not talk past.
+        let warm = match self.journaled.get(&key) {
+            None => false,
+            Some(recorded) if built != recorded.fingerprint => {
+                self.stats.fingerprint_mismatches += 1;
+                tvm_obs::counter_add("serve.cache.fingerprint_mismatches", 1);
+                false
+            }
+            Some(_) if module.verify().has_errors() => {
+                self.stats.verify_rejects += 1;
+                tvm_obs::counter_add("serve.cache.verify_rejects", 1);
+                false
+            }
+            Some(_) => true,
+        };
+        if warm {
+            self.stats.warm_builds += 1;
+            tvm_obs::counter_add("serve.cache.warm_builds", 1);
+        } else {
+            self.stats.cold_builds += 1;
+            tvm_obs::counter_add("serve.cache.cold_builds", 1);
+            if let Some(j) = self.journal.as_mut() {
+                let rec = ArtifactRecord {
+                    key: key.clone(),
+                    generation: self.journaled.get(&key).map_or(0, |r| r.generation) + 1,
+                    fingerprint: built,
+                    decisions: report.decisions,
+                    total_ms: module.total_ms(),
+                };
+                j.append(&rec)?;
+                self.remember(rec);
+            }
         }
         let m = Arc::new(module);
         self.modules.insert(key, Arc::clone(&m));

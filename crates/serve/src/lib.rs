@@ -21,8 +21,8 @@
 //! - **Weighted fairness**: a saturating tenant cannot starve a polite
 //!   one past its configured share.
 //! - **Crash-safe warm starts**: the compiled-artifact journal recovers
-//!   from torn tails and replays schedule decisions instead of
-//!   re-searching them.
+//!   from torn tails, and a restart checks every rebuild against the
+//!   fingerprint it recorded.
 
 pub mod batch;
 pub mod cache;

@@ -1,7 +1,6 @@
-//! Artifact-cache crash-safety: the decision journal survives kills,
-//! torn tails, and garbage; a warm restart replays journaled schedule
-//! decisions (no cold dual-candidate search) and serves bit-identical
-//! results.
+//! Artifact-cache crash-safety: the journal survives kills, torn tails,
+//! and garbage; a warm restart rebuilds every journaled entry to its
+//! recorded fingerprint (no cold build) and serves bit-identical results.
 
 use std::fs::OpenOptions;
 use std::io::Write;

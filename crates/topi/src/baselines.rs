@@ -86,14 +86,16 @@ fn conv_efficiency(lib: Library, w: &Conv2dWorkload) -> f64 {
 }
 
 thread_local! {
-    static EXPERT_CACHE: RefCell<HashMap<String, f64>> = RefCell::new(HashMap::new());
+    static EXPERT_CACHE: RefCell<HashMap<(String, DType), f64>> = RefCell::new(HashMap::new());
 }
 
 /// An expert-written kernel: a short deterministic ML-guided search of the
 /// schedule space stands in for the vendor's hand optimization, so library
-/// and compiler numbers share one cost model. Memoized per task name.
-pub fn expert_ms(task: &tvm_autotune::TuningTask) -> f64 {
-    if let Some(v) = EXPERT_CACHE.with(|c| c.borrow().get(&task.name).copied()) {
+/// and compiler numbers share one cost model. Memoized per task name and
+/// operand `dtype` (a task's name leaves its dtype out).
+pub fn expert_ms(task: &tvm_autotune::TuningTask, dtype: DType) -> f64 {
+    let key = (task.name.clone(), dtype);
+    if let Some(v) = EXPERT_CACHE.with(|c| c.borrow().get(&key).copied()) {
         return v;
     }
     let opts = TuneOptions {
@@ -105,14 +107,14 @@ pub fn expert_ms(task: &tvm_autotune::TuningTask) -> f64 {
         warm_start: Vec::new(),
     };
     let best = tune(task, &opts, TunerKind::GbtRank).best_ms;
-    EXPERT_CACHE.with(|c| c.borrow_mut().insert(task.name.clone(), best));
+    EXPERT_CACHE.with(|c| c.borrow_mut().insert(key, best));
     best
 }
 
 /// Modeled vendor time for a convolution workload.
 pub fn vendor_conv2d_ms(lib: Library, w: &Conv2dWorkload, dtype: DType, target: &Target) -> f64 {
     let task = conv2d_task(*w, dtype, target.clone());
-    expert_ms(&task) * conv_efficiency(lib, w)
+    expert_ms(&task, dtype) * conv_efficiency(lib, w)
 }
 
 /// Modeled vendor time for a depthwise convolution.
@@ -132,7 +134,7 @@ pub fn vendor_depthwise_ms(
         Library::ArmComputeLib => 1.25,
         _ => 1.6,
     };
-    expert_ms(&task) * eff
+    expert_ms(&task, dtype) * eff
 }
 
 /// Modeled vendor time for a dense layer.
@@ -144,7 +146,7 @@ pub fn vendor_dense_ms(lib: Library, w: &DenseWorkload, target: &Target) -> f64 
         Library::ArmComputeLib => 0.9,
         _ => 1.0,
     };
-    expert_ms(&task) * eff
+    expert_ms(&task, w.dtype) * eff
 }
 
 #[cfg(test)]

@@ -19,6 +19,12 @@ pub struct Conv2dOp {
     pub pad: Option<Tensor>,
     /// Output `[n, oc, oh, ow]`.
     pub out: Tensor,
+    /// An element-wise consumer of `out` that is the kernel's output in its
+    /// place (a fused group's bias / batch-norm / activation chain, inlined
+    /// into one stage). The schedule templates then tile and bind the tail
+    /// and accumulate `out` in registers under it, so a fused group is
+    /// scheduled exactly as its operator is. `None` for the operator alone.
+    pub tail: Option<Tensor>,
 }
 
 /// Zero-pads the two spatial dimensions of a 4-D tensor.
@@ -79,6 +85,7 @@ pub fn conv2d_compute(data: &Tensor, weight: &Tensor, w: &Conv2dWorkload) -> Con
         weight,
         pad,
         out,
+        tail: None,
     }
 }
 
@@ -122,6 +129,7 @@ pub fn depthwise_conv2d_compute(
         weight,
         pad,
         out,
+        tail: None,
     }
 }
 
@@ -146,6 +154,29 @@ pub fn conv2d_transpose(
     )
 }
 
+/// The unit-stride convolution a transposed convolution runs over its
+/// dilated, padded input: the workload whose conv2d schedule space fits it.
+pub fn conv2d_transpose_as_conv(
+    batch: i64,
+    in_c: i64,
+    in_size: i64,
+    out_c: i64,
+    kernel: i64,
+    stride: i64,
+    out_pad: i64,
+) -> Conv2dWorkload {
+    let pad = kernel - 1 - out_pad;
+    Conv2dWorkload {
+        batch,
+        size: (in_size - 1) * stride + 1 + 2 * pad,
+        in_c,
+        out_c,
+        kernel,
+        stride: 1,
+        pad: 0,
+    }
+}
+
 /// Transposed convolution over existing tensors.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_transpose_compute(
@@ -163,7 +194,8 @@ pub fn conv2d_transpose_compute(
     let (data, weight) = (data.clone(), weight.clone());
     // Dilate-and-pad stage; output size = (in-1)*stride - 2*out_pad + kernel.
     let pad = kernel - 1 - out_pad;
-    let dil_size = (in_size - 1) * stride + 1 + 2 * pad;
+    let as_conv = conv2d_transpose_as_conv(batch, in_c, in_size, out_c, kernel, stride, out_pad);
+    let (dil_size, out_size) = (as_conv.size, as_conv.out_size());
     let dil = compute(&[batch, in_c, dil_size, dil_size], "data_dilate", |i| {
         let ih = i[2].clone() - pad;
         let iw = i[3].clone() - pad;
@@ -180,7 +212,6 @@ pub fn conv2d_transpose_compute(
             Expr::zero(dtype),
         )
     });
-    let out_size = dil_size - kernel + 1;
     let rc = reduce_axis(in_c, "rc");
     let rh = reduce_axis(kernel, "rh");
     let rw = reduce_axis(kernel, "rw");
@@ -206,6 +237,7 @@ pub fn conv2d_transpose_compute(
         weight,
         pad: Some(dil),
         out,
+        tail: None,
     }
 }
 

@@ -78,6 +78,26 @@ pub fn apply_conv2d_schedule(
     apply_annotations(s, cfg, &points)
 }
 
+/// The stage a GPU template tiles and binds, and the stage that accumulates
+/// in each thread's registers under it. An operator on its own is the
+/// kernel's output and accumulates in a register `cache_write` of itself;
+/// under an element-wise `tail` the tail is the output and the operator
+/// itself, scoped to registers, is the accumulator. Either way the kernel
+/// has one root stage.
+fn root_and_accumulator(
+    s: &mut Schedule,
+    out: &Tensor,
+    tail: Option<&Tensor>,
+) -> Result<(Tensor, Tensor), TeError> {
+    Ok(match tail {
+        Some(tail) => {
+            s.set_scope(out, MemScope::Local)?;
+            (tail.clone(), out.clone())
+        }
+        None => (out.clone(), s.cache_write(out, MemScope::Local)?),
+    })
+}
+
 /// The structural half of the conv2d template: everything except the
 /// annotation knobs, whose target loops are returned for later
 /// application.
@@ -93,28 +113,29 @@ fn apply_conv2d_structural(
     }
     let out = &op.out;
     if target.is_gpu() {
-        let cl = s.cache_write(out, MemScope::Local)?;
-        let ax = out.op.axes(); // n, oc, oh, ow
+        let (root, cl) = root_and_accumulator(s, out, op.tail.as_ref())?;
+        let root = &root;
+        let ax = root.op.axes(); // n, oc, oh, ow
         let (t_oc, t_oh, t_ow) = (cfg.get("tile_oc"), cfg.get("tile_oh"), cfg.get("tile_ow"));
         let (s_oh, s_ow) = (cfg.get("step_oh"), cfg.get("step_ow"));
-        let (oco, oci) = s.split(out, &ax[1], t_oc)?;
+        let (oco, oci) = s.split(root, &ax[1], t_oc)?;
         // Three-level spatial tiling: block / thread / per-thread register
         // steps (each thread produces s_oh x s_ow outputs).
-        let (oho, hrest) = s.split(out, &ax[2], t_oh * s_oh)?;
-        let (ohm, ohi) = s.split(out, &hrest, t_oh)?;
-        let (owo, wrest) = s.split(out, &ax[3], t_ow * s_ow)?;
-        let (owm, owi) = s.split(out, &wrest, t_ow)?;
+        let (oho, hrest) = s.split(root, &ax[2], t_oh * s_oh)?;
+        let (ohm, ohi) = s.split(root, &hrest, t_oh)?;
+        let (owo, wrest) = s.split(root, &ax[3], t_ow * s_ow)?;
+        let (owm, owi) = s.split(root, &wrest, t_ow)?;
         s.reorder(
-            out,
+            root,
             &[&ax[0], &oco, &oho, &owo, &oci, &ohi, &owi, &ohm, &owm],
         )?;
-        s.bind(out, &oco, ThreadTag::BlockIdxZ)?;
-        s.bind(out, &oho, ThreadTag::BlockIdxY)?;
-        s.bind(out, &owo, ThreadTag::BlockIdxX)?;
-        s.bind(out, &oci, ThreadTag::ThreadIdxZ)?;
-        s.bind(out, &ohi, ThreadTag::ThreadIdxY)?;
-        s.bind(out, &owi, ThreadTag::ThreadIdxX)?;
-        s.compute_at(&cl, out, &owi)?;
+        s.bind(root, &oco, ThreadTag::BlockIdxZ)?;
+        s.bind(root, &oho, ThreadTag::BlockIdxY)?;
+        s.bind(root, &owo, ThreadTag::BlockIdxX)?;
+        s.bind(root, &oci, ThreadTag::ThreadIdxZ)?;
+        s.bind(root, &ohi, ThreadTag::ThreadIdxY)?;
+        s.bind(root, &owi, ThreadTag::ThreadIdxX)?;
+        s.compute_at(&cl, root, &owi)?;
         let r = cl.op.reduce_axes(); // rc, rh, rw
         let (rco, rci) = s.split(&cl, &r[0], cfg.get("tile_rc"))?;
         let cl_ax = cl.op.axes();
@@ -140,26 +161,34 @@ fn apply_conv2d_structural(
             cooperative_load(s, &ws, &threads)?;
         }
     } else {
-        let ax = out.op.axes();
-        let (oco, oci) = s.split(out, &ax[1], cfg.get("tile_oc"))?;
-        let (owo, owi) = s.split(out, &ax[3], cfg.get("tile_ow"))?;
+        let root = op.tail.as_ref().unwrap_or(out);
+        let ax = root.op.axes();
+        let (oco, oci) = s.split(root, &ax[1], cfg.get("tile_oc"))?;
+        let (owo, owi) = s.split(root, &ax[3], cfg.get("tile_ow"))?;
+        s.reorder(root, &[&ax[0], &oco, &ax[2], &owo, &oci, &owi])?;
+        // The accumulator's tile loops: the operator's own inner loops, or
+        // under a tail its axes realized over one (oc, ow) tile of the tail.
+        let (acc_oc, acc_ow) = if op.tail.is_some() {
+            s.set_scope(out, MemScope::Local)?;
+            s.compute_at(out, root, &owo)?;
+            points.vec.push((root.clone(), owi));
+            let acc_ax = out.op.axes();
+            (acc_ax[1].clone(), acc_ax[3].clone())
+        } else {
+            (oci, owi)
+        };
         let r = out.op.reduce_axes();
         if r.len() == 3 {
             let (rco, rci) = s.split(out, &r[0], cfg.get("tile_rc"))?;
-            s.reorder(
-                out,
-                &[
-                    &ax[0], &oco, &ax[2], &owo, &rco, &r[1], &r[2], &rci, &oci, &owi,
-                ],
-            )?;
+            s.reorder(out, &[&rco, &r[1], &r[2], &rci, &acc_oc, &acc_ow])?;
             points.unroll = vec![(out.clone(), rci)];
         } else {
             // Depthwise: reduce axes are rh, rw only.
-            s.reorder(out, &[&ax[0], &oco, &ax[2], &owo, &r[0], &r[1], &oci, &owi])?;
+            s.reorder(out, &[&r[0], &r[1], &acc_oc, &acc_ow])?;
             points.unroll = vec![(out.clone(), r[1].clone())];
         }
-        points.vec = Some((out.clone(), owi));
-        points.par = Some((out.clone(), oco));
+        points.vec.push((out.clone(), acc_ow));
+        points.par = Some((root.clone(), oco));
     }
     Ok(points)
 }
@@ -255,18 +284,24 @@ fn apply_depthwise_structural(
         s.compute_inline(p)?;
     }
     let out = &op.out;
-    let ax = out.op.axes();
+    let root = op.tail.as_ref().unwrap_or(out);
+    let ax = root.op.axes();
     let (t_oc, t_oh, t_ow) = (cfg.get("tile_oc"), cfg.get("tile_oh"), cfg.get("tile_ow"));
-    let (oco, oci) = s.split(out, &ax[1], t_oc)?;
-    let (oho, ohi) = s.split(out, &ax[2], t_oh)?;
-    let (owo, owi) = s.split(out, &ax[3], t_ow)?;
-    s.reorder(out, &[&ax[0], &oco, &oho, &owo, &oci, &ohi, &owi])?;
-    s.bind(out, &oco, ThreadTag::BlockIdxZ)?;
-    s.bind(out, &oho, ThreadTag::BlockIdxY)?;
-    s.bind(out, &owo, ThreadTag::BlockIdxX)?;
-    s.bind(out, &oci, ThreadTag::ThreadIdxZ)?;
-    s.bind(out, &ohi, ThreadTag::ThreadIdxY)?;
-    s.bind(out, &owi, ThreadTag::ThreadIdxX)?;
+    let (oco, oci) = s.split(root, &ax[1], t_oc)?;
+    let (oho, ohi) = s.split(root, &ax[2], t_oh)?;
+    let (owo, owi) = s.split(root, &ax[3], t_ow)?;
+    s.reorder(root, &[&ax[0], &oco, &oho, &owo, &oci, &ohi, &owi])?;
+    s.bind(root, &oco, ThreadTag::BlockIdxZ)?;
+    s.bind(root, &oho, ThreadTag::BlockIdxY)?;
+    s.bind(root, &owo, ThreadTag::BlockIdxX)?;
+    s.bind(root, &oci, ThreadTag::ThreadIdxZ)?;
+    s.bind(root, &ohi, ThreadTag::ThreadIdxY)?;
+    s.bind(root, &owi, ThreadTag::ThreadIdxX)?;
+    if op.tail.is_some() {
+        // Each thread reduces its one output in a register under the tail.
+        s.set_scope(out, MemScope::Local)?;
+        s.compute_at(out, root, &owi)?;
+    }
     let r = out.op.reduce_axes();
     if let Some(last) = r.last() {
         points.unroll = vec![(out.clone(), last.clone())];
@@ -303,7 +338,21 @@ pub fn apply_dense_schedule(
     target: &Target,
     cfg: &ConfigEntity,
 ) -> Result<(), TeError> {
-    let points = apply_dense_structural(s, data, weight, out, target, cfg)?;
+    apply_dense_schedule_with_tail(s, data, weight, out, None, target, cfg)
+}
+
+/// [`apply_dense_schedule`] for a dense layer followed by an element-wise
+/// `tail` that is the kernel's output (see [`Conv2dOp::tail`]).
+pub fn apply_dense_schedule_with_tail(
+    s: &mut Schedule,
+    data: &Tensor,
+    weight: &Tensor,
+    out: &Tensor,
+    tail: Option<&Tensor>,
+    target: &Target,
+    cfg: &ConfigEntity,
+) -> Result<(), TeError> {
+    let points = apply_dense_structural(s, data, weight, out, tail, target, cfg)?;
     apply_annotations(s, cfg, &points)
 }
 
@@ -313,22 +362,24 @@ fn apply_dense_structural(
     data: &Tensor,
     weight: &Tensor,
     out: &Tensor,
+    tail: Option<&Tensor>,
     target: &Target,
     cfg: &ConfigEntity,
 ) -> Result<AnnPoints, TeError> {
     let mut points = AnnPoints::default();
     if target.is_gpu() {
-        let cl = s.cache_write(out, MemScope::Local)?;
-        let ax = out.op.axes();
+        let (root, cl) = root_and_accumulator(s, out, tail)?;
+        let root = &root;
+        let ax = root.op.axes();
         let (t_m, t_n) = (cfg.get("tile_m"), cfg.get("tile_n"));
-        let (mo, mi) = s.split(out, &ax[0], t_m)?;
-        let (no, ni) = s.split(out, &ax[1], t_n)?;
-        s.reorder(out, &[&mo, &no, &mi, &ni])?;
-        s.bind(out, &mo, ThreadTag::BlockIdxY)?;
-        s.bind(out, &no, ThreadTag::BlockIdxX)?;
-        s.bind(out, &mi, ThreadTag::ThreadIdxY)?;
-        s.bind(out, &ni, ThreadTag::ThreadIdxX)?;
-        s.compute_at(&cl, out, &ni)?;
+        let (mo, mi) = s.split(root, &ax[0], t_m)?;
+        let (no, ni) = s.split(root, &ax[1], t_n)?;
+        s.reorder(root, &[&mo, &no, &mi, &ni])?;
+        s.bind(root, &mo, ThreadTag::BlockIdxY)?;
+        s.bind(root, &no, ThreadTag::BlockIdxX)?;
+        s.bind(root, &mi, ThreadTag::ThreadIdxY)?;
+        s.bind(root, &ni, ThreadTag::ThreadIdxX)?;
+        s.compute_at(&cl, root, &ni)?;
         let r = cl.op.reduce_axes();
         let (ko, ki) = s.split(&cl, &r[0], cfg.get("tile_k"))?;
         let cl_ax = cl.op.axes();
@@ -344,15 +395,28 @@ fn apply_dense_structural(
             cooperative_load(s, &ws, &threads)?;
         }
     } else {
-        let ax = out.op.axes();
+        let root = tail.unwrap_or(out);
+        let ax = root.op.axes();
+        let (mo, mi) = s.split(root, &ax[0], cfg.get("tile_m"))?;
+        let (no, ni) = s.split(root, &ax[1], cfg.get("tile_n"))?;
+        s.reorder(root, &[&mo, &no, &mi, &ni])?;
+        // As in the conv2d template: under a tail the accumulator is the
+        // dense stage realized over one (m, n) tile of the tail.
+        let (acc_m, acc_n) = if tail.is_some() {
+            s.set_scope(out, MemScope::Local)?;
+            s.compute_at(out, root, &no)?;
+            points.vec.push((root.clone(), ni));
+            let acc_ax = out.op.axes();
+            (acc_ax[0].clone(), acc_ax[1].clone())
+        } else {
+            (mi, ni)
+        };
         let r = out.op.reduce_axes();
-        let (mo, mi) = s.split(out, &ax[0], cfg.get("tile_m"))?;
-        let (no, ni) = s.split(out, &ax[1], cfg.get("tile_n"))?;
         let (ko, ki) = s.split(out, &r[0], cfg.get("tile_k"))?;
-        s.reorder(out, &[&mo, &no, &ko, &mi, &ki, &ni])?;
+        s.reorder(out, &[&ko, &acc_m, &ki, &acc_n])?;
         points.unroll = vec![(out.clone(), ki)];
-        points.vec = Some((out.clone(), ni));
-        points.par = Some((out.clone(), mo));
+        points.vec.push((out.clone(), acc_n));
+        points.par = Some((root.clone(), mo));
     }
     Ok(points)
 }
@@ -370,7 +434,7 @@ pub fn dense_task(w: DenseWorkload, target: Target) -> TuningTask {
         std::slice::from_ref(&args[2]),
         &args,
         func_name,
-        move |s, cfg| apply_dense_structural(s, &d, &wt, &out, &t2, cfg),
+        move |s, cfg| apply_dense_structural(s, &d, &wt, &out, None, &t2, cfg),
     )
 }
 

@@ -4,7 +4,7 @@
 
 use tvm::prelude::*;
 use tvm_ir::DType;
-use tvm_sim::{arm_a53, titanx};
+use tvm_sim::{arm_a53, mali_t860, titanx};
 use tvm_topi as topi;
 
 /// A small CNN graph shared by several tests.
@@ -39,51 +39,114 @@ fn small_cnn() -> tvm_graph::Graph {
     g
 }
 
-/// Host reference for the small CNN given the executor's seeded params.
-fn reference_forward(ex: &GraphExecutor, input: &NDArray) -> Vec<f32> {
-    // Re-run through an unfused CPU build — an independently scheduled
-    // second compilation acting as the oracle.
-    let g = small_cnn();
+/// A batch-8 MLP: dense layers under element-wise tails, the other shape
+/// (with the CNN's convolutions) a fused group's master takes.
+fn small_mlp() -> tvm_graph::Graph {
+    let mut g = tvm_graph::Graph::new();
+    let x = g.input(&[8, 32], "data");
+    let dense = |m, n, k| topi::DenseWorkload {
+        m,
+        n,
+        k,
+        dtype: DType::float32(),
+    };
+    let d1 = g.dense(x, dense(8, 64, 32), "fc1");
+    let r1 = g.relu(d1, "r1");
+    let d2 = g.dense(r1, dense(8, 16, 64), "fc2");
+    let out = g.relu(d2, "out");
+    g.outputs.push(out);
+    g
+}
+
+/// Host reference for `g`: an unfused CPU build — an independently
+/// scheduled second compilation acting as the oracle (both executors seed
+/// the parameters identically).
+fn reference_forward(g: &tvm_graph::Graph, input: &NDArray) -> Vec<f32> {
     let module = tvm::build(
-        &g,
+        g,
         &arm_a53(),
         &BuildOptions {
             no_fusion: true,
             db: None,
-            decisions: None,
         },
     )
     .expect("builds");
-    let mut ex2 = GraphExecutor::new(module);
-    // Copy the params from the first executor by name (both use the same
-    // deterministic seeding, but copy anyway to be explicit).
-    let _ = ex;
-    ex2.set_input("data", input.clone()).expect("binds");
-    ex2.run().expect("runs");
-    ex2.get_output(0).expect("output").data.clone()
+    let mut ex = GraphExecutor::new(module);
+    ex.set_input("data", input.clone()).expect("binds");
+    ex.run().expect("runs");
+    ex.get_output(0).expect("output").data.clone()
+}
+
+/// A database holding, for each conv and dense of `g` on `target`, the
+/// cheapest of the first 48 legal configurations after a seeded start whose
+/// `use_shared` knob (GPU spaces only) is `use_shared` — a short search, so
+/// the record is one a cost comparison would prefer.
+fn seeded_db(g: &tvm_graph::Graph, target: &Target, use_shared: i64) -> Database {
+    let mut db = Database::new();
+    for (n, node) in g.nodes.iter().enumerate() {
+        let task = match &node.op {
+            tvm_graph::OpType::Conv2d(w) => topi::conv2d_task(*w, node.dtype, target.clone()),
+            tvm_graph::OpType::Dense(w) => topi::dense_task(*w, target.clone()),
+            _ => continue,
+        };
+        let size = task.space.size();
+        let start = 0x9E37_79B9u64.wrapping_mul(n as u64 + 1) % size;
+        let (cfg, ms) = (0..size)
+            .map(|step| task.space.get((start + step) % size))
+            .filter(|cfg| cfg.try_get("use_shared").map_or(true, |v| v == use_shared))
+            .filter_map(|cfg| task.measure(&cfg).map(|(_, ms)| (cfg, ms)))
+            .take(48)
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("a legal configuration");
+        db.add(&task.name, &cfg, ms);
+    }
+    db
 }
 
 #[test]
 fn fused_and_unfused_builds_agree_numerically() {
-    for target in [arm_a53(), titanx()] {
-        let g = small_cnn();
-        let module = tvm::build(&g, &target, &BuildOptions::default()).expect("builds");
-        let mut ex = GraphExecutor::new(module);
-        let input = NDArray::seeded(&[1, 3, 16, 16], 5);
-        ex.set_input("data", input.clone()).expect("binds");
-        ex.run().expect("runs");
-        let got = ex.get_output(0).expect("output").data.clone();
-        let want = reference_forward(&ex, &input);
-        assert_eq!(got.len(), want.len());
-        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-3 * b.abs().max(1.0),
-                "{}: output {i} differs: {a} vs {b}",
-                target.name()
-            );
+    for (g, input) in [
+        (small_cnn(), NDArray::seeded(&[1, 3, 16, 16], 5)),
+        (small_mlp(), NDArray::seeded(&[8, 32], 5)),
+    ] {
+        let want = reference_forward(&g, &input);
+        // Untuned on every target, then under tuning records that stage
+        // through shared memory and records that do not.
+        let mut cases = vec![
+            (arm_a53(), None),
+            (arm_a53(), Some(seeded_db(&g, &arm_a53(), 0))),
+        ];
+        for target in [titanx(), mali_t860()] {
+            cases.push((target.clone(), None));
+            for use_shared in [0, 1] {
+                cases.push((target.clone(), Some(seeded_db(&g, &target, use_shared))));
+            }
         }
-        // ReLU output is non-negative.
-        assert!(got.iter().all(|&v| v >= 0.0));
+        for (target, db) in &cases {
+            let opts = BuildOptions {
+                no_fusion: false,
+                db: db.as_ref(),
+            };
+            let module = tvm::build(&g, target, &opts).expect("builds");
+            let mut ex = GraphExecutor::new(module);
+            ex.set_input("data", input.clone()).expect("binds");
+            let at = format!(
+                "{} ({} tuning records)",
+                target.name(),
+                db.as_ref().map_or(0, |db| db.records.len())
+            );
+            ex.run().unwrap_or_else(|e| panic!("{at}: {e}"));
+            let got = ex.get_output(0).expect("output").data.clone();
+            assert_eq!(got.len(), want.len());
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-3 * b.abs().max(1.0),
+                    "{at}: output {i} differs: {a} vs {b}"
+                );
+            }
+            // ReLU output is non-negative.
+            assert!(got.iter().all(|&v| v >= 0.0));
+        }
     }
 }
 
@@ -98,7 +161,6 @@ fn resnet18_fused_and_unfused_agree_at_model_scale() {
         let opts = BuildOptions {
             no_fusion,
             db: None,
-            decisions: None,
         };
         let module = tvm::build(&g, &arm_a53(), &opts).expect("builds");
         let kernels = module.kernels.len();
@@ -133,7 +195,6 @@ fn fusion_reduces_kernel_count_and_time() {
         &BuildOptions {
             no_fusion: true,
             db: None,
-            decisions: None,
         },
     )
     .expect("builds");

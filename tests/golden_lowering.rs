@@ -101,9 +101,7 @@ fn digest_task(task: &TuningTask, seed: u64) -> (u64, usize) {
 /// simulator gives its function now; the second adds the printed body of
 /// each distinct kernel. A build hands the first kernel of a structure to
 /// every repeat, so a repeat prints the first occurrence's buffer names:
-/// bodies are pinned once per shared program cell, and the `/costs` rows,
-/// captured on the commit before kernels were shared, pin that sharing
-/// moved no kernel's name or cost.
+/// bodies are pinned once per shared program cell.
 fn digest_build(target: &Target) -> (u64, u64) {
     let module =
         tvm::build(&tvm_models::resnet18(32), target, &BuildOptions::default()).expect("builds");
@@ -130,21 +128,26 @@ fn digest_build(target: &Target) -> (u64, u64) {
     (costs.0, bodies.0)
 }
 
-/// Digests captured on the parent of the commit that introduced this file;
-/// the three `resnet18@32/<target>` body rows on the commit that started
-/// sharing kernels, whose parent produced the `/costs` rows.
+/// The five task rows were captured on the parent of the commit that
+/// introduced this file. The six `resnet18@32` rows were re-captured on the
+/// commit that gave each fused group one schedule (its master's template
+/// applied to the group's output, with fallback tiles when the database has
+/// no record): every kernel with a templated master moved, the pooling,
+/// global-average and softmax kernels did not. Debug and release builds
+/// check the same table, and with one candidate per group that now covers
+/// which kernel ships, not only what it costs.
 const GOLDEN: &[(&str, u64)] = &[
     ("dense/titanx/template", 0x66b326ac8cae84f3),
     ("conv2d_c7/titanx/template", 0xaaad0e34335968e5),
     ("conv2d_c7/arm_a53/template", 0x4d7f234932ae7bba),
     ("dense/titanx/sketch", 0xa6e22b282d9fff60),
     ("conv2d_c7/titanx/sketch", 0x36a1368213f22a68),
-    ("resnet18@32/titanx/costs", 0x6dd84c3225502d0d),
-    ("resnet18@32/titanx", 0x6e08c31268a0bad2),
-    ("resnet18@32/arm_a53/costs", 0x8aa6edf558133ae1),
-    ("resnet18@32/arm_a53", 0x9b025847228a3626),
-    ("resnet18@32/mali_t860/costs", 0x11c1374ec5a76fb9),
-    ("resnet18@32/mali_t860", 0x3f85f27be87dc91f),
+    ("resnet18@32/titanx/costs", 0x7e22d6df75e799bd),
+    ("resnet18@32/titanx", 0x966242d5b573870f),
+    ("resnet18@32/arm_a53/costs", 0x3ea72d6c13e26c79),
+    ("resnet18@32/arm_a53", 0xa8acca7fd330f9b5),
+    ("resnet18@32/mali_t860/costs", 0xc0087761d80d18a9),
+    ("resnet18@32/mali_t860", 0x67ccee3ad831f564),
 ];
 
 fn check(actual: &[(String, u64)]) {
