@@ -29,11 +29,13 @@
 //! variables and buffers by their display name, so diagnostic output is
 //! stable across runs and suitable for golden-file tests.
 //!
-//! The *graph layer* has a sibling suite in `tvm_graph::verify` (it
-//! cannot live here — `tvm-graph` sits above `tvm-te`, which depends on
-//! this crate). Those passes (`memplan`, `fusion`, `slot-contract`)
-//! reuse this crate's [`Diagnostic`] type and the [`bounds`] machinery,
-//! so diagnostics from both layers render, sort and golden-test
+//! Nothing below the compiler calls this crate: `tvm-te` lowers and does
+//! nothing else. The verdict on what a build ships is taken above it, by
+//! `tvm_graph::verify_build` (`Module::verify`), which runs the graph
+//! layer's own passes (`memplan`, `fusion`, `slot-contract`) and then
+//! [`AnalysisOptions::lowering_hook`] over each distinct kernel. Those
+//! passes reuse this crate's [`Diagnostic`] type and the [`bounds`]
+//! machinery, so diagnostics from both layers render, sort and golden-test
 //! identically.
 
 pub mod affine;
@@ -147,9 +149,10 @@ impl AnalysisOptions {
         AnalysisOptions::default()
     }
 
-    /// The cheap subset run after every lowering stage in debug builds
-    /// (`ssa` + `bounds` + `sync`; the race prover is reserved for lint
-    /// and the fuzzing oracle).
+    /// The subset a built kernel is held to (`ssa` + `bounds` + `sync`):
+    /// what `tvm_graph::verify_build` runs once per distinct kernel body.
+    /// The race prover is reserved for lint and the fuzzing oracle. The
+    /// name is frozen: `benchmark/` calls it.
     pub fn lowering_hook() -> Self {
         AnalysisOptions {
             race: false,

@@ -1,15 +1,16 @@
 //! The back half every tuning-task builder shares, whether its schedule
 //! structure comes from a hand-written template (`tvm-topi`) or a sketch
 //! ([`crate::sketch`]): plan a structure once, then turn each candidate
-//! into a clone + annotate + [`emit_planned`] and check it against the
-//! hardware limits — with the one [`ProgramAnalysis`] that the tuner then
-//! reads features and simulated cost from ([`build_analyzed`]).
+//! into a clone + annotate + [`emit_planned`], held to the target's limits
+//! ([`Target::check_limits`], the check `tvm::build` makes too) with the
+//! one [`ProgramAnalysis`] that the tuner then reads features and simulated
+//! cost from ([`build_analyzed`]).
 
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use tvm_ir::{LoweredFunc, MemScope, Stmt, ThreadTag};
+use tvm_ir::{LoweredFunc, Stmt, ThreadTag};
 use tvm_sim::{analyze, ProgramAnalysis, Target};
 use tvm_te::{
     create_schedule, emit_planned, plan_schedule, IterVar, LowerOptions, LowerPlan, PlanCache,
@@ -110,29 +111,6 @@ pub fn cooperative_load(
     Ok(())
 }
 
-/// Post-lowering validity checks that stand in for hardware limits.
-fn validate(an: &ProgramAnalysis, target: &Target) -> Result<(), TeError> {
-    if let Target::Gpu(g) = target {
-        let shared = an
-            .alloc_bytes
-            .get(&MemScope::Shared)
-            .copied()
-            .unwrap_or(0.0);
-        if shared > g.shared_bytes_per_sm as f64 {
-            return Err(TeError::msg(format!(
-                "shared memory overflow: {shared} bytes"
-            )));
-        }
-        if an.block_threads() > 1024 {
-            return Err(TeError::msg(format!(
-                "too many threads: {}",
-                an.block_threads()
-            )));
-        }
-    }
-    Ok(())
-}
-
 thread_local! {
     /// The analysis the last [`planned_task`] builder call on this thread
     /// checked the limits with, and the body it describes. `builder` can
@@ -211,7 +189,9 @@ pub fn planned_task(
             &LowerOptions::default(),
         )?;
         let an = analyze(&f);
-        validate(&an, &limits)?;
+        limits
+            .check_limits(&an)
+            .map_err(|e| TeError::msg(e.to_string()))?;
         CHECKED.with(|c| *c.borrow_mut() = Some((f.body.clone(), an)));
         Ok(f)
     };

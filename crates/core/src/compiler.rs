@@ -8,6 +8,13 @@
 //! template, applied to the group's output so the master accumulates in
 //! registers under the element-wise tail and intermediates never touch
 //! DRAM. The kernel a tuning record was measured on is the kernel built.
+//!
+//! What ships is gated the same way in every build profile, as `Err`s: the
+//! fused graph and memory plan pass `tvm_graph::verify_graph`, and each
+//! distinct kernel fits its target's limits (`Target::check_limits`, the
+//! check a tuning candidate gets). The loop-IR passes over the kernels are
+//! not part of a build; they are [`Module::verify`], for whoever wants that
+//! verdict.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -15,7 +22,7 @@ use std::sync::Arc;
 use tvm_autotune::{ConfigEntity, ConfigSpace, Database};
 use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, Node, NodeId, OpType, Pattern};
 use tvm_runtime::{CompiledGroup, Module};
-use tvm_sim::{estimate, Target};
+use tvm_sim::{analyze, estimate_analysis, Target};
 use tvm_te::{compute, create_schedule, lower, placeholder, Schedule, TeError, Tensor};
 use tvm_topi as topi;
 
@@ -63,6 +70,15 @@ pub fn build_with_report(
 ) -> Result<(Module, BuildReport), TeError> {
     let fused = fuse(graph, !opts.no_fusion);
     let plan = plan_memory(graph, &fused);
+    let graph_report = tvm_graph::verify_graph(graph, &fused, &plan);
+    if graph_report.has_errors() {
+        let msgs: Vec<String> = graph_report.errors().map(|d| d.to_string()).collect();
+        return Err(TeError::msg(format!(
+            "graph validation failed building for `{}`: {}",
+            target.name(),
+            msgs.join("; ")
+        )));
+    }
     let mut kernels: Vec<CompiledGroup> = Vec::with_capacity(fused.groups.len());
     let mut report = BuildReport::default();
     // Index of the first kernel built for each group structure. It lives
@@ -101,33 +117,14 @@ pub fn build_with_report(
         plan,
         target_name: target.name().to_string(),
     };
-    validate_graph(&module)?;
+    // An assertion on the one candidate there is: it cannot change what is
+    // returned, and nothing turns it on or off.
+    debug_assert!(
+        !module.verify().has_errors(),
+        "built module fails its own verdict:\n{}",
+        module.verify().render()
+    );
     Ok((module, report))
-}
-
-/// Runs the graph-layer static verifiers (`tvm_graph::verify`: memory-plan
-/// safety, fusion legality, cross-layer slot contracts) on every freshly
-/// built module, turning error findings into a `TeError`. Enabled in debug
-/// builds; override with `TVM_VALIDATE_GRAPH=1` / `=0` — the graph-level
-/// twin of `te::lower`'s `TVM_VALIDATE_LOWER` hook.
-fn validate_graph(module: &Module) -> Result<(), TeError> {
-    let enabled = match std::env::var("TVM_VALIDATE_GRAPH") {
-        Ok(v) => v != "0",
-        Err(_) => cfg!(debug_assertions),
-    };
-    if !enabled {
-        return Ok(());
-    }
-    let report = module.verify();
-    if report.has_errors() {
-        let msgs: Vec<String> = report.errors().map(|d| d.to_string()).collect();
-        return Err(TeError::msg(format!(
-            "graph validation failed after building for `{}`: {}",
-            module.target_name,
-            msgs.join("; ")
-        )));
-    }
-    Ok(())
 }
 
 struct GroupBuild {
@@ -414,7 +411,11 @@ pub fn build_group(
     let mut args: Vec<NodeId> = gb.inputs.iter().map(|(id, _)| *id).collect();
     args.push(group.output);
     let func = lower(&s, &arg_tensors, &name)?;
-    let cost = estimate(&func, target);
+    let an = analyze(&func);
+    target
+        .check_limits(&an)
+        .map_err(|e| TeError::msg(format!("kernel `{name}` on {}: {e}", target.name())))?;
+    let cost = estimate_analysis(&an, target, &Default::default());
     Ok(CompiledGroup {
         est_ms: cost.millis(),
         cost: tvm_runtime::GroupCost {

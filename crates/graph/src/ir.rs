@@ -294,19 +294,6 @@ impl Graph {
         }
         out
     }
-
-    /// Total floating-point work of the graph.
-    pub fn total_flops(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| match &n.op {
-                OpType::Conv2d(w) => w.flops(),
-                OpType::DepthwiseConv2d(w) => w.flops(),
-                OpType::Dense(w) => w.flops(),
-                _ => n.shape.iter().product::<i64>() as f64,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -11,5 +11,5 @@ pub mod verify;
 pub use fusion::{fuse, FusedGraph, Group, GroupKey};
 pub use ir::{Graph, Node, NodeId, OpType, Pattern};
 pub use layout::{cpu_preference, transform_layouts};
-pub use memplan::{constant_foldable, plan_memory, MemoryPlan};
+pub use memplan::{plan_memory, MemoryPlan};
 pub use verify::{verify_build, verify_graph, GraphReport, KernelView};

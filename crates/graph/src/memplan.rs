@@ -3,7 +3,7 @@
 //! overlap (liveness-based greedy reuse).
 
 use crate::fusion::FusedGraph;
-use crate::ir::{Graph, NodeId, OpType};
+use crate::ir::Graph;
 
 /// The storage plan: a storage slot per group output.
 #[derive(Clone, Debug)]
@@ -133,27 +133,6 @@ pub fn plan_memory(g: &Graph, fused: &FusedGraph) -> MemoryPlan {
         slot_sizes,
         slot_aligns,
     }
-}
-
-/// Constant folding (§3): nodes whose transitive inputs are all `Param`
-/// can be pre-computed at deployment time. Returns the foldable node set
-/// in topological order.
-pub fn constant_foldable(g: &Graph) -> Vec<NodeId> {
-    let mut is_const = vec![false; g.nodes.len()];
-    let mut out = Vec::new();
-    for node in &g.nodes {
-        match node.op {
-            OpType::Param => is_const[node.id.0] = true,
-            OpType::Input => {}
-            _ => {
-                if !node.inputs.is_empty() && node.inputs.iter().all(|i| is_const[i.0]) {
-                    is_const[node.id.0] = true;
-                    out.push(node.id);
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -350,18 +329,5 @@ mod tests {
         assert_eq!(plan.slot_offsets(), vec![0, 4]);
         assert_eq!(plan.arena_bytes(), 12);
         assert_eq!(plan.total_bytes(), 11);
-    }
-
-    #[test]
-    fn folding_detects_param_only_subgraphs() {
-        let mut g = Graph::new();
-        let p1 = g.param(&[1, 8, 4, 4], "w1");
-        let p2 = g.param(&[1, 8, 4, 4], "w2");
-        let folded = g.add_op(p1, p2, "wsum"); // param + param: foldable
-        let x = g.input(&[1, 8, 4, 4], "data");
-        let live = g.add_op(x, folded, "apply"); // depends on input: not
-        g.outputs.push(live);
-        let f = constant_foldable(&g);
-        assert_eq!(f, vec![folded]);
     }
 }

@@ -2,8 +2,8 @@
 //! post-hoc, mirroring the loop-IR suite in `tvm-analysis` (interval
 //! proofs where possible, concrete refutation witnesses where not).
 //!
-//! Three passes run over a `(Graph, FusedGraph, MemoryPlan)` triple (plus
-//! the lowered kernels for the cross-layer pass):
+//! Four passes run over a `(Graph, FusedGraph, MemoryPlan)` triple (plus
+//! the lowered kernels for the last two):
 //!
 //! 1. [`check_memplan`] — **memory-plan safety**: recomputes tensor
 //!    liveness from the executor's topological order (group `i` writes at
@@ -24,12 +24,15 @@
 //!    contract that connects the graph layer's plan to the schedule
 //!    layer's generated code. An undersized slot comes back as a bounds
 //!    refutation with a concrete loop-index witness.
+//! 4. [`check_kernel_bodies`] — **loop-IR legality**: the `ssa`, `bounds`
+//!    and `sync` passes of `tvm-analysis` over each distinct kernel body,
+//!    so one [`verify_build`] is the whole static verdict on a module.
 //!
 //! Diagnostics reuse [`tvm_analysis::Diagnostic`], name nodes/slots by
 //! display name and index (never internal ids), and are deterministic —
 //! the same golden-file discipline as the loop-IR passes.
 
-use tvm_analysis::{bounds, Diagnostic};
+use tvm_analysis::{analyze_func_with, bounds, AnalysisOptions, Diagnostic};
 use tvm_ir::LoweredFunc;
 
 use crate::fusion::FusedGraph;
@@ -53,7 +56,8 @@ pub struct KernelView<'a> {
 /// `tvm_analysis::AnalysisReport`.
 #[derive(Clone, Debug, Default)]
 pub struct GraphReport {
-    /// All findings, in pass order (`memplan`, `fusion`, `slot-contract`).
+    /// All findings, in pass order (`memplan`, `fusion`, `slot-contract`,
+    /// then the loop-IR passes per kernel).
     pub diagnostics: Vec<Diagnostic>,
     /// Fused groups validated against the rule table.
     pub groups_checked: usize,
@@ -656,6 +660,30 @@ pub fn check_slot_contracts(
     report
 }
 
+/// Pass 4: the loop-IR verifier (`ssa` + `bounds` + `sync`) over the
+/// lowered kernels. Kernels a build found structurally equal share one
+/// body, and the same immutable tree gets the same verdict: each distinct
+/// body is analyzed once, under the name of the first kernel that has it.
+pub fn check_kernel_bodies(kernels: &[KernelView<'_>]) -> GraphReport {
+    let mut report = GraphReport::default();
+    let opts = AnalysisOptions::lowering_hook();
+    for (i, k) in kernels.iter().enumerate() {
+        if kernels[..i]
+            .iter()
+            .any(|p| p.func.body.same_as(&k.func.body))
+        {
+            continue;
+        }
+        for d in analyze_func_with(k.func, &opts).diagnostics {
+            report.diagnostics.push(Diagnostic {
+                message: format!("kernel `{}`: {}", k.name, d.message),
+                ..d
+            });
+        }
+    }
+    report
+}
+
 fn merge(into: &mut GraphReport, from: GraphReport) {
     into.diagnostics.extend(from.diagnostics);
     into.groups_checked += from.groups_checked;
@@ -676,8 +704,9 @@ pub fn verify_graph(g: &Graph, fused: &FusedGraph, plan: &MemoryPlan) -> GraphRe
     report
 }
 
-/// Runs all three passes over a complete build (graph passes plus the
-/// cross-layer slot contracts over the lowered kernels).
+/// Runs all four passes over a complete build: the graph passes, the
+/// cross-layer slot contracts and the loop-IR verifier over the lowered
+/// kernels.
 pub fn verify_build(
     g: &Graph,
     fused: &FusedGraph,
@@ -686,6 +715,7 @@ pub fn verify_build(
 ) -> GraphReport {
     let mut report = verify_graph(g, fused, plan);
     merge(&mut report, check_slot_contracts(g, plan, kernels));
+    merge(&mut report, check_kernel_bodies(kernels));
     report
 }
 

@@ -15,8 +15,8 @@
 use std::path::Path;
 
 use tvm_graph::verify::{check_fusion, check_memplan, check_slot_contracts, KernelView};
-use tvm_graph::{fuse, plan_memory, Graph};
-use tvm_ir::{DType, Expr, LoweredFunc, Stmt, Var};
+use tvm_graph::{fuse, plan_memory, verify_build, Graph};
+use tvm_ir::{DType, Expr, ForKind, LoweredFunc, Stmt, StmtNode, ThreadTag, Var};
 use tvm_topi::Conv2dWorkload;
 
 fn check_golden(name: &str, actual: &str) {
@@ -196,6 +196,51 @@ fn undersized_slot_is_refuted() {
         "undersized_slot.expected",
         &format!("{}{}", report.render(), contracts.render()),
     );
+}
+
+/// A sound graph and plan around a kernel whose barrier only half the
+/// threads reach (the program of `tvm-analysis`'s `divergent_barrier`
+/// case): the build verdict runs the loop-IR passes too, once per body
+/// however many kernels share it.
+#[test]
+fn divergent_barrier_in_a_kernel_is_flagged() {
+    let mut g = Graph::new();
+    let x = g.input(&[4], "data");
+    let r = g.relu(x, "relu");
+    let t = g.relu(r, "again");
+    g.outputs.push(t);
+    let fused = fuse(&g, false);
+    let plan = plan_memory(&g, &fused);
+
+    let tx = Var::int("tx");
+    let func = LoweredFunc {
+        name: "relu_kernel".into(),
+        params: vec![
+            Var::new("data", DType::float32()),
+            Var::new("out", DType::float32()),
+        ],
+        param_dtypes: vec![DType::float32(), DType::float32()],
+        param_extents: vec![4, 4],
+        body: Stmt::loop_(
+            &tx,
+            0,
+            4,
+            ForKind::ThreadBinding(ThreadTag::ThreadIdxX),
+            Stmt::if_then(tx.to_expr().lt(Expr::int(2)), Stmt::new(StmtNode::Barrier)),
+        ),
+    };
+    let (first, second) = ([x, r], [r, t]);
+    let kernels = [&first, &second].map(|args| KernelView {
+        name: "relu_kernel",
+        func: &func,
+        args,
+    });
+    let report = verify_build(&g, &fused, &plan, &kernels);
+    let errors: Vec<_> = report.errors().collect();
+    assert_eq!(errors.len(), 1, "{}", report.render());
+    assert_eq!(errors[0].pass, "sync");
+    assert!(errors[0].message.starts_with("kernel `relu_kernel`: "));
+    check_golden("divergent_barrier_kernel.expected", &report.render());
 }
 
 /// A slot whose base alignment is too small for its occupant's dtype.

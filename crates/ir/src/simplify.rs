@@ -37,11 +37,6 @@ impl Simplifier {
         Simplifier { bounds }
     }
 
-    /// Registers a variable range.
-    pub fn bind_range(&mut self, id: VarId, iv: Interval) {
-        self.bounds.insert(id, iv);
-    }
-
     fn fold_int_binop(op: BinOp, a: i64, b: i64) -> Option<i64> {
         Some(match op {
             BinOp::Add => a.checked_add(b)?,

@@ -109,14 +109,6 @@ impl MemScope {
             _ => return None,
         })
     }
-
-    /// True for the accelerator on-chip scopes.
-    pub fn is_accel(self) -> bool {
-        matches!(
-            self,
-            MemScope::AccBuffer | MemScope::InpBuffer | MemScope::WgtBuffer
-        )
-    }
 }
 
 /// DAE pipeline stages between which dependence tokens flow (Fig. 9).

@@ -261,12 +261,15 @@ impl Module {
         self.kernels.iter().map(|k| k.est_ms).sum()
     }
 
-    /// Runs the graph-layer static verifiers over this module: memory-plan
-    /// safety (recomputed liveness + interference), fusion legality, and
-    /// the cross-layer slot contracts proving each kernel's touch set fits
-    /// the planner's allocation. Used by the debug-build/`TVM_VALIDATE_GRAPH`
-    /// hook, `tvm-lint --graph`, and the serving artifact cache when a
-    /// rebuild matches its journaled fingerprint.
+    /// The one static verdict on this module (`tvm_graph::verify_build`):
+    /// memory-plan safety (recomputed liveness + interference), fusion
+    /// legality, the cross-layer slot contracts proving each kernel's touch
+    /// set fits the planner's allocation, and the loop-IR passes (`ssa`,
+    /// `bounds`, `sync`) over each distinct kernel body. `tvm::build` gates
+    /// only the graph passes and the hardware limits; this is for whoever
+    /// wants the rest: `tvm-lint --graph`, the serving artifact cache when
+    /// a rebuild matches its journaled fingerprint, the test suites, and a
+    /// `debug_assert!` at the end of `tvm::build`.
     pub fn verify(&self) -> GraphReport {
         let views: Vec<KernelView<'_>> = self
             .kernels

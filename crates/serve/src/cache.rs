@@ -22,7 +22,6 @@ use tvm_autotune::log::{
     crc32, f64_field, str_field, u64_field, Field, Log, Record, RecoveryReport,
 };
 use tvm_autotune::Database;
-use tvm_graph::Graph;
 use tvm_json::Value;
 use tvm_runtime::Module;
 
@@ -297,11 +296,5 @@ impl ArtifactCache {
             j.sync()?;
         }
         Ok(())
-    }
-
-    /// Compiles nothing; purely exposes how a graph would be keyed (used
-    /// by tests to pre-warm or inspect the journal).
-    pub fn build_graph_for(model: Model, bucket: i64) -> Graph {
-        model.build_graph(bucket)
     }
 }

@@ -135,15 +135,6 @@ impl ProgramAnalysis {
             .product::<i64>()
             .max(1)
     }
-
-    /// Sum of bytes moved for accesses in a scope (trips × element size).
-    pub fn access_bytes(&self, scope: MemScope) -> f64 {
-        self.accesses
-            .iter()
-            .filter(|a| a.scope == scope)
-            .map(|a| a.trips * a.dtype.bytes() as f64)
-            .sum()
-    }
 }
 
 struct Walker {

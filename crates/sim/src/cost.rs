@@ -289,11 +289,6 @@ fn gpu_cost(an: &ProgramAnalysis, gpu: &GpuSpec, opts: &SimOptions) -> Cost {
     }
 }
 
-/// Convenience: estimated milliseconds for a function on a target.
-pub fn time_ms(func: &LoweredFunc, target: &Target) -> f64 {
-    estimate(func, target).millis()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,16 +6,14 @@
 //! lowered loop program (access counts, per-depth footprints, strides —
 //! the same statistics the paper's Fig. 13 cost-model features are built
 //! from); [`cost`] turns a summary into estimated cycles on a
-//! [`target::Target`]; [`roofline`] provides the Fig. 10 roofline tools.
+//! [`target::Target`].
 
 pub mod analysis;
 pub mod cost;
 pub mod fault;
-pub mod roofline;
 pub mod target;
 
 pub use analysis::{analyze, AccessRecord, ProgramAnalysis};
-pub use cost::{estimate, estimate_analysis, estimate_with, time_ms, Cost, SimOptions};
+pub use cost::{estimate, estimate_analysis, estimate_with, Cost, SimOptions};
 pub use fault::{mix64, Fault, FaultPlan, FaultRates};
-pub use roofline::{attainable, attainable_gflops, ridge_intensity, utilization, RooflinePoint};
-pub use target::{arm_a53, mali_t860, titanx, CacheLevel, CpuSpec, GpuSpec, Target};
+pub use target::{arm_a53, mali_t860, titanx, CacheLevel, CpuSpec, GpuSpec, LimitExceeded, Target};

@@ -6,6 +6,12 @@
 //! quality orderings are preserved, even though absolute times are
 //! simulated rather than measured.
 
+use std::fmt;
+
+use tvm_ir::MemScope;
+
+use crate::analysis::ProgramAnalysis;
+
 /// One level of a CPU cache hierarchy.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheLevel {
@@ -75,6 +81,31 @@ pub struct GpuSpec {
     pub fp16_rate: f64,
 }
 
+/// Threads one block may bind on any modelled GPU.
+const MAX_BLOCK_THREADS: i64 = 1024;
+
+/// A kernel that asks one thread block for more than its target has. No
+/// device would launch it, so it has no cost: tuning candidates and the
+/// kernels of a build are both held to [`Target::check_limits`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LimitExceeded {
+    /// The block's `shared` allocations, in bytes, do not fit one SM.
+    SharedBytes(f64),
+    /// The block binds more threads than the hardware schedules.
+    BlockThreads(i64),
+}
+
+impl fmt::Display for LimitExceeded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LimitExceeded::SharedBytes(used) => write!(f, "shared memory overflow: {used} bytes"),
+            LimitExceeded::BlockThreads(used) => write!(f, "too many threads: {used}"),
+        }
+    }
+}
+
+impl std::error::Error for LimitExceeded {}
+
 /// A compilation/simulation target.
 #[derive(Clone, Debug)]
 pub enum Target {
@@ -104,6 +135,27 @@ impl Target {
     /// True for GPU targets.
     pub fn is_gpu(&self) -> bool {
         matches!(self, Target::Gpu(_))
+    }
+
+    /// Checks an analyzed kernel against the per-block hardware limits:
+    /// shared bytes per SM and threads per block. CPUs have neither.
+    pub fn check_limits(&self, an: &ProgramAnalysis) -> Result<(), LimitExceeded> {
+        let Target::Gpu(g) = self else {
+            return Ok(());
+        };
+        let shared = an
+            .alloc_bytes
+            .get(&MemScope::Shared)
+            .copied()
+            .unwrap_or(0.0);
+        if shared > g.shared_bytes_per_sm as f64 {
+            return Err(LimitExceeded::SharedBytes(shared));
+        }
+        let threads = an.block_threads();
+        if threads > MAX_BLOCK_THREADS {
+            return Err(LimitExceeded::BlockThreads(threads));
+        }
+        Ok(())
     }
 
     /// Peak FLOP/s of the target.
@@ -217,6 +269,25 @@ mod tests {
         assert!(t.peak_flops() < 50e9);
         assert!(t.peak_bw() < 5e9);
         assert!(!t.is_gpu());
+    }
+
+    #[test]
+    fn block_limits_hold_gpus_only() {
+        let mut an = ProgramAnalysis::default();
+        an.alloc_bytes.insert(MemScope::Shared, 33.0 * 1024.0);
+        an.thread_extents.insert(tvm_ir::ThreadTag::ThreadIdxX, 32);
+        an.thread_extents.insert(tvm_ir::ThreadTag::ThreadIdxY, 64);
+        an.thread_extents.insert(tvm_ir::ThreadTag::BlockIdxX, 4096);
+        // A CPU has no thread blocks; the Titan X fits 33 KiB of shared
+        // memory and the Mali does not; 2,048 threads fit neither.
+        assert_eq!(arm_a53().check_limits(&an), Ok(()));
+        let threads = titanx().check_limits(&an).expect_err("2048 threads");
+        assert_eq!(threads, LimitExceeded::BlockThreads(2048));
+        assert_eq!(threads.to_string(), "too many threads: 2048");
+        let shared = mali_t860().check_limits(&an).expect_err("33 KiB shared");
+        assert_eq!(shared.to_string(), "shared memory overflow: 33792 bytes");
+        an.thread_extents.insert(tvm_ir::ThreadTag::ThreadIdxY, 32);
+        assert_eq!(titanx().check_limits(&an), Ok(()));
     }
 
     #[test]

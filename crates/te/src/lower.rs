@@ -314,8 +314,7 @@ pub fn lower_with(
     opts: &LowerOptions,
 ) -> Result<LoweredFunc, TeError> {
     // Pass-level tracing: children of this span are the lowering stages
-    // plus the per-stage validation hooks (a no-op when the global obs
-    // registry is disabled).
+    // (a no-op when the global obs registry is disabled).
     let _lower_span = tvm_obs::span_with("lower", &[("kernel", name)]);
     let plan = plan_schedule(sched)?;
     emit_planned(sched, &plan, args, name, opts)
@@ -476,13 +475,10 @@ pub fn emit_planned(
         .collect();
     let param_extents: Vec<usize> = args.iter().map(|t| t.numel() as usize).collect();
 
-    let mut hook = ValidationHook::new(name, &params, &param_extents);
-    hook.check("emit", &body)?;
     let body = {
         let _s = tvm_obs::span("hoist_shared_allocs");
         hoist_shared_allocs(&body)
     };
-    hook.check("hoist_shared_allocs", &body)?;
     let body = {
         let _s = tvm_obs::span(if opts.dae_sync {
             "lower_dae"
@@ -495,12 +491,10 @@ pub fn emit_planned(
             crate::vthread::lower_vthreads(&body)
         }
     };
-    hook.check("lower_vthreads", &body)?;
     let body = {
         let _s = tvm_obs::span("simplify");
         tvm_ir::simplify_stmt(&body)
     };
-    hook.check("simplify", &body)?;
 
     Ok(LoweredFunc {
         name: name.to_string(),
@@ -509,61 +503,6 @@ pub fn emit_planned(
         params,
         body,
     })
-}
-
-/// Runs the static verifier (`tvm-analysis`, ssa + bounds + sync) on the
-/// intermediate body after each lowering stage, turning any error finding
-/// into a `TeError` that names the offending pass. Enabled in debug
-/// builds; override with `TVM_VALIDATE_LOWER=1` / `=0` (read once per
-/// lowering).
-struct ValidationHook<'a> {
-    enabled: bool,
-    func: &'a str,
-    params: &'a [Var],
-    param_extents: &'a [usize],
-    /// The last body that passed. A pass that changes nothing returns its
-    /// input (the [`tvm_ir::Mutator`] contract), and the same immutable
-    /// tree gets the same verdict.
-    passed: Option<Stmt>,
-}
-
-impl<'a> ValidationHook<'a> {
-    fn new(func: &'a str, params: &'a [Var], param_extents: &'a [usize]) -> Self {
-        let enabled = match std::env::var("TVM_VALIDATE_LOWER") {
-            Ok(v) => v != "0",
-            Err(_) => cfg!(debug_assertions),
-        };
-        ValidationHook {
-            enabled,
-            func,
-            params,
-            param_extents,
-            passed: None,
-        }
-    }
-
-    fn check(&mut self, stage: &str, body: &Stmt) -> Result<(), TeError> {
-        if !self.enabled || self.passed.as_ref().is_some_and(|p| p.same_as(body)) {
-            return Ok(());
-        }
-        let _s = tvm_obs::span_with("validate", &[("after", stage)]);
-        let report = tvm_analysis::analyze_stmt(
-            body,
-            self.params,
-            self.param_extents,
-            &tvm_analysis::AnalysisOptions::lowering_hook(),
-        );
-        if report.has_errors() {
-            let msgs: Vec<String> = report.errors().map(|d| d.to_string()).collect();
-            return err(format!(
-                "IR validation failed after `{stage}` while lowering `{}`: {}",
-                self.func,
-                msgs.join("; ")
-            ));
-        }
-        self.passed = Some(body.clone());
-        Ok(())
-    }
 }
 
 /// Applies `compute_inline` substitution, returning effective bodies for

@@ -2,10 +2,13 @@
 //! must compute the same result as the naive schedule (the interpreter is
 //! the correctness oracle).
 
+mod common;
+
+use common::lower_verified;
 use tvm_ir::{DType, Expr, Interp, MemScope, Stmt, ThreadTag};
 use tvm_te::{
-    compute, create_schedule, lower, max_reduce, placeholder, reduce_axis, sum, Tensor,
-    TensorIntrin, TensorIntrinImpl,
+    compute, create_schedule, max_reduce, placeholder, reduce_axis, sum, Tensor, TensorIntrin,
+    TensorIntrinImpl,
 };
 
 fn run(f: &tvm_ir::LoweredFunc, bufs: &mut [Vec<f32>]) {
@@ -66,7 +69,7 @@ fn check_matmul(f: &tvm_ir::LoweredFunc, m: usize, n: usize, k: usize) {
 fn naive_matmul() {
     let (a, b, c) = matmul_decl(16, 12, 20);
     let s = create_schedule(std::slice::from_ref(&c));
-    let f = lower(&s, &[a, b, c], "mm").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm");
     check_matmul(&f, 16, 12, 20);
 }
 
@@ -79,7 +82,7 @@ fn tiled_matmul_perfect() {
     let (yo, xo, yi, xi) = s.tile(&c, &ax[0], &ax[1], 4, 4).unwrap();
     let (ko, ki) = s.split(&c, &r[0], 4).unwrap();
     s.reorder(&c, &[&yo, &xo, &ko, &yi, &xi, &ki]).unwrap();
-    let f = lower(&s, &[a, b, c], "mm_tiled").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_tiled");
     check_matmul(&f, 16, 16, 16);
 }
 
@@ -93,7 +96,7 @@ fn tiled_matmul_imperfect_split_guards() {
     let (yo, xo, yi, xi) = s.tile(&c, &ax[0], &ax[1], 4, 4).unwrap();
     let (ko, ki) = s.split(&c, &r[0], 3).unwrap();
     s.reorder(&c, &[&yo, &xo, &ko, &yi, &xi, &ki]).unwrap();
-    let f = lower(&s, &[a, b, c], "mm_guard").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_guard");
     check_matmul(&f, 10, 6, 7);
 }
 
@@ -108,7 +111,7 @@ fn fused_and_annotated_matmul() {
     s.vectorize(&c, &fi).unwrap();
     let r = c.op.reduce_axes();
     s.unroll(&c, &r[0]).unwrap();
-    let f = lower(&s, &[a, b, c], "mm_fused").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_fused");
     check_matmul(&f, 8, 8, 8);
 }
 
@@ -122,7 +125,7 @@ fn compute_at_producer_region() {
     let cx = c.op.axes();
     let (xo, _xi) = s.split(&c, &cx[0], 4).unwrap();
     s.compute_at(&b, &c, &xo).unwrap();
-    let f = lower(&s, &[a.clone(), c.clone()], "fused_tile").expect("lowers");
+    let f = lower_verified(&s, &[a.clone(), c.clone()], "fused_tile");
     // The intermediate B buffer must be 4 elements, not 32.
     let text = f.body.to_string();
     assert!(text.contains("alloc B: float32[4]"), "{text}");
@@ -149,7 +152,7 @@ fn compute_at_under_fused_split_loop_crossing_rows() {
     let f0 = s.fuse(&c, &cx[0], &cx[1]).unwrap();
     let (fo, _fi) = s.split(&c, &f0, 3).unwrap();
     s.compute_at(&b, &c, &fo).unwrap();
-    let f = lower(&s, &[a.clone(), c.clone()], "fused_split_attach").expect("lowers");
+    let f = lower_verified(&s, &[a.clone(), c.clone()], "fused_split_attach");
     let input = seq_data(96, 0.5, -1.0);
     let want: Vec<f32> = input.iter().map(|v| v * 2.0 + 1.0).collect();
     let mut bufs = vec![input, vec![0.0; 96]];
@@ -164,7 +167,7 @@ fn compute_inline_removes_buffer() {
     let c = compute(&[16], "C", |i| b.at(&[i[0].clone()]) + 1);
     let mut s = create_schedule(std::slice::from_ref(&c));
     s.compute_inline(&b).unwrap();
-    let f = lower(&s, &[a.clone(), c.clone()], "inlined").expect("lowers");
+    let f = lower_verified(&s, &[a.clone(), c.clone()], "inlined");
     let text = f.body.to_string();
     assert!(
         !text.contains("alloc"),
@@ -186,7 +189,7 @@ fn cache_write_local_accumulator() {
     let (yo, xo, _yi, xi) = s.tile(&c, &ax[0], &ax[1], 4, 4).unwrap();
     let _ = (yo, xi);
     s.compute_at(&cl, &c, &xo).unwrap();
-    let f = lower(&s, &[a, b, c], "mm_cache_write").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_cache_write");
     check_matmul(&f, 8, 8, 8);
 }
 
@@ -200,7 +203,7 @@ fn gpu_matmul_with_thread_binding() {
     s.bind(&c, &bx, ThreadTag::BlockIdxX).unwrap();
     s.bind(&c, &ty, ThreadTag::ThreadIdxY).unwrap();
     s.bind(&c, &tx, ThreadTag::ThreadIdxX).unwrap();
-    let f = lower(&s, &[a, b, c], "mm_gpu").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_gpu");
     assert_eq!(f.grid_size(), 16);
     assert_eq!(f.block_size(), 16);
     check_matmul(&f, 16, 16, 16);
@@ -221,7 +224,7 @@ fn thread_bound_leaf_under_the_reduction_keeps_its_serial_reset() {
     s.reorder(&c, &[&ax[0], &r[0], &jo, &ji]).unwrap();
     s.bind(&c, &ax[0], ThreadTag::BlockIdxX).unwrap();
     s.bind(&c, &jo, ThreadTag::ThreadIdxX).unwrap();
-    let f = lower(&s, &[a, b, c], "under").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "under");
     let expected = "\
 for blockIdx.x bound to blockIdx.x in range(0, 0 + 8):
   for threadIdx.x bound to threadIdx.x in range(0, 0 + 4):
@@ -273,7 +276,7 @@ fn gpu_cooperative_shared_memory_matmul() {
         s.bind(stage_t, &ty2, ThreadTag::ThreadIdxY).unwrap();
         s.bind(stage_t, &tx2, ThreadTag::ThreadIdxX).unwrap();
     }
-    let f = lower(&s, &[a, b, c], "mm_coop").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_coop");
     let text = f.body.to_string();
     assert!(text.contains("memory_barrier_among_threads"), "{text}");
     assert!(text.contains("@shared"), "{text}");
@@ -290,7 +293,7 @@ fn max_pool_style_reduction() {
     let mut s = create_schedule(std::slice::from_ref(&m));
     let rx = m.op.reduce_axes();
     let (_ro, _ri) = s.split(&m, &rx[0], 4).unwrap();
-    let f = lower(&s, &[a.clone(), m.clone()], "rowmax").expect("lowers");
+    let f = lower_verified(&s, &[a.clone(), m.clone()], "rowmax");
     let data = seq_data(64, 1.0, -20.0);
     let mut want = vec![f32::NEG_INFINITY; 4];
     for y in 0..4 {
@@ -353,7 +356,7 @@ fn tensorize_gemm_tile() {
         )),
     });
     s.tensorize(&c, &yi, intrin).unwrap();
-    let f = lower(&s, &[a, b, c], "mm_tensorized").expect("lowers");
+    let f = lower_verified(&s, &[a, b, c], "mm_tensorized");
     let text = f.body.to_string();
     assert!(text.contains("mock.gemm4x4_acc"), "{text}");
 
@@ -435,7 +438,7 @@ fn padded_conv1d_via_inlined_pad() {
     });
     let mut s = create_schedule(std::slice::from_ref(&c));
     s.compute_inline(&pad).unwrap();
-    let f = lower(&s, &[a.clone(), w.clone(), c.clone()], "conv1d").expect("lowers");
+    let f = lower_verified(&s, &[a.clone(), w.clone(), c.clone()], "conv1d");
     let av = seq_data(n as usize, 1.0, 0.0);
     let wv = vec![0.5f32, 1.0, -0.25];
     let mut want = vec![0.0f32; n as usize];

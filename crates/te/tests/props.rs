@@ -3,10 +3,12 @@
 //! orderings and annotations are drawn and checked against the reference
 //! interpreter.
 
-use proptest::prelude::*;
+mod common;
 
+use common::lower_verified;
+use proptest::prelude::*;
 use tvm_ir::{DType, Interp, MemScope};
-use tvm_te::{compute, create_schedule, lower, placeholder, reduce_axis, sum};
+use tvm_te::{compute, create_schedule, placeholder, reduce_axis, sum};
 
 fn matmul_ref(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
@@ -74,7 +76,7 @@ proptest! {
         if parallel && !cache {
             s.parallel(&target, &yo).unwrap();
         }
-        let f = lower(&s, &[a, b, c], "mm_prop").expect("lowers");
+        let f = lower_verified(&s, &[a, b, c], "mm_prop");
         let av: Vec<f32> = (0..m * k).map(|i| ((i * 31 % 19) as f32) * 0.3 - 2.0).collect();
         let bv: Vec<f32> = (0..k * n).map(|i| ((i * 17 % 23) as f32) * 0.2 - 1.5).collect();
         let want = matmul_ref(m as usize, n as usize, k as usize, &av, &bv);
@@ -113,7 +115,7 @@ proptest! {
                 s.vectorize(&b, &i).unwrap();
             }
         }
-        let f = lower(&s, &[a, b], "ew_prop").expect("lowers");
+        let f = lower_verified(&s, &[a, b], "ew_prop");
         let av: Vec<f32> = (0..rows * n).map(|i| i as f32 * 0.5).collect();
         let want: Vec<f32> = av.iter().map(|v| v * 3.0 + 1.0).collect();
         let mut bufs = vec![av, vec![0.0; (rows * n) as usize]];

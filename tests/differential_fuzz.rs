@@ -46,8 +46,7 @@ fn fuzz_tier_fifty_plus_schedules_match_the_oracle() {
 fn static_oracle_agrees_with_the_interpreter() {
     // Cross-check the static analyzer against the interpreter on a modest
     // pinned budget: any case the interpreter passes but the analyzer
-    // flags (or that the lowering validation hook rejects) is a failure
-    // with a shrunk reproducer. The full ≥200-case campaign runs in CI
+    // flags is a failure with a shrunk reproducer. The full ≥200-case campaign runs in CI
     // via `verify-fuzz --static-oracle`.
     let report = fuzz(&FuzzOptions {
         seed: 0xC0FFEE,

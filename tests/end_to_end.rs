@@ -128,13 +128,15 @@ fn fused_and_unfused_builds_agree_numerically() {
                 db: db.as_ref(),
             };
             let module = tvm::build(&g, target, &opts).expect("builds");
-            let mut ex = GraphExecutor::new(module);
-            ex.set_input("data", input.clone()).expect("binds");
             let at = format!(
                 "{} ({} tuning records)",
                 target.name(),
                 db.as_ref().map_or(0, |db| db.records.len())
             );
+            let report = module.verify();
+            assert!(!report.has_errors(), "{at}:\n{}", report.render());
+            let mut ex = GraphExecutor::new(module);
+            ex.set_input("data", input.clone()).expect("binds");
             ex.run().unwrap_or_else(|e| panic!("{at}: {e}"));
             let got = ex.get_output(0).expect("output").data.clone();
             assert_eq!(got.len(), want.len());
@@ -207,6 +209,29 @@ fn fusion_reduces_kernel_count_and_time() {
     );
 }
 
+/// Builds the one-convolution graph of `w` from `r`'s history and takes the
+/// static verdict on what ships: the tuner verifies nothing it scores.
+fn assert_tuned_kernel_verifies(
+    w: topi::Conv2dWorkload,
+    task: &tvm_autotune::TuningTask,
+    r: &tvm_autotune::TuneResult,
+) {
+    let mut db = Database::new();
+    db.add_result(&task.name, &task.space, r);
+    let mut g = tvm_graph::Graph::new();
+    let data = g.input(&[w.batch, w.in_c, w.size, w.size], "data");
+    let conv = g.conv2d(data, w, "conv");
+    g.outputs.push(conv);
+    let opts = BuildOptions {
+        no_fusion: false,
+        db: Some(&db),
+    };
+    let module = tvm::build(&g, &task.target, &opts).expect("builds");
+    assert_eq!(module.total_ms().to_bits(), r.best_ms.to_bits());
+    let report = module.verify();
+    assert!(!report.has_errors(), "{}:\n{}", task.name, report.render());
+}
+
 #[test]
 fn tuning_beats_default_schedule() {
     let w = topi::Conv2dWorkload {
@@ -232,6 +257,7 @@ fn tuning_beats_default_schedule() {
         r.best_ms,
         default_ms
     );
+    assert_tuned_kernel_verifies(w, &task, &r);
 }
 
 #[test]
@@ -253,6 +279,8 @@ fn ml_tuner_is_more_sample_efficient_than_random() {
     };
     let ml = tune(&mk(), &opts, TunerKind::GbtRank);
     let rnd = tune(&mk(), &opts, TunerKind::Random);
+    assert_tuned_kernel_verifies(w, &mk(), &ml);
+    assert_tuned_kernel_verifies(w, &mk(), &rnd);
     // After the full budget the ML tuner is at least as good.
     assert!(
         ml.best_after(48) <= rnd.best_after(48) * 1.05,

@@ -5,11 +5,11 @@
 use std::collections::HashMap;
 
 use tvm::{build, BuildOptions};
-use tvm_analysis::{analyze_func_with, AnalysisOptions};
 use tvm_autotune::{Database, TuningTask};
 use tvm_graph::{Graph, Node, OpType};
 use tvm_runtime::Module;
 use tvm_sim::{arm_a53, estimate, mali_t860, titanx, Target};
+use tvm_te::TeError;
 use tvm_topi as topi;
 
 fn targets() -> [Target; 3] {
@@ -145,27 +145,57 @@ fn every_zoo_kernel_passes_the_lowering_verifier() {
         ("dqn", tvm_models::dqn()),
         ("dcgan", tvm_models::dcgan_generator()),
     ];
-    let opts = AnalysisOptions::lowering_hook();
     for (model, g) in &zoo {
         for target in targets() {
             for no_fusion in [false, true] {
-                let module = build_with(g, &target, &Database::new(), no_fusion);
-                let mut seen = Vec::new();
-                for k in &module.kernels {
-                    if seen.iter().any(|s| k.func.body.same_as(s)) {
-                        continue;
-                    }
-                    seen.push(k.func.body.clone());
-                    let report = analyze_func_with(&k.func, &opts);
-                    assert!(
-                        !report.has_errors(),
-                        "{model} on {} (no_fusion = {no_fusion}), kernel {}:\n{}",
-                        target.name(),
-                        k.name,
-                        report.render()
-                    );
-                }
+                let report = build_with(g, &target, &Database::new(), no_fusion).verify();
+                assert!(
+                    !report.has_errors(),
+                    "{model} on {} (no_fusion = {no_fusion}):\n{}",
+                    target.name(),
+                    report.render()
+                );
             }
         }
+    }
+}
+
+/// A record no tuner could have written — ResNet C7 under a 16 x 14 x 7
+/// thread tile, 1,568 threads to the block — is an `Err` from the build,
+/// the one its task's builder gives: both ask `Target::check_limits`.
+#[test]
+fn an_over_limit_record_is_a_build_error() {
+    let w = topi::resnet18_convs()[6];
+    let mut g = Graph::new();
+    let data = g.input(&[1, w.in_c, w.size, w.size], "data");
+    let conv = g.conv2d(data, w, "c7");
+    g.outputs.push(conv);
+    for target in [titanx(), mali_t860()] {
+        let task = task_of(g.node(conv), &target).expect("a conv2d task");
+        let cfg = task.space.get(task.space.index_near(&[
+            ("tile_oc", 16),
+            ("tile_oh", 14),
+            ("tile_ow", 7),
+            ("use_shared", 0),
+        ]));
+        let threads = cfg.get("tile_oc") * cfg.get("tile_oh") * cfg.get("tile_ow");
+        assert_eq!(threads, 1568, "{}", cfg.summary());
+        let Err(TeError::Msg(limit)) = (task.builder)(&cfg) else {
+            panic!("the tuner's builder accepts {}", cfg.summary());
+        };
+        assert_eq!(limit, "too many threads: 1568");
+        let mut db = Database::new();
+        db.add(&task.name, &cfg, 0.5);
+        let opts = BuildOptions {
+            no_fusion: false,
+            db: Some(&db),
+        };
+        let Err(TeError::Msg(err)) = build(&g, &target, &opts) else {
+            panic!("the build accepts {}", cfg.summary());
+        };
+        assert_eq!(
+            err,
+            format!("kernel `fused_conv2d` on {}: {limit}", target.name())
+        );
     }
 }
