@@ -31,12 +31,12 @@ fn log2p(x: f64) -> f64 {
 /// different sizes, and so a task can be located relative to its tuned
 /// neighbors for transfer. The entries:
 ///
-/// 0. arithmetic intensity `flops / bytes-touched` (log-compressed)
-/// 1-4. one-hot arithmetic-intensity bucket (`<0.5`, `<4`, `<32`, `>=32`)
-/// 5. touch ratio `bytes-touched / unique-footprint-bytes` (reuse factor)
-/// 6. normalized loop extent: geometric-mean per-level trip count,
-///    `iterations^(1/depth)`
-/// 7. store fraction of the access sites
+/// - 0: arithmetic intensity `flops / bytes-touched` (log-compressed)
+/// - 1-4: one-hot arithmetic-intensity bucket (`<0.5`, `<4`, `<32`, `>=32`)
+/// - 5: touch ratio `bytes-touched / unique-footprint-bytes` (reuse factor)
+/// - 6: normalized loop extent: geometric-mean per-level trip count,
+///   `iterations^(1/depth)`
+/// - 7: store fraction of the access sites
 pub fn invariant_features(an: &ProgramAnalysis) -> [f64; INVARIANT_FEATURES] {
     let total_touch: f64 = an
         .accesses

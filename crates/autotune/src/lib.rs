@@ -16,7 +16,7 @@
 //!   observed through counters and health snapshots, not a transcript;
 //! * [`log`] — the one crash-safe, checksummed append-only log, generic
 //!   over a record codec (the tuner's journal here; `tvm-serve`'s
-//!   lifecycle and artifact journals are its other two clients);
+//!   lifecycle journal is its other client);
 //! * [`db`] — the tuning-log database and journal: the tuner's line
 //!   format (meta / signature / trial) over [`log`];
 //! * [`planned`] — the one planned-task constructor behind template and

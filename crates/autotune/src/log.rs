@@ -5,7 +5,7 @@
 //! writes and bit rot are detected. What a line *means* belongs to its
 //! client, through a [`Record`] codec: the tuner's
 //! [`JournalLine`](crate::db::JournalLine), and `tvm-serve`'s lifecycle
-//! and artifact records. Everything else exists once, here:
+//! records. Everything else exists once, here:
 //!
 //! * [`load`] never aborts on corrupt input: it recovers the valid records
 //!   and a [`RecoveryReport`] says exactly what was dropped (truncated

@@ -35,25 +35,21 @@ pub struct BuildOptions<'a> {
     pub db: Option<&'a Database>,
 }
 
-/// How a fused group's master sits in its kernel. Every group is built
-/// [`Attach`](GroupDecision::Attach); `TemplateRoot` is what older serving
-/// journals may still record for the second candidate builds used to try.
+/// How a fused group's master sits in its kernel: always
+/// [`Attach`](GroupDecision::Attach), since a build makes one candidate per
+/// group. The name survives only because the frozen `benchmark/` reads it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GroupDecision {
     /// Master nested inside the element-wise output's loops.
     Attach,
-    /// Master kept at root under its operator template (no longer built).
-    TemplateRoot,
 }
 
-/// What a build did, group by group.
+/// What a build did, group by group. Kernel sharing is
+/// [`Module::distinct_kernels`].
 #[derive(Clone, Debug, Default)]
 pub struct BuildReport {
     /// One entry per fused group, in group order.
     pub decisions: Vec<GroupDecision>,
-    /// Kernels actually scheduled, lowered and costed; every other group
-    /// was a structural repeat of one of them.
-    pub distinct_kernels: usize,
 }
 
 /// Compiles a graph for a target — `t.compiler.build(graph, target, params)`
@@ -80,7 +76,6 @@ pub fn build_with_report(
         )));
     }
     let mut kernels: Vec<CompiledGroup> = Vec::with_capacity(fused.groups.len());
-    let mut report = BuildReport::default();
     // Index of the first kernel built for each group structure. It lives
     // for this one call: target and database are fixed within it, which is
     // what lets the key leave them out.
@@ -108,8 +103,9 @@ pub fn build_with_report(
         };
         kernels.push(kernel);
     }
-    report.decisions = vec![GroupDecision::Attach; kernels.len()];
-    report.distinct_kernels = first_built.len();
+    let report = BuildReport {
+        decisions: vec![GroupDecision::Attach; kernels.len()],
+    };
     let module = Module {
         graph: graph.clone(),
         fused,

@@ -72,8 +72,11 @@ fn check(tag: &str, graph: &Graph, target: &Target, no_fusion: bool) -> (usize, 
         let want = shared_out.entry(first).or_insert_with(|| run(shared));
         assert_eq!(&run(&alone), want, "{at}");
     }
-    assert_eq!(report.distinct_kernels, module.kernels.len() - repeats);
-    assert_eq!(module.distinct_kernels(), report.distinct_kernels);
+    assert_eq!(
+        module.distinct_kernels(),
+        module.kernels.len() - repeats,
+        "{tag}"
+    );
     (module.kernels.len(), repeats)
 }
 

@@ -267,8 +267,7 @@ impl Module {
     /// set fits the planner's allocation, and the loop-IR passes (`ssa`,
     /// `bounds`, `sync`) over each distinct kernel body. `tvm::build` gates
     /// only the graph passes and the hardware limits; this is for whoever
-    /// wants the rest: `tvm-lint --graph`, the serving artifact cache when
-    /// a rebuild matches its journaled fingerprint, the test suites, and a
+    /// wants the rest: `tvm-lint --graph`, the test suites, and a
     /// `debug_assert!` at the end of `tvm::build`.
     pub fn verify(&self) -> GraphReport {
         let views: Vec<KernelView<'_>> = self

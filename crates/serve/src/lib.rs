@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! admission → per-tenant queues → DRR dispatch → dynamic batcher
-//!          → artifact cache (journaled compiles) → scheduler lanes
+//!          → artifact cache (one compile each) → scheduler lanes
 //!          → Tracker (retries/quarantine) → GraphExecutor → responses
 //! ```
 //!
@@ -20,9 +20,9 @@
 //!   [`ServeError`]; chaos faults shift latency and shed rate, never bits.
 //! - **Weighted fairness**: a saturating tenant cannot starve a polite
 //!   one past its configured share.
-//! - **Crash-safe warm starts**: the compiled-artifact journal recovers
-//!   from torn tails, and a restart checks every rebuild against the
-//!   fingerprint it recorded.
+//! - **Crash-safe rollout state**: the version registry's journal
+//!   recovers from torn tails to the last committed lifecycle transition.
+//!   Compiled modules are a memo of `tvm::build`, never persisted.
 
 pub mod batch;
 pub mod cache;
@@ -33,7 +33,7 @@ pub mod traffic;
 pub mod version;
 
 pub use batch::{bucket_for, BatchPolicy};
-pub use cache::{schedule_hash, ArtifactCache, ArtifactRecord, CacheStats};
+pub use cache::{ArtifactCache, CacheStats};
 pub use model::{Model, ALL_MODELS};
 pub use service::{
     row_digest, HedgePolicy, HedgeStats, Request, ResponseRecord, ServeOutcome, Service,
@@ -89,8 +89,8 @@ pub enum ServeError {
     NoUsableDevices,
     /// The functional execution itself reported a typed runtime error.
     Runtime(RuntimeError),
-    /// The artifact journal could not be read or written.
-    CacheIo(String),
+    /// The version registry's journal could not be read or written.
+    RegistryIo(String),
     /// Shed under brownout: the tenant exceeded its weight-proportional
     /// share of outstanding work while the service was in overload.
     Brownout {
@@ -122,7 +122,7 @@ impl ServeError {
             ServeError::DeviceFailure { .. } => "device_failure",
             ServeError::NoUsableDevices => "no_usable_devices",
             ServeError::Runtime(_) => "runtime",
-            ServeError::CacheIo(_) => "cache_io",
+            ServeError::RegistryIo(_) => "registry_io",
             ServeError::Brownout { .. } => "brownout",
             ServeError::SilentDivergence { .. } => "silent_divergence",
             ServeError::Rollout(_) => "rollout",
@@ -163,7 +163,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::NoUsableDevices => write!(f, "all devices dead"),
             ServeError::Runtime(e) => write!(f, "runtime error: {e}"),
-            ServeError::CacheIo(e) => write!(f, "artifact journal I/O: {e}"),
+            ServeError::RegistryIo(e) => write!(f, "version registry journal I/O: {e}"),
             ServeError::Brownout { tenant, share } => {
                 write!(f, "brownout: tenant `{tenant}` over its share of {share}")
             }
@@ -183,9 +183,9 @@ impl From<RuntimeError> for ServeError {
     }
 }
 
-/// The only files the service touches are its two journals.
+/// The only file the service touches is the version registry's journal.
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> ServeError {
-        ServeError::CacheIo(e.to_string())
+        ServeError::RegistryIo(e.to_string())
     }
 }

@@ -31,7 +31,7 @@ use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tvm::target::{arm_a53, Target};
+use tvm::target::arm_a53;
 use tvm_autotune::db::crc32;
 use tvm_autotune::{Database, RetryPolicy, Tracker};
 use tvm_runtime::GraphExecutor;
@@ -235,8 +235,6 @@ pub struct ServiceConfig {
     pub db: Option<Database>,
     /// Keep output rows in responses (tests); digests are always kept.
     pub keep_outputs: bool,
-    /// Journal path for the artifact cache; `None` = in-memory only.
-    pub cache_path: Option<PathBuf>,
     /// Journal path for the version registry; `None` = in-memory only.
     pub version_path: Option<PathBuf>,
     /// Canary/rollout policy.
@@ -256,7 +254,6 @@ impl Default for ServiceConfig {
             faults: FaultPlan::none(),
             db: None,
             keep_outputs: false,
-            cache_path: None,
             version_path: None,
             rollout: RolloutConfig::default(),
             hedge: HedgePolicy::default(),
@@ -297,7 +294,6 @@ struct CanaryWindow {
 /// The inference service.
 pub struct Service {
     cfg: ServiceConfig,
-    target: Target,
     tracker: Tracker,
     queues: TenantQueues,
     cache: ArtifactCache,
@@ -316,18 +312,15 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds a service (opening or creating the artifact and version
-    /// journals when configured).
-    pub fn new(cfg: ServiceConfig) -> Result<Service, ServeError> {
+    /// Builds a service (opening or creating the version journal when
+    /// configured). The artifact cache takes the tuning database.
+    pub fn new(mut cfg: ServiceConfig) -> Result<Service, ServeError> {
         let target = arm_a53();
         let devices = cfg.devices.max(1);
         let mut tracker = Tracker::new(vec![target.clone(); devices]);
         tracker.set_retry_policy(cfg.retry.clone());
         tracker.set_fault_plan(cfg.faults.clone());
-        let cache = match &cfg.cache_path {
-            Some(p) => ArtifactCache::open(p)?,
-            None => ArtifactCache::in_memory(),
-        };
+        let cache = ArtifactCache::new(target, cfg.db.take());
         let versions = match &cfg.version_path {
             Some(p) => VersionRegistry::open(p)?,
             None => VersionRegistry::in_memory(),
@@ -343,7 +336,6 @@ impl Service {
             .collect();
         Ok(Service {
             lanes: vec![0.0; devices],
-            target,
             tracker,
             queues,
             cache,
@@ -363,11 +355,6 @@ impl Service {
             },
             cfg,
         })
-    }
-
-    /// The artifact cache (journal recovery report, stats).
-    pub fn cache(&self) -> &ArtifactCache {
-        &self.cache
     }
 
     /// The model-version registry (stable/candidate per model).
@@ -802,7 +789,7 @@ impl Service {
         let costs_ms: Vec<f64> = module.kernels.iter().map(|k| k.est_ms).collect();
         let outcomes = self
             .tracker
-            .run_costs(self.target.name(), &costs_ms, banned);
+            .run_costs(self.cache.target().name(), &costs_ms, banned);
         let mut total = 0.0;
         let mut device = None;
         let mut failure: Option<ServeError> = None;
@@ -875,20 +862,16 @@ impl Service {
 
         let stable = self.versions.stable(model);
         let sfp = stable.fingerprint();
-        let module =
-            match self
-                .cache
-                .get_or_build(model, bucket, &self.target, self.cfg.db.as_ref(), sfp)
-            {
-                Ok(m) => m,
-                Err(e) => {
-                    for r in reqs {
-                        self.release_outstanding(&r.tenant);
-                        self.reject(r, e.clone(), responses);
-                    }
-                    return;
+        let module = match self.cache.get_or_build(model, bucket, sfp) {
+            Ok(m) => m,
+            Err(e) => {
+                for r in reqs {
+                    self.release_outstanding(&r.tenant);
+                    self.reject(r, e.clone(), responses);
                 }
-            };
+                return;
+            }
+        };
 
         // Timing + fault handling: each kernel is one job on the pool.
         let (primary_ms, primary_dev, primary_err, _pf) = {
@@ -1047,10 +1030,7 @@ impl Service {
         let cfp = cand.fingerprint();
         let mut failures = 0u64;
         let mut mismatches = 0u64;
-        match self
-            .cache
-            .get_or_build(model, bucket, &self.target, self.cfg.db.as_ref(), cfp)
-        {
+        match self.cache.get_or_build(model, bucket, cfp) {
             Err(_) => {
                 // A candidate that cannot compile can never be promoted:
                 // charge it past the failure budget immediately.

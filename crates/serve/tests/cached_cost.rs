@@ -3,15 +3,33 @@
 //! schedules that number. Once every module a window needs is cached, a
 //! window makes no `tvm_sim::analyze` call at all.
 //!
+//! The cache is a memo: it compiles once per distinct (model, batch
+//! bucket, version) it serves, and every other batch is a hit.
+//!
 //! Alone in its test binary: the count is process-global.
 
+use std::collections::HashSet;
+
 use tvm_serve::{
-    generate, BatchPolicy, Model, Request, Service, ServiceConfig, TenantConfig, TenantTraffic,
-    TrafficSpec,
+    generate, BatchPolicy, Model, ModelVersion, Request, ResponseRecord, Service, ServiceConfig,
+    TenantConfig, TenantTraffic, TrafficSpec,
 };
 use tvm_sim::analysis::analyze_calls;
 
 const WINDOW_MS: f64 = 60.0;
+
+/// The (model, bucket, version) triples the responses were served at;
+/// every request here runs its model's baseline version.
+fn triples(responses: &[ResponseRecord]) -> HashSet<(Model, i64, u64)> {
+    responses
+        .iter()
+        .filter(|r| r.bucket > 0)
+        .map(|r| {
+            let version = ModelVersion::baseline(r.model).fingerprint();
+            (r.model, r.bucket, version)
+        })
+        .collect()
+}
 
 #[test]
 fn a_window_whose_modules_are_cached_simulates_nothing() {
@@ -49,8 +67,14 @@ fn a_window_whose_modules_are_cached_simulates_nothing() {
     .expect("service");
 
     let before = analyze_calls();
-    let (_, cold) = svc.run(first);
+    let (cold_responses, cold) = svc.run(first);
     assert!(cold.cache.cold_builds > 0);
+    assert_eq!(
+        cold.cache.cold_builds,
+        triples(&cold_responses).len() as u64,
+        "one compile per distinct (model, bucket, version) served"
+    );
+    assert_eq!(cold.cache.hits + cold.cache.cold_builds, cold.batches);
     assert!(
         analyze_calls() > before,
         "building the modules costs their kernels"
@@ -59,6 +83,8 @@ fn a_window_whose_modules_are_cached_simulates_nothing() {
     let before = analyze_calls();
     let (responses, warm) = svc.run(second);
     assert_eq!(warm.cache.cold_builds, cold.cache.cold_builds);
+    assert_eq!(warm.cache.hits + warm.cache.cold_builds, warm.batches);
+    assert!(triples(&responses).is_subset(&triples(&cold_responses)));
     assert!(warm.batches > cold.batches && warm.pool.attempts > cold.pool.attempts);
     assert_eq!(warm.failed, 0);
     assert!(!responses.is_empty());

@@ -124,13 +124,10 @@ fn batched_matches_standalone_executor_oracle() {
         },
         &trace,
     );
-    let mut cache = tvm_serve::ArtifactCache::in_memory();
-    let target = tvm::target::arm_a53();
+    let mut cache = tvm_serve::ArtifactCache::new(tvm::target::arm_a53(), None);
     for req in trace.iter().take(40) {
         let fp = tvm_serve::ModelVersion::baseline(req.model).fingerprint();
-        let module = cache
-            .get_or_build(req.model, 1, &target, None, fp)
-            .expect("compile");
+        let module = cache.get_or_build(req.model, 1, fp).expect("compile");
         let mut ex = tvm_runtime::GraphExecutor::from_arc(Arc::clone(&module));
         ex.set_input(
             req.model.input_name(),

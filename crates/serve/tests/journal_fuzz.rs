@@ -1,6 +1,6 @@
-//! Fuzz tier for the one log reader, through all three of its clients'
-//! line formats: the tuner's journal, the version registry's lifecycle
-//! records and the artifact cache's records.
+//! Fuzz tier for the one log reader, through both of its clients' line
+//! formats: the tuner's journal and the version registry's lifecycle
+//! records.
 //!
 //! From a valid journal, a seeded mix of the damage a crashed writer or a
 //! bad disk leaves — truncation at any byte offset, single-byte flips,
@@ -15,11 +15,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-use tvm::compiler::GroupDecision;
 use tvm_autotune::db::JournalLine;
 use tvm_autotune::log::{encode_line, load, Log, Record};
 use tvm_autotune::{ConfigEntity, Database};
-use tvm_serve::{ArtifactRecord, LifecycleOp, LifecycleRecord, Model, ModelVersion};
+use tvm_serve::{LifecycleOp, LifecycleRecord, Model, ModelVersion};
 
 /// Text the old `:`/`|`-delimited encodings could not carry, plus JSON's
 /// own escapes.
@@ -43,7 +42,7 @@ fn text(rng: &mut StdRng) -> String {
 }
 
 /// Each journal's last record is the one `check` appends after recovery,
-/// so its identity (trial, transition, generation) is still unused.
+/// so its identity (trial, transition) is still unused.
 fn tuner_journal(rng: &mut StdRng, n: usize) -> Vec<JournalLine> {
     let mut lines = vec![
         JournalLine::Meta {
@@ -85,23 +84,6 @@ fn lifecycle_journal(rng: &mut StdRng, n: usize) -> Vec<LifecycleRecord> {
                 label: text(rng),
             },
             reason: text(rng),
-        })
-        .collect()
-}
-
-fn artifact_journal(rng: &mut StdRng, n: usize) -> Vec<ArtifactRecord> {
-    (0..=n as u64)
-        .map(|generation| ArtifactRecord {
-            key: format!("serve/mlp64/b{}/{}", rng.random_range(1..9), text(rng)),
-            generation,
-            fingerprint: u32::MAX - rng.random_range(0..3u32),
-            decisions: (0..rng.random_range(0..5))
-                .map(|_| match coin(rng, 0.5) {
-                    true => GroupDecision::Attach,
-                    false => GroupDecision::TemplateRoot,
-                })
-                .collect(),
-            total_ms: rng.random_range(0.0..10.0),
         })
         .collect()
 }
@@ -209,6 +191,5 @@ proptest! {
         let rng = &mut StdRng::seed_from_u64(seed);
         check("tuner", seed, tuner_journal(rng, n));
         check("lifecycle", seed, lifecycle_journal(rng, n));
-        check("artifact", seed, artifact_journal(rng, n));
     }
 }

@@ -787,7 +787,7 @@ mod tests {
         assert_eq!(leaves[2].var, levels[2].var);
         // The derived loop nest still lowers (extents 4 * 8 * 2 = 64).
         let f = crate::lower(&s, &[a, b, c], "ml_split").expect("lowers");
-        assert!(format!("{f:?}").len() > 0);
+        assert!(!format!("{f:?}").is_empty());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod trace;
 pub mod workload;
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub use apply::{apply_one, apply_trace};
 pub use diff::{run_both, run_case, run_naive, EngineResult, Outcome, TOLERANCE};
@@ -103,6 +103,22 @@ pub struct CaseFailure {
     pub repro_path: Option<PathBuf>,
 }
 
+impl CaseFailure {
+    /// The failure `repro` describes, its reproducer saved under `dir`
+    /// when one is given.
+    fn recorded(repro: Repro, dir: Option<&Path>) -> CaseFailure {
+        let repro_path = dir.and_then(|dir| repro.save(dir).ok());
+        CaseFailure {
+            workload: repro.workload,
+            seed: repro.seed,
+            failure: repro.failure,
+            trace: repro.primitives,
+            shrunk: repro.shrunk,
+            repro_path,
+        }
+    }
+}
+
 /// Aggregate result of a fuzzing run.
 #[derive(Clone, Debug, Default)]
 pub struct FuzzReport {
@@ -150,25 +166,16 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
                             run_case(kind, seed, cand) == Outcome::Pass
                                 && check_static(kind, cand).is_some()
                         });
-                        let mut failure = CaseFailure {
-                            workload: kind,
-                            seed,
-                            failure: format!("static/interpreter disagreement: {findings}"),
-                            trace,
-                            shrunk,
-                            repro_path: None,
-                        };
-                        if let Some(dir) = &opts.repro_dir {
-                            let repro = Repro {
+                        report.failures.push(CaseFailure::recorded(
+                            Repro {
                                 workload: kind,
                                 seed,
-                                failure: failure.failure.clone(),
-                                primitives: failure.trace.clone(),
-                                shrunk: failure.shrunk.clone(),
-                            };
-                            failure.repro_path = repro.save(dir).ok();
-                        }
-                        report.failures.push(failure);
+                                failure: format!("static/interpreter disagreement: {findings}"),
+                                primitives: trace,
+                                shrunk,
+                            },
+                            opts.repro_dir.as_deref(),
+                        ));
                     }
                 }
             }
@@ -179,25 +186,16 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
                 let shrunk = shrink(&trace, |cand| {
                     run_case(kind, seed, cand).failure_kind() == Some(kind_str)
                 });
-                let mut failure = CaseFailure {
-                    workload: kind,
-                    seed,
-                    failure: failing.to_string(),
-                    trace,
-                    shrunk,
-                    repro_path: None,
-                };
-                if let Some(dir) = &opts.repro_dir {
-                    let repro = Repro {
+                report.failures.push(CaseFailure::recorded(
+                    Repro {
                         workload: kind,
                         seed,
-                        failure: failure.failure.clone(),
-                        primitives: failure.trace.clone(),
-                        shrunk: failure.shrunk.clone(),
-                    };
-                    failure.repro_path = repro.save(dir).ok();
-                }
-                report.failures.push(failure);
+                        failure: failing.to_string(),
+                        primitives: trace,
+                        shrunk,
+                    },
+                    opts.repro_dir.as_deref(),
+                ));
             }
         }
     }

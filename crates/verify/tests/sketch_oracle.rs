@@ -126,7 +126,7 @@ fn sketch_schedules_pass_the_static_suite() {
 #[test]
 fn sketch_dense_matches_the_interpreter_oracle() {
     let w = small_dense();
-    let task = dense_sketch_task(w.clone(), arm_a53()).expect("sketchable");
+    let task = dense_sketch_task(w, arm_a53()).expect("sketchable");
     let (d, wt, out) = dense(&w);
     let args = [d, wt, out];
     let want = naive(&args, "dense_naive", 71);
