@@ -25,6 +25,30 @@
 //! every statement runs once per thread, between the same barriers as on
 //! hardware (§4.2). A nest without barriers is compiled as plain loops.
 //!
+//! A `vectorized` loop is compiled twice: to scalar code as above, and, when
+//! its body allows, to *lane form*, in which each op computes every lane of
+//! a chunk of up to eight iterations before the next op runs (§4.1's
+//! `vectorize`, on our own ISA). A value defined in the body is a lane
+//! vector; a value hoisted out of it stays a scalar operand. Conditions
+//! become masks: a guarded `select(c, load, 0.0)` is a masked load, whose
+//! lanes that `c` excludes neither load nor bounds-check, and an `if` around
+//! the store is a store mask. The body's single store checks every active
+//! lane, then writes them all.
+//!
+//! * *Eligible*: a body with exactly one store, whose index is affine in the
+//!   loop variable with a non-zero coefficient; which reads the stored
+//!   buffer only at that index; and which holds no loop, allocation,
+//!   barrier, `else` or hardware intrinsic. Any other loop, and any loop
+//!   inside a barriered nest, compiles to scalar code only;
+//!   [`Program::lane_loops`] counts the loops that compiled to lane form.
+//! * *Replay*: lane form has no side effect before its final store. If
+//!   anything in a chunk faults — an out-of-bounds lane, a checked division
+//!   by zero, a lane the store cannot write — the chunk is discarded and its
+//!   iterations rerun through the scalar code, which stores and raises
+//!   exactly where the walker does. Each lane does the walker's `f64`
+//!   operations and store rounding, and the store count grows by one per
+//!   lane stored, so buffers, store counts and faults are the walker's.
+//!
 //! Limits the walker does not have, each raised as
 //! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
 //! function, an allocation of non-constant extent inside a barriered nest,
@@ -82,8 +106,20 @@ impl Storage {
 
 type Reg = u16;
 
+/// Iterations one lane-form op computes.
+const LANES: usize = 8;
+
+/// Marks an operand of a lane-form op as a scalar register, which every
+/// lane reads, rather than a lane register.
+const SCALAR: u16 = 0x8000;
+
 /// Operation codes. `d`, `a`, `b`, `c` are the fields of [`Op`]; `i[x]` /
 /// `f[x]` is integer / float register `x`.
+///
+/// Lane form uses the same codes over lane registers (see [`SCALAR`]).
+/// There a load is `lane[d] = slot[a][b]` on the lanes mask `c` selects,
+/// zero on the others; a store `slot[a][b] = c` on the lanes mask `d`
+/// selects; and a checked division takes its mask in `c`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 enum Code {
@@ -178,8 +214,12 @@ enum Code {
     HwCall,
     /// Runs `nests[a]`, whose code follows this op.
     Nest,
-    /// Ends the lane's turn.
-    Barrier,
+    /// Returns to the caller, which resumes at the next op. In a barriered
+    /// nest it ends the lane's turn at a barrier; at top level it hands
+    /// over `lane_loops[a]`, whose lane code and then scalar code follow.
+    /// Lane form runs outside the dispatch loop, so that scalar code keeps
+    /// its registers.
+    Yield,
 }
 
 /// One instruction: ten bytes, so that the programs a module caches stay a
@@ -219,6 +259,7 @@ fn unary_index(name: &str) -> Option<u16> {
     .map(|i| i as u16)
 }
 
+#[derive(Clone)]
 struct SlotDecl {
     id: VarId,
     name: Arc<str>,
@@ -226,6 +267,7 @@ struct SlotDecl {
     storage: Storage,
 }
 
+#[derive(Clone)]
 enum HwArg {
     Int(Reg),
     Float(Reg),
@@ -233,6 +275,7 @@ enum HwArg {
     Handle(VarId, u16),
 }
 
+#[derive(Clone)]
 struct HwCall {
     name: String,
     args: Vec<HwArg>,
@@ -242,6 +285,7 @@ struct HwCall {
 
 /// A barriered thread nest. Register numbers on the `inner` side index a
 /// lane's window.
+#[derive(Clone)]
 struct Nest {
     /// Thread variable (inner) and the registers of the enclosing frame
     /// that hold its `min` and `extent`, outermost axis first.
@@ -257,6 +301,21 @@ struct Nest {
     lane_slots: Vec<(u16, usize)>,
 }
 
+/// A `vectorized` loop in lane form. Its `Yield` op is followed by
+/// `lanes_len` ops of lane code, then `scalar_len` ops of the loop's scalar
+/// body, which replays a chunk whose lane code faulted.
+#[derive(Clone)]
+struct LaneLoop {
+    /// Scalar registers of the loop variable, which holds the chunk's first
+    /// iteration, and of the loop's limit.
+    counter: Reg,
+    limit: Reg,
+    /// Lane register holding the chunk's iterations.
+    iv: Reg,
+    lanes_len: u16,
+    scalar_len: u16,
+}
+
 /// A lowered function compiled for one binding of its parameters.
 pub struct Program {
     name: String,
@@ -264,6 +323,8 @@ pub struct Program {
     ops: Vec<Op>,
     ints: u16,
     floats: u16,
+    lane_ints: u16,
+    lane_floats: u16,
     iconsts: Vec<i64>,
     fconsts: Vec<f64>,
     /// Parameters first, then one per `Allocate`.
@@ -271,6 +332,7 @@ pub struct Program {
     errors: Vec<InterpError>,
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
+    lane_loops: Vec<LaneLoop>,
 }
 
 impl Program {
@@ -299,6 +361,11 @@ impl Program {
     /// Number of buffers a run binds.
     pub fn param_count(&self) -> usize {
         self.params.len()
+    }
+
+    /// Number of `vectorized` loops compiled to lane form.
+    pub fn lane_loops(&self) -> usize {
+        self.lane_loops.len()
     }
 
     pub(crate) fn takes_f32_arrays(&self) -> bool {
@@ -347,9 +414,23 @@ impl Program {
         };
         let mut ints = vec![0i64; self.ints as usize];
         let mut floats = vec![0f64; self.floats as usize];
-        let result = machine
-            .run(0, self.ops.len(), &mut ints, &mut floats)
-            .map(|_| ());
+        let mut lanes = LaneRegs {
+            ints: vec![[0; LANES]; self.lane_ints as usize],
+            floats: vec![[0.0; LANES]; self.lane_floats as usize],
+        };
+        let mut pc = 0;
+        let result = loop {
+            // At top level only a lane loop yields.
+            let start = match machine.run(pc, self.ops.len(), &mut ints, &mut floats) {
+                Ok(Stop::Yield(start)) => start,
+                stop => break stop.map(|_| ()),
+            };
+            let l = &self.lane_loops[self.ops[start - 1].a as usize];
+            if let Err(e) = machine.run_lane_loop(l, &mut lanes, start, &mut ints, &mut floats) {
+                break Err(e);
+            }
+            pc = start + l.lanes_len as usize + l.scalar_len as usize;
+        };
         (result, machine.stores)
     }
 }
@@ -365,12 +446,18 @@ struct Machine<'a> {
     stores: u64,
 }
 
+/// Lane registers: one value per lane of a chunk.
+struct LaneRegs {
+    ints: Vec<[i64; LANES]>,
+    floats: Vec<[f64; LANES]>,
+}
+
 /// Why [`Machine::run`] returned.
 enum Stop {
     /// Reached the end of its range.
     End,
-    /// A lane reached a barrier; it resumes at this op.
-    Barrier(usize),
+    /// Reached a `Yield` op; the caller resumes at this op.
+    Yield(usize),
 }
 
 fn wrap_int(v: i64, spec: u16) -> i64 {
@@ -564,7 +651,7 @@ impl Machine<'_> {
                     self.run_nest(nest, pc, ints, floats)?;
                     pc += nest.len as usize;
                 }
-                Barrier => return Ok(Stop::Barrier(pc)),
+                Yield => return Ok(Stop::Yield(pc)),
             }
         }
         Ok(Stop::End)
@@ -641,7 +728,7 @@ impl Machine<'_> {
                 let wi = &mut lane_ints[lane * ni..(lane + 1) * ni];
                 let wf = &mut lane_floats[lane * nf..(lane + 1) * nf];
                 match self.run(*pc, end, wi, wf)? {
-                    Stop::Barrier(next) => {
+                    Stop::Yield(next) => {
                         *pc = next;
                         waiting += 1;
                     }
@@ -656,6 +743,252 @@ impl Machine<'_> {
                     "barrier count diverges across threads".into(),
                 ));
             }
+        }
+    }
+
+    /// Runs lane loop `l`, whose lane code starts at `start`, a chunk of up
+    /// to [`LANES`] iterations at a time. A chunk whose lane code faults
+    /// reruns through the scalar code.
+    fn run_lane_loop(
+        &mut self,
+        l: &LaneLoop,
+        regs: &mut LaneRegs,
+        start: usize,
+        ints: &mut [i64],
+        floats: &mut [f64],
+    ) -> Result<()> {
+        let scalar = start + l.lanes_len as usize;
+        let end = scalar + l.scalar_len as usize;
+        let (counter, limit) = (l.counter as usize, ints[l.limit as usize]);
+        let mut first = ints[counter];
+        while first < limit {
+            let n = (limit as i128 - first as i128).min(LANES as i128) as usize;
+            regs.ints[l.iv as usize] = std::array::from_fn(|lane| first.wrapping_add(lane as i64));
+            if !self.run_lanes(regs, start, scalar, n, ints, floats) {
+                for i in first..first + n as i64 {
+                    ints[counter] = i;
+                    self.run(scalar, end, ints, floats)?;
+                }
+            }
+            first += n as i64;
+        }
+        Ok(())
+    }
+
+    /// Executes the lane code `ops[pc..end]` on the first `n` lanes.
+    /// Returns `false` if an active lane faults, having changed nothing:
+    /// only the last op stores, and it checks every lane before writing one.
+    fn run_lanes(
+        &mut self,
+        regs: &mut LaneRegs,
+        pc: usize,
+        end: usize,
+        n: usize,
+        ints: &[i64],
+        floats: &[f64],
+    ) -> bool {
+        use Code::*;
+        let program = self.program;
+        macro_rules! int {
+            ($r:expr) => {
+                operand(&regs.ints, ints, $r)
+            };
+        }
+        macro_rules! float {
+            ($r:expr) => {
+                operand(&regs.floats, floats, $r)
+            };
+        }
+        for &Op { code, d, a, b, c } in &program.ops[pc..end] {
+            let dst = d as usize;
+            match code {
+                IAdd => regs.ints[dst] = zip(int!(a), int!(b), i64::wrapping_add),
+                ISub => regs.ints[dst] = zip(int!(a), int!(b), i64::wrapping_sub),
+                IMul => regs.ints[dst] = zip(int!(a), int!(b), i64::wrapping_mul),
+                IMulAdd => {
+                    let (x, y, z) = (int!(a), int!(b), int!(c));
+                    regs.ints[dst] =
+                        std::array::from_fn(|l| x[l].wrapping_add(y[l].wrapping_mul(z[l])));
+                }
+                IDiv | IMod => {
+                    let (x, y, mask) = (int!(a), int!(b), int!(c));
+                    if (0..n).any(|l| mask[l] != 0 && y[l] == 0) {
+                        return false;
+                    }
+                    let f = if code == IDiv { div_total } else { mod_total };
+                    regs.ints[dst] = zip(x, y, f);
+                }
+                IDivNz => regs.ints[dst] = zip(int!(a), int!(b), div_total),
+                IModNz => regs.ints[dst] = zip(int!(a), int!(b), mod_total),
+                IMin => regs.ints[dst] = zip(int!(a), int!(b), i64::min),
+                IMax => regs.ints[dst] = zip(int!(a), int!(b), i64::max),
+                IAnd => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x & y),
+                IOr => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x | y),
+                IXor => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x ^ y),
+                IShl => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x.wrapping_shl(y as u32)),
+                IShr => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x.wrapping_shr(y as u32)),
+                IEq => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x == y) as i64),
+                INe => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x != y) as i64),
+                ILt => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x < y) as i64),
+                ILe => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x <= y) as i64),
+                INot => regs.ints[dst] = int!(a).map(|x| (x == 0) as i64),
+                IBool => regs.ints[dst] = int!(a).map(|x| (x != 0) as i64),
+                IQuant => regs.ints[dst] = int!(a).map(|x| wrap_int(x, b)),
+                IAbs => regs.ints[dst] = int!(a).map(i64::wrapping_abs),
+                IPopcount => regs.ints[dst] = int!(a).map(|x| x.count_ones() as i64),
+                ISelect => {
+                    let (m, x, y) = (int!(a), int!(b), int!(c));
+                    regs.ints[dst] = std::array::from_fn(|l| if m[l] != 0 { x[l] } else { y[l] });
+                }
+                FAdd => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x + y),
+                FSub => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x - y),
+                FMul => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x * y),
+                FDiv => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x / y),
+                FMod => regs.floats[dst] = zip(float!(a), float!(b), f64::rem_euclid),
+                FMin => regs.floats[dst] = zip(float!(a), float!(b), f64::min),
+                FMax => regs.floats[dst] = zip(float!(a), float!(b), f64::max),
+                FEq => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x == y) as i64),
+                FNe => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x != y) as i64),
+                FLt => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x < y) as i64),
+                FLe => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x <= y) as i64),
+                FRound32 => regs.floats[dst] = float!(a).map(|x| x as f32 as f64),
+                FRound16 => regs.floats[dst] = float!(a).map(round_f16),
+                FUnary => regs.floats[dst] = float!(a).map(UNARY[b as usize]),
+                FPow => regs.floats[dst] = zip(float!(a), float!(b), f64::powf),
+                FSelect => {
+                    let (m, x, y) = (int!(a), float!(b), float!(c));
+                    regs.floats[dst] = std::array::from_fn(|l| if m[l] != 0 { x[l] } else { y[l] });
+                }
+                IToF => regs.floats[dst] = int!(a).map(|x| x as f64),
+                FToITrunc => regs.ints[dst] = float!(a).map(|x| x as i64),
+                FToIFloor => regs.ints[dst] = float!(a).map(|x| x.floor() as i64),
+                LoadF32 | LoadF64 | LoadI64 => {
+                    let slot = &self.mem.slots[a as usize];
+                    let Some(at) = positions(slot, int!(b), int!(c), n) else {
+                        return false;
+                    };
+                    match (&slot.buf.data, code) {
+                        (Data::F32(v), LoadF32) => regs.floats[dst] = gather(v, at, |x| x as f64),
+                        (Data::F64(v), LoadF64) => regs.floats[dst] = gather(v, at, |x| x),
+                        (Data::I64(v), LoadI64) => regs.ints[dst] = gather(v, at, |x| x),
+                        _ => return false,
+                    }
+                }
+                StoreF32 | StoreF16 | StoreF64 | StoreI64 => {
+                    let slot = &mut self.mem.slots[a as usize];
+                    let Some(at) = positions(slot, int!(b), int!(d), n) else {
+                        return false;
+                    };
+                    let dtype = slot.buf.dtype;
+                    match (&mut slot.buf.data, code) {
+                        (Data::F32(v), StoreF32) => scatter(v, at, float!(c), |x| x as f32),
+                        (Data::F32(v), StoreF16) => {
+                            scatter(v, at, float!(c), |x| round_f16(x) as f32)
+                        }
+                        (Data::F64(v), StoreF64) => {
+                            scatter(v, at, float!(c), |x| match dtype.bits {
+                                16 => round_f16(x),
+                                32 => x as f32 as f64,
+                                _ => x,
+                            })
+                        }
+                        (Data::I64(v), StoreI64) => {
+                            let signed = (dtype.code == TypeCode::Int) as u16;
+                            let spec = dtype.bits as u16 | signed << 8;
+                            let wide = dtype.bits >= 64;
+                            scatter(v, at, int!(c), |x| if wide { x } else { wrap_int(x, spec) })
+                        }
+                        _ => return false,
+                    }
+                    self.stores += at.0.count_ones() as u64;
+                }
+                _ => unreachable!("`{code:?}` is not emitted in lane form"),
+            }
+        }
+        true
+    }
+}
+
+/// Operand `r` of a lane-form op: lane register `r`, or, with the
+/// [`SCALAR`] bit, scalar register `r` in every lane.
+#[inline(always)]
+fn operand<T: Copy>(lanes: &[[T; LANES]], scalars: &[T], r: u16) -> [T; LANES] {
+    if r & SCALAR != 0 {
+        [scalars[(r & !SCALAR) as usize]; LANES]
+    } else {
+        lanes[r as usize]
+    }
+}
+
+#[inline(always)]
+fn zip<T: Copy, U: Copy, R>(x: [T; LANES], y: [U; LANES], f: impl Fn(T, U) -> R) -> [R; LANES] {
+    std::array::from_fn(|l| f(x[l], y[l]))
+}
+
+/// [`floor_div`] on a lane that may not be active: a zero divisor gives
+/// zero and `i64::MIN / -1` wraps, where the scalar op would fault or panic.
+fn div_total(a: i64, b: i64) -> i64 {
+    match b {
+        0 => 0,
+        -1 => a.wrapping_neg(),
+        _ => floor_div(a, b),
+    }
+}
+
+/// [`floor_mod`] on a lane that may not be active, as [`div_total`].
+fn mod_total(a: i64, b: i64) -> i64 {
+    a.wrapping_sub(div_total(a, b).wrapping_mul(b))
+}
+
+/// The elements of `slot` that lanes access: which of the first `n` lanes
+/// `mask` selects, as bits, and where in storage each one's element `idx`
+/// is. `None` if an active lane's index is out of bounds.
+#[inline(always)]
+fn positions(
+    slot: &Slot,
+    idx: [i64; LANES],
+    mask: [i64; LANES],
+    n: usize,
+) -> Option<(u8, [usize; LANES])> {
+    let (mut active, mut at) = (0u8, [0usize; LANES]);
+    for l in 0..n {
+        if mask[l] != 0 {
+            if idx[l] as u64 >= slot.len as u64 {
+                return None;
+            }
+            active |= 1 << l;
+            at[l] = slot.base + idx[l] as usize;
+        }
+    }
+    Some((active, at))
+}
+
+/// The active lanes' elements, zero in the others.
+#[inline(always)]
+fn gather<T: Copy, U: Default>(
+    v: &[T],
+    (active, at): (u8, [usize; LANES]),
+    f: impl Fn(T) -> U,
+) -> [U; LANES] {
+    std::array::from_fn(|l| {
+        if active >> l & 1 != 0 {
+            f(v[at[l]])
+        } else {
+            U::default()
+        }
+    })
+}
+
+#[inline(always)]
+fn scatter<T, U: Copy>(
+    v: &mut [T],
+    (active, at): (u8, [usize; LANES]),
+    x: [U; LANES],
+    f: impl Fn(U) -> T,
+) {
+    for l in 0..LANES {
+        if active >> l & 1 != 0 {
+            v[at[l]] = f(x[l]);
         }
     }
 }
@@ -691,6 +1024,8 @@ struct ValInfo {
     /// Frame and register that hold it.
     frame: usize,
     reg: Reg,
+    /// Held in a lane register: one value per lane of a lane-form chunk.
+    lane: bool,
     /// Known to be 0 or 1.
     is_bool: bool,
     konst: Option<i64>,
@@ -702,7 +1037,7 @@ struct ValInfo {
 struct Key(Code, [u32; 3]);
 
 /// One register space: the function's, or a barriered nest's lane window.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Frame {
     parent: usize,
     ints: u32,
@@ -716,6 +1051,7 @@ struct Frame {
 }
 
 /// One loop level under construction (level 0 is the function body).
+#[derive(Clone)]
 struct Level {
     frame: usize,
     /// Ops hoisted in front of this level's loop header; they use the
@@ -765,6 +1101,23 @@ impl Affine {
     }
 }
 
+/// The `vectorized` loop body being compiled to lane form.
+#[derive(Clone, Copy)]
+struct LaneBody {
+    /// The loop variable's lanes.
+    iv: Vid,
+    /// The lanes the code being compiled runs on: a 0/1 value.
+    mask: Vid,
+    /// Slot of the body's one store, and that store's index once compiled.
+    slot: u16,
+    index: Option<Vid>,
+    /// The store has been emitted.
+    stored: bool,
+    /// The body holds something lane form cannot express.
+    failed: bool,
+}
+
+#[derive(Clone)]
 struct Compiler<'a> {
     scalars: &'a HashMap<VarId, Value>,
     frames: Vec<Frame>,
@@ -781,6 +1134,12 @@ struct Compiler<'a> {
     errors: Vec<InterpError>,
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
+    lane_loops: Vec<LaneLoop>,
+    /// Lane registers in use.
+    lane_ints: u32,
+    lane_floats: u32,
+    /// Set while a loop body is compiled to lane form.
+    lane: Option<LaneBody>,
     /// A frame ran out of `u16` registers.
     too_large: bool,
 }
@@ -808,6 +1167,10 @@ impl<'a> Compiler<'a> {
             errors: Vec::new(),
             hw_calls: Vec::new(),
             nests: Vec::new(),
+            lane_loops: Vec::new(),
+            lane_ints: 0,
+            lane_floats: 0,
+            lane: None,
             too_large: false,
         }
     }
@@ -835,6 +1198,7 @@ impl<'a> Compiler<'a> {
             self.errors.len(),
             self.hw_calls.len(),
             self.nests.len(),
+            self.lane_loops.len(),
         ];
         if self.too_large || sizes.iter().any(|&n| n > u16::MAX as usize) {
             self.errors = vec![InterpError::Unsupported(format!(
@@ -842,6 +1206,7 @@ impl<'a> Compiler<'a> {
                 func.name
             ))];
             ops = vec![Op::new(Code::Raise, 0, 0, 0, 0)];
+            self.lane_loops.clear();
         }
         Program {
             name: func.name.clone(),
@@ -849,12 +1214,15 @@ impl<'a> Compiler<'a> {
             ops,
             ints: self.frames[0].ints as u16,
             floats: self.frames[0].floats as u16,
+            lane_ints: self.lane_ints as u16,
+            lane_floats: self.lane_floats as u16,
             iconsts: self.iconsts,
             fconsts: self.fconsts,
             slots: self.slots,
             errors: self.errors,
             hw_calls: self.hw_calls,
             nests: self.nests,
+            lane_loops: self.lane_loops,
         }
     }
 
@@ -882,17 +1250,38 @@ impl<'a> Compiler<'a> {
         (*n - 1) as Reg
     }
 
+    /// A lane register; lane-form operands address them below [`SCALAR`].
+    fn alloc_lane(&mut self, kind: Kind) -> Reg {
+        let n = match kind {
+            Kind::Int => &mut self.lane_ints,
+            Kind::Float => &mut self.lane_floats,
+        };
+        *n += 1;
+        let reg = *n - 1;
+        if reg >= SCALAR as u32 {
+            self.lane_fail();
+        }
+        reg as Reg
+    }
+
     /// A value that is assigned where the code stands and never shared: a
     /// loop counter, a loaded element, the result of a branchy `select`.
+    /// In lane form, a lane vector.
     fn fresh(&mut self, kind: Kind) -> Vid {
         let level = self.cur_level();
         let frame = self.cur_frame();
-        let reg = self.alloc(frame, kind);
+        let lane = self.lane.is_some();
+        let reg = if lane {
+            self.alloc_lane(kind)
+        } else {
+            self.alloc(frame, kind)
+        };
         self.values.push(ValInfo {
             kind,
             level,
             frame,
             reg,
+            lane,
             is_bool: false,
             konst: None,
         });
@@ -903,6 +1292,7 @@ impl<'a> Compiler<'a> {
     /// every nest boundary between its home frame and `frame`.
     fn reg_in(&mut self, v: Vid, frame: usize) -> Reg {
         let info = self.values[v as usize];
+        debug_assert!(!info.lane, "a lane vector is used as a scalar");
         if info.frame == frame {
             return info.reg;
         }
@@ -929,9 +1319,23 @@ impl<'a> Compiler<'a> {
         self.reg_in(v, frame)
     }
 
+    /// Value `v` as an operand of a lane-form op.
+    fn lane_operand(&mut self, v: Vid) -> u16 {
+        let info = self.values[v as usize];
+        if info.lane {
+            return info.reg;
+        }
+        if info.reg >= SCALAR {
+            self.lane_fail();
+        }
+        info.reg | SCALAR
+    }
+
     /// Emits (or finds) the pure op `code` over `args`, with `lit` in the
     /// field after them. Unless `pinned`, it is placed at the level of its
     /// deepest operand; a pinned op may fault and stays where it stands.
+    /// In lane form, an op with a lane operand, and a pinned op, computes
+    /// lanes.
     fn pure(
         &mut self,
         code: Code,
@@ -952,7 +1356,9 @@ impl<'a> Compiler<'a> {
             return v;
         }
         let cur = self.cur_level();
-        let level = if pinned {
+        let lane =
+            self.lane.is_some() && (pinned || args.iter().any(|&v| self.values[v as usize].lane));
+        let level = if pinned || lane {
             cur
         } else {
             args.iter()
@@ -963,12 +1369,20 @@ impl<'a> Compiler<'a> {
         let frame = self.levels[level].frame;
         let mut f = [0u16; 3];
         for (slot, &v) in f.iter_mut().zip(args) {
-            *slot = self.reg_in(v, frame);
+            *slot = if lane {
+                self.lane_operand(v)
+            } else {
+                self.reg_in(v, frame)
+            };
         }
         if let Some(l) = lit {
             f[args.len()] = l;
         }
-        let d = self.alloc(frame, kind);
+        let d = if lane {
+            self.alloc_lane(kind)
+        } else {
+            self.alloc(frame, kind)
+        };
         let op = Op::new(code, d, f[0], f[1], f[2]);
         if level == cur {
             self.levels[cur].body.push(op);
@@ -997,6 +1411,7 @@ impl<'a> Compiler<'a> {
             level,
             frame,
             reg: d,
+            lane,
             is_bool,
             konst: None,
         });
@@ -1042,6 +1457,9 @@ impl<'a> Compiler<'a> {
 
     /// Emits a fault at this point; what follows it is unreachable.
     fn raise(&mut self, err: InterpError) {
+        if self.lane.is_some() {
+            return self.lane_fail();
+        }
         self.push(Op::new(Code::Raise, 0, self.errors.len() as u16, 0, 0));
         self.errors.push(err);
     }
@@ -1118,19 +1536,116 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn close_loop(&mut self, l: OpenLoop) {
+    /// Closes loop `l`. A `vectorized` loop's `body` is compiled a second
+    /// time, to lane form, if it can be.
+    fn close_loop(&mut self, l: OpenLoop, vectorized: Option<(&Var, &Stmt)>) {
         self.unbind(l.var, l.shadowed);
         let level = self.close_level();
+        let lanes = vectorized.and_then(|(var, body)| self.lane_form(var, body));
         let var = self.values[l.counter as usize].reg;
         let (lo, limit) = (self.reg(l.lo), self.reg(l.limit));
-        let skip = (level.body.len() + 1) as u16;
         let cur = self.cur_level();
-        let out = &mut self.levels[cur].body;
-        out.extend(level.pre);
-        out.push(Op::new(Code::IMov, var, lo, 0, 0));
-        out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
-        out.extend(level.body);
-        out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
+        match lanes {
+            Some((lanes, iv)) => {
+                self.lane_loops.push(LaneLoop {
+                    counter: var,
+                    limit,
+                    iv,
+                    lanes_len: lanes.body.len() as u16,
+                    scalar_len: level.body.len() as u16,
+                });
+                let id = (self.lane_loops.len() - 1) as u16;
+                let out = &mut self.levels[cur].body;
+                out.extend(level.pre);
+                out.extend(lanes.pre);
+                out.push(Op::new(Code::IMov, var, lo, 0, 0));
+                out.push(Op::new(Code::Yield, 0, id, 0, 0));
+                out.extend(lanes.body);
+                out.extend(level.body);
+            }
+            None => {
+                let skip = (level.body.len() + 1) as u16;
+                let out = &mut self.levels[cur].body;
+                out.extend(level.pre);
+                out.push(Op::new(Code::IMov, var, lo, 0, 0));
+                out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
+                out.extend(level.body);
+                out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
+            }
+        }
+    }
+
+    /// Compiles `body`, the body of a `vectorized` loop over `var`, to lane
+    /// form, and returns its level and the lane register of `var`; `None`,
+    /// with nothing changed, if lane form cannot express it.
+    fn lane_form(&mut self, var: &Var, body: &Stmt) -> Option<(Level, Reg)> {
+        if self.cur_frame() != 0 {
+            return None; // inside a barriered nest
+        }
+        let buffer = lone_store(body)?;
+        let &V::Handle(_, slot) = self.vars.get(&buffer.id())? else {
+            return None;
+        };
+        let before = self.clone();
+        let mask = self.iconst(1);
+        self.open_level(0);
+        self.lane = Some(LaneBody {
+            iv: 0,
+            mask,
+            slot,
+            index: None,
+            stored: false,
+            failed: false,
+        });
+        let iv = self.fresh(Kind::Int);
+        let shadowed = self.vars.insert(var.id(), V::Int(iv));
+        self.lane_body().iv = iv;
+        self.stmt(body);
+        self.unbind(var.id(), shadowed);
+        let lane = self.lane.take().expect("set above");
+        let level = self.close_level();
+        if lane.failed || !lane.stored {
+            *self = before;
+            return None;
+        }
+        Some((level, self.values[iv as usize].reg))
+    }
+
+    fn lane_body(&mut self) -> &mut LaneBody {
+        self.lane.as_mut().expect("compiling lane form")
+    }
+
+    fn lane_fail(&mut self) {
+        if let Some(lane) = self.lane.as_mut() {
+            lane.failed = true;
+        }
+    }
+
+    /// Narrows the lanes the code compiled next runs on to those where
+    /// `c` holds, in a scope of its own; returns the mask to restore.
+    fn narrow(&mut self, c: Vid) -> Vid {
+        let outer = self.lane_body().mask;
+        let mask = match self.values[outer as usize].konst {
+            Some(1) => c,
+            _ => self.op(Code::IAnd, Kind::Int, &[outer, c]),
+        };
+        self.push_scope();
+        self.lane_body().mask = mask;
+        outer
+    }
+
+    /// Ends what [`Compiler::narrow`] began.
+    fn widen(&mut self, outer: Vid) {
+        self.pop_scope();
+        self.lane_body().mask = outer;
+    }
+
+    /// Checks that an op that reads memory or may fault can run here: it
+    /// must come before the store, which is lane form's last effect.
+    fn lane_effect(&mut self) {
+        if self.lane_body().stored {
+            self.lane_fail();
+        }
     }
 
     fn unbind(&mut self, var: VarId, shadowed: Option<V>) {
@@ -1152,6 +1667,12 @@ impl<'a> Compiler<'a> {
                 self.unbind(var.id(), shadowed);
             }
             AttrStmt { body, .. } => self.stmt(body),
+            Store {
+                index,
+                value,
+                predicate,
+                ..
+            } if self.lane.is_some() => self.lane_store(index, value, predicate.as_ref()),
             Store {
                 buffer,
                 index,
@@ -1218,13 +1739,23 @@ impl<'a> Compiler<'a> {
                     let n = self.int_of(extent);
                     let l = self.open_loop(var, lo, n);
                     self.stmt(body);
-                    self.close_loop(l);
+                    let vectorized = (*kind == ForKind::Vectorized).then_some((var, body));
+                    self.close_loop(l, vectorized);
                 }
             },
             Seq(stmts) => {
                 for st in stmts {
                     self.stmt(st);
                 }
+            }
+            IfThenElse {
+                cond, then_case, ..
+            } if self.lane.is_some() => {
+                // `lone_store` admits no `else`.
+                let c = self.truthy(cond);
+                let outer = self.narrow(c);
+                self.stmt(then_case);
+                self.widen(outer);
             }
             IfThenElse {
                 cond,
@@ -1261,7 +1792,7 @@ impl<'a> Compiler<'a> {
             Barrier => {
                 // Outside a barriered nest there is nobody to wait for.
                 if self.cur_frame() != 0 {
-                    self.push(Op::new(Code::Barrier, 0, 0, 0, 0));
+                    self.push(Op::new(Code::Yield, 0, 0, 0, 0));
                 }
             }
             PushDep { .. } | PopDep { .. } => {} // timing-only; no data effect
@@ -1272,6 +1803,13 @@ impl<'a> Compiler<'a> {
         let Some(&V::Handle(_, slot)) = self.vars.get(&buffer.id()) else {
             return self.raise(InterpError::UnknownBuffer("?".into()));
         };
+        let (code, v) = self.store_value(slot, val);
+        let (base, last, v) = (self.reg(base), self.reg(last), self.reg(v));
+        self.push(Op::new(code, last, slot, base, v));
+    }
+
+    /// The op that stores `val` into `slot`, and `val` as the slot holds it.
+    fn store_value(&mut self, slot: u16, val: V) -> (Code, Vid) {
         let decl = &self.slots[slot as usize];
         let code = match (decl.storage, decl.dtype.bits) {
             (Storage::F32, 16) => Code::StoreF16,
@@ -1283,8 +1821,43 @@ impl<'a> Compiler<'a> {
             Kind::Float => self.as_float(val),
             Kind::Int => self.as_int(val),
         };
-        let (base, last, v) = (self.reg(base), self.reg(last), self.reg(v));
-        self.push(Op::new(code, last, slot, base, v));
+        (code, v)
+    }
+
+    /// The body's one store, in lane form. Its index must be affine in the
+    /// loop variable, with a coefficient that keeps a chunk's lanes apart:
+    /// then no lane reads an element another lane of its chunk writes.
+    fn lane_store(&mut self, index: &Expr, value: &Expr, predicate: Option<&Expr>) {
+        let outer = predicate.map(|p| {
+            let c = self.truthy(p);
+            self.narrow(c)
+        });
+        let a = self.affine(index);
+        let iv = self.lane_body().iv;
+        let apart = |k: i64| (1..LANES as i64).all(|d| k.wrapping_mul(d) != 0);
+        let affine = a.terms.iter().any(|&(v, k)| v == iv && apart(k))
+            && a.terms
+                .iter()
+                .all(|&(v, _)| v == iv || !self.values[v as usize].lane);
+        if !affine {
+            self.lane_fail();
+        }
+        let idx = self.materialize(a);
+        self.lane_body().index = Some(idx);
+        let val = self.expr(value);
+        let slot = self.lane_body().slot;
+        let (code, v) = self.store_value(slot, val);
+        let mask = self.lane_body().mask;
+        let (mask, idx, v) = (
+            self.lane_operand(mask),
+            self.lane_operand(idx),
+            self.lane_operand(v),
+        );
+        self.push(Op::new(code, mask, slot, idx, v));
+        self.lane_body().stored = true;
+        if let Some(outer) = outer {
+            self.widen(outer);
+        }
     }
 
     /// A run of consecutive thread-bound loops: lanes taking turns between
@@ -1321,7 +1894,7 @@ impl<'a> Compiler<'a> {
                 .collect();
             self.stmt(body);
             for l in loops.into_iter().rev() {
-                self.close_loop(l);
+                self.close_loop(l, None);
             }
             return;
         }
@@ -1602,6 +2175,11 @@ impl<'a> Compiler<'a> {
                 buffer,
                 index,
                 predicate,
+            } if self.lane.is_some() => self.lane_load(buffer, index, predicate.as_ref()),
+            Load {
+                buffer,
+                index,
+                predicate,
             } => match predicate {
                 None => {
                     let idx = self.index_of(index);
@@ -1709,6 +2287,12 @@ impl<'a> Compiler<'a> {
             Shr => (Code::IShr, false),
             Add | Sub | Mul => unreachable!("affine ops are handled above"),
         };
+        if pinned && self.lane.is_some() {
+            // Faults only on the lanes that run it.
+            self.lane_effect();
+            let mask = self.lane_body().mask;
+            return V::Int(self.pure(code, Kind::Int, &[x, y, mask], None, true));
+        }
         V::Int(self.pure(code, Kind::Int, &[x, y], None, pinned))
     }
 
@@ -1717,43 +2301,91 @@ impl<'a> Compiler<'a> {
     /// cannot be observed.
     fn short_circuit(&mut self, a: &Expr, b: &Expr, skip: Code) -> V {
         let x = self.truthy(a);
-        if self.speculable(b) {
-            let y = self.truthy(b);
-            let code = if skip == Code::JumpIfZero {
-                Code::IAnd
-            } else {
-                Code::IOr
+        let code = if skip == Code::JumpIfZero {
+            Code::IAnd
+        } else {
+            Code::IOr
+        };
+        let y = if self.speculable(b) {
+            self.truthy(b)
+        } else if self.lane.is_some() {
+            // `b` runs on the lanes `a` does not decide; on the others its
+            // 0/1 value does not change the outcome.
+            let undecided = match code {
+                Code::IAnd => x,
+                _ => self.op(Code::INot, Kind::Int, &[x]),
             };
-            let v = self.op(code, Kind::Int, &[x, y]);
-            self.values[v as usize].is_bool = true;
-            return V::Int(v);
-        }
-        let d = self.fresh(Kind::Int);
-        self.values[d as usize].is_bool = true;
-        self.assign(d, V::Int(x));
-        let at = self.branch(skip, x);
-        let y = self.truthy(b);
-        self.assign(d, V::Int(y));
-        self.land(at);
-        V::Int(d)
+            let outer = self.narrow(undecided);
+            let y = self.truthy(b);
+            self.widen(outer);
+            y
+        } else {
+            let d = self.fresh(Kind::Int);
+            self.values[d as usize].is_bool = true;
+            self.assign(d, V::Int(x));
+            let at = self.branch(skip, x);
+            let y = self.truthy(b);
+            self.assign(d, V::Int(y));
+            self.land(at);
+            return V::Int(d);
+        };
+        let v = self.op(code, Kind::Int, &[x, y]);
+        self.values[v as usize].is_bool = true;
+        V::Int(v)
     }
 
     fn select(&mut self, cond: &Expr, then_case: &Expr, else_case: &Expr) -> V {
         let c = self.truthy(cond);
-        if self.speculable(then_case) && self.speculable(else_case) {
-            let (t, f) = (self.expr(then_case), self.expr(else_case));
-            return match (t, f) {
-                (V::Int(t), V::Int(f)) => V::Int(self.op(Code::ISelect, Kind::Int, &[c, t, f])),
-                (V::Handle(..), _) | (_, V::Handle(..)) => {
-                    self.unsupported("select between buffer handles");
-                    self.dummy(false)
-                }
-                (t, f) => {
-                    let (t, f) = (self.as_float(t), self.as_float(f));
-                    V::Float(self.op(Code::FSelect, Kind::Float, &[c, t, f]))
-                }
-            };
+        let (t, f) = if self.speculable(then_case) && self.speculable(else_case) {
+            (self.expr(then_case), self.expr(else_case))
+        } else if self.lane.is_some() {
+            let (t, f) = (
+                self.lane_arm(then_case, c, true),
+                self.lane_arm(else_case, c, false),
+            );
+            // A load is zero on the lanes it skips, so a padded read,
+            // `select(c, load, 0.0)`, is the masked load alone.
+            let zero =
+                matches!(&*else_case.0, ExprNode::FloatImm { value, .. } if value.to_bits() == 0);
+            if zero && matches!((&*then_case.0, t), (ExprNode::Load { .. }, V::Float(_))) {
+                return t;
+            }
+            (t, f)
+        } else {
+            return self.branchy_select(c, then_case, else_case);
+        };
+        match (t, f) {
+            (V::Int(t), V::Int(f)) => V::Int(self.op(Code::ISelect, Kind::Int, &[c, t, f])),
+            (V::Handle(..), _) | (_, V::Handle(..)) => {
+                self.unsupported("select between buffer handles");
+                self.dummy(false)
+            }
+            (t, f) => {
+                let (t, f) = (self.as_float(t), self.as_float(f));
+                V::Float(self.op(Code::FSelect, Kind::Float, &[c, t, f]))
+            }
         }
+    }
+
+    /// `e`, the arm of a `select` on `c` taken where `c` is `taken`, in lane
+    /// form: if it may fault or read memory, it runs only on those lanes.
+    fn lane_arm(&mut self, e: &Expr, c: Vid, taken: bool) -> V {
+        if self.speculable(e) {
+            return self.expr(e);
+        }
+        let lanes = if taken {
+            c
+        } else {
+            self.op(Code::INot, Kind::Int, &[c])
+        };
+        let outer = self.narrow(lanes);
+        let v = self.expr(e);
+        self.widen(outer);
+        v
+    }
+
+    /// A `select` whose arms may fault or read memory, in scalar code.
+    fn branchy_select(&mut self, c: Vid, then_case: &Expr, else_case: &Expr) -> V {
         // Each arm runs only when chosen and moves its value into `d`; the
         // moves are emitted once both kinds are known.
         let to_else = self.branch(Code::JumpIfZero, c);
@@ -1826,6 +2458,49 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// A load in lane form: each lane the mask and `predicate` select loads
+    /// its element, the others yield zero. The stored buffer may be read
+    /// only at the store's own index.
+    fn lane_load(&mut self, buffer: &Var, index: &Expr, predicate: Option<&Expr>) -> V {
+        self.lane_effect();
+        let outer = predicate.map(|p| {
+            let c = self.truthy(p);
+            self.narrow(c)
+        });
+        let idx = self.int_of(index);
+        let Some(&V::Handle(_, slot)) = self.vars.get(&buffer.id()) else {
+            self.lane_fail();
+            return self.dummy(buffer.dtype().is_float());
+        };
+        let lane = *self.lane_body();
+        if slot == lane.slot && lane.index != Some(idx) {
+            self.lane_fail();
+        }
+        let storage = self.slots[slot as usize].storage;
+        let d = self.fresh(storage.kind());
+        let code = match storage {
+            Storage::F32 => Code::LoadF32,
+            Storage::F64 => Code::LoadF64,
+            Storage::I64 => Code::LoadI64,
+        };
+        let (idx, mask) = (self.lane_operand(idx), self.lane_operand(lane.mask));
+        self.push(Op::new(code, self.values[d as usize].reg, slot, idx, mask));
+        let v = match storage.kind() {
+            Kind::Float => V::Float(d),
+            Kind::Int => V::Int(d),
+        };
+        let Some(outer) = outer else {
+            return v;
+        };
+        self.widen(outer);
+        // As in scalar code: a float where the buffer's type and its storage
+        // disagree.
+        match v {
+            V::Int(_) if buffer.dtype().is_float() => V::Float(self.as_float(v)),
+            _ => v,
+        }
+    }
+
     fn pure_call(&mut self, name: &str, args: &[Expr], dtype: DType) -> V {
         let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
         let arity = if name == "pow" { 2 } else { 1 };
@@ -1860,6 +2535,9 @@ impl<'a> Compiler<'a> {
     }
 
     fn hw_call(&mut self, name: &str, args: &[Expr], ret: Option<(Kind, Reg)>) {
+        if self.lane.is_some() {
+            return self.lane_fail();
+        }
         let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
         let args = vals
             .into_iter()
@@ -1922,6 +2600,37 @@ fn intern<T: Copy>(pool: &mut Vec<T>, value: T, same: impl Fn(T) -> bool) -> u16
         pool.len() - 1
     });
     k as u16
+}
+
+/// The buffer of the one store in `body`, if `body` has exactly one and no
+/// loop, allocation, barrier or `else`: the statements lane form can hold.
+fn lone_store(body: &Stmt) -> Option<&Var> {
+    fn walk<'a>(s: &'a Stmt, stores: &mut Vec<&'a Var>) -> bool {
+        use StmtNode::*;
+        match &*s.0 {
+            Store { buffer, .. } => {
+                stores.push(buffer);
+                true
+            }
+            LetStmt { body, .. } | AttrStmt { body, .. } => walk(body, stores),
+            Seq(stmts) => stmts.iter().all(|st| walk(st, stores)),
+            IfThenElse {
+                then_case,
+                else_case: None,
+                ..
+            } => walk(then_case, stores),
+            Evaluate(_) | PushDep { .. } | PopDep { .. } => true,
+            For { .. } | Allocate { .. } | Barrier | IfThenElse { .. } => false,
+        }
+    }
+    let mut stores = Vec::new();
+    if !walk(body, &mut stores) {
+        return None;
+    }
+    match stores[..] {
+        [buffer] => Some(buffer),
+        _ => None,
+    }
 }
 
 /// The walker's static barrier count of one thread running `s`: `Err` when

@@ -4,10 +4,12 @@
 //! through the reference walker (`Interp::run_reference`), which must agree
 //! on every buffer bit, on the store count, and on the fault and its fields.
 
+use std::collections::HashMap;
+
 use tvm_ir::interp::Data;
 use tvm_ir::{
     Buffer, DType, Expr, ExprNode, ForKind, Interp, InterpError, LoweredFunc, MemScope, MemState,
-    Stmt, StmtNode, ThreadTag, Value, Var,
+    Program, Stmt, StmtNode, Storage, ThreadTag, Value, Var,
 };
 
 fn func(params: Vec<Var>, dtypes: Vec<DType>, extents: Vec<usize>, body: Stmt) -> LoweredFunc {
@@ -49,7 +51,10 @@ fn both_with(
             }
             assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
         }
-        (Err(g), Err(w)) => assert_eq!(format!("{g:?}"), format!("{w:?}")),
+        (Err(g), Err(w)) => {
+            assert_eq!(format!("{g:?}"), format!("{w:?}"));
+            assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
+        }
         _ => panic!(
             "flat {:?}, walker {:?}\n{}",
             got.as_ref().map(|_| "ran"),
@@ -548,4 +553,294 @@ fn run_f32_reads_and_writes_the_arrays_in_place() {
     let mut arrays = input;
     Interp::new().run_f32(&f, &mut arrays).expect("runs");
     assert_eq!(arrays, want);
+}
+
+// ---------------------------------------------------------------------------
+// Lane form. The flat engine runs an eligible `vectorized` loop a chunk of
+// lanes per op and replays a chunk that faults through scalar code; each
+// case pins whether lane form engaged and that both engines still agree.
+// ---------------------------------------------------------------------------
+
+/// Loops of `f` compiled to lane form, for parameters held as `bufs` are.
+fn lane_loops(f: &LoweredFunc, bufs: &[Buffer]) -> usize {
+    let params: Vec<(Storage, DType)> = bufs
+        .iter()
+        .map(|b| {
+            let storage = match b.data {
+                Data::F32(_) => Storage::F32,
+                Data::F64(_) => Storage::F64,
+                Data::I64(_) => Storage::I64,
+            };
+            (storage, b.dtype)
+        })
+        .collect();
+    Program::compile(f, &params, &HashMap::new()).lane_loops()
+}
+
+fn lane_loops_f32(f: &LoweredFunc) -> usize {
+    Program::compile_f32(f).lane_loops()
+}
+
+fn vectorized(var: &Var, n: i64, body: Stmt) -> Stmt {
+    Stmt::loop_(var, 0, n, ForKind::Vectorized, body)
+}
+
+/// Stores the flat engine makes running `f` on `arrays`.
+fn stores_f32(f: &LoweredFunc, arrays: &[Vec<f32>]) -> u64 {
+    let mut it = Interp::new();
+    let _ = it.run_f32(f, &mut arrays.to_vec());
+    it.store_count()
+}
+
+/// Runs `f`, which must fault, in both engines on float32 `arrays`. They
+/// must raise the same fault after the same stores and leave the same
+/// contents; returns the fault, the store count and the contents.
+fn fault_f32(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Vec<f32>>) {
+    let mut flat = Interp::new();
+    let mut got = arrays.to_vec();
+    let err = flat.run_f32(f, &mut got).expect_err("faults");
+    let mut walker = Interp::new();
+    let bufs = arrays.iter().map(|a| Buffer::from_f32(a)).collect();
+    let want = walker.run_reference(f, bufs).expect_err("faults");
+    assert_eq!(format!("{err:?}"), format!("{want:?}"));
+    assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
+    let left: Vec<Vec<f32>> = f
+        .params
+        .iter()
+        .map(|p| walker.mem.get(p.id()).expect("bound").to_f32())
+        .collect();
+    assert_eq!(got, left, "{}", f.body);
+    (err, flat.store_count(), got)
+}
+
+#[test]
+fn padded_conv_row_guarded_at_both_edges_runs_in_lanes() {
+    // O[i] += (A[i + k - 1] if 0 <= i + k - 1 < 8 else 0) * W[k]: the conv
+    // kernels' hot loop, whose guard fails at the left edge for k = 0 and
+    // at the right edge for k = 2.
+    let (a, w, o) = (
+        Var::new("A", DType::float32()),
+        Var::new("W", DType::float32()),
+        Var::new("O", DType::float32()),
+    );
+    let (k, i) = (Var::int("k"), Var::int("i"));
+    let x = i.clone() + k.clone() - 1;
+    let inside = x.clone().ge(Expr::int(0)).and(x.clone().lt(Expr::int(8)));
+    let padded = Expr::select(inside, Expr::load(&a, x), Expr::f32(0.0));
+    let mac = Stmt::store(
+        &o,
+        i.to_expr(),
+        Expr::load(&o, i.to_expr()) + padded * Expr::load(&w, k.to_expr()),
+    );
+    let f = f32_func(
+        vec![a, w, o],
+        vec![8, 3, 8],
+        Stmt::for_(&k, 0, 3, vectorized(&i, 8, mac)),
+    );
+    assert_eq!(lane_loops_f32(&f), 1);
+    let data: Vec<f32> = (0..8).map(|v| v as f32 * 0.37 - 1.1).collect();
+    let weights = vec![0.25f32, -1.5, 0.7];
+    let got = both_f32(&f, &[data.clone(), weights.clone(), vec![0.1; 8]]).expect("runs");
+    let mut want = vec![0.1f32; 8];
+    for (k, &wk) in weights.iter().enumerate() {
+        for (i, o) in want.iter_mut().enumerate() {
+            let x = i as i64 + k as i64 - 1;
+            let a = if (0..8).contains(&x) {
+                data[x as usize]
+            } else {
+                0.0
+            };
+            *o = (*o as f64 + a as f64 * wk as f64) as f32;
+        }
+    }
+    assert_eq!(got[2], want);
+}
+
+#[test]
+fn out_of_bounds_read_at_lane_five_stores_lanes_zero_to_four() {
+    let (a, o, i) = (
+        Var::new("A", DType::float32()),
+        Var::new("O", DType::float32()),
+        Var::int("i"),
+    );
+    let body = vectorized(
+        &i,
+        8,
+        Stmt::store(
+            &o,
+            i.to_expr(),
+            Expr::load(&a, i.to_expr()) * Expr::f32(2.0),
+        ),
+    );
+    let f = f32_func(vec![a, o], vec![5, 8], body);
+    assert_eq!(lane_loops_f32(&f), 1);
+    let (err, stores, left) = fault_f32(&f, &[vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![0.0; 8]]);
+    match err {
+        InterpError::OutOfBounds {
+            buffer,
+            index,
+            extent,
+        } => assert_eq!((buffer.as_str(), index, extent), ("A", 5, 5)),
+        other => panic!("unexpected {other}"),
+    }
+    assert_eq!(stores, 5);
+    assert_eq!(left[1], vec![2.0, 4.0, 6.0, 8.0, 10.0, 0.0, 0.0, 0.0]);
+}
+
+#[test]
+fn masked_tail_store_writes_only_the_lanes_in_range() {
+    // The softmax shape: 16 iterations in chunks of 8 over a 10-element
+    // output, as an `if` around the store and as a predicated store.
+    let (a, o) = (
+        Var::new("A", DType::float32()),
+        Var::new("O", DType::float32()),
+    );
+    let (fo, fi) = (Var::int("f.o"), Var::int("f.i"));
+    let x = fo.clone() * 8 + fi.clone();
+    let value = Expr::load(&a, x.clone()) * Expr::f32(0.5);
+    let in_range = x.clone().lt(Expr::int(10));
+    let guarded = Stmt::if_then(in_range.clone(), Stmt::store(&o, x.clone(), value.clone()));
+    let predicated = Stmt::new(StmtNode::Store {
+        buffer: o.clone(),
+        index: x,
+        value,
+        predicate: Some(in_range),
+    });
+    let input: Vec<f32> = (0..10).map(|v| v as f32 - 4.5).collect();
+    for store in [guarded, predicated] {
+        let body = Stmt::for_(&fo, 0, 2, vectorized(&fi, 8, store));
+        let f = f32_func(vec![a.clone(), o.clone()], vec![10, 10], body);
+        assert_eq!(lane_loops_f32(&f), 1);
+        let arrays = [input.clone(), vec![0.0; 10]];
+        let got = both_f32(&f, &arrays).expect("runs");
+        assert_eq!(got[1], input.iter().map(|v| v * 0.5).collect::<Vec<_>>());
+        assert_eq!(stores_f32(&f, &arrays), 10);
+    }
+}
+
+#[test]
+fn a_store_that_feeds_the_next_lane_falls_back_to_scalar_code() {
+    // a[i + 1] = a[i] + 1: each iteration reads what the one before wrote,
+    // so the lanes of a chunk cannot load before any of them stores.
+    let (a, i) = (Var::new("A", DType::float32()), Var::int("i"));
+    let body = vectorized(
+        &i,
+        7,
+        Stmt::store(
+            &a,
+            i.clone() + 1,
+            Expr::load(&a, i.to_expr()) + Expr::f32(1.0),
+        ),
+    );
+    let f = f32_func(vec![a], vec![8], body);
+    assert_eq!(lane_loops_f32(&f), 0);
+    let got = both_f32(&f, &[vec![0.5; 8]]).expect("runs");
+    assert_eq!(got[0], (0..8).map(|v| v as f32 + 0.5).collect::<Vec<_>>());
+}
+
+#[test]
+fn extents_thirteen_and_zero_run_in_lanes() {
+    for n in [13i64, 0] {
+        let (a, o, i) = (
+            Var::new("A", DType::float32()),
+            Var::new("O", DType::float32()),
+            Var::int("i"),
+        );
+        let body = vectorized(
+            &i,
+            n,
+            Stmt::store(
+                &o,
+                i.to_expr(),
+                Expr::load(&a, i.to_expr()) + Expr::f32(1.0),
+            ),
+        );
+        let f = f32_func(vec![a, o], vec![13, 13], body);
+        assert_eq!(lane_loops_f32(&f), 1);
+        let input: Vec<f32> = (0..13).map(|v| v as f32 * 0.1).collect();
+        let arrays = [input.clone(), vec![-1.0; 13]];
+        let got = both_f32(&f, &arrays).expect("runs");
+        let want: Vec<f32> = (0..13)
+            .map(|v| if v < n { input[v as usize] + 1.0 } else { -1.0 })
+            .collect();
+        assert_eq!(got[1], want);
+        assert_eq!(stores_f32(&f, &arrays), n as u64);
+    }
+}
+
+#[test]
+fn f16_and_int8_stores_round_in_lanes() {
+    let i = Var::int("i");
+    // i / 3 into float16, held as f64 (a `run` buffer) and as f32.
+    let o = Var::new("O", DType::float16());
+    let third = i.to_expr().cast(DType::float32()) / Expr::f32(3.0);
+    let f = func(
+        vec![o.clone()],
+        vec![DType::float16()],
+        vec![11],
+        vectorized(&i, 11, Stmt::store(&o, i.to_expr(), third)),
+    );
+    let f32_held = Buffer {
+        dtype: DType::float16(),
+        data: Data::F32(vec![0.0; 11]),
+    };
+    for buf in [Buffer::zeros(DType::float16(), 11), f32_held] {
+        assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+        let got = both(&f, vec![buf]).expect("runs")[0].to_f32();
+        assert_ne!(got[1], 1.0f32 / 3.0);
+        assert!((got[1] - 1.0 / 3.0).abs() < 1e-3);
+    }
+    // i * 50 into int8: wraps past 127.
+    let o = Var::new("O", DType::int8());
+    let f = func(
+        vec![o.clone()],
+        vec![DType::int8()],
+        vec![9],
+        vectorized(&i, 9, Stmt::store(&o, i.to_expr(), i.clone() * 50)),
+    );
+    let buf = Buffer::zeros(DType::int8(), 9);
+    assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+    let got = both(&f, vec![buf]).expect("runs");
+    assert_eq!(
+        got[0].to_i64(),
+        vec![0, 50, 100, -106, -56, -6, 44, 94, -112]
+    );
+}
+
+#[test]
+fn checked_division_faults_only_on_a_lane_that_runs_it() {
+    // 12 / (i - 3) divides by zero at i = 3. Masked off there, it runs in
+    // lanes; unguarded, the chunk replays and faults after three stores.
+    let (o, i) = (Var::new("O", DType::int32()), Var::int("i"));
+    let quotient = Expr::int(12) / (i.clone() - 3);
+    let guarded = Stmt::if_then(
+        i.to_expr().ne(Expr::int(3)),
+        Stmt::store(&o, i.to_expr(), quotient.clone()),
+    );
+    let f = func(
+        vec![o.clone()],
+        vec![DType::int32()],
+        vec![8],
+        vectorized(&i, 8, guarded),
+    );
+    let buf = Buffer::zeros(DType::int32(), 8);
+    assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+    let got = both(&f, vec![buf.clone()]).expect("runs");
+    assert_eq!(got[0].to_i64(), vec![-4, -6, -12, 0, 12, 6, 4, 3]);
+
+    let f = func(
+        vec![o.clone()],
+        vec![DType::int32()],
+        vec![8],
+        vectorized(&i, 8, Stmt::store(&o, i.to_expr(), quotient)),
+    );
+    assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+    let mut it = Interp::new();
+    let err = it.run(&f, vec![buf.clone()]).unwrap_err();
+    assert!(matches!(err, InterpError::DivideByZero));
+    assert_eq!(it.store_count(), 3);
+    assert!(matches!(
+        both(&f, vec![buf]),
+        Err(InterpError::DivideByZero)
+    ));
 }

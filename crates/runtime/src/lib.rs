@@ -405,7 +405,7 @@ pub type InterpSetup = Box<dyn Fn(&mut Interp)>;
 pub struct GraphExecutor {
     module: Arc<Module>,
     values: HashMap<NodeId, NDArray>,
-    /// Simulated time of the last `run`.
+    /// Simulated time of the last `run`, 0 if it failed.
     pub last_run_ms: f64,
     /// Hook to register hardware-intrinsic functional models before runs.
     pub interp_setup: Option<InterpSetup>,
@@ -539,13 +539,20 @@ impl GraphExecutor {
 
     /// Executes the graph; returns the simulated time in ms. Unbound
     /// inputs and interpreter faults come back as [`RuntimeError`]s and
-    /// leave the executor usable (bind the input and run again).
+    /// leave the executor usable (bind the input and run again); after one,
+    /// no output of an earlier run is readable.
     pub fn run(&mut self) -> Result<f64, RuntimeError> {
         let mut total = 0.0;
         if let Some(p) = self.profiler.as_mut() {
             p.ops.clear();
         }
         let module = Arc::clone(&self.module);
+        for k in &module.kernels {
+            if let Some(out) = k.args.last() {
+                self.values.remove(out);
+            }
+        }
+        self.last_run_ms = 0.0;
         let mut it = Interp::new();
         if let Some(setup) = &self.interp_setup {
             setup(&mut it);
@@ -634,7 +641,8 @@ impl GraphExecutor {
         Ok(total)
     }
 
-    /// Fetches the i-th graph output (after a successful [`run`]).
+    /// Fetches the i-th graph output as the last [`run`] computed it;
+    /// [`RuntimeError::NotRun`] if that run failed before computing it.
     ///
     /// [`run`]: GraphExecutor::run
     pub fn get_output(&self, i: usize) -> Result<&NDArray, RuntimeError> {

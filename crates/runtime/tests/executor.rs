@@ -222,6 +222,51 @@ fn interpreter_fault_names_the_kernel_and_reads_like_a_sentence() {
 }
 
 #[test]
+fn a_faulted_run_leaves_no_output_of_the_run_before() {
+    // The second kernel gathers `dst[i] = src[src[i]]`, so whether it stays
+    // in bounds depends on the input: k1 maps 0 and 1 to the indices 1 and
+    // 3, and 2 to the index 5.
+    let (mut module, _) = two_stage_module();
+    let (src, dst, i) = (
+        Var::new("src", DType::float32()),
+        Var::new("dst", DType::float32()),
+        Var::int("i"),
+    );
+    let at = Expr::load(&src, i.to_expr()).cast(DType::int32());
+    module.kernels[1].func.body = Stmt::for_(
+        &i,
+        0,
+        4,
+        Stmt::store(&dst, i.to_expr(), Expr::load(&src, at)),
+    );
+    module.kernels[1].func.params = vec![src, dst];
+    let mut ex = GraphExecutor::new(module);
+    let clean = NDArray::new(&[1, 4], vec![0.0, 1.0, 0.0, 1.0]);
+    ex.set_input("data", clean.clone()).expect("bind");
+    ex.run().expect("in bounds");
+    assert_eq!(ex.get_output(0).expect("output").data, vec![3.0; 4]);
+    assert_eq!(ex.last_run_ms, 0.75);
+
+    ex.set_input("data", NDArray::new(&[1, 4], vec![0.0, 1.0, 2.0, 0.0]))
+        .expect("bind");
+    let err = ex.run().unwrap_err();
+    assert!(matches!(
+        err,
+        RuntimeError::Interp {
+            error: tvm_ir::InterpError::OutOfBounds { index: 5, .. },
+            ..
+        }
+    ));
+    assert!(matches!(ex.get_output(0), Err(RuntimeError::NotRun(_))));
+    assert_eq!(ex.last_run_ms, 0.0);
+
+    // The inputs and parameters survive: the clean input runs again.
+    ex.set_input("data", clean).expect("bind");
+    assert_eq!(ex.run().expect("in bounds"), 0.75);
+    assert_eq!(ex.get_output(0).expect("output").data, vec![3.0; 4]);
+}
+
+#[test]
 fn params_are_seeded_and_overridable() {
     let mut g = Graph::new();
     let x = g.input(&[1, 2], "data");
