@@ -38,8 +38,8 @@
 //! * *Eligible*: a body with exactly one store, whose index is affine in the
 //!   loop variable with a non-zero coefficient; which reads the stored
 //!   buffer only at that index; and which holds no loop, allocation,
-//!   barrier, `else` or hardware intrinsic. Any other loop, and any loop
-//!   inside a barriered nest, compiles to scalar code only;
+//!   barrier, `else` or hardware intrinsic. Any other `vectorized` loop,
+//!   and any inside a barriered nest, compiles to scalar code only;
 //!   [`Program::lane_loops`] counts the loops that compiled to lane form.
 //! * *Replay*: lane form has no side effect before its final store. If
 //!   anything in a chunk faults — an out-of-bounds lane, a checked division
@@ -48,6 +48,30 @@
 //!   exactly where the walker does. Each lane does the walker's `f64`
 //!   operations and store rounding, and the store count grows by one per
 //!   lane stored, so buffers, store counts and faults are the walker's.
+//!
+//! An innermost `serial` or `unrolled` dot-product loop is also compiled
+//! twice: to scalar code, and to a *reduce loop* that runs every iteration
+//! in one op (a dense layer's reduction; §4.3's dot product, on our own
+//! ISA).
+//!
+//! * *Eligible*: a body that is a single unpredicated float32 store
+//!   `S[i] = S[i] + X[f(k)] * Y[g(k)]`, the sum in either order, with `i`
+//!   invariant in the loop variable `k`, `f` and `g` affine in `k`, `S`
+//!   held as `f32`, and `X` and `Y` buffers other than `S` held as `f32`,
+//!   not inside a barriered nest. [`Program::reduce_loops`] counts them.
+//! * *Exact*: the op does `acc = (acc as f64 + x as f64 * y as f64) as f32`
+//!   per iteration, the walker's arithmetic and store rounding, writes
+//!   `S[i]` once and counts one store per iteration.
+//! * *Replay*: before it writes anything, the op checks both ends of all
+//!   three accesses with checked arithmetic; the indices are affine, so
+//!   every index between is in bounds too. If the loop is empty, or an end
+//!   index is out of bounds or overflows, the scalar code runs instead and
+//!   stores and faults where the walker does.
+//!
+//! A lane loop or a reduce loop is entered through a `Yield` op that
+//! returns from the dispatch loop to [`Program::execute`], which runs it
+//! and resumes after it: work outside the dispatch loop does not perturb
+//! how the dispatch loop's registers are allocated.
 //!
 //! Limits the walker does not have, each raised as
 //! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
@@ -216,9 +240,9 @@ enum Code {
     Nest,
     /// Returns to the caller, which resumes at the next op. In a barriered
     /// nest it ends the lane's turn at a barrier; at top level it hands
-    /// over `lane_loops[a]`, whose lane code and then scalar code follow.
-    /// Lane form runs outside the dispatch loop, so that scalar code keeps
-    /// its registers.
+    /// over `handoffs[a]`: a lane loop, whose lane code and then scalar
+    /// code follow, or a reduce loop, whose scalar code follows. Both run
+    /// outside the dispatch loop, so that scalar code keeps its registers.
     Yield,
 }
 
@@ -316,6 +340,39 @@ struct LaneLoop {
     scalar_len: u16,
 }
 
+/// An innermost loop `S[i] = S[i] + X[f(k)] * Y[g(k)]` run as one dot
+/// product. Its `Yield` op is followed by the loop's scalar code,
+/// `scalar_len` ops from its `LoopGuard` to its `LoopNext`, which runs
+/// instead when the dot product cannot.
+#[derive(Clone)]
+struct ReduceLoop {
+    /// Registers of the loop variable, which holds the first iteration, and
+    /// of the loop's limit.
+    counter: Reg,
+    limit: Reg,
+    /// `S[i]` (stride zero), `X[f(k)]` and `Y[g(k)]`.
+    acc: Stream,
+    x: Stream,
+    y: Stream,
+    scalar_len: u16,
+}
+
+/// An access of a reduce loop: element `i[base] + stride * k` of `slot` at
+/// iteration `k`.
+#[derive(Clone, Copy)]
+struct Stream {
+    slot: u16,
+    base: Reg,
+    stride: i64,
+}
+
+/// What a top-level `Yield` hands over to [`Program::execute`].
+#[derive(Clone)]
+enum Handoff {
+    Lanes(LaneLoop),
+    Reduce(ReduceLoop),
+}
+
 /// A lowered function compiled for one binding of its parameters.
 pub struct Program {
     name: String,
@@ -332,7 +389,7 @@ pub struct Program {
     errors: Vec<InterpError>,
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
-    lane_loops: Vec<LaneLoop>,
+    handoffs: Vec<Handoff>,
 }
 
 impl Program {
@@ -365,7 +422,13 @@ impl Program {
 
     /// Number of `vectorized` loops compiled to lane form.
     pub fn lane_loops(&self) -> usize {
-        self.lane_loops.len()
+        let lanes = |h: &&Handoff| matches!(h, Handoff::Lanes(_));
+        self.handoffs.iter().filter(lanes).count()
+    }
+
+    /// Number of loops compiled to reduce loops.
+    pub fn reduce_loops(&self) -> usize {
+        self.handoffs.len() - self.lane_loops()
     }
 
     pub(crate) fn takes_f32_arrays(&self) -> bool {
@@ -420,16 +483,26 @@ impl Program {
         };
         let mut pc = 0;
         let result = loop {
-            // At top level only a lane loop yields.
+            // At top level only a lane loop or a reduce loop yields.
             let start = match machine.run(pc, self.ops.len(), &mut ints, &mut floats) {
                 Ok(Stop::Yield(start)) => start,
                 stop => break stop.map(|_| ()),
             };
-            let l = &self.lane_loops[self.ops[start - 1].a as usize];
-            if let Err(e) = machine.run_lane_loop(l, &mut lanes, start, &mut ints, &mut floats) {
-                break Err(e);
-            }
-            pc = start + l.lanes_len as usize + l.scalar_len as usize;
+            pc = match self.handoffs.get(self.ops[start - 1].a as usize) {
+                Some(Handoff::Lanes(l)) => {
+                    let ran = machine.run_lane_loop(l, &mut lanes, start, &mut ints, &mut floats);
+                    if let Err(e) = ran {
+                        break Err(e);
+                    }
+                    start + l.lanes_len as usize + l.scalar_len as usize
+                }
+                Some(Handoff::Reduce(r)) => match machine.run_reduce(r, &mut ints) {
+                    Ok(true) => start + r.scalar_len as usize,
+                    Ok(false) => start,
+                    Err(e) => break Err(e),
+                },
+                None => break Err(malformed("a yield names no loop")),
+            };
         };
         (result, machine.stores)
     }
@@ -476,6 +549,24 @@ fn wrong_storage(slot: &Slot) -> InterpError {
         "buffer `{}` changed storage under a run",
         slot.name
     ))
+}
+
+#[cold]
+fn malformed(what: &str) -> InterpError {
+    InterpError::Malformed(format!("flat program: {what}"))
+}
+
+/// Where in `slot`'s storage stream `s`, whose base is `base`, starts at
+/// iteration `first`, if its elements at iterations `first` and `last` are
+/// both in bounds, and so every element between. `None` also when either
+/// index overflows, where the scalar code would wrap.
+fn stream_start(slot: &Slot, s: &Stream, base: i64, first: i64, last: i64) -> Option<usize> {
+    let index = |k: i64| {
+        let i = s.stride.checked_mul(k).and_then(|d| base.checked_add(d))?;
+        ((i as u64) < slot.len as u64).then_some(i as usize)
+    };
+    index(last)?;
+    Some(slot.base + index(first)?)
 }
 
 impl Machine<'_> {
@@ -773,6 +864,58 @@ impl Machine<'_> {
             first += n as i64;
         }
         Ok(())
+    }
+
+    /// Runs reduce loop `r` as one dot product, each iteration rounding the
+    /// walker's `f64` sum to `f32` as its store does, and writes `S[i]`
+    /// once. Returns `false`, having changed nothing, if the loop is empty
+    /// or an access at either end of it is out of bounds: its scalar code
+    /// then runs, and stores and faults where the walker does.
+    fn run_reduce(&mut self, r: &ReduceLoop, ints: &mut [i64]) -> Result<bool> {
+        let reg = |x: Reg| ints.get(x as usize).copied();
+        let slot = |s: &Stream| self.mem.slots.get(s.slot as usize);
+        let (Some(first), Some(limit), Some(sa), Some(sx), Some(sy)) = (
+            reg(r.counter),
+            reg(r.limit),
+            slot(&r.acc),
+            slot(&r.x),
+            slot(&r.y),
+        ) else {
+            return Err(malformed(
+                "a reduce loop names a register or buffer it lacks",
+            ));
+        };
+        if first >= limit {
+            return Ok(false);
+        }
+        let last = limit - 1;
+        let start = |slot: &Slot, s: &Stream| {
+            let base = reg(s.base)?;
+            stream_start(slot, s, base, first, last)
+        };
+        let (Some(at), Some(mut xi), Some(mut yi)) =
+            (start(sa, &r.acc), start(sx, &r.x), start(sy, &r.y))
+        else {
+            return Ok(false);
+        };
+        let (Data::F32(s), Data::F32(xs), Data::F32(ys)) =
+            (&sa.buf.data, &sx.buf.data, &sy.buf.data)
+        else {
+            return Ok(false);
+        };
+        let n = limit.abs_diff(first);
+        let mut acc = s[at];
+        for _ in 0..n {
+            acc = (acc as f64 + xs[xi] as f64 * ys[yi] as f64) as f32;
+            xi = xi.wrapping_add(r.x.stride as usize);
+            yi = yi.wrapping_add(r.y.stride as usize);
+        }
+        if let Data::F32(s) = &mut self.mem.slots[r.acc.slot as usize].buf.data {
+            s[at] = acc;
+        }
+        self.stores += n;
+        ints[r.counter as usize] = limit;
+        Ok(true)
     }
 
     /// Executes the lane code `ops[pc..end]` on the first `n` lanes.
@@ -1134,7 +1277,7 @@ struct Compiler<'a> {
     errors: Vec<InterpError>,
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
-    lane_loops: Vec<LaneLoop>,
+    handoffs: Vec<Handoff>,
     /// Lane registers in use.
     lane_ints: u32,
     lane_floats: u32,
@@ -1167,7 +1310,7 @@ impl<'a> Compiler<'a> {
             errors: Vec::new(),
             hw_calls: Vec::new(),
             nests: Vec::new(),
-            lane_loops: Vec::new(),
+            handoffs: Vec::new(),
             lane_ints: 0,
             lane_floats: 0,
             lane: None,
@@ -1198,7 +1341,7 @@ impl<'a> Compiler<'a> {
             self.errors.len(),
             self.hw_calls.len(),
             self.nests.len(),
-            self.lane_loops.len(),
+            self.handoffs.len(),
         ];
         if self.too_large || sizes.iter().any(|&n| n > u16::MAX as usize) {
             self.errors = vec![InterpError::Unsupported(format!(
@@ -1206,7 +1349,7 @@ impl<'a> Compiler<'a> {
                 func.name
             ))];
             ops = vec![Op::new(Code::Raise, 0, 0, 0, 0)];
-            self.lane_loops.clear();
+            self.handoffs.clear();
         }
         Program {
             name: func.name.clone(),
@@ -1222,7 +1365,7 @@ impl<'a> Compiler<'a> {
             errors: self.errors,
             hw_calls: self.hw_calls,
             nests: self.nests,
-            lane_loops: self.lane_loops,
+            handoffs: self.handoffs,
         }
     }
 
@@ -1536,43 +1679,142 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Closes loop `l`. A `vectorized` loop's `body` is compiled a second
-    /// time, to lane form, if it can be.
-    fn close_loop(&mut self, l: OpenLoop, vectorized: Option<(&Var, &Stmt)>) {
+    /// Closes loop `l`; `source` is the kind, variable and body of the `for`
+    /// statement it compiles, if any. A `vectorized` loop's body is compiled
+    /// a second time, to lane form, and a serial or unrolled dot product
+    /// gets a reduce loop, where they can.
+    fn close_loop(&mut self, l: OpenLoop, source: Option<(ForKind, &Var, &Stmt)>) {
         self.unbind(l.var, l.shadowed);
         let level = self.close_level();
-        let lanes = vectorized.and_then(|(var, body)| self.lane_form(var, body));
         let var = self.values[l.counter as usize].reg;
         let (lo, limit) = (self.reg(l.lo), self.reg(l.limit));
-        let cur = self.cur_level();
-        match lanes {
-            Some((lanes, iv)) => {
-                self.lane_loops.push(LaneLoop {
-                    counter: var,
-                    limit,
-                    iv,
-                    lanes_len: lanes.body.len() as u16,
-                    scalar_len: level.body.len() as u16,
-                });
-                let id = (self.lane_loops.len() - 1) as u16;
-                let out = &mut self.levels[cur].body;
-                out.extend(level.pre);
-                out.extend(lanes.pre);
-                out.push(Op::new(Code::IMov, var, lo, 0, 0));
-                out.push(Op::new(Code::Yield, 0, id, 0, 0));
-                out.extend(lanes.body);
-                out.extend(level.body);
+        let skip = (level.body.len() + 1) as u16;
+        let (lanes, reduce) = match source {
+            Some((ForKind::Vectorized, v, body)) => (self.lane_form(v, body), None),
+            Some((ForKind::Serial | ForKind::Unrolled, _, body)) => {
+                // The scalar loop: `LoopGuard`, the body, `LoopNext`.
+                let scalar_len = (level.body.len() + 2) as u16;
+                (None, self.reduce_form(&l, body, scalar_len))
             }
-            None => {
-                let skip = (level.body.len() + 1) as u16;
-                let out = &mut self.levels[cur].body;
-                out.extend(level.pre);
-                out.push(Op::new(Code::IMov, var, lo, 0, 0));
-                out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
-                out.extend(level.body);
-                out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
+            _ => (None, None),
+        };
+        let mut out = level.pre;
+        if let Some((lanes, iv)) = lanes {
+            let handoff = self.handoff(Handoff::Lanes(LaneLoop {
+                counter: var,
+                limit,
+                iv,
+                lanes_len: lanes.body.len() as u16,
+                scalar_len: level.body.len() as u16,
+            }));
+            out.extend(lanes.pre);
+            out.push(Op::new(Code::IMov, var, lo, 0, 0));
+            out.push(handoff);
+            out.extend(lanes.body);
+            out.extend(level.body);
+        } else {
+            let mut handoff = None;
+            if let Some((pre, r)) = reduce {
+                out.extend(pre);
+                handoff = Some(self.handoff(Handoff::Reduce(r)));
+            }
+            out.push(Op::new(Code::IMov, var, lo, 0, 0));
+            out.extend(handoff);
+            out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
+            out.extend(level.body);
+            out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
+        }
+        let cur = self.cur_level();
+        self.levels[cur].body.extend(out);
+    }
+
+    /// Records `h` and returns the `Yield` that hands it over.
+    fn handoff(&mut self, h: Handoff) -> Op {
+        self.handoffs.push(h);
+        Op::new(Code::Yield, 0, (self.handoffs.len() - 1) as u16, 0, 0)
+    }
+
+    /// The reduce loop of loop `l`, whose `body` compiled to `scalar_len`
+    /// ops of scalar code, and the ops that compute its bases in front of
+    /// the loop. `None`, with nothing changed, unless the body is
+    /// `S[i] = S[i] + X[f(k)] * Y[g(k)]` (the sum in either order, no
+    /// predicate) with `i` invariant in the loop, `f` and `g` affine in its
+    /// variable `k`, `S` a float32 buffer held as `f32`, and `X` and `Y`
+    /// buffers other than `S` held as `f32`; or if the loop is inside a
+    /// barriered nest.
+    fn reduce_form(
+        &mut self,
+        l: &OpenLoop,
+        body: &Stmt,
+        scalar_len: u16,
+    ) -> Option<(Vec<Op>, ReduceLoop)> {
+        if self.cur_frame() != 0 {
+            return None;
+        }
+        let accesses = dot_product(body)?;
+        let mut slots = [0u16; 4];
+        for (slot, (buffer, _)) in slots.iter_mut().zip(&accesses) {
+            let &V::Handle(_, s) = self.vars.get(&buffer.id())? else {
+                return None;
+            };
+            *slot = s;
+        }
+        let [s, _, x, y] = slots;
+        let held_f32 = |slot: u16| self.slots[slot as usize].storage == Storage::F32;
+        let float32 = self.slots[s as usize].dtype == DType::float32();
+        if !(float32 && held_f32(s) && held_f32(x) && held_f32(y)) || x == s || y == s {
+            return None;
+        }
+        let before = self.clone();
+        self.open_level(0);
+        let shadowed = self.vars.insert(l.var, V::Int(l.counter));
+        let streams = accesses.map(|(_, index)| self.stream(index, l.counter));
+        self.unbind(l.var, shadowed);
+        let level = self.close_level();
+        match streams {
+            [Some(acc @ (base, 0)), Some(load), Some(xs), Some(ys)]
+                if acc == load && level.body.is_empty() =>
+            {
+                let (counter, limit) = (self.values[l.counter as usize].reg, self.reg(l.limit));
+                let mut stream = |slot, (base, stride)| Stream {
+                    slot,
+                    base: self.reg(base),
+                    stride,
+                };
+                let (acc, x, y) = (stream(s, (base, 0)), stream(x, xs), stream(y, ys));
+                let r = ReduceLoop {
+                    counter,
+                    limit,
+                    acc,
+                    x,
+                    y,
+                    scalar_len,
+                };
+                Some((level.pre, r))
+            }
+            _ => {
+                *self = before;
+                None
             }
         }
+    }
+
+    /// Index `e` as `base + stride * k`, where `k` is the variable of the
+    /// loop being analysed: `None` if a term other than `k` varies in it.
+    fn stream(&mut self, e: &Expr, k: Vid) -> Option<(Vid, i64)> {
+        let mut a = self.affine(e);
+        let stride = match a.terms.iter().position(|&(v, _)| v == k) {
+            Some(p) => a.terms.remove(p).1,
+            None => 0,
+        };
+        let cur = self.cur_level();
+        if a.terms
+            .iter()
+            .any(|&(v, _)| self.values[v as usize].level >= cur)
+        {
+            return None;
+        }
+        Some((self.materialize(a), stride))
     }
 
     /// Compiles `body`, the body of a `vectorized` loop over `var`, to lane
@@ -1739,8 +1981,7 @@ impl<'a> Compiler<'a> {
                     let n = self.int_of(extent);
                     let l = self.open_loop(var, lo, n);
                     self.stmt(body);
-                    let vectorized = (*kind == ForKind::Vectorized).then_some((var, body));
-                    self.close_loop(l, vectorized);
+                    self.close_loop(l, Some((*kind, var, body)));
                 }
             },
             Seq(stmts) => {
@@ -2631,6 +2872,57 @@ fn lone_store(body: &Stmt) -> Option<&Var> {
         [buffer] => Some(buffer),
         _ => None,
     }
+}
+
+/// The accesses of a loop body `S[i] = S[i] + X[f] * Y[g]`, a float sum in
+/// either order of a float product, every access unpredicated: `S` and `i`
+/// as stored, `S` and `i` as loaded, then `X` and `f`, and `Y` and `g`.
+/// Float addition commutes, so the order of the sum does not matter.
+fn dot_product(body: &Stmt) -> Option<[(&Var, &Expr); 4]> {
+    type Access<'a> = (&'a Var, &'a Expr);
+    fn load(e: &Expr) -> Option<Access<'_>> {
+        match &*e.0 {
+            ExprNode::Load {
+                buffer,
+                index,
+                predicate: None,
+            } => Some((buffer, index)),
+            _ => None,
+        }
+    }
+    fn product(e: &Expr) -> Option<(Access<'_>, Access<'_>)> {
+        match &*e.0 {
+            ExprNode::Binary {
+                op: BinOp::Mul,
+                a,
+                b,
+            } if a.dtype().is_float() => Some((load(a)?, load(b)?)),
+            _ => None,
+        }
+    }
+    let StmtNode::Store {
+        buffer,
+        index,
+        value,
+        predicate: None,
+    } = &*body.0
+    else {
+        return None;
+    };
+    let ExprNode::Binary {
+        op: BinOp::Add,
+        a,
+        b,
+    } = &*value.0
+    else {
+        return None;
+    };
+    let stored = |&(s, _): &Access| s.id() == buffer.id();
+    let (acc, (x, y)) = match (load(a).filter(stored), product(b)) {
+        (Some(acc), Some(xy)) => (acc, xy),
+        _ => (load(b).filter(stored)?, product(a)?),
+    };
+    a.dtype().is_float().then_some([(buffer, index), acc, x, y])
 }
 
 /// The walker's static barrier count of one thread running `s`: `Err` when

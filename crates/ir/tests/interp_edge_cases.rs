@@ -561,8 +561,8 @@ fn run_f32_reads_and_writes_the_arrays_in_place() {
 // case pins whether lane form engaged and that both engines still agree.
 // ---------------------------------------------------------------------------
 
-/// Loops of `f` compiled to lane form, for parameters held as `bufs` are.
-fn lane_loops(f: &LoweredFunc, bufs: &[Buffer]) -> usize {
+/// `f` compiled for parameters held as `bufs` are.
+fn program(f: &LoweredFunc, bufs: &[Buffer]) -> Program {
     let params: Vec<(Storage, DType)> = bufs
         .iter()
         .map(|b| {
@@ -574,7 +574,12 @@ fn lane_loops(f: &LoweredFunc, bufs: &[Buffer]) -> usize {
             (storage, b.dtype)
         })
         .collect();
-    Program::compile(f, &params, &HashMap::new()).lane_loops()
+    Program::compile(f, &params, &HashMap::new())
+}
+
+/// Loops of `f` compiled to lane form, for parameters held as `bufs` are.
+fn lane_loops(f: &LoweredFunc, bufs: &[Buffer]) -> usize {
+    program(f, bufs).lane_loops()
 }
 
 fn lane_loops_f32(f: &LoweredFunc) -> usize {
@@ -843,4 +848,407 @@ fn checked_division_faults_only_on_a_lane_that_runs_it() {
         both(&f, vec![buf]),
         Err(InterpError::DivideByZero)
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Reduce loops. The flat engine runs an innermost serial or unrolled
+// `S[i] = S[i] + X[f(k)] * Y[g(k)]` loop as one dot product, and runs the
+// loop's scalar code instead when it is empty or an access at either end of
+// it is out of bounds; each case pins whether the loop compiled to a reduce
+// loop and that both engines still agree.
+// ---------------------------------------------------------------------------
+
+/// Float32 arrays held as `f32`, as the graph executor binds them.
+fn held_f32(arrays: &[Vec<f32>]) -> Vec<Buffer> {
+    arrays
+        .iter()
+        .map(|a| Buffer {
+            dtype: DType::float32(),
+            data: Data::F32(a.clone()),
+        })
+        .collect()
+}
+
+fn reduce_loops_f32(f: &LoweredFunc) -> usize {
+    Program::compile_f32(f).reduce_loops()
+}
+
+/// [`both_with`] on float32 arrays held as `f32`.
+fn both_held(f: &LoweredFunc, arrays: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    let got = both_with(f, held_f32(arrays), |_| {}).expect("runs");
+    got.iter().map(Buffer::to_f32).collect()
+}
+
+/// Runs `f`, which must fault, on float32 `arrays` through [`both_with`]
+/// (held as `f32`) and [`fault_f32`]: the same fault after the same stores,
+/// leaving the same contents. Returns what [`fault_f32`] does.
+fn held_fault(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Vec<f32>>) {
+    let err = both_with(f, held_f32(arrays), |_| {}).expect_err("faults");
+    let fault = fault_f32(f, arrays);
+    assert_eq!(format!("{err:?}"), format!("{:?}", fault.0));
+    fault
+}
+
+/// `S[at] = S[at] + X[xi] * Y[yi]`.
+fn mac(s: &Var, at: Expr, x: &Var, xi: Expr, y: &Var, yi: Expr) -> Stmt {
+    let sum = Expr::load(s, at.clone()) + Expr::load(x, xi) * Expr::load(y, yi);
+    Stmt::store(s, at, sum)
+}
+
+/// The walker's `acc = acc + x * y`, rounded to `f32` at every store.
+fn dot(acc: f32, pairs: impl IntoIterator<Item = (f32, f32)>) -> f32 {
+    pairs
+        .into_iter()
+        .fold(acc, |acc, (x, y)| (acc as f64 + x as f64 * y as f64) as f32)
+}
+
+/// `S`, `X`, `Y` (float32) and `k`.
+fn sxyk() -> (Var, Var, Var, Var) {
+    (
+        Var::new("S", DType::float32()),
+        Var::new("X", DType::float32()),
+        Var::new("Y", DType::float32()),
+        Var::int("k"),
+    )
+}
+
+#[test]
+fn dense_rows_run_as_reduce_loops_in_either_order() {
+    // S[i] = S[i] + X[k] * Y[i * 5 + k] over an unrolled k, the `fused_dense`
+    // kernels' loop, and the same sum written the other way round.
+    let (s, x, y, k) = sxyk();
+    let i = Var::int("i");
+    let (at, xi, yi) = (i.to_expr(), k.to_expr(), i.clone() * 5 + k.clone());
+    let forward = mac(&s, at.clone(), &x, xi.clone(), &y, yi.clone());
+    let backward = Stmt::store(
+        &s,
+        at.clone(),
+        Expr::load(&x, xi) * Expr::load(&y, yi) + Expr::load(&s, at),
+    );
+    let xs: Vec<f32> = (0..5).map(|v| v as f32 * 0.31 - 0.7).collect();
+    let ys: Vec<f32> = (0..15).map(|v| 1.3 - v as f32 * 0.17).collect();
+    for body in [forward, backward] {
+        let rows = Stmt::for_(&i, 0, 3, Stmt::loop_(&k, 0, 5, ForKind::Unrolled, body));
+        let f = f32_func(vec![x.clone(), y.clone(), s.clone()], vec![5, 15, 3], rows);
+        assert_eq!(reduce_loops_f32(&f), 1);
+        let arrays = [xs.clone(), ys.clone(), vec![0.25; 3]];
+        let want: Vec<f32> = (0..3)
+            .map(|r| dot(0.25, (0..5).map(|c| (xs[c], ys[r * 5 + c]))))
+            .collect();
+        assert_eq!(both_held(&f, &arrays)[2], want);
+        assert_eq!(stores_f32(&f, &arrays), 15);
+    }
+}
+
+#[test]
+fn an_x_out_of_bounds_at_the_last_iteration_stores_seven_times_then_faults() {
+    let (s, x, y, k) = sxyk();
+    let body = Stmt::for_(
+        &k,
+        0,
+        8,
+        mac(&s, Expr::int(0), &x, k.to_expr(), &y, k.to_expr()),
+    );
+    let f = f32_func(vec![x, y, s], vec![7, 8, 1], body);
+    assert_eq!(reduce_loops_f32(&f), 1);
+    let xs: Vec<f32> = (0..7).map(|v| v as f32 + 0.5).collect();
+    let ys = vec![0.75f32; 8];
+    let (err, stores, left) = held_fault(&f, &[xs.clone(), ys.clone(), vec![1.0]]);
+    match err {
+        InterpError::OutOfBounds {
+            buffer,
+            index,
+            extent,
+        } => assert_eq!((buffer.as_str(), index, extent), ("X", 7, 7)),
+        other => panic!("unexpected {other}"),
+    }
+    assert_eq!(stores, 7);
+    assert_eq!(left[2], vec![dot(1.0, xs.into_iter().zip(ys))]);
+}
+
+#[test]
+fn an_accumulator_out_of_bounds_faults_before_any_store() {
+    let (s, x, y, k) = sxyk();
+    let body = Stmt::for_(
+        &k,
+        0,
+        4,
+        mac(&s, Expr::int(3), &x, k.to_expr(), &y, k.to_expr()),
+    );
+    let f = f32_func(vec![x, y, s], vec![4, 4, 2], body);
+    assert_eq!(reduce_loops_f32(&f), 1);
+    let (err, stores, left) = held_fault(&f, &[vec![1.0; 4], vec![2.0; 4], vec![0.5; 2]]);
+    assert!(
+        matches!(&err, InterpError::OutOfBounds { buffer, index: 3, extent: 2 } if buffer == "S"),
+        "{err}"
+    );
+    assert_eq!(stores, 0);
+    assert_eq!(left[2], vec![0.5; 2]);
+}
+
+#[test]
+fn reduce_loops_of_zero_and_negative_extent_store_nothing() {
+    for n in [0i64, -3] {
+        let (s, x, y, k) = sxyk();
+        let body = Stmt::for_(
+            &k,
+            0,
+            n,
+            mac(&s, Expr::int(0), &x, k.to_expr(), &y, k.to_expr()),
+        );
+        let f = f32_func(vec![x, y, s], vec![4, 4, 1], body);
+        assert_eq!(reduce_loops_f32(&f), 1);
+        let arrays = [vec![1.0; 4], vec![2.0; 4], vec![0.5]];
+        assert_eq!(both_held(&f, &arrays)[2], vec![0.5]);
+        assert_eq!(stores_f32(&f, &arrays), 0);
+    }
+}
+
+#[test]
+fn stride_zero_and_negative_strides_run_as_reduce_loops() {
+    // S[0] += X[2] * Y[7 - k] over 8 iterations, then S[1] += X[6 - 2k] * Y[k]
+    // over 4: strides 0 and -1, then -2 and 1.
+    let (s, x, y, k) = sxyk();
+    let body = Stmt::seq(vec![
+        Stmt::for_(
+            &k,
+            0,
+            8,
+            mac(
+                &s,
+                Expr::int(0),
+                &x,
+                Expr::int(2),
+                &y,
+                Expr::int(7) - k.clone(),
+            ),
+        ),
+        Stmt::for_(
+            &k,
+            0,
+            4,
+            mac(
+                &s,
+                Expr::int(1),
+                &x,
+                Expr::int(6) - k.clone() * 2,
+                &y,
+                k.to_expr(),
+            ),
+        ),
+    ]);
+    let f = f32_func(vec![x, y, s], vec![7, 8, 2], body);
+    assert_eq!(reduce_loops_f32(&f), 2);
+    let xs: Vec<f32> = (0..7).map(|v| 0.9 - v as f32 * 0.4).collect();
+    let ys: Vec<f32> = (0..8).map(|v| v as f32 * 1.7 + 0.01).collect();
+    let arrays = [xs.clone(), ys.clone(), vec![0.125, -3.0]];
+    let want = vec![
+        dot(0.125, (0..8).map(|k| (xs[2], ys[7 - k]))),
+        dot(-3.0, (0..4).map(|k| (xs[6 - 2 * k], ys[k]))),
+    ];
+    assert_eq!(both_held(&f, &arrays)[2], want);
+    assert_eq!(stores_f32(&f, &arrays), 12);
+}
+
+#[test]
+fn an_accumulator_read_at_another_index_stays_scalar() {
+    // S[0] = S[1] + X[k] * Y[k], and S[0] = S[0] + S[k + 1] * Y[k]: the loop
+    // reads what it stores somewhere the dot product would not.
+    let (s, x, y, k) = sxyk();
+    let zero = Expr::int(0);
+    let elsewhere = Stmt::store(
+        &s,
+        zero.clone(),
+        Expr::load(&s, Expr::int(1)) + Expr::load(&x, k.to_expr()) * Expr::load(&y, k.to_expr()),
+    );
+    let as_factor = mac(&s, zero.clone(), &s, k.clone() + 1, &y, k.to_expr());
+    for body in [elsewhere, as_factor] {
+        let f = f32_func(
+            vec![x.clone(), y.clone(), s.clone()],
+            vec![4, 4, 5],
+            Stmt::for_(&k, 0, 4, body),
+        );
+        assert_eq!(reduce_loops_f32(&f), 0);
+        let arrays = [
+            vec![1.5; 4],
+            vec![-0.5, 2.0, 0.25, 8.0],
+            vec![0.1, 0.2, 0.3, 0.4, 0.5],
+        ];
+        both_held(&f, &arrays);
+    }
+}
+
+#[test]
+fn f16_f64_and_i64_accumulators_stay_scalar() {
+    let accumulators = [
+        (DType::float16(), Data::F32(vec![0.5])),
+        (DType::float64(), Data::F64(vec![0.5])),
+        (DType::int64(), Data::I64(vec![3])),
+    ];
+    for (dtype, data) in accumulators {
+        let (_, x, y, k) = sxyk();
+        let s = Var::new("S", dtype);
+        let body = Stmt::for_(
+            &k,
+            0,
+            4,
+            mac(&s, Expr::int(0), &x, k.to_expr(), &y, k.to_expr()),
+        );
+        let f = func(
+            vec![x, y, s],
+            vec![DType::float32(), DType::float32(), dtype],
+            vec![4, 4, 1],
+            body,
+        );
+        let mut bufs = held_f32(&[vec![0.3, 1.1, -2.5, 7.0], vec![1.0 / 3.0; 4]]);
+        bufs.push(Buffer { dtype, data });
+        assert_eq!(program(&f, &bufs).reduce_loops(), 0, "{dtype:?}");
+        both(&f, bufs).expect("runs");
+    }
+}
+
+#[test]
+fn inf_and_nan_accumulate_as_in_the_walker() {
+    // 3e38 * 10 overflows at the first store; inf + 1 * -inf is NaN, which
+    // the last iteration keeps; a NaN factor poisons a finite sum; inf minus
+    // a finite product stays inf.
+    let nan = f32::NAN;
+    let cases = [
+        (
+            vec![3e38, 3e38, 1.0, 2.0],
+            vec![10.0, 10.0, f32::NEG_INFINITY, 1.0],
+            nan,
+        ),
+        (vec![1.0, nan, 1.0, 4.0], vec![1.0; 4], nan),
+        (
+            vec![3e38, 3e38, 5.0, 1.0],
+            vec![10.0, -1.0, -1.0, 2.0],
+            f32::INFINITY,
+        ),
+    ];
+    for (xs, ys, want) in cases {
+        let (s, x, y, k) = sxyk();
+        let body = Stmt::for_(
+            &k,
+            0,
+            4,
+            mac(&s, Expr::int(0), &x, k.to_expr(), &y, k.to_expr()),
+        );
+        let f = f32_func(vec![x, y, s], vec![4, 4, 1], body);
+        assert_eq!(reduce_loops_f32(&f), 1);
+        let got = both_held(&f, &[xs, ys, vec![0.0]])[2][0];
+        assert!(got == want || got.is_nan() && want.is_nan(), "{got}");
+    }
+}
+
+#[test]
+fn indices_near_i64_max_agree_in_debug_and_release() {
+    // The reduce loop's bounds check must not overflow (a panic in debug) or
+    // wrap (release) where the scalar code wraps. X[k - (MAX - 3)] with k up
+    // to MAX - 1 stays in bounds and runs as one op; X[k + MAX - 1] is out of
+    // bounds at once and its last index overflows; X[2k + 4] at k = MAX - 1
+    // is element 0 only because the index wraps, so the scalar code runs it;
+    // X[2^62 k] for k < 5 is element 0 at both ends, the last by wrapping,
+    // and out of bounds at k = 1, where the scalar code faults.
+    let m = i64::MAX;
+    let (s, x, y, k) = sxyk();
+    let zero = Expr::int(0);
+    let inside = Stmt::for_(
+        &k,
+        m - 3,
+        3,
+        mac(
+            &s,
+            zero.clone(),
+            &x,
+            k.clone() - (m - 3),
+            &y,
+            k.clone() - (m - 3),
+        ),
+    );
+    let past = Stmt::for_(
+        &k,
+        0,
+        4,
+        mac(&s, zero.clone(), &x, k.clone() + (m - 1), &y, k.to_expr()),
+    );
+    let wrapped = Stmt::for_(
+        &k,
+        m - 1,
+        1,
+        mac(&s, zero.clone(), &x, k.clone() * 2 + 4, &y, zero.clone()),
+    );
+    let strided = Stmt::for_(
+        &k,
+        0,
+        5,
+        mac(
+            &s,
+            zero.clone(),
+            &x,
+            k.clone() * (1 << 62),
+            &y,
+            zero.clone(),
+        ),
+    );
+    let arrays = [
+        vec![0.5, -1.25, 3.0, 9.5],
+        vec![2.0, 0.75, -4.0, 1.0],
+        vec![0.1],
+    ];
+    let f = |body| f32_func(vec![x.clone(), y.clone(), s.clone()], vec![4, 4, 1], body);
+
+    let f_inside = f(inside);
+    assert_eq!(reduce_loops_f32(&f_inside), 1);
+    let want = dot(0.1, (0..3).map(|i| (arrays[0][i], arrays[1][i])));
+    assert_eq!(both_held(&f_inside, &arrays)[2], vec![want]);
+    assert_eq!(stores_f32(&f_inside, &arrays), 3);
+
+    let f_past = f(past);
+    assert_eq!(reduce_loops_f32(&f_past), 1);
+    let (err, stores, _) = held_fault(&f_past, &arrays);
+    assert!(
+        matches!(&err, InterpError::OutOfBounds { buffer, index, .. } if buffer == "X" && *index == m - 1),
+        "{err}"
+    );
+    assert_eq!(stores, 0);
+
+    let f_wrapped = f(wrapped);
+    assert_eq!(reduce_loops_f32(&f_wrapped), 1);
+    let want = dot(0.1, [(arrays[0][0], arrays[1][0])]);
+    assert_eq!(both_held(&f_wrapped, &arrays)[2], vec![want]);
+    assert_eq!(stores_f32(&f_wrapped, &arrays), 1);
+
+    let f_strided = f(strided);
+    assert_eq!(reduce_loops_f32(&f_strided), 1);
+    let (err, stores, left) = held_fault(&f_strided, &arrays);
+    assert!(
+        matches!(&err, InterpError::OutOfBounds { buffer, index, .. } if buffer == "X" && *index == 1 << 62),
+        "{err}"
+    );
+    assert_eq!(stores, 1);
+    assert_eq!(left[2], vec![want]);
+}
+
+#[test]
+fn a_reduction_inside_a_barriered_nest_stays_scalar() {
+    // Each of two threads sums X[k] * Y[k] into S[t] after a barrier.
+    let (s, x, y, k) = sxyk();
+    let t = Var::int("t");
+    let sum = Stmt::for_(
+        &k,
+        0,
+        4,
+        mac(&s, t.to_expr(), &x, k.to_expr(), &y, k.to_expr()),
+    );
+    let nest = threads(&t, 2, Stmt::seq(vec![barrier(), sum]));
+    let f = f32_func(vec![x, y, s], vec![4, 4, 2], nest);
+    assert_eq!(reduce_loops_f32(&f), 0);
+    let (xs, ys) = (vec![0.5, 1.5, -2.0, 4.0], vec![3.0, 0.25, 1.0, -0.5]);
+    let got = both_held(&f, &[xs.clone(), ys.clone(), vec![1.0, -1.0]]);
+    let want: Vec<f32> = [1.0, -1.0]
+        .iter()
+        .map(|&acc| dot(acc, xs.iter().copied().zip(ys.iter().copied())))
+        .collect();
+    assert_eq!(got[2], want);
 }

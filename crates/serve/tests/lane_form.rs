@@ -1,8 +1,9 @@
-//! Where the flat engine's lane form engages on the models the ledger's
-//! `infer_*` workloads run. On `arm_a53` every `vectorized` loop of a conv
-//! kernel — its multiply-accumulate and its epilogue — compiles to lane
-//! form; no `titanx` kernel has a lane loop, since GPU schedules bind
-//! threads instead of vectorizing.
+//! Where the flat engine's lane form and reduce loops engage on the models
+//! the ledger's `infer_*` workloads run. On `arm_a53` every `vectorized`
+//! loop of a conv kernel — its multiply-accumulate and its epilogue —
+//! compiles to lane form, and every dense kernel's `k.i` loop to a reduce
+//! loop. No `titanx` kernel has either: GPU schedules bind threads instead
+//! of vectorizing, and each of their dot products sits in a barriered nest.
 
 use tvm_graph::Graph;
 use tvm_ir::{ForKind, Stmt, StmtNode, Visitor};
@@ -43,32 +44,41 @@ fn models() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-#[derive(Default)]
-struct Vectorized(usize);
+/// A kernel's loops as written and as the flat engine compiled them.
+#[derive(Debug, Default)]
+struct Loops {
+    kernel: String,
+    vectorized: usize,
+    /// Loops over `k.i`, the inner half of a split dense reduction.
+    k_inner: usize,
+    lanes: usize,
+    reduce: usize,
+}
 
-impl Visitor for Vectorized {
+impl Visitor for Loops {
     fn visit_stmt(&mut self, s: &Stmt) {
-        if let StmtNode::For {
-            kind: ForKind::Vectorized,
-            ..
-        } = &*s.0
-        {
-            self.0 += 1;
+        if let StmtNode::For { var, kind, .. } = &*s.0 {
+            self.vectorized += (*kind == ForKind::Vectorized) as usize;
+            self.k_inner += (var.name() == "k.i") as usize;
         }
         self.walk_stmt(s);
     }
 }
 
-/// `(kernel, vectorized loops, lane loops)` of every kernel built for
-/// `target`.
-fn lane_loops(target: &Target) -> Vec<(String, usize, usize)> {
+/// The loops of every kernel built for `target`.
+fn loops(target: &Target) -> Vec<Loops> {
     let mut out = Vec::new();
     for (name, graph) in models() {
         let module = tvm::build(&graph, target, &tvm::BuildOptions::default()).expect("builds");
         for k in &module.kernels {
-            let mut v = Vectorized::default();
-            v.visit_stmt(&k.func.body);
-            out.push((format!("{name} {}", k.name), v.0, k.program().lane_loops()));
+            let mut l = Loops {
+                kernel: format!("{name} {}", k.name),
+                lanes: k.program().lane_loops(),
+                reduce: k.program().reduce_loops(),
+                ..Loops::default()
+            };
+            l.visit_stmt(&k.func.body);
+            out.push(l);
         }
     }
     out
@@ -76,18 +86,45 @@ fn lane_loops(target: &Target) -> Vec<(String, usize, usize)> {
 
 #[test]
 fn every_cpu_conv_loop_that_is_vectorized_runs_in_lanes() {
-    let kernels = lane_loops(&arm_a53());
-    let convs: Vec<_> = kernels.iter().filter(|k| k.0.contains("conv2d")).collect();
+    let kernels = loops(&arm_a53());
+    let convs: Vec<_> = kernels
+        .iter()
+        .filter(|k| k.kernel.contains("conv2d"))
+        .collect();
     assert_eq!(convs.len(), 4, "{kernels:?}");
-    for (kernel, vectorized, lanes) in convs {
-        assert_eq!(*vectorized, 2, "{kernel}: a MAC loop and an epilogue");
-        assert_eq!(lanes, vectorized, "{kernel}");
+    for k in convs {
+        assert_eq!(k.vectorized, 2, "{}: a MAC loop and an epilogue", k.kernel);
+        assert_eq!(k.lanes, k.vectorized, "{}", k.kernel);
+    }
+}
+
+#[test]
+fn every_cpu_dense_reduction_runs_as_a_reduce_loop() {
+    // `fused_dense` and `fused_dense_relu` of both Mlps and the TinyCnn head.
+    let kernels = loops(&arm_a53());
+    let dense: Vec<_> = kernels
+        .iter()
+        .filter(|k| k.kernel.contains("dense"))
+        .collect();
+    assert_eq!(dense.len(), 6, "{kernels:?}");
+    for k in dense {
+        assert_eq!(k.k_inner, 1, "{}: one split reduction", k.kernel);
+        assert_eq!(k.reduce, k.k_inner, "{}", k.kernel);
     }
 }
 
 #[test]
 fn no_gpu_kernel_has_a_lane_loop() {
-    for (kernel, vectorized, lanes) in lane_loops(&titanx()) {
-        assert_eq!((vectorized, lanes), (0, 0), "{kernel}");
+    for k in loops(&titanx()) {
+        assert_eq!((k.vectorized, k.lanes), (0, 0), "{}", k.kernel);
+    }
+}
+
+#[test]
+fn no_gpu_kernel_has_a_reduce_loop() {
+    let kernels = loops(&titanx());
+    assert!(kernels.iter().any(|k| k.kernel.contains("dense")));
+    for k in kernels {
+        assert_eq!(k.reduce, 0, "{}", k.kernel);
     }
 }

@@ -130,8 +130,9 @@ use tvm_verify::{apply_trace, build, case_seed, generate, input_buffers, run_bot
 fn flat_engine_matches_the_walker_on_the_pinned_traces() {
     // The two fuzz tiers above share one seed, so the 48 static-oracle cases
     // are the first 48 of these 60. Some of them run a `vectorized` loop in
-    // lane form, whose every chunk must match the walker too.
-    let (mut compared, mut lane_loops) = (0, 0);
+    // lane form, whose every chunk must match the walker too, and some a
+    // dot-product loop as one reduce op.
+    let (mut compared, mut lane_loops, mut reduce_loops) = (0, 0, 0);
     for case in 0..60 {
         let kind = ALL_WORKLOADS[case % ALL_WORKLOADS.len()];
         let seed = case_seed(0xC0FFEE, case);
@@ -145,10 +146,13 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         let (_, stores) = outcome.unwrap_or_else(|e| panic!("{kind} case {case}: {e}"));
         assert!(stores > 0);
         compared += 1;
-        lane_loops += tvm_ir::Program::compile_f32(&f).lane_loops();
+        let program = tvm_ir::Program::compile_f32(&f);
+        lane_loops += program.lane_loops();
+        reduce_loops += program.reduce_loops();
     }
     assert_eq!(compared, 60);
     assert!(lane_loops > 0, "no pinned trace runs in lane form");
+    assert!(reduce_loops > 0, "no pinned trace runs a reduce loop");
 }
 
 /// The conv-bn-relu-residual CNN of `tests/end_to_end.rs`.
