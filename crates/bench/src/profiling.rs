@@ -1,7 +1,9 @@
 //! Shared workload and helpers for the `tvm-prof` tool and its tests
 //! (`tests/golden_prof.rs`): a small deterministic CNN compiled
-//! end-to-end and run under the graph executor's per-op profiler, with or
-//! without compile-pass tracing.
+//! end-to-end, its static per-kernel report, and one run of it with or
+//! without `tvm-obs` tracing.
+
+use std::sync::{Mutex, PoisonError};
 
 use tvm::BuildOptions;
 use tvm_graph::Graph;
@@ -54,8 +56,8 @@ pub fn run_once(ex: &mut GraphExecutor) -> Vec<f32> {
 }
 
 /// Sum of simulated cycles over a module's kernels, recomputed from the
-/// lowered functions — the independent end-to-end figure the profiler's
-/// per-op records must agree with.
+/// lowered functions — the independent end-to-end figure the module
+/// report's cycle sum must agree with.
 pub fn sim_cycles(module: &Module, target: &Target) -> f64 {
     module
         .kernels
@@ -64,23 +66,17 @@ pub fn sim_cycles(module: &Module, target: &Target) -> f64 {
         .sum()
 }
 
-/// Builds the demo graph and runs it once under the per-op profiler; the
-/// executor's `profiler().table()` is the deterministic artifact the
-/// golden test pins.
-pub fn profiled_run(target: &Target) -> (GraphExecutor, Vec<f32>) {
-    let mut ex = GraphExecutor::new(build_demo(target));
-    ex.enable_profiling();
-    let out = run_once(&mut ex);
-    (ex, out)
-}
-
-/// [`profiled_run`] with `tvm-obs` tracing on from compilation through
-/// execution; also returns the Chrome `trace_event` JSON of the run.
-/// Resets the global registry, so concurrent callers would mix spans.
-pub fn traced_run(target: &Target) -> (GraphExecutor, String) {
+/// Builds the demo graph and runs it once with `tvm-obs` tracing on from
+/// compilation through execution; returns the outputs and the Chrome
+/// `trace_event` JSON of the run. Resets the global registry; concurrent
+/// callers take turns, so one's reset or switch-off never lands inside
+/// another's run.
+pub fn traced_run(target: &Target) -> (Vec<f32>, String) {
+    static TURN: Mutex<()> = Mutex::new(());
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     tvm_obs::Registry::global().reset();
     tvm_obs::set_enabled(true);
-    let (ex, _) = profiled_run(target);
+    let out = run_once(&mut GraphExecutor::new(build_demo(target)));
     tvm_obs::set_enabled(false);
-    (ex, tvm_obs::Registry::global().chrome_trace())
+    (out, tvm_obs::Registry::global().chrome_trace())
 }

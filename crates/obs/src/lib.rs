@@ -3,7 +3,7 @@
 //! human-readable span tree and Chrome `trace_event` JSON).
 //!
 //! Every layer of the stack reports into this crate: `te::lower` times its
-//! passes, the graph-runtime profiler times kernels, and the autotuner
+//! passes, the graph executor times kernels, and the autotuner
 //! publishes phase timings and cache counters. The crate is deliberately
 //! **zero-dependency** (std only) so it can sit below everything else
 //! without cycles, and recording is designed so that a *disabled* registry

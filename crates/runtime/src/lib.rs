@@ -261,6 +261,11 @@ impl Module {
         self.kernels.iter().map(|k| k.est_ms).sum()
     }
 
+    /// Total simulated device cycles.
+    pub fn total_cycles(&self) -> f64 {
+        self.kernels.iter().map(|k| k.cost.cycles).sum()
+    }
+
     /// The one static verdict on this module (`tvm_graph::verify_build`):
     /// memory-plan safety (recomputed liveness + interference), fusion
     /// legality, the cross-layer slot contracts proving each kernel's touch
@@ -293,109 +298,42 @@ impl Module {
         cells.len()
     }
 
-    /// Human-readable per-kernel breakdown.
+    /// The per-kernel report, read off the module alone: each kernel's
+    /// simulated ms, cycles, flops, DRAM traffic, output bytes and storage
+    /// slot, then the totals and how much the memory plan's slot sharing
+    /// saved. Every column is fixed when the module is built, so the text
+    /// is safe to golden-test.
     pub fn describe(&self) -> String {
-        let mut s = format!(
-            "module for {} ({} kernels, {} distinct)\n",
-            self.target_name,
-            self.kernels.len(),
-            self.distinct_kernels()
-        );
-        for k in &self.kernels {
-            s.push_str(&format!("  {:<40} {:>10.4} ms\n", k.name, k.est_ms));
-        }
-        s.push_str(&format!("  total {:.4} ms", self.total_ms()));
-        s
-    }
-}
-
-/// One kernel launch as observed by the [`Profiler`].
-#[derive(Clone, Debug)]
-pub struct OpRecord {
-    /// Kernel display name.
-    pub name: String,
-    /// Simulated time for this launch.
-    pub est_ms: f64,
-    /// Simulated device cycles.
-    pub cycles: f64,
-    /// Floating-point operations.
-    pub flops: f64,
-    /// Simulated DRAM traffic in bytes.
-    pub dram_bytes: f64,
-    /// Bytes read from bound input/intermediate tensors.
-    pub input_bytes: usize,
-    /// Bytes written to the output tensor.
-    pub output_bytes: usize,
-    /// Storage slot the output lands in, if the plan materializes it.
-    pub slot: Option<usize>,
-}
-
-/// Static-plan reuse statistics (how much memory slot sharing saved).
-#[derive(Clone, Debug, Default)]
-pub struct SlotStats {
-    /// Number of distinct storage slots in the plan.
-    pub slots: usize,
-    /// Total planned bytes (with reuse).
-    pub planned_bytes: usize,
-    /// Bytes if every materialized tensor got its own buffer.
-    pub unshared_bytes: usize,
-    /// Tensors the plan materializes (excludes inputs/params/internal).
-    pub materialized: usize,
-}
-
-/// Per-op runtime profiler. Created by
-/// [`GraphExecutor::enable_profiling`]; when absent, [`GraphExecutor::run`]
-/// takes no profiling branches beyond one `Option` check per kernel.
-#[derive(Default)]
-pub struct Profiler {
-    /// One record per kernel launch, in execution order (reset each run).
-    pub ops: Vec<OpRecord>,
-    /// Completed `run` calls since profiling was enabled.
-    pub runs: usize,
-    /// Memory-plan reuse statistics (static; computed once).
-    pub slot_stats: SlotStats,
-}
-
-impl Profiler {
-    /// Sum of simulated cycles over the last run's kernels.
-    pub fn total_cycles(&self) -> f64 {
-        self.ops.iter().map(|o| o.cycles).sum()
-    }
-
-    /// Sum of simulated milliseconds over the last run's kernels.
-    pub fn total_ms(&self) -> f64 {
-        self.ops.iter().map(|o| o.est_ms).sum()
-    }
-
-    /// Fixed-width per-op breakdown table (deterministic fields only, so
-    /// it is safe to golden-test).
-    pub fn table(&self) -> String {
         let mut s = format!(
             "{:<44} {:>10} {:>14} {:>12} {:>12} {:>10} {:>5}\n",
             "op", "est_ms", "cycles", "flops", "dram_bytes", "out_bytes", "slot"
         );
-        for o in &self.ops {
-            let slot = o.slot.map_or("-".to_string(), |x| x.to_string());
+        for k in &self.kernels {
+            let out = k.args.last().copied();
+            let out_bytes = out
+                .and_then(|id| self.graph.get(id))
+                .map_or(0, |n| numel_of(&n.shape).unwrap_or(0) * n.dtype.bytes());
+            let slot = out
+                .and_then(|id| self.plan.storage_of.get(id.0))
+                .filter(|&&s| s != usize::MAX)
+                .map_or("-".to_string(), |s| s.to_string());
             s.push_str(&format!(
                 "{:<44} {:>10.4} {:>14.0} {:>12.0} {:>12.0} {:>10} {:>5}\n",
-                o.name, o.est_ms, o.cycles, o.flops, o.dram_bytes, o.output_bytes, slot
+                k.name, k.est_ms, k.cost.cycles, k.cost.flops, k.cost.dram_bytes, out_bytes, slot
             ));
         }
         s.push_str(&format!(
             "total: {:.4} ms, {:.0} cycles over {} ops; plan: {} slots, {} B planned vs {} B unshared\n",
             self.total_ms(),
             self.total_cycles(),
-            self.ops.len(),
-            self.slot_stats.slots,
-            self.slot_stats.planned_bytes,
-            self.slot_stats.unshared_bytes,
+            self.kernels.len(),
+            self.plan.slot_sizes.len(),
+            self.plan.total_bytes(),
+            self.plan.naive_bytes(&self.graph, &self.fused),
         ));
         s
     }
 }
-
-/// Pre-run hook that registers hardware-intrinsic functional models.
-pub type InterpSetup = Box<dyn Fn(&mut Interp)>;
 
 /// The graph executor: `runtime.create(graph, lib, ctx)` in §2.
 ///
@@ -405,11 +343,6 @@ pub type InterpSetup = Box<dyn Fn(&mut Interp)>;
 pub struct GraphExecutor {
     module: Arc<Module>,
     values: HashMap<NodeId, NDArray>,
-    /// Simulated time of the last `run`, 0 if it failed.
-    pub last_run_ms: f64,
-    /// Hook to register hardware-intrinsic functional models before runs.
-    pub interp_setup: Option<InterpSetup>,
-    profiler: Option<Profiler>,
 }
 
 impl GraphExecutor {
@@ -441,54 +374,12 @@ impl GraphExecutor {
                 values.insert(node.id, NDArray::seeded(&node.shape, seed));
             }
         }
-        GraphExecutor {
-            module,
-            values,
-            last_run_ms: 0.0,
-            interp_setup: None,
-            profiler: None,
-        }
+        GraphExecutor { module, values }
     }
 
     /// Module accessor.
     pub fn module(&self) -> &Module {
         &self.module
-    }
-
-    /// Turns on per-op profiling. Subsequent [`run`](GraphExecutor::run)
-    /// calls record an [`OpRecord`] per kernel and emit `tvm-obs` spans;
-    /// results are unchanged.
-    pub fn enable_profiling(&mut self) {
-        let plan = &self.module.plan;
-        let g = &self.module.graph;
-        let mut unshared = 0usize;
-        let mut materialized = 0usize;
-        for node in &g.nodes {
-            if plan
-                .storage_of
-                .get(node.id.0)
-                .is_some_and(|&s| s != usize::MAX)
-            {
-                materialized += 1;
-                unshared += node.shape.iter().product::<i64>() as usize * node.dtype.bytes();
-            }
-        }
-        self.profiler = Some(Profiler {
-            ops: Vec::new(),
-            runs: 0,
-            slot_stats: SlotStats {
-                slots: plan.slot_sizes.len(),
-                planned_bytes: plan.total_bytes(),
-                unshared_bytes: unshared,
-                materialized,
-            },
-        });
-    }
-
-    /// The profiler, if [`enable_profiling`](GraphExecutor::enable_profiling)
-    /// was called.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
     }
 
     /// Binds an input by node name; rejects unknown names and shape
@@ -541,22 +432,19 @@ impl GraphExecutor {
     /// inputs and interpreter faults come back as [`RuntimeError`]s and
     /// leave the executor usable (bind the input and run again); after one,
     /// no output of an earlier run is readable.
+    ///
+    /// Each kernel runs under a `tvm-obs` `run_op` span and adds to the
+    /// `runtime.kernel_launches` and `runtime.output_bytes` counters, all
+    /// inert unless `tvm_obs::set_enabled(true)`.
     pub fn run(&mut self) -> Result<f64, RuntimeError> {
         let mut total = 0.0;
-        if let Some(p) = self.profiler.as_mut() {
-            p.ops.clear();
-        }
         let module = Arc::clone(&self.module);
         for k in &module.kernels {
             if let Some(out) = k.args.last() {
                 self.values.remove(out);
             }
         }
-        self.last_run_ms = 0.0;
         let mut it = Interp::new();
-        if let Some(setup) = &self.interp_setup {
-            setup(&mut it);
-        }
         for k in &module.kernels {
             let (&out_id, inputs) = k
                 .args
@@ -581,22 +469,16 @@ impl GraphExecutor {
             // The kernel reads its inputs in place: each tensor is moved
             // out of `values` for the run and moved back after it.
             let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(k.args.len());
-            let mut input_bytes = 0usize;
             for (ai, arg) in inputs.iter().enumerate() {
                 let buf = match inputs[..ai].iter().position(|a| a == arg) {
                     Some(first) => bufs[first].clone(), // one tensor bound twice
                     None => std::mem::take(&mut self.values.get_mut(arg).expect("checked").data),
                 };
-                input_bytes += buf.len() * std::mem::size_of::<f32>();
                 bufs.push(buf);
             }
             bufs.push(vec![0.0; out_len]);
             let result = {
-                let _op_span = if self.profiler.is_some() {
-                    Some(tvm_obs::span_with("run_op", &[("kernel", &k.name)]))
-                } else {
-                    None
-                };
+                let _op_span = tvm_obs::span_with("run_op", &[("kernel", &k.name)]);
                 it.run_compiled(k.program(), &mut bufs)
             };
             let out = bufs.pop().expect("the output was pushed last");
@@ -609,35 +491,15 @@ impl GraphExecutor {
                 kernel: k.name.clone(),
                 error,
             })?;
-            if let Some(p) = self.profiler.as_mut() {
-                let slot = module
-                    .plan
-                    .storage_of
-                    .get(out_id.0)
-                    .copied()
-                    .filter(|&s| s != usize::MAX);
-                let out_bytes = out.len() * out_node.dtype.bytes();
-                p.ops.push(OpRecord {
-                    name: k.name.clone(),
-                    est_ms: k.est_ms,
-                    cycles: k.cost.cycles,
-                    flops: k.cost.flops,
-                    dram_bytes: k.cost.dram_bytes,
-                    input_bytes,
-                    output_bytes: out_bytes,
-                    slot,
-                });
-                tvm_obs::counter_add("runtime.kernel_launches", 1);
-                tvm_obs::counter_add("runtime.output_bytes", out_bytes as u64);
-            }
+            tvm_obs::counter_add("runtime.kernel_launches", 1);
+            tvm_obs::counter_add(
+                "runtime.output_bytes",
+                (out.len() * out_node.dtype.bytes()) as u64,
+            );
             self.values
                 .insert(out_id, NDArray::new(&out_node.shape, out));
             total += k.est_ms;
         }
-        if let Some(p) = self.profiler.as_mut() {
-            p.runs += 1;
-        }
-        self.last_run_ms = total;
         Ok(total)
     }
 

@@ -53,8 +53,6 @@ use tvm_runtime::RuntimeError;
 /// these.
 #[derive(Clone, Debug)]
 pub enum ServeError {
-    /// The request names a model the registry does not know.
-    UnknownModel(String),
     /// The request names a tenant the service was not configured with.
     UnknownTenant(String),
     /// The tenant's bounded queue is full (per-tenant backpressure).
@@ -114,7 +112,6 @@ impl ServeError {
     /// Short stable tag for counters and bench JSON.
     pub fn kind(&self) -> &'static str {
         match self {
-            ServeError::UnknownModel(_) => "unknown_model",
             ServeError::UnknownTenant(_) => "unknown_tenant",
             ServeError::QueueFull { .. } => "queue_full",
             ServeError::Overloaded { .. } => "overloaded",
@@ -144,7 +141,6 @@ impl ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::UnknownModel(m) => write!(f, "unknown model `{m}`"),
             ServeError::UnknownTenant(t) => write!(f, "unknown tenant `{t}`"),
             ServeError::QueueFull { tenant, cap } => {
                 write!(f, "tenant `{tenant}` queue full (cap {cap})")

@@ -838,19 +838,6 @@ impl Service {
             self.release_outstanding(&r.tenant);
             self.expire(r, responses);
         }
-        // A malformed payload degrades that request alone, never the
-        // batch or the process.
-        let (reqs, malformed): (Vec<Request>, Vec<Request>) = reqs
-            .into_iter()
-            .partition(|r| r.payload.len() == r.model.row_len());
-        for r in malformed {
-            let e = ServeError::Runtime(tvm_runtime::RuntimeError::DataMismatch {
-                expected: r.model.row_len(),
-                got: r.payload.len(),
-            });
-            self.release_outstanding(&r.tenant);
-            self.reject(r, e, responses);
-        }
         if reqs.is_empty() {
             return;
         }

@@ -164,28 +164,15 @@ impl TenantQueues {
             .min_by(f64::total_cmp)
     }
 
-    /// Pulls up to `want` requests by DRR, preferring earlier-configured
-    /// tenants only within a round. Returns the dispatched requests in
-    /// dispatch order. `now_ms` stamps the wait metric.
-    pub fn dispatch(&mut self, want: usize, now_ms: f64) -> Vec<Request> {
-        self.dispatch_filtered(None, want, now_ms)
-    }
-
-    /// DRR dispatch restricted to one model's requests (the batcher
-    /// coalesces per model). Within a tenant's FIFO queue the first
-    /// matching request is taken; non-matching requests keep their place.
+    /// Pulls up to `want` of one model's requests by DRR (the batcher
+    /// coalesces per model), preferring earlier-configured tenants only
+    /// within a round. Within a tenant's FIFO queue the first matching
+    /// request is taken; non-matching requests keep their place. Returns
+    /// the dispatched requests in dispatch order. `now_ms` stamps the wait
+    /// metric.
     pub fn dispatch_model(
         &mut self,
         model: crate::Model,
-        want: usize,
-        now_ms: f64,
-    ) -> Vec<Request> {
-        self.dispatch_filtered(Some(model), want, now_ms)
-    }
-
-    fn dispatch_filtered(
-        &mut self,
-        model: Option<crate::Model>,
         want: usize,
         now_ms: f64,
     ) -> Vec<Request> {
@@ -193,10 +180,7 @@ impl TenantQueues {
         if want == 0 {
             return out;
         }
-        let eligible = |q: &VecDeque<Request>| match model {
-            None => !q.is_empty(),
-            Some(m) => q.iter().any(|r| r.model == m),
-        };
+        let eligible = |q: &VecDeque<Request>| q.iter().any(|r| r.model == model);
         // Keep rounds going while there is both demand and budget. Each
         // round tops deficits up by the weight; a tenant's queue drains at
         // most `deficit` requests per round.
@@ -210,17 +194,9 @@ impl TenantQueues {
                 }
                 self.deficits[t] += u64::from(self.configs[t].weight);
                 while self.deficits[t] > 0 && out.len() < want {
-                    let pos = match model {
-                        None => {
-                            if self.queues[t].is_empty() {
-                                None
-                            } else {
-                                Some(0)
-                            }
-                        }
-                        Some(m) => self.queues[t].iter().position(|r| r.model == m),
+                    let Some(pos) = self.queues[t].iter().position(|r| r.model == model) else {
+                        break;
                     };
-                    let Some(pos) = pos else { break };
                     let Some(req) = self.queues[t].remove(pos) else {
                         break;
                     };
@@ -277,7 +253,7 @@ mod tests {
             q.enqueue(0, req(i, 0)).unwrap();
             q.enqueue(1, req(100 + i, 1)).unwrap();
         }
-        let got = q.dispatch(16, 0.0);
+        let got = q.dispatch_model(Model::Mlp, 16, 0.0);
         let t0 = got.iter().filter(|r| r.tenant == "0").count();
         let t1 = got.iter().filter(|r| r.tenant == "1").count();
         assert_eq!(t0 + t1, 16);

@@ -30,13 +30,6 @@ fn main() {
     let target = tvm::target::titanx();
     let module = build(&graph, &target, &BuildOptions::default()).expect("module builds");
     println!("{}", module.describe());
-    println!(
-        "memory plan: {} bytes planned vs {} bytes naive",
-        module.plan.total_bytes(),
-        module
-            .plan
-            .naive_bytes(&module.graph, &tvm_graph::fuse(&module.graph, true))
-    );
 
     // 3. Deploy: bind inputs, run, fetch outputs. Values are computed by
     //    the reference interpreter; time comes from the target simulator.

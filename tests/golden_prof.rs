@@ -1,10 +1,10 @@
-//! Tests of what `tvm-prof` prints and writes. The profiled demo CNN must
-//! produce exactly the checked-in per-op table: every column is
-//! deterministic — kernel names from fusion, costs from the simulator,
-//! sizes and slots from the memory plan — so any drift is a real change
-//! to fusion, costing, or planning. Three more contracts ride along:
-//! profiling has no observer effect, its accounting closes, and the trace
-//! it exports is well-formed.
+//! Tests of what `tvm-prof` prints and writes. The demo CNN's module
+//! report (`Module::describe`) must be exactly the checked-in per-kernel
+//! table: every column is deterministic — kernel names from fusion, costs
+//! from the simulator, sizes and slots from the memory plan — so any drift
+//! is a real change to fusion, costing, or planning. Three more contracts
+//! ride along: tracing has no observer effect, the report's accounting
+//! closes, and the trace it exports is well-formed.
 //!
 //! Regenerate intentionally with
 //!
@@ -14,14 +14,13 @@
 
 use std::path::Path;
 
-use tvm_bench::profiling::{build_demo, profiled_run, run_once, sim_cycles, traced_run};
+use tvm_bench::profiling::{build_demo, run_once, sim_cycles, traced_run};
 use tvm_runtime::GraphExecutor;
 use tvm_sim::titanx;
 
 #[test]
 fn per_op_breakdown_is_stable() {
-    let (ex, _) = profiled_run(&titanx());
-    let actual = ex.profiler().expect("profiling enabled").table();
+    let actual = build_demo(&titanx()).describe();
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/prof_table.expected");
     if std::env::var_os("TVM_REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &actual).expect("write golden");
@@ -36,24 +35,24 @@ fn per_op_breakdown_is_stable() {
     assert_eq!(
         actual.trim_end(),
         expected.trim_end(),
-        "\nper-op profile for the demo graph changed; if intentional, \
+        "\nper-kernel report for the demo graph changed; if intentional, \
          regenerate with TVM_REGEN_GOLDEN=1 and review the diff"
     );
 }
 
 #[test]
-fn profiled_outputs_are_bit_identical_to_unprofiled() {
-    let (_, profiled) = profiled_run(&titanx());
+fn traced_outputs_are_bit_identical_to_untraced() {
+    let (traced, _) = traced_run(&titanx());
     let plain = run_once(&mut GraphExecutor::new(build_demo(&titanx())));
-    assert_eq!(profiled, plain);
+    assert_eq!(traced, plain);
 }
 
 #[test]
 fn per_op_cycles_sum_to_the_end_to_end_figure() {
     let target = titanx();
-    let (ex, _) = profiled_run(&target);
-    let per_op = ex.profiler().expect("profiling enabled").total_cycles();
-    let e2e = sim_cycles(ex.module(), &target);
+    let module = build_demo(&target);
+    let per_op = module.total_cycles();
+    let e2e = sim_cycles(&module, &target);
     assert!(
         (per_op - e2e).abs() <= 0.01 * e2e,
         "per-op cycle sum {per_op:.0} drifts more than 1% from end-to-end {e2e:.0}"
