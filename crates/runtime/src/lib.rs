@@ -10,7 +10,7 @@
 //! module, so every later run, on any executor over the same
 //! `Arc<Module>`, only executes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use tvm_graph::{FusedGraph, Graph, GraphReport, KernelView, MemoryPlan, NodeId, OpType};
@@ -195,6 +195,25 @@ fn numel_of(shape: &[i64]) -> Option<usize> {
     Some(shape.iter().product::<i64>() as usize)
 }
 
+/// Moves a kernel's input buffers back into their tensors (a tensor bound
+/// twice went in once, so it comes back once) and returns the buffer after
+/// them: the kernel's output, or an empty one if the inputs were cut short.
+fn give_back(
+    values: &mut [Option<NDArray>],
+    inputs: &[NodeId],
+    bufs: &mut Vec<Vec<f32>>,
+) -> Vec<f32> {
+    let mut bufs = bufs.drain(..);
+    for (ai, (arg, buf)) in inputs.iter().zip(bufs.by_ref()).enumerate() {
+        if !inputs[..ai].contains(arg) {
+            if let Some(v) = values.get_mut(arg.0).and_then(Option::as_mut) {
+                v.data = buf;
+            }
+        }
+    }
+    bufs.next().unwrap_or_default()
+}
+
 /// Simulator cost figures carried from compile time into the runtime, as
 /// plain numbers so the runtime stays independent of `tvm-sim`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -340,9 +359,16 @@ impl Module {
 /// The module is held behind an [`Arc`] so a serving layer can share one
 /// compiled artifact across many concurrent batched executors without
 /// recompiling or cloning kernels — see [`GraphExecutor::from_arc`].
+/// An executor is meant to live: weights are bound once, and a run reuses
+/// the storage of the run before for every kernel output.
 pub struct GraphExecutor {
     module: Arc<Module>,
-    values: HashMap<NodeId, NDArray>,
+    /// Node values indexed by `NodeId`: bound inputs and parameters, and
+    /// the kernel outputs the last run computed.
+    values: Vec<Option<NDArray>>,
+    /// Per kernel, its output from the run before, kept only for the
+    /// allocation: no kernel reads it and no `get_output` returns it.
+    spent: Vec<Option<NDArray>>,
 }
 
 impl GraphExecutor {
@@ -366,15 +392,24 @@ impl GraphExecutor {
     /// weight sets (the serving layer's versioned models). Seed `0`
     /// reproduces [`GraphExecutor::from_arc`] exactly.
     pub fn from_arc_with_weights(module: Arc<Module>, weights: u64) -> GraphExecutor {
-        let mut values = HashMap::new();
-        for node in &module.graph.nodes {
-            if matches!(node.op, OpType::Param) {
-                let seed = (node.id.0 as u64 + 1)
-                    .wrapping_add(weights.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                values.insert(node.id, NDArray::seeded(&node.shape, seed));
-            }
+        let values = module
+            .graph
+            .nodes
+            .iter()
+            .map(|node| {
+                matches!(node.op, OpType::Param).then(|| {
+                    let seed = (node.id.0 as u64 + 1)
+                        .wrapping_add(weights.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    NDArray::seeded(&node.shape, seed)
+                })
+            })
+            .collect();
+        let spent = module.kernels.iter().map(|_| None).collect();
+        GraphExecutor {
+            module,
+            values,
+            spent,
         }
-        GraphExecutor { module, values }
     }
 
     /// Module accessor.
@@ -401,7 +436,7 @@ impl GraphExecutor {
                 got: value.shape,
             });
         }
-        self.values.insert(id, value);
+        self.values[id.0] = Some(value);
         Ok(())
     }
 
@@ -424,7 +459,7 @@ impl GraphExecutor {
                 got: value.shape,
             });
         }
-        self.values.insert(id, value);
+        self.values[id.0] = Some(value);
         Ok(())
     }
 
@@ -439,13 +474,17 @@ impl GraphExecutor {
     pub fn run(&mut self) -> Result<f64, RuntimeError> {
         let mut total = 0.0;
         let module = Arc::clone(&self.module);
-        for k in &module.kernels {
-            if let Some(out) = k.args.last() {
-                self.values.remove(out);
+        // Every output of the run before is retired before any kernel runs,
+        // so none is read as an input and none outlives a failed run.
+        for (k, spent) in module.kernels.iter().zip(&mut self.spent) {
+            let value = k.args.last().and_then(|out| self.values.get_mut(out.0));
+            if let Some(v) = value.and_then(Option::take) {
+                *spent = Some(v);
             }
         }
         let mut it = Interp::new();
-        for k in &module.kernels {
+        let mut bufs: Vec<Vec<f32>> = Vec::new();
+        for (k, spent) in module.kernels.iter().zip(&mut self.spent) {
             let (&out_id, inputs) = k
                 .args
                 .split_last()
@@ -461,43 +500,49 @@ impl GraphExecutor {
                 kernel: k.name.clone(),
                 node: out_id.0,
             })?;
-            for &arg in inputs {
-                if !self.values.contains_key(&arg) {
-                    return Err(RuntimeError::MissingInput(node_of(arg)?.name.clone()));
-                }
-            }
-            // The kernel reads its inputs in place: each tensor is moved
-            // out of `values` for the run and moved back after it.
-            let mut bufs: Vec<Vec<f32>> = Vec::with_capacity(k.args.len());
-            for (ai, arg) in inputs.iter().enumerate() {
-                let buf = match inputs[..ai].iter().position(|a| a == arg) {
+            // The kernel reads its inputs in place: each tensor's data is
+            // moved into `bufs` for the run and moved back after it.
+            bufs.clear();
+            for (ai, &arg) in inputs.iter().enumerate() {
+                let buf = match inputs[..ai].iter().position(|&a| a == arg) {
                     Some(first) => bufs[first].clone(), // one tensor bound twice
-                    None => std::mem::take(&mut self.values.get_mut(arg).expect("checked").data),
+                    None => match self.values.get_mut(arg.0).and_then(Option::as_mut) {
+                        Some(v) => std::mem::take(&mut v.data),
+                        None => {
+                            give_back(&mut self.values, inputs, &mut bufs);
+                            return Err(RuntimeError::MissingInput(node_of(arg)?.name.clone()));
+                        }
+                    },
                 };
                 bufs.push(buf);
             }
-            bufs.push(vec![0.0; out_len]);
+            // The output refills the storage it had the run before, zeroed
+            // exactly as a fresh allocation would be.
+            let mut out = spent.take().unwrap_or_else(|| NDArray {
+                shape: out_node.shape.clone(),
+                data: Vec::new(),
+            });
+            out.data.clear();
+            out.data.resize(out_len, 0.0);
+            bufs.push(std::mem::take(&mut out.data));
             let result = {
                 let _op_span = tvm_obs::span_with("run_op", &[("kernel", &k.name)]);
                 it.run_compiled(k.program(), &mut bufs)
             };
-            let out = bufs.pop().expect("the output was pushed last");
-            for (ai, (arg, buf)) in inputs.iter().zip(bufs).enumerate() {
-                if !inputs[..ai].contains(arg) {
-                    self.values.get_mut(arg).expect("checked").data = buf;
-                }
+            out.data = give_back(&mut self.values, inputs, &mut bufs);
+            if let Err(error) = result {
+                *spent = Some(out);
+                return Err(RuntimeError::Interp {
+                    kernel: k.name.clone(),
+                    error,
+                });
             }
-            result.map_err(|error| RuntimeError::Interp {
-                kernel: k.name.clone(),
-                error,
-            })?;
             tvm_obs::counter_add("runtime.kernel_launches", 1);
             tvm_obs::counter_add(
                 "runtime.output_bytes",
-                (out.len() * out_node.dtype.bytes()) as u64,
+                (out.numel() * out_node.dtype.bytes()) as u64,
             );
-            self.values
-                .insert(out_id, NDArray::new(&out_node.shape, out));
+            self.values[out_id.0] = Some(out);
             total += k.est_ms;
         }
         Ok(total)
@@ -513,15 +558,18 @@ impl GraphExecutor {
             return Err(RuntimeError::BadOutputIndex { index: i, outputs });
         }
         let id = self.module.graph.outputs[i];
-        self.values.get(&id).ok_or_else(|| {
-            let name = self
-                .module
-                .graph
-                .get(id)
-                .map(|n| n.name.clone())
-                .unwrap_or_else(|| format!("node#{}", id.0));
-            RuntimeError::NotRun(name)
-        })
+        self.values
+            .get(id.0)
+            .and_then(Option::as_ref)
+            .ok_or_else(|| {
+                let name = self
+                    .module
+                    .graph
+                    .get(id)
+                    .map(|n| n.name.clone())
+                    .unwrap_or_else(|| format!("node#{}", id.0));
+                RuntimeError::NotRun(name)
+            })
     }
 }
 
@@ -559,7 +607,7 @@ mod tests {
         let default = GraphExecutor::from_arc(Arc::clone(&module));
         let v0 = GraphExecutor::from_arc_with_weights(Arc::clone(&module), 0);
         let v1 = GraphExecutor::from_arc_with_weights(Arc::clone(&module), 1);
-        let param = |ex: &GraphExecutor| ex.values.get(&w).cloned().expect("param");
+        let param = |ex: &GraphExecutor| ex.values[w.0].clone().expect("param");
         assert_eq!(param(&default), param(&v0), "seed 0 must be the default");
         assert_ne!(param(&v0), param(&v1), "weight sets must differ by seed");
         // Same seed, same bits — versioned weights are reproducible.

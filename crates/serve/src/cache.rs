@@ -1,38 +1,51 @@
-//! The compiled-artifact cache: a memo of `tvm::build`.
+//! The compiled-artifact cache: a memo of `tvm::build`, and the one owner
+//! of everything a served version needs.
 //!
 //! A build is a pure function of graph, target and tuning database (§2),
 //! and a service fixes the last two for its lifetime, so the cache owns
-//! them and keys a module by what varies: model, batch bucket and the
+//! them and keys an entry by what varies: model, batch bucket and the
 //! model version's fingerprint (blue/green sides never share artifacts).
-//! Each module is compiled once and kept behind an [`Arc`] so every batch
-//! shares it. Nothing is persisted: the tuning journal is the durable
-//! record a restart recompiles from.
+//! Each entry is compiled once and holds the module behind an [`Arc`]
+//! together with the one [`GraphExecutor`] that runs it, the version's
+//! weights bound when the entry is built: §2's `create(graph, lib,
+//! params)` happens once per entry, and a batch only binds its input and
+//! runs. Nothing is persisted: the tuning journal is the durable record a
+//! restart recompiles from.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tvm::compiler::{build, BuildOptions};
 use tvm::target::Target;
 use tvm_autotune::Database;
-use tvm_runtime::Module;
+use tvm_runtime::{GraphExecutor, Module};
 
-use crate::{Model, ServeError};
+use crate::{Model, ModelVersion, ServeError};
 
 /// Cache traffic counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
     /// Served from the memo.
     pub hits: u64,
-    /// Compiles: one per distinct (model, bucket, version) served.
+    /// Compiles: one per distinct (model, bucket, version) served, and so
+    /// one per executor built.
     pub cold_builds: u64,
 }
 
-/// `(model, batch bucket, version fingerprint) → module` for one target
+/// One version of a model at one batch bucket, ready to serve: the
+/// compiled module and the executor over it, holding the version's weights.
+struct Artifact {
+    module: Arc<Module>,
+    executor: GraphExecutor,
+}
+
+/// `(model, batch bucket, version fingerprint) → artifact` for one target
 /// and one tuning database.
 pub struct ArtifactCache {
     target: Target,
     db: Option<Database>,
-    modules: HashMap<(Model, i64, u64), Arc<Module>>,
+    entries: HashMap<(Model, i64, u64), Artifact>,
     stats: CacheStats,
 }
 
@@ -42,7 +55,7 @@ impl ArtifactCache {
         ArtifactCache {
             target,
             db,
-            modules: HashMap::new(),
+            entries: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
@@ -57,20 +70,60 @@ impl ArtifactCache {
         self.stats
     }
 
-    /// Returns the compiled module for `model` at batch bucket `bucket`
-    /// under version fingerprint `version`, building it on first use.
+    /// The `(model, bucket, version fingerprint)` key of every entry held.
+    pub fn keys(&self) -> impl Iterator<Item = (Model, i64, u64)> + '_ {
+        self.entries.keys().copied()
+    }
+
+    /// Returns the compiled module for `version` of `model` at batch
+    /// bucket `bucket`, building the entry on first use and counting a
+    /// hit otherwise.
     pub fn get_or_build(
         &mut self,
         model: Model,
         bucket: i64,
-        version: u64,
+        version: &ModelVersion,
     ) -> Result<Arc<Module>, ServeError> {
-        let key = (model, bucket, version);
-        if let Some(m) = self.modules.get(&key) {
+        let key = (model, bucket, version.fingerprint());
+        if self.entries.contains_key(&key) {
             self.stats.hits += 1;
             tvm_obs::counter_add("serve.cache.hits", 1);
-            return Ok(Arc::clone(m));
         }
+        Ok(Arc::clone(&self.artifact(key, version.weights)?.module))
+    }
+
+    /// The executor for `version` of `model` at `bucket`: the one
+    /// [`ArtifactCache::get_or_build`] built, counting no hit, since a
+    /// batch looks its module up once and may run more than once.
+    pub(crate) fn executor(
+        &mut self,
+        model: Model,
+        bucket: i64,
+        version: &ModelVersion,
+    ) -> Result<&mut GraphExecutor, ServeError> {
+        let key = (model, bucket, version.fingerprint());
+        Ok(&mut self.artifact(key, version.weights)?.executor)
+    }
+
+    /// Drops every entry of `version`: a retired version is never served
+    /// again, and its executors hold its weights.
+    pub(crate) fn evict(&mut self, version: &ModelVersion) {
+        let (model, fp) = (version.model, version.fingerprint());
+        self.entries.retain(|&(m, _, f), _| (m, f) != (model, fp));
+    }
+
+    /// The entry for `key`, compiling the module and binding the weight
+    /// set `weights` to a new executor on a miss.
+    fn artifact(
+        &mut self,
+        key: (Model, i64, u64),
+        weights: u64,
+    ) -> Result<&mut Artifact, ServeError> {
+        let (model, bucket, _) = key;
+        let slot = match self.entries.entry(key) {
+            Entry::Occupied(e) => return Ok(e.into_mut()),
+            Entry::Vacant(e) => e,
+        };
         let _sp = tvm_obs::span_with("serve.cache.build", &[("model", model.name())]);
         let opts = BuildOptions {
             db: self.db.as_ref(),
@@ -84,8 +137,8 @@ impl ArtifactCache {
         })?;
         self.stats.cold_builds += 1;
         tvm_obs::counter_add("serve.cache.cold_builds", 1);
-        let m = Arc::new(module);
-        self.modules.insert(key, Arc::clone(&m));
-        Ok(m)
+        let module = Arc::new(module);
+        let executor = GraphExecutor::from_arc_with_weights(Arc::clone(&module), weights);
+        Ok(slot.insert(Artifact { module, executor }))
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! ```text
 //! admission → per-tenant queues → DRR dispatch → dynamic batcher
-//!          → artifact cache (one compile each) → scheduler lanes
-//!          → Tracker (retries/quarantine) → GraphExecutor → responses
+//!          → artifact cache (one compile and one executor each)
+//!          → scheduler lanes → Tracker (retries/quarantine)
+//!          → the cached GraphExecutor (bind, run) → responses
 //! ```
 //!
 //! Invariants the test suite enforces:

@@ -34,7 +34,6 @@ use std::sync::Arc;
 use tvm::target::arm_a53;
 use tvm_autotune::db::crc32;
 use tvm_autotune::{Database, RetryPolicy, Tracker};
-use tvm_runtime::GraphExecutor;
 use tvm_sim::{mix64, FaultPlan};
 
 use crate::batch::{bucket_for, slice_rows, stack_rows, BatchPolicy};
@@ -360,6 +359,11 @@ impl Service {
     /// The model-version registry (stable/candidate per model).
     pub fn versions(&self) -> &VersionRegistry {
         &self.versions
+    }
+
+    /// The artifact cache: every compiled module and executor held.
+    pub fn cache(&self) -> &ArtifactCache {
+        &self.cache
     }
 
     /// Starts a blue/green rollout: registers `weights`/`label` as the
@@ -848,8 +852,7 @@ impl Service {
         let bucket = bucket_for(reqs.len());
 
         let stable = self.versions.stable(model);
-        let sfp = stable.fingerprint();
-        let module = match self.cache.get_or_build(model, bucket, sfp) {
+        let module = match self.cache.get_or_build(model, bucket, &stable) {
             Ok(m) => m,
             Err(e) => {
                 for r in reqs {
@@ -916,15 +919,15 @@ impl Service {
         // threshold tracks the device distribution, not its own effect.
         self.record_latency(model, primary_ms);
 
-        // Functional execution: pure and bit-exact; the executing device
-        // matters only to the fault plan's version-corruption oracle.
-        let result = self.execute_batch(&module, model, bucket, &reqs, &stable, winner_dev);
+        // Functional execution: bit-exact; the executing device matters
+        // only to the fault plan's version-corruption oracle.
+        let result = self.execute_batch(model, bucket, &reqs, &stable, winner_dev);
         let result = match (result, hedge_dev, primary_dev) {
             (Ok(rows), Some(sd), Some(pd)) => {
                 // Both replicas computed the batch: their digests must
                 // agree, or neither answer is served.
                 let loser = if winner_dev == Some(sd) { pd } else { sd };
-                match self.execute_batch(&module, model, bucket, &reqs, &stable, Some(loser)) {
+                match self.execute_batch(model, bucket, &reqs, &stable, Some(loser)) {
                     Ok(other) => {
                         let diverged = rows
                             .iter()
@@ -1014,10 +1017,9 @@ impl Service {
             return;
         };
         let _sp = tvm_obs::span_with("serve.canary", &[("model", model.name())]);
-        let cfp = cand.fingerprint();
         let mut failures = 0u64;
         let mut mismatches = 0u64;
-        match self.cache.get_or_build(model, bucket, cfp) {
+        match self.cache.get_or_build(model, bucket, &cand) {
             Err(_) => {
                 // A candidate that cannot compile can never be promoted:
                 // charge it past the failure budget immediately.
@@ -1027,7 +1029,7 @@ impl Service {
                 let (_sh_ms, sh_dev, sh_err, sh_failed) = self.run_on_pool(&cmodule, &[]);
                 failures += sh_failed;
                 if sh_err.is_none() {
-                    match self.execute_batch(&cmodule, model, bucket, reqs, &cand, sh_dev) {
+                    match self.execute_batch(model, bucket, reqs, &cand, sh_dev) {
                         Err(_) => failures += 1,
                         Ok(crows) => {
                             if cand.weights == stable.weights {
@@ -1051,7 +1053,6 @@ impl Service {
                                     if rerr.is_none() {
                                         if let Some(rd) = rdev {
                                             if let Ok(rrows) = self.execute_batch(
-                                                &cmodule,
                                                 model,
                                                 bucket,
                                                 reqs,
@@ -1114,6 +1115,13 @@ impl Service {
     }
 
     fn finish_rollout(&mut self, model: Model, promote: bool, reason: &str) {
+        // The losing side: the stable a promotion supersedes, or the
+        // candidate a rollback discards.
+        let retired = if promote {
+            Some(self.versions.stable(model))
+        } else {
+            self.versions.candidate(model).cloned()
+        };
         let applied = if promote {
             self.versions.promote(model).is_ok()
         } else {
@@ -1127,19 +1135,23 @@ impl Service {
                 self.stats.rollout.rollbacks += 1;
                 tvm_obs::counter_add("serve.rollout.rollbacks", 1);
             }
+            if let Some(v) = &retired {
+                self.cache.evict(v);
+            }
         }
         self.canary.remove(&model);
         self.batch_seq.remove(&model);
         let _ = self.versions.sync();
     }
 
-    /// Functional execution of one batch under a specific model version.
-    /// Pure and fault-free except for the fault plan's version-corruption
-    /// oracle, which (deterministically) perturbs outputs when this
-    /// version is corrupted on the executing device.
+    /// Functional execution of one batch under a specific model version,
+    /// on the executor the artifact cache keeps for that version and
+    /// bucket: the batch binds its input, runs and copies its rows out.
+    /// Fault-free except for the fault plan's version-corruption oracle,
+    /// which (deterministically) perturbs outputs when this version is
+    /// corrupted on the executing device.
     fn execute_batch(
-        &self,
-        module: &Arc<tvm_runtime::Module>,
+        &mut self,
         model: Model,
         bucket: i64,
         reqs: &[Request],
@@ -1147,8 +1159,9 @@ impl Service {
         device: Option<usize>,
     ) -> Result<Vec<Vec<f32>>, ServeError> {
         let _sp = tvm_obs::span("serve.execute.functional");
-        let mut ex = GraphExecutor::from_arc_with_weights(Arc::clone(module), version.weights);
-        ex.set_input(model.input_name(), stack_rows(model, bucket, reqs)?)?;
+        let input = stack_rows(model, bucket, reqs)?;
+        let ex = self.cache.executor(model, bucket, version)?;
+        ex.set_input(model.input_name(), input)?;
         ex.run()?;
         let out = ex.get_output(0)?;
         let mut rows = slice_rows(model, out, reqs.len())?;

@@ -126,8 +126,10 @@ fn batched_matches_standalone_executor_oracle() {
     );
     let mut cache = tvm_serve::ArtifactCache::new(tvm::target::arm_a53(), None);
     for req in trace.iter().take(40) {
-        let fp = tvm_serve::ModelVersion::baseline(req.model).fingerprint();
-        let module = cache.get_or_build(req.model, 1, fp).expect("compile");
+        let baseline = tvm_serve::ModelVersion::baseline(req.model);
+        let module = cache
+            .get_or_build(req.model, 1, &baseline)
+            .expect("compile");
         let mut ex = tvm_runtime::GraphExecutor::from_arc(Arc::clone(&module));
         ex.set_input(
             req.model.input_name(),

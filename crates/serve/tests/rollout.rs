@@ -200,6 +200,53 @@ fn weight_changing_rollout_switches_bits_only_after_promotion() {
 }
 
 #[test]
+fn retired_versions_leave_the_artifact_cache() {
+    // A healthy weight change promotes (the old stable retires), then a
+    // corrupt re-label of the new stable rolls back (the candidate
+    // retires). Each cache entry holds an executor with its version's
+    // weights, so only the current stable's entries may remain.
+    let bad = ModelVersion {
+        model: Model::Mlp,
+        weights: 9,
+        label: "v3-bad".into(),
+    };
+    let mut faults = FaultPlan::none();
+    faults.corrupt_version(bad.fingerprint(), 0x0BAD);
+    let mut svc = Service::new(config(None, faults)).expect("service");
+    let only_stable = |svc: &Service| {
+        let stable = svc.versions().stable(Model::Mlp).fingerprint();
+        let keys: Vec<_> = svc.cache().keys().collect();
+        assert!(!keys.is_empty(), "the stable version has no entries");
+        for (model, bucket, fp) in keys {
+            assert_eq!(model, Model::Mlp);
+            assert_eq!(fp, stable, "bucket {bucket} of a retired version is cached");
+        }
+    };
+
+    svc.begin_rollout(Model::Mlp, 9, "v2-weights")
+        .expect("rollout");
+    let first = trace(7);
+    let (_, stats) = svc.run(first.clone());
+    assert_eq!(stats.rollout.promotions, 1);
+    assert_eq!(svc.versions().stable(Model::Mlp).label, "v2-weights");
+    only_stable(&svc);
+
+    svc.begin_rollout(Model::Mlp, 9, "v3-bad").expect("rollout");
+    let later: Vec<_> = first
+        .iter()
+        .map(|r| tvm_serve::Request {
+            id: r.id + first.len() as u64,
+            arrival_ms: r.arrival_ms + 400.0,
+            ..r.clone()
+        })
+        .collect();
+    let (_, stats) = svc.run(later);
+    assert_eq!(stats.rollout.rollbacks, 1);
+    assert_eq!(svc.versions().stable(Model::Mlp).label, "v2-weights");
+    only_stable(&svc);
+}
+
+#[test]
 fn per_replica_corrupt_candidate_is_refuted_by_cross_device_canary() {
     // New weights mean stable bits can't gate the candidate; the canary
     // runs the candidate on both devices instead. Corrupting it on one
