@@ -16,51 +16,7 @@
 //! not depend on the worker count, so a fit is bit-for-bit identical at
 //! any worker count.
 
-use std::sync::Mutex;
-use std::time::Instant;
-
 use rayon::prelude::*;
-
-/// Wall-clock profile of one [`fit_profiled`] call: every rayon-parallel
-/// region (per-feature split searches, rank-gradient row chunks,
-/// per-sample prediction updates) records its duration and item count, in
-/// execution order. Regions are barriers — the boosting loop is
-/// sequential between them — so throughput tooling can replay a fit
-/// against a hypothetical worker count. Purely observational: recording a
-/// profile never changes the fitted model.
-#[derive(Default)]
-pub struct FitProfile {
-    regions: Mutex<Vec<(f64, usize)>>,
-}
-
-impl FitProfile {
-    fn record(&self, dur_s: f64, items: usize) {
-        if items > 0 {
-            self.regions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((dur_s, items));
-        }
-    }
-
-    /// The recorded `(duration_seconds, parallel_items)` regions.
-    pub fn take(&self) -> Vec<(f64, usize)> {
-        std::mem::take(&mut self.regions.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-/// Times one parallel region when a profile is attached.
-fn region<R>(profile: Option<&FitProfile>, items: usize, run: impl FnOnce() -> R) -> R {
-    match profile {
-        None => run(),
-        Some(p) => {
-            let start = Instant::now();
-            let r = run();
-            p.record(start.elapsed().as_secs_f64(), items);
-            r
-        }
-    }
-}
 
 /// Training objective.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -169,7 +125,6 @@ fn fit_tree(
     depth: usize,
     params: &GbtParams,
     nodes: &mut Vec<Node>,
-    profile: Option<&FitProfile>,
 ) -> usize {
     let mean: f64 = idx.iter().map(|&i| targets[i]).sum::<f64>() / idx.len().max(1) as f64;
     if depth >= params.max_depth || idx.len() < params.min_samples_split {
@@ -213,11 +168,9 @@ fn fit_tree(
     };
     // Parallelism only pays once the per-feature sort+scan is non-trivial;
     // below the threshold the fork-join overhead exceeds the work, so the
-    // serial scan is both faster and the honest account of the region.
+    // serial scan is faster.
     let per_feature: Vec<Option<(f64, usize, f64)>> = if idx.len() >= 64 {
-        region(profile, n_features, || {
-            (0..n_features).into_par_iter().map(search).collect()
-        })
+        (0..n_features).into_par_iter().map(search).collect()
     } else {
         (0..n_features).map(search).collect()
     };
@@ -241,8 +194,8 @@ fn fit_tree(
             }
             let slot = nodes.len();
             nodes.push(Node::Leaf(0.0)); // placeholder
-            let left = fit_tree(xs, targets, &li, depth + 1, params, nodes, profile);
-            let right = fit_tree(xs, targets, &ri, depth + 1, params, nodes, profile);
+            let left = fit_tree(xs, targets, &li, depth + 1, params, nodes);
+            let right = fit_tree(xs, targets, &ri, depth + 1, params, nodes);
             nodes[slot] = Node::Split {
                 feature,
                 threshold,
@@ -261,20 +214,8 @@ fn sigmoid(x: f64) -> f64 {
 /// Fits an ensemble on `(features, score)` pairs; higher scores are better
 /// configurations (the tuner passes `-log(cost)`).
 pub fn fit(xs: &[Vec<f64>], ys: &[f64], params: &GbtParams) -> Gbt {
-    fit_profiled(xs, ys, params, None)
-}
-
-/// [`fit`] with an optional wall-clock profile of the parallel regions.
-/// The profile is observational only: the fitted model is bit-for-bit the
-/// same with or without it, at any worker count.
-pub fn fit_profiled(
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    params: &GbtParams,
-    profile: Option<&FitProfile>,
-) -> Gbt {
     let mut model = Gbt::default();
-    fit_more(&mut model, xs, ys, params, params.n_trees, profile);
+    fit_more(&mut model, xs, ys, params, params.n_trees);
     model
 }
 
@@ -291,7 +232,6 @@ pub fn fit_more(
     ys: &[f64],
     params: &GbtParams,
     add_trees: usize,
-    profile: Option<&FitProfile>,
 ) {
     assert_eq!(xs.len(), ys.len());
     if xs.is_empty() {
@@ -303,9 +243,7 @@ pub fn fit_more(
     }
     // Current ensemble predictions over the (possibly grown) dataset.
     let mut preds: Vec<f64> = if n >= 64 {
-        region(profile, n, || {
-            xs.par_iter().map(|x| model.predict(x)).collect()
-        })
+        xs.par_iter().map(|x| model.predict(x)).collect()
     } else {
         xs.iter().map(|x| model.predict(x)).collect()
     };
@@ -339,9 +277,7 @@ pub fn fit_more(
                     g
                 };
                 let partials: Vec<Vec<f64>> = if starts.len() > 1 {
-                    region(profile, starts.len(), || {
-                        starts.clone().into_par_iter().map(chunk).collect()
-                    })
+                    starts.clone().into_par_iter().map(chunk).collect()
                 } else {
                     starts.iter().map(|&s| chunk(s)).collect()
                 };
@@ -359,15 +295,13 @@ pub fn fit_more(
         let mut nodes = Vec::new();
         {
             let _s = tvm_obs::span("fit_tree");
-            fit_tree(xs, &grad, &all_idx, 0, params, &mut nodes, profile);
+            fit_tree(xs, &grad, &all_idx, 0, params, &mut nodes);
         }
         let tree = Tree { nodes };
         // Per-sample prediction updates are independent: map on the workers,
         // apply in order.
         let deltas: Vec<f64> = if n >= 64 {
-            region(profile, n, || {
-                xs.par_iter().map(|x| tree.predict(x)).collect()
-            })
+            xs.par_iter().map(|x| tree.predict(x)).collect()
         } else {
             xs.iter().map(|x| tree.predict(x)).collect()
         };

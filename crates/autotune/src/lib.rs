@@ -49,9 +49,7 @@ pub use features::{
     extract, extract_analysis, invariant_features, signature_distance, task_signature, FEATURE_LEN,
     INVARIANT_FEATURES, TASK_SIG_LEN,
 };
-pub use gbt::{
-    fit, fit_more, fit_profiled, pairwise_accuracy, FitProfile, Gbt, GbtParams, Objective,
-};
+pub use gbt::{fit, fit_more, pairwise_accuracy, Gbt, GbtParams, Objective};
 pub use pool::{DeviceHealth, JobOutcome, MeasureError, PoolStats, RetryPolicy, Tracker};
 pub use sketch::{sketch_space_size, sketch_task, SketchTask};
 pub use transfer::{map_config, warm_start_seeds};

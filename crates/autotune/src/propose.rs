@@ -502,8 +502,10 @@ impl Evolution {
             if cands.is_empty() {
                 break;
             }
-            let (scores, durs) = timed_par_map(cands.clone(), |idx| predict(r.cache, model, idx));
-            r.cache.record_phase("evolve", durs);
+            let scores: Vec<f64> = cands
+                .par_iter()
+                .map(|&idx| predict(r.cache, model, idx))
+                .collect();
             scored.extend(cands.iter().copied().zip(scores));
             // Parents: the best-predicted candidates seen so far (negated
             // score, so the tournament's lower-is-better convention

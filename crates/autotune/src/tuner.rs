@@ -35,7 +35,7 @@ use tvm_te::TeError;
 
 use crate::config::{ConfigEntity, ConfigSpace};
 use crate::db::{DbRecord, Journal};
-use crate::gbt::{fit_more, FitProfile, Gbt, GbtParams};
+use crate::gbt::{fit_more, Gbt, GbtParams};
 use crate::planned::build_analyzed;
 use crate::pool::{DeviceHealth, PoolStats, Tracker};
 use crate::propose::{proposer_for, Round};
@@ -183,23 +183,20 @@ pub struct TuneStats {
 }
 
 /// One parallelizable phase of tuner work: the per-item wall-clock
-/// durations of a batch whose items ran (or could run) concurrently.
-/// Recorded in execution order so throughput tooling can replay the run
-/// against a hypothetical number of worker lanes.
+/// durations of a batch whose items ran concurrently, recorded in
+/// execution order. The perf ledger sums them per label into its
+/// measure and anneal times.
 #[derive(Clone, Debug)]
 pub struct WorkPhase {
     /// What the items were: `"measure"` (lower + simulate), `"lower"`
-    /// (pool path), `"anneal"` (one SA chain per item), `"evolve"` (one
-    /// model scoring per item) or `"fit"` (one parallel region inside a
-    /// cost-model fit).
+    /// (pool path) or `"anneal"` (one SA chain per item).
     pub label: &'static str,
     /// Per-item durations in seconds, in proposal order.
     pub durs_s: Vec<f64>,
 }
 
-/// Ordered log of the parallelizable work a tuning run performed.
-/// Everything not covered by a phase (proposal merging, boosting-loop
-/// bookkeeping, journaling) is inherently serial.
+/// Ordered log of the parallel measurement and annealing work a tuning
+/// run performed.
 #[derive(Clone, Debug, Default)]
 pub struct WorkLog {
     /// Phases in execution order.
@@ -590,7 +587,7 @@ pub fn tune_with(
             cache: &cache,
             opts,
             visited: &visited,
-            model: model.as_mut().and_then(|m| m.refit(&cache, opts.batch)),
+            model: model.as_mut().and_then(|m| m.refit(opts.batch)),
             remaining,
             want: opts.batch.min(remaining).max(1),
         };
@@ -719,29 +716,20 @@ struct CostModel {
 impl CostModel {
     /// The model fitted on every sample so far, or `None` while it has
     /// fewer than one batch of them (the proposer bootstraps randomly).
-    fn refit(&mut self, cache: &MeasureCache, batch: usize) -> Option<&Gbt> {
+    fn refit(&mut self, batch: usize) -> Option<&Gbt> {
         if self.xs.is_empty() || self.xs.len() < batch {
             return None;
         }
         if self.xs.len() > self.trained {
             let _fit_span = tvm_obs::span_with("fit", &[("samples", &self.xs.len().to_string())]);
-            let prof = FitProfile::default();
             fit_more(
                 &mut self.gbt,
                 &self.xs,
                 &self.ys,
                 &self.params,
                 self.trees_per_round,
-                Some(&prof),
             );
             self.trained = self.xs.len();
-            // Each parallel region inside the fit (per-feature split
-            // searches, rank-gradient chunks, prediction updates) is one
-            // replayable phase; item durations within a region are
-            // uniform to first order, so the total is split evenly.
-            for (dur_s, items) in prof.take() {
-                cache.record_phase("fit", vec![dur_s / items as f64; items]);
-            }
         }
         Some(&self.gbt)
     }

@@ -151,12 +151,15 @@ fn build(task: &str, counter: &Arc<AtomicUsize>) -> TuningTask {
 }
 
 /// Digests captured on the commit before the six `tune_*` drivers became
-/// proposers behind one loop.
+/// proposers behind one loop. Twelve digests of model-guided runs were
+/// re-pinned when the tuner stopped recording `fit` and `evolve` phases:
+/// the earlier code, its digest skipping those two labels, produces
+/// exactly these, so no trial, curve or counter moved.
 const GOLDEN: &[(&str, u64)] = &[
     ("journal/1t/bytes", 0x1270247d19865378),
-    ("journal/1t/fresh", 0x4b80fd74772856a7),
+    ("journal/1t/fresh", 0x4181c3a92fb39e17),
     ("journal/4t/bytes", 0x1270247d19865378),
-    ("journal/4t/fresh", 0x4b80fd74772856a7),
+    ("journal/4t/fresh", 0x4181c3a92fb39e17),
     ("synthetic/GbtRank/seed0", 0x5c669bfcd09bc3bd),
     ("synthetic/GbtRank/seed7", 0x06fa257d96a0ee91),
     ("synthetic/GbtReg/seed0", 0x54e8a3ebf775e73d),
@@ -167,10 +170,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("synthetic/Genetic/seed7", 0x7eb73f5bdb4c69de),
     ("synthetic/Predefined/seed0", 0xf9230c43889506e7),
     ("synthetic/Predefined/seed7", 0x2231cf420c2c3311),
-    ("synthetic/Evolutionary/seed0", 0xdd6c8481751bd5a8),
-    ("synthetic/Evolutionary/seed7", 0xc2ee16ace55b2489),
-    ("synthetic_full/GbtRank/seed0", 0x8732f95439b7d646),
-    ("synthetic_full/GbtRank/seed7", 0x4e956165be030062),
+    ("synthetic/Evolutionary/seed0", 0x650121af8edadda6),
+    ("synthetic/Evolutionary/seed7", 0xd070b4eeada50067),
+    ("synthetic_full/GbtRank/seed0", 0x3b746c40350ab782),
+    ("synthetic_full/GbtRank/seed7", 0x3ee0b39ba6a425de),
     ("synthetic_full/GbtReg/seed0", 0xf8d5da27861cde97),
     ("synthetic_full/GbtReg/seed7", 0xddc9c48442802a02),
     ("synthetic_full/Random/seed0", 0x6b70814902c40b95),
@@ -179,8 +182,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("synthetic_full/Genetic/seed7", 0xa435ab4007687bc6),
     ("synthetic_full/Predefined/seed0", 0xfdfba5efeca4d009),
     ("synthetic_full/Predefined/seed7", 0x59781283589602d6),
-    ("synthetic_full/Evolutionary/seed0", 0x8084b5cbbaf794b5),
-    ("synthetic_full/Evolutionary/seed7", 0xd2bf38eee71cd7b8),
+    ("synthetic_full/Evolutionary/seed0", 0xf6c641d14aad4c27),
+    ("synthetic_full/Evolutionary/seed7", 0xa0075ecc89c2ef9a),
     ("counting/GbtRank/seed0", 0xad163ab7075b50c7),
     ("counting/GbtRank/seed7", 0x8c855af4e7de00e9),
     ("counting/GbtReg/seed0", 0x7a0ca7d756c90229),
@@ -191,8 +194,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("counting/Genetic/seed7", 0xe6d65187f55b0a0f),
     ("counting/Predefined/seed0", 0x6f90542847eaa670),
     ("counting/Predefined/seed7", 0x791dbe8b91674605),
-    ("counting/Evolutionary/seed0", 0x4ef863f8e993496c),
-    ("counting/Evolutionary/seed7", 0x5e21e0abc784ffc5),
+    ("counting/Evolutionary/seed0", 0x760af5455708c1c1),
+    ("counting/Evolutionary/seed7", 0x9ecb28dc008def28),
     ("sketch_mm64/GbtRank/seed0", 0x6da1f4173f9c4f3b),
     ("sketch_mm64/GbtRank/seed7", 0x2551ae6360079613),
     ("sketch_mm64/GbtReg/seed0", 0x44d60fc896adb5f3),
@@ -203,8 +206,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sketch_mm64/Genetic/seed7", 0x4fc477604f468d5b),
     ("sketch_mm64/Predefined/seed0", 0x0116803b6caeb016),
     ("sketch_mm64/Predefined/seed7", 0x58573676030fb7eb),
-    ("sketch_mm64/Evolutionary/seed0", 0xf874a8785650008c),
-    ("sketch_mm64/Evolutionary/seed7", 0x702633c452e36319),
+    ("sketch_mm64/Evolutionary/seed0", 0x94f6cdd2797ab08c),
+    ("sketch_mm64/Evolutionary/seed7", 0xaf70423f90738989),
 ];
 
 #[test]

@@ -2,27 +2,29 @@
 //!
 //! [`Interp::run`] / [`Interp::run_f32`] lower the function once into a
 //! flat register program ([`crate::flat::Program`]) and execute that; it is
-//! the engine every caller — the graph executor, the serving layer, the
-//! fuzzer — runs. The tree walker below ([`Interp::eval`], [`Interp::exec`]
-//! and the one entry point [`Interp::run_reference`]) is kept only as the
-//! oracle the flat engine is tested against.
+//! the one engine in this crate, and what every caller — the graph
+//! executor, the serving layer, the fuzzer — runs. This module holds what
+//! the engine shares with its callers and hardware-intrinsic handlers:
+//! [`Buffer`], [`MemState`], [`Value`] and the store rounding
+//! ([`quantize`], [`round_f16`]).
 //!
-//! GPU semantics, in both: loops bound to block axes are independent and
-//! run serially; loops bound to thread axes whose body contains barriers
-//! are executed in *phases* — every thread runs the region between
-//! consecutive barriers before any thread proceeds past the barrier, which
-//! is exactly the synchronization contract
-//! `memory_barrier_among_threads()` provides on real hardware (§4.2).
+//! GPU semantics: loops bound to block axes are independent and run
+//! serially; loops bound to thread axes whose body contains barriers are
+//! executed in *phases* — every thread runs the region between consecutive
+//! barriers before any thread proceeds past the barrier, which is exactly
+//! the synchronization contract `memory_barrier_among_threads()` provides
+//! on real hardware (§4.2). The oracle the engine is tested against, a
+//! tree walker that states those semantics node by node, is
+//! `tvm_verify::reference`.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::dtype::{DType, TypeCode};
-use crate::expr::{BinOp, CallKind, CmpOp, Expr, ExprNode, Var, VarId};
+use crate::expr::{Var, VarId};
 use crate::flat::{Program, Storage};
-use crate::interval::{floor_div, floor_mod};
-use crate::stmt::{ForKind, LoweredFunc, Stmt, StmtNode};
+use crate::stmt::LoweredFunc;
 
 /// Interpreter error.
 #[derive(Debug, Clone)]
@@ -225,11 +227,14 @@ impl Buffer {
         self.len() == 0
     }
 
-    fn get(&self, idx: i64, name: &str) -> Result<Value> {
+    /// Element `idx`, or the out-of-bounds fault naming the buffer `name`.
+    pub fn get(&self, idx: i64, name: &str) -> Result<Value> {
         Ok(self.read(self.check(idx, name)?))
     }
 
-    fn set(&mut self, idx: i64, val: Value, name: &str) -> Result<()> {
+    /// Stores `val` at `idx`, rounded to the buffer's dtype, or raises the
+    /// out-of-bounds fault naming the buffer `name`.
+    pub fn set(&mut self, idx: i64, val: Value, name: &str) -> Result<()> {
         let i = self.check(idx, name)?;
         self.write(i, val)
     }
@@ -375,7 +380,7 @@ pub fn quantize(val: Value, dtype: DType) -> Result<Value> {
 pub type HwHandlerFn = Box<dyn FnMut(&[Value], &mut MemState) -> Result<Value>>;
 
 /// One bound or allocated buffer. The flat engine addresses slots by
-/// position; the walker and hardware-intrinsic handlers by variable id.
+/// position, hardware-intrinsic handlers by variable id.
 pub(crate) struct Slot {
     pub(crate) name: Arc<str>,
     pub(crate) buf: Buffer,
@@ -487,22 +492,14 @@ impl MemState {
     }
 }
 
-/// Per-thread buffer key: buffer id plus the thread coordinates that own it.
-type ThreadBufKey = (VarId, Vec<i64>);
-
-/// The interpreter.
+/// The interpreter: what a run needs besides the function and its
+/// buffers.
 #[derive(Default)]
 pub struct Interp {
-    /// The walker's global memory state (externally bound + global
-    /// allocations). A flat run builds its own.
-    pub mem: MemState,
+    /// Scalars bound with [`Interp::bind_scalar`]: constants of every
+    /// compilation.
     env: HashMap<VarId, Value>,
     hw: HashMap<String, HwHandlerFn>,
-    // Phased-execution state.
-    thread_coords: Vec<i64>,
-    thread_bufs: HashMap<ThreadBufKey, Buffer>,
-    thread_buf_names: HashMap<VarId, String>,
-    phase: Option<(u64, u64)>, // (current barrier counter, active phase)
     stores: u64,
 }
 
@@ -533,15 +530,22 @@ impl Interp {
     ///
     /// `buffers` must match `func.params` order; contents are moved in and
     /// the (possibly updated) buffers are returned in the same order.
-    pub fn run(&mut self, func: &LoweredFunc, buffers: Vec<Buffer>) -> Result<Vec<Buffer>> {
+    pub fn run(&mut self, func: &LoweredFunc, mut buffers: Vec<Buffer>) -> Result<Vec<Buffer>> {
+        self.run_in_place(func, &mut buffers).map(|()| buffers)
+    }
+
+    /// [`Interp::run`] on buffers it reads and writes in place; after an
+    /// error their contents are whatever the program had stored by then.
+    pub fn run_in_place(&mut self, func: &LoweredFunc, buffers: &mut Vec<Buffer>) -> Result<()> {
         check_param_count(&func.name, func.params.len(), buffers.len())?;
         let kinds: Vec<(Storage, DType)> = buffers
             .iter()
             .map(|b| (b.data.storage(), b.dtype))
             .collect();
         let program = Program::compile(func, &kinds, &self.env);
-        let (result, buffers) = self.execute(&program, buffers);
-        result.map(|()| buffers)
+        let (result, out) = self.execute(&program, std::mem::take(buffers));
+        *buffers = out;
+        result
     }
 
     /// Convenience wrapper: run with f32 arrays, all `float32` buffers. The
@@ -594,495 +598,11 @@ impl Interp {
             mem.slots.drain(..params).map(|slot| slot.buf).collect(),
         )
     }
-
-    /// The tree walker's `run`: the oracle the flat engine is tested
-    /// against (parity tests and the differential fuzzer), and nothing
-    /// else's way to execute a function.
-    pub fn run_reference(
-        &mut self,
-        func: &LoweredFunc,
-        buffers: Vec<Buffer>,
-    ) -> Result<Vec<Buffer>> {
-        check_param_count(&func.name, func.params.len(), buffers.len())?;
-        for (var, buf) in func.params.iter().zip(buffers) {
-            self.mem.bind(var, buf);
-        }
-        self.exec(&func.body)?;
-        let mut out = Vec::with_capacity(func.params.len());
-        for var in &func.params {
-            out.push(
-                self.mem
-                    .take(var.id())
-                    .ok_or_else(|| InterpError::UnknownBuffer(var.name().to_string()))?,
-            );
-        }
-        Ok(out)
-    }
-
-    fn effects_active(&self) -> bool {
-        match self.phase {
-            None => true,
-            Some((counter, active)) => counter == active,
-        }
-    }
-
-    /// Evaluates an expression.
-    pub fn eval(&mut self, e: &Expr) -> Result<Value> {
-        use ExprNode::*;
-        match &*e.0 {
-            IntImm { value, .. } => Ok(Value::Int(*value)),
-            FloatImm { value, .. } => Ok(Value::Float(*value)),
-            StringImm(_) => Err(InterpError::Unsupported("string immediate".into())),
-            Var(v) => {
-                if let Some(val) = self.env.get(&v.id()) {
-                    Ok(*val)
-                } else if self.lookup_buffer(v.id()).is_some() {
-                    Ok(Value::Handle(v.id()))
-                } else {
-                    Err(InterpError::UnboundVar(v.name().to_string()))
-                }
-            }
-            Cast { dtype, value } => {
-                let v = self.eval(value)?;
-                if dtype.is_int() {
-                    quantize(Value::Int(cast_to_int(v)?), *dtype)
-                } else {
-                    quantize(Value::Float(v.as_float()?), *dtype)
-                }
-            }
-            Binary { op, a, b } => {
-                let va = self.eval(a)?;
-                let vb = self.eval(b)?;
-                eval_binop(*op, va, vb, a.dtype().is_float())
-            }
-            Cmp { op, a, b } => {
-                let va = self.eval(a)?;
-                let vb = self.eval(b)?;
-                let r = if a.dtype().is_float() {
-                    let (x, y) = (va.as_float()?, vb.as_float()?);
-                    match op {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    }
-                } else {
-                    let (x, y) = (va.as_int()?, vb.as_int()?);
-                    match op {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    }
-                };
-                Ok(Value::Int(r as i64))
-            }
-            And { a, b } => Ok(Value::Int(
-                (self.eval(a)?.truthy()? && self.eval(b)?.truthy()?) as i64,
-            )),
-            Or { a, b } => Ok(Value::Int(
-                (self.eval(a)?.truthy()? || self.eval(b)?.truthy()?) as i64,
-            )),
-            Not { a } => Ok(Value::Int(!self.eval(a)?.truthy()? as i64)),
-            Select {
-                cond,
-                then_case,
-                else_case,
-            } => {
-                if self.eval(cond)?.truthy()? {
-                    self.eval(then_case)
-                } else {
-                    self.eval(else_case)
-                }
-            }
-            Load {
-                buffer,
-                index,
-                predicate,
-            } => {
-                if let Some(p) = predicate {
-                    if !self.eval(p)?.truthy()? {
-                        return Ok(Value::zero_of(buffer.dtype()));
-                    }
-                }
-                let idx = self.eval(index)?.as_int()?;
-                self.load_any(buffer.id(), idx, buffer.name())
-            }
-            Ramp { .. } | Broadcast { .. } => Err(InterpError::Unsupported(
-                "vector value (run pre-vectorized IR)".into(),
-            )),
-            Let { var, value, body } => {
-                let v = self.eval(value)?;
-                let old = self.env.insert(var.id(), v);
-                let r = self.eval(body);
-                match old {
-                    Some(o) => {
-                        self.env.insert(var.id(), o);
-                    }
-                    None => {
-                        self.env.remove(&var.id());
-                    }
-                }
-                r
-            }
-            Call {
-                name,
-                args,
-                kind,
-                dtype,
-            } => {
-                let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
-                match kind {
-                    CallKind::PureIntrinsic => eval_pure_intrinsic(name, &vals, *dtype),
-                    CallKind::HardwareIntrinsic => {
-                        if !self.effects_active() {
-                            return Ok(Value::Int(0));
-                        }
-                        let mut f = self
-                            .hw
-                            .remove(name)
-                            .ok_or_else(|| InterpError::UnknownIntrinsic(name.clone()))?;
-                        let r = f(&vals, &mut self.mem);
-                        self.hw.insert(name.clone(), f);
-                        r
-                    }
-                }
-            }
-        }
-    }
-
-    fn lookup_buffer(&self, id: VarId) -> Option<&Buffer> {
-        // Thread-local buffers shadow globals; search from the innermost
-        // coordinate prefix outwards.
-        for n in (0..=self.thread_coords.len()).rev() {
-            let key = (id, self.thread_coords[..n].to_vec());
-            if let Some(b) = self.thread_bufs.get(&key) {
-                return Some(b);
-            }
-        }
-        self.mem.get(id)
-    }
-
-    fn load_any(&mut self, id: VarId, idx: i64, name: &str) -> Result<Value> {
-        for n in (0..=self.thread_coords.len()).rev() {
-            let key = (id, self.thread_coords[..n].to_vec());
-            if let Some(b) = self.thread_bufs.get(&key) {
-                return b.get(idx, name);
-            }
-        }
-        self.mem.load(id, idx)
-    }
-
-    fn store_any(&mut self, id: VarId, idx: i64, val: Value, name: &str) -> Result<()> {
-        self.stores += 1;
-        for n in (0..=self.thread_coords.len()).rev() {
-            let key = (id, self.thread_coords[..n].to_vec());
-            if self.thread_bufs.contains_key(&key) {
-                let b = self.thread_bufs.get_mut(&key).expect("checked");
-                return b.set(idx, val, name);
-            }
-        }
-        self.mem.store(id, idx, val)
-    }
-
-    /// Executes a statement.
-    pub fn exec(&mut self, s: &Stmt) -> Result<()> {
-        use StmtNode::*;
-        match &*s.0 {
-            LetStmt { var, value, body } => {
-                let v = self.eval(value)?;
-                let old = self.env.insert(var.id(), v);
-                let r = self.exec(body);
-                match old {
-                    Some(o) => {
-                        self.env.insert(var.id(), o);
-                    }
-                    None => {
-                        self.env.remove(&var.id());
-                    }
-                }
-                r
-            }
-            AttrStmt { body, .. } => self.exec(body),
-            Store {
-                buffer,
-                index,
-                value,
-                predicate,
-            } => {
-                if let Some(p) = predicate {
-                    if !self.eval(p)?.truthy()? {
-                        return Ok(());
-                    }
-                }
-                let idx = self.eval(index)?.as_int()?;
-                let val = self.eval(value)?;
-                if self.effects_active() {
-                    self.store_any(buffer.id(), idx, val, buffer.name())?;
-                }
-                Ok(())
-            }
-            Allocate {
-                buffer,
-                dtype,
-                extent,
-                body,
-                ..
-            } => {
-                let n = self.eval(extent)?.as_int()?.max(0) as usize;
-                let inside_phased = self.phase.is_some();
-                let key = (buffer.id(), self.thread_coords.clone());
-                self.thread_buf_names
-                    .insert(buffer.id(), buffer.name().to_string());
-                if inside_phased {
-                    // Persist across phases for a given thread; create once.
-                    self.thread_bufs
-                        .entry(key)
-                        .or_insert_with(|| Buffer::zeros(*dtype, n));
-                    self.exec(body)
-                } else if self.thread_coords.is_empty() {
-                    // Outside any thread nest: bind in global memory state
-                    // so hardware-intrinsic handlers can address it.
-                    let prev = self.mem.take(buffer.id());
-                    self.mem.bind(buffer, Buffer::zeros(*dtype, n));
-                    let r = self.exec(body);
-                    self.mem.take(buffer.id());
-                    if let Some(p) = prev {
-                        self.mem.bind(buffer, p);
-                    }
-                    r
-                } else {
-                    self.thread_bufs
-                        .insert(key.clone(), Buffer::zeros(*dtype, n));
-                    let r = self.exec(body);
-                    self.thread_bufs.remove(&key);
-                    r
-                }
-            }
-            For {
-                var,
-                min,
-                extent,
-                kind,
-                body,
-            } => {
-                let lo = self.eval(min)?.as_int()?;
-                let n = self.eval(extent)?.as_int()?;
-                match kind {
-                    ForKind::ThreadBinding(tag) if !tag.is_block() => {
-                        self.exec_thread_nest(s.clone())
-                    }
-                    _ => {
-                        // Serial/parallel/vectorized/unrolled/vthread/block
-                        // loops all have sequential semantics here.
-                        let _ = (var, body);
-                        for i in lo..lo + n {
-                            let old = self.env.insert(var.id(), Value::Int(i));
-                            let r = self.exec(body);
-                            match old {
-                                Some(o) => {
-                                    self.env.insert(var.id(), o);
-                                }
-                                None => {
-                                    self.env.remove(&var.id());
-                                }
-                            }
-                            r?;
-                        }
-                        Ok(())
-                    }
-                }
-            }
-            Seq(stmts) => {
-                for st in stmts {
-                    self.exec(st)?;
-                }
-                Ok(())
-            }
-            IfThenElse {
-                cond,
-                then_case,
-                else_case,
-            } => {
-                if self.eval(cond)?.truthy()? {
-                    self.exec(then_case)
-                } else if let Some(e) = else_case {
-                    self.exec(e)
-                } else {
-                    Ok(())
-                }
-            }
-            Evaluate(e) => {
-                self.eval(e)?;
-                Ok(())
-            }
-            Barrier => {
-                if let Some((counter, _)) = &mut self.phase {
-                    *counter += 1;
-                }
-                Ok(())
-            }
-            PushDep { .. } | PopDep { .. } => Ok(()), // timing-only; no data effect
-        }
-    }
-
-    /// Executes a nest of thread-bound loops with barrier-phase semantics.
-    fn exec_thread_nest(&mut self, root: Stmt) -> Result<()> {
-        // Collect the consecutive thread-bound loops.
-        let mut axes: Vec<(Var, i64, i64)> = Vec::new();
-        let mut cur = root;
-        let body = loop {
-            let next = match &*cur.0 {
-                StmtNode::For {
-                    var,
-                    min,
-                    extent,
-                    kind: ForKind::ThreadBinding(tag),
-                    body,
-                } if !tag.is_block() => {
-                    let lo = self.eval(min)?.as_int()?;
-                    let n = self.eval(extent)?.as_int()?;
-                    axes.push((var.clone(), lo, n));
-                    body.clone()
-                }
-                _ => break cur,
-            };
-            cur = next;
-        };
-        let num_barriers = self.count_barriers(&body)?;
-        if num_barriers == 0 {
-            // No synchronization: plain serial execution is equivalent.
-            return self.run_thread_combos(&axes, &body, None);
-        }
-        for phase in 0..=num_barriers {
-            self.run_thread_combos(&axes, &body, Some(phase))?;
-        }
-        // Free per-thread buffers created inside the nest.
-        self.thread_bufs
-            .retain(|(_, coords), _| coords.len() < axes.len());
-        Ok(())
-    }
-
-    fn run_thread_combos(
-        &mut self,
-        axes: &[(Var, i64, i64)],
-        body: &Stmt,
-        phase: Option<u64>,
-    ) -> Result<()> {
-        let total: i64 = axes.iter().map(|(_, _, n)| *n).product();
-        for flat in 0..total {
-            let mut rem = flat;
-            let mut coords = Vec::with_capacity(axes.len());
-            // Row-major thread enumeration.
-            for (_, lo, n) in axes {
-                let extent_rest: i64 = axes[coords.len() + 1..]
-                    .iter()
-                    .map(|(_, _, m)| *m)
-                    .product();
-                let i = lo + (rem / extent_rest.max(1)) % n;
-                rem %= extent_rest.max(1);
-                coords.push(i);
-            }
-            let saved_coords = std::mem::take(&mut self.thread_coords);
-            let mut full = saved_coords.clone();
-            full.extend(&coords);
-            self.thread_coords = full;
-            let olds: Vec<Option<Value>> = axes
-                .iter()
-                .zip(&coords)
-                .map(|((v, _, _), &i)| self.env.insert(v.id(), Value::Int(i)))
-                .collect();
-            let saved_phase = self.phase;
-            if let Some(p) = phase {
-                self.phase = Some((0, p));
-            }
-            let r = self.exec(body);
-            self.phase = saved_phase;
-            for ((v, _, _), old) in axes.iter().zip(olds) {
-                match old {
-                    Some(o) => {
-                        self.env.insert(v.id(), o);
-                    }
-                    None => {
-                        self.env.remove(&v.id());
-                    }
-                }
-            }
-            self.thread_coords = saved_coords;
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Statically counts barriers executed by one thread running `s`.
-    fn count_barriers(&mut self, s: &Stmt) -> Result<u64> {
-        use StmtNode::*;
-        Ok(match &*s.0 {
-            Barrier => 1,
-            For {
-                var,
-                min,
-                extent,
-                body,
-                ..
-            } => {
-                let lo = self.eval(min)?.as_int()?;
-                let n = self.eval(extent)?.as_int()?;
-                if n <= 0 {
-                    return Ok(0);
-                }
-                // The count may depend on the loop var only if barriers sit
-                // inside data-dependent ifs, which we reject; evaluate the
-                // body count once with the first index bound.
-                let old = self.env.insert(var.id(), Value::Int(lo));
-                let per = self.count_barriers(body)?;
-                match old {
-                    Some(o) => {
-                        self.env.insert(var.id(), o);
-                    }
-                    None => {
-                        self.env.remove(&var.id());
-                    }
-                }
-                per * n as u64
-            }
-            Seq(stmts) => {
-                let mut t = 0;
-                for st in stmts {
-                    t += self.count_barriers(st)?;
-                }
-                t
-            }
-            IfThenElse {
-                then_case,
-                else_case,
-                ..
-            } => {
-                let a = self.count_barriers(then_case)?;
-                let b = match else_case {
-                    Some(e) => self.count_barriers(e)?,
-                    None => 0,
-                };
-                if a != b {
-                    return Err(InterpError::Malformed(
-                        "barrier count diverges across branches".into(),
-                    ));
-                }
-                a
-            }
-            LetStmt { body, .. } | AttrStmt { body, .. } | Allocate { body, .. } => {
-                self.count_barriers(body)?
-            }
-            _ => 0,
-        })
-    }
 }
 
-fn check_param_count(name: &str, expected: usize, got: usize) -> Result<()> {
+/// The fault for a call of function `name` with `got` buffers where it
+/// takes `expected`.
+pub fn check_param_count(name: &str, expected: usize, got: usize) -> Result<()> {
     if expected == got {
         return Ok(());
     }
@@ -1091,104 +611,11 @@ fn check_param_count(name: &str, expected: usize, got: usize) -> Result<()> {
     )))
 }
 
-impl Value {
-    fn zero_of(dtype: DType) -> Value {
-        if dtype.is_float() {
-            Value::Float(0.0)
-        } else {
-            Value::Int(0)
-        }
-    }
-}
-
-fn cast_to_int(v: Value) -> Result<i64> {
-    match v {
-        Value::Int(x) => Ok(x),
-        Value::Float(x) => Ok(x.floor() as i64),
-        Value::Handle(_) => Err(InterpError::Unsupported("handle cast".into())),
-    }
-}
-
-fn eval_binop(op: BinOp, a: Value, b: Value, float: bool) -> Result<Value> {
-    if float {
-        let (x, y) = (a.as_float()?, b.as_float()?);
-        let r = match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
-            BinOp::Mod => x.rem_euclid(y),
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-            _ => return Err(InterpError::Unsupported("bitwise op on float".into())),
-        };
-        Ok(Value::Float(r))
-    } else {
-        let (x, y) = (a.as_int()?, b.as_int()?);
-        let r = match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return Err(InterpError::DivideByZero);
-                }
-                floor_div(x, y)
-            }
-            BinOp::Mod => {
-                if y == 0 {
-                    return Err(InterpError::DivideByZero);
-                }
-                floor_mod(x, y)
-            }
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-            BinOp::BitAnd => x & y,
-            BinOp::BitOr => x | y,
-            BinOp::BitXor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-        };
-        Ok(Value::Int(r))
-    }
-}
-
-fn eval_pure_intrinsic(name: &str, args: &[Value], dtype: DType) -> Result<Value> {
-    let unary = |f: fn(f64) -> f64| -> Result<Value> {
-        Ok(Value::Float(f(args
-            .first()
-            .ok_or_else(|| InterpError::Malformed("missing intrinsic arg".into()))?
-            .as_float()?)))
-    };
-    match name {
-        "exp" => unary(f64::exp),
-        "log" => unary(f64::ln),
-        "sqrt" => unary(f64::sqrt),
-        "tanh" => unary(f64::tanh),
-        "sigmoid" => unary(|x| 1.0 / (1.0 + (-x).exp())),
-        "abs" => {
-            if dtype.is_float() {
-                unary(f64::abs)
-            } else {
-                Ok(Value::Int(args[0].as_int()?.abs()))
-            }
-        }
-        "floor" => unary(f64::floor),
-        "round" => unary(f64::round),
-        "pow" => {
-            let a = args[0].as_float()?;
-            let b = args[1].as_float()?;
-            Ok(Value::Float(a.powf(b)))
-        }
-        "popcount" => Ok(Value::Int(args[0].as_int()?.count_ones() as i64)),
-        other => Err(InterpError::UnknownIntrinsic(other.to_string())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stmt::{MemScope, ThreadTag};
+    use crate::expr::Expr;
+    use crate::stmt::{ForKind, MemScope, Stmt, StmtNode, ThreadTag};
 
     fn f32_func(name: &str, params: Vec<Var>, extents: Vec<usize>, body: Stmt) -> LoweredFunc {
         let n = params.len();
@@ -1332,15 +759,6 @@ mod tests {
         let mut arrays = vec![vec![0.0f32; 2]];
         Interp::new().run_f32(&f, &mut arrays).expect("run ok");
         assert_eq!(arrays[0], vec![6.0, 6.0]);
-    }
-
-    #[test]
-    fn pure_intrinsics() {
-        let mut it = Interp::new();
-        let e = Expr::call("exp", vec![Expr::f32(0.0)], DType::float32());
-        assert_eq!(it.eval(&e).unwrap().as_float().unwrap(), 1.0);
-        let e = Expr::call("popcount", vec![Expr::int(0b1011)], DType::int32());
-        assert_eq!(it.eval(&e).unwrap().as_int().unwrap(), 3);
     }
 
     #[test]

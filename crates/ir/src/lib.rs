@@ -14,9 +14,10 @@
 //! * [`interval`] — conservative integer range analysis;
 //! * [`printer`] — the Python-like pseudo-code printer used in the paper's
 //!   listings;
-//! * [`interp`] — a reference interpreter with faithful GPU barrier
-//!   semantics, used as the correctness oracle for every schedule
-//!   transformation.
+//! * [`interp`] / [`flat`] — the interpreter: one engine, which compiles a
+//!   function to a flat register program and runs it with faithful GPU
+//!   barrier semantics. Its oracle, a tree walker, lives with the other
+//!   oracles in `tvm_verify::reference`.
 
 pub mod dtype;
 pub mod expr;

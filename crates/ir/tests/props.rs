@@ -1,14 +1,16 @@
-//! Property tests on the IR: the simplifier preserves semantics, interval
-//! analysis is sound, and tree rewrites hand back the trees they do not
-//! change.
+//! Property tests on the IR: tree rewrites hand back the trees they do not
+//! change, the simplifier is idempotent, and store rounding is idempotent.
+//! The properties that need a concrete evaluator (the simplifier preserves
+//! semantics, interval analysis is sound) check against the reference
+//! walker in `tvm-verify`.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use tvm_ir::{
-    eval_interval, simplify, simplify_stmt, substitute, substitute_stmt, BinOp, DType, Expr,
-    ForKind, Interp, Interval, MemScope, Mutator, Stmt, StmtNode, Value, Var, VarId,
+    simplify, simplify_stmt, substitute, substitute_stmt, BinOp, DType, Expr, ForKind, MemScope,
+    Mutator, Stmt, StmtNode, Value, Var,
 };
 
 /// A random integer expression over up to three variables.
@@ -78,35 +80,8 @@ fn arb_stmt(vars: Vec<Var>) -> BoxedStrategy<Stmt> {
 struct Identity;
 impl Mutator for Identity {}
 
-fn eval_with(e: &Expr, bindings: &[(Var, i64)]) -> i64 {
-    let mut it = Interp::new();
-    for (v, x) in bindings {
-        it.bind_scalar(v, Value::Int(*x));
-    }
-    it.eval(e).expect("evaluates").as_int().expect("int")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// simplify(e) computes the same value as e for all variable bindings.
-    #[test]
-    fn simplifier_preserves_semantics(
-        seed in any::<u64>(),
-        vals in prop::collection::vec(-9i64..9, 3),
-    ) {
-        let vars = vec![Var::int("a"), Var::int("b"), Var::int("c")];
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        let _ = seed;
-        let e = arb_expr(vars.clone(), 4)
-            .new_tree(&mut runner)
-            .map(|t| t.current())
-            .unwrap_or_else(|_| Expr::int(1));
-        let simplified = simplify(&e);
-        let bindings: Vec<(Var, i64)> =
-            vars.into_iter().zip(vals.iter().copied()).collect();
-        prop_assert_eq!(eval_with(&e, &bindings), eval_with(&simplified, &bindings));
-    }
 
     /// A rewrite that changes nothing returns the tree it was given, not a
     /// copy: the identity mutator and a substitution of an absent variable.
@@ -135,34 +110,6 @@ proptest! {
         let once = simplify_stmt(&s);
         let twice = simplify_stmt(&once);
         prop_assert!(twice.same_as(&once), "{s}\nonce:\n{once}\ntwice:\n{twice}");
-    }
-
-    /// eval_interval is a sound over-approximation: the concrete value of
-    /// the expression always falls inside the computed interval.
-    #[test]
-    fn interval_analysis_is_sound(
-        lo in -10i64..10,
-        width in 0i64..10,
-        at in 0i64..10,
-        vals2 in prop::collection::vec(-9i64..9, 2),
-    ) {
-        let x = Var::int("x");
-        let y = Var::int("y");
-        let z = Var::int("z");
-        // e = (x * c1 + y) and friends via a fixed compound shape.
-        let e = (x.clone() * vals2[0] + y.clone()).max(x.clone() - vals2[1])
-            + (z.clone() % 5);
-        let mut bounds: HashMap<VarId, Interval> = HashMap::new();
-        bounds.insert(x.id(), Interval::new(lo, lo + width));
-        bounds.insert(y.id(), Interval::new(-3, 3));
-        bounds.insert(z.id(), Interval::new(0, 9));
-        let iv = eval_interval(&e, &bounds).expect("analyzable");
-        // Pick a concrete point inside the bounds.
-        let xv = lo + at.min(width);
-        let yv = (vals2[0].rem_euclid(7)) - 3;
-        let zv = at.rem_euclid(10);
-        let got = eval_with(&e, &[(x, xv), (y, yv), (z, zv)]);
-        prop_assert!(iv.min <= got && got <= iv.max, "{got} outside [{}, {}]", iv.min, iv.max);
     }
 
     /// Quantization is idempotent and stays within the type's range.

@@ -186,13 +186,13 @@ impl NDArray {
     }
 }
 
-/// Element count a shape implies; `None` when a dimension is negative
-/// (a corrupt shape must not turn into a giant allocation).
+/// Element count a shape implies; `None` when a dimension is negative or
+/// the count overflows (a corrupt shape must not turn into a giant
+/// allocation, a panic or a count wrapped to something small).
 fn numel_of(shape: &[i64]) -> Option<usize> {
-    if shape.iter().any(|&d| d < 0) {
-        return None;
-    }
-    Some(shape.iter().product::<i64>() as usize)
+    shape
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(usize::try_from(d).ok()?))
 }
 
 /// Moves a kernel's input buffers back into their tensors (a tensor bound
@@ -587,6 +587,20 @@ mod tests {
         assert_eq!(b, NDArray::seeded(&[4, 4], 7));
         assert_ne!(b, NDArray::seeded(&[4, 4], 8));
         assert!(b.data.iter().all(|v| v.abs() <= 0.5));
+    }
+
+    #[test]
+    fn try_new_rejects_a_shape_whose_element_count_overflows() {
+        // 2^32 x 2^32 elements: the count neither panics nor wraps to 0,
+        // which an empty payload would match.
+        for shape in [[1i64 << 32, 1 << 32], [i64::MAX, 3]] {
+            let err = NDArray::try_new(&shape, vec![]).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::DataMismatch { got: 0, .. }),
+                "{shape:?}: {err}"
+            );
+        }
+        assert!(NDArray::try_new(&[0, 1 << 40], vec![]).is_ok());
     }
 
     #[test]

@@ -176,7 +176,6 @@ fn flat_engine_matches_the_walker_on_every_serving_kernel() {
     // GPU-scheduled, on the activations a real inference feeds it: the flat
     // engine the executor runs and the reference tree walker must leave
     // bit-identical buffers and count the same stores.
-    use tvm_ir::{Buffer, Interp};
     use tvm_runtime::NDArray;
     let mut kernels = 0;
     for model in tvm_serve::ALL_MODELS {
@@ -196,24 +195,12 @@ fn flat_engine_matches_the_walker_on_every_serving_kernel() {
                     let mut arrays: Vec<Vec<f32>> =
                         k.args.iter().map(|a| values[&a.0].clone()).collect();
                     arrays.last_mut().expect("output").fill(0.0);
-                    let mut walker = Interp::new();
-                    let want = walker
-                        .run_reference(
-                            &k.func,
-                            arrays.iter().map(|a| Buffer::from_f32(a)).collect(),
-                        )
-                        .unwrap_or_else(|e| panic!("{what}: walker: {e}"));
-                    let mut flat = Interp::new();
-                    flat.run_f32(&k.func, &mut arrays)
-                        .unwrap_or_else(|e| panic!("{what}: flat: {e}"));
-                    for (p, (got, want)) in arrays.iter().zip(&want).enumerate() {
-                        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                        let want: Vec<u32> = want.to_f32().iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(got, want, "{what}: param {p}");
-                    }
-                    assert_eq!(flat.store_count(), walker.store_count(), "{what}");
+                    let run =
+                        tvm_verify::run_both(&k.func, tvm_verify::f32_buffers(arrays), |_| {})
+                            .unwrap_or_else(|diff| panic!("{what}: {diff}"));
+                    run.result.unwrap_or_else(|e| panic!("{what}: {e}"));
                     let out = k.args.last().expect("output").0;
-                    values.insert(out, arrays.pop().expect("output"));
+                    values.insert(out, run.buffers.last().expect("output").to_f32());
                     kernels += 1;
                 }
             }

@@ -9,10 +9,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use tvm_ir::{Buffer, Interp, InterpError, LoweredFunc};
+use tvm_ir::interp::Data;
+use tvm_ir::{Buffer, DType, Interp, InterpError, LoweredFunc};
 use tvm_te::{create_schedule, lower};
 
 use crate::apply::apply_trace;
+use crate::reference::{Engine, Walker};
 use crate::trace::Primitive;
 use crate::workload::{build, input_buffers, WorkloadKind};
 
@@ -89,53 +91,86 @@ pub(crate) fn quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// What both engines made of one run: the arrays after it and the stores
-/// executed, or the fault.
-pub type EngineResult = Result<(Vec<Vec<f32>>, u64), InterpError>;
+/// What both engines agree a run did.
+#[derive(Debug)]
+pub struct Agreed {
+    /// `Ok`, or the fault both raised.
+    pub result: Result<(), InterpError>,
+    /// The parameter buffers after the run, also after a fault.
+    pub buffers: Vec<Buffer>,
+    /// Stores executed.
+    pub stores: u64,
+}
 
-/// Executes `func` on `arrays` in the flat engine (`Interp::run_f32`, what
-/// everything else runs) and in the reference tree walker, and compares:
-/// bit-identical arrays and equal store counts, or the same fault with the
-/// same fields. `Ok` carries the outcome both agree on, `Err` says how they
-/// differ.
-pub fn run_both(func: &LoweredFunc, arrays: Vec<Vec<f32>>) -> Result<EngineResult, String> {
-    let mut walker = Interp::new();
-    let reference = walker
-        .run_reference(func, arrays.iter().map(|a| Buffer::from_f32(a)).collect())
-        .map(|bufs| bufs.iter().map(Buffer::to_f32).collect::<Vec<_>>());
-    let mut flat = Interp::new();
-    let mut got = arrays;
-    let ran = flat.run_f32(func, &mut got);
-    match (ran, reference) {
-        (Ok(()), Ok(want)) => {
-            for (p, (g, w)) in got.iter().zip(&want).enumerate() {
-                let differs = |(a, b): (&f32, &f32)| a.to_bits() != b.to_bits();
-                if g.len() != w.len() {
-                    return Err(format!("param {p}: {} vs {} elements", g.len(), w.len()));
-                }
-                if let Some(i) = g.iter().zip(w).position(differs) {
-                    return Err(format!(
-                        "param {p}[{i}]: flat {:?}, walker {:?}",
-                        g[i], w[i]
-                    ));
-                }
-            }
-            if flat.store_count() != walker.store_count() {
-                return Err(format!(
-                    "stores: flat {}, walker {}",
-                    flat.store_count(),
-                    walker.store_count()
-                ));
-            }
-            Ok(Ok((got, flat.store_count())))
-        }
-        (Err(g), Err(w)) if format!("{g:?}") == format!("{w:?}") => Ok(Err(g)),
-        (g, w) => Err(format!(
-            "flat {:?}, walker {:?}",
-            g.map(|()| "ran"),
-            w.map(|_| "ran")
-        )),
+/// Float32 arrays as buffers held as `f32`, the way the graph executor and
+/// `Interp::run_f32` bind them.
+pub fn f32_buffers(arrays: Vec<Vec<f32>>) -> Vec<Buffer> {
+    arrays
+        .into_iter()
+        .map(|a| Buffer {
+            dtype: DType::float32(),
+            data: Data::F32(a),
+        })
+        .collect()
+}
+
+/// Every element of `b`, as bits.
+fn bits(b: &Buffer) -> Vec<u64> {
+    match &b.data {
+        Data::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        Data::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+        Data::I64(v) => v.iter().map(|&x| x as u64).collect(),
     }
+}
+
+/// Executes `func` on `buffers` in the flat engine (`Interp`, what
+/// everything else runs) and in the reference tree walker, `setup`
+/// preparing each engine first, and compares: the same fault with the same
+/// fields or none, bit-identical buffers after the run (after the fault,
+/// too) and equal store counts. `Ok` carries what both agree on, `Err` says
+/// how they differ. Every flat-vs-walker comparison goes through here.
+pub fn run_both(
+    func: &LoweredFunc,
+    buffers: Vec<Buffer>,
+    setup: impl Fn(&mut dyn Engine),
+) -> Result<Agreed, String> {
+    let (mut flat, mut walker) = (Interp::new(), Walker::default());
+    setup(&mut flat);
+    setup(&mut walker);
+    let mut want = buffers.clone();
+    let walked = walker.run(func, &mut want);
+    let mut got = buffers;
+    let ran = flat.run_in_place(func, &mut got);
+    // The same fault, field for field, or none.
+    if format!("{ran:?}") != format!("{walked:?}") {
+        return Err(format!("flat {ran:?}, walker {walked:?}"));
+    }
+    for (p, (g, w)) in got.iter().zip(&want).enumerate() {
+        let (gb, wb) = (bits(g), bits(w));
+        if gb.len() != wb.len() {
+            return Err(format!("param {p}: {} vs {} elements", gb.len(), wb.len()));
+        }
+        if let Some(i) = (0..gb.len()).find(|&i| gb[i] != wb[i]) {
+            let at = |b: &Buffer| b.get(i as i64, "").expect("in bounds");
+            return Err(format!(
+                "param {p}[{i}]: flat {:?}, walker {:?}",
+                at(g),
+                at(w)
+            ));
+        }
+    }
+    if flat.store_count() != walker.stores {
+        return Err(format!(
+            "stores: flat {}, walker {}",
+            flat.store_count(),
+            walker.stores
+        ));
+    }
+    Ok(Agreed {
+        result: ran,
+        buffers: got,
+        stores: flat.store_count(),
+    })
 }
 
 /// Runs the naive (primitive-free) lowering of a workload on seeded inputs
@@ -165,10 +200,12 @@ pub fn run_case(kind: WorkloadKind, seed: u64, trace: &[Primitive]) -> Outcome {
             .map_err(|e| Outcome::Invalid(e.to_string()))?;
         // Every scheduled program also checks the flat engine against the
         // walker, so a fuzzing run is a parity run on the same seeds.
-        let (mut bufs, _) = run_both(&f, input_buffers(&w, seed))
-            .map_err(|diff| Outcome::ExecError(format!("engines disagree: {diff}")))?
+        let mut agreed = run_both(&f, f32_buffers(input_buffers(&w, seed)), |_| {})
+            .map_err(|diff| Outcome::ExecError(format!("engines disagree: {diff}")))?;
+        agreed
+            .result
             .map_err(|e| Outcome::ExecError(e.to_string()))?;
-        Ok(bufs.pop().expect("output buffer"))
+        Ok(agreed.buffers.pop().expect("output buffer").to_f32())
     });
     let got = match scheduled {
         Ok(Ok(got)) => got,

@@ -36,6 +36,7 @@ pub mod graph_lint;
 pub mod graph_oracle;
 pub mod lint;
 pub mod props;
+pub mod reference;
 pub mod repro;
 pub mod shrink;
 pub mod static_oracle;
@@ -46,7 +47,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 pub use apply::{apply_one, apply_trace};
-pub use diff::{run_both, run_case, run_naive, EngineResult, Outcome, TOLERANCE};
+pub use diff::{f32_buffers, run_both, run_case, run_naive, Agreed, Outcome, TOLERANCE};
 pub use generate::generate;
 pub use graph_lint::{graph_lint, graph_lint_filtered, GraphLintResult};
 pub use graph_oracle::{check_graph_static, GraphOracleStats};

@@ -8,8 +8,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use tvm_graph::{fuse, plan_memory, Graph, OpType};
-use tvm_ir::{simplify, BinOp, Expr, Interp, Value, Var};
+use tvm_ir::{simplify, BinOp, Expr, Var};
 use tvm_topi::Conv2dWorkload;
+
+use crate::reference::eval_int;
 
 /// Builds a random integer expression over `vars` with the given depth.
 fn random_expr(vars: &[Var], depth: u32, rng: &mut StdRng) -> Expr {
@@ -40,17 +42,6 @@ fn random_expr(vars: &[Var], depth: u32, rng: &mut StdRng) -> Expr {
     }
 }
 
-fn eval_with(e: &Expr, bindings: &[(Var, i64)]) -> Result<i64, String> {
-    let mut it = Interp::new();
-    for (v, x) in bindings {
-        it.bind_scalar(v, Value::Int(*x));
-    }
-    it.eval(e)
-        .map_err(|err| err.to_string())?
-        .as_int()
-        .map_err(|err| err.to_string())
-}
-
 /// Checks `simplify(e) == e` under random bindings for `cases` random
 /// expressions. Returns a description of the first counterexample.
 pub fn check_simplify(seed: u64, cases: usize) -> Result<(), String> {
@@ -64,8 +55,8 @@ pub fn check_simplify(seed: u64, cases: usize) -> Result<(), String> {
                 .iter()
                 .map(|v| (v.clone(), rng.random_range(-9i64..9)))
                 .collect();
-            let want = eval_with(&e, &bindings)?;
-            let got = eval_with(&s, &bindings)?;
+            let want = eval_int(&e, &bindings).map_err(|err| err.to_string())?;
+            let got = eval_int(&s, &bindings).map_err(|err| err.to_string())?;
             if got != want {
                 return Err(format!(
                     "case {case}: simplify changed semantics ({want} -> {got}) for {e:?} \

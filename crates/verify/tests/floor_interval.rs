@@ -8,9 +8,9 @@
 use std::collections::HashMap;
 
 use tvm_ir::{
-    eval_interval, floor_div, floor_mod, prove_cmp, simplify, CmpOp, Expr, Interp, Interval, Value,
-    Var, VarId,
+    eval_interval, floor_div, floor_mod, prove_cmp, simplify, CmpOp, Expr, Interval, Var, VarId,
 };
+use tvm_verify::reference::eval_int;
 
 #[test]
 fn euclidean_identity_all_sign_cases() {
@@ -57,8 +57,9 @@ fn floor_div_is_monotone_in_the_dividend() {
 
 #[test]
 fn simplifier_and_interpreter_agree_with_floor_semantics() {
-    // Constant folding in `simplify` and evaluation in `Interp` must both
-    // implement the same floor semantics as the reference functions.
+    // Constant folding in `simplify` and evaluation in the reference walker
+    // must both implement the same floor semantics as the reference
+    // functions.
     for a in -20i64..=20 {
         for b in (-6i64..=6).filter(|&b| b != 0) {
             let div = Expr::int(a) / Expr::int(b);
@@ -73,9 +74,8 @@ fn simplifier_and_interpreter_agree_with_floor_semantics() {
                 Some(floor_mod(a, b)),
                 "simplify({a} % {b})"
             );
-            let mut it = Interp::new();
-            assert_eq!(it.eval(&div).unwrap(), Value::Int(floor_div(a, b)));
-            assert_eq!(it.eval(&md).unwrap(), Value::Int(floor_mod(a, b)));
+            assert_eq!(eval_int(&div, &[]).unwrap(), floor_div(a, b));
+            assert_eq!(eval_int(&md, &[]).unwrap(), floor_mod(a, b));
         }
     }
 }
@@ -89,13 +89,6 @@ fn small_intervals(lo: i64, hi: i64) -> Vec<Interval> {
         }
     }
     v
-}
-
-fn eval_at(e: &Expr, x: &Var, xv: i64, y: &Var, yv: i64) -> i64 {
-    let mut it = Interp::new();
-    it.bind_scalar(x, Value::Int(xv));
-    it.bind_scalar(y, Value::Int(yv));
-    it.eval(e).expect("evaluates").as_int().expect("integer")
 }
 
 #[test]
@@ -126,7 +119,8 @@ fn interval_analysis_is_sound_on_every_small_range() {
                 };
                 for xv in ix.min..=ix.max {
                     for yv in iy.min..=iy.max {
-                        let got = eval_at(e, &x, xv, &y, yv);
+                        let got =
+                            eval_int(e, &[(x.clone(), xv), (y.clone(), yv)]).expect("evaluates");
                         assert!(
                             iv.min <= got && got <= iv.max,
                             "{name}: value {got} at (x={xv}, y={yv}) escapes \

@@ -1,8 +1,9 @@
 //! Edge-case tests for the interpreter: error reporting, type quantization
 //! on stores, predicated access, hardware intrinsics and GPU phasing corner
-//! cases. Every program runs through the flat engine (`Interp::run`) and
-//! through the reference walker (`Interp::run_reference`), which must agree
-//! on every buffer bit, on the store count, and on the fault and its fields.
+//! cases. Every program runs through [`run_both`]: the flat engine
+//! (`Interp`) and the reference walker must agree on every buffer bit, on
+//! the store count, and on the fault, its fields and what was stored before
+//! it.
 
 use std::collections::HashMap;
 
@@ -11,6 +12,8 @@ use tvm_ir::{
     Buffer, DType, Expr, ExprNode, ForKind, Interp, InterpError, LoweredFunc, MemScope, MemState,
     Program, Stmt, StmtNode, Storage, ThreadTag, Value, Var,
 };
+use tvm_verify::reference::{eval_int, Engine};
+use tvm_verify::{f32_buffers, run_both, Agreed};
 
 fn func(params: Vec<Var>, dtypes: Vec<DType>, extents: Vec<usize>, body: Stmt) -> LoweredFunc {
     LoweredFunc {
@@ -22,54 +25,19 @@ fn func(params: Vec<Var>, dtypes: Vec<DType>, extents: Vec<usize>, body: Stmt) -
     }
 }
 
-fn bits(b: &Buffer) -> Vec<u64> {
-    match &b.data {
-        Data::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-        Data::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
-        Data::I64(v) => v.iter().map(|&x| x as u64).collect(),
-    }
+/// What both engines agree running `f` on `bufs` does, `setup` preparing
+/// each; panics where they differ.
+fn agreed(f: &LoweredFunc, bufs: Vec<Buffer>, setup: impl Fn(&mut dyn Engine)) -> Agreed {
+    run_both(f, bufs, setup).unwrap_or_else(|diff| panic!("{diff}\n{}", f.body))
 }
 
-/// Runs `f` on `bufs` in both engines, `setup` preparing each interpreter,
-/// and returns the outcome they agree on.
-fn both_with(
-    f: &LoweredFunc,
-    bufs: Vec<Buffer>,
-    setup: impl Fn(&mut Interp),
-) -> Result<Vec<Buffer>, InterpError> {
-    let (mut flat, mut walker) = (Interp::new(), Interp::new());
-    setup(&mut flat);
-    setup(&mut walker);
-    let got = flat.run(f, bufs.clone());
-    let want = walker.run_reference(f, bufs);
-    match (&got, &want) {
-        (Ok(g), Ok(w)) => {
-            assert_eq!(g.len(), w.len());
-            for (p, (g, w)) in g.iter().zip(w).enumerate() {
-                assert_eq!(g.dtype, w.dtype, "param {p}");
-                assert_eq!(bits(g), bits(w), "param {p}\n{}", f.body);
-            }
-            assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
-        }
-        (Err(g), Err(w)) => {
-            assert_eq!(format!("{g:?}"), format!("{w:?}"));
-            assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
-        }
-        _ => panic!(
-            "flat {:?}, walker {:?}\n{}",
-            got.as_ref().map(|_| "ran"),
-            want.as_ref().map(|_| "ran"),
-            f.body
-        ),
-    }
-    got
-}
-
+/// The buffers both engines leave, or the fault both raise.
 fn both(f: &LoweredFunc, bufs: Vec<Buffer>) -> Result<Vec<Buffer>, InterpError> {
-    both_with(f, bufs, |_| {})
+    let run = agreed(f, bufs, |_| {});
+    run.result.map(|()| run.buffers)
 }
 
-/// `both` on float32 arrays.
+/// `both` on float32 arrays, held as `f64` (`Buffer::from_f32`).
 fn both_f32(f: &LoweredFunc, arrays: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, InterpError> {
     let bufs = arrays.iter().map(|a| Buffer::from_f32(a)).collect();
     both(f, bufs).map(|out| out.iter().map(Buffer::to_f32).collect())
@@ -416,13 +384,8 @@ fn let_bound_before_a_barrier_keeps_its_value_in_the_flat_engine() {
     let mut flat = vec![vec![5.0f32], vec![0.0; 2]];
     Interp::new().run_f32(&f, &mut flat).expect("runs");
     assert_eq!(flat[1], vec![5.0, 5.0]);
-    let walker = Interp::new()
-        .run_reference(
-            &f,
-            vec![Buffer::from_f32(&[5.0]), Buffer::from_f32(&[0.0; 2])],
-        )
-        .expect("runs");
-    assert_eq!(walker[1].to_f32(), vec![5.0, 9.0]);
+    let diff = run_both(&f, f32_buffers(vec![vec![5.0], vec![0.0; 2]]), |_| {}).unwrap_err();
+    assert_eq!(diff, "param 1[1]: flat Float(5.0), walker Float(9.0)");
 }
 
 #[test]
@@ -464,7 +427,7 @@ fn hardware_intrinsic_writes_through_a_handle() {
             Stmt::seq(vec![Stmt::evaluate(call), copy]),
         ),
     );
-    let setup = |it: &mut Interp| {
+    let setup = |it: &mut dyn Engine| {
         it.register_hw(
             "fill",
             Box::new(|args: &[Value], mem: &mut MemState| {
@@ -481,7 +444,9 @@ fn hardware_intrinsic_writes_through_a_handle() {
         );
     };
     let f = f32_func(vec![out], vec![6], body);
-    let got = both_with(&f, vec![Buffer::from_f32(&[0.0; 6])], setup).expect("runs")[0].to_f32();
+    let run = agreed(&f, vec![Buffer::from_f32(&[0.0; 6])], setup);
+    run.result.expect("runs");
+    let got = run.buffers[0].to_f32();
     assert_eq!(got, vec![0.0, 1.0, 1.0, 0.0, 2.0, 2.0]);
     // Without the handler both engines name the intrinsic.
     let err = both(&f, vec![Buffer::from_f32(&[0.0; 6])]).unwrap_err();
@@ -490,18 +455,17 @@ fn hardware_intrinsic_writes_through_a_handle() {
 
 #[test]
 fn scalar_bindings_reach_expressions_and_programs() {
-    let mut it = Interp::new();
     let x = Var::int("x");
-    it.bind_scalar(&x, Value::Int(21));
-    let v = it.eval(&(x.clone() * 2)).expect("evaluates");
-    assert_eq!(v.as_int().expect("int"), 42);
+    let v = eval_int(&(x.clone() * 2), &[(x.clone(), 21)]).expect("evaluates");
+    assert_eq!(v, 42);
     // ... and a run sees the binding as a constant.
     let out = Var::new("O", DType::float32());
     let body = Stmt::store(&out, Expr::int(0), (x.clone() * 2).cast(DType::float32()));
     let f = f32_func(vec![out], vec![1], body);
-    let bind = |it: &mut Interp| it.bind_scalar(&x, Value::Int(21));
-    let got = both_with(&f, vec![Buffer::from_f32(&[0.0])], bind).expect("runs");
-    assert_eq!(got[0].to_f32(), vec![42.0]);
+    let bind = |it: &mut dyn Engine| it.bind_scalar(&x, Value::Int(21));
+    let run = agreed(&f, vec![Buffer::from_f32(&[0.0])], bind);
+    run.result.expect("runs");
+    assert_eq!(run.buffers[0].to_f32(), vec![42.0]);
 }
 
 #[test]
@@ -597,25 +561,17 @@ fn stores_f32(f: &LoweredFunc, arrays: &[Vec<f32>]) -> u64 {
     it.store_count()
 }
 
-/// Runs `f`, which must fault, in both engines on float32 `arrays`. They
-/// must raise the same fault after the same stores and leave the same
-/// contents; returns the fault, the store count and the contents.
-fn fault_f32(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Vec<f32>>) {
-    let mut flat = Interp::new();
-    let mut got = arrays.to_vec();
-    let err = flat.run_f32(f, &mut got).expect_err("faults");
-    let mut walker = Interp::new();
-    let bufs = arrays.iter().map(|a| Buffer::from_f32(a)).collect();
-    let want = walker.run_reference(f, bufs).expect_err("faults");
-    assert_eq!(format!("{err:?}"), format!("{want:?}"));
-    assert_eq!(flat.store_count(), walker.store_count(), "{}", f.body);
-    let left: Vec<Vec<f32>> = f
-        .params
-        .iter()
-        .map(|p| walker.mem.get(p.id()).expect("bound").to_f32())
-        .collect();
-    assert_eq!(got, left, "{}", f.body);
-    (err, flat.store_count(), got)
+/// Runs `f`, which must fault, in both engines on float32 `arrays` held
+/// as `f32`; returns the fault, the stores made before it and the contents
+/// it left, which both engines agree on.
+fn held_fault(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Vec<f32>>) {
+    let run = agreed(f, f32_buffers(arrays.to_vec()), |_| {});
+    let err = run.result.expect_err("faults");
+    (
+        err,
+        run.stores,
+        run.buffers.iter().map(Buffer::to_f32).collect(),
+    )
 }
 
 #[test]
@@ -679,7 +635,7 @@ fn out_of_bounds_read_at_lane_five_stores_lanes_zero_to_four() {
     );
     let f = f32_func(vec![a, o], vec![5, 8], body);
     assert_eq!(lane_loops_f32(&f), 1);
-    let (err, stores, left) = fault_f32(&f, &[vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![0.0; 8]]);
+    let (err, stores, left) = held_fault(&f, &[vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![0.0; 8]]);
     match err {
         InterpError::OutOfBounds {
             buffer,
@@ -858,35 +814,14 @@ fn checked_division_faults_only_on_a_lane_that_runs_it() {
 // loop and that both engines still agree.
 // ---------------------------------------------------------------------------
 
-/// Float32 arrays held as `f32`, as the graph executor binds them.
-fn held_f32(arrays: &[Vec<f32>]) -> Vec<Buffer> {
-    arrays
-        .iter()
-        .map(|a| Buffer {
-            dtype: DType::float32(),
-            data: Data::F32(a.clone()),
-        })
-        .collect()
-}
-
 fn reduce_loops_f32(f: &LoweredFunc) -> usize {
     Program::compile_f32(f).reduce_loops()
 }
 
-/// [`both_with`] on float32 arrays held as `f32`.
+/// `both` on float32 arrays held as `f32`.
 fn both_held(f: &LoweredFunc, arrays: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    let got = both_with(f, held_f32(arrays), |_| {}).expect("runs");
+    let got = both(f, f32_buffers(arrays.to_vec())).expect("runs");
     got.iter().map(Buffer::to_f32).collect()
-}
-
-/// Runs `f`, which must fault, on float32 `arrays` through [`both_with`]
-/// (held as `f32`) and [`fault_f32`]: the same fault after the same stores,
-/// leaving the same contents. Returns what [`fault_f32`] does.
-fn held_fault(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Vec<f32>>) {
-    let err = both_with(f, held_f32(arrays), |_| {}).expect_err("faults");
-    let fault = fault_f32(f, arrays);
-    assert_eq!(format!("{err:?}"), format!("{:?}", fault.0));
-    fault
 }
 
 /// `S[at] = S[at] + X[xi] * Y[yi]`.
@@ -1100,7 +1035,7 @@ fn f16_f64_and_i64_accumulators_stay_scalar() {
             vec![4, 4, 1],
             body,
         );
-        let mut bufs = held_f32(&[vec![0.3, 1.1, -2.5, 7.0], vec![1.0 / 3.0; 4]]);
+        let mut bufs = f32_buffers(vec![vec![0.3, 1.1, -2.5, 7.0], vec![1.0 / 3.0; 4]]);
         bufs.push(Buffer { dtype, data });
         assert_eq!(program(&f, &bufs).reduce_loops(), 0, "{dtype:?}");
         both(&f, bufs).expect("runs");

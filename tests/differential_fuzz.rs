@@ -124,7 +124,7 @@ fn property_checks_hold_under_the_ci_seed() {
 use tvm_ir::{Expr, ForKind, LoweredFunc, Mutator, Stmt, StmtNode};
 use tvm_runtime::NDArray;
 use tvm_sim::{arm_a53, mali_t860, titanx, Target};
-use tvm_verify::{apply_trace, build, case_seed, generate, input_buffers, run_both};
+use tvm_verify::{apply_trace, build, case_seed, f32_buffers, generate, input_buffers, run_both};
 
 #[test]
 fn flat_engine_matches_the_walker_on_the_pinned_traces() {
@@ -141,10 +141,11 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         let mut s = tvm_te::create_schedule(std::slice::from_ref(&w.output));
         apply_trace(&mut s, &trace).expect("pinned traces apply");
         let f = tvm_te::lower(&s, &w.args, &format!("{kind}_parity")).expect("pinned traces lower");
-        let outcome = run_both(&f, input_buffers(&w, seed))
+        let run = run_both(&f, f32_buffers(input_buffers(&w, seed)), |_| {})
             .unwrap_or_else(|diff| panic!("{kind} case {case}: {diff}\n{}", f.body));
-        let (_, stores) = outcome.unwrap_or_else(|e| panic!("{kind} case {case}: {e}"));
-        assert!(stores > 0);
+        run.result
+            .unwrap_or_else(|e| panic!("{kind} case {case}: {e}"));
+        assert!(run.stores > 0);
         compared += 1;
         let program = tvm_ir::Program::compile_f32(&f);
         lane_loops += program.lane_loops();
@@ -246,10 +247,10 @@ fn kernels_agree(name: &str, graph: &tvm_graph::Graph, target: &Target, full_bel
                 ..k.func.clone()
             }
         };
-        let (_, stores) = run_both(&func, arrays(&func))
-            .unwrap_or_else(|diff| panic!("{what}: {diff}"))
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert!(stores > 0, "{what}: nothing stored");
+        let run = run_both(&func, f32_buffers(arrays(&func)), |_| {})
+            .unwrap_or_else(|diff| panic!("{what}: {diff}"));
+        run.result.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(run.stores > 0, "{what}: nothing stored");
     }
     cut
 }
