@@ -151,6 +151,12 @@ pub struct TrialRecord {
 }
 
 /// Work counters of one tuning run (cache effectiveness / throughput).
+///
+/// Every field counts this run alone, and nothing copies it into the
+/// process-global `tvm-obs` registry, which would sum concurrent runs. The
+/// process-wide lowering and analysis counts ([`tvm_te::lower_stats`],
+/// [`tvm_sim::analysis::analyze_calls`]) are read around a run by whoever
+/// needs them.
 #[derive(Clone, Debug, Default)]
 pub struct TuneStats {
     /// Template-builder invocations (lowerings actually performed).
@@ -160,18 +166,7 @@ pub struct TuneStats {
     /// Config lookups served (measurements + explorer scorings); lookups
     /// minus lowerings = memo-cache hits.
     pub lookups: usize,
-    /// Incremental-lowering plan-cache hits during this run (delta of the
-    /// process-wide [`tvm_te::lower_stats`] counters; concurrent runs in
-    /// one process each see the sum of all activity in their window).
-    pub plan_hits: u64,
-    /// Plan-cache misses (full plans built) during this run.
-    pub plan_misses: u64,
-    /// `tvm_sim::analyze` calls during this run (delta of
-    /// [`tvm_sim::analysis::analyze_calls`]): one per candidate whose
-    /// lowering produced a function, with or without a device pool.
-    pub analyses: u64,
-    /// Contended lock acquisitions observed during this run (measurement
-    /// memo cache + plan caches).
+    /// Contended acquisitions of this run's measurement memo-cache lock.
     pub lock_waits: u64,
     /// Nanoseconds spent waiting on those contended locks.
     pub lock_wait_ns: u64,
@@ -312,7 +307,6 @@ impl<'a> MeasureCache<'a> {
         let ns = start.elapsed().as_nanos() as u64;
         self.lock_waits.fetch_add(1, Ordering::Relaxed);
         self.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        tvm_obs::lock_wait("measure_cache", ns);
         g
     }
 
@@ -517,10 +511,6 @@ pub fn tune_with(
     let mut cache = MeasureCache::new(task);
     let pool_before: Option<PoolStats> = pool.as_ref().map(|t| t.pool_stats().clone());
     cache.pool = pool.map(Mutex::new);
-    // Process-wide counters: deltas over the run attribute plan-cache
-    // behavior and analyses to this run's stats.
-    let lower_before = tvm_te::lower_stats();
-    let analyses_before = tvm_sim::analysis::analyze_calls();
 
     // Effective options: `warm_start` may be filled from the journal's
     // nearest neighbor below.
@@ -637,63 +627,13 @@ pub fn tune_with(
         stats: cache.stats(),
         work: std::mem::take(cache.work.get_mut().unwrap_or_else(|e| e.into_inner())),
     };
-    let lower_after = tvm_te::lower_stats();
-    result.stats.plan_hits = lower_after.plan_hits.saturating_sub(lower_before.plan_hits);
-    result.stats.plan_misses = lower_after
-        .plan_misses
-        .saturating_sub(lower_before.plan_misses);
-    result.stats.analyses = tvm_sim::analysis::analyze_calls().saturating_sub(analyses_before);
-    result.stats.lock_waits += lower_after
-        .lock_waits
-        .saturating_sub(lower_before.lock_waits);
-    result.stats.lock_wait_ns += lower_after
-        .lock_wait_ns
-        .saturating_sub(lower_before.lock_wait_ns);
     if let Some(m) = cache.pool.take() {
         let tracker: &mut Tracker = m.into_inner().unwrap_or_else(|e| e.into_inner());
         let before = pool_before.unwrap_or_default();
         result.stats.pool = tracker.pool_stats().minus(&before);
         result.stats.device_health = tracker.health();
     }
-    publish_stats(&task.name, &result);
     Ok(result)
-}
-
-/// Folds one run's [`TuneStats`] into the global `tvm-obs` registry:
-/// work counters accumulate across runs, per-device health lands as
-/// gauges keyed by task. No-ops when observability is disabled.
-fn publish_stats(task: &str, result: &TuneResult) {
-    if !tvm_obs::enabled() {
-        return;
-    }
-    let s = &result.stats;
-    tvm_obs::counter_add("autotune.trials", result.history.len() as u64);
-    tvm_obs::counter_add("autotune.lowerings", s.lowerings as u64);
-    tvm_obs::counter_add("autotune.simulations", s.simulations as u64);
-    tvm_obs::counter_add("autotune.lookups", s.lookups as u64);
-    tvm_obs::counter_add(
-        "autotune.cache_hits",
-        s.lookups.saturating_sub(s.lowerings) as u64,
-    );
-    tvm_obs::counter_add("autotune.plan_hits", s.plan_hits);
-    tvm_obs::counter_add("autotune.plan_misses", s.plan_misses);
-    tvm_obs::counter_add("autotune.analyses", s.analyses);
-    tvm_obs::counter_add("autotune.lock_waits", s.lock_waits);
-    tvm_obs::counter_add("autotune.lock_wait_ns", s.lock_wait_ns);
-    tvm_obs::counter_add("autotune.pool.attempts", s.pool.attempts as u64);
-    tvm_obs::counter_add("autotune.pool.retries", s.pool.retries as u64);
-    tvm_obs::counter_add("autotune.pool.timeouts", s.pool.timeouts as u64);
-    tvm_obs::counter_add("autotune.pool.quarantines", s.pool.quarantines as u64);
-    tvm_obs::counter_add("autotune.pool.failed_jobs", s.pool.failed_jobs as u64);
-    tvm_obs::gauge_set(&format!("autotune.{task}.best_ms"), result.best_ms);
-    for (i, d) in result.stats.device_health.iter().enumerate() {
-        let rate = if d.attempts > 0 {
-            (d.attempts - d.failures) as f64 / d.attempts as f64
-        } else {
-            1.0
-        };
-        tvm_obs::gauge_set(&format!("autotune.{task}.device{i}.success_rate"), rate);
-    }
 }
 
 /// The online cost model (§5.2): a GBT ensemble over the features of every

@@ -2,14 +2,13 @@
 //! limits check, the feature vector, the simulated cost of a measured trial
 //! and the predefined model's score all read the one `ProgramAnalysis` made
 //! when the candidate was lowered. Counted with the process-wide
-//! `tvm_sim::analysis::analyze_calls`, which the tuner reports per run as
-//! `TuneStats::analyses` and publishes as the `autotune.analyses` counter.
+//! `tvm_sim::analysis::analyze_calls`, read before and after each run.
 //! The device pool adds none: it schedules the cost its caller hands it, and
 //! its "upload a module" convenience costs each function once per job,
 //! whatever the fleet then does to the attempts.
 //!
-//! Lives in its own test binary, and its tests take one lock: the count and
-//! the obs registry are process-global.
+//! Lives in its own test binary, and its tests take one lock: the count is
+//! process-global.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -203,13 +202,12 @@ fn a_search_analyzes_each_lowered_candidate_exactly_once() {
             for (threads, pooled) in [(1usize, false), (4, false), (4, true)] {
                 let (task, analyzed) = counting(make());
                 let mut tracker = Tracker::new(vec![task.target.clone(); 3]);
-                tvm_obs::Registry::global().reset();
-                tvm_obs::set_enabled(true);
+                let before = analyze_calls();
                 let r = with_threads(threads, || {
                     tune_with(&task, &opts, kind, pooled.then_some(&mut tracker), None)
                         .expect("tunes")
                 });
-                tvm_obs::set_enabled(false);
+                let analyses = analyze_calls() - before;
                 let what = format!(
                     "{} / {kind:?} / {threads} workers / pooled {pooled}",
                     task.name
@@ -221,12 +219,7 @@ fn a_search_analyzes_each_lowered_candidate_exactly_once() {
                 // and measured some: every one of those paths is covered.
                 assert!(analyzed > r.stats.simulations as u64, "{what}");
                 assert!(r.stats.simulations > 0, "{what}");
-                assert_eq!(r.stats.analyses, analyzed, "{what}");
-                assert_eq!(
-                    tvm_obs::counter_get("autotune.analyses"),
-                    analyzed,
-                    "{what}"
-                );
+                assert_eq!(analyses, analyzed, "{what}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Tuner telemetry: with observability enabled, a tuning run publishes
-//! phase spans and work counters into the global `tvm-obs` registry —
-//! and the published counters agree with the run's own `TuneStats`.
+//! phase spans into the global `tvm-obs` registry. Its work counters are
+//! not published: they live in the run's own `TuneStats`, which a
+//! process-global registry could only sum across concurrent runs.
 //!
 //! Lives in its own test binary: the obs registry is process-global.
 
@@ -40,7 +41,7 @@ fn synthetic_task() -> TuningTask {
 }
 
 #[test]
-fn tuning_publishes_spans_and_counters() {
+fn tuning_publishes_spans() {
     tvm_obs::Registry::global().reset();
     tvm_obs::set_enabled(true);
     let opts = TuneOptions {
@@ -74,25 +75,8 @@ fn tuning_publishes_spans_and_counters() {
     let fit_ev = events.iter().find(|e| e.name() == "fit").expect("fit span");
     assert!(fit_ev.path.contains("tune"), "{}", fit_ev.path);
 
-    // Counters mirror the run's own stats exactly (single run, fresh
-    // registry).
-    let counters = tvm_obs::Registry::global().counters();
-    let get = |k: &str| *counters.get(k).unwrap_or(&0);
-    assert_eq!(get("autotune.trials"), result.history.len() as u64);
-    assert_eq!(get("autotune.lowerings"), result.stats.lowerings as u64);
-    assert_eq!(get("autotune.simulations"), result.stats.simulations as u64);
-    assert_eq!(get("autotune.lookups"), result.stats.lookups as u64);
-    assert_eq!(
-        get("autotune.cache_hits"),
-        (result.stats.lookups - result.stats.lowerings) as u64
-    );
-    // The memo cache is doing real work: lookups exceed lowerings.
+    // The run's counts are in its report and nowhere else.
     assert!(result.stats.lookups > result.stats.lowerings);
-
-    // Best-cost gauge.
-    let gauges = tvm_obs::Registry::global().gauges();
-    let best = gauges
-        .get("autotune.telemetry_copy.best_ms")
-        .expect("best gauge");
-    assert_eq!(*best, result.best_ms);
+    let counters = tvm_obs::Registry::global().counters();
+    assert!(counters.is_empty(), "{counters:?}");
 }

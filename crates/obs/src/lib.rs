@@ -1,17 +1,23 @@
-//! `tvm-obs` — the observability layer: hierarchical timed spans, counters
-//! and gauges behind a thread-safe registry, with two exporters (a
+//! `tvm-obs` — the observability layer: hierarchical timed spans and
+//! counters behind a thread-safe registry, with two exporters (a
 //! human-readable span tree and Chrome `trace_event` JSON).
 //!
-//! Every layer of the stack reports into this crate: `te::lower` times its
-//! passes, the graph executor times kernels, and the autotuner
-//! publishes phase timings and cache counters. The crate is deliberately
-//! **zero-dependency** (std only) so it can sit below everything else
-//! without cycles, and recording is designed so that a *disabled* registry
-//! costs one relaxed atomic load per call site — hot paths stay hot.
+//! Every layer of the stack reports spans into this crate: `te::lower`
+//! times its passes, the graph executor times kernels, the autotuner times
+//! its phases and the serving engine its requests. Counters are only for
+//! what nothing else owns (the executor's `runtime.*` counts): a per-run
+//! count lives in its run's report (`TuneStats`, `ServiceStats`) and is not
+//! copied here, because one process-global registry sums every concurrent
+//! tuner or service.
+//!
+//! The crate is deliberately **zero-dependency** (std only) so it can sit
+//! below everything else without cycles, and recording is designed so that
+//! a *disabled* registry costs one relaxed atomic load per call site — hot
+//! paths stay hot.
 //!
 //! Ordering is deterministic: every span carries a global begin sequence
 //! number, sibling spans in the tree summary are ordered by first
-//! appearance, and counters/gauges live in sorted maps — so two runs of a
+//! appearance, and counters live in a sorted map — so two runs of a
 //! deterministic program produce identically *shaped* reports (wall-clock
 //! durations naturally vary). Worker threads from the vendored rayon
 //! stand-in record concurrently; each thread keeps its own span stack, so
@@ -70,7 +76,6 @@ impl SpanEvent {
 struct State {
     events: Vec<SpanEvent>,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     dropped: u64,
 }
 
@@ -177,15 +182,6 @@ impl Registry {
         st.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets a named gauge to a value (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut st = self.state.lock().expect("obs state");
-        st.gauges.insert(name.to_string(), value);
-    }
-
     /// Snapshot of all recorded span events, sorted by begin sequence.
     pub fn events(&self) -> Vec<SpanEvent> {
         let st = self.state.lock().expect("obs state");
@@ -199,17 +195,12 @@ impl Registry {
         self.state.lock().expect("obs state").counters.clone()
     }
 
-    /// Snapshot of the gauges.
-    pub fn gauges(&self) -> BTreeMap<String, f64> {
-        self.state.lock().expect("obs state").gauges.clone()
-    }
-
     /// Events dropped because the buffer hit [`MAX_EVENTS`].
     pub fn dropped(&self) -> u64 {
         self.state.lock().expect("obs state").dropped
     }
 
-    /// Clears all recorded events, counters and gauges (the enabled flag
+    /// Clears all recorded events and counters (the enabled flag
     /// is untouched).
     pub fn reset(&self) {
         let mut st = self.state.lock().expect("obs state");
@@ -303,8 +294,8 @@ impl Registry {
 
     /// Chrome `trace_event` JSON (load in `chrome://tracing` or Perfetto):
     /// every span becomes a complete (`"ph":"X"`) event with microsecond
-    /// timestamps, counters become `"ph":"C"` events, gauges land in
-    /// process metadata. The output is one self-contained JSON object.
+    /// timestamps, counters become `"ph":"C"` events. The output is one
+    /// self-contained JSON object.
     pub fn chrome_trace(&self) -> String {
         let events = self.events();
         let st = self.state.lock().expect("obs state");
@@ -350,17 +341,6 @@ impl Registry {
             );
         }
         for (name, v) in &st.counters {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{last_ts:.3},\"name\":{},\
-                     \"args\":{{\"value\":{v}}}}}",
-                    json_str(name),
-                ),
-            );
-        }
-        for (name, v) in &st.gauges {
-            let v = if v.is_finite() { *v } else { -1.0 };
             push(
                 &mut out,
                 format!(
@@ -477,12 +457,6 @@ pub fn counter_get(name: &str) -> u64 {
     Registry::global().counter_get(name)
 }
 
-/// Sets a gauge on the global registry.
-#[inline]
-pub fn gauge_set(name: &str, value: f64) {
-    Registry::global().gauge_set(name, value);
-}
-
 /// Whether the global registry is recording.
 #[inline]
 pub fn enabled() -> bool {
@@ -492,18 +466,6 @@ pub fn enabled() -> bool {
 /// Enables/disables the global registry.
 pub fn set_enabled(on: bool) {
     Registry::global().set_enabled(on);
-}
-
-/// Records one lock acquisition that had to wait: bumps
-/// `lock_waits.{name}` and `lock_wait_ns.{name}`. No-op (and allocation
-/// free) when the registry is disabled or the wait was zero.
-#[inline]
-pub fn lock_wait(name: &str, wait_ns: u64) {
-    if wait_ns == 0 || !Registry::global().enabled() {
-        return;
-    }
-    counter_add(&format!("lock_waits.{name}"), 1);
-    counter_add(&format!("lock_wait_ns.{name}"), wait_ns);
 }
 
 #[cfg(test)]
@@ -519,10 +481,8 @@ mod tests {
             assert!(!s.is_recording());
         }
         reg.counter_add("c", 3);
-        reg.gauge_set("g", 1.5);
         assert!(reg.events().is_empty());
         assert!(reg.counters().is_empty());
-        assert!(reg.gauges().is_empty());
     }
 
     #[test]
@@ -556,15 +516,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_aggregate() {
+    fn counters_aggregate() {
         let reg = Registry::new();
         reg.set_enabled(true);
         reg.counter_add("lowerings", 2);
         reg.counter_add("lowerings", 3);
-        reg.gauge_set("health", 0.5);
-        reg.gauge_set("health", 0.75);
         assert_eq!(reg.counters()["lowerings"], 5);
-        assert_eq!(reg.gauges()["health"], 0.75);
         reg.reset();
         assert!(reg.counters().is_empty());
     }
@@ -614,15 +571,14 @@ mod tests {
             s.arg("n", "1");
         }
         reg.counter_add("ops", 7);
-        reg.gauge_set("util", 0.25);
         let trace = reg.chrome_trace();
         let doc = tvm_json::from_str(&trace).expect("trace parses as JSON");
         let events = doc.get("traceEvents").expect("traceEvents");
         let tvm_json::Value::Array(items) = events else {
             panic!("traceEvents not an array");
         };
-        // Metadata + 1 span + 1 counter + 1 gauge.
-        assert_eq!(items.len(), 4);
+        // Metadata + 1 span + 1 counter.
+        assert_eq!(items.len(), 3);
         let span = items
             .iter()
             .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))

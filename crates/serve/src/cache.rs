@@ -87,7 +87,6 @@ impl ArtifactCache {
         let key = (model, bucket, version.fingerprint());
         if self.entries.contains_key(&key) {
             self.stats.hits += 1;
-            tvm_obs::counter_add("serve.cache.hits", 1);
         }
         Ok(Arc::clone(&self.artifact(key, version.weights)?.module))
     }
@@ -136,7 +135,6 @@ impl ArtifactCache {
             }
         })?;
         self.stats.cold_builds += 1;
-        tvm_obs::counter_add("serve.cache.cold_builds", 1);
         let module = Arc::new(module);
         let executor = GraphExecutor::from_arc_with_weights(Arc::clone(&module), weights);
         Ok(slot.insert(Artifact { module, executor }))

@@ -110,7 +110,9 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    /// Short stable tag for counters and bench JSON.
+    /// Short stable tag for reports and bench JSON. Every rejected
+    /// response carries its typed error, so shed reasons are counted from
+    /// the responses themselves.
     pub fn kind(&self) -> &'static str {
         match self {
             ServeError::UnknownTenant(_) => "unknown_tenant",

@@ -386,7 +386,6 @@ impl Service {
             },
         );
         self.batch_seq.insert(model, 0);
-        tvm_obs::counter_add("serve.rollout.started", 1);
         Ok(v)
     }
 
@@ -443,7 +442,6 @@ impl Service {
         for (t, ts) in self.stats.per_tenant.iter_mut().enumerate() {
             ts.max_wait_ms = self.queues.max_wait_ms(t);
         }
-        tvm_obs::gauge_set("serve.horizon_ms", self.stats.horizon_ms);
         (responses, self.stats.clone())
     }
 
@@ -606,32 +604,27 @@ impl Service {
                 if let Some(t) = t {
                     self.stats.per_tenant[t].ok += 1;
                 }
-                tvm_obs::counter_add("serve.completed", 1);
             }
             ServeOutcome::DeadlineExceeded { .. } => {
                 self.stats.deadline_exceeded += 1;
                 if let Some(t) = t {
                     self.stats.per_tenant[t].deadline += 1;
                 }
-                tvm_obs::counter_add("serve.deadline_exceeded", 1);
             }
             ServeOutcome::Rejected(e) if e.is_shed() => {
                 self.stats.shed += 1;
                 if matches!(e, ServeError::Brownout { .. }) {
                     self.stats.brownout_sheds += 1;
-                    tvm_obs::counter_add("serve.shed.brownout", 1);
                 }
                 if let Some(t) = t {
                     self.stats.per_tenant[t].shed += 1;
                 }
-                tvm_obs::counter_add("serve.shed", 1);
             }
             ServeOutcome::Rejected(_) => {
                 self.stats.failed += 1;
                 if let Some(t) = t {
                     self.stats.per_tenant[t].err += 1;
                 }
-                tvm_obs::counter_add("serve.failed", 1);
             }
         }
     }
@@ -705,7 +698,6 @@ impl Service {
             }
             let cap = self.cfg.admission.max_outstanding;
             if self.outstanding >= cap {
-                tvm_obs::counter_add("serve.shed.overloaded", 1);
                 self.reject(
                     req,
                     ServeError::Overloaded {
@@ -846,7 +838,6 @@ impl Service {
             return;
         }
 
-        tvm_obs::counter_add("serve.batches", 1);
         self.stats.batches += 1;
         self.stats.batch_size_sum += reqs.len() as u64;
         let bucket = bucket_for(reqs.len());
@@ -898,7 +889,6 @@ impl Service {
                 if let Some(pd) = primary_dev {
                     let _sp = tvm_obs::span_with("serve.hedge", &[("model", model.name())]);
                     self.stats.hedge.issued += 1;
-                    tvm_obs::counter_add("serve.hedge.issued", 1);
                     let (sec_ms, sec_dev, sec_err, _sf) = self.run_on_pool(&module, &[pd]);
                     if sec_err.is_none() {
                         if let Some(sd) = sec_dev {
@@ -908,7 +898,6 @@ impl Service {
                                 service_ms = hedged_done;
                                 winner_dev = Some(sd);
                                 self.stats.hedge.wins += 1;
-                                tvm_obs::counter_add("serve.hedge.wins", 1);
                             }
                         }
                     }
@@ -935,7 +924,6 @@ impl Service {
                             .any(|(a, b)| row_digest(a) != row_digest(b));
                         if diverged {
                             self.stats.hedge.divergences += 1;
-                            tvm_obs::counter_add("serve.hedge.divergences", 1);
                             Err(ServeError::SilentDivergence {
                                 model: model.name().to_string(),
                             })
@@ -1086,10 +1074,6 @@ impl Service {
         self.stats.rollout.canary_rows += reqs.len() as u64;
         self.stats.rollout.digest_mismatches += mismatches;
         self.stats.rollout.candidate_failures += failures;
-        tvm_obs::counter_add("serve.canary.batches", 1);
-        if mismatches > 0 {
-            tvm_obs::counter_add("serve.canary.mismatches", mismatches);
-        }
         self.evaluate_rollout_gate(model);
     }
 
@@ -1130,10 +1114,8 @@ impl Service {
         if applied {
             if promote {
                 self.stats.rollout.promotions += 1;
-                tvm_obs::counter_add("serve.rollout.promotions", 1);
             } else {
                 self.stats.rollout.rollbacks += 1;
-                tvm_obs::counter_add("serve.rollout.rollbacks", 1);
             }
             if let Some(v) = &retired {
                 self.cache.evict(v);

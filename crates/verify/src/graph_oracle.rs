@@ -16,9 +16,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
-use tvm_graph::{fuse, plan_memory, verify_graph, FusedGraph, Graph, MemoryPlan};
-
-use crate::props::random_graph;
+use tvm_graph::{fuse, plan_memory, verify_graph, FusedGraph, Graph, MemoryPlan, OpType};
+use tvm_topi::Conv2dWorkload;
 
 /// Campaign counters (all cases, both directions).
 #[derive(Clone, Copy, Debug, Default)]
@@ -31,6 +30,49 @@ pub struct GraphOracleStats {
     pub mutations: usize,
     /// Mutations the verifier flagged (must equal `mutations`).
     pub caught: usize,
+}
+
+/// Builds a random chain/diamond graph from a small op alphabet.
+fn random_graph(rng: &mut StdRng) -> Graph {
+    let mut g = Graph::new();
+    let x = g.input(&[1, 8, 8, 8], "data");
+    let mut cur = x;
+    let mut older = vec![];
+    let len = rng.random_range(1usize..14);
+    for i in 0..len {
+        let prev = cur;
+        cur = match rng.random_range(0u32..5) {
+            0 => {
+                let w = Conv2dWorkload {
+                    batch: 1,
+                    size: 8,
+                    in_c: 8,
+                    out_c: 8,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                };
+                g.conv2d(cur, w, &format!("conv{i}"))
+            }
+            1 => g.relu(cur, &format!("relu{i}")),
+            2 => g.batch_norm(cur, &format!("bn{i}")),
+            3 if !older.is_empty() => {
+                let other = older[rng.random_range(0..older.len())];
+                if other == cur {
+                    g.relu(cur, &format!("relu{i}"))
+                } else {
+                    g.add_op(cur, other, &format!("add{i}"))
+                }
+            }
+            _ => {
+                let shape = g.node(cur).shape.clone();
+                g.add(OpType::Tanh, vec![cur], shape, format!("tanh{i}"))
+            }
+        };
+        older.push(prev);
+    }
+    g.outputs.push(cur);
+    g
 }
 
 /// A cross-group data edge: consumer group `to` reads the output of

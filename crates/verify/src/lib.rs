@@ -52,7 +52,7 @@ pub use generate::generate;
 pub use graph_lint::{graph_lint, graph_lint_filtered, GraphLintResult};
 pub use graph_oracle::{check_graph_static, GraphOracleStats};
 pub use lint::{lint_topi, LintResult};
-pub use props::{check_plan_memory, check_simplify};
+pub use props::check_simplify;
 pub use repro::Repro;
 pub use shrink::shrink;
 pub use static_oracle::check_static;
