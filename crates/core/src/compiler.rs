@@ -21,9 +21,10 @@ use std::sync::Arc;
 
 use tvm_autotune::{ConfigEntity, ConfigSpace, Database};
 use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, Node, NodeId, OpType, Pattern};
+use tvm_ir::MemScope;
 use tvm_runtime::{CompiledGroup, Module};
 use tvm_sim::{analyze, estimate_analysis, Target};
-use tvm_te::{compute, create_schedule, lower, placeholder, Schedule, TeError, Tensor};
+use tvm_te::{compute, create_schedule, lower, placeholder, Attach, Schedule, TeError, Tensor};
 use tvm_topi as topi;
 
 /// Build configuration.
@@ -351,11 +352,25 @@ fn schedule_group(
         }
     }
     // Injective and reduction groups, and a complex master whose tail
-    // reshapes it mid-chain: the output's flat nest, producers at root.
+    // reshapes it mid-chain: the output's flat nest. On a GPU every other
+    // stage computes, in thread-local memory, just the points its thread's
+    // output point reads; on a CPU they stay at root.
     if let Some(pad) = conv.and_then(|op| op.pad) {
         s.compute_inline(&pad)?;
     }
-    topi::schedule_injective(s, out_t, target)
+    if let Some(tx) = topi::schedule_injective(s, out_t, target)? {
+        let at_root: Vec<Tensor> = s
+            .stages
+            .iter()
+            .filter(|st| !st.is_output && matches!(st.attach, Attach::Root))
+            .map(|st| st.tensor.clone())
+            .collect();
+        for t in &at_root {
+            s.compute_at(t, out_t, &tx)?;
+            s.set_scope(t, MemScope::Local)?;
+        }
+    }
+    Ok(())
 }
 
 /// Schedules, lowers and costs one fused group on its own — what a build

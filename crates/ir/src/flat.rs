@@ -57,8 +57,10 @@
 //! * *Eligible*: a body that is a single unpredicated float32 store
 //!   `S[i] = S[i] + X[f(k)] * Y[g(k)]`, the sum in either order, with `i`
 //!   invariant in the loop variable `k`, `f` and `g` affine in `k`, `S`
-//!   held as `f32`, and `X` and `Y` buffers other than `S` held as `f32`,
-//!   not inside a barriered nest. [`Program::reduce_loops`] counts them.
+//!   held as `f32`, and `X` and `Y` buffers other than `S` held as `f32`.
+//!   A thread's dot product over shared tiles in a barriered nest is one
+//!   too, and runs on that lane's registers and its own copy of `S` when
+//!   it is thread-local. [`Program::reduce_loops`] counts them.
 //! * *Exact*: the op does `acc = (acc as f64 + x as f64 * y as f64) as f32`
 //!   per iteration, the walker's arithmetic and store rounding, writes
 //!   `S[i]` once and counts one store per iteration.
@@ -69,9 +71,11 @@
 //!   stores and faults where the walker does.
 //!
 //! A lane loop or a reduce loop is entered through a `Yield` op that
-//! returns from the dispatch loop to [`Program::execute`], which runs it
-//! and resumes after it: work outside the dispatch loop does not perturb
-//! how the dispatch loop's registers are allocated.
+//! returns from the dispatch loop to [`Program::execute`] (in a barriered
+//! nest, to the lanes' scheduler), which runs it and resumes after it: work
+//! outside the dispatch loop does not perturb how the dispatch loop's
+//! registers are allocated. A barrier has an op of its own, so a `Yield`
+//! always means a handoff.
 //!
 //! Limits the walker does not have, each raised as
 //! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
@@ -238,12 +242,15 @@ enum Code {
     HwCall,
     /// Runs `nests[a]`, whose code follows this op.
     Nest,
-    /// Returns to the caller, which resumes at the next op. In a barriered
-    /// nest it ends the lane's turn at a barrier; at top level it hands
-    /// over `handoffs[a]`: a lane loop, whose lane code and then scalar
-    /// code follow, or a reduce loop, whose scalar code follows. Both run
-    /// outside the dispatch loop, so that scalar code keeps its registers.
+    /// Returns to the caller, which hands over `handoffs[a]` and resumes
+    /// after it: a lane loop, whose lane code and then scalar code follow,
+    /// or a reduce loop, whose scalar code follows. Both run outside the
+    /// dispatch loop, so that scalar code keeps its registers. In a
+    /// barriered nest the handoff runs on the current lane's window.
     Yield,
+    /// Ends the current lane's turn in a barriered nest; the lane resumes
+    /// at the next op when every lane has reached it.
+    Barrier,
 }
 
 /// One instruction: ten bytes, so that the programs a module caches stay a
@@ -366,7 +373,8 @@ struct Stream {
     stride: i64,
 }
 
-/// What a top-level `Yield` hands over to [`Program::execute`].
+/// What a `Yield` hands over to [`Program::execute`], or, in a barriered
+/// nest, to [`Machine::run_nest`].
 #[derive(Clone)]
 enum Handoff {
     Lanes(LaneLoop),
@@ -483,10 +491,11 @@ impl Program {
         };
         let mut pc = 0;
         let result = loop {
-            // At top level only a lane loop or a reduce loop yields.
             let start = match machine.run(pc, self.ops.len(), &mut ints, &mut floats) {
                 Ok(Stop::Yield(start)) => start,
-                stop => break stop.map(|_| ()),
+                Ok(Stop::End) => break Ok(()),
+                Ok(Stop::Barrier(_)) => break Err(malformed("a barrier outside a thread nest")),
+                Err(e) => break Err(e),
             };
             pc = match self.handoffs.get(self.ops[start - 1].a as usize) {
                 Some(Handoff::Lanes(l)) => {
@@ -496,9 +505,8 @@ impl Program {
                     }
                     start + l.lanes_len as usize + l.scalar_len as usize
                 }
-                Some(Handoff::Reduce(r)) => match machine.run_reduce(r, &mut ints) {
-                    Ok(true) => start + r.scalar_len as usize,
-                    Ok(false) => start,
+                Some(Handoff::Reduce(r)) => match machine.run_reduce(r, start, &mut ints) {
+                    Ok(next) => next,
                     Err(e) => break Err(e),
                 },
                 None => break Err(malformed("a yield names no loop")),
@@ -531,6 +539,8 @@ enum Stop {
     End,
     /// Reached a `Yield` op; the caller resumes at this op.
     Yield(usize),
+    /// Reached a `Barrier` op; the lane resumes at this op.
+    Barrier(usize),
 }
 
 fn wrap_int(v: i64, spec: u16) -> i64 {
@@ -743,6 +753,7 @@ impl Machine<'_> {
                     pc += nest.len as usize;
                 }
                 Yield => return Ok(Stop::Yield(pc)),
+                Barrier => return Ok(Stop::Barrier(pc)),
             }
         }
         Ok(Stop::End)
@@ -774,7 +785,8 @@ impl Machine<'_> {
     }
 
     /// Runs the lanes of `nest`, whose code starts at `start`, in turns
-    /// from barrier to barrier.
+    /// from barrier to barrier. A reduce loop a lane yields runs on that
+    /// lane's window, within its turn.
     fn run_nest(&mut self, nest: &Nest, start: usize, ints: &[i64], floats: &[f64]) -> Result<()> {
         let mut lanes = 1usize;
         for &(_, _, n) in &nest.axes {
@@ -818,12 +830,25 @@ impl Machine<'_> {
                 }
                 let wi = &mut lane_ints[lane * ni..(lane + 1) * ni];
                 let wf = &mut lane_floats[lane * nf..(lane + 1) * nf];
-                match self.run(*pc, end, wi, wf)? {
-                    Stop::Yield(next) => {
-                        *pc = next;
-                        waiting += 1;
+                loop {
+                    match self.run(*pc, end, wi, wf)? {
+                        Stop::Yield(next) => {
+                            let a = self.program.ops[next - 1].a as usize;
+                            let Some(Handoff::Reduce(r)) = self.program.handoffs.get(a) else {
+                                return Err(malformed("a nest yields no reduce loop"));
+                            };
+                            *pc = self.run_reduce(r, next, wi)?;
+                        }
+                        Stop::Barrier(next) => {
+                            *pc = next;
+                            waiting += 1;
+                            break;
+                        }
+                        Stop::End => {
+                            *pc = end;
+                            break;
+                        }
                     }
-                    Stop::End => *pc = end,
                 }
             }
             if waiting == 0 {
@@ -866,12 +891,15 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// Runs reduce loop `r` as one dot product, each iteration rounding the
-    /// walker's `f64` sum to `f32` as its store does, and writes `S[i]`
-    /// once. Returns `false`, having changed nothing, if the loop is empty
-    /// or an access at either end of it is out of bounds: its scalar code
-    /// then runs, and stores and faults where the walker does.
-    fn run_reduce(&mut self, r: &ReduceLoop, ints: &mut [i64]) -> Result<bool> {
+    /// Runs reduce loop `r`, whose scalar code starts at `start`, as one
+    /// dot product, each iteration rounding the walker's `f64` sum to `f32`
+    /// as its store does, and writes `S[i]` once; returns the op after the
+    /// scalar code. Returns `start`, having changed nothing, if the loop is
+    /// empty or an access at either end of it is out of bounds: its scalar
+    /// code then runs, and stores and faults where the walker does. Each
+    /// access goes through its slot's `base`, so in a barriered nest a
+    /// lane's own allocation is the current lane's copy.
+    fn run_reduce(&mut self, r: &ReduceLoop, start: usize, ints: &mut [i64]) -> Result<usize> {
         let reg = |x: Reg| ints.get(x as usize).copied();
         let slot = |s: &Stream| self.mem.slots.get(s.slot as usize);
         let (Some(first), Some(limit), Some(sa), Some(sx), Some(sy)) = (
@@ -886,22 +914,22 @@ impl Machine<'_> {
             ));
         };
         if first >= limit {
-            return Ok(false);
+            return Ok(start);
         }
         let last = limit - 1;
-        let start = |slot: &Slot, s: &Stream| {
+        let begin = |slot: &Slot, s: &Stream| {
             let base = reg(s.base)?;
             stream_start(slot, s, base, first, last)
         };
         let (Some(at), Some(mut xi), Some(mut yi)) =
-            (start(sa, &r.acc), start(sx, &r.x), start(sy, &r.y))
+            (begin(sa, &r.acc), begin(sx, &r.x), begin(sy, &r.y))
         else {
-            return Ok(false);
+            return Ok(start);
         };
         let (Data::F32(s), Data::F32(xs), Data::F32(ys)) =
             (&sa.buf.data, &sx.buf.data, &sy.buf.data)
         else {
-            return Ok(false);
+            return Ok(start);
         };
         let n = limit.abs_diff(first);
         let mut acc = s[at];
@@ -915,7 +943,7 @@ impl Machine<'_> {
         }
         self.stores += n;
         ints[r.counter as usize] = limit;
-        Ok(true)
+        Ok(start + r.scalar_len as usize)
     }
 
     /// Executes the lane code `ops[pc..end]` on the first `n` lanes.
@@ -1740,17 +1768,13 @@ impl<'a> Compiler<'a> {
     /// `S[i] = S[i] + X[f(k)] * Y[g(k)]` (the sum in either order, no
     /// predicate) with `i` invariant in the loop, `f` and `g` affine in its
     /// variable `k`, `S` a float32 buffer held as `f32`, and `X` and `Y`
-    /// buffers other than `S` held as `f32`; or if the loop is inside a
-    /// barriered nest.
+    /// buffers other than `S` held as `f32`.
     fn reduce_form(
         &mut self,
         l: &OpenLoop,
         body: &Stmt,
         scalar_len: u16,
     ) -> Option<(Vec<Op>, ReduceLoop)> {
-        if self.cur_frame() != 0 {
-            return None;
-        }
         let accesses = dot_product(body)?;
         let mut slots = [0u16; 4];
         for (slot, (buffer, _)) in slots.iter_mut().zip(&accesses) {
@@ -1766,7 +1790,7 @@ impl<'a> Compiler<'a> {
             return None;
         }
         let before = self.clone();
-        self.open_level(0);
+        self.open_level(self.cur_frame());
         let shadowed = self.vars.insert(l.var, V::Int(l.counter));
         let streams = accesses.map(|(_, index)| self.stream(index, l.counter));
         self.unbind(l.var, shadowed);
@@ -2033,7 +2057,7 @@ impl<'a> Compiler<'a> {
             Barrier => {
                 // Outside a barriered nest there is nobody to wait for.
                 if self.cur_frame() != 0 {
-                    self.push(Op::new(Code::Yield, 0, 0, 0, 0));
+                    self.push(Op::new(Code::Barrier, 0, 0, 0, 0));
                 }
             }
             PushDep { .. } | PopDep { .. } => {} // timing-only; no data effect

@@ -51,6 +51,9 @@ pub fn fmt_expr(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         Cast { dtype, value } => write!(f, "{dtype}({value})"),
         Binary { op, a, b } => match op {
             BinOp::Min | BinOp::Max => write!(f, "{}({a}, {b})", binop_str(*op)),
+            // A float division is true division; `//` is integer floor
+            // division, as both engines compute them.
+            BinOp::Div if e.dtype().is_float() => write!(f, "({a} / {b})"),
             _ => write!(f, "({a} {} {b})", binop_str(*op)),
         },
         Cmp { op, a, b } => write!(f, "({a} {} {b})", cmpop_str(*op)),
@@ -242,5 +245,17 @@ mod tests {
         let x = Var::int("x");
         let e = (x.clone() * 8 + 3).min(Expr::int(100));
         assert_eq!(e.to_string(), "min(((x * 8) + 3), 100)");
+    }
+
+    #[test]
+    fn prints_float_division_as_true_division_and_int_division_as_floor() {
+        let (x, n) = (Var::int("x"), Var::int("n"));
+        assert_eq!((x.to_expr() / n.to_expr()).to_string(), "(x // n)");
+        let (a, b) = (
+            Var::new("a", DType::float32()),
+            Var::new("b", DType::float32()),
+        );
+        let e = Expr::load(&a, x.to_expr()) / Expr::load(&b, Expr::int(0));
+        assert_eq!(e.to_string(), "(a[x] / b[0])");
     }
 }

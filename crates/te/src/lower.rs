@@ -582,6 +582,7 @@ fn infer_bounds(
                     cons_stage,
                     cons_data,
                     iter,
+                    &out,
                     bodies,
                     &thread_extents,
                 )?
@@ -655,13 +656,17 @@ fn infer_bounds(
 }
 
 /// Computes the realize region of `stage` when attached inside `cons_stage`
-/// under leaf `attach_iter`.
+/// under leaf `attach_iter`: the box around what the consumer reads there,
+/// and what every other stage attached at the same loop reads (`done`
+/// holds the bounds of the stages after `stage`).
+#[allow(clippy::too_many_arguments)]
 fn compute_region(
     sched: &Schedule,
     stage: &Stage,
     cons_stage: &Stage,
     cons_data: &StageData,
     attach_iter: &Var,
+    done: &HashMap<OpId, StageData>,
     bodies: &HashMap<OpId, ComputeBody>,
     thread_extents: &HashMap<VarId, i64>,
 ) -> Result<(Vec<Expr>, Vec<i64>), TeError> {
@@ -694,19 +699,86 @@ fn compute_region(
             }
         }
     }
+    let mut regions: Vec<(Vec<Expr>, Vec<i64>)> = Vec::new();
+    read_regions(
+        sched,
+        stage,
+        cons_stage,
+        cons_data,
+        &inner,
+        bodies,
+        thread_extents,
+        &mut regions,
+    )?;
+    // A stage attached at the same loop runs whole inside it, so its reads
+    // range over all of its own loops.
+    for sib in &sched.stages {
+        let here = matches!(&sib.attach, Attach::At { consumer, iter }
+            if *consumer == cons_stage.op_id() && iter == attach_iter);
+        if !here || sib.op_id() == stage.op_id() {
+            continue;
+        }
+        if let Some(sib_data) = done.get(&sib.op_id()) {
+            let all: HashSet<VarId> = sib.leaf_iters.iter().map(|l| l.var.id()).collect();
+            read_regions(
+                sched,
+                stage,
+                sib,
+                sib_data,
+                &all,
+                bodies,
+                thread_extents,
+                &mut regions,
+            )?;
+        }
+    }
+    if regions.is_empty() {
+        // Nothing at this loop reads this op directly (multi-level
+        // attachment chains read through other stages): be conservative.
+        return Ok(full_realize(shape));
+    }
+    // Merge per axis: identical mins -> max extents; otherwise the full axis.
+    let (mut mins, mut ext) = regions[0].clone();
+    for (m, e) in &regions[1..] {
+        for d in 0..shape.len() {
+            if m[d].structural_eq(&mins[d]) {
+                ext[d] = ext[d].max(e[d]);
+            } else {
+                mins[d] = Expr::int(0);
+                ext[d] = shape[d];
+            }
+        }
+    }
+    Ok((mins, ext))
+}
+
+/// Appends the region of every read of `stage` in `reader`'s body, with the
+/// reader's `inner` loop variables ranged and its other variables pinned.
+#[allow(clippy::too_many_arguments)]
+fn read_regions(
+    sched: &Schedule,
+    stage: &Stage,
+    reader: &Stage,
+    reader_data: &StageData,
+    inner: &HashSet<VarId>,
+    bodies: &HashMap<OpId, ComputeBody>,
+    thread_extents: &HashMap<VarId, i64>,
+    regions: &mut Vec<(Vec<Expr>, Vec<i64>)>,
+) -> Result<(), TeError> {
+    let shape = stage.tensor.shape();
     // Consumer coordinate substitution: axis -> realize_min + local expr.
     let mut sub: HashMap<VarId, Expr> = HashMap::new();
-    for (d, axis) in cons_stage.tensor.op.axes().iter().enumerate() {
-        let local = cons_data
+    for (d, axis) in reader.tensor.op.axes().iter().enumerate() {
+        let local = reader_data
             .var_expr
             .get(&axis.var.id())
             .cloned()
             .unwrap_or_else(|| axis.expr());
-        sub.insert(axis.var.id(), cons_data.realize_min[d].clone() + local);
+        sub.insert(axis.var.id(), reader_data.realize_min[d].clone() + local);
     }
-    if let Some(ComputeBody::Reduce { axes, .. }) = bodies.get(&cons_stage.op_id()) {
+    if let Some(ComputeBody::Reduce { axes, .. }) = bodies.get(&reader.op_id()) {
         for r in axes {
-            let local = cons_data
+            let local = reader_data
                 .var_expr
                 .get(&r.var.id())
                 .cloned()
@@ -714,13 +786,9 @@ fn compute_region(
             sub.insert(r.var.id(), local);
         }
     }
-    let body = bodies.get(&cons_stage.op_id()).ok_or_else(|| {
-        TeError::msg(format!(
-            "consumer `{}` has no body",
-            cons_stage.tensor.name()
-        ))
-    })?;
-    let mut regions: Vec<(Vec<Expr>, Vec<i64>)> = Vec::new();
+    let body = bodies
+        .get(&reader.op_id())
+        .ok_or_else(|| TeError::msg(format!("consumer `{}` has no body", reader.tensor.name())))?;
     let target = stage.op_id();
     let lookup = |id: OpId| sched.tensor(id).cloned();
     collect_reads(body.source_expr(), &lookup, &mut |t, idx| {
@@ -751,7 +819,7 @@ fn compute_region(
             let mut ranged_hi: Vec<(VarId, i64)> = Vec::new();
             for v in tvm_ir::collect_vars(&e) {
                 let iv = if inner.contains(&v.id()) {
-                    let ext = cons_data.extents.get(&v.id()).copied().unwrap_or(1);
+                    let ext = reader_data.extents.get(&v.id()).copied().unwrap_or(1);
                     ranged_hi.push((v.id(), (ext - 1).max(0)));
                     Interval::new(0, (ext - 1).max(0))
                 } else if stage.scope == MemScope::Shared && thread_extents.contains_key(&v.id()) {
@@ -800,23 +868,7 @@ fn compute_region(
         }
         regions.push((mins, exts));
     })?;
-    if regions.is_empty() {
-        // Consumer does not read this op directly (multi-level attachment
-        // chains read through other stages): be conservative.
-        return Ok(full_realize(shape));
-    }
-    // Merge: identical mins -> max extents; otherwise fall back to full.
-    let (first_min, mut ext) = regions[0].clone();
-    for (m, e) in &regions[1..] {
-        let same = m.iter().zip(&first_min).all(|(a, b)| a.structural_eq(b));
-        if !same {
-            return Ok(full_realize(shape));
-        }
-        for (acc, v) in ext.iter_mut().zip(e) {
-            *acc = (*acc).max(*v);
-        }
-    }
-    Ok((first_min, ext))
+    Ok(())
 }
 
 /// True when some floor-div/mod inside `e` has a dividend mixing variables

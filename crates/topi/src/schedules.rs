@@ -7,17 +7,23 @@ pub use tvm_autotune::planned::{apply_annotations, cooperative_load, AnnPoints};
 use tvm_autotune::{ConfigEntity, ConfigSpace, TuningTask};
 use tvm_ir::{MemScope, ThreadTag};
 use tvm_sim::Target;
-use tvm_te::{Schedule, TeError, Tensor};
+use tvm_te::{IterVar, Schedule, TeError, Tensor};
 
 use crate::nn::{conv2d, dense, depthwise_conv2d, Conv2dOp};
 use crate::workloads::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload};
 
 /// Schedules an injective (element-wise) operator: parallel outer loop +
-/// vectorized inner on CPU; flat thread mapping on GPU.
-pub fn schedule_injective(s: &mut Schedule, out: &Tensor, target: &Target) -> Result<(), TeError> {
+/// vectorized inner on CPU; flat thread mapping on GPU. Returns the leaf
+/// bound to `threadIdx.x` on a GPU target, where a producer can attach so
+/// that each thread computes only the points it reads.
+pub fn schedule_injective(
+    s: &mut Schedule,
+    out: &Tensor,
+    target: &Target,
+) -> Result<Option<IterVar>, TeError> {
     let axes = out.op.axes();
     if axes.is_empty() {
-        return Ok(());
+        return Ok(None);
     }
     let mut fused = axes[0].clone();
     for a in &axes[1..] {
@@ -29,6 +35,7 @@ pub fn schedule_injective(s: &mut Schedule, out: &Tensor, target: &Target) -> Re
         let (bx, tx) = s.split(out, &fused, threads)?;
         s.bind(out, &bx, ThreadTag::BlockIdxX)?;
         s.bind(out, &tx, ThreadTag::ThreadIdxX)?;
+        Ok(Some(tx))
     } else {
         let inner = 8.min(total.max(1));
         let (o, i) = s.split(out, &fused, inner)?;
@@ -36,8 +43,8 @@ pub fn schedule_injective(s: &mut Schedule, out: &Tensor, target: &Target) -> Re
             s.parallel(out, &o)?;
         }
         s.vectorize(out, &i)?;
+        Ok(None)
     }
-    Ok(())
 }
 
 /// The conv2d schedule space for a target.

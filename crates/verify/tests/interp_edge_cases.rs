@@ -1166,7 +1166,7 @@ fn indices_near_i64_max_agree_in_debug_and_release() {
 }
 
 #[test]
-fn a_reduction_inside_a_barriered_nest_stays_scalar() {
+fn a_reduction_inside_a_barriered_nest_runs_as_a_reduce_loop() {
     // Each of two threads sums X[k] * Y[k] into S[t] after a barrier.
     let (s, x, y, k) = sxyk();
     let t = Var::int("t");
@@ -1178,12 +1178,52 @@ fn a_reduction_inside_a_barriered_nest_stays_scalar() {
     );
     let nest = threads(&t, 2, Stmt::seq(vec![barrier(), sum]));
     let f = f32_func(vec![x, y, s], vec![4, 4, 2], nest);
-    assert_eq!(reduce_loops_f32(&f), 0);
+    assert_eq!(reduce_loops_f32(&f), 1);
     let (xs, ys) = (vec![0.5, 1.5, -2.0, 4.0], vec![3.0, 0.25, 1.0, -0.5]);
     let got = both_held(&f, &[xs.clone(), ys.clone(), vec![1.0, -1.0]]);
     let want: Vec<f32> = [1.0, -1.0]
         .iter()
         .map(|&acc| dot(acc, xs.iter().copied().zip(ys.iter().copied())))
+        .collect();
+    assert_eq!(got[2], want);
+    assert_eq!(stores_f32(&f, &[xs, ys, vec![1.0, -1.0]]), 8);
+}
+
+#[test]
+fn a_thread_local_accumulator_reduces_into_its_own_lanes_copy() {
+    // Three threads, each summing row `t` of X against Y into element 1 of
+    // a thread-local `acc[2]` after a barrier, then writing it to `O[t]`.
+    let (acc, x, y, k) = sxyk();
+    let (out, t) = (Var::new("O", DType::float32()), Var::int("t"));
+    let init = Stmt::store(&acc, Expr::int(1), t.to_expr().cast(DType::float32()));
+    let sum = Stmt::for_(
+        &k,
+        0,
+        4,
+        mac(
+            &acc,
+            Expr::int(1),
+            &x,
+            t.to_expr() * 4 + k.to_expr(),
+            &y,
+            k.to_expr(),
+        ),
+    );
+    let write = Stmt::store(&out, t.to_expr(), Expr::load(&acc, Expr::int(1)));
+    let body = Stmt::allocate(
+        &acc,
+        DType::float32(),
+        2,
+        MemScope::Local,
+        Stmt::seq(vec![init, barrier(), sum, write]),
+    );
+    let f = f32_func(vec![x, y, out], vec![12, 4, 3], threads(&t, 3, body));
+    assert_eq!(reduce_loops_f32(&f), 1);
+    let xs: Vec<f32> = (0..12).map(|i| i as f32 * 0.25 - 1.0).collect();
+    let ys = vec![3.0, 0.25, 1.0, -0.5];
+    let got = both_held(&f, &[xs.clone(), ys.clone(), vec![0.0; 3]]);
+    let want: Vec<f32> = (0..3)
+        .map(|t| dot(t as f32, (0..4).map(|k| (xs[t * 4 + k], ys[k]))))
         .collect();
     assert_eq!(got[2], want);
 }
