@@ -29,9 +29,9 @@ impl Interval {
         Interval { min, max }
     }
 
-    /// The number of integers contained.
-    pub fn extent(&self) -> i64 {
-        self.max - self.min + 1
+    /// The number of integers contained; `None` past `i64`.
+    pub fn extent(&self) -> Option<i64> {
+        self.max.checked_sub(self.min)?.checked_add(1)
     }
 
     /// Smallest interval containing both.

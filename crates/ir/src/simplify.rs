@@ -16,6 +16,12 @@ use crate::visit::Mutator;
 /// Simplifier with an optional variable-range context.
 pub struct Simplifier {
     bounds: HashMap<VarId, Interval>,
+    /// Unit-extent loops being inlined, outermost first: each loop's
+    /// variable and its simplified `min`.
+    inlined: Vec<(VarId, Expr)>,
+    /// Entries of `inlined` before this one are already applied to the
+    /// replacement being simplified.
+    inlined_from: usize,
 }
 
 impl Default for Simplifier {
@@ -27,14 +33,16 @@ impl Default for Simplifier {
 impl Simplifier {
     /// Simplifier with no range information.
     pub fn new() -> Self {
-        Simplifier {
-            bounds: HashMap::new(),
-        }
+        Self::with_bounds(HashMap::new())
     }
 
     /// Simplifier that may use `bounds` to prove predicates.
     pub fn with_bounds(bounds: HashMap<VarId, Interval>) -> Self {
-        Simplifier { bounds }
+        Simplifier {
+            bounds,
+            inlined: Vec::new(),
+            inlined_from: 0,
+        }
     }
 
     fn fold_int_binop(op: BinOp, a: i64, b: i64) -> Option<i64> {
@@ -423,6 +431,21 @@ impl Mutator for Simplifier {
                 let (a, b) = (self.mutate_expr(a), self.mutate_expr(b));
                 return self.simplify_cmp(*op, a, b, e);
             }
+            ExprNode::Var(v) => {
+                // An inlined loop variable becomes its replacement,
+                // simplified here, where inner unit loops may rewrite it.
+                let first = self.inlined_from;
+                if let Some(i) = self.inlined[first..]
+                    .iter()
+                    .position(|(id, _)| *id == v.id())
+                {
+                    let repl = self.inlined[first + i].1.clone();
+                    self.inlined_from = first + i + 1;
+                    let out = self.mutate_expr(&repl);
+                    self.inlined_from = first;
+                    return out;
+                }
+            }
             _ => {}
         }
         let e = self.default_mutate_expr(e);
@@ -507,12 +530,12 @@ impl Mutator for Simplifier {
             match ext_s.as_int() {
                 Some(0) => return Stmt::nop(),
                 Some(1) => {
-                    // Single-iteration loop: inline the loop var, then
-                    // simplify the body once.
-                    let mut m = HashMap::new();
-                    m.insert(var.id(), min_s);
-                    let inlined = crate::visit::substitute_stmt(body, &m);
-                    return self.mutate_stmt(&inlined);
+                    // Single-iteration loop: the body, simplified once,
+                    // reads the loop var as `min`.
+                    self.inlined.push((var.id(), min_s));
+                    let body_s = self.mutate_stmt(body);
+                    self.inlined.pop();
+                    return body_s;
                 }
                 _ => {}
             }
@@ -551,6 +574,20 @@ impl Mutator for Simplifier {
             }
             _ => s,
         }
+    }
+}
+
+/// Evaluates an integer expression with its variables bound by `value`,
+/// folding by the simplifier's rules; `None` for anything else (loads,
+/// lets, ramps, floats, unbound variables) or where a fold fails.
+pub fn eval_const(e: &Expr, value: &impl Fn(VarId) -> Option<i64>) -> Option<i64> {
+    match &*e.0 {
+        ExprNode::IntImm { value: v, .. } => Some(*v),
+        ExprNode::Var(v) => value(v.id()),
+        ExprNode::Binary { op, a, b } => {
+            Simplifier::fold_int_binop(*op, eval_const(a, value)?, eval_const(b, value)?)
+        }
+        _ => None,
     }
 }
 

@@ -275,45 +275,17 @@ impl Walker {
 
     fn record_access(&mut self, buffer: &Var, index: &Expr, is_store: bool) {
         let trips = self.trips();
-        let depth = self.loops.len();
-        // Footprints: interval width with loops [d..] ranging, outer pinned.
-        let mut footprints = Vec::with_capacity(depth + 1);
-        for d in 0..=depth {
-            let mut bounds: HashMap<VarId, Interval> = HashMap::new();
-            for (i, l) in self.loops.iter().enumerate() {
-                let iv = if i >= d {
-                    Interval::new(l.min, l.min + l.extent - 1)
-                } else {
-                    Interval::point(l.min)
-                };
-                bounds.insert(l.var.id(), iv);
-            }
-            let fp = match tvm_ir::eval_interval(index, &bounds) {
-                Some(iv) => iv.extent() as f64,
-                None => f64::INFINITY,
-            };
-            footprints.push(fp);
-        }
-        // Replace unknown with the most conservative finite estimate: the
-        // total trips inside that depth.
-        for (d, fp) in footprints.iter_mut().enumerate() {
-            if !fp.is_finite() {
-                *fp = self.loops[d..]
-                    .iter()
-                    .map(|l| l.extent as f64)
-                    .product::<f64>();
-            }
-        }
+        let footprints = self.footprints(index);
         let innermost_stride = self
             .loops
             .last()
-            .map(|l| stride_wrt(index, &l.var, &self.loops))
+            .map(|l| self.stride(index, l.var.id()))
             .unwrap_or(0);
         let thread_stride = self
             .loops
             .iter()
             .find(|l| matches!(l.kind, ForKind::ThreadBinding(ThreadTag::ThreadIdxX)))
-            .map(|l| stride_wrt(index, &l.var, &self.loops));
+            .map(|l| self.stride(index, l.var.id()));
         let (name, scope) = self
             .buffers
             .entry(buffer.id())
@@ -334,6 +306,59 @@ impl Walker {
             thread_stride,
             loops: Arc::clone(loops),
         });
+    }
+
+    /// Interval width of `index` with loops `d..` ranging and the outer
+    /// ones at their minimum, for every depth `d` in `0..=depth`. One map
+    /// serves every depth: it starts with all loops ranging and pins one
+    /// more loop per depth. A loop whose range passes `i64` is left
+    /// unbounded; where the width is unknown, the footprint is the trip
+    /// count of the loops at that depth, the most it can be.
+    fn footprints(&self, index: &Expr) -> Vec<f64> {
+        let mut bounds: HashMap<VarId, Interval> = HashMap::with_capacity(self.loops.len());
+        for l in &self.loops {
+            match l.min.checked_add(l.extent - 1) {
+                Some(hi) => bounds.insert(l.var.id(), Interval::new(l.min, hi)),
+                None => bounds.remove(&l.var.id()),
+            };
+        }
+        let mut footprints = Vec::with_capacity(self.loops.len() + 1);
+        for d in 0..=self.loops.len() {
+            if d > 0 {
+                // A loop shadowed by an inner loop of the same variable
+                // leaves the inner range in place.
+                let l = &self.loops[d - 1];
+                if !self.loops[d..].iter().any(|m| m.var == l.var) {
+                    bounds.insert(l.var.id(), Interval::point(l.min));
+                }
+            }
+            footprints.push(
+                match tvm_ir::eval_interval(index, &bounds).and_then(|iv| iv.extent()) {
+                    Some(n) => n as f64,
+                    None => self.loops[d..].iter().map(|l| l.extent as f64).product(),
+                },
+            );
+        }
+        footprints
+    }
+
+    /// Element stride of `index` with respect to `var`: `f(var=1) -
+    /// f(var=0)` with every other loop var at its minimum; `-1` when the
+    /// index does not fold to a constant there.
+    fn stride(&self, index: &Expr, var: VarId) -> i64 {
+        let at = |v: i64| {
+            tvm_ir::eval_const(index, &|id| {
+                if id == var {
+                    return Some(v);
+                }
+                let l = self.loops.iter().rev().find(|l| l.var.id() == id)?;
+                Some(l.min)
+            })
+        };
+        match (at(0), at(1)) {
+            (Some(a), Some(b)) => b.checked_sub(a).unwrap_or(-1),
+            _ => -1,
+        }
     }
 
     fn visit_expr(&mut self, e: &Expr) {
@@ -417,26 +442,6 @@ impl Walker {
             ExprNode::Broadcast { value, .. } => self.visit_expr(value),
             _ => {}
         }
-    }
-}
-
-/// Estimates the element stride of `index` with respect to `var`:
-/// `f(v+1) - f(v)` evaluated with every other loop var at its minimum.
-fn stride_wrt(index: &Expr, var: &Var, loops: &[LoopLevel]) -> i64 {
-    let mut at0: HashMap<VarId, Expr> = HashMap::new();
-    let mut at1: HashMap<VarId, Expr> = HashMap::new();
-    for l in loops {
-        let base = Expr::int(l.min);
-        at0.insert(l.var.id(), base.clone());
-        at1.insert(l.var.id(), base);
-    }
-    at0.insert(var.id(), Expr::int(0));
-    at1.insert(var.id(), Expr::int(1));
-    let e0 = tvm_ir::simplify(&tvm_ir::substitute(index, &at0));
-    let e1 = tvm_ir::simplify(&tvm_ir::substitute(index, &at1));
-    match (e0.as_int(), e1.as_int()) {
-        (Some(a), Some(b)) => b - a,
-        _ => -1,
     }
 }
 
@@ -562,5 +567,43 @@ mod tests {
         assert!((a_load.reuse_at_depth(d) - 1.0).abs() < 1e-9);
         // Across the whole nest there is massive reuse.
         assert!(a_load.reuse_at_depth(0) > 10.0);
+    }
+
+    /// `for i in [0, 8) { for j in [0, 4) { out[j] = in[index] } }`: the
+    /// record of the load of `in`.
+    fn load_record(index: impl Fn(&Var, &Var) -> Expr) -> AccessRecord {
+        let (i, j) = (Var::int("i"), Var::int("j"));
+        let (src, out) = (
+            Var::new("in", DType::int32()),
+            Var::new("out", DType::int32()),
+        );
+        let store = Stmt::store(&out, j.to_expr(), Expr::load(&src, index(&i, &j)));
+        let body = Stmt::for_(&i, 0, 8, Stmt::for_(&j, 0, 4, store));
+        let f = LoweredFunc {
+            name: "f".into(),
+            params: vec![src, out],
+            param_dtypes: vec![DType::int32(); 2],
+            param_extents: vec![64, 4],
+            body,
+        };
+        analyze(&f).accesses.remove(1)
+    }
+
+    #[test]
+    fn floordiv_and_mod_index_strides_and_footprints() {
+        // (i*4 + j) / 2 * 16 + j % 2: j=0 -> 0, j=1 -> 1.
+        let r = load_record(|i, j| (i.clone() * 4 + j.clone()) / 2 * 16 + j.clone() % 2);
+        assert_eq!(r.innermost_stride, 1);
+        // [0, 15*16 + 1] over the nest, i=0 pins it to [0, 16 + 1], one
+        // element per iteration.
+        assert_eq!(r.footprint_at_depth, vec![242.0, 18.0, 1.0]);
+    }
+
+    #[test]
+    fn index_with_a_load_has_unknown_stride_and_trip_footprints() {
+        let idx = Var::new("idx", DType::int32());
+        let r = load_record(|_, j| Expr::load(&idx, j.to_expr()) + 1);
+        assert_eq!(r.innermost_stride, -1);
+        assert_eq!(r.footprint_at_depth, vec![32.0, 4.0, 1.0]);
     }
 }

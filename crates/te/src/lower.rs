@@ -835,7 +835,7 @@ fn read_regions(
             }
             match tvm_ir::eval_interval(&e, &bounds) {
                 Some(iv) => {
-                    let width = iv.extent().min(shape[d]);
+                    let width = iv.extent().map_or(shape[d], |w| w.min(shape[d]));
                     // Min: substitute each ranged var by whichever loop
                     // endpoint minimizes the index. Indices that *decrease*
                     // in a reduction var — conv2d_transpose's mirrored
