@@ -49,28 +49,44 @@
 //!   operations and store rounding, and the store count grows by one per
 //!   lane stored, so buffers, store counts and faults are the walker's.
 //!
-//! An innermost `serial` or `unrolled` dot-product loop is also compiled
-//! twice: to scalar code, and to a *reduce loop* that runs every iteration
-//! in one op (a dense layer's reduction; §4.3's dot product, on our own
-//! ISA).
+//! A multiply-accumulate loop nest is also compiled twice: to scalar code,
+//! and to a *reduce nest* that runs every iteration of the nest in one op
+//! (a conv kernel's padded accumulation, a dense layer's reduction; §4.3's
+//! tensorized multiply-accumulate, on our own ISA).
 //!
-//! * *Eligible*: a body that is a single unpredicated float32 store
-//!   `S[i] = S[i] + X[f(k)] * Y[g(k)]`, the sum in either order, with `i`
-//!   invariant in the loop variable `k`, `f` and `g` affine in `k`, `S`
-//!   held as `f32`, and `X` and `Y` buffers other than `S` held as `f32`.
-//!   A thread's dot product over shared tiles in a barriered nest is one
-//!   too, and runs on that lane's registers and its own copy of `S` when
-//!   it is thread-local. [`Program::reduce_loops`] counts them.
-//! * *Exact*: the op does `acc = (acc as f64 + x as f64 * y as f64) as f32`
-//!   per iteration, the walker's arithmetic and store rounding, writes
-//!   `S[i]` once and counts one store per iteration.
-//! * *Replay*: before it writes anything, the op checks both ends of all
-//!   three accesses with checked arithmetic; the indices are affine, so
-//!   every index between is in bounds too. If the loop is empty, or an end
-//!   index is out of bounds or overflows, the scalar code runs instead and
-//!   stores and faults where the walker does.
+//! * *Eligible*: a `serial`, `unrolled` or `vectorized` loop whose body is
+//!   a single unpredicated float32 store `S[s] = S[s] + a * b`, the sum in
+//!   either order, where each factor is `X[x]` or a padded read
+//!   `select(c, X[x], k)` with `c` a conjunction of integer `< <= > >=`
+//!   comparisons and `k` a float constant. `s`, `x` and both sides of each
+//!   comparison must be affine in the loop variable with every other term
+//!   invariant in the loop; `S` is held as `f32`, and each factor's buffer
+//!   is another buffer held as `f32`. A loop of those kinds whose whole
+//!   body is a loop that compiled to a reduce nest then takes it over as
+//!   its new outermost level (up to eight levels), when every
+//!   integer of the nest is affine in its variable too and no inner level's
+//!   range depends on it; [`Program::reduce_depths`] gives each nest's
+//!   levels. A nest in a barriered thread nest runs on that lane's
+//!   registers and its own copy of `S` when it is thread-local.
+//!   Where such a nest is not eligible, a `vectorized` loop may still run
+//!   in lane form.
+//! * *Exact*: the op runs the walker's iterations in its row-major order,
+//!   each `S[s] = (S[s] as f64 + a as f64 * b as f64) as f32`, the walker's
+//!   arithmetic and store rounding, and counts one store per iteration. In
+//!   each innermost row a guard is an interval, found by division from the
+//!   comparisons' affine forms; outside it the factor is `k` and nothing
+//!   is loaded. An unguarded nest whose every level walks each access on
+//!   from where the level inside it ends (a split reduction `k.o × k.i`)
+//!   runs as one row.
+//! * *Replay*: before it writes anything, the op checks with checked
+//!   arithmetic that every integer stays an `i64` over the nest's box and
+//!   that `S` and every unguarded factor stay in bounds at its corners; a
+//!   guarded factor is checked at both ends of its interval in each row.
+//!   The indices are affine, so every index between is in bounds too. If
+//!   the box is empty or a check fails, the scalar code of every level
+//!   runs instead and stores and faults where the walker does.
 //!
-//! A lane loop or a reduce loop is entered through a `Yield` op that
+//! A lane loop or a reduce nest is entered through a `Yield` op that
 //! returns from the dispatch loop to [`Program::execute`] (in a barriered
 //! nest, to the lanes' scheduler), which runs it and resumes after it: work
 //! outside the dispatch loop does not perturb how the dispatch loop's
@@ -244,7 +260,7 @@ enum Code {
     Nest,
     /// Returns to the caller, which hands over `handoffs[a]` and resumes
     /// after it: a lane loop, whose lane code and then scalar code follow,
-    /// or a reduce loop, whose scalar code follows. Both run outside the
+    /// or a reduce nest, whose scalar code follows. Both run outside the
     /// dispatch loop, so that scalar code keeps its registers. In a
     /// barriered nest the handoff runs on the current lane's window.
     Yield,
@@ -347,30 +363,55 @@ struct LaneLoop {
     scalar_len: u16,
 }
 
-/// An innermost loop `S[i] = S[i] + X[f(k)] * Y[g(k)]` run as one dot
-/// product. Its `Yield` op is followed by the loop's scalar code,
-/// `scalar_len` ops from its `LoopGuard` to its `LoopNext`, which runs
-/// instead when the dot product cannot.
+/// Most loop levels one reduce nest spans.
+const MAX_DEPTH: usize = 8;
+
+/// Most affine integers one reduce nest tracks: the three indices and both
+/// sides of up to six guard comparisons.
+const MAX_LINS: usize = 15;
+
+/// A perfect nest of loops around `S[s] = S[s] + a * b` run as one op, in
+/// the walker's row-major order. Each factor is `X[x]` or a guarded
+/// `select(c, X[x], k)`. Its `Yield` op is followed by the outermost
+/// loop's scalar code, `scalar_len` ops from its `LoopGuard` to its
+/// `LoopNext`, which runs instead when the nest cannot.
 #[derive(Clone)]
-struct ReduceLoop {
-    /// Registers of the loop variable, which holds the first iteration, and
-    /// of the loop's limit.
-    counter: Reg,
-    limit: Reg,
-    /// `S[i]` (stride zero), `X[f(k)]` and `Y[g(k)]`.
-    acc: Stream,
-    x: Stream,
-    y: Stream,
+struct ReduceNest {
+    /// Outermost first.
+    levels: Vec<NestLevel>,
+    /// Slots of `S` and of the two factors' buffers.
+    slots: [u16; 3],
+    /// The indices of `S` and of the two factors, then both sides of every
+    /// guard comparison.
+    lins: Vec<Lin>,
+    /// Each factor's guard, if it has one.
+    guards: [Option<Guard>; 2],
     scalar_len: u16,
 }
 
-/// An access of a reduce loop: element `i[base] + stride * k` of `slot` at
-/// iteration `k`.
+/// Registers of a nest level's loop variable, first iteration and limit.
 #[derive(Clone, Copy)]
-struct Stream {
-    slot: u16,
+struct NestLevel {
+    counter: Reg,
+    lo: Reg,
+    limit: Reg,
+}
+
+/// `i[base] + Σ strides[j] * k[j]` over the nest's loop variables `k`,
+/// outermost first.
+#[derive(Clone, Copy)]
+struct Lin {
     base: Reg,
-    stride: i64,
+    strides: [i64; MAX_DEPTH],
+}
+
+/// A factor's guard: where every comparison holds it loads, elsewhere it is
+/// `konst`.
+#[derive(Clone)]
+struct Guard {
+    /// `(a, b, strict)`: `lins[a] < lins[b]`, or `<=` unless strict.
+    cmps: Vec<(usize, usize, bool)>,
+    konst: f64,
 }
 
 /// What a `Yield` hands over to [`Program::execute`], or, in a barriered
@@ -378,7 +419,7 @@ struct Stream {
 #[derive(Clone)]
 enum Handoff {
     Lanes(LaneLoop),
-    Reduce(ReduceLoop),
+    Reduce(Box<ReduceNest>),
 }
 
 /// A lowered function compiled for one binding of its parameters.
@@ -434,9 +475,29 @@ impl Program {
         self.handoffs.iter().filter(lanes).count()
     }
 
-    /// Number of loops compiled to reduce loops.
+    /// Number of loop nests compiled to reduce nests.
     pub fn reduce_loops(&self) -> usize {
-        self.handoffs.len() - self.lane_loops()
+        self.reduce_nests().count()
+    }
+
+    /// Loop levels of each reduce nest, in program order.
+    pub fn reduce_depths(&self) -> Vec<usize> {
+        self.reduce_nests().map(|r| r.levels.len()).collect()
+    }
+
+    /// Number of factors, over every reduce nest, that are a guarded
+    /// `select(c, X[x], k)`.
+    pub fn guarded_factors(&self) -> usize {
+        self.reduce_nests()
+            .map(|r| r.guards.iter().flatten().count())
+            .sum()
+    }
+
+    fn reduce_nests(&self) -> impl Iterator<Item = &ReduceNest> {
+        self.handoffs.iter().filter_map(|h| match h {
+            Handoff::Reduce(r) => Some(&**r),
+            Handoff::Lanes(_) => None,
+        })
     }
 
     pub(crate) fn takes_f32_arrays(&self) -> bool {
@@ -566,17 +627,213 @@ fn malformed(what: &str) -> InterpError {
     InterpError::Malformed(format!("flat program: {what}"))
 }
 
-/// Where in `slot`'s storage stream `s`, whose base is `base`, starts at
-/// iteration `first`, if its elements at iterations `first` and `last` are
-/// both in bounds, and so every element between. `None` also when either
-/// index overflows, where the scalar code would wrap.
-fn stream_start(slot: &Slot, s: &Stream, base: i64, first: i64, last: i64) -> Option<usize> {
-    let index = |k: i64| {
-        let i = s.stride.checked_mul(k).and_then(|d| base.checked_add(d))?;
-        ((i as u64) < slot.len as u64).then_some(i as usize)
+/// The iteration box of a reduce nest: each level's first and last
+/// iteration, outermost first.
+#[derive(Clone, Copy)]
+struct NestBox {
+    depth: usize,
+    lo: [i64; MAX_DEPTH],
+    hi: [i64; MAX_DEPTH],
+}
+
+impl NestBox {
+    /// Iterations of the innermost level.
+    fn row_len(&self) -> usize {
+        let d = self.depth - 1;
+        (self.hi[d].abs_diff(self.lo[d]) + 1) as usize
+    }
+
+    /// The value of `lin`, whose base is `base`, at the box's first point,
+    /// and its least and greatest value over the box; `None` if a step to
+    /// any of them leaves `i64`. When all are `i64`s, so is every value
+    /// between.
+    fn range(&self, lin: &Lin, base: i64) -> Option<(i64, i64, i64)> {
+        let (mut first, mut down, mut up) = (base, 0i64, 0i64);
+        for j in 0..self.depth {
+            let s = lin.strides[j];
+            first = first.checked_add(s.checked_mul(self.lo[j])?)?;
+            let d = s.checked_mul(self.hi[j].checked_sub(self.lo[j])?)?;
+            if d < 0 {
+                down = down.checked_add(d)?;
+            } else {
+                up = up.checked_add(d)?;
+            }
+        }
+        Some((first, first.checked_add(down)?, first.checked_add(up)?))
+    }
+
+    /// This box with each outer level along which none of the lins that
+    /// `seen` selects moves held at its first iteration: its rows show
+    /// those lins every value the whole box's rows do.
+    fn seen_by(&self, lins: &[Lin], seen: impl Fn(usize) -> bool) -> NestBox {
+        let mut b = *self;
+        for j in 0..self.depth - 1 {
+            let mut lins = lins.iter().enumerate();
+            if lins.all(|(i, lin)| !seen(i) || lin.strides[j] == 0) {
+                b.hi[j] = b.lo[j];
+            }
+        }
+        b
+    }
+
+    /// Calls `f` with the value of every lin at the first iteration of each
+    /// row, rows in row-major order, until it returns `false`; returns
+    /// whether every call returned `true`. `vals` holds the values at the
+    /// box's first point. Values are kept with wrapping arithmetic, so one
+    /// that is an `i64` at a point is exact there.
+    fn rows(
+        &self,
+        lins: &[Lin],
+        mut vals: [i64; MAX_LINS],
+        mut f: impl FnMut(&[i64; MAX_LINS]) -> bool,
+    ) -> bool {
+        let mut k = self.lo;
+        loop {
+            if !f(&vals) {
+                return false;
+            }
+            // The odometer over every level but the innermost.
+            let mut j = self.depth - 1;
+            loop {
+                if j == 0 {
+                    return true;
+                }
+                j -= 1;
+                if k[j] < self.hi[j] {
+                    k[j] += 1;
+                    for (v, lin) in vals.iter_mut().zip(lins) {
+                        *v = v.wrapping_add(lin.strides[j]);
+                    }
+                    break;
+                }
+                let back = self.hi[j].wrapping_sub(self.lo[j]);
+                k[j] = self.lo[j];
+                for (v, lin) in vals.iter_mut().zip(lins) {
+                    *v = v.wrapping_sub(lin.strides[j].wrapping_mul(back));
+                }
+            }
+        }
+    }
+}
+
+/// Iterations `t0..t1` of a row of `n` where factor `f` of `r` loads, given
+/// the lins' values `v` at the row's first iteration: all of them when it
+/// is unguarded, else those where every guard comparison holds. Each
+/// side of a comparison is an `i64` everywhere in the box, so its value is
+/// exact and their difference is exact in `i128`.
+fn span(r: &ReduceNest, f: usize, v: &[i64; MAX_LINS], n: usize) -> (usize, usize) {
+    let Some(g) = &r.guards[f] else {
+        return (0, n);
     };
-    index(last)?;
-    Some(slot.base + index(first)?)
+    let d = r.levels.len() - 1;
+    let (mut t0, mut t1) = (0i128, n as i128);
+    for &(a, b, strict) in &g.cmps {
+        // The comparison holds at iteration `t` iff `r0 + c * t <= 0`.
+        let r0 = v[a] as i128 - v[b] as i128 + strict as i128;
+        let c = r.lins[a].strides[d] as i128 - r.lins[b].strides[d] as i128;
+        if c > 0 {
+            t1 = t1.min(floor_div_pos(-r0, c) + 1);
+        } else if c < 0 {
+            t0 = t0.max(-floor_div_pos(-r0, -c));
+        } else if r0 > 0 {
+            return (0, 0);
+        }
+    }
+    if t0 < t1 {
+        (t0 as usize, t1 as usize)
+    } else {
+        (0, 0)
+    }
+}
+
+/// `floor(a / b)` for `b > 0`, without a division for the usual `b = 1`.
+fn floor_div_pos(a: i128, b: i128) -> i128 {
+    if b == 1 {
+        a
+    } else {
+        a.div_euclid(b)
+    }
+}
+
+/// A factor of a reduce nest along a row: its value at iteration `t`.
+trait RowFactor: Copy {
+    fn get(&self, t: usize) -> f64;
+}
+
+/// Element `at + t * step` of `data` at iteration `t`.
+#[derive(Clone, Copy)]
+struct Plain<'a> {
+    data: &'a [f32],
+    at: usize,
+    step: usize,
+}
+
+impl RowFactor for Plain<'_> {
+    #[inline(always)]
+    fn get(&self, t: usize) -> f64 {
+        self.data[self.at.wrapping_add(t.wrapping_mul(self.step))] as f64
+    }
+}
+
+/// [`Plain`] where `t0 <= t < t1`, `konst` elsewhere.
+#[derive(Clone, Copy)]
+struct Guarded<'a> {
+    plain: Plain<'a>,
+    t0: usize,
+    t1: usize,
+    konst: f64,
+}
+
+impl RowFactor for Guarded<'_> {
+    #[inline(always)]
+    fn get(&self, t: usize) -> f64 {
+        if t.wrapping_sub(self.t0) < self.t1 - self.t0 {
+            self.plain.get(t)
+        } else {
+            self.konst
+        }
+    }
+}
+
+/// Runs `n` iterations of `s[si] = (s[si] as f64 + x * y) as f32`, `si`
+/// advancing by `ss` (wrapping, so a negative stride works), keeping the
+/// sum in a register while `ss` is zero.
+#[inline(always)]
+fn mac_row(
+    s: &mut [f32],
+    mut si: usize,
+    ss: usize,
+    n: usize,
+    x: impl RowFactor,
+    y: impl RowFactor,
+) {
+    if ss == 0 {
+        let mut acc = s[si];
+        for t in 0..n {
+            acc = (acc as f64 + x.get(t) * y.get(t)) as f32;
+        }
+        s[si] = acc;
+    } else {
+        for t in 0..n {
+            s[si] = (s[si] as f64 + x.get(t) * y.get(t)) as f32;
+            si = si.wrapping_add(ss);
+        }
+    }
+}
+
+/// The slots of a reduce nest's `S`, to write, and of its two factors, to
+/// read: the compiler admits no factor in `S`'s own slot.
+#[inline(always)]
+fn split_slots(slots: &mut [Slot], [s, x, y]: [u16; 3]) -> (&mut Slot, &Slot, &Slot) {
+    let s = s as usize;
+    let (before, rest) = slots.split_at_mut(s);
+    let (slot, after) = rest.split_first_mut().expect("a nest names its slots");
+    let (before, after): (&[Slot], &[Slot]) = (before, after);
+    let other = |i: u16| match (i as usize).checked_sub(s + 1) {
+        Some(k) => &after[k],
+        None => &before[i as usize],
+    };
+    (slot, other(x), other(y))
 }
 
 impl Machine<'_> {
@@ -785,7 +1042,7 @@ impl Machine<'_> {
     }
 
     /// Runs the lanes of `nest`, whose code starts at `start`, in turns
-    /// from barrier to barrier. A reduce loop a lane yields runs on that
+    /// from barrier to barrier. A reduce nest a lane yields runs on that
     /// lane's window, within its turn.
     fn run_nest(&mut self, nest: &Nest, start: usize, ints: &[i64], floats: &[f64]) -> Result<()> {
         let mut lanes = 1usize;
@@ -835,7 +1092,7 @@ impl Machine<'_> {
                         Stop::Yield(next) => {
                             let a = self.program.ops[next - 1].a as usize;
                             let Some(Handoff::Reduce(r)) = self.program.handoffs.get(a) else {
-                                return Err(malformed("a nest yields no reduce loop"));
+                                return Err(malformed("a nest yields no reduce nest"));
                             };
                             *pc = self.run_reduce(r, next, wi)?;
                         }
@@ -891,59 +1148,217 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// Runs reduce loop `r`, whose scalar code starts at `start`, as one
-    /// dot product, each iteration rounding the walker's `f64` sum to `f32`
-    /// as its store does, and writes `S[i]` once; returns the op after the
-    /// scalar code. Returns `start`, having changed nothing, if the loop is
-    /// empty or an access at either end of it is out of bounds: its scalar
-    /// code then runs, and stores and faults where the walker does. Each
-    /// access goes through its slot's `base`, so in a barriered nest a
-    /// lane's own allocation is the current lane's copy.
-    fn run_reduce(&mut self, r: &ReduceLoop, start: usize, ints: &mut [i64]) -> Result<usize> {
-        let reg = |x: Reg| ints.get(x as usize).copied();
-        let slot = |s: &Stream| self.mem.slots.get(s.slot as usize);
-        let (Some(first), Some(limit), Some(sa), Some(sx), Some(sy)) = (
-            reg(r.counter),
-            reg(r.limit),
-            slot(&r.acc),
-            slot(&r.x),
-            slot(&r.y),
-        ) else {
-            return Err(malformed(
-                "a reduce loop names a register or buffer it lacks",
-            ));
+    /// Runs reduce nest `r`, whose scalar code starts at `start`, as one
+    /// op: every iteration in the walker's row-major order, each rounding
+    /// the walker's `f64` sum to `f32` as its store does, and counting one
+    /// store; returns the op after the scalar code. Returns `start`, having
+    /// changed nothing, if the box is empty, an access is out of bounds or
+    /// an integer leaves `i64` anywhere in it: the scalar code then runs,
+    /// and stores and faults where the walker does. Each access goes
+    /// through its slot's `base`, so in a barriered nest a lane's own
+    /// allocation is the current lane's copy.
+    fn run_reduce(&mut self, r: &ReduceNest, start: usize, ints: &mut [i64]) -> Result<usize> {
+        let ran =
+            matches!(r.guards, [None, None]) && self.run_row(r, ints) || self.run_box(r, ints);
+        Ok(if ran {
+            start + r.scalar_len as usize
+        } else {
+            start
+        })
+    }
+
+    /// Runs reduce nest `r` a row at a time. Returns whether it ran; if
+    /// not, it changed nothing.
+    #[inline(never)]
+    fn run_box(&mut self, r: &ReduceNest, ints: &mut [i64]) -> bool {
+        let mut b = NestBox {
+            depth: r.levels.len(),
+            lo: [0; MAX_DEPTH],
+            hi: [0; MAX_DEPTH],
         };
-        if first >= limit {
-            return Ok(start);
+        let mut volume = 1u64;
+        for (j, l) in r.levels.iter().enumerate() {
+            let (first, limit) = (ints[l.lo as usize], ints[l.limit as usize]);
+            if first >= limit {
+                return false;
+            }
+            (b.lo[j], b.hi[j]) = (first, limit - 1);
+            match volume.checked_mul(limit.abs_diff(first)) {
+                Some(v) => volume = v,
+                None => return false,
+            }
         }
-        let last = limit - 1;
-        let begin = |slot: &Slot, s: &Stream| {
-            let base = reg(s.base)?;
-            stream_start(slot, s, base, first, last)
-        };
-        let (Some(at), Some(mut xi), Some(mut yi)) =
-            (begin(sa, &r.acc), begin(sx, &r.x), begin(sy, &r.y))
+        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots);
+        let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
+            (&mut s.buf.data, &x.buf.data, &y.buf.data)
         else {
-            return Ok(start);
+            return false;
         };
-        let (Data::F32(s), Data::F32(xs), Data::F32(ys)) =
-            (&sa.buf.data, &sx.buf.data, &sy.buf.data)
+        // Every lin is an `i64` all over the box, so the values `rows`
+        // keeps are exact; `S`'s index and an unguarded factor's are in
+        // bounds all over it too.
+        let lens = [
+            Some(s.len),
+            r.guards[0].is_none().then_some(x.len),
+            r.guards[1].is_none().then_some(y.len),
+        ];
+        let mut vals = [0i64; MAX_LINS];
+        for (i, lin) in r.lins.iter().enumerate() {
+            let Some((first, min, max)) = b.range(lin, ints[lin.base as usize]) else {
+                return false;
+            };
+            if let Some(&Some(len)) = lens.get(i) {
+                if min < 0 || max as u64 >= len as u64 {
+                    return false;
+                }
+            }
+            vals[i] = first;
+        }
+        let (d, n) = (b.depth - 1, b.row_len());
+        let stride = |i: usize| r.lins[i].strides[d];
+        // A guarded factor loads only where its guard holds: in each row,
+        // both ends of that span are in bounds, and so every index between.
+        // Rows that differ only at levels the factor and its guard do not
+        // move along are checked once.
+        for (f, slot) in [x, y].into_iter().enumerate() {
+            let Some(g) = &r.guards[f] else {
+                continue;
+            };
+            let seen = |i: usize| i == f + 1 || g.cmps.iter().any(|&(a, b, _)| i == a || i == b);
+            let in_bounds = |v: &[i64; MAX_LINS]| {
+                let (t0, t1) = span(r, f, v, n);
+                let index = |t: usize| v[f + 1].wrapping_add(stride(f + 1).wrapping_mul(t as i64));
+                let len = slot.len as u64;
+                t0 == t1 || (index(t0) as u64) < len && (index(t1 - 1) as u64) < len
+            };
+            if !b.seen_by(&r.lins, seen).rows(&r.lins, vals, in_bounds) {
+                return false;
+            }
+        }
+        let plain = |f: usize, v: &[i64; MAX_LINS]| Plain {
+            data: [xs, ys][f],
+            at: [x.base, y.base][f].wrapping_add(v[f + 1] as usize),
+            step: stride(f + 1) as usize,
+        };
+        let guarded = |f: usize, v: &[i64; MAX_LINS]| {
+            let (t0, t1) = span(r, f, v, n);
+            let konst = r.guards[f].as_ref().map_or(0.0, |g| g.konst);
+            Guarded {
+                plain: plain(f, v),
+                t0,
+                t1,
+                konst,
+            }
+        };
+        let (ss, sbase) = (stride(0) as usize, s.base);
+        let si = |v: &[i64; MAX_LINS]| sbase.wrapping_add(v[0] as usize);
+        match (r.guards[0].is_some(), r.guards[1].is_some()) {
+            (false, false) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, plain(0, v), plain(1, v));
+                true
+            }),
+            (true, false) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, guarded(0, v), plain(1, v));
+                true
+            }),
+            (false, true) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, plain(0, v), guarded(1, v));
+                true
+            }),
+            (true, true) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, guarded(0, v), guarded(1, v));
+                true
+            }),
+        };
+        self.stores += volume;
+        for l in &r.levels {
+            ints[l.counter as usize] = ints[l.limit as usize];
+        }
+        true
+    }
+
+    /// Runs unguarded reduce nest `r` as one row, when it is one: when
+    /// every level walks each access on from where the level inside it
+    /// ends, as a dense layer's split reduction does, the iterations in
+    /// row-major order are one run at the innermost strides, and its bounds
+    /// check is both ends of each access. Returns whether it ran; if not,
+    /// it changed nothing.
+    fn run_row(&mut self, r: &ReduceNest, ints: &mut [i64]) -> bool {
+        let (lins, d) = (&r.lins[..3], r.levels.len() - 1);
+        // The row's length, the extent of the level inside the current one,
+        // and each access's index at the first iteration.
+        let (mut n, mut inner) = (1u64, 1i64);
+        let mut firsts = [0i64; 3];
+        for (i, at) in firsts.iter_mut().enumerate() {
+            *at = ints[lins[i].base as usize];
+        }
+        for (j, l) in r.levels.iter().enumerate().rev() {
+            let (first, limit) = (ints[l.lo as usize], ints[l.limit as usize]);
+            let extent = limit.wrapping_sub(first);
+            if first >= limit || extent <= 0 {
+                return false;
+            }
+            for (lin, at) in lins.iter().zip(&mut firsts) {
+                let s = lin.strides[j];
+                if j < d && lin.strides[j + 1].checked_mul(inner) != Some(s) {
+                    return false;
+                }
+                match s.checked_mul(first).and_then(|k| at.checked_add(k)) {
+                    Some(k) => *at = k,
+                    None => return false,
+                }
+            }
+            match n.checked_mul(extent as u64) {
+                Some(m) => (n, inner) = (m, extent),
+                None => return false,
+            }
+        }
+        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots);
+        let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
+            (&mut s.buf.data, &x.buf.data, &y.buf.data)
         else {
-            return Ok(start);
+            return false;
         };
-        let n = limit.abs_diff(first);
-        let mut acc = s[at];
-        for _ in 0..n {
-            acc = (acc as f64 + xs[xi] as f64 * ys[yi] as f64) as f32;
-            xi = xi.wrapping_add(r.x.stride as usize);
-            yi = yi.wrapping_add(r.y.stride as usize);
+        // Where in its slot's storage each access starts, if it is in
+        // bounds at both ends of the row, and so everywhere between.
+        let last = i64::try_from(n - 1).unwrap_or(i64::MAX);
+        let mut starts = [0usize; 3];
+        for (i, (base, len)) in [(s.base, s.len), (x.base, x.len), (y.base, y.len)]
+            .into_iter()
+            .enumerate()
+        {
+            let at = firsts[i];
+            let Some(end) = lins[i].strides[d]
+                .checked_mul(last)
+                .and_then(|k| at.checked_add(k))
+            else {
+                return false;
+            };
+            if (at as u64) >= len as u64 || (end as u64) >= len as u64 {
+                return false;
+            }
+            starts[i] = base + at as usize;
         }
-        if let Data::F32(s) = &mut self.mem.slots[r.acc.slot as usize].buf.data {
-            s[at] = acc;
-        }
+        let [si, xi, yi] = starts;
+        let step = |i: usize| r.lins[i].strides[d] as usize;
+        let (x, y) = (
+            Plain {
+                data: xs,
+                at: xi,
+                step: step(1),
+            },
+            Plain {
+                data: ys,
+                at: yi,
+                step: step(2),
+            },
+        );
+        mac_row(sv, si, step(0), n as usize, x, y);
         self.stores += n;
-        ints[r.counter as usize] = limit;
-        Ok(start + r.scalar_len as usize)
+        for l in &r.levels {
+            ints[l.counter as usize] = ints[l.limit as usize];
+        }
+        true
     }
 
     /// Executes the lane code `ops[pc..end]` on the first `n` lanes.
@@ -1242,6 +1657,7 @@ struct OpenLoop {
 }
 
 /// `c + Σ coeff · value`, the canonical form of integer `+ - *`.
+#[derive(Clone)]
 struct Affine {
     c: i64,
     terms: Vec<(Vid, i64)>,
@@ -1270,6 +1686,28 @@ impl Affine {
         }
         self.terms.retain(|&(_, coeff)| coeff != 0);
     }
+}
+
+/// An affine integer of a reduce nest under construction: `rest` plus
+/// `strides[j]` times the variable of level `j`, outermost first, where
+/// `rest` is invariant in every level.
+#[derive(Clone)]
+struct LinPlan {
+    rest: Affine,
+    strides: Vec<i64>,
+}
+
+/// A reduce nest under construction: [`ReduceNest`] over value numbers,
+/// so that the loop around it can take it over as a new outermost level.
+#[derive(Clone)]
+struct NestPlan {
+    /// Counter, first iteration and limit of each level, outermost first.
+    levels: Vec<(Vid, Vid, Vid)>,
+    slots: [u16; 3],
+    lins: Vec<LinPlan>,
+    guards: [Option<Guard>; 2],
+    /// The handoff it compiled to.
+    handoff: usize,
 }
 
 /// The `vectorized` loop body being compiled to lane form.
@@ -1311,6 +1749,9 @@ struct Compiler<'a> {
     lane_floats: u32,
     /// Set while a loop body is compiled to lane form.
     lane: Option<LaneBody>,
+    /// The reduce nest the loop closed last compiled to, which the loop
+    /// around it may absorb.
+    nest: Option<NestPlan>,
     /// A frame ran out of `u16` registers.
     too_large: bool,
 }
@@ -1342,6 +1783,7 @@ impl<'a> Compiler<'a> {
             lane_ints: 0,
             lane_floats: 0,
             lane: None,
+            nest: None,
             too_large: false,
         }
     }
@@ -1708,23 +2150,30 @@ impl<'a> Compiler<'a> {
     }
 
     /// Closes loop `l`; `source` is the kind, variable and body of the `for`
-    /// statement it compiles, if any. A `vectorized` loop's body is compiled
-    /// a second time, to lane form, and a serial or unrolled dot product
-    /// gets a reduce loop, where they can.
+    /// statement it compiles, if any. A serial, unrolled or `vectorized`
+    /// multiply-accumulate loop, or one whose body is a loop that compiled
+    /// to a reduce nest, gets a reduce nest where it can; a `vectorized`
+    /// loop that does not has its body compiled a second time, to lane
+    /// form, where it can.
     fn close_loop(&mut self, l: OpenLoop, source: Option<(ForKind, &Var, &Stmt)>) {
         self.unbind(l.var, l.shadowed);
-        let level = self.close_level();
+        let inner = self.nest.take();
+        let mut level = self.close_level();
         let var = self.values[l.counter as usize].reg;
         let (lo, limit) = (self.reg(l.lo), self.reg(l.limit));
+        let nest = match (source, inner) {
+            (Some((kind, _, body)), inner) if nests(kind) => match (inner, &*body.0) {
+                (Some(inner), StmtNode::For { kind, .. }) if nests(*kind) => self
+                    .lift(inner, &l, &mut level.body)
+                    .map(|plan| (Vec::new(), plan)),
+                _ => self.plan_nest(&l, body),
+            },
+            _ => None,
+        };
         let skip = (level.body.len() + 1) as u16;
-        let (lanes, reduce) = match source {
-            Some((ForKind::Vectorized, v, body)) => (self.lane_form(v, body), None),
-            Some((ForKind::Serial | ForKind::Unrolled, _, body)) => {
-                // The scalar loop: `LoopGuard`, the body, `LoopNext`.
-                let scalar_len = (level.body.len() + 2) as u16;
-                (None, self.reduce_form(&l, body, scalar_len))
-            }
-            _ => (None, None),
+        let lanes = match source {
+            Some((ForKind::Vectorized, v, body)) if nest.is_none() => self.lane_form(v, body),
+            _ => None,
         };
         let mut out = level.pre;
         if let Some((lanes, iv)) = lanes {
@@ -1742,9 +2191,12 @@ impl<'a> Compiler<'a> {
             out.extend(level.body);
         } else {
             let mut handoff = None;
-            if let Some((pre, r)) = reduce {
+            if let Some((pre, plan)) = nest {
                 out.extend(pre);
-                handoff = Some(self.handoff(Handoff::Reduce(r)));
+                // The scalar loop: `LoopGuard`, the body, `LoopNext`.
+                let (bases, op) = self.nest_handoff(plan, (level.body.len() + 2) as u16);
+                out.extend(bases);
+                handoff = Some(op);
             }
             out.push(Op::new(Code::IMov, var, lo, 0, 0));
             out.extend(handoff);
@@ -1762,59 +2214,79 @@ impl<'a> Compiler<'a> {
         Op::new(Code::Yield, 0, (self.handoffs.len() - 1) as u16, 0, 0)
     }
 
-    /// The reduce loop of loop `l`, whose `body` compiled to `scalar_len`
-    /// ops of scalar code, and the ops that compute its bases in front of
-    /// the loop. `None`, with nothing changed, unless the body is
-    /// `S[i] = S[i] + X[f(k)] * Y[g(k)]` (the sum in either order, no
-    /// predicate) with `i` invariant in the loop, `f` and `g` affine in its
-    /// variable `k`, `S` a float32 buffer held as `f32`, and `X` and `Y`
-    /// buffers other than `S` held as `f32`.
-    fn reduce_form(
-        &mut self,
-        l: &OpenLoop,
-        body: &Stmt,
-        scalar_len: u16,
-    ) -> Option<(Vec<Op>, ReduceLoop)> {
-        let accesses = dot_product(body)?;
-        let mut slots = [0u16; 4];
-        for (slot, (buffer, _)) in slots.iter_mut().zip(&accesses) {
+    /// The one-level reduce nest of loop `l`, and the ops in front of the
+    /// loop that its integers use. `None`, with nothing changed, unless
+    /// `body` is `S[s] = S[s] + a * b` ([`mac_form`]) with `S` a float32
+    /// buffer held as `f32`, both factors' buffers other than `S` and held
+    /// as `f32`, and every index and guard side affine in the loop
+    /// variable with every other term invariant in the loop.
+    fn plan_nest(&mut self, l: &OpenLoop, body: &Stmt) -> Option<(Vec<Op>, NestPlan)> {
+        let form = mac_form(body)?;
+        let mut slots = [0u16; 3];
+        let buffers = [form.acc, form.factors[0].buffer, form.factors[1].buffer];
+        for (slot, buffer) in slots.iter_mut().zip(buffers) {
             let &V::Handle(_, s) = self.vars.get(&buffer.id())? else {
                 return None;
             };
             *slot = s;
         }
-        let [s, _, x, y] = slots;
+        let [s, x, y] = slots;
         let held_f32 = |slot: u16| self.slots[slot as usize].storage == Storage::F32;
         let float32 = self.slots[s as usize].dtype == DType::float32();
-        if !(float32 && held_f32(s) && held_f32(x) && held_f32(y)) || x == s || y == s {
+        if !(float32 && slots.iter().all(|&s| held_f32(s))) || x == s || y == s {
+            return None;
+        }
+        // The integers: `S` as stored and as loaded, each factor's index,
+        // then both sides of each guard comparison.
+        let mut ints = vec![form.at[0], form.at[1]];
+        ints.extend(form.factors.iter().map(|f| f.index));
+        for f in &form.factors {
+            ints.extend(f.cmps.iter().flat_map(|&(a, b, _)| [a, b]));
+        }
+        if ints.len() > MAX_LINS + 1 {
             return None;
         }
         let before = self.clone();
         self.open_level(self.cur_frame());
         let shadowed = self.vars.insert(l.var, V::Int(l.counter));
-        let streams = accesses.map(|(_, index)| self.stream(index, l.counter));
+        let affines: Vec<Affine> = ints.iter().map(|e| self.affine(e)).collect();
         self.unbind(l.var, shadowed);
         let level = self.close_level();
-        match streams {
-            [Some(acc @ (base, 0)), Some(load), Some(xs), Some(ys)]
-                if acc == load && level.body.is_empty() =>
-            {
-                let (counter, limit) = (self.values[l.counter as usize].reg, self.reg(l.limit));
-                let mut stream = |slot, (base, stride)| Stream {
-                    slot,
-                    base: self.reg(base),
-                    stride,
+        let inner = self.cur_level() + 1;
+        let lins: Option<Vec<LinPlan>> = affines
+            .into_iter()
+            .map(|a| {
+                let (rest, stride) = self.split(a, l.counter, inner)?;
+                Some(LinPlan {
+                    rest,
+                    strides: vec![stride],
+                })
+            })
+            .collect();
+        match lins {
+            Some(mut lins) if level.body.is_empty() && same(&lins[0], &lins[1]) => {
+                lins.remove(1);
+                let mut next = 3;
+                let guards = form.factors.map(|f| {
+                    let konst = f.konst?;
+                    let cmps = f
+                        .cmps
+                        .iter()
+                        .map(|&(_, _, strict)| {
+                            next += 2;
+                            (next - 2, next - 1, strict)
+                        })
+                        .collect();
+                    Some(Guard { cmps, konst })
+                });
+                let plan = NestPlan {
+                    levels: vec![(l.counter, l.lo, l.limit)],
+                    slots,
+                    lins,
+                    guards,
+                    handoff: 0,
                 };
-                let (acc, x, y) = (stream(s, (base, 0)), stream(x, xs), stream(y, ys));
-                let r = ReduceLoop {
-                    counter,
-                    limit,
-                    acc,
-                    x,
-                    y,
-                    scalar_len,
-                };
-                Some((level.pre, r))
+                Some((level.pre, plan))
             }
             _ => {
                 *self = before;
@@ -1823,22 +2295,103 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Index `e` as `base + stride * k`, where `k` is the variable of the
-    /// loop being analysed: `None` if a term other than `k` varies in it.
-    fn stream(&mut self, e: &Expr, k: Vid) -> Option<(Vid, i64)> {
-        let mut a = self.affine(e);
+    /// `inner`, the reduce nest that the body of loop `l` compiled to, with
+    /// `l` as its new outermost level; `None`, with nothing changed, unless
+    /// every inner level's range and every term of every integer but `l`'s
+    /// variable is invariant in `l`. `body` is the loop's scalar code, from
+    /// which the inner nest's `Yield` is taken out: the new nest falls back
+    /// to the scalar code of every level.
+    fn lift(&mut self, inner: NestPlan, l: &OpenLoop, body: &mut Vec<Op>) -> Option<NestPlan> {
+        let level = self.cur_level() + 1;
+        let invariant = |v: Vid| self.values[v as usize].level < level;
+        let ranges = inner
+            .levels
+            .iter()
+            .all(|&(_, lo, limit)| invariant(lo) && invariant(limit));
+        if inner.levels.len() == MAX_DEPTH || !ranges {
+            return None;
+        }
+        let mut lins = Vec::with_capacity(inner.lins.len());
+        for lin in &inner.lins {
+            let (rest, stride) = self.split(lin.rest.clone(), l.counter, level)?;
+            let mut strides = vec![stride];
+            strides.extend(&lin.strides);
+            lins.push(LinPlan { rest, strides });
+        }
+        let at = body
+            .iter()
+            .position(|op| op.code == Code::Yield && op.a as usize == inner.handoff)?;
+        body.remove(at);
+        debug_assert_eq!(self.handoffs.len(), inner.handoff + 1);
+        self.handoffs.truncate(inner.handoff);
+        let mut levels = vec![(l.counter, l.lo, l.limit)];
+        levels.extend(inner.levels);
+        Some(NestPlan {
+            levels,
+            lins,
+            ..inner
+        })
+    }
+
+    /// Computes the bases of `plan`'s integers in ops placed in front of
+    /// the loop, which are returned with the `Yield` that hands the nest
+    /// over; the nest's scalar code is `scalar_len` ops. The plan is kept
+    /// for the loop around this one.
+    fn nest_handoff(&mut self, mut plan: NestPlan, scalar_len: u16) -> (Vec<Op>, Op) {
+        self.open_level(self.cur_frame());
+        let bases: Vec<Vid> = plan
+            .lins
+            .iter()
+            .map(|lin| self.materialize(lin.rest.clone()))
+            .collect();
+        let level = self.close_level();
+        debug_assert!(level.body.is_empty(), "every term is invariant");
+        let lins = plan
+            .lins
+            .iter()
+            .zip(bases)
+            .map(|(lin, base)| {
+                let mut strides = [0; MAX_DEPTH];
+                strides[..lin.strides.len()].copy_from_slice(&lin.strides);
+                Lin {
+                    base: self.reg(base),
+                    strides,
+                }
+            })
+            .collect();
+        let levels = plan
+            .levels
+            .iter()
+            .map(|&(counter, lo, limit)| NestLevel {
+                counter: self.values[counter as usize].reg,
+                lo: self.reg(lo),
+                limit: self.reg(limit),
+            })
+            .collect();
+        let op = self.handoff(Handoff::Reduce(Box::new(ReduceNest {
+            levels,
+            slots: plan.slots,
+            lins,
+            guards: plan.guards.clone(),
+            scalar_len,
+        })));
+        plan.handoff = self.handoffs.len() - 1;
+        self.nest = Some(plan);
+        (level.pre, op)
+    }
+
+    /// `a` as `rest + stride * k`, with `k` the counter of the loop at
+    /// `level`: `None` if a term of `rest` varies at that level or deeper.
+    fn split(&self, mut a: Affine, k: Vid, level: usize) -> Option<(Affine, i64)> {
         let stride = match a.terms.iter().position(|&(v, _)| v == k) {
             Some(p) => a.terms.remove(p).1,
             None => 0,
         };
-        let cur = self.cur_level();
-        if a.terms
+        let invariant = a
+            .terms
             .iter()
-            .any(|&(v, _)| self.values[v as usize].level >= cur)
-        {
-            return None;
-        }
-        Some((self.materialize(a), stride))
+            .all(|&(v, _)| self.values[v as usize].level < level);
+        invariant.then_some((a, stride))
     }
 
     /// Compiles `body`, the body of a `vectorized` loop over `var`, to lane
@@ -2898,13 +3451,48 @@ fn lone_store(body: &Stmt) -> Option<&Var> {
     }
 }
 
-/// The accesses of a loop body `S[i] = S[i] + X[f] * Y[g]`, a float sum in
-/// either order of a float product, every access unpredicated: `S` and `i`
-/// as stored, `S` and `i` as loaded, then `X` and `f`, and `Y` and `g`.
-/// Float addition commutes, so the order of the sum does not matter.
-fn dot_product(body: &Stmt) -> Option<[(&Var, &Expr); 4]> {
-    type Access<'a> = (&'a Var, &'a Expr);
-    fn load(e: &Expr) -> Option<Access<'_>> {
+/// Whether a loop of `kind` may be a level of a reduce nest.
+fn nests(kind: ForKind) -> bool {
+    matches!(
+        kind,
+        ForKind::Serial | ForKind::Unrolled | ForKind::Vectorized
+    )
+}
+
+/// Whether two affine integers of a reduce nest are the same.
+fn same(a: &LinPlan, b: &LinPlan) -> bool {
+    let terms = |l: &LinPlan| {
+        let mut t = l.rest.terms.clone();
+        t.sort_unstable();
+        t
+    };
+    a.rest.c == b.rest.c && a.strides == b.strides && terms(a) == terms(b)
+}
+
+/// A loop body `S[s] = S[s] + a * b`: a float sum, in either order, of `S`
+/// loaded where it is stored and a float product of two factors, every
+/// access unpredicated.
+struct MacForm<'a> {
+    acc: &'a Var,
+    /// `s` as stored and as loaded.
+    at: [&'a Expr; 2],
+    factors: [FactorForm<'a>; 2],
+}
+
+/// `buffer[index]`, or, with `konst`, `select(c, buffer[index], konst)`
+/// where `c` is the conjunction of `cmps`: `(a, b, strict)` is integer
+/// `a < b`, or `a <= b` unless strict.
+struct FactorForm<'a> {
+    buffer: &'a Var,
+    index: &'a Expr,
+    cmps: Vec<(&'a Expr, &'a Expr, bool)>,
+    konst: Option<f64>,
+}
+
+/// `body` as a [`MacForm`]. Float addition and multiplication commute, so
+/// the order of the sum does not matter, and the factors keep theirs.
+fn mac_form(body: &Stmt) -> Option<MacForm<'_>> {
+    fn load(e: &Expr) -> Option<(&Var, &Expr)> {
         match &*e.0 {
             ExprNode::Load {
                 buffer,
@@ -2914,13 +3502,64 @@ fn dot_product(body: &Stmt) -> Option<[(&Var, &Expr); 4]> {
             _ => None,
         }
     }
-    fn product(e: &Expr) -> Option<(Access<'_>, Access<'_>)> {
+    /// The conjunction `c` as comparisons, if it is one of integer
+    /// `< <= > >=` comparisons.
+    fn conjunction<'a>(c: &'a Expr, out: &mut Vec<(&'a Expr, &'a Expr, bool)>) -> Option<()> {
+        match &*c.0 {
+            ExprNode::And { a, b } => {
+                conjunction(a, out)?;
+                conjunction(b, out)
+            }
+            ExprNode::Cmp { op, a, b } if !a.dtype().is_float() => {
+                out.push(match op {
+                    CmpOp::Lt => (a, b, true),
+                    CmpOp::Le => (a, b, false),
+                    CmpOp::Gt => (b, a, true),
+                    CmpOp::Ge => (b, a, false),
+                    CmpOp::Eq | CmpOp::Ne => return None,
+                });
+                Some(())
+            }
+            _ => None,
+        }
+    }
+    fn factor(e: &Expr) -> Option<FactorForm<'_>> {
+        if let Some((buffer, index)) = load(e) {
+            return Some(FactorForm {
+                buffer,
+                index,
+                cmps: Vec::new(),
+                konst: None,
+            });
+        }
+        let ExprNode::Select {
+            cond,
+            then_case,
+            else_case,
+        } = &*e.0
+        else {
+            return None;
+        };
+        let (buffer, index) = load(then_case)?;
+        let &ExprNode::FloatImm { value, .. } = &*else_case.0 else {
+            return None;
+        };
+        let mut cmps = Vec::new();
+        conjunction(cond, &mut cmps)?;
+        Some(FactorForm {
+            buffer,
+            index,
+            cmps,
+            konst: Some(value),
+        })
+    }
+    fn product(e: &Expr) -> Option<[FactorForm<'_>; 2]> {
         match &*e.0 {
             ExprNode::Binary {
                 op: BinOp::Mul,
                 a,
                 b,
-            } if a.dtype().is_float() => Some((load(a)?, load(b)?)),
+            } if a.dtype().is_float() => Some([factor(a)?, factor(b)?]),
             _ => None,
         }
     }
@@ -2941,12 +3580,16 @@ fn dot_product(body: &Stmt) -> Option<[(&Var, &Expr); 4]> {
     else {
         return None;
     };
-    let stored = |&(s, _): &Access| s.id() == buffer.id();
-    let (acc, (x, y)) = match (load(a).filter(stored), product(b)) {
-        (Some(acc), Some(xy)) => (acc, xy),
+    let stored = |&(s, _): &(&Var, &Expr)| s.id() == buffer.id();
+    let ((_, at), factors) = match (load(a).filter(stored), product(b)) {
+        (Some(acc), Some(factors)) => (acc, factors),
         _ => (load(b).filter(stored)?, product(a)?),
     };
-    a.dtype().is_float().then_some([(buffer, index), acc, x, y])
+    a.dtype().is_float().then_some(MacForm {
+        acc: buffer,
+        at: [index, at],
+        factors,
+    })
 }
 
 /// The walker's static barrier count of one thread running `s`: `Err` when

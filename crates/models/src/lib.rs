@@ -23,6 +23,32 @@ fn conv_bn_relu(g: &mut Graph, x: NodeId, w: Conv2dWorkload, name: &str) -> Node
     g.relu(b, &format!("{name}_relu"))
 }
 
+/// The conv-bn-relu-residual CNN the functional tests run: two padded 3x3
+/// convolutions of 8 channels on a `size`x`size` RGB image, the first under
+/// batch norm and ReLU, the second added to the first's activation before a
+/// last ReLU.
+pub fn residual_cnn(size: i64) -> Graph {
+    let conv = |in_c| Conv2dWorkload {
+        batch: 1,
+        size,
+        in_c,
+        out_c: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let mut g = Graph::new();
+    let x = g.input(&[1, 3, size, size], "data");
+    let c1 = g.conv2d(x, conv(3), "c1");
+    let b1 = g.batch_norm(c1, "b1");
+    let r1 = g.relu(b1, "r1");
+    let c2 = g.conv2d(r1, conv(8), "c2");
+    let res = g.add_op(c2, r1, "res");
+    let out = g.relu(res, "out");
+    g.outputs.push(out);
+    g
+}
+
 /// ResNet-18 for `input_size`-pixel images (224 matches Table 2's C1–C12
 /// conv shapes exactly; smaller sizes produce a proportionally smaller
 /// model for fast functional tests).

@@ -1,39 +1,17 @@
-//! Where the flat engine's lane form and reduce loops engage on the models
-//! the ledger's `infer_*` workloads run. On `arm_a53` every `vectorized`
-//! loop of a conv kernel — its multiply-accumulate and its epilogue —
-//! compiles to lane form, and every dense kernel's `k.i` loop to a reduce
-//! loop. No `titanx` kernel has a lane loop, because GPU schedules bind
-//! threads instead of vectorizing; each thread's dot product over its
-//! shared tiles, inside a barriered nest, is a reduce loop.
+//! Where the flat engine's lane form and reduce nests engage on the models
+//! the ledger's `infer_*` workloads run. On `arm_a53` every conv kernel's
+//! multiply-accumulate — five perfectly nested loops around a padded
+//! `conv += data * w` — is one reduce nest with a guarded factor, and its
+//! `vectorized` epilogue runs in lanes; every dense kernel's split
+//! reduction is one reduce nest over `k.o × k.i`. No `titanx` kernel has a
+//! lane loop, because GPU schedules bind threads instead of vectorizing;
+//! each thread's reduction over its shared tiles, inside a barriered nest,
+//! is one reduce nest: `rh × rw × rc.i` in a conv kernel.
 
 use tvm_graph::Graph;
 use tvm_ir::{ForKind, Stmt, StmtNode, Visitor};
 use tvm_serve::Model;
 use tvm_sim::{arm_a53, titanx, Target};
-use tvm_topi::Conv2dWorkload;
-
-/// The conv-bn-relu-residual CNN of `tests/end_to_end.rs` on a 16x16 image.
-fn residual_cnn16() -> Graph {
-    let conv = |in_c| Conv2dWorkload {
-        batch: 1,
-        size: 16,
-        in_c,
-        out_c: 8,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let mut g = Graph::new();
-    let x = g.input(&[1, 3, 16, 16], "data");
-    let c1 = g.conv2d(x, conv(3), "c1");
-    let b1 = g.batch_norm(c1, "b1");
-    let r1 = g.relu(b1, "r1");
-    let c2 = g.conv2d(r1, conv(8), "c2");
-    let res = g.add_op(c2, r1, "res");
-    let out = g.relu(res, "out");
-    g.outputs.push(out);
-    g
-}
 
 fn models() -> Vec<(&'static str, Graph)> {
     vec![
@@ -41,7 +19,7 @@ fn models() -> Vec<(&'static str, Graph)> {
         ("mlp_b8", Model::Mlp.build_graph(8)),
         ("tiny_cnn_b1", Model::TinyCnn.build_graph(1)),
         ("tiny_cnn_b8", Model::TinyCnn.build_graph(8)),
-        ("residual_cnn16", residual_cnn16()),
+        ("residual_cnn16", tvm_models::residual_cnn(16)),
     ]
 }
 
@@ -50,16 +28,20 @@ fn models() -> Vec<(&'static str, Graph)> {
 struct Loops {
     kernel: String,
     vectorized: usize,
-    /// Loops over `k.i`, the inner half of a split dense reduction.
+    /// Loops over `k.o` and `k.i`, the halves of a split dense reduction.
+    k_outer: usize,
     k_inner: usize,
     lanes: usize,
-    reduce: usize,
+    /// Loop levels of each reduce nest.
+    nests: Vec<usize>,
+    guarded: usize,
 }
 
 impl Visitor for Loops {
     fn visit_stmt(&mut self, s: &Stmt) {
         if let StmtNode::For { var, kind, .. } = &*s.0 {
             self.vectorized += (*kind == ForKind::Vectorized) as usize;
+            self.k_outer += (var.name() == "k.o") as usize;
             self.k_inner += (var.name() == "k.i") as usize;
         }
         self.walk_stmt(s);
@@ -72,12 +54,15 @@ fn loops(target: &Target) -> Vec<Loops> {
     for (name, graph) in models() {
         let module = tvm::build(&graph, target, &tvm::BuildOptions::default()).expect("builds");
         for k in &module.kernels {
+            let program = k.program();
             let mut l = Loops {
                 kernel: format!("{name} {}", k.name),
-                lanes: k.program().lane_loops(),
-                reduce: k.program().reduce_loops(),
+                lanes: program.lane_loops(),
+                nests: program.reduce_depths(),
+                guarded: program.guarded_factors(),
                 ..Loops::default()
             };
+            assert_eq!(program.reduce_loops(), l.nests.len());
             l.visit_stmt(&k.func.body);
             out.push(l);
         }
@@ -86,7 +71,7 @@ fn loops(target: &Target) -> Vec<Loops> {
 }
 
 #[test]
-fn every_cpu_conv_loop_that_is_vectorized_runs_in_lanes() {
+fn every_cpu_conv_accumulation_runs_as_one_depth_five_nest() {
     let kernels = loops(&arm_a53());
     let convs: Vec<_> = kernels
         .iter()
@@ -94,8 +79,11 @@ fn every_cpu_conv_loop_that_is_vectorized_runs_in_lanes() {
         .collect();
     assert_eq!(convs.len(), 4, "{kernels:?}");
     for k in convs {
+        // `rh, rw, rc.i, conv_i1, conv_i3`, the data read under its
+        // padding guard.
+        assert_eq!((&k.nests[..], k.guarded), (&[5][..], 1), "{}", k.kernel);
         assert_eq!(k.vectorized, 2, "{}: a MAC loop and an epilogue", k.kernel);
-        assert_eq!(k.lanes, k.vectorized, "{}", k.kernel);
+        assert_eq!(k.lanes, 1, "{}: the epilogue runs in lanes", k.kernel);
     }
 }
 
@@ -108,9 +96,13 @@ fn every_cpu_dense_reduction_runs_as_a_reduce_loop() {
         .filter(|k| k.kernel.contains("dense"))
         .collect();
     assert_eq!(dense.len(), 6, "{kernels:?}");
+    assert!(dense.iter().any(|k| k.k_outer == 1), "{dense:?}");
     for k in dense {
         assert_eq!(k.k_inner, 1, "{}: one split reduction", k.kernel);
-        assert_eq!(k.reduce, k.k_inner, "{}", k.kernel);
+        // `k.o × k.i` where the reduction is split in two, `k.i` alone
+        // where it fits one tile.
+        assert_eq!(k.nests, [1 + k.k_outer], "{}", k.kernel);
+        assert_eq!(k.guarded, 0, "{}", k.kernel);
     }
 }
 
@@ -130,6 +122,9 @@ fn every_gpu_dense_and_conv_reduction_runs_as_a_reduce_loop() {
         .collect();
     assert_eq!(reductions.len(), 10, "{kernels:?}");
     for k in reductions {
-        assert!(k.reduce > 0, "{}", k.kernel);
+        // A conv thread's `rh × rw × rc.i` over its shared tiles; a dense
+        // thread's `k.i`.
+        let depth = if k.kernel.contains("conv2d") { 3 } else { 1 };
+        assert_eq!(k.nests, [depth], "{}", k.kernel);
     }
 }

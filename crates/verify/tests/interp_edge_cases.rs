@@ -575,46 +575,36 @@ fn held_fault(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Ve
 }
 
 #[test]
-fn padded_conv_row_guarded_at_both_edges_runs_in_lanes() {
-    // O[i] += (A[i + k - 1] if 0 <= i + k - 1 < 8 else 0) * W[k]: the conv
-    // kernels' hot loop, whose guard fails at the left edge for k = 0 and
-    // at the right edge for k = 2.
-    let (a, w, o) = (
+fn a_padded_row_guarded_at_both_edges_runs_in_lanes() {
+    // O[i] = max(O[i], A[i + k - 1] if 0 <= i + k - 1 < 8 else 0): a padded
+    // max-pool row, whose guard fails at the left edge for k = 0 and at the
+    // right edge for k = 2. Each lane the guard excludes neither loads nor
+    // bounds-checks.
+    let (a, o) = (
         Var::new("A", DType::float32()),
-        Var::new("W", DType::float32()),
         Var::new("O", DType::float32()),
     );
     let (k, i) = (Var::int("k"), Var::int("i"));
     let x = i.clone() + k.clone() - 1;
     let inside = x.clone().ge(Expr::int(0)).and(x.clone().lt(Expr::int(8)));
     let padded = Expr::select(inside, Expr::load(&a, x), Expr::f32(0.0));
-    let mac = Stmt::store(
-        &o,
-        i.to_expr(),
-        Expr::load(&o, i.to_expr()) + padded * Expr::load(&w, k.to_expr()),
-    );
+    let pool = Stmt::store(&o, i.to_expr(), Expr::load(&o, i.to_expr()).max(padded));
     let f = f32_func(
-        vec![a, w, o],
-        vec![8, 3, 8],
-        Stmt::for_(&k, 0, 3, vectorized(&i, 8, mac)),
+        vec![a, o],
+        vec![8, 8],
+        Stmt::for_(&k, 0, 3, vectorized(&i, 8, pool)),
     );
     assert_eq!(lane_loops_f32(&f), 1);
     let data: Vec<f32> = (0..8).map(|v| v as f32 * 0.37 - 1.1).collect();
-    let weights = vec![0.25f32, -1.5, 0.7];
-    let got = both_f32(&f, &[data.clone(), weights.clone(), vec![0.1; 8]]).expect("runs");
-    let mut want = vec![0.1f32; 8];
-    for (k, &wk) in weights.iter().enumerate() {
-        for (i, o) in want.iter_mut().enumerate() {
-            let x = i as i64 + k as i64 - 1;
-            let a = if (0..8).contains(&x) {
-                data[x as usize]
-            } else {
-                0.0
-            };
-            *o = (*o as f64 + a as f64 * wk as f64) as f32;
-        }
-    }
-    assert_eq!(got[2], want);
+    let got = both_f32(&f, &[data.clone(), vec![-9.0; 8]]).expect("runs");
+    let want: Vec<f32> = (0..8)
+        .map(|i: usize| {
+            let near = data[i.saturating_sub(1)..(i + 2).min(8)].iter();
+            let edge = if i == 0 || i == 7 { 0.0 } else { -9.0 };
+            near.fold(edge, |m: f32, &v| m.max(v))
+        })
+        .collect();
+    assert_eq!(got[1], want);
 }
 
 #[test]
@@ -1226,4 +1216,380 @@ fn a_thread_local_accumulator_reduces_into_its_own_lanes_copy() {
         .map(|t| dot(t as f32, (0..4).map(|k| (xs[t * 4 + k], ys[k]))))
         .collect();
     assert_eq!(got[2], want);
+}
+
+// ---------------------------------------------------------------------------
+// Reduce nests. A loop whose whole body is a loop that runs as a reduce nest
+// takes it over as a new outermost level while every access stays affine in
+// its variable, and a factor may be a padded read `select(c, X[x], k)`. Each
+// case pins the nest's depth and guarded factors, and that both engines
+// agree on buffers, store counts and faults.
+// ---------------------------------------------------------------------------
+
+/// Depth of each reduce nest, and guarded factors, of `f` compiled for
+/// float32 arrays.
+fn nests_f32(f: &LoweredFunc) -> (Vec<usize>, usize) {
+    let p = Program::compile_f32(f);
+    (p.reduce_depths(), p.guarded_factors())
+}
+
+/// `select(c, X[at], konst)`.
+fn padded(c: Expr, x: &Var, at: Expr, konst: f32) -> Expr {
+    Expr::select(c, Expr::load(x, at), Expr::f32(konst))
+}
+
+/// `S[at] = S[at] + a * b`.
+fn mac_of(s: &Var, at: Expr, a: Expr, b: Expr) -> Stmt {
+    Stmt::store(s, at.clone(), Expr::load(s, at) + a * b)
+}
+
+/// `lo <= e < hi`.
+fn within(e: Expr, lo: i64, hi: i64) -> Expr {
+    e.clone().ge(Expr::int(lo)).and(e.lt(Expr::int(hi)))
+}
+
+#[test]
+fn nests_of_depth_two_to_five_run_as_one_op() {
+    // Levels of extents 2, 3, 2, 3, 4, serial, unrolled and vectorized in
+    // turn; S is indexed by the innermost and outermost variables and each
+    // factor by a different mix of all of them.
+    let (s, x, y, _) = sxyk();
+    let extents = [2i64, 3, 2, 3, 4];
+    let kinds = [ForKind::Serial, ForKind::Unrolled, ForKind::Vectorized];
+    for depth in 2..=5 {
+        let vars: Vec<Var> = (0..depth).map(|j| Var::int(format!("l{j}"))).collect();
+        let term = |coeffs: &[i64]| {
+            vars.iter()
+                .zip(coeffs)
+                .fold(Expr::int(0), |e, (v, &c)| e + v.clone() * c)
+        };
+        let last = &vars[depth - 1];
+        let at = last.clone() + vars[0].clone() * 4;
+        let xi = term(&[17, 5, 3, 7, 1][..depth]);
+        let yi = term(&[1, 2, 9, 0, 3][..depth]) + 1;
+        let mut body = mac_of(&s, at, Expr::load(&x, xi), Expr::load(&y, yi));
+        for j in (0..depth).rev() {
+            body = Stmt::loop_(&vars[j], 0, extents[j], kinds[j % 3], body);
+        }
+        let f = f32_func(
+            vec![x.clone(), y.clone(), s.clone()],
+            vec![64, 48, 12],
+            body,
+        );
+        assert_eq!(nests_f32(&f), (vec![depth], 0), "depth {depth}");
+        let xs: Vec<f32> = (0..64).map(|v| (v as f32 * 0.37).sin()).collect();
+        let ys: Vec<f32> = (0..48).map(|v| 1.5 - v as f32 * 0.06).collect();
+        let arrays = [xs, ys, vec![0.25; 12]];
+        both_held(&f, &arrays);
+        let volume: i64 = extents[..depth].iter().product();
+        assert_eq!(stores_f32(&f, &arrays), volume as u64);
+    }
+}
+
+#[test]
+fn padded_conv_row_guarded_at_both_edges_runs_as_one_nest() {
+    // O[i] += (A[i + k - 1] if 0 <= i + k - 1 < 8 else 0) * W[k]: the conv
+    // kernels' hot loop, whose guard fails at the left edge for k = 0 and
+    // at the right edge for k = 2.
+    let (a, w, o) = (
+        Var::new("A", DType::float32()),
+        Var::new("W", DType::float32()),
+        Var::new("O", DType::float32()),
+    );
+    let (k, i) = (Var::int("k"), Var::int("i"));
+    let x = i.clone() + k.clone() - 1;
+    let row = padded(within(x.clone(), 0, 8), &a, x, 0.0);
+    let body = mac_of(&o, i.to_expr(), row, Expr::load(&w, k.to_expr()));
+    let f = f32_func(
+        vec![a, w, o],
+        vec![8, 3, 8],
+        Stmt::for_(&k, 0, 3, vectorized(&i, 8, body)),
+    );
+    assert_eq!(nests_f32(&f), (vec![2], 1));
+    assert_eq!(lane_loops_f32(&f), 0);
+    let data: Vec<f32> = (0..8).map(|v| v as f32 * 0.37 - 1.1).collect();
+    let weights = vec![0.25f32, -1.5, 0.7];
+    let got = both_f32(&f, &[data.clone(), weights.clone(), vec![0.1; 8]]).expect("runs");
+    let mut want = vec![0.1f32; 8];
+    for (k, &wk) in weights.iter().enumerate() {
+        for (i, o) in want.iter_mut().enumerate() {
+            let x = i as i64 + k as i64 - 1;
+            let a = if (0..8).contains(&x) {
+                data[x as usize]
+            } else {
+                0.0
+            };
+            *o = (*o as f64 + a as f64 * wk as f64) as f32;
+        }
+    }
+    assert_eq!(got[2], want);
+}
+
+#[test]
+fn a_padded_conv_guarded_at_an_outer_level_and_both_row_ends_runs_as_one_nest() {
+    // A 3x3 convolution of a 5x6 image, padded by one: the guard on the
+    // row, r + rh - 1, cuts whole rows at the top and bottom (an outer
+    // level), and the one on the column cuts both ends of each row.
+    let (a, w, o) = (
+        Var::new("A", DType::float32()),
+        Var::new("W", DType::float32()),
+        Var::new("O", DType::float32()),
+    );
+    let (r, rh, rw, c) = (Var::int("r"), Var::int("rh"), Var::int("rw"), Var::int("c"));
+    let (y, x) = (r.clone() + rh.clone() - 1, c.clone() + rw.clone() - 1);
+    let guard = within(y.clone(), 0, 5).and(within(x.clone(), 0, 6));
+    let pixel = padded(guard, &a, y * 6 + x, 0.0);
+    let weight = Expr::load(&w, rh.clone() * 3 + rw.clone());
+    let body = mac_of(&o, r.clone() * 6 + c.clone(), pixel, weight);
+    let nest = Stmt::for_(
+        &r,
+        0,
+        5,
+        Stmt::for_(
+            &rh,
+            0,
+            3,
+            Stmt::loop_(&rw, 0, 3, ForKind::Unrolled, vectorized(&c, 6, body)),
+        ),
+    );
+    let f = f32_func(vec![a, w, o], vec![30, 9, 30], nest);
+    assert_eq!(nests_f32(&f), (vec![4], 1));
+    let image: Vec<f32> = (0..30).map(|v| (v as f32 * 0.91).cos()).collect();
+    let weights: Vec<f32> = (0..9).map(|v| v as f32 * 0.25 - 1.0).collect();
+    let got = both_held(&f, &[image.clone(), weights.clone(), vec![0.0; 30]]);
+    let mut want = vec![0.0f32; 30];
+    for (at, out) in want.iter_mut().enumerate() {
+        let (r, c) = ((at / 6) as i64, (at % 6) as i64);
+        for (kh, kw) in (0..3).flat_map(|kh| (0..3).map(move |kw| (kh, kw))) {
+            let (y, x) = (r + kh - 1, c + kw - 1);
+            let v = if (0..5).contains(&y) && (0..6).contains(&x) {
+                image[(y * 6 + x) as usize]
+            } else {
+                0.0
+            };
+            *out = (*out as f64 + v as f64 * weights[(kh * 3 + kw) as usize] as f64) as f32;
+        }
+    }
+    assert_eq!(got[2], want);
+    assert_eq!(stores_f32(&f, &[image, weights, vec![0.0; 30]]), 270);
+}
+
+#[test]
+fn a_guard_coefficient_other_than_one_bounds_the_row_by_division() {
+    // 3i + j >= 4, 2i < 13 + j and 20 - 3i > j over i in 0..9, j in 0..3:
+    // each row's span ends fall between multiples of the coefficient, and
+    // the last comparison's coefficient is negative.
+    let (s, x, y, _) = sxyk();
+    let (j, i) = (Var::int("j"), Var::int("i"));
+    let guard = (i.clone() * 3 + j.clone())
+        .ge(Expr::int(4))
+        .and((i.clone() * 2).lt(j.clone() + 13))
+        .and((Expr::int(20) - i.clone() * 3).gt(j.to_expr()));
+    let a = padded(guard, &x, i.to_expr(), -0.5);
+    let body = mac_of(&s, j.to_expr(), a, Expr::load(&y, i.clone() + j.clone()));
+    let f = f32_func(
+        vec![x, y, s],
+        vec![9, 11, 3],
+        Stmt::for_(&j, 0, 3, Stmt::for_(&i, 0, 9, body)),
+    );
+    assert_eq!(nests_f32(&f), (vec![2], 1));
+    let xs: Vec<f32> = (0..9).map(|v| v as f32 + 0.5).collect();
+    let ys: Vec<f32> = (0..11).map(|v| 0.75 - v as f32 * 0.125).collect();
+    let got = both_held(&f, &[xs.clone(), ys.clone(), vec![1.0; 3]]);
+    let want: Vec<f32> = (0..3i64)
+        .map(|j| {
+            let pairs = (0..9i64).map(|i| {
+                let inside = 3 * i + j >= 4 && 2 * i < 13 + j && 20 - 3 * i > j;
+                let a = if inside { xs[i as usize] } else { -0.5 };
+                (a, ys[(i + j) as usize])
+            });
+            dot(1.0, pairs)
+        })
+        .collect();
+    assert_eq!(got[2], want);
+}
+
+#[test]
+fn an_accumulator_out_of_bounds_at_an_outer_corner_faults_before_any_store() {
+    // S[j - 1] at j = 0 is out of bounds: the nest stores nothing and its
+    // scalar code faults at once, as the walker does.
+    let (s, x, y, k) = sxyk();
+    let j = Var::int("j");
+    let body = mac(&s, j.clone() - 1, &x, k.to_expr(), &y, k.to_expr());
+    let f = f32_func(
+        vec![x, y, s],
+        vec![4, 4, 3],
+        Stmt::for_(&j, 0, 3, Stmt::for_(&k, 0, 4, body)),
+    );
+    assert_eq!(nests_f32(&f), (vec![2], 0));
+    let (err, stores, left) = held_fault(&f, &[vec![1.0; 4], vec![2.0; 4], vec![0.5; 3]]);
+    assert!(
+        matches!(&err, InterpError::OutOfBounds { buffer, index: -1, extent: 3 } if buffer == "S"),
+        "{err}"
+    );
+    assert_eq!(stores, 0);
+    assert_eq!(left[2], vec![0.5; 3]);
+}
+
+#[test]
+fn a_guarded_read_out_of_bounds_on_the_last_row_replays_and_faults_as_the_walker() {
+    // S[r] += (X[3r + k] if k <= r + 1 else 0) * Y[k]: rows 0 and 1 read X
+    // in bounds, row 2 reads X[8] at k = 2. The scalar code stores the ten
+    // iterations before it, then faults.
+    let (s, x, y, k) = sxyk();
+    let r = Var::int("r");
+    let a = padded(
+        k.to_expr().le(r.clone() + 1),
+        &x,
+        r.clone() * 3 + k.clone(),
+        0.0,
+    );
+    let body = mac_of(&s, r.to_expr(), a, Expr::load(&y, k.to_expr()));
+    let f = f32_func(
+        vec![x, y, s],
+        vec![8, 4, 3],
+        Stmt::for_(&r, 0, 3, Stmt::for_(&k, 0, 4, body)),
+    );
+    assert_eq!(nests_f32(&f), (vec![2], 1));
+    let xs: Vec<f32> = (0..8).map(|v| v as f32 * 0.5 + 0.25).collect();
+    let ys = vec![1.0f32, -2.0, 0.5, 4.0];
+    let (err, stores, left) = held_fault(&f, &[xs.clone(), ys.clone(), vec![0.0; 3]]);
+    assert!(
+        matches!(&err, InterpError::OutOfBounds { buffer, index: 8, extent: 8 } if buffer == "X"),
+        "{err}"
+    );
+    assert_eq!(stores, 10);
+    // The first `n` iterations of row `r`.
+    let row = |r: usize, n: usize| {
+        let a = |k: usize| if k <= r + 1 { xs[3 * r + k] } else { 0.0 };
+        dot(0.0, (0..n).map(|k| (a(k), ys[k])))
+    };
+    assert_eq!(left[2], vec![row(0, 4), row(1, 4), row(2, 2)]);
+}
+
+#[test]
+fn zero_and_negative_extents_at_an_outer_level_store_nothing() {
+    // The outer level empty, and the inner one empty under three outer
+    // iterations: the box is empty either way.
+    for (outer, inner) in [(0i64, 4i64), (-2, 4), (3, 0), (3, -1)] {
+        let (s, x, y, k) = sxyk();
+        let j = Var::int("j");
+        let body = mac(&s, j.to_expr(), &x, k.to_expr(), &y, k.to_expr());
+        let f = f32_func(
+            vec![x, y, s],
+            vec![4, 4, 3],
+            Stmt::for_(&j, 0, outer, Stmt::for_(&k, 0, inner, body)),
+        );
+        assert_eq!(nests_f32(&f), (vec![2], 0));
+        let arrays = [vec![1.0; 4], vec![2.0; 4], vec![0.5; 3]];
+        assert_eq!(both_held(&f, &arrays)[2], vec![0.5; 3]);
+        assert_eq!(stores_f32(&f, &arrays), 0);
+    }
+}
+
+#[test]
+fn an_accumulator_read_as_a_factor_or_a_level_not_affine_is_not_lifted() {
+    // S[j] += S[k + 3] * Y[k] reads the stored buffer as a factor: no
+    // nest. S[j * j] += X[k] * Y[k] is a nest over k that the j loop cannot
+    // take over, since S's index is not affine in j.
+    let (s, x, y, k) = sxyk();
+    let j = Var::int("j");
+    let as_factor = mac(&s, j.to_expr(), &s, k.clone() + 3, &y, k.to_expr());
+    let squared = mac(&s, j.clone() * j.clone(), &x, k.to_expr(), &y, k.to_expr());
+    for (body, nests) in [(as_factor, vec![]), (squared, vec![1])] {
+        let f = f32_func(
+            vec![x.clone(), y.clone(), s.clone()],
+            vec![4, 4, 7],
+            Stmt::for_(&j, 0, 2, Stmt::for_(&k, 0, 4, body)),
+        );
+        assert_eq!(nests_f32(&f), (nests, 0));
+        let arrays = [
+            vec![1.5; 4],
+            vec![-0.5, 2.0, 0.25, 8.0],
+            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+        ];
+        both_held(&f, &arrays);
+    }
+}
+
+#[test]
+fn an_else_arm_other_than_zero_is_the_value_outside_the_guard() {
+    // Y[k] if k >= 2 else 3.25, and -0.0 on the other factor: outside its
+    // guard a factor is the constant, sign of zero included, without a
+    // load.
+    let (s, x, y, k) = sxyk();
+    let a = padded(k.to_expr().lt(Expr::int(5)), &x, k.to_expr(), -0.0);
+    let b = padded(k.to_expr().ge(Expr::int(2)), &y, k.clone() - 2, 3.25);
+    let body = mac_of(&s, Expr::int(0), a, b);
+    let f = f32_func(vec![x, y, s], vec![5, 4, 1], Stmt::for_(&k, 0, 6, body));
+    assert_eq!(nests_f32(&f), (vec![1], 2));
+    let xs = vec![1.0f32, -2.0, 0.5, 4.0, 0.125];
+    let ys = vec![-1.5f32, 2.0, 0.75, 8.0];
+    let got = both_held(&f, &[xs.clone(), ys.clone(), vec![-0.0]]);
+    let pairs = (0..6).map(|k| {
+        let a = if k < 5 { xs[k] } else { -0.0 };
+        let b = if k >= 2 { ys[k - 2] } else { 3.25 };
+        (a, b)
+    });
+    assert_eq!(got[2][0].to_bits(), dot(-0.0, pairs).to_bits());
+}
+
+#[test]
+fn inf_and_nan_flow_through_a_guarded_nest_as_in_the_walker() {
+    // An infinite weight outside the guard meets the constant 0 (NaN), and
+    // inside it an infinite or NaN pixel; a guard that holds nowhere still
+    // multiplies every weight by the constant.
+    let inf = f32::INFINITY;
+    let cases = [
+        (vec![1.0, inf, 2.0], vec![inf, 1.0, 1.0, 0.5], 4i64),
+        (vec![f32::NAN, 1.0, 2.0], vec![1.0, 1.0, 1.0, 1.0], 4),
+        (vec![1.0, 2.0, -inf], vec![2.0, 0.5, 1.0, -inf], 4),
+        (vec![1.0, 2.0, 3.0], vec![1.0, -inf, 1.0, 1.0], 0),
+    ];
+    for (xs, ys, hi) in cases {
+        let (s, x, y, k) = sxyk();
+        let j = Var::int("j");
+        let at = k.clone() + j.clone() - 1;
+        let a = padded(within(at.clone(), 0, 3.min(hi)), &x, at, 0.0);
+        let body = mac_of(&s, j.to_expr(), a, Expr::load(&y, k.to_expr()));
+        let f = f32_func(
+            vec![x, y, s],
+            vec![3, 4, 2],
+            Stmt::for_(&j, 0, 2, Stmt::for_(&k, 0, 4, body)),
+        );
+        assert_eq!(nests_f32(&f), (vec![2], 1));
+        both_held(&f, &[xs, ys, vec![0.0; 2]]);
+    }
+}
+
+#[test]
+fn a_split_reduction_runs_as_one_row() {
+    // S[0] += X[4 k.o + k.i] * Y[g] over k.o in 0..3, k.i in 0..4: with
+    // g = 4 k.o + k.i every level walks on where the one inside it ends, so
+    // the twelve iterations are one run; with g = 5 k.o + k.i they are
+    // not, and with X one element short the last iteration faults after
+    // eleven stores.
+    let (s, x, y, _) = sxyk();
+    let (ko, ki) = (Var::int("k.o"), Var::int("k.i"));
+    let flat = ko.clone() * 4 + ki.clone();
+    for (g, x_len) in [
+        (flat.clone(), 12),
+        (ko.clone() * 5 + ki.clone(), 12),
+        (flat.clone(), 11),
+    ] {
+        let body = mac(&s, Expr::int(0), &x, flat.clone(), &y, g);
+        let split = Stmt::for_(&ko, 0, 3, Stmt::loop_(&ki, 0, 4, ForKind::Unrolled, body));
+        let f = f32_func(
+            vec![x.clone(), y.clone(), s.clone()],
+            vec![x_len, 15, 1],
+            split,
+        );
+        assert_eq!(nests_f32(&f), (vec![2], 0));
+        let xs: Vec<f32> = (0..x_len).map(|v| v as f32 * 0.3 - 1.0).collect();
+        let ys: Vec<f32> = (0..15).map(|v| 0.5 + v as f32 * 0.07).collect();
+        let arrays = [xs, ys, vec![0.75]];
+        let run = agreed(&f, f32_buffers(arrays.to_vec()), |_| {});
+        let stores = if x_len == 12 { 12 } else { 11 };
+        assert_eq!((run.result.is_ok(), run.stores), (x_len == 12, stores));
+    }
 }

@@ -130,8 +130,10 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
     // The two fuzz tiers above share one seed, so the 48 static-oracle cases
     // are the first 48 of these 60. Some of them run a `vectorized` loop in
     // lane form, whose every chunk must match the walker too, and some a
-    // dot-product loop as one reduce op.
+    // multiply-accumulate nest as one reduce op: one of several levels, and
+    // one whose factor is a padded read.
     let (mut compared, mut lane_loops, mut reduce_loops) = (0, 0, 0);
+    let (mut deepest, mut guarded) = (0, 0);
     for case in 0..60 {
         let kind = ALL_WORKLOADS[case % ALL_WORKLOADS.len()];
         let seed = case_seed(0xC0FFEE, case);
@@ -149,33 +151,17 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         let program = tvm_ir::Program::compile_f32(&f);
         lane_loops += program.lane_loops();
         reduce_loops += program.reduce_loops();
+        deepest = program
+            .reduce_depths()
+            .into_iter()
+            .fold(deepest, usize::max);
+        guarded += program.guarded_factors();
     }
     assert_eq!(compared, 60);
     assert!(lane_loops > 0, "no pinned trace runs in lane form");
     assert!(reduce_loops > 0, "no pinned trace runs a reduce loop");
-}
-
-/// The conv-bn-relu-residual CNN of `tests/end_to_end.rs`.
-fn residual_cnn() -> tvm_graph::Graph {
-    let conv = |in_c| tvm_topi::Conv2dWorkload {
-        batch: 1,
-        size: 16,
-        in_c,
-        out_c: 8,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let mut g = tvm_graph::Graph::new();
-    let x = g.input(&[1, 3, 16, 16], "data");
-    let c1 = g.conv2d(x, conv(3), "c1");
-    let b1 = g.batch_norm(c1, "b1");
-    let r1 = g.relu(b1, "r1");
-    let c2 = g.conv2d(r1, conv(8), "c2");
-    let res = g.add_op(c2, r1, "res");
-    let out = g.relu(res, "out");
-    g.outputs.push(out);
-    g
+    assert!(deepest >= 2, "no pinned trace runs a nest of two levels");
+    assert!(guarded > 0, "no pinned trace runs a guarded factor");
 }
 
 /// Cuts a kernel down to what the walker can run in tier-1: every
@@ -257,11 +243,12 @@ fn kernels_agree(name: &str, graph: &tvm_graph::Graph, target: &Target, full_bel
 #[test]
 fn flat_engine_matches_the_walker_on_model_kernels() {
     for target in [arm_a53(), titanx(), mali_t860()] {
-        // Whole kernels of the small CNN ...
-        assert_eq!(
-            kernels_agree("cnn16", &residual_cnn(), &target, u64::MAX),
-            0
-        );
+        // Whole kernels of the small CNN at both sizes the ledger runs ...
+        for size in [16, 8] {
+            let cnn = tvm_models::residual_cnn(size);
+            let name = format!("cnn{size}");
+            assert_eq!(kernels_agree(&name, &cnn, &target, u64::MAX), 0);
+        }
         // ... and of resnet18(32) where the walker can afford them: it needs
         // ten to twenty seconds for one 250k-store GPU-scheduled kernel,
         // minutes for the model. The whole kernels run, on the flat engine,

@@ -7,38 +7,6 @@ use tvm_ir::DType;
 use tvm_sim::{arm_a53, mali_t860, titanx};
 use tvm_topi as topi;
 
-/// A small CNN graph shared by several tests.
-fn small_cnn() -> tvm_graph::Graph {
-    let mut g = tvm_graph::Graph::new();
-    let x = g.input(&[1, 3, 16, 16], "data");
-    let w1 = topi::Conv2dWorkload {
-        batch: 1,
-        size: 16,
-        in_c: 3,
-        out_c: 8,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let c1 = g.conv2d(x, w1, "c1");
-    let b1 = g.batch_norm(c1, "b1");
-    let r1 = g.relu(b1, "r1");
-    let w2 = topi::Conv2dWorkload {
-        batch: 1,
-        size: 16,
-        in_c: 8,
-        out_c: 8,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let c2 = g.conv2d(r1, w2, "c2");
-    let res = g.add_op(c2, r1, "res");
-    let out = g.relu(res, "out");
-    g.outputs.push(out);
-    g
-}
-
 /// A batch-8 MLP: dense layers under element-wise tails, the other shape
 /// (with the CNN's convolutions) a fused group's master takes.
 fn small_mlp() -> tvm_graph::Graph {
@@ -106,7 +74,10 @@ fn seeded_db(g: &tvm_graph::Graph, target: &Target, use_shared: i64) -> Database
 #[test]
 fn fused_and_unfused_builds_agree_numerically() {
     for (g, input) in [
-        (small_cnn(), NDArray::seeded(&[1, 3, 16, 16], 5)),
+        (
+            tvm_models::residual_cnn(16),
+            NDArray::seeded(&[1, 3, 16, 16], 5),
+        ),
         (small_mlp(), NDArray::seeded(&[8, 32], 5)),
     ] {
         let want = reference_forward(&g, &input);
@@ -188,7 +159,7 @@ fn resnet18_fused_and_unfused_agree_at_model_scale() {
 
 #[test]
 fn fusion_reduces_kernel_count_and_time() {
-    let g = small_cnn();
+    let g = tvm_models::residual_cnn(16);
     let t = titanx();
     let fused = tvm::build(&g, &t, &BuildOptions::default()).expect("builds");
     let unfused = tvm::build(
