@@ -46,7 +46,7 @@ pub mod sync;
 
 use std::fmt;
 
-use tvm_ir::{LoweredFunc, Stmt, Var};
+use tvm_ir::{BufferScopes, LoweredFunc, MemScope, Stmt, Var};
 
 /// How bad a finding is. `Error` findings are definite rule violations;
 /// `Warning` findings are suspicious but not provably wrong.
@@ -119,34 +119,18 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Which passes to run.
+/// Which passes to run. `ssa`, `bounds` and `sync` always run; only the
+/// race prover is optional.
 #[derive(Clone, Copy, Debug)]
 pub struct AnalysisOptions {
-    /// Pass 1: def-before-use / scope checking.
-    pub ssa: bool,
-    /// Pass 2: buffer-bounds verification.
-    pub bounds: bool,
     /// Pass 3: data-race detection.
     pub race: bool,
-    /// Pass 4: barrier / memory-scope legality.
-    pub sync: bool,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        AnalysisOptions {
-            ssa: true,
-            bounds: true,
-            race: true,
-            sync: true,
-        }
-    }
 }
 
 impl AnalysisOptions {
     /// All four passes (what `tvm-lint` and the fuzzing oracle run).
     pub fn all() -> Self {
-        AnalysisOptions::default()
+        AnalysisOptions { race: true }
     }
 
     /// The subset a built kernel is held to (`ssa` + `bounds` + `sync`):
@@ -154,10 +138,7 @@ impl AnalysisOptions {
     /// The race prover is reserved for lint and the fuzzing oracle. The
     /// name is frozen: `benchmark/` calls it.
     pub fn lowering_hook() -> Self {
-        AnalysisOptions {
-            race: false,
-            ..AnalysisOptions::default()
-        }
+        AnalysisOptions { race: false }
     }
 }
 
@@ -225,22 +206,27 @@ pub fn analyze_stmt(
     opts: &AnalysisOptions,
 ) -> AnalysisReport {
     let mut report = AnalysisReport::default();
-    if opts.ssa {
-        report.diagnostics.extend(ssa::check(body, params));
-    }
-    if opts.bounds {
-        let (diags, stats) = bounds::check(body, params, param_extents);
-        report.diagnostics.extend(diags);
-        report.bounds_checked = stats.checked;
-        report.bounds_proven = stats.proven;
-        report.bounds_refuted = stats.refuted;
-        report.bounds_unknown = stats.unknown;
-    }
+    report.diagnostics.extend(ssa::check(body, params));
+    let (diags, stats) = bounds::check(body, params, param_extents);
+    report.diagnostics.extend(diags);
+    report.bounds_checked = stats.checked;
+    report.bounds_proven = stats.proven;
+    report.bounds_refuted = stats.refuted;
+    report.bounds_unknown = stats.unknown;
     if opts.race {
         report.diagnostics.extend(race::check(body, params));
     }
-    if opts.sync {
-        report.diagnostics.extend(sync::check(body, params));
-    }
+    report.diagnostics.extend(sync::check(body, params));
     report
+}
+
+/// Every buffer `body` names, with its scope: `params` are global and
+/// each allocation carries its own.
+fn buffer_scopes(body: &Stmt, params: &[Var]) -> BufferScopes {
+    let mut scopes: BufferScopes = params
+        .iter()
+        .map(|p| (p.id(), (MemScope::Global, p.clone())))
+        .collect();
+    scopes.extend(body.alloc_scopes());
+    scopes
 }

@@ -46,8 +46,8 @@
 use std::collections::{HashMap, HashSet};
 
 use tvm_ir::{
-    collect_vars, eval_interval, Expr, ExprNode, ForKind, Interval, MemScope, Stmt, StmtNode, Var,
-    VarId,
+    collect_vars, eval_interval, BufferScopes, Expr, ExprNode, ForKind, Interval, MemScope, Stmt,
+    StmtNode, Var, VarId,
 };
 
 use crate::affine::{
@@ -58,49 +58,13 @@ use crate::{Diagnostic, Severity};
 
 /// Checks `body` (with `params` as global buffers) for races.
 pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
-    let mut scopes: HashMap<VarId, MemScope> =
-        params.iter().map(|p| (p.id(), MemScope::Global)).collect();
-    collect_buffer_scopes(body, &mut scopes);
     let mut w = Walk {
-        scopes,
+        scopes: crate::buffer_scopes(body, params),
         ranges: HashMap::new(),
         diags: Vec::new(),
     };
     w.stmt(body);
     w.diags
-}
-
-fn collect_buffer_scopes(s: &Stmt, out: &mut HashMap<VarId, MemScope>) {
-    match &*s.0 {
-        StmtNode::Allocate {
-            buffer,
-            scope,
-            body,
-            ..
-        } => {
-            out.insert(buffer.id(), *scope);
-            collect_buffer_scopes(body, out);
-        }
-        StmtNode::LetStmt { body, .. }
-        | StmtNode::AttrStmt { body, .. }
-        | StmtNode::For { body, .. } => collect_buffer_scopes(body, out),
-        StmtNode::Seq(items) => {
-            for item in items {
-                collect_buffer_scopes(item, out);
-            }
-        }
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => {
-            collect_buffer_scopes(then_case, out);
-            if let Some(e) = else_case {
-                collect_buffer_scopes(e, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn is_concurrent(kind: ForKind) -> bool {
@@ -120,26 +84,9 @@ fn loop_desc(kind: ForKind) -> &'static str {
     }
 }
 
-fn contains_barrier(s: &Stmt) -> bool {
-    match &*s.0 {
-        StmtNode::Barrier => true,
-        StmtNode::LetStmt { body, .. }
-        | StmtNode::AttrStmt { body, .. }
-        | StmtNode::Allocate { body, .. }
-        | StmtNode::For { body, .. } => contains_barrier(body),
-        StmtNode::Seq(items) => items.iter().any(contains_barrier),
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => contains_barrier(then_case) || else_case.as_ref().is_some_and(contains_barrier),
-        _ => false,
-    }
-}
-
 /// Top-level walk: finds concurrent loops and tracks outer ranges.
 struct Walk {
-    scopes: HashMap<VarId, MemScope>,
+    scopes: BufferScopes,
     ranges: HashMap<VarId, Interval>,
     diags: Vec<Diagnostic>,
 }
@@ -303,7 +250,7 @@ struct Collector<'a> {
     v: Var,
     barrier_sensitive: bool,
     shared_exempt: bool,
-    scopes: &'a HashMap<VarId, MemScope>,
+    scopes: &'a BufferScopes,
     ranges: HashMap<VarId, Interval>,
     /// Variables bound outside the loop (equal on both instances). A
     /// lockstep serial loop variable is also pinned while inside it.
@@ -353,7 +300,7 @@ impl Collector<'_> {
                 let prev = range.and_then(|iv| self.ranges.insert(var.id(), iv));
                 let lockstep = self.barrier_sensitive
                     && matches!(kind, ForKind::Serial | ForKind::Unrolled)
-                    && contains_barrier(body);
+                    && body.contains_barrier();
                 if lockstep {
                     // All threads execute iteration k together (barriers
                     // inside keep them in step), so cross-iteration pairs
@@ -492,7 +439,7 @@ impl Collector<'_> {
         predicate: Option<Expr>,
     ) {
         let exempt = self.private.contains(&buffer.id())
-            || match self.scopes.get(&buffer.id()) {
+            || match self.scopes.get(&buffer.id()).map(|(scope, _)| scope) {
                 None => true, // unknown handle: cannot reason, skip
                 Some(MemScope::Local)
                 | Some(MemScope::AccBuffer)

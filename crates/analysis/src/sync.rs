@@ -20,21 +20,18 @@
 //! under the lockstep model (every thread fills the whole buffer), which
 //! need no barrier to publish.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use tvm_ir::{collect_vars, Expr, ExprNode, ForKind, MemScope, Stmt, StmtNode, Var, VarId};
+use tvm_ir::{
+    collect_vars, BufferScopes, Expr, ExprNode, ForKind, MemScope, Stmt, StmtNode, Var, VarId,
+};
 
 use crate::{Diagnostic, Severity};
 
 /// Checks barrier placement and shared-memory publication in `body`.
 pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
-    let mut scopes: HashMap<VarId, (MemScope, String)> = params
-        .iter()
-        .map(|p| (p.id(), (MemScope::Global, p.name().to_string())))
-        .collect();
-    collect_scopes(body, &mut scopes);
     let mut ck = Check {
-        scopes,
+        scopes: crate::buffer_scopes(body, params),
         thread_vars: HashSet::new(),
         divergent: 0,
         dirty: HashSet::new(),
@@ -46,41 +43,8 @@ pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
     ck.diags
 }
 
-fn collect_scopes(s: &Stmt, out: &mut HashMap<VarId, (MemScope, String)>) {
-    match &*s.0 {
-        StmtNode::Allocate {
-            buffer,
-            scope,
-            body,
-            ..
-        } => {
-            out.insert(buffer.id(), (*scope, buffer.name().to_string()));
-            collect_scopes(body, out);
-        }
-        StmtNode::LetStmt { body, .. }
-        | StmtNode::AttrStmt { body, .. }
-        | StmtNode::For { body, .. } => collect_scopes(body, out),
-        StmtNode::Seq(items) => {
-            for item in items {
-                collect_scopes(item, out);
-            }
-        }
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => {
-            collect_scopes(then_case, out);
-            if let Some(e) = else_case {
-                collect_scopes(e, out);
-            }
-        }
-        _ => {}
-    }
-}
-
 struct Check {
-    scopes: HashMap<VarId, (MemScope, String)>,
+    scopes: BufferScopes,
     /// Non-block thread-bound loop variables currently in scope.
     thread_vars: HashSet<VarId>,
     /// Depth of enclosing thread-divergent control flow.
@@ -238,8 +202,7 @@ impl Check {
                     let name = self
                         .scopes
                         .get(&buffer.id())
-                        .map(|(_, n)| n.clone())
-                        .unwrap_or_else(|| buffer.name().to_string());
+                        .map_or(buffer.name(), |(_, b)| b.name());
                     self.diags.push(Diagnostic {
                         pass: "sync",
                         severity: Severity::Error,
@@ -268,7 +231,7 @@ impl Check {
     }
 }
 
-fn touches_shared(s: &Stmt, scopes: &HashMap<VarId, (MemScope, String)>) -> bool {
+fn touches_shared(s: &Stmt, scopes: &BufferScopes) -> bool {
     let shared = |v: &Var| matches!(scopes.get(&v.id()), Some((MemScope::Shared, _)));
     match &*s.0 {
         StmtNode::Store { buffer, value, .. } => {
@@ -296,7 +259,7 @@ fn touches_shared(s: &Stmt, scopes: &HashMap<VarId, (MemScope, String)>) -> bool
     }
 }
 
-fn expr_touches_shared(e: &Expr, scopes: &HashMap<VarId, (MemScope, String)>) -> bool {
+fn expr_touches_shared(e: &Expr, scopes: &BufferScopes) -> bool {
     match &*e.0 {
         ExprNode::Load { buffer, index, .. } => {
             matches!(scopes.get(&buffer.id()), Some((MemScope::Shared, _)))

@@ -220,7 +220,7 @@ pub fn fuse(g: &Graph, enabled: bool) -> FusedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvm_topi::{Conv2dWorkload, DenseWorkload};
+    use crate::workloads::{Conv2dWorkload, DenseWorkload};
 
     fn conv_bn_relu_graph() -> Graph {
         let mut g = Graph::new();

@@ -2,7 +2,8 @@
 //! edges are data dependencies; attributes parameterize behavior.
 
 use tvm_ir::DType;
-use tvm_topi::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload};
+
+use crate::workloads::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload};
 
 /// Node identifier (index into [`Graph::nodes`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -304,7 +305,7 @@ mod tests {
     fn patterns_match_paper_categories() {
         assert_eq!(OpType::Relu.pattern(), Pattern::Injective);
         assert_eq!(OpType::GlobalAvgPool.pattern(), Pattern::Reduction);
-        let w = tvm_topi::resnet18_convs()[1];
+        let w = crate::workloads::resnet18_convs()[1];
         assert_eq!(OpType::Conv2d(w).pattern(), Pattern::ComplexOutFusable);
         assert_eq!(OpType::Softmax.pattern(), Pattern::Opaque);
     }

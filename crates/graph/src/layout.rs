@@ -74,7 +74,7 @@ pub fn transform_layouts(g: &Graph, prefer: &PreferenceFn) -> (Graph, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvm_topi::Conv2dWorkload;
+    use crate::workloads::Conv2dWorkload;
 
     fn mixed_graph() -> Graph {
         let mut g = Graph::new();

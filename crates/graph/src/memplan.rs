@@ -139,7 +139,7 @@ pub fn plan_memory(g: &Graph, fused: &FusedGraph) -> MemoryPlan {
 mod tests {
     use super::*;
     use crate::fusion::fuse;
-    use tvm_topi::Conv2dWorkload;
+    use crate::workloads::Conv2dWorkload;
 
     fn chain_graph(n: usize) -> Graph {
         let mut g = Graph::new();

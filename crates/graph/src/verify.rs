@@ -724,7 +724,7 @@ mod tests {
     use super::*;
     use crate::fusion::fuse;
     use crate::memplan::plan_memory;
-    use tvm_topi::Conv2dWorkload;
+    use crate::workloads::Conv2dWorkload;
 
     fn conv_chain(n: usize) -> Graph {
         let mut g = Graph::new();

@@ -45,7 +45,8 @@ impl Conv2dWorkload {
         2.0 * self.macs()
     }
 
-    /// Short name like `c7`.
+    /// Shape name like `conv2d_56x56_64to64_k3s1`; `topi::task_name` keys
+    /// tuning journals with it.
     pub fn describe(&self) -> String {
         format!(
             "conv2d_{}x{}_{}to{}_k{}s{}",
@@ -83,7 +84,8 @@ impl DepthwiseConv2dWorkload {
         2.0 * self.batch as f64 * self.channels as f64 * o * o * (self.kernel * self.kernel) as f64
     }
 
-    /// Short name like `d3`.
+    /// Shape name like `dwconv2d_56x56_c128_k3s1`; `topi::task_name` keys
+    /// tuning journals with it.
     pub fn describe(&self) -> String {
         format!(
             "dwconv2d_{}x{}_c{}_k{}s{}",

@@ -3,8 +3,7 @@
 //! set of negative rules (what must stay separate); this file walks the
 //! whole table and checks the structural invariants of every result.
 
-use tvm_graph::{fuse, FusedGraph, Graph, NodeId, OpType, Pattern};
-use tvm_topi::{Conv2dWorkload, DenseWorkload};
+use tvm_graph::{fuse, Conv2dWorkload, DenseWorkload, FusedGraph, Graph, NodeId, OpType, Pattern};
 
 fn conv_w(size: i64, ch: i64) -> Conv2dWorkload {
     Conv2dWorkload {

@@ -15,9 +15,8 @@
 use std::path::Path;
 
 use tvm_graph::verify::{check_fusion, check_memplan, check_slot_contracts, KernelView};
-use tvm_graph::{fuse, plan_memory, verify_build, Graph};
+use tvm_graph::{fuse, plan_memory, verify_build, Conv2dWorkload, Graph};
 use tvm_ir::{DType, Expr, ForKind, LoweredFunc, Stmt, StmtNode, ThreadTag, Var};
-use tvm_topi::Conv2dWorkload;
 
 fn check_golden(name: &str, actual: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -4,9 +4,9 @@
 //! through fusion + memory planning to a verifier-clean build.
 
 use tvm_graph::{
-    cpu_preference, fuse, plan_memory, transform_layouts, verify_graph, Graph, OpType,
+    cpu_preference, fuse, plan_memory, transform_layouts, verify_graph, Conv2dWorkload, Graph,
+    OpType,
 };
-use tvm_topi::Conv2dWorkload;
 
 fn conv_stack() -> Graph {
     let mut g = Graph::new();

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 
-use tvm_graph::{fuse, plan_memory, Graph, Group, GroupKey, Node, OpType};
-use tvm_topi::Conv2dWorkload;
+use tvm_graph::{fuse, plan_memory, Conv2dWorkload, Graph, Group, GroupKey, Node, OpType};
 
 /// Builds a random chain/diamond graph from a small op alphabet.
 fn arb_graph() -> impl Strategy<Value = Graph> {

@@ -35,5 +35,7 @@ pub use flat::{Program, Storage};
 pub use interp::{Buffer, Interp, InterpError, MemState, Value};
 pub use interval::{eval_interval, floor_div, floor_mod, prove_cmp, Interval};
 pub use simplify::{eval_const, simplify, simplify_stmt, simplify_with, Simplifier};
-pub use stmt::{ForKind, LoweredFunc, MemScope, PipeStage, Stmt, StmtNode, ThreadTag};
+pub use stmt::{
+    BufferScopes, ForKind, LoweredFunc, MemScope, PipeStage, Stmt, StmtNode, ThreadTag,
+};
 pub use visit::{collect_vars, substitute, substitute_one, substitute_stmt, Mutator, Visitor};

@@ -2,11 +2,16 @@
 //! synchronization primitives needed by GPU barriers and the decoupled
 //! access-execute (DAE) accelerator pipeline of §4.4.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::dtype::DType;
-use crate::expr::{Expr, Var};
+use crate::expr::{Expr, Var, VarId};
+
+/// Each allocated buffer's memory scope and `Var`, keyed by its id
+/// ([`Stmt::alloc_scopes`]).
+pub type BufferScopes = HashMap<VarId, (MemScope, Var)>;
 
 /// GPU thread-axis tags for the `bind` schedule primitive.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -321,6 +326,43 @@ impl Stmt {
             }
             _ => false,
         }
+    }
+
+    /// The scope of every buffer `Allocate`d anywhere in this statement.
+    /// Buffers it does not allocate, such as function parameters, are
+    /// absent; callers treat them as global.
+    pub fn alloc_scopes(&self) -> BufferScopes {
+        fn walk(s: &Stmt, out: &mut BufferScopes) {
+            match &*s.0 {
+                StmtNode::Allocate {
+                    buffer,
+                    scope,
+                    body,
+                    ..
+                } => {
+                    out.insert(buffer.id(), (*scope, buffer.clone()));
+                    walk(body, out);
+                }
+                StmtNode::For { body, .. }
+                | StmtNode::LetStmt { body, .. }
+                | StmtNode::AttrStmt { body, .. } => walk(body, out),
+                StmtNode::Seq(items) => items.iter().for_each(|i| walk(i, out)),
+                StmtNode::IfThenElse {
+                    then_case,
+                    else_case,
+                    ..
+                } => {
+                    walk(then_case, out);
+                    if let Some(e) = else_case {
+                        walk(e, out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut out = BufferScopes::new();
+        walk(self, &mut out);
+        out
     }
 }
 

@@ -2,8 +2,7 @@
 //! ResNet-18, MobileNet, the Deep Q Network, the DCGAN generator and the
 //! LSTM language model, matching the paper's benchmark suite.
 
-use tvm_graph::{Graph, NodeId, OpType};
-use tvm_topi::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload};
+use tvm_graph::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload, Graph, NodeId, OpType};
 
 fn conv_wl(size: i64, in_c: i64, out_c: i64, kernel: i64, stride: i64) -> Conv2dWorkload {
     Conv2dWorkload {
@@ -197,7 +196,7 @@ pub fn mobilenet(input_size: i64) -> Graph {
 pub fn dqn() -> Graph {
     let mut g = Graph::new();
     let x = g.input(&[1, 4, 84, 84], "data");
-    let convs = tvm_topi::dqn_convs();
+    let convs = tvm_graph::dqn_convs();
     let mut cur = x;
     for (i, w) in convs.iter().enumerate() {
         let c = g.conv2d(cur, *w, &format!("conv{}", i + 1));
@@ -347,7 +346,7 @@ mod tests {
     #[test]
     fn resnet18_has_table2_conv_shapes() {
         let g = resnet18(224);
-        let expected = tvm_topi::resnet18_convs();
+        let expected = tvm_graph::resnet18_convs();
         for want in &expected {
             let found = g.nodes.iter().any(|n| match &n.op {
                 OpType::Conv2d(w) => w == want,
@@ -367,7 +366,7 @@ mod tests {
     #[test]
     fn mobilenet_has_table2_depthwise_shapes() {
         let g = mobilenet(224);
-        for want in tvm_topi::mobilenet_dwconvs() {
+        for want in tvm_graph::mobilenet_dwconvs() {
             let found = g.nodes.iter().any(|n| match &n.op {
                 OpType::DepthwiseConv2d(w) => *w == want,
                 _ => false,

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use tvm::BuildOptions;
+use tvm_graph::DenseWorkload;
 use tvm_runtime::{GraphExecutor, NDArray};
-use tvm_topi::DenseWorkload;
 
 #[test]
 fn runs_and_executors_share_one_compilation_per_kernel() {

@@ -312,7 +312,7 @@ fn params_are_seeded_and_overridable() {
 
 /// Plain-Rust NCHW conv2d (batch 1, square), the reference for the
 /// compiled residual block below.
-fn conv2d_ref(x: &[f32], wt: &[f32], w: &tvm_topi::Conv2dWorkload) -> Vec<f32> {
+fn conv2d_ref(x: &[f32], wt: &[f32], w: &tvm_graph::Conv2dWorkload) -> Vec<f32> {
     let (s, o, k) = (w.size, w.out_size(), w.kernel);
     let mut out = vec![0.0f32; (w.out_c * o * o) as usize];
     for oc in 0..w.out_c {
@@ -343,7 +343,7 @@ fn compiled_residual_block_runs_and_matches_reference() {
     // main branch's conv group, which must still run *after* the shortcut
     // group it reads; with groups in creation order the executor failed
     // here with `MissingInput("ds_bn")`.
-    let main = tvm_topi::Conv2dWorkload {
+    let main = tvm_graph::Conv2dWorkload {
         batch: 1,
         size: 8,
         in_c: 4,
@@ -352,7 +352,7 @@ fn compiled_residual_block_runs_and_matches_reference() {
         stride: 1,
         pad: 1,
     };
-    let proj = tvm_topi::Conv2dWorkload {
+    let proj = tvm_graph::Conv2dWorkload {
         kernel: 1,
         pad: 0,
         ..main

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use tvm::BuildOptions;
+use tvm_graph::DenseWorkload;
 use tvm_runtime::{GraphExecutor, NDArray};
-use tvm_topi::DenseWorkload;
 
 #[test]
 fn one_run_records_a_span_and_a_launch_per_kernel_only_when_enabled() {

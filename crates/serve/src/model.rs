@@ -7,8 +7,7 @@
 //! the runtime's seeded parameter initialization identical across batch
 //! sizes — the property the batching-equivalence tests rely on.
 
-use tvm_graph::{Graph, OpType};
-use tvm_topi::{Conv2dWorkload, DenseWorkload};
+use tvm_graph::{Conv2dWorkload, DenseWorkload, Graph, OpType};
 
 /// A servable model identity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]

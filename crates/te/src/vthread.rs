@@ -22,7 +22,9 @@ use std::collections::{HashMap, HashSet};
 
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
-use tvm_ir::{Expr, ForKind, MemScope, Mutator, PipeStage, Stmt, Var, VarId, Visitor};
+use tvm_ir::{
+    BufferScopes, Expr, ForKind, MemScope, Mutator, PipeStage, Stmt, Var, VarId, Visitor,
+};
 
 /// Replaces `vthread` loops with ordinary serial loops — the correct
 /// lowering for targets without a DAE pipeline (CPU/GPU).
@@ -54,7 +56,7 @@ pub fn lower_vthreads(s: &Stmt) -> Stmt {
 
 /// Full DAE lowering: token injection plus virtual-thread interleaving.
 pub fn lower_dae(s: &Stmt) -> Stmt {
-    let scopes = collect_scopes(s);
+    let scopes = s.alloc_scopes();
     let mut found = false;
     let out = map_vthreads(s, &scopes, &mut found);
     if found {
@@ -64,9 +66,9 @@ pub fn lower_dae(s: &Stmt) -> Stmt {
     }
 }
 
-fn map_vthreads(s: &Stmt, scopes: &HashMap<VarId, MemScope>, found: &mut bool) -> Stmt {
+fn map_vthreads(s: &Stmt, scopes: &BufferScopes, found: &mut bool) -> Stmt {
     struct M<'a> {
-        scopes: &'a HashMap<VarId, MemScope>,
+        scopes: &'a BufferScopes,
         found: &'a mut bool,
     }
     impl Mutator for M<'_> {
@@ -96,28 +98,10 @@ fn map_vthreads(s: &Stmt, scopes: &HashMap<VarId, MemScope>, found: &mut bool) -
     .mutate_stmt(s)
 }
 
-/// Collects allocation scopes; unknown buffers (function params) are global.
-pub fn collect_scopes(s: &Stmt) -> HashMap<VarId, MemScope> {
-    struct C {
-        out: HashMap<VarId, MemScope>,
-    }
-    impl Visitor for C {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            if let StmtNode::Allocate { buffer, scope, .. } = &*s.0 {
-                self.out.insert(buffer.id(), *scope);
-            }
-            self.walk_stmt(s);
-        }
-    }
-    let mut c = C {
-        out: HashMap::new(),
-    };
-    c.visit_stmt(s);
-    c.out
-}
-
-fn scope_of(scopes: &HashMap<VarId, MemScope>, id: VarId) -> MemScope {
-    scopes.get(&id).copied().unwrap_or(MemScope::Global)
+fn scope_of(scopes: &BufferScopes, id: VarId) -> MemScope {
+    scopes
+        .get(&id)
+        .map_or(MemScope::Global, |&(scope, _)| scope)
 }
 
 /// The unit that executes a store into a buffer of the given scope.
@@ -148,9 +132,9 @@ struct GroupInfo {
     reads: HashMap<VarId, Vec<PipeStage>>,
 }
 
-fn group_info(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> GroupInfo {
+fn group_info(s: &Stmt, scopes: &BufferScopes) -> GroupInfo {
     struct G<'a> {
-        scopes: &'a HashMap<VarId, MemScope>,
+        scopes: &'a BufferScopes,
         info: GroupInfo,
     }
     impl G<'_> {
@@ -228,7 +212,7 @@ fn group_info(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> GroupInfo {
 /// Injects DAE tokens across the whole statement. `cyclic_top` treats the
 /// outermost statement sequence as the body of an implicit enclosing loop
 /// (true for virtual-thread bodies, which repeat per outer tile).
-pub fn inject_sync(s: &Stmt, cyclic_top: bool, scopes: &HashMap<VarId, MemScope>) -> Stmt {
+pub fn inject_sync(s: &Stmt, cyclic_top: bool, scopes: &BufferScopes) -> Stmt {
     let rewritten = rewrite_loops(s, scopes);
     let (body, seeds, drains) = tokenize_level(&rewritten, cyclic_top, scopes);
     let mut items = seeds;
@@ -239,9 +223,9 @@ pub fn inject_sync(s: &Stmt, cyclic_top: bool, scopes: &HashMap<VarId, MemScope>
 
 /// Recursively processes inner loops: each serial loop body becomes a
 /// tokenized level, with its cyclic seeds/drains hoisted around the loop.
-fn rewrite_loops(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> Stmt {
+fn rewrite_loops(s: &Stmt, scopes: &BufferScopes) -> Stmt {
     struct R<'a> {
-        scopes: &'a HashMap<VarId, MemScope>,
+        scopes: &'a BufferScopes,
     }
     impl Mutator for R<'_> {
         fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
@@ -272,11 +256,7 @@ fn rewrite_loops(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> Stmt {
 /// Tokenizes one level. Returns the transformed statement plus the seed
 /// credits and drain pops that must be placed before/after the enclosing
 /// loop.
-fn tokenize_level(
-    s: &Stmt,
-    cyclic: bool,
-    scopes: &HashMap<VarId, MemScope>,
-) -> (Stmt, Vec<Stmt>, Vec<Stmt>) {
+fn tokenize_level(s: &Stmt, cyclic: bool, scopes: &BufferScopes) -> (Stmt, Vec<Stmt>, Vec<Stmt>) {
     match &*s.0 {
         // Transparent wrappers: the level continues inside.
         StmtNode::Allocate {
@@ -327,7 +307,7 @@ fn pop_tok(by: PipeStage, from: PipeStage) -> Stmt {
 fn tokenize_items(
     items: &[Stmt],
     cyclic: bool,
-    scopes: &HashMap<VarId, MemScope>,
+    scopes: &BufferScopes,
 ) -> (Vec<Stmt>, Vec<Stmt>, Vec<Stmt>) {
     let infos: Vec<GroupInfo> = items.iter().map(|it| group_info(it, scopes)).collect();
     let n = items.len();

@@ -1,18 +1,20 @@
 //! `tvm-topi` — the tensor operator inventory.
 //!
 //! Declarative compute definitions for every operator the evaluation
-//! workloads need ([`nn`]), the Table 2 workload descriptors
-//! ([`workloads`]), per-target schedule templates with declared knobs and
-//! tuning-task constructors ([`schedules`]), modeled vendor-library
-//! baselines ([`baselines`]) and the ultra-low-precision bit-serial
-//! operators ([`bitserial`]).
+//! workloads need ([`nn`]), per-target schedule templates with declared
+//! knobs and tuning-task constructors ([`schedules`]), modeled
+//! vendor-library baselines ([`baselines`]) and the ultra-low-precision
+//! bit-serial operators ([`bitserial`]). The Table 2 workload descriptors
+//! ([`workloads`]) belong to `tvm-graph`, whose nodes carry them; they are
+//! re-exported here under their old paths.
 
 pub mod baselines;
 pub mod bitserial;
 pub mod nn;
 pub mod schedules;
 pub mod winograd;
-pub mod workloads;
+
+pub use tvm_graph::workloads;
 
 pub use baselines::{vendor_conv2d_ms, vendor_dense_ms, vendor_depthwise_ms, Library};
 pub use nn::{

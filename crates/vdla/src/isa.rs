@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
-use tvm_ir::{Expr, LoweredFunc, MemScope, PipeStage, Stmt, VarId};
+use tvm_ir::{BufferScopes, Expr, LoweredFunc, MemScope, PipeStage, Stmt, VarId};
 
 /// One VDLA instruction.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,7 +77,7 @@ impl std::error::Error for IsaError {}
 
 /// Generates the instruction stream for a DAE-lowered function.
 pub fn trace(func: &LoweredFunc) -> Result<Vec<VdlaInstr>, IsaError> {
-    let scopes = tvm_te::vthread::collect_scopes(&func.body);
+    let scopes = func.body.alloc_scopes();
     let mut out = Vec::new();
     let mut env: HashMap<VarId, i64> = HashMap::new();
     walk(&func.body, &scopes, &mut env, &mut out)?;
@@ -92,9 +92,9 @@ fn eval(e: &Expr, env: &HashMap<VarId, i64>) -> Result<i64, IsaError> {
 }
 
 /// Size in elements × element bytes of the stores under a DMA region.
-fn dma_bytes(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> (u64, bool) {
+fn dma_bytes(s: &Stmt, scopes: &BufferScopes) -> (u64, bool) {
     // Returns (bytes, is_store_to_dram).
-    fn inner(s: &Stmt, mult: u64, scopes: &HashMap<VarId, MemScope>, acc: &mut (u64, bool)) {
+    fn inner(s: &Stmt, mult: u64, scopes: &BufferScopes, acc: &mut (u64, bool)) {
         match &*s.0 {
             StmtNode::For { extent, body, .. } => inner(
                 body,
@@ -112,8 +112,7 @@ fn dma_bytes(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> (u64, bool) {
                 acc.0 += mult * buffer.dtype().bytes() as u64;
                 let scope = scopes
                     .get(&buffer.id())
-                    .copied()
-                    .unwrap_or(MemScope::Global);
+                    .map_or(MemScope::Global, |&(sc, _)| sc);
                 if scope == MemScope::Global {
                     acc.1 = true;
                 }
@@ -131,7 +130,7 @@ fn dma_bytes(s: &Stmt, scopes: &HashMap<VarId, MemScope>) -> (u64, bool) {
 
 fn walk(
     s: &Stmt,
-    scopes: &HashMap<VarId, MemScope>,
+    scopes: &BufferScopes,
     env: &mut HashMap<VarId, i64>,
     out: &mut Vec<VdlaInstr>,
 ) -> Result<(), IsaError> {
@@ -210,8 +209,7 @@ fn walk(
             // ALU op (or a DMA word if it targets DRAM).
             let scope = scopes
                 .get(&buffer.id())
-                .copied()
-                .unwrap_or(MemScope::Global);
+                .map_or(MemScope::Global, |&(sc, _)| sc);
             match scope {
                 MemScope::Global => out.push(VdlaInstr::Store {
                     bytes: buffer.dtype().bytes() as u64,

@@ -52,11 +52,6 @@ impl VdlaSpec {
         2.0 * self.gemm_rows as f64 * self.gemm_cols as f64 * self.clock_ghz
     }
 
-    /// Peak DRAM bandwidth in GB/s.
-    pub fn peak_gbps(&self) -> f64 {
-        self.dram_bw_bytes_per_cycle * self.clock_ghz
-    }
-
     /// MACs retired per cycle.
     pub fn macs_per_cycle(&self) -> f64 {
         (self.gemm_rows * self.gemm_cols) as f64
