@@ -5,6 +5,7 @@
 //! predicates) and by the hardware cost models (to bound index footprints).
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use crate::expr::{BinOp, CmpOp, Expr, ExprNode, VarId};
 
@@ -130,7 +131,10 @@ pub fn floor_mod(a: i64, b: i64) -> i64 {
 /// Computes a conservative interval for an integer expression given
 /// intervals for its free variables. Returns `None` when the expression is
 /// non-integer or unbounded under this analysis.
-pub fn eval_interval(e: &Expr, bounds: &HashMap<VarId, Interval>) -> Option<Interval> {
+pub fn eval_interval<S: BuildHasher + Clone>(
+    e: &Expr,
+    bounds: &HashMap<VarId, Interval, S>,
+) -> Option<Interval> {
     use ExprNode::*;
     match &*e.0 {
         IntImm { value, .. } => Some(Interval::point(*value)),
@@ -171,7 +175,12 @@ pub fn eval_interval(e: &Expr, bounds: &HashMap<VarId, Interval>) -> Option<Inte
 
 /// Attempts to prove a comparison true or false via interval analysis.
 /// Returns `None` when undecidable.
-pub fn prove_cmp(op: CmpOp, a: &Expr, b: &Expr, bounds: &HashMap<VarId, Interval>) -> Option<bool> {
+pub fn prove_cmp<S: BuildHasher + Clone>(
+    op: CmpOp,
+    a: &Expr,
+    b: &Expr,
+    bounds: &HashMap<VarId, Interval, S>,
+) -> Option<bool> {
     let ia = eval_interval(a, bounds)?;
     let ib = eval_interval(b, bounds)?;
     match op {

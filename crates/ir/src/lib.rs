@@ -12,6 +12,7 @@
 //! * [`mod@simplify`] — constant folding, affine canonicalization and
 //!   interval-based predicate elimination;
 //! * [`interval`] — conservative integer range analysis;
+//! * [`idhash`] — the deterministic hasher of maps keyed by ids;
 //! * [`printer`] — the Python-like pseudo-code printer used in the paper's
 //!   listings;
 //! * [`interp`] / [`flat`] — the interpreter: one engine, which compiles a
@@ -22,6 +23,7 @@
 pub mod dtype;
 pub mod expr;
 pub mod flat;
+pub mod idhash;
 pub mod interp;
 pub mod interval;
 pub mod printer;
@@ -32,6 +34,7 @@ pub mod visit;
 pub use dtype::{DType, TypeCode};
 pub use expr::{BinOp, CallKind, CmpOp, Expr, ExprNode, Range, Var, VarId};
 pub use flat::{Program, Storage};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use interp::{Buffer, Interp, InterpError, MemState, Value};
 pub use interval::{eval_interval, floor_div, floor_mod, prove_cmp, Interval};
 pub use simplify::{eval_const, simplify, simplify_stmt, simplify_with, Simplifier};

@@ -6,16 +6,18 @@
 //! which is what lets lowering drop always-true bounds checks.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use crate::dtype::{DType, TypeCode};
 use crate::expr::{BinOp, CmpOp, Expr, ExprNode, VarId};
+use crate::idhash::IdMap;
 use crate::interval::{eval_interval, floor_div, floor_mod, prove_cmp, Interval};
 use crate::stmt::{Stmt, StmtNode};
 use crate::visit::Mutator;
 
 /// Simplifier with an optional variable-range context.
 pub struct Simplifier {
-    bounds: HashMap<VarId, Interval>,
+    bounds: IdMap<VarId, Interval>,
     /// Unit-extent loops being inlined, outermost first: each loop's
     /// variable and its simplified `min`.
     inlined: Vec<(VarId, Expr)>,
@@ -33,11 +35,11 @@ impl Default for Simplifier {
 impl Simplifier {
     /// Simplifier with no range information.
     pub fn new() -> Self {
-        Self::with_bounds(HashMap::new())
+        Self::with_bounds(IdMap::default())
     }
 
     /// Simplifier that may use `bounds` to prove predicates.
-    pub fn with_bounds(bounds: HashMap<VarId, Interval>) -> Self {
+    pub fn with_bounds(bounds: IdMap<VarId, Interval>) -> Self {
         Simplifier {
             bounds,
             inlined: Vec::new(),
@@ -618,8 +620,9 @@ pub fn simplify(e: &Expr) -> Expr {
 }
 
 /// Simplifies an expression under variable ranges.
-pub fn simplify_with(e: &Expr, bounds: &HashMap<VarId, Interval>) -> Expr {
-    Simplifier::with_bounds(bounds.clone()).mutate_expr(e)
+pub fn simplify_with<S: BuildHasher>(e: &Expr, bounds: &HashMap<VarId, Interval, S>) -> Expr {
+    let bounds = bounds.iter().map(|(id, iv)| (*id, *iv)).collect();
+    Simplifier::with_bounds(bounds).mutate_expr(e)
 }
 
 /// Simplifies a statement, learning loop ranges on the way down.

@@ -2,16 +2,16 @@
 //! synchronization primitives needed by GPU barriers and the decoupled
 //! access-execute (DAE) accelerator pipeline of §4.4.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::dtype::DType;
 use crate::expr::{Expr, Var, VarId};
+use crate::idhash::IdMap;
 
 /// Each allocated buffer's memory scope and `Var`, keyed by its id
 /// ([`Stmt::alloc_scopes`]).
-pub type BufferScopes = HashMap<VarId, (MemScope, Var)>;
+pub type BufferScopes = IdMap<VarId, (MemScope, Var)>;
 
 /// GPU thread-axis tags for the `bind` schedule primitive.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -360,7 +360,7 @@ impl Stmt {
                 _ => {}
             }
         }
-        let mut out = BufferScopes::new();
+        let mut out = BufferScopes::default();
         walk(self, &mut out);
         out
     }

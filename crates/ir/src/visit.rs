@@ -2,8 +2,10 @@
 //! plus the ubiquitous variable-substitution pass.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use crate::expr::{Expr, ExprNode, Var, VarId};
+use crate::idhash::IdMap;
 use crate::stmt::{Stmt, StmtNode};
 
 /// Rewrites expressions and statements bottom-up.
@@ -425,11 +427,11 @@ pub trait Visitor {
     }
 }
 
-struct Substituter<'a> {
-    map: &'a HashMap<VarId, Expr>,
+struct Substituter<'a, S> {
+    map: &'a HashMap<VarId, Expr, S>,
 }
 
-impl Mutator for Substituter<'_> {
+impl<S: BuildHasher> Mutator for Substituter<'_, S> {
     fn mutate_expr(&mut self, e: &Expr) -> Expr {
         if let ExprNode::Var(v) = &*e.0 {
             if let Some(repl) = self.map.get(&v.id()) {
@@ -441,18 +443,18 @@ impl Mutator for Substituter<'_> {
 }
 
 /// Replaces free occurrences of variables in `e` according to `map`.
-pub fn substitute(e: &Expr, map: &HashMap<VarId, Expr>) -> Expr {
+pub fn substitute<S: BuildHasher>(e: &Expr, map: &HashMap<VarId, Expr, S>) -> Expr {
     Substituter { map }.mutate_expr(e)
 }
 
 /// Replaces free occurrences of variables in `s` according to `map`.
-pub fn substitute_stmt(s: &Stmt, map: &HashMap<VarId, Expr>) -> Stmt {
+pub fn substitute_stmt<S: BuildHasher>(s: &Stmt, map: &HashMap<VarId, Expr, S>) -> Stmt {
     Substituter { map }.mutate_stmt(s)
 }
 
 /// Replaces a single variable in `e`.
 pub fn substitute_one(e: &Expr, var: &Var, with: &Expr) -> Expr {
-    let mut map = HashMap::new();
+    let mut map = IdMap::default();
     map.insert(var.id(), with.clone());
     substitute(e, &map)
 }

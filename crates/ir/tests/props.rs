@@ -5,12 +5,14 @@
 //! walker in `tvm-verify`.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use tvm_ir::{
-    simplify, simplify_stmt, substitute, substitute_stmt, BinOp, DType, Expr, ForKind, MemScope,
-    Mutator, Stmt, StmtNode, Value, Var,
+    eval_interval, prove_cmp, simplify, simplify_stmt, simplify_with, substitute, substitute_stmt,
+    BinOp, CmpOp, DType, Expr, ForKind, IdMap, Interval, MemScope, Mutator, Stmt, StmtNode, Value,
+    Var,
 };
 
 /// A random integer expression over up to three variables.
@@ -48,6 +50,13 @@ fn arb_expr(vars: Vec<Var>, depth: u32) -> BoxedStrategy<Expr> {
 /// first two are also the loop variables of [`arb_stmt`].
 fn corpus_vars() -> Vec<Var> {
     vec![Var::int("a"), Var::int("b"), Var::int("c")]
+}
+
+/// One set of corpus variables for the whole process, so that separately
+/// generated expressions and the maps over them name the same variables.
+fn shared_vars() -> Vec<Var> {
+    static VARS: OnceLock<Vec<Var>> = OnceLock::new();
+    VARS.get_or_init(corpus_vars).clone()
 }
 
 /// A random statement over `vars`: two nested loops on `vars[0]` and
@@ -110,6 +119,34 @@ proptest! {
         let once = simplify_stmt(&s);
         let twice = simplify_stmt(&once);
         prop_assert!(twice.same_as(&once), "{s}\nonce:\n{once}\ntwice:\n{twice}");
+    }
+
+    /// The range and substitution helpers read a map the same whichever
+    /// hasher built it: std's `RandomState` or the id hasher.
+    #[test]
+    fn id_maps_and_std_maps_give_the_same_answers(
+        e in arb_expr(shared_vars(), 4),
+        f in arb_expr(shared_vars(), 3),
+        lo in prop::collection::vec(-8i64..8, 3),
+        width in prop::collection::vec(0i64..6, 3),
+        repl in arb_expr(shared_vars(), 2),
+    ) {
+        let vars = shared_vars();
+        let mut std_bounds = HashMap::new();
+        let mut id_bounds = IdMap::default();
+        for (i, v) in vars.iter().enumerate() {
+            let iv = Interval::new(lo[i], lo[i] + width[i]);
+            std_bounds.insert(v.id(), iv);
+            id_bounds.insert(v.id(), iv);
+        }
+        prop_assert_eq!(eval_interval(&e, &std_bounds), eval_interval(&e, &id_bounds));
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Eq] {
+            prop_assert_eq!(prove_cmp(op, &e, &f, &std_bounds), prove_cmp(op, &e, &f, &id_bounds));
+        }
+        prop_assert!(simplify_with(&e, &std_bounds).structural_eq(&simplify_with(&e, &id_bounds)));
+        let std_sub = HashMap::from([(vars[1].id(), repl.clone())]);
+        let id_sub: IdMap<_, _> = std_sub.clone().into_iter().collect();
+        prop_assert!(substitute(&e, &std_sub).structural_eq(&substitute(&e, &id_sub)));
     }
 
     /// Quantization is idempotent and stays within the type's range.

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
 use tvm_ir::{
-    BinOp, CallKind, DType, Expr, ForKind, Interval, LoweredFunc, MemScope, Stmt, ThreadTag, Var,
-    VarId,
+    BinOp, CallKind, DType, Expr, ForKind, IdMap, Interval, LoweredFunc, MemScope, Stmt, ThreadTag,
+    Var, VarId,
 };
 
 /// One loop on the stack, outermost first.
@@ -143,7 +143,7 @@ struct Walker {
     shared_loops: Option<Arc<[LoopLevel]>>,
     /// Display name and scope of each buffer met so far; a buffer first met
     /// at an access was not allocated here, so it is a global parameter.
-    buffers: HashMap<VarId, (Arc<str>, MemScope)>,
+    buffers: IdMap<VarId, (Arc<str>, MemScope)>,
     out: ProgramAnalysis,
     cond_scale: f64,
 }
@@ -164,7 +164,7 @@ pub fn analyze(func: &LoweredFunc) -> ProgramAnalysis {
     let mut w = Walker {
         loops: Vec::new(),
         shared_loops: None,
-        buffers: HashMap::new(),
+        buffers: IdMap::default(),
         out: ProgramAnalysis::default(),
         cond_scale: 1.0,
     };
@@ -315,7 +315,8 @@ impl Walker {
     /// unbounded; where the width is unknown, the footprint is the trip
     /// count of the loops at that depth, the most it can be.
     fn footprints(&self, index: &Expr) -> Vec<f64> {
-        let mut bounds: HashMap<VarId, Interval> = HashMap::with_capacity(self.loops.len());
+        let mut bounds: IdMap<VarId, Interval> =
+            IdMap::with_capacity_and_hasher(self.loops.len(), Default::default());
         for l in &self.loops {
             match l.min.checked_add(l.extent - 1) {
                 Some(hi) => bounds.insert(l.var.id(), Interval::new(l.min, hi)),

@@ -20,7 +20,7 @@
 //!    virtual threads are lowered to an interleaved instruction stream with
 //!    explicit DAE tokens (§4.4), and the result is simplified.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -28,7 +28,10 @@ use std::time::Instant;
 
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
-use tvm_ir::{DType, Expr, ForKind, Interval, LoweredFunc, MemScope, Stmt, ThreadTag, Var, VarId};
+use tvm_ir::{
+    DType, Expr, ForKind, IdMap, IdSet, Interval, LoweredFunc, MemScope, Stmt, ThreadTag, Var,
+    VarId,
+};
 
 use crate::schedule::{Attach, IterRelation, LoopAnn, Schedule, Stage};
 use crate::tensor::{collect_reads, ComputeBody, IterKind, IterVar, OpId, Tensor};
@@ -291,9 +294,9 @@ struct StageData {
     /// Per-data-axis region extent.
     realize_ext: Vec<i64>,
     /// Extent of every itervar of the stage.
-    extents: HashMap<VarId, i64>,
+    extents: IdMap<VarId, i64>,
     /// Root/intermediate itervar -> expression in leaf vars (local coords).
-    var_expr: HashMap<VarId, Expr>,
+    var_expr: IdMap<VarId, Expr>,
     /// Guard predicates (local coords) from non-perfect splits, with the
     /// root axis kind of the guarded variable.
     guards: Vec<(Expr, IterKind)>,
@@ -327,9 +330,9 @@ pub fn lower_with(
 /// cached and re-emitted for every annotation variant of the same
 /// structural configuration — see [`PlanCache`].
 pub struct LowerPlan {
-    bodies: HashMap<OpId, ComputeBody>,
-    data: HashMap<OpId, StageData>,
-    attach_map: HashMap<(OpId, VarId), Vec<OpId>>,
+    bodies: IdMap<OpId, ComputeBody>,
+    data: IdMap<OpId, StageData>,
+    attach_map: IdMap<(OpId, VarId), Vec<OpId>>,
     thread_vars: HashMap<ThreadTag, (Var, i64)>,
 }
 
@@ -346,7 +349,7 @@ pub fn plan_schedule(sched: &Schedule) -> Result<LowerPlan, TeError> {
     };
 
     // Attachment map.
-    let mut attach_map: HashMap<(OpId, VarId), Vec<OpId>> = HashMap::new();
+    let mut attach_map: IdMap<(OpId, VarId), Vec<OpId>> = IdMap::default();
     for stage in &sched.stages {
         if let Attach::At { consumer, iter } = &stage.attach {
             attach_map
@@ -403,7 +406,7 @@ pub fn emit_planned(
     let data = &plan.data;
 
     // Buffer variables: params first (stable across calls), then internals.
-    let mut buffers: HashMap<OpId, Var> = HashMap::new();
+    let mut buffers: IdMap<OpId, Var> = IdMap::default();
     for t in args {
         buffers.insert(t.op_id(), Var::new(t.name(), t.dtype()));
     }
@@ -421,7 +424,7 @@ pub fn emit_planned(
         sched,
         plan,
         buffers,
-        thread_sub: HashMap::new(),
+        thread_sub: IdMap::default(),
     };
 
     // Emit root stages in order, wrapping non-param roots in allocations.
@@ -435,7 +438,7 @@ pub fn emit_planned(
         }
     }
     drop(emit_span);
-    let param_ids: HashSet<OpId> = args.iter().map(|t| t.op_id()).collect();
+    let param_ids: IdSet<OpId> = args.iter().map(|t| t.op_id()).collect();
     let mut body = Stmt::nop();
     for (op, nest) in pieces.into_iter().rev() {
         body = Stmt::seq(vec![nest, body]);
@@ -506,8 +509,8 @@ pub fn emit_planned(
 
 /// Applies `compute_inline` substitution, returning effective bodies for
 /// every non-inlined compute op.
-fn effective_bodies(sched: &Schedule) -> HashMap<OpId, ComputeBody> {
-    let mut bodies: HashMap<OpId, ComputeBody> = HashMap::new();
+fn effective_bodies(sched: &Schedule) -> IdMap<OpId, ComputeBody> {
+    let mut bodies: IdMap<OpId, ComputeBody> = IdMap::default();
     for stage in &sched.stages {
         if let Some(spec) = sched.spec(stage.op_id()) {
             bodies.insert(stage.op_id(), spec.body.clone());
@@ -549,14 +552,14 @@ fn full_realize(shape: &[i64]) -> (Vec<Expr>, Vec<i64>) {
 
 fn infer_bounds(
     sched: &Schedule,
-    bodies: &HashMap<OpId, ComputeBody>,
-) -> Result<HashMap<OpId, StageData>, TeError> {
-    let mut out: HashMap<OpId, StageData> = HashMap::new();
+    bodies: &IdMap<OpId, ComputeBody>,
+) -> Result<IdMap<OpId, StageData>, TeError> {
+    let mut out: IdMap<OpId, StageData> = IdMap::default();
     // Thread-bound / vthread leaf extents seen so far; when a producer
     // lives in shared memory, these axes are *relaxed* (ranged over) so the
     // tile covers the whole thread block — even when the thread variable
     // reaches the region expression through an attachment chain.
-    let mut thread_extents: HashMap<VarId, i64> = HashMap::new();
+    let mut thread_extents: IdMap<VarId, i64> = IdMap::default();
     // Consumers first.
     for stage in sched.stages.iter().rev() {
         if matches!(stage.attach, Attach::Inline) {
@@ -590,8 +593,8 @@ fn infer_bounds(
         };
         // Root iter extents: data axes take realize extents, reduce axes
         // keep declared extents.
-        let mut root_ext: HashMap<VarId, i64> = HashMap::new();
-        let mut kinds: HashMap<VarId, IterKind> = HashMap::new();
+        let mut root_ext: IdMap<VarId, i64> = IdMap::default();
+        let mut kinds: IdMap<VarId, IterKind> = IdMap::default();
         for (axis, e) in stage.tensor.op.axes().iter().zip(&exts) {
             root_ext.insert(axis.var.id(), *e);
             kinds.insert(axis.var.id(), IterKind::Data);
@@ -644,8 +647,8 @@ fn infer_bounds(
                     StageData {
                         realize_min: mins,
                         realize_ext: exts,
-                        extents: HashMap::new(),
-                        var_expr: HashMap::new(),
+                        extents: IdMap::default(),
+                        var_expr: IdMap::default(),
                         guards: Vec::new(),
                     },
                 );
@@ -666,9 +669,9 @@ fn compute_region(
     cons_stage: &Stage,
     cons_data: &StageData,
     attach_iter: &Var,
-    done: &HashMap<OpId, StageData>,
-    bodies: &HashMap<OpId, ComputeBody>,
-    thread_extents: &HashMap<VarId, i64>,
+    done: &IdMap<OpId, StageData>,
+    bodies: &IdMap<OpId, ComputeBody>,
+    thread_extents: &IdMap<VarId, i64>,
 ) -> Result<(Vec<Expr>, Vec<i64>), TeError> {
     let shape = stage.tensor.shape();
     let pos = cons_stage
@@ -684,7 +687,7 @@ fn compute_region(
         })?;
     // Inner vars range; outer vars are symbolic points. Thread-bound and
     // vthread outer leaves are relaxed when the producer is shared.
-    let mut inner: HashSet<VarId> = cons_stage.leaf_iters[pos + 1..]
+    let mut inner: IdSet<VarId> = cons_stage.leaf_iters[pos + 1..]
         .iter()
         .map(|l| l.var.id())
         .collect();
@@ -719,7 +722,7 @@ fn compute_region(
             continue;
         }
         if let Some(sib_data) = done.get(&sib.op_id()) {
-            let all: HashSet<VarId> = sib.leaf_iters.iter().map(|l| l.var.id()).collect();
+            let all: IdSet<VarId> = sib.leaf_iters.iter().map(|l| l.var.id()).collect();
             read_regions(
                 sched,
                 stage,
@@ -760,14 +763,14 @@ fn read_regions(
     stage: &Stage,
     reader: &Stage,
     reader_data: &StageData,
-    inner: &HashSet<VarId>,
-    bodies: &HashMap<OpId, ComputeBody>,
-    thread_extents: &HashMap<VarId, i64>,
+    inner: &IdSet<VarId>,
+    bodies: &IdMap<OpId, ComputeBody>,
+    thread_extents: &IdMap<VarId, i64>,
     regions: &mut Vec<(Vec<Expr>, Vec<i64>)>,
 ) -> Result<(), TeError> {
     let shape = stage.tensor.shape();
     // Consumer coordinate substitution: axis -> realize_min + local expr.
-    let mut sub: HashMap<VarId, Expr> = HashMap::new();
+    let mut sub: IdMap<VarId, Expr> = IdMap::default();
     for (d, axis) in reader.tensor.op.axes().iter().enumerate() {
         let local = reader_data
             .var_expr
@@ -815,7 +818,7 @@ fn read_regions(
                 continue;
             }
             // Width: inner vars ranged, everything else pinned to 0.
-            let mut bounds: HashMap<VarId, Interval> = HashMap::new();
+            let mut bounds: IdMap<VarId, Interval> = IdMap::default();
             let mut ranged_hi: Vec<(VarId, i64)> = Vec::new();
             for v in tvm_ir::collect_vars(&e) {
                 let iv = if inner.contains(&v.id()) {
@@ -842,17 +845,20 @@ fn read_regions(
                     // weight access `k - 1 - r` — take their minimum at the
                     // var's upper end; always substituting 0 mis-offsets
                     // the realize region by the whole flip.
-                    let mut min_sub: HashMap<VarId, Expr> = HashMap::new();
+                    // Each endpoint pins one variable in `bounds`; its range
+                    // goes back before the next variable is tried.
+                    let mut min_sub: IdMap<VarId, Expr> = IdMap::default();
                     for &(vid, hi) in &ranged_hi {
-                        let at = |x: i64| {
-                            let mut b = bounds.clone();
-                            b.insert(vid, Interval::point(x));
-                            tvm_ir::eval_interval(&e, &b).map(|i| i.min)
+                        let range = bounds[&vid];
+                        let mut at = |x: i64| {
+                            bounds.insert(vid, Interval::point(x));
+                            tvm_ir::eval_interval(&e, &bounds).map(|i| i.min)
                         };
                         let pick = match (at(0), at(hi)) {
                             (Some(lo0), Some(lo1)) if lo1 < lo0 => hi,
                             _ => 0,
                         };
+                        bounds.insert(vid, range);
                         min_sub.insert(vid, Expr::int(pick));
                     }
                     let min_e = tvm_ir::simplify(&tvm_ir::substitute(&e, &min_sub));
@@ -928,18 +934,16 @@ fn divmod_mixes_ranged(e: &Expr, ranged: &dyn Fn(&Var) -> bool) -> bool {
     }
 }
 
-type ResolvedIters = (
-    HashMap<VarId, i64>,
-    HashMap<VarId, Expr>,
-    Vec<(Expr, IterKind)>,
-);
+type ResolvedIters = (IdMap<VarId, i64>, IdMap<VarId, Expr>, Vec<(Expr, IterKind)>);
 
 /// Resolves extents, leaf-coordinate expressions and split guards for all
-/// itervars of a stage.
+/// itervars of a stage. A leaf-coordinate expression writes an itervar in
+/// the stage's leaf loop variables; each is built once per stage, and a
+/// parent's expression holds its children's.
 fn resolve_iters(
     stage: &Stage,
-    root_ext: HashMap<VarId, i64>,
-    mut kinds: HashMap<VarId, IterKind>,
+    root_ext: IdMap<VarId, i64>,
+    mut kinds: IdMap<VarId, IterKind>,
 ) -> Result<ResolvedIters, TeError> {
     let mut extents = root_ext;
     let mut overshoot: Vec<(Var, i64)> = Vec::new(); // (parent, parent extent)
@@ -985,38 +989,55 @@ fn resolve_iters(
             }
         }
     }
-    // Leaf-coordinate expressions, memoized.
-    let mut var_expr: HashMap<VarId, Expr> = HashMap::new();
-    let all_vars: Vec<Var> = {
-        let mut v: Vec<Var> = stage
-            .tensor
-            .op
-            .axes()
-            .iter()
-            .map(|a| a.var.clone())
-            .collect();
-        v.extend(stage.tensor.op.reduce_axes().iter().map(|a| a.var.clone()));
-        for rel in &stage.relations {
-            match rel {
-                IterRelation::Split {
-                    parent,
-                    outer,
-                    inner,
-                    ..
-                } => {
-                    v.push(parent.clone());
-                    v.push(outer.var.clone());
-                    v.push(inner.var.clone());
-                }
-                IterRelation::Fuse { fused, .. } => v.push(fused.var.clone()),
+    // Leaf-coordinate expressions: which relation consumes each variable,
+    // indexed in one pass, then each expression built once from the memo.
+    let mut consumer: IdMap<VarId, usize> = IdMap::default();
+    for (i, rel) in stage.relations.iter().enumerate() {
+        match rel {
+            IterRelation::Split { parent, .. } => {
+                consumer.entry(parent.id()).or_insert(i);
+            }
+            IterRelation::Fuse { outer, inner, .. } => {
+                consumer.entry(outer.id()).or_insert(i);
+                consumer.entry(inner.id()).or_insert(i);
             }
         }
-        v
-    };
-    for var in &all_vars {
-        let e = expand_var(var, stage, &extents, &mut HashSet::new())?;
-        var_expr.insert(var.id(), e);
     }
+    let mut exp = Expander {
+        stage,
+        extents: &extents,
+        consumer,
+        memo: IdMap::default(),
+    };
+    for axis in stage.tensor.op.axes() {
+        exp.expand(&axis.var)?;
+    }
+    for axis in stage.tensor.op.reduce_axes() {
+        exp.expand(&axis.var)?;
+    }
+    for rel in &stage.relations {
+        match rel {
+            IterRelation::Split {
+                parent,
+                outer,
+                inner,
+                ..
+            } => {
+                exp.expand(parent)?;
+                exp.expand(&outer.var)?;
+                exp.expand(&inner.var)?;
+            }
+            IterRelation::Fuse { fused, .. } => {
+                exp.expand(&fused.var)?;
+            }
+        }
+    }
+    // Every expansion returned, so every entry is finished.
+    let var_expr: IdMap<VarId, Expr> = exp
+        .memo
+        .into_iter()
+        .filter_map(|(id, e)| e.map(|e| (id, e)))
+        .collect();
     let guards: Vec<(Expr, IterKind)> = overshoot
         .into_iter()
         .map(|(parent, ep)| {
@@ -1031,63 +1052,68 @@ fn resolve_iters(
     Ok((extents, var_expr, guards))
 }
 
-fn expand_var(
-    var: &Var,
-    stage: &Stage,
-    extents: &HashMap<VarId, i64>,
-    seen: &mut HashSet<VarId>,
-) -> Result<Expr, TeError> {
-    if !seen.insert(var.id()) {
-        return err(format!("cyclic iter relation at `{}`", var.name()));
-    }
-    for rel in &stage.relations {
-        match rel {
-            IterRelation::Split {
-                parent,
-                outer,
-                inner,
-                ..
-            } if parent.id() == var.id() => {
-                let eo = expand_var(&outer.var, stage, extents, seen)?;
-                let ei_expr = expand_var(&inner.var, stage, extents, seen)?;
-                let ei = *extents.get(&inner.var.id()).expect("resolved");
-                seen.remove(&var.id());
-                return Ok(eo * ei + ei_expr);
+/// Builds leaf-coordinate expressions for one stage's itervars.
+struct Expander<'a> {
+    stage: &'a Stage,
+    extents: &'a IdMap<VarId, i64>,
+    /// The relation that consumes each variable: the first to name it as a
+    /// split parent or a fuse input.
+    consumer: IdMap<VarId, usize>,
+    /// Finished expressions; `None` while a variable is being expanded.
+    memo: IdMap<VarId, Option<Expr>>,
+}
+
+impl Expander<'_> {
+    fn expand(&mut self, var: &Var) -> Result<Expr, TeError> {
+        match self.memo.get(&var.id()) {
+            Some(Some(e)) => return Ok(e.clone()),
+            Some(None) => return err(format!("cyclic iter relation at `{}`", var.name())),
+            None => {}
+        }
+        self.memo.insert(var.id(), None);
+        let stage = self.stage;
+        let e = match self.consumer.get(&var.id()).map(|&i| &stage.relations[i]) {
+            Some(IterRelation::Split { outer, inner, .. }) => {
+                let eo = self.expand(&outer.var)?;
+                let ei_expr = self.expand(&inner.var)?;
+                let ei = self.extent(&inner.var, "split inner")?;
+                eo * ei + ei_expr
             }
-            IterRelation::Fuse {
+            Some(IterRelation::Fuse {
                 outer,
                 inner,
                 fused,
-            } => {
-                let ei = *extents.get(&inner.id()).ok_or_else(|| {
-                    TeError::msg(format!("fuse inner `{}` unresolved", inner.name()))
-                })?;
+            }) => {
+                let ei = self.extent(inner, "fuse inner")?;
+                let f = self.expand(&fused.var)?;
                 if outer.id() == var.id() {
-                    let f = expand_var(&fused.var, stage, extents, seen)?;
-                    seen.remove(&var.id());
-                    return Ok(f / ei);
-                }
-                if inner.id() == var.id() {
-                    let f = expand_var(&fused.var, stage, extents, seen)?;
-                    seen.remove(&var.id());
-                    return Ok(f % ei);
+                    f / ei
+                } else {
+                    f % ei
                 }
             }
-            _ => {}
-        }
+            None => var.to_expr(),
+        };
+        self.memo.insert(var.id(), Some(e.clone()));
+        Ok(e)
     }
-    seen.remove(&var.id());
-    Ok(var.to_expr())
+
+    fn extent(&self, var: &Var, role: &str) -> Result<i64, TeError> {
+        self.extents
+            .get(&var.id())
+            .copied()
+            .ok_or_else(|| TeError::msg(format!("{role} `{}` unresolved", var.name())))
+    }
 }
 
 struct Emitter<'a> {
     sched: &'a Schedule,
     plan: &'a LowerPlan,
-    buffers: HashMap<OpId, Var>,
+    buffers: IdMap<OpId, Var>,
     /// Thread-bound leaf -> canonical thread variable, recorded while the
     /// current root stage's nest (attached stages included) is emitted and
     /// applied to that nest in one substitution.
-    thread_sub: HashMap<VarId, Expr>,
+    thread_sub: IdMap<VarId, Expr>,
 }
 
 struct Plan {
@@ -1111,11 +1137,7 @@ impl Emitter<'_> {
     /// region. Order matters: realize mins reference consumer *loop*
     /// variables which may coincide with this stage's axis variables, so
     /// they must be added after the substitution has run.
-    fn convert_body_expr(
-        &self,
-        e: &Expr,
-        axis_sub: &HashMap<VarId, Expr>,
-    ) -> Result<Expr, TeError> {
+    fn convert_body_expr(&self, e: &Expr, axis_sub: &IdMap<VarId, Expr>) -> Result<Expr, TeError> {
         let substituted = tvm_ir::substitute(e, axis_sub);
         self.convert_reads(&substituted)
     }
@@ -1188,7 +1210,7 @@ impl Emitter<'_> {
         let dtype = stage.tensor.dtype();
 
         // Coordinate substitution for the body: axis -> min + local expr.
-        let mut axis_sub: HashMap<VarId, Expr> = HashMap::new();
+        let mut axis_sub: IdMap<VarId, Expr> = IdMap::default();
         let axes = stage.tensor.op.axes();
         for (d, axis) in axes.iter().enumerate() {
             let local = sd
@@ -1307,7 +1329,7 @@ impl Emitter<'_> {
             Some((_, intrin)) => {
                 let tp = ten_pos.expect("position resolved");
                 // Guards may not reference tensorized leaves.
-                let ten_ids: HashSet<VarId> = leaves[tp..].iter().map(|l| l.var.id()).collect();
+                let ten_ids: IdSet<VarId> = leaves[tp..].iter().map(|l| l.var.id()).collect();
                 for (g, _) in &sd.guards {
                     for v in tvm_ir::collect_vars(g) {
                         if ten_ids.contains(&v.id()) {
@@ -1338,7 +1360,7 @@ impl Emitter<'_> {
                     ));
                 }
                 // Zero the tensorized leaves to get slice origins.
-                let zero_sub: HashMap<VarId, Expr> =
+                let zero_sub: IdMap<VarId, Expr> =
                     ten_ids.iter().map(|id| (*id, Expr::int(0))).collect();
                 let out_off = tvm_ir::simplify(&tvm_ir::substitute(&store_idx, &zero_sub));
                 let output = BufferSlice {
@@ -1511,7 +1533,7 @@ impl Emitter<'_> {
             // The reset loops over every data leaf under the reduction,
             // thread-bound ones included, so those leaves unify here, in the
             // update nest only, and not in the root's substitution.
-            let under: HashMap<VarId, Expr> = plan
+            let under: IdMap<VarId, Expr> = plan
                 .init_loop_leaves
                 .iter()
                 .filter_map(|l| self.thread_sub.remove_entry(&l.var.id()))
@@ -1595,4 +1617,234 @@ fn strip_shared(s: &Stmt, specs: &mut Vec<(Var, DType, Expr)>) -> Stmt {
         }
     }
     S { specs }.mutate_stmt(s)
+}
+
+#[cfg(test)]
+mod expansion_oracle {
+    //! The memoized leaf-coordinate expansion against the per-variable one
+    //! it replaced, which re-expanded every child and re-scanned the
+    //! stage's relations at each level.
+
+    use super::*;
+    use crate::{compute, create_schedule, placeholder, reduce_axis, sum, ScheduleError};
+
+    fn expand_var(
+        var: &Var,
+        stage: &Stage,
+        extents: &IdMap<VarId, i64>,
+        seen: &mut IdSet<VarId>,
+    ) -> Result<Expr, TeError> {
+        if !seen.insert(var.id()) {
+            return err(format!("cyclic iter relation at `{}`", var.name()));
+        }
+        for rel in &stage.relations {
+            match rel {
+                IterRelation::Split {
+                    parent,
+                    outer,
+                    inner,
+                    ..
+                } if parent.id() == var.id() => {
+                    let eo = expand_var(&outer.var, stage, extents, seen)?;
+                    let ei_expr = expand_var(&inner.var, stage, extents, seen)?;
+                    let ei = extents[&inner.var.id()];
+                    seen.remove(&var.id());
+                    return Ok(eo * ei + ei_expr);
+                }
+                IterRelation::Fuse {
+                    outer,
+                    inner,
+                    fused,
+                } => {
+                    let ei = extents[&inner.id()];
+                    if outer.id() == var.id() {
+                        let f = expand_var(&fused.var, stage, extents, seen)?;
+                        seen.remove(&var.id());
+                        return Ok(f / ei);
+                    }
+                    if inner.id() == var.id() {
+                        let f = expand_var(&fused.var, stage, extents, seen)?;
+                        seen.remove(&var.id());
+                        return Ok(f % ei);
+                    }
+                }
+                _ => {}
+            }
+        }
+        seen.remove(&var.id());
+        Ok(var.to_expr())
+    }
+
+    /// Every itervar a stage names: its axes, reduce axes and the
+    /// variables of its relations.
+    fn stage_vars(stage: &Stage) -> Vec<Var> {
+        let mut v: Vec<Var> = stage
+            .tensor
+            .op
+            .axes()
+            .iter()
+            .map(|a| a.var.clone())
+            .collect();
+        v.extend(stage.tensor.op.reduce_axes().iter().map(|a| a.var.clone()));
+        for rel in &stage.relations {
+            match rel {
+                IterRelation::Split {
+                    parent,
+                    outer,
+                    inner,
+                    ..
+                } => v.extend([parent.clone(), outer.var.clone(), inner.var.clone()]),
+                IterRelation::Fuse { fused, .. } => v.push(fused.var.clone()),
+            }
+        }
+        v
+    }
+
+    /// Plans `sched` and checks every non-inlined stage: each variable's
+    /// expression equals the reference's, and a split parent's expression
+    /// holds its inner child's by pointer. Returns the splits checked.
+    fn check(sched: &Schedule) -> usize {
+        let plan = plan_schedule(sched).expect("plans");
+        let mut splits = 0;
+        for stage in &sched.stages {
+            let Some(sd) = plan.data.get(&stage.op_id()) else {
+                continue;
+            };
+            let vars = stage_vars(stage);
+            let ids: IdSet<VarId> = vars.iter().map(Var::id).collect();
+            assert_eq!(sd.var_expr.len(), ids.len(), "`{}`", stage.tensor.name());
+            for var in &vars {
+                let want = expand_var(var, stage, &sd.extents, &mut IdSet::default())
+                    .expect("the reference expands");
+                let got = &sd.var_expr[&var.id()];
+                assert!(
+                    got.structural_eq(&want),
+                    "`{}` of `{}`: {got} vs {want}",
+                    var.name(),
+                    stage.tensor.name()
+                );
+            }
+            for rel in &stage.relations {
+                let IterRelation::Split { parent, inner, .. } = rel else {
+                    continue;
+                };
+                let ExprNode::Binary { b, .. } = &*sd.var_expr[&parent.id()].0 else {
+                    panic!("split parent `{}` is not `o * f + i`", parent.name());
+                };
+                assert!(
+                    b.same_as(&sd.var_expr[&inner.var.id()]),
+                    "`{}` copies its inner child's expression",
+                    parent.name()
+                );
+                splits += 1;
+            }
+        }
+        splits
+    }
+
+    fn elementwise(shape: &[i64]) -> (Tensor, Tensor) {
+        let a = placeholder(shape, DType::float32(), "A");
+        let c = compute(shape, "C", |i| a.at(i) + 1);
+        (a, c)
+    }
+
+    #[test]
+    fn split_of_a_split() -> Result<(), ScheduleError> {
+        let (_, c) = elementwise(&[64, 48]);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let ax = c.op.axes();
+        let (xo, xi) = s.split(&c, &ax[1], 12)?;
+        let (_xio, _xii) = s.split(&c, &xi, 5)?;
+        let (_xoo, _xoi) = s.split(&c, &xo, 3)?;
+        let levels = s.split_levels(&c, &ax[0], &[4, 2])?;
+        assert_eq!(levels.len(), 3);
+        assert_eq!(check(&s), 5);
+        Ok(())
+    }
+
+    #[test]
+    fn fuse_of_splits() -> Result<(), ScheduleError> {
+        let (_, c) = elementwise(&[30, 20]);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let ax = c.op.axes();
+        let (yo, yi) = s.split(&c, &ax[0], 4)?;
+        let (xo, xi) = s.split(&c, &ax[1], 6)?;
+        s.reorder(&c, &[&yo, &xo, &yi, &xi])?;
+        s.fuse(&c, &yo, &xo)?;
+        s.fuse(&c, &yi, &xi)?;
+        assert_eq!(check(&s), 2);
+        Ok(())
+    }
+
+    #[test]
+    fn split_of_a_fuse() -> Result<(), ScheduleError> {
+        let (_, c) = elementwise(&[6, 16, 5]);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let ax = c.op.axes();
+        let f = s.fuse(&c, &ax[0], &ax[1])?;
+        let f = s.fuse(&c, &f, &ax[2])?;
+        let (fo, _fi) = s.split(&c, &f, 7)?;
+        s.split(&c, &fo, 3)?;
+        assert_eq!(check(&s), 2);
+        Ok(())
+    }
+
+    #[test]
+    fn tile_and_reorder_with_a_reduction() -> Result<(), ScheduleError> {
+        let a = placeholder(&[24, 20], DType::float32(), "A");
+        let b = placeholder(&[20, 16], DType::float32(), "B");
+        let k = reduce_axis(20, "k");
+        let c = compute(&[24, 16], "C", |i| {
+            sum(
+                a.at(&[i[0].clone(), k.expr()]) * b.at(&[k.expr(), i[1].clone()]),
+                std::slice::from_ref(&k),
+            )
+        });
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let ax = c.op.axes();
+        let (yo, xo, yi, xi) = s.tile(&c, &ax[0], &ax[1], 8, 5)?;
+        let (ko, ki) = s.split(&c, &k, 6)?;
+        s.reorder(&c, &[&yo, &xo, &ko, &yi, &ki, &xi])?;
+        assert_eq!(check(&s), 3);
+        Ok(())
+    }
+
+    #[test]
+    fn shared_compute_at() -> Result<(), ScheduleError> {
+        // Two producers attached at the same consumer loop, one of them
+        // split itself.
+        let a = placeholder(&[12, 40], DType::float32(), "A");
+        let p = compute(&[12, 40], "P", |i| a.at(i) * 2);
+        let q = compute(&[12, 40], "Q", |i| a.at(i) + 3);
+        let c = compute(&[12, 40], "C", |i| p.at(i) + q.at(i));
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let ax = c.op.axes();
+        let (yo, xo, _yi, _xi) = s.tile(&c, &ax[0], &ax[1], 4, 8)?;
+        let f = s.fuse(&c, &yo, &xo)?;
+        s.compute_at(&p, &c, &f)?;
+        s.compute_at(&q, &c, &f)?;
+        let pax = p.op.axes();
+        s.split(&p, &pax[1], 3)?;
+        assert_eq!(check(&s), 3);
+        Ok(())
+    }
+
+    #[test]
+    fn a_cyclic_relation_is_an_error() -> Result<(), ScheduleError> {
+        let (_, c) = elementwise(&[8]);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let x = c.op.axes()[0].clone();
+        let (xo, xi) = s.split(&c, &x, 2)?;
+        // Hand-built, not reachable through the schedule API: fusing the
+        // split's children back into its parent.
+        let stage = &mut s.stages[0];
+        stage.relations.push(IterRelation::Fuse {
+            outer: xo.var.clone(),
+            inner: xi.var.clone(),
+            fused: x.clone(),
+        });
+        let e = plan_schedule(&s).err().expect("cycle");
+        assert!(e.to_string().contains("cyclic iter relation"), "{e}");
+        Ok(())
+    }
 }

@@ -2,11 +2,9 @@
 //! redirecting tensor reads, substituting axis variables inside compute
 //! bodies, inlining stage bodies, and renaming buffer variables.
 
-use std::collections::HashMap;
-
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
-use tvm_ir::{Expr, Mutator, Stmt, Var, VarId};
+use tvm_ir::{Expr, IdMap, Mutator, Stmt, Var, VarId};
 
 use crate::tensor::{parse_read_key, ComputeBody, OpId, Tensor};
 
@@ -31,7 +29,7 @@ pub fn replace_reads(body: &ComputeBody, from: OpId, to: &Tensor) -> ComputeBody
 }
 
 /// Substitutes variables inside a body's source expression.
-pub fn substitute_body(body: &ComputeBody, sub: &HashMap<VarId, Expr>) -> ComputeBody {
+pub fn substitute_body(body: &ComputeBody, sub: &IdMap<VarId, Expr>) -> ComputeBody {
     match body {
         ComputeBody::Plain(e) => ComputeBody::Plain(tvm_ir::substitute(e, sub)),
         ComputeBody::Reduce {
@@ -63,7 +61,7 @@ pub fn inline_reads(
         fn mutate_expr(&mut self, e: &Expr) -> Expr {
             if let ExprNode::Call { name, args, .. } = &*e.0 {
                 if parse_read_key(name) == Some(self.id) {
-                    let mut sub = HashMap::new();
+                    let mut sub = IdMap::default();
                     for (ax, idx) in self.axes.iter().zip(args) {
                         sub.insert(ax.id(), self.mutate_expr(idx));
                     }
@@ -101,9 +99,9 @@ fn map_body(body: &ComputeBody, m: &mut impl Mutator) -> ComputeBody {
 /// Renames buffer variables in `Load`/`Store` nodes and in bare-variable
 /// intrinsic arguments (hardware calls pass buffers by handle) — used by
 /// virtual-thread lowering to duplicate per-vthread buffers.
-pub fn substitute_buffers(s: &Stmt, map: &HashMap<VarId, Var>) -> Stmt {
+pub fn substitute_buffers(s: &Stmt, map: &IdMap<VarId, Var>) -> Stmt {
     struct B<'a> {
-        map: &'a HashMap<VarId, Var>,
+        map: &'a IdMap<VarId, Var>,
     }
     impl Mutator for B<'_> {
         fn mutate_expr(&mut self, e: &Expr) -> Expr {
@@ -217,7 +215,7 @@ mod tests {
             Expr::int(0),
             Expr::load(&old, Expr::int(0)) + Expr::f32(1.0),
         );
-        let mut m = HashMap::new();
+        let mut m = IdMap::default();
         m.insert(old.id(), new.clone());
         let s2 = substitute_buffers(&s, &m);
         // Execute on the renamed buffer to confirm both sides moved.

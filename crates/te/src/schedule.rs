@@ -7,11 +7,10 @@
 //! loop structure while preserving program semantics; the lowering pass
 //! (`crate::lower`) turns the final schedule into a low-level loop program.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use tvm_ir::{Expr, MemScope, ThreadTag, Var, VarId};
+use tvm_ir::{Expr, IdMap, MemScope, ThreadTag, Var, VarId};
 
 use crate::tensor::{compute_with_axes, ComputeBody, ComputeSpec, IterVar, OpId, Tensor};
 use crate::tensorize::TensorIntrin;
@@ -212,7 +211,7 @@ pub struct Stage {
     /// Memory scope of the stage's buffer.
     pub scope: MemScope,
     /// Per-itervar annotations keyed by the itervar's variable id.
-    pub iter_attrs: HashMap<VarId, IterAttr>,
+    pub iter_attrs: IdMap<VarId, IterAttr>,
     /// Tensorization: replace the loop nest from this leaf inwards with a
     /// hardware intrinsic (§4.3).
     pub tensorize_at: Option<(VarId, TensorIntrin)>,
@@ -230,7 +229,7 @@ impl Stage {
             relations: Vec::new(),
             attach: Attach::Root,
             scope: MemScope::Global,
-            iter_attrs: HashMap::new(),
+            iter_attrs: IdMap::default(),
             tensorize_at: None,
             is_output,
         }
@@ -272,20 +271,20 @@ pub struct Schedule {
     pub stages: Vec<Stage>,
     /// Function outputs.
     pub outputs: Vec<Tensor>,
-    stage_of: HashMap<OpId, usize>,
+    stage_of: IdMap<OpId, usize>,
     /// Every tensor this schedule can resolve a read of, keyed by op id.
-    tensors: HashMap<OpId, Tensor>,
+    tensors: IdMap<OpId, Tensor>,
     /// Rewritten compute specs (`cache_read`/`cache_write`), keyed by op id;
     /// ops without an entry use their own spec.
-    overrides: HashMap<OpId, Arc<ComputeSpec>>,
+    overrides: IdMap<OpId, Arc<ComputeSpec>>,
 }
 
 /// Creates a schedule for the given output tensors — `t.create_schedule` in
 /// the paper's API.
 pub fn create_schedule(outputs: &[Tensor]) -> Schedule {
     let mut order: Vec<Tensor> = Vec::new();
-    let mut tensors: HashMap<OpId, Tensor> = HashMap::new();
-    fn dfs(t: &Tensor, order: &mut Vec<Tensor>, tensors: &mut HashMap<OpId, Tensor>) {
+    let mut tensors: IdMap<OpId, Tensor> = IdMap::default();
+    fn dfs(t: &Tensor, order: &mut Vec<Tensor>, tensors: &mut IdMap<OpId, Tensor>) {
         if tensors.contains_key(&t.op_id()) {
             return;
         }
@@ -301,7 +300,7 @@ pub fn create_schedule(outputs: &[Tensor]) -> Schedule {
         dfs(t, &mut order, &mut tensors);
     }
     let mut stages = Vec::with_capacity(order.len());
-    let mut stage_of = HashMap::new();
+    let mut stage_of = IdMap::default();
     for t in order {
         let is_output = outputs.iter().any(|o| o.op_id() == t.op_id());
         stage_of.insert(t.op_id(), stages.len());
@@ -312,7 +311,7 @@ pub fn create_schedule(outputs: &[Tensor]) -> Schedule {
         outputs: outputs.to_vec(),
         stage_of,
         tensors,
-        overrides: HashMap::new(),
+        overrides: IdMap::default(),
     }
 }
 
@@ -676,7 +675,7 @@ impl Schedule {
             .enumerate()
             .map(|(d, &e)| IterVar::data(e, format!("{}_{}_w{}", t.name(), scope.name(), d)))
             .collect();
-        let mut sub = HashMap::new();
+        let mut sub = IdMap::default();
         for (old, new) in old_axes.iter().zip(&new_axes) {
             sub.insert(old.var.id(), new.expr());
         }

@@ -19,13 +19,12 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use tvm_ir::expr::{CallKind, ExprNode};
-use tvm_ir::{DType, Expr, Range, Var};
+use tvm_ir::{DType, Expr, IdMap, Range, Var};
 
 static NEXT_OP_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -414,7 +413,7 @@ pub fn parse_read_key(name: &str) -> Option<OpId> {
 /// grew by a model's worth of tensors per build).
 #[derive(Default)]
 struct ConstructionCtx {
-    ops: HashMap<OpId, Weak<OpNode>>,
+    ops: IdMap<OpId, Weak<OpNode>>,
     /// Length at which dead entries are next swept; doubling it keeps the
     /// sweep amortised O(1) per noted read.
     sweep_at: usize,

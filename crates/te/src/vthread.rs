@@ -18,12 +18,12 @@
 //!    8's right column. The hardware (the VDLA simulator) then recovers
 //!    pipeline parallelism from the tokens.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
 use tvm_ir::{
-    BufferScopes, Expr, ForKind, MemScope, Mutator, PipeStage, Stmt, Var, VarId, Visitor,
+    BufferScopes, Expr, ForKind, IdMap, MemScope, Mutator, PipeStage, Stmt, Var, VarId, Visitor,
 };
 
 /// Replaces `vthread` loops with ordinary serial loops — the correct
@@ -128,8 +128,8 @@ fn unit_of_intrinsic(name: &str) -> Option<PipeStage> {
 /// Per-item buffer access summary: which unit writes / reads each buffer.
 #[derive(Default, Clone, Debug)]
 struct GroupInfo {
-    writes: HashMap<VarId, PipeStage>,
-    reads: HashMap<VarId, Vec<PipeStage>>,
+    writes: IdMap<VarId, PipeStage>,
+    reads: IdMap<VarId, Vec<PipeStage>>,
 }
 
 fn group_info(s: &Stmt, scopes: &BufferScopes) -> GroupInfo {
@@ -366,12 +366,12 @@ fn tokenize_items(
     (out, seeds, drains)
 }
 
-type CopySubst = (i64, HashMap<VarId, Var>);
+type CopySubst = (i64, IdMap<VarId, Var>);
 
 /// Unrolls a virtual-thread loop, duplicating buffers allocated inside it
 /// and interleaving the copies' statements under shared serial loops.
 pub fn interleave(body: &Stmt, var: &Var, lo: i64, n: i64) -> Stmt {
-    let copies: Vec<CopySubst> = (0..n).map(|i| (lo + i, HashMap::new())).collect();
+    let copies: Vec<CopySubst> = (0..n).map(|i| (lo + i, IdMap::default())).collect();
     push_copies(body, var, &copies)
 }
 
@@ -421,7 +421,7 @@ fn contains_shared_loop(s: &Stmt) -> bool {
 
 fn dup_for_copy(s: &Stmt, var: &Var, copy: &CopySubst) -> Stmt {
     let (i, bufmap) = copy;
-    let mut vsub = HashMap::new();
+    let mut vsub = IdMap::default();
     vsub.insert(var.id(), Expr::int(*i));
     let s1 = tvm_ir::substitute_stmt(s, &vsub);
     crate::rewrite::substitute_buffers(&s1, bufmap)
