@@ -25,31 +25,12 @@
 //! every statement runs once per thread, between the same barriers as on
 //! hardware (§4.2). A nest without barriers is compiled as plain loops.
 //!
-//! A `vectorized` loop is compiled twice: to scalar code as above, and, when
-//! its body allows, to *lane form*, in which each op computes every lane of
-//! a chunk of up to eight iterations before the next op runs (§4.1's
-//! `vectorize`, on our own ISA). A value defined in the body is a lane
-//! vector; a value hoisted out of it stays a scalar operand. Conditions
-//! become masks: a guarded `select(c, load, 0.0)` is a masked load, whose
-//! lanes that `c` excludes neither load nor bounds-check, and an `if` around
-//! the store is a store mask. The body's single store checks every active
-//! lane, then writes them all.
+//! A `vectorized` loop is compiled as a `serial` one is, and its iterations
+//! run one at a time, as the walker runs them: §4.1's `vectorize` is a
+//! schedule primitive for the device, which the simulator prices, not for
+//! this engine. Only a reduce nest, below, treats it as more than a loop.
 //!
-//! * *Eligible*: a body with exactly one store, whose index is affine in the
-//!   loop variable with a non-zero coefficient; which reads the stored
-//!   buffer only at that index; and which holds no loop, allocation,
-//!   barrier, `else` or hardware intrinsic. Any other `vectorized` loop,
-//!   and any inside a barriered nest, compiles to scalar code only;
-//!   [`Program::lane_loops`] counts the loops that compiled to lane form.
-//! * *Replay*: lane form has no side effect before its final store. If
-//!   anything in a chunk faults — an out-of-bounds lane, a checked division
-//!   by zero, a lane the store cannot write — the chunk is discarded and its
-//!   iterations rerun through the scalar code, which stores and raises
-//!   exactly where the walker does. Each lane does the walker's `f64`
-//!   operations and store rounding, and the store count grows by one per
-//!   lane stored, so buffers, store counts and faults are the walker's.
-//!
-//! A multiply-accumulate loop nest is also compiled twice: to scalar code,
+//! A multiply-accumulate loop nest is compiled twice: to scalar code,
 //! and to a *reduce nest* that runs every iteration of the nest in one op
 //! (a conv kernel's padded accumulation, a dense layer's reduction; §4.3's
 //! tensorized multiply-accumulate, on our own ISA).
@@ -68,8 +49,6 @@
 //!   range depends on it; [`Program::reduce_depths`] gives each nest's
 //!   levels. A nest in a barriered thread nest runs on that lane's
 //!   registers and its own copy of `S` when it is thread-local.
-//!   Where such a nest is not eligible, a `vectorized` loop may still run
-//!   in lane form.
 //! * *Exact*: the op runs the walker's iterations in its row-major order,
 //!   each `S[s] = (S[s] as f64 + a as f64 * b as f64) as f32`, the walker's
 //!   arithmetic and store rounding, and counts one store per iteration. In
@@ -86,9 +65,9 @@
 //!   the box is empty or a check fails, the scalar code of every level
 //!   runs instead and stores and faults where the walker does.
 //!
-//! A lane loop or a reduce nest is entered through a `Yield` op that
-//! returns from the dispatch loop to [`Program::execute`] (in a barriered
-//! nest, to the lanes' scheduler), which runs it and resumes after it: work
+//! A reduce nest is entered through a `Yield` op that returns from the
+//! dispatch loop to [`Program::execute`] (in a barriered nest, to the
+//! lanes' scheduler), which runs it and resumes after it: work
 //! outside the dispatch loop does not perturb how the dispatch loop's
 //! registers are allocated. A barrier has an op of its own, so a `Yield`
 //! always means a handoff.
@@ -150,20 +129,8 @@ impl Storage {
 
 type Reg = u16;
 
-/// Iterations one lane-form op computes.
-const LANES: usize = 8;
-
-/// Marks an operand of a lane-form op as a scalar register, which every
-/// lane reads, rather than a lane register.
-const SCALAR: u16 = 0x8000;
-
 /// Operation codes. `d`, `a`, `b`, `c` are the fields of [`Op`]; `i[x]` /
 /// `f[x]` is integer / float register `x`.
-///
-/// Lane form uses the same codes over lane registers (see [`SCALAR`]).
-/// There a load is `lane[d] = slot[a][b]` on the lanes mask `c` selects,
-/// zero on the others; a store `slot[a][b] = c` on the lanes mask `d`
-/// selects; and a checked division takes its mask in `c`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[repr(u8)]
 enum Code {
@@ -258,11 +225,10 @@ enum Code {
     HwCall,
     /// Runs `nests[a]`, whose code follows this op.
     Nest,
-    /// Returns to the caller, which hands over `handoffs[a]` and resumes
-    /// after it: a lane loop, whose lane code and then scalar code follow,
-    /// or a reduce nest, whose scalar code follows. Both run outside the
+    /// Returns to the caller, which runs reduce nest `handoffs[a]`, whose
+    /// scalar code follows, and resumes after it. The nest runs outside the
     /// dispatch loop, so that scalar code keeps its registers. In a
-    /// barriered nest the handoff runs on the current lane's window.
+    /// barriered nest it runs on the current lane's window.
     Yield,
     /// Ends the current lane's turn in a barriered nest; the lane resumes
     /// at the next op when every lane has reached it.
@@ -348,21 +314,6 @@ struct Nest {
     lane_slots: Vec<(u16, usize)>,
 }
 
-/// A `vectorized` loop in lane form. Its `Yield` op is followed by
-/// `lanes_len` ops of lane code, then `scalar_len` ops of the loop's scalar
-/// body, which replays a chunk whose lane code faulted.
-#[derive(Clone)]
-struct LaneLoop {
-    /// Scalar registers of the loop variable, which holds the chunk's first
-    /// iteration, and of the loop's limit.
-    counter: Reg,
-    limit: Reg,
-    /// Lane register holding the chunk's iterations.
-    iv: Reg,
-    lanes_len: u16,
-    scalar_len: u16,
-}
-
 /// Most loop levels one reduce nest spans.
 const MAX_DEPTH: usize = 8;
 
@@ -414,14 +365,6 @@ struct Guard {
     konst: f64,
 }
 
-/// What a `Yield` hands over to [`Program::execute`], or, in a barriered
-/// nest, to [`Machine::run_nest`].
-#[derive(Clone)]
-enum Handoff {
-    Lanes(LaneLoop),
-    Reduce(Box<ReduceNest>),
-}
-
 /// A lowered function compiled for one binding of its parameters.
 pub struct Program {
     name: String,
@@ -429,8 +372,6 @@ pub struct Program {
     ops: Vec<Op>,
     ints: u16,
     floats: u16,
-    lane_ints: u16,
-    lane_floats: u16,
     iconsts: Vec<i64>,
     fconsts: Vec<f64>,
     /// Parameters first, then one per `Allocate`.
@@ -438,7 +379,9 @@ pub struct Program {
     errors: Vec<InterpError>,
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
-    handoffs: Vec<Handoff>,
+    /// What each `Yield` hands over to [`Program::execute`], or, in a
+    /// barriered nest, to [`Machine::run_nest`].
+    handoffs: Vec<ReduceNest>,
 }
 
 impl Program {
@@ -469,35 +412,23 @@ impl Program {
         self.params.len()
     }
 
-    /// Number of `vectorized` loops compiled to lane form.
-    pub fn lane_loops(&self) -> usize {
-        let lanes = |h: &&Handoff| matches!(h, Handoff::Lanes(_));
-        self.handoffs.iter().filter(lanes).count()
-    }
-
     /// Number of loop nests compiled to reduce nests.
     pub fn reduce_loops(&self) -> usize {
-        self.reduce_nests().count()
+        self.handoffs.len()
     }
 
     /// Loop levels of each reduce nest, in program order.
     pub fn reduce_depths(&self) -> Vec<usize> {
-        self.reduce_nests().map(|r| r.levels.len()).collect()
+        self.handoffs.iter().map(|r| r.levels.len()).collect()
     }
 
     /// Number of factors, over every reduce nest, that are a guarded
     /// `select(c, X[x], k)`.
     pub fn guarded_factors(&self) -> usize {
-        self.reduce_nests()
+        self.handoffs
+            .iter()
             .map(|r| r.guards.iter().flatten().count())
             .sum()
-    }
-
-    fn reduce_nests(&self) -> impl Iterator<Item = &ReduceNest> {
-        self.handoffs.iter().filter_map(|h| match h {
-            Handoff::Reduce(r) => Some(&**r),
-            Handoff::Lanes(_) => None,
-        })
     }
 
     pub(crate) fn takes_f32_arrays(&self) -> bool {
@@ -546,10 +477,6 @@ impl Program {
         };
         let mut ints = vec![0i64; self.ints as usize];
         let mut floats = vec![0f64; self.floats as usize];
-        let mut lanes = LaneRegs {
-            ints: vec![[0; LANES]; self.lane_ints as usize],
-            floats: vec![[0.0; LANES]; self.lane_floats as usize],
-        };
         let mut pc = 0;
         let result = loop {
             let start = match machine.run(pc, self.ops.len(), &mut ints, &mut floats) {
@@ -559,14 +486,7 @@ impl Program {
                 Err(e) => break Err(e),
             };
             pc = match self.handoffs.get(self.ops[start - 1].a as usize) {
-                Some(Handoff::Lanes(l)) => {
-                    let ran = machine.run_lane_loop(l, &mut lanes, start, &mut ints, &mut floats);
-                    if let Err(e) = ran {
-                        break Err(e);
-                    }
-                    start + l.lanes_len as usize + l.scalar_len as usize
-                }
-                Some(Handoff::Reduce(r)) => match machine.run_reduce(r, start, &mut ints) {
+                Some(r) => match machine.run_reduce(r, start, &mut ints) {
                     Ok(next) => next,
                     Err(e) => break Err(e),
                 },
@@ -586,12 +506,6 @@ struct Machine<'a> {
     mem: &'a mut MemState,
     hw: &'a mut HashMap<String, HwHandlerFn>,
     stores: u64,
-}
-
-/// Lane registers: one value per lane of a chunk.
-struct LaneRegs {
-    ints: Vec<[i64; LANES]>,
-    floats: Vec<[f64; LANES]>,
 }
 
 /// Why [`Machine::run`] returned.
@@ -1091,7 +1005,7 @@ impl Machine<'_> {
                     match self.run(*pc, end, wi, wf)? {
                         Stop::Yield(next) => {
                             let a = self.program.ops[next - 1].a as usize;
-                            let Some(Handoff::Reduce(r)) = self.program.handoffs.get(a) else {
+                            let Some(r) = self.program.handoffs.get(a) else {
                                 return Err(malformed("a nest yields no reduce nest"));
                             };
                             *pc = self.run_reduce(r, next, wi)?;
@@ -1117,35 +1031,6 @@ impl Machine<'_> {
                 ));
             }
         }
-    }
-
-    /// Runs lane loop `l`, whose lane code starts at `start`, a chunk of up
-    /// to [`LANES`] iterations at a time. A chunk whose lane code faults
-    /// reruns through the scalar code.
-    fn run_lane_loop(
-        &mut self,
-        l: &LaneLoop,
-        regs: &mut LaneRegs,
-        start: usize,
-        ints: &mut [i64],
-        floats: &mut [f64],
-    ) -> Result<()> {
-        let scalar = start + l.lanes_len as usize;
-        let end = scalar + l.scalar_len as usize;
-        let (counter, limit) = (l.counter as usize, ints[l.limit as usize]);
-        let mut first = ints[counter];
-        while first < limit {
-            let n = (limit as i128 - first as i128).min(LANES as i128) as usize;
-            regs.ints[l.iv as usize] = std::array::from_fn(|lane| first.wrapping_add(lane as i64));
-            if !self.run_lanes(regs, start, scalar, n, ints, floats) {
-                for i in first..first + n as i64 {
-                    ints[counter] = i;
-                    self.run(scalar, end, ints, floats)?;
-                }
-            }
-            first += n as i64;
-        }
-        Ok(())
     }
 
     /// Runs reduce nest `r`, whose scalar code starts at `start`, as one
@@ -1360,223 +1245,6 @@ impl Machine<'_> {
         }
         true
     }
-
-    /// Executes the lane code `ops[pc..end]` on the first `n` lanes.
-    /// Returns `false` if an active lane faults, having changed nothing:
-    /// only the last op stores, and it checks every lane before writing one.
-    fn run_lanes(
-        &mut self,
-        regs: &mut LaneRegs,
-        pc: usize,
-        end: usize,
-        n: usize,
-        ints: &[i64],
-        floats: &[f64],
-    ) -> bool {
-        use Code::*;
-        let program = self.program;
-        macro_rules! int {
-            ($r:expr) => {
-                operand(&regs.ints, ints, $r)
-            };
-        }
-        macro_rules! float {
-            ($r:expr) => {
-                operand(&regs.floats, floats, $r)
-            };
-        }
-        for &Op { code, d, a, b, c } in &program.ops[pc..end] {
-            let dst = d as usize;
-            match code {
-                IAdd => regs.ints[dst] = zip(int!(a), int!(b), i64::wrapping_add),
-                ISub => regs.ints[dst] = zip(int!(a), int!(b), i64::wrapping_sub),
-                IMul => regs.ints[dst] = zip(int!(a), int!(b), i64::wrapping_mul),
-                IMulAdd => {
-                    let (x, y, z) = (int!(a), int!(b), int!(c));
-                    regs.ints[dst] =
-                        std::array::from_fn(|l| x[l].wrapping_add(y[l].wrapping_mul(z[l])));
-                }
-                IDiv | IMod => {
-                    let (x, y, mask) = (int!(a), int!(b), int!(c));
-                    if (0..n).any(|l| mask[l] != 0 && y[l] == 0) {
-                        return false;
-                    }
-                    let f = if code == IDiv { div_total } else { mod_total };
-                    regs.ints[dst] = zip(x, y, f);
-                }
-                IDivNz => regs.ints[dst] = zip(int!(a), int!(b), div_total),
-                IModNz => regs.ints[dst] = zip(int!(a), int!(b), mod_total),
-                IMin => regs.ints[dst] = zip(int!(a), int!(b), i64::min),
-                IMax => regs.ints[dst] = zip(int!(a), int!(b), i64::max),
-                IAnd => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x & y),
-                IOr => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x | y),
-                IXor => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x ^ y),
-                IShl => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x.wrapping_shl(y as u32)),
-                IShr => regs.ints[dst] = zip(int!(a), int!(b), |x, y| x.wrapping_shr(y as u32)),
-                IEq => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x == y) as i64),
-                INe => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x != y) as i64),
-                ILt => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x < y) as i64),
-                ILe => regs.ints[dst] = zip(int!(a), int!(b), |x, y| (x <= y) as i64),
-                INot => regs.ints[dst] = int!(a).map(|x| (x == 0) as i64),
-                IBool => regs.ints[dst] = int!(a).map(|x| (x != 0) as i64),
-                IQuant => regs.ints[dst] = int!(a).map(|x| wrap_int(x, b)),
-                IAbs => regs.ints[dst] = int!(a).map(i64::wrapping_abs),
-                IPopcount => regs.ints[dst] = int!(a).map(|x| x.count_ones() as i64),
-                ISelect => {
-                    let (m, x, y) = (int!(a), int!(b), int!(c));
-                    regs.ints[dst] = std::array::from_fn(|l| if m[l] != 0 { x[l] } else { y[l] });
-                }
-                FAdd => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x + y),
-                FSub => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x - y),
-                FMul => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x * y),
-                FDiv => regs.floats[dst] = zip(float!(a), float!(b), |x, y| x / y),
-                FMod => regs.floats[dst] = zip(float!(a), float!(b), f64::rem_euclid),
-                FMin => regs.floats[dst] = zip(float!(a), float!(b), f64::min),
-                FMax => regs.floats[dst] = zip(float!(a), float!(b), f64::max),
-                FEq => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x == y) as i64),
-                FNe => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x != y) as i64),
-                FLt => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x < y) as i64),
-                FLe => regs.ints[dst] = zip(float!(a), float!(b), |x, y| (x <= y) as i64),
-                FRound32 => regs.floats[dst] = float!(a).map(|x| x as f32 as f64),
-                FRound16 => regs.floats[dst] = float!(a).map(round_f16),
-                FUnary => regs.floats[dst] = float!(a).map(UNARY[b as usize]),
-                FPow => regs.floats[dst] = zip(float!(a), float!(b), f64::powf),
-                FSelect => {
-                    let (m, x, y) = (int!(a), float!(b), float!(c));
-                    regs.floats[dst] = std::array::from_fn(|l| if m[l] != 0 { x[l] } else { y[l] });
-                }
-                IToF => regs.floats[dst] = int!(a).map(|x| x as f64),
-                FToITrunc => regs.ints[dst] = float!(a).map(|x| x as i64),
-                FToIFloor => regs.ints[dst] = float!(a).map(|x| x.floor() as i64),
-                LoadF32 | LoadF64 | LoadI64 => {
-                    let slot = &self.mem.slots[a as usize];
-                    let Some(at) = positions(slot, int!(b), int!(c), n) else {
-                        return false;
-                    };
-                    match (&slot.buf.data, code) {
-                        (Data::F32(v), LoadF32) => regs.floats[dst] = gather(v, at, |x| x as f64),
-                        (Data::F64(v), LoadF64) => regs.floats[dst] = gather(v, at, |x| x),
-                        (Data::I64(v), LoadI64) => regs.ints[dst] = gather(v, at, |x| x),
-                        _ => return false,
-                    }
-                }
-                StoreF32 | StoreF16 | StoreF64 | StoreI64 => {
-                    let slot = &mut self.mem.slots[a as usize];
-                    let Some(at) = positions(slot, int!(b), int!(d), n) else {
-                        return false;
-                    };
-                    let dtype = slot.buf.dtype;
-                    match (&mut slot.buf.data, code) {
-                        (Data::F32(v), StoreF32) => scatter(v, at, float!(c), |x| x as f32),
-                        (Data::F32(v), StoreF16) => {
-                            scatter(v, at, float!(c), |x| round_f16(x) as f32)
-                        }
-                        (Data::F64(v), StoreF64) => {
-                            scatter(v, at, float!(c), |x| match dtype.bits {
-                                16 => round_f16(x),
-                                32 => x as f32 as f64,
-                                _ => x,
-                            })
-                        }
-                        (Data::I64(v), StoreI64) => {
-                            let signed = (dtype.code == TypeCode::Int) as u16;
-                            let spec = dtype.bits as u16 | signed << 8;
-                            let wide = dtype.bits >= 64;
-                            scatter(v, at, int!(c), |x| if wide { x } else { wrap_int(x, spec) })
-                        }
-                        _ => return false,
-                    }
-                    self.stores += at.0.count_ones() as u64;
-                }
-                _ => unreachable!("`{code:?}` is not emitted in lane form"),
-            }
-        }
-        true
-    }
-}
-
-/// Operand `r` of a lane-form op: lane register `r`, or, with the
-/// [`SCALAR`] bit, scalar register `r` in every lane.
-#[inline(always)]
-fn operand<T: Copy>(lanes: &[[T; LANES]], scalars: &[T], r: u16) -> [T; LANES] {
-    if r & SCALAR != 0 {
-        [scalars[(r & !SCALAR) as usize]; LANES]
-    } else {
-        lanes[r as usize]
-    }
-}
-
-#[inline(always)]
-fn zip<T: Copy, U: Copy, R>(x: [T; LANES], y: [U; LANES], f: impl Fn(T, U) -> R) -> [R; LANES] {
-    std::array::from_fn(|l| f(x[l], y[l]))
-}
-
-/// [`floor_div`] on a lane that may not be active: a zero divisor gives
-/// zero and `i64::MIN / -1` wraps, where the scalar op would fault or panic.
-fn div_total(a: i64, b: i64) -> i64 {
-    match b {
-        0 => 0,
-        -1 => a.wrapping_neg(),
-        _ => floor_div(a, b),
-    }
-}
-
-/// [`floor_mod`] on a lane that may not be active, as [`div_total`].
-fn mod_total(a: i64, b: i64) -> i64 {
-    a.wrapping_sub(div_total(a, b).wrapping_mul(b))
-}
-
-/// The elements of `slot` that lanes access: which of the first `n` lanes
-/// `mask` selects, as bits, and where in storage each one's element `idx`
-/// is. `None` if an active lane's index is out of bounds.
-#[inline(always)]
-fn positions(
-    slot: &Slot,
-    idx: [i64; LANES],
-    mask: [i64; LANES],
-    n: usize,
-) -> Option<(u8, [usize; LANES])> {
-    let (mut active, mut at) = (0u8, [0usize; LANES]);
-    for l in 0..n {
-        if mask[l] != 0 {
-            if idx[l] as u64 >= slot.len as u64 {
-                return None;
-            }
-            active |= 1 << l;
-            at[l] = slot.base + idx[l] as usize;
-        }
-    }
-    Some((active, at))
-}
-
-/// The active lanes' elements, zero in the others.
-#[inline(always)]
-fn gather<T: Copy, U: Default>(
-    v: &[T],
-    (active, at): (u8, [usize; LANES]),
-    f: impl Fn(T) -> U,
-) -> [U; LANES] {
-    std::array::from_fn(|l| {
-        if active >> l & 1 != 0 {
-            f(v[at[l]])
-        } else {
-            U::default()
-        }
-    })
-}
-
-#[inline(always)]
-fn scatter<T, U: Copy>(
-    v: &mut [T],
-    (active, at): (u8, [usize; LANES]),
-    x: [U; LANES],
-    f: impl Fn(U) -> T,
-) {
-    for l in 0..LANES {
-        if active >> l & 1 != 0 {
-            v[at[l]] = f(x[l]);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1610,8 +1278,6 @@ struct ValInfo {
     /// Frame and register that hold it.
     frame: usize,
     reg: Reg,
-    /// Held in a lane register: one value per lane of a lane-form chunk.
-    lane: bool,
     /// Known to be 0 or 1.
     is_bool: bool,
     konst: Option<i64>,
@@ -1710,22 +1376,6 @@ struct NestPlan {
     handoff: usize,
 }
 
-/// The `vectorized` loop body being compiled to lane form.
-#[derive(Clone, Copy)]
-struct LaneBody {
-    /// The loop variable's lanes.
-    iv: Vid,
-    /// The lanes the code being compiled runs on: a 0/1 value.
-    mask: Vid,
-    /// Slot of the body's one store, and that store's index once compiled.
-    slot: u16,
-    index: Option<Vid>,
-    /// The store has been emitted.
-    stored: bool,
-    /// The body holds something lane form cannot express.
-    failed: bool,
-}
-
 #[derive(Clone)]
 struct Compiler<'a> {
     scalars: &'a HashMap<VarId, Value>,
@@ -1743,12 +1393,7 @@ struct Compiler<'a> {
     errors: Vec<InterpError>,
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
-    handoffs: Vec<Handoff>,
-    /// Lane registers in use.
-    lane_ints: u32,
-    lane_floats: u32,
-    /// Set while a loop body is compiled to lane form.
-    lane: Option<LaneBody>,
+    handoffs: Vec<ReduceNest>,
     /// The reduce nest the loop closed last compiled to, which the loop
     /// around it may absorb.
     nest: Option<NestPlan>,
@@ -1780,9 +1425,6 @@ impl<'a> Compiler<'a> {
             hw_calls: Vec::new(),
             nests: Vec::new(),
             handoffs: Vec::new(),
-            lane_ints: 0,
-            lane_floats: 0,
-            lane: None,
             nest: None,
             too_large: false,
         }
@@ -1827,8 +1469,6 @@ impl<'a> Compiler<'a> {
             ops,
             ints: self.frames[0].ints as u16,
             floats: self.frames[0].floats as u16,
-            lane_ints: self.lane_ints as u16,
-            lane_floats: self.lane_floats as u16,
             iconsts: self.iconsts,
             fconsts: self.fconsts,
             slots: self.slots,
@@ -1863,38 +1503,17 @@ impl<'a> Compiler<'a> {
         (*n - 1) as Reg
     }
 
-    /// A lane register; lane-form operands address them below [`SCALAR`].
-    fn alloc_lane(&mut self, kind: Kind) -> Reg {
-        let n = match kind {
-            Kind::Int => &mut self.lane_ints,
-            Kind::Float => &mut self.lane_floats,
-        };
-        *n += 1;
-        let reg = *n - 1;
-        if reg >= SCALAR as u32 {
-            self.lane_fail();
-        }
-        reg as Reg
-    }
-
     /// A value that is assigned where the code stands and never shared: a
     /// loop counter, a loaded element, the result of a branchy `select`.
-    /// In lane form, a lane vector.
     fn fresh(&mut self, kind: Kind) -> Vid {
         let level = self.cur_level();
         let frame = self.cur_frame();
-        let lane = self.lane.is_some();
-        let reg = if lane {
-            self.alloc_lane(kind)
-        } else {
-            self.alloc(frame, kind)
-        };
+        let reg = self.alloc(frame, kind);
         self.values.push(ValInfo {
             kind,
             level,
             frame,
             reg,
-            lane,
             is_bool: false,
             konst: None,
         });
@@ -1905,7 +1524,6 @@ impl<'a> Compiler<'a> {
     /// every nest boundary between its home frame and `frame`.
     fn reg_in(&mut self, v: Vid, frame: usize) -> Reg {
         let info = self.values[v as usize];
-        debug_assert!(!info.lane, "a lane vector is used as a scalar");
         if info.frame == frame {
             return info.reg;
         }
@@ -1932,23 +1550,9 @@ impl<'a> Compiler<'a> {
         self.reg_in(v, frame)
     }
 
-    /// Value `v` as an operand of a lane-form op.
-    fn lane_operand(&mut self, v: Vid) -> u16 {
-        let info = self.values[v as usize];
-        if info.lane {
-            return info.reg;
-        }
-        if info.reg >= SCALAR {
-            self.lane_fail();
-        }
-        info.reg | SCALAR
-    }
-
     /// Emits (or finds) the pure op `code` over `args`, with `lit` in the
     /// field after them. Unless `pinned`, it is placed at the level of its
     /// deepest operand; a pinned op may fault and stays where it stands.
-    /// In lane form, an op with a lane operand, and a pinned op, computes
-    /// lanes.
     fn pure(
         &mut self,
         code: Code,
@@ -1969,9 +1573,7 @@ impl<'a> Compiler<'a> {
             return v;
         }
         let cur = self.cur_level();
-        let lane =
-            self.lane.is_some() && (pinned || args.iter().any(|&v| self.values[v as usize].lane));
-        let level = if pinned || lane {
+        let level = if pinned {
             cur
         } else {
             args.iter()
@@ -1982,20 +1584,12 @@ impl<'a> Compiler<'a> {
         let frame = self.levels[level].frame;
         let mut f = [0u16; 3];
         for (slot, &v) in f.iter_mut().zip(args) {
-            *slot = if lane {
-                self.lane_operand(v)
-            } else {
-                self.reg_in(v, frame)
-            };
+            *slot = self.reg_in(v, frame);
         }
         if let Some(l) = lit {
             f[args.len()] = l;
         }
-        let d = if lane {
-            self.alloc_lane(kind)
-        } else {
-            self.alloc(frame, kind)
-        };
+        let d = self.alloc(frame, kind);
         let op = Op::new(code, d, f[0], f[1], f[2]);
         if level == cur {
             self.levels[cur].body.push(op);
@@ -2024,7 +1618,6 @@ impl<'a> Compiler<'a> {
             level,
             frame,
             reg: d,
-            lane,
             is_bool,
             konst: None,
         });
@@ -2070,9 +1663,6 @@ impl<'a> Compiler<'a> {
 
     /// Emits a fault at this point; what follows it is unreachable.
     fn raise(&mut self, err: InterpError) {
-        if self.lane.is_some() {
-            return self.lane_fail();
-        }
         self.push(Op::new(Code::Raise, 0, self.errors.len() as u16, 0, 0));
         self.errors.push(err);
     }
@@ -2149,20 +1739,18 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Closes loop `l`; `source` is the kind, variable and body of the `for`
+    /// Closes loop `l`; `source` is the kind and body of the `for`
     /// statement it compiles, if any. A serial, unrolled or `vectorized`
     /// multiply-accumulate loop, or one whose body is a loop that compiled
-    /// to a reduce nest, gets a reduce nest where it can; a `vectorized`
-    /// loop that does not has its body compiled a second time, to lane
-    /// form, where it can.
-    fn close_loop(&mut self, l: OpenLoop, source: Option<(ForKind, &Var, &Stmt)>) {
+    /// to a reduce nest, gets a reduce nest where it can.
+    fn close_loop(&mut self, l: OpenLoop, source: Option<(ForKind, &Stmt)>) {
         self.unbind(l.var, l.shadowed);
         let inner = self.nest.take();
         let mut level = self.close_level();
         let var = self.values[l.counter as usize].reg;
         let (lo, limit) = (self.reg(l.lo), self.reg(l.limit));
         let nest = match (source, inner) {
-            (Some((kind, _, body)), inner) if nests(kind) => match (inner, &*body.0) {
+            (Some((kind, body)), inner) if nests(kind) => match (inner, &*body.0) {
                 (Some(inner), StmtNode::For { kind, .. }) if nests(*kind) => self
                     .lift(inner, &l, &mut level.body)
                     .map(|plan| (Vec::new(), plan)),
@@ -2171,47 +1759,22 @@ impl<'a> Compiler<'a> {
             _ => None,
         };
         let skip = (level.body.len() + 1) as u16;
-        let lanes = match source {
-            Some((ForKind::Vectorized, v, body)) if nest.is_none() => self.lane_form(v, body),
-            _ => None,
-        };
         let mut out = level.pre;
-        if let Some((lanes, iv)) = lanes {
-            let handoff = self.handoff(Handoff::Lanes(LaneLoop {
-                counter: var,
-                limit,
-                iv,
-                lanes_len: lanes.body.len() as u16,
-                scalar_len: level.body.len() as u16,
-            }));
-            out.extend(lanes.pre);
-            out.push(Op::new(Code::IMov, var, lo, 0, 0));
-            out.push(handoff);
-            out.extend(lanes.body);
-            out.extend(level.body);
-        } else {
-            let mut handoff = None;
-            if let Some((pre, plan)) = nest {
-                out.extend(pre);
-                // The scalar loop: `LoopGuard`, the body, `LoopNext`.
-                let (bases, op) = self.nest_handoff(plan, (level.body.len() + 2) as u16);
-                out.extend(bases);
-                handoff = Some(op);
-            }
-            out.push(Op::new(Code::IMov, var, lo, 0, 0));
-            out.extend(handoff);
-            out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
-            out.extend(level.body);
-            out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
+        let mut handoff = None;
+        if let Some((pre, plan)) = nest {
+            out.extend(pre);
+            // The scalar loop: `LoopGuard`, the body, `LoopNext`.
+            let (bases, op) = self.nest_handoff(plan, (level.body.len() + 2) as u16);
+            out.extend(bases);
+            handoff = Some(op);
         }
+        out.push(Op::new(Code::IMov, var, lo, 0, 0));
+        out.extend(handoff);
+        out.push(Op::new(Code::LoopGuard, 0, var, limit, skip));
+        out.extend(level.body);
+        out.push(Op::new(Code::LoopNext, 0, var, limit, skip));
         let cur = self.cur_level();
         self.levels[cur].body.extend(out);
-    }
-
-    /// Records `h` and returns the `Yield` that hands it over.
-    fn handoff(&mut self, h: Handoff) -> Op {
-        self.handoffs.push(h);
-        Op::new(Code::Yield, 0, (self.handoffs.len() - 1) as u16, 0, 0)
     }
 
     /// The one-level reduce nest of loop `l`, and the ops in front of the
@@ -2368,14 +1931,15 @@ impl<'a> Compiler<'a> {
                 limit: self.reg(limit),
             })
             .collect();
-        let op = self.handoff(Handoff::Reduce(Box::new(ReduceNest {
+        self.handoffs.push(ReduceNest {
             levels,
             slots: plan.slots,
             lins,
             guards: plan.guards.clone(),
             scalar_len,
-        })));
+        });
         plan.handoff = self.handoffs.len() - 1;
+        let op = Op::new(Code::Yield, 0, plan.handoff as u16, 0, 0);
         self.nest = Some(plan);
         (level.pre, op)
     }
@@ -2392,79 +1956,6 @@ impl<'a> Compiler<'a> {
             .iter()
             .all(|&(v, _)| self.values[v as usize].level < level);
         invariant.then_some((a, stride))
-    }
-
-    /// Compiles `body`, the body of a `vectorized` loop over `var`, to lane
-    /// form, and returns its level and the lane register of `var`; `None`,
-    /// with nothing changed, if lane form cannot express it.
-    fn lane_form(&mut self, var: &Var, body: &Stmt) -> Option<(Level, Reg)> {
-        if self.cur_frame() != 0 {
-            return None; // inside a barriered nest
-        }
-        let buffer = lone_store(body)?;
-        let &V::Handle(_, slot) = self.vars.get(&buffer.id())? else {
-            return None;
-        };
-        let before = self.clone();
-        let mask = self.iconst(1);
-        self.open_level(0);
-        self.lane = Some(LaneBody {
-            iv: 0,
-            mask,
-            slot,
-            index: None,
-            stored: false,
-            failed: false,
-        });
-        let iv = self.fresh(Kind::Int);
-        let shadowed = self.vars.insert(var.id(), V::Int(iv));
-        self.lane_body().iv = iv;
-        self.stmt(body);
-        self.unbind(var.id(), shadowed);
-        let lane = self.lane.take().expect("set above");
-        let level = self.close_level();
-        if lane.failed || !lane.stored {
-            *self = before;
-            return None;
-        }
-        Some((level, self.values[iv as usize].reg))
-    }
-
-    fn lane_body(&mut self) -> &mut LaneBody {
-        self.lane.as_mut().expect("compiling lane form")
-    }
-
-    fn lane_fail(&mut self) {
-        if let Some(lane) = self.lane.as_mut() {
-            lane.failed = true;
-        }
-    }
-
-    /// Narrows the lanes the code compiled next runs on to those where
-    /// `c` holds, in a scope of its own; returns the mask to restore.
-    fn narrow(&mut self, c: Vid) -> Vid {
-        let outer = self.lane_body().mask;
-        let mask = match self.values[outer as usize].konst {
-            Some(1) => c,
-            _ => self.op(Code::IAnd, Kind::Int, &[outer, c]),
-        };
-        self.push_scope();
-        self.lane_body().mask = mask;
-        outer
-    }
-
-    /// Ends what [`Compiler::narrow`] began.
-    fn widen(&mut self, outer: Vid) {
-        self.pop_scope();
-        self.lane_body().mask = outer;
-    }
-
-    /// Checks that an op that reads memory or may fault can run here: it
-    /// must come before the store, which is lane form's last effect.
-    fn lane_effect(&mut self) {
-        if self.lane_body().stored {
-            self.lane_fail();
-        }
     }
 
     fn unbind(&mut self, var: VarId, shadowed: Option<V>) {
@@ -2486,12 +1977,6 @@ impl<'a> Compiler<'a> {
                 self.unbind(var.id(), shadowed);
             }
             AttrStmt { body, .. } => self.stmt(body),
-            Store {
-                index,
-                value,
-                predicate,
-                ..
-            } if self.lane.is_some() => self.lane_store(index, value, predicate.as_ref()),
             Store {
                 buffer,
                 index,
@@ -2558,22 +2043,13 @@ impl<'a> Compiler<'a> {
                     let n = self.int_of(extent);
                     let l = self.open_loop(var, lo, n);
                     self.stmt(body);
-                    self.close_loop(l, Some((*kind, var, body)));
+                    self.close_loop(l, Some((*kind, body)));
                 }
             },
             Seq(stmts) => {
                 for st in stmts {
                     self.stmt(st);
                 }
-            }
-            IfThenElse {
-                cond, then_case, ..
-            } if self.lane.is_some() => {
-                // `lone_store` admits no `else`.
-                let c = self.truthy(cond);
-                let outer = self.narrow(c);
-                self.stmt(then_case);
-                self.widen(outer);
             }
             IfThenElse {
                 cond,
@@ -2640,42 +2116,6 @@ impl<'a> Compiler<'a> {
             Kind::Int => self.as_int(val),
         };
         (code, v)
-    }
-
-    /// The body's one store, in lane form. Its index must be affine in the
-    /// loop variable, with a coefficient that keeps a chunk's lanes apart:
-    /// then no lane reads an element another lane of its chunk writes.
-    fn lane_store(&mut self, index: &Expr, value: &Expr, predicate: Option<&Expr>) {
-        let outer = predicate.map(|p| {
-            let c = self.truthy(p);
-            self.narrow(c)
-        });
-        let a = self.affine(index);
-        let iv = self.lane_body().iv;
-        let apart = |k: i64| (1..LANES as i64).all(|d| k.wrapping_mul(d) != 0);
-        let affine = a.terms.iter().any(|&(v, k)| v == iv && apart(k))
-            && a.terms
-                .iter()
-                .all(|&(v, _)| v == iv || !self.values[v as usize].lane);
-        if !affine {
-            self.lane_fail();
-        }
-        let idx = self.materialize(a);
-        self.lane_body().index = Some(idx);
-        let val = self.expr(value);
-        let slot = self.lane_body().slot;
-        let (code, v) = self.store_value(slot, val);
-        let mask = self.lane_body().mask;
-        let (mask, idx, v) = (
-            self.lane_operand(mask),
-            self.lane_operand(idx),
-            self.lane_operand(v),
-        );
-        self.push(Op::new(code, mask, slot, idx, v));
-        self.lane_body().stored = true;
-        if let Some(outer) = outer {
-            self.widen(outer);
-        }
     }
 
     /// A run of consecutive thread-bound loops: lanes taking turns between
@@ -2993,11 +2433,6 @@ impl<'a> Compiler<'a> {
                 buffer,
                 index,
                 predicate,
-            } if self.lane.is_some() => self.lane_load(buffer, index, predicate.as_ref()),
-            Load {
-                buffer,
-                index,
-                predicate,
             } => match predicate {
                 None => {
                     let idx = self.index_of(index);
@@ -3105,12 +2540,6 @@ impl<'a> Compiler<'a> {
             Shr => (Code::IShr, false),
             Add | Sub | Mul => unreachable!("affine ops are handled above"),
         };
-        if pinned && self.lane.is_some() {
-            // Faults only on the lanes that run it.
-            self.lane_effect();
-            let mask = self.lane_body().mask;
-            return V::Int(self.pure(code, Kind::Int, &[x, y, mask], None, true));
-        }
         V::Int(self.pure(code, Kind::Int, &[x, y], None, pinned))
     }
 
@@ -3126,17 +2555,6 @@ impl<'a> Compiler<'a> {
         };
         let y = if self.speculable(b) {
             self.truthy(b)
-        } else if self.lane.is_some() {
-            // `b` runs on the lanes `a` does not decide; on the others its
-            // 0/1 value does not change the outcome.
-            let undecided = match code {
-                Code::IAnd => x,
-                _ => self.op(Code::INot, Kind::Int, &[x]),
-            };
-            let outer = self.narrow(undecided);
-            let y = self.truthy(b);
-            self.widen(outer);
-            y
         } else {
             let d = self.fresh(Kind::Int);
             self.values[d as usize].is_bool = true;
@@ -3156,19 +2574,6 @@ impl<'a> Compiler<'a> {
         let c = self.truthy(cond);
         let (t, f) = if self.speculable(then_case) && self.speculable(else_case) {
             (self.expr(then_case), self.expr(else_case))
-        } else if self.lane.is_some() {
-            let (t, f) = (
-                self.lane_arm(then_case, c, true),
-                self.lane_arm(else_case, c, false),
-            );
-            // A load is zero on the lanes it skips, so a padded read,
-            // `select(c, load, 0.0)`, is the masked load alone.
-            let zero =
-                matches!(&*else_case.0, ExprNode::FloatImm { value, .. } if value.to_bits() == 0);
-            if zero && matches!((&*then_case.0, t), (ExprNode::Load { .. }, V::Float(_))) {
-                return t;
-            }
-            (t, f)
         } else {
             return self.branchy_select(c, then_case, else_case);
         };
@@ -3183,23 +2588,6 @@ impl<'a> Compiler<'a> {
                 V::Float(self.op(Code::FSelect, Kind::Float, &[c, t, f]))
             }
         }
-    }
-
-    /// `e`, the arm of a `select` on `c` taken where `c` is `taken`, in lane
-    /// form: if it may fault or read memory, it runs only on those lanes.
-    fn lane_arm(&mut self, e: &Expr, c: Vid, taken: bool) -> V {
-        if self.speculable(e) {
-            return self.expr(e);
-        }
-        let lanes = if taken {
-            c
-        } else {
-            self.op(Code::INot, Kind::Int, &[c])
-        };
-        let outer = self.narrow(lanes);
-        let v = self.expr(e);
-        self.widen(outer);
-        v
     }
 
     /// A `select` whose arms may fault or read memory, in scalar code.
@@ -3276,49 +2664,6 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// A load in lane form: each lane the mask and `predicate` select loads
-    /// its element, the others yield zero. The stored buffer may be read
-    /// only at the store's own index.
-    fn lane_load(&mut self, buffer: &Var, index: &Expr, predicate: Option<&Expr>) -> V {
-        self.lane_effect();
-        let outer = predicate.map(|p| {
-            let c = self.truthy(p);
-            self.narrow(c)
-        });
-        let idx = self.int_of(index);
-        let Some(&V::Handle(_, slot)) = self.vars.get(&buffer.id()) else {
-            self.lane_fail();
-            return self.dummy(buffer.dtype().is_float());
-        };
-        let lane = *self.lane_body();
-        if slot == lane.slot && lane.index != Some(idx) {
-            self.lane_fail();
-        }
-        let storage = self.slots[slot as usize].storage;
-        let d = self.fresh(storage.kind());
-        let code = match storage {
-            Storage::F32 => Code::LoadF32,
-            Storage::F64 => Code::LoadF64,
-            Storage::I64 => Code::LoadI64,
-        };
-        let (idx, mask) = (self.lane_operand(idx), self.lane_operand(lane.mask));
-        self.push(Op::new(code, self.values[d as usize].reg, slot, idx, mask));
-        let v = match storage.kind() {
-            Kind::Float => V::Float(d),
-            Kind::Int => V::Int(d),
-        };
-        let Some(outer) = outer else {
-            return v;
-        };
-        self.widen(outer);
-        // As in scalar code: a float where the buffer's type and its storage
-        // disagree.
-        match v {
-            V::Int(_) if buffer.dtype().is_float() => V::Float(self.as_float(v)),
-            _ => v,
-        }
-    }
-
     fn pure_call(&mut self, name: &str, args: &[Expr], dtype: DType) -> V {
         let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
         let arity = if name == "pow" { 2 } else { 1 };
@@ -3353,9 +2698,6 @@ impl<'a> Compiler<'a> {
     }
 
     fn hw_call(&mut self, name: &str, args: &[Expr], ret: Option<(Kind, Reg)>) {
-        if self.lane.is_some() {
-            return self.lane_fail();
-        }
         let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
         let args = vals
             .into_iter()
@@ -3418,37 +2760,6 @@ fn intern<T: Copy>(pool: &mut Vec<T>, value: T, same: impl Fn(T) -> bool) -> u16
         pool.len() - 1
     });
     k as u16
-}
-
-/// The buffer of the one store in `body`, if `body` has exactly one and no
-/// loop, allocation, barrier or `else`: the statements lane form can hold.
-fn lone_store(body: &Stmt) -> Option<&Var> {
-    fn walk<'a>(s: &'a Stmt, stores: &mut Vec<&'a Var>) -> bool {
-        use StmtNode::*;
-        match &*s.0 {
-            Store { buffer, .. } => {
-                stores.push(buffer);
-                true
-            }
-            LetStmt { body, .. } | AttrStmt { body, .. } => walk(body, stores),
-            Seq(stmts) => stmts.iter().all(|st| walk(st, stores)),
-            IfThenElse {
-                then_case,
-                else_case: None,
-                ..
-            } => walk(then_case, stores),
-            Evaluate(_) | PushDep { .. } | PopDep { .. } => true,
-            For { .. } | Allocate { .. } | Barrier | IfThenElse { .. } => false,
-        }
-    }
-    let mut stores = Vec::new();
-    if !walk(body, &mut stores) {
-        return None;
-    }
-    match stores[..] {
-        [buffer] => Some(buffer),
-        _ => None,
-    }
 }
 
 /// Whether a loop of `kind` may be a level of a reduce nest.
@@ -3634,4 +2945,110 @@ fn static_barriers(s: &Stmt) -> std::result::Result<Option<u64>, ()> {
         }
         _ => Some(0),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    //! A `vectorized` loop that no reduce nest takes compiles to the very
+    //! ops the same loop marked `serial` does.
+
+    use super::*;
+    use crate::expr::Expr;
+
+    /// Each op's code and fields.
+    fn ops(p: &Program) -> Vec<(Code, u16, u16, u16, u16)> {
+        p.ops.iter().map(|o| (o.code, o.d, o.a, o.b, o.c)).collect()
+    }
+
+    /// Compiles `loop_of(kind)` over `params`, each a buffer of 16 held as
+    /// its [`Storage`] says, as `serial` and as `vectorized`, and checks
+    /// that the two programs are the same.
+    fn same_as_serial(params: &[(&Var, Storage)], loop_of: impl Fn(ForKind) -> Stmt) {
+        let held: Vec<(Storage, DType)> = params.iter().map(|(v, s)| (*s, v.dtype())).collect();
+        let compile = |kind| {
+            let func = LoweredFunc {
+                name: "t".into(),
+                params: params.iter().map(|(v, _)| (*v).clone()).collect(),
+                param_dtypes: held.iter().map(|&(_, t)| t).collect(),
+                param_extents: vec![16; params.len()],
+                body: loop_of(kind),
+            };
+            Program::compile(&func, &held, &HashMap::new())
+        };
+        let (serial, vectorized) = (compile(ForKind::Serial), compile(ForKind::Vectorized));
+        assert_eq!(ops(&vectorized), ops(&serial));
+        assert_eq!(
+            (vectorized.ints, vectorized.floats),
+            (serial.ints, serial.floats)
+        );
+        assert_eq!((serial.reduce_loops(), vectorized.reduce_loops()), (0, 0));
+    }
+
+    fn f32_var(name: &str) -> Var {
+        Var::new(name, DType::float32())
+    }
+
+    #[test]
+    fn a_padded_select_row() {
+        // O[i] = max(O[i], A[i + k - 1] if 0 <= i + k - 1 < 8 else 0)
+        let (a, o, k, i) = (f32_var("A"), f32_var("O"), Var::int("k"), Var::int("i"));
+        let x = i.clone() + k.clone() - 1;
+        let inside = x.clone().ge(Expr::int(0)).and(x.clone().lt(Expr::int(8)));
+        let padded = Expr::select(inside, Expr::load(&a, x), Expr::f32(0.0));
+        let row = Stmt::store(&o, i.to_expr(), Expr::load(&o, i.to_expr()).max(padded));
+        same_as_serial(&[(&a, Storage::F32), (&o, Storage::F32)], |kind| {
+            Stmt::for_(&k, 0, 3, Stmt::loop_(&i, 0, 8, kind, row.clone()))
+        });
+    }
+
+    #[test]
+    fn a_predicated_tail_store() {
+        // O[8 f.o + f.i] = A[8 f.o + f.i] * 0.5 where 8 f.o + f.i < 10
+        let (a, o, fo, fi) = (f32_var("A"), f32_var("O"), Var::int("f.o"), Var::int("f.i"));
+        let x = fo.clone() * 8 + fi.clone();
+        let store = Stmt::new(StmtNode::Store {
+            buffer: o.clone(),
+            index: x.clone(),
+            value: Expr::load(&a, x.clone()) * Expr::f32(0.5),
+            predicate: Some(x.lt(Expr::int(10))),
+        });
+        same_as_serial(&[(&a, Storage::F32), (&o, Storage::F32)], |kind| {
+            Stmt::for_(&fo, 0, 2, Stmt::loop_(&fi, 0, 8, kind, store.clone()))
+        });
+    }
+
+    #[test]
+    fn a_checked_division() {
+        // O[i] = 12 / (i - 3), which divides by zero at i = 3.
+        let (o, i) = (Var::new("O", DType::int32()), Var::int("i"));
+        let store = Stmt::store(&o, i.to_expr(), Expr::int(12) / (i.clone() - 3));
+        same_as_serial(&[(&o, Storage::I64)], |kind| {
+            Stmt::loop_(&i, 0, 8, kind, store.clone())
+        });
+    }
+
+    #[test]
+    fn an_f16_store() {
+        // O[i] = i / 3 into float16, held as f32.
+        let (o, i) = (Var::new("O", DType::float16()), Var::int("i"));
+        let third = i.to_expr().cast(DType::float32()) / Expr::f32(3.0);
+        let store = Stmt::store(&o, i.to_expr(), third);
+        same_as_serial(&[(&o, Storage::F32)], |kind| {
+            Stmt::loop_(&i, 0, 11, kind, store.clone())
+        });
+    }
+
+    #[test]
+    fn a_conv_epilogue() {
+        // O[8 c + i] = max(C[8 c + i] + B[c], 0)
+        let (cv, b, o) = (f32_var("C"), f32_var("B"), f32_var("O"));
+        let (c, i) = (Var::int("c"), Var::int("i"));
+        let at = c.clone() * 8 + i.clone();
+        let sum = Expr::load(&cv, at.clone()) + Expr::load(&b, c.to_expr());
+        let store = Stmt::store(&o, at, sum.max(Expr::f32(0.0)));
+        let params = [(&cv, Storage::F32), (&b, Storage::F32), (&o, Storage::F32)];
+        same_as_serial(&params, |kind| {
+            Stmt::for_(&c, 0, 2, Stmt::loop_(&i, 0, 8, kind, store.clone()))
+        });
+    }
 }

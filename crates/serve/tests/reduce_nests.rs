@@ -1,12 +1,13 @@
-//! Where the flat engine's lane form and reduce nests engage on the models
-//! the ledger's `infer_*` workloads run. On `arm_a53` every conv kernel's
+//! Where the flat engine's reduce nests engage on the models the ledger's
+//! `infer_*` workloads run. On `arm_a53` every conv kernel's
 //! multiply-accumulate — five perfectly nested loops around a padded
 //! `conv += data * w` — is one reduce nest with a guarded factor, and its
-//! `vectorized` epilogue runs in lanes; every dense kernel's split
-//! reduction is one reduce nest over `k.o × k.i`. No `titanx` kernel has a
-//! lane loop, because GPU schedules bind threads instead of vectorizing;
-//! each thread's reduction over its shared tiles, inside a barriered nest,
-//! is one reduce nest: `rh × rw × rc.i` in a conv kernel.
+//! `vectorized` epilogue is no nest: it runs as scalar code. Every dense
+//! kernel's split reduction is one reduce nest over `k.o × k.i`. No
+//! `titanx` kernel has a `vectorized` loop, because GPU schedules bind
+//! threads instead of vectorizing; each thread's reduction over its shared
+//! tiles, inside a barriered nest, is one reduce nest: `rh × rw × rc.i` in
+//! a conv kernel.
 
 use tvm_graph::Graph;
 use tvm_ir::{ForKind, Stmt, StmtNode, Visitor};
@@ -31,7 +32,6 @@ struct Loops {
     /// Loops over `k.o` and `k.i`, the halves of a split dense reduction.
     k_outer: usize,
     k_inner: usize,
-    lanes: usize,
     /// Loop levels of each reduce nest.
     nests: Vec<usize>,
     guarded: usize,
@@ -57,7 +57,6 @@ fn loops(target: &Target) -> Vec<Loops> {
             let program = k.program();
             let mut l = Loops {
                 kernel: format!("{name} {}", k.name),
-                lanes: program.lane_loops(),
                 nests: program.reduce_depths(),
                 guarded: program.guarded_factors(),
                 ..Loops::default()
@@ -82,8 +81,10 @@ fn every_cpu_conv_accumulation_runs_as_one_depth_five_nest() {
         // `rh, rw, rc.i, conv_i1, conv_i3`, the data read under its
         // padding guard.
         assert_eq!((&k.nests[..], k.guarded), (&[5][..], 1), "{}", k.kernel);
+        // Two `vectorized` loops, and one nest: the MAC loop is its
+        // innermost level, the epilogue is in no nest.
         assert_eq!(k.vectorized, 2, "{}: a MAC loop and an epilogue", k.kernel);
-        assert_eq!(k.lanes, 1, "{}: the epilogue runs in lanes", k.kernel);
+        assert_eq!(k.nests.len(), 1, "{}: the epilogue is no nest", k.kernel);
     }
 }
 
@@ -107,9 +108,9 @@ fn every_cpu_dense_reduction_runs_as_a_reduce_loop() {
 }
 
 #[test]
-fn no_gpu_kernel_has_a_lane_loop() {
+fn no_gpu_kernel_has_a_vectorized_loop() {
     for k in loops(&titanx()) {
-        assert_eq!((k.vectorized, k.lanes), (0, 0), "{}", k.kernel);
+        assert_eq!(k.vectorized, 0, "{}", k.kernel);
     }
 }
 

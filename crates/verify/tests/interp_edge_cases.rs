@@ -520,9 +520,10 @@ fn run_f32_reads_and_writes_the_arrays_in_place() {
 }
 
 // ---------------------------------------------------------------------------
-// Lane form. The flat engine runs an eligible `vectorized` loop a chunk of
-// lanes per op and replays a chunk that faults through scalar code; each
-// case pins whether lane form engaged and that both engines still agree.
+// Vectorized loops. The flat engine compiles a `vectorized` loop that no
+// reduce nest takes as it compiles a `serial` one, and runs its iterations
+// one at a time; each case pins that the loop runs as scalar code and that
+// both engines still agree on its buffers, stores and faults.
 // ---------------------------------------------------------------------------
 
 /// `f` compiled for parameters held as `bufs` are.
@@ -541,13 +542,10 @@ fn program(f: &LoweredFunc, bufs: &[Buffer]) -> Program {
     Program::compile(f, &params, &HashMap::new())
 }
 
-/// Loops of `f` compiled to lane form, for parameters held as `bufs` are.
-fn lane_loops(f: &LoweredFunc, bufs: &[Buffer]) -> usize {
-    program(f, bufs).lane_loops()
-}
-
-fn lane_loops_f32(f: &LoweredFunc) -> usize {
-    Program::compile_f32(f).lane_loops()
+/// Loops of `f` compiled to reduce nests, for parameters held as `bufs`
+/// are.
+fn reduce_loops(f: &LoweredFunc, bufs: &[Buffer]) -> usize {
+    program(f, bufs).reduce_loops()
 }
 
 fn vectorized(var: &Var, n: i64, body: Stmt) -> Stmt {
@@ -575,11 +573,11 @@ fn held_fault(f: &LoweredFunc, arrays: &[Vec<f32>]) -> (InterpError, u64, Vec<Ve
 }
 
 #[test]
-fn a_padded_row_guarded_at_both_edges_runs_in_lanes() {
+fn a_padded_row_guarded_at_both_edges_runs_as_scalar_code() {
     // O[i] = max(O[i], A[i + k - 1] if 0 <= i + k - 1 < 8 else 0): a padded
     // max-pool row, whose guard fails at the left edge for k = 0 and at the
-    // right edge for k = 2. Each lane the guard excludes neither loads nor
-    // bounds-checks.
+    // right edge for k = 2. An iteration the guard excludes neither loads
+    // nor bounds-checks.
     let (a, o) = (
         Var::new("A", DType::float32()),
         Var::new("O", DType::float32()),
@@ -594,7 +592,7 @@ fn a_padded_row_guarded_at_both_edges_runs_in_lanes() {
         vec![8, 8],
         Stmt::for_(&k, 0, 3, vectorized(&i, 8, pool)),
     );
-    assert_eq!(lane_loops_f32(&f), 1);
+    assert_eq!(reduce_loops_f32(&f), 0);
     let data: Vec<f32> = (0..8).map(|v| v as f32 * 0.37 - 1.1).collect();
     let got = both_f32(&f, &[data.clone(), vec![-9.0; 8]]).expect("runs");
     let want: Vec<f32> = (0..8)
@@ -624,7 +622,7 @@ fn out_of_bounds_read_at_lane_five_stores_lanes_zero_to_four() {
         ),
     );
     let f = f32_func(vec![a, o], vec![5, 8], body);
-    assert_eq!(lane_loops_f32(&f), 1);
+    assert_eq!(reduce_loops_f32(&f), 0);
     let (err, stores, left) = held_fault(&f, &[vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![0.0; 8]]);
     match err {
         InterpError::OutOfBounds {
@@ -640,8 +638,8 @@ fn out_of_bounds_read_at_lane_five_stores_lanes_zero_to_four() {
 
 #[test]
 fn masked_tail_store_writes_only_the_lanes_in_range() {
-    // The softmax shape: 16 iterations in chunks of 8 over a 10-element
-    // output, as an `if` around the store and as a predicated store.
+    // The softmax shape: 16 iterations, 2 × 8, over a 10-element output,
+    // as an `if` around the store and as a predicated store.
     let (a, o) = (
         Var::new("A", DType::float32()),
         Var::new("O", DType::float32()),
@@ -661,7 +659,7 @@ fn masked_tail_store_writes_only_the_lanes_in_range() {
     for store in [guarded, predicated] {
         let body = Stmt::for_(&fo, 0, 2, vectorized(&fi, 8, store));
         let f = f32_func(vec![a.clone(), o.clone()], vec![10, 10], body);
-        assert_eq!(lane_loops_f32(&f), 1);
+        assert_eq!(reduce_loops_f32(&f), 0);
         let arrays = [input.clone(), vec![0.0; 10]];
         let got = both_f32(&f, &arrays).expect("runs");
         assert_eq!(got[1], input.iter().map(|v| v * 0.5).collect::<Vec<_>>());
@@ -672,7 +670,7 @@ fn masked_tail_store_writes_only_the_lanes_in_range() {
 #[test]
 fn a_store_that_feeds_the_next_lane_falls_back_to_scalar_code() {
     // a[i + 1] = a[i] + 1: each iteration reads what the one before wrote,
-    // so the lanes of a chunk cannot load before any of them stores.
+    // so the iterations must run in order.
     let (a, i) = (Var::new("A", DType::float32()), Var::int("i"));
     let body = vectorized(
         &i,
@@ -684,13 +682,13 @@ fn a_store_that_feeds_the_next_lane_falls_back_to_scalar_code() {
         ),
     );
     let f = f32_func(vec![a], vec![8], body);
-    assert_eq!(lane_loops_f32(&f), 0);
+    assert_eq!(reduce_loops_f32(&f), 0);
     let got = both_f32(&f, &[vec![0.5; 8]]).expect("runs");
     assert_eq!(got[0], (0..8).map(|v| v as f32 + 0.5).collect::<Vec<_>>());
 }
 
 #[test]
-fn extents_thirteen_and_zero_run_in_lanes() {
+fn extents_thirteen_and_zero_run_as_scalar_code() {
     for n in [13i64, 0] {
         let (a, o, i) = (
             Var::new("A", DType::float32()),
@@ -707,7 +705,7 @@ fn extents_thirteen_and_zero_run_in_lanes() {
             ),
         );
         let f = f32_func(vec![a, o], vec![13, 13], body);
-        assert_eq!(lane_loops_f32(&f), 1);
+        assert_eq!(reduce_loops_f32(&f), 0);
         let input: Vec<f32> = (0..13).map(|v| v as f32 * 0.1).collect();
         let arrays = [input.clone(), vec![-1.0; 13]];
         let got = both_f32(&f, &arrays).expect("runs");
@@ -720,7 +718,7 @@ fn extents_thirteen_and_zero_run_in_lanes() {
 }
 
 #[test]
-fn f16_and_int8_stores_round_in_lanes() {
+fn f16_and_int8_stores_round_in_a_vectorized_loop() {
     let i = Var::int("i");
     // i / 3 into float16, held as f64 (a `run` buffer) and as f32.
     let o = Var::new("O", DType::float16());
@@ -736,7 +734,7 @@ fn f16_and_int8_stores_round_in_lanes() {
         data: Data::F32(vec![0.0; 11]),
     };
     for buf in [Buffer::zeros(DType::float16(), 11), f32_held] {
-        assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+        assert_eq!(reduce_loops(&f, std::slice::from_ref(&buf)), 0);
         let got = both(&f, vec![buf]).expect("runs")[0].to_f32();
         assert_ne!(got[1], 1.0f32 / 3.0);
         assert!((got[1] - 1.0 / 3.0).abs() < 1e-3);
@@ -750,7 +748,7 @@ fn f16_and_int8_stores_round_in_lanes() {
         vectorized(&i, 9, Stmt::store(&o, i.to_expr(), i.clone() * 50)),
     );
     let buf = Buffer::zeros(DType::int8(), 9);
-    assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+    assert_eq!(reduce_loops(&f, std::slice::from_ref(&buf)), 0);
     let got = both(&f, vec![buf]).expect("runs");
     assert_eq!(
         got[0].to_i64(),
@@ -760,8 +758,8 @@ fn f16_and_int8_stores_round_in_lanes() {
 
 #[test]
 fn checked_division_faults_only_on_a_lane_that_runs_it() {
-    // 12 / (i - 3) divides by zero at i = 3. Masked off there, it runs in
-    // lanes; unguarded, the chunk replays and faults after three stores.
+    // 12 / (i - 3) divides by zero at i = 3. Guarded off there, it runs;
+    // unguarded, it faults after three stores.
     let (o, i) = (Var::new("O", DType::int32()), Var::int("i"));
     let quotient = Expr::int(12) / (i.clone() - 3);
     let guarded = Stmt::if_then(
@@ -775,7 +773,7 @@ fn checked_division_faults_only_on_a_lane_that_runs_it() {
         vectorized(&i, 8, guarded),
     );
     let buf = Buffer::zeros(DType::int32(), 8);
-    assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+    assert_eq!(reduce_loops(&f, std::slice::from_ref(&buf)), 0);
     let got = both(&f, vec![buf.clone()]).expect("runs");
     assert_eq!(got[0].to_i64(), vec![-4, -6, -12, 0, 12, 6, 4, 3]);
 
@@ -785,7 +783,7 @@ fn checked_division_faults_only_on_a_lane_that_runs_it() {
         vec![8],
         vectorized(&i, 8, Stmt::store(&o, i.to_expr(), quotient)),
     );
-    assert_eq!(lane_loops(&f, std::slice::from_ref(&buf)), 1);
+    assert_eq!(reduce_loops(&f, std::slice::from_ref(&buf)), 0);
     let mut it = Interp::new();
     let err = it.run(&f, vec![buf.clone()]).unwrap_err();
     assert!(matches!(err, InterpError::DivideByZero));
@@ -1306,7 +1304,6 @@ fn padded_conv_row_guarded_at_both_edges_runs_as_one_nest() {
         Stmt::for_(&k, 0, 3, vectorized(&i, 8, body)),
     );
     assert_eq!(nests_f32(&f), (vec![2], 1));
-    assert_eq!(lane_loops_f32(&f), 0);
     let data: Vec<f32> = (0..8).map(|v| v as f32 * 0.37 - 1.1).collect();
     let weights = vec![0.25f32, -1.5, 0.7];
     let got = both_f32(&f, &[data.clone(), weights.clone(), vec![0.1; 8]]).expect("runs");

@@ -128,11 +128,10 @@ use tvm_verify::{apply_trace, build, case_seed, f32_buffers, generate, input_buf
 #[test]
 fn flat_engine_matches_the_walker_on_the_pinned_traces() {
     // The two fuzz tiers above share one seed, so the 48 static-oracle cases
-    // are the first 48 of these 60. Some of them run a `vectorized` loop in
-    // lane form, whose every chunk must match the walker too, and some a
-    // multiply-accumulate nest as one reduce op: one of several levels, and
-    // one whose factor is a padded read.
-    let (mut compared, mut lane_loops, mut reduce_loops) = (0, 0, 0);
+    // are the first 48 of these 60. Some of them run a multiply-accumulate
+    // nest as one reduce op: one of several levels, and one whose factor is
+    // a padded read.
+    let (mut compared, mut reduce_loops) = (0, 0);
     let (mut deepest, mut guarded) = (0, 0);
     for case in 0..60 {
         let kind = ALL_WORKLOADS[case % ALL_WORKLOADS.len()];
@@ -149,7 +148,6 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         assert!(run.stores > 0);
         compared += 1;
         let program = tvm_ir::Program::compile_f32(&f);
-        lane_loops += program.lane_loops();
         reduce_loops += program.reduce_loops();
         deepest = program
             .reduce_depths()
@@ -158,7 +156,6 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         guarded += program.guarded_factors();
     }
     assert_eq!(compared, 60);
-    assert!(lane_loops > 0, "no pinned trace runs in lane form");
     assert!(reduce_loops > 0, "no pinned trace runs a reduce loop");
     assert!(deepest >= 2, "no pinned trace runs a nest of two levels");
     assert!(guarded > 0, "no pinned trace runs a guarded factor");
