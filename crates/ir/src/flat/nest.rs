@@ -1,0 +1,836 @@
+//! Reduce nests: the plan a loop nest compiles to, the lift that adds a
+//! level, and the box and row a nest runs over.
+
+use super::compile::{Affine, OpenLoop, Vid, V};
+use super::*;
+
+/// Most loop levels one reduce nest spans.
+const MAX_DEPTH: usize = 8;
+
+/// Most affine integers one reduce nest tracks: the three indices and both
+/// sides of up to six guard comparisons.
+const MAX_LINS: usize = 15;
+
+/// A perfect nest of loops around `S[s] = S[s] + a * b` run as one op, in
+/// the walker's row-major order. Each factor is `X[x]` or a guarded
+/// `select(c, X[x], k)`. Its `Yield` op is followed by the outermost
+/// loop's scalar code, `scalar_len` ops from its `LoopGuard` to its
+/// `LoopNext`, which runs instead when the nest cannot.
+#[derive(Clone)]
+pub(super) struct ReduceNest {
+    /// Outermost first.
+    pub(super) levels: Vec<NestLevel>,
+    /// Slots of `S` and of the two factors' buffers.
+    slots: [u16; 3],
+    /// The indices of `S` and of the two factors, then both sides of every
+    /// guard comparison.
+    lins: Vec<Lin>,
+    /// Each factor's guard, if it has one.
+    pub(super) guards: [Option<Guard>; 2],
+    scalar_len: u16,
+}
+
+/// Registers of a nest level's loop variable, first iteration and limit.
+#[derive(Clone, Copy)]
+pub(super) struct NestLevel {
+    counter: Reg,
+    lo: Reg,
+    limit: Reg,
+}
+
+/// `i[base] + Σ strides[j] * k[j]` over the nest's loop variables `k`,
+/// outermost first.
+#[derive(Clone, Copy)]
+struct Lin {
+    base: Reg,
+    strides: [i64; MAX_DEPTH],
+}
+
+/// A factor's guard: where every comparison holds it loads, elsewhere it is
+/// `konst`.
+#[derive(Clone)]
+pub(super) struct Guard {
+    /// `(a, b, strict)`: `lins[a] < lins[b]`, or `<=` unless strict.
+    cmps: Vec<(usize, usize, bool)>,
+    konst: f64,
+}
+
+/// The iteration box of a reduce nest: each level's first and last
+/// iteration, outermost first.
+#[derive(Clone, Copy)]
+struct NestBox {
+    depth: usize,
+    lo: [i64; MAX_DEPTH],
+    hi: [i64; MAX_DEPTH],
+}
+
+impl NestBox {
+    /// Iterations of the innermost level.
+    fn row_len(&self) -> usize {
+        let d = self.depth - 1;
+        (self.hi[d].abs_diff(self.lo[d]) + 1) as usize
+    }
+
+    /// The value of `lin`, whose base is `base`, at the box's first point,
+    /// and its least and greatest value over the box; `None` if a step to
+    /// any of them leaves `i64`. When all are `i64`s, so is every value
+    /// between.
+    fn range(&self, lin: &Lin, base: i64) -> Option<(i64, i64, i64)> {
+        let (mut first, mut down, mut up) = (base, 0i64, 0i64);
+        for j in 0..self.depth {
+            let s = lin.strides[j];
+            first = first.checked_add(s.checked_mul(self.lo[j])?)?;
+            let d = s.checked_mul(self.hi[j].checked_sub(self.lo[j])?)?;
+            if d < 0 {
+                down = down.checked_add(d)?;
+            } else {
+                up = up.checked_add(d)?;
+            }
+        }
+        Some((first, first.checked_add(down)?, first.checked_add(up)?))
+    }
+
+    /// This box with each outer level along which none of the lins that
+    /// `seen` selects moves held at its first iteration: its rows show
+    /// those lins every value the whole box's rows do.
+    fn seen_by(&self, lins: &[Lin], seen: impl Fn(usize) -> bool) -> NestBox {
+        let mut b = *self;
+        for j in 0..self.depth - 1 {
+            let mut lins = lins.iter().enumerate();
+            if lins.all(|(i, lin)| !seen(i) || lin.strides[j] == 0) {
+                b.hi[j] = b.lo[j];
+            }
+        }
+        b
+    }
+
+    /// Calls `f` with the value of every lin at the first iteration of each
+    /// row, rows in row-major order, until it returns `false`; returns
+    /// whether every call returned `true`. `vals` holds the values at the
+    /// box's first point. Values are kept with wrapping arithmetic, so one
+    /// that is an `i64` at a point is exact there.
+    fn rows(
+        &self,
+        lins: &[Lin],
+        mut vals: [i64; MAX_LINS],
+        mut f: impl FnMut(&[i64; MAX_LINS]) -> bool,
+    ) -> bool {
+        let mut k = self.lo;
+        loop {
+            if !f(&vals) {
+                return false;
+            }
+            // The odometer over every level but the innermost.
+            let mut j = self.depth - 1;
+            loop {
+                if j == 0 {
+                    return true;
+                }
+                j -= 1;
+                if k[j] < self.hi[j] {
+                    k[j] += 1;
+                    for (v, lin) in vals.iter_mut().zip(lins) {
+                        *v = v.wrapping_add(lin.strides[j]);
+                    }
+                    break;
+                }
+                let back = self.hi[j].wrapping_sub(self.lo[j]);
+                k[j] = self.lo[j];
+                for (v, lin) in vals.iter_mut().zip(lins) {
+                    *v = v.wrapping_sub(lin.strides[j].wrapping_mul(back));
+                }
+            }
+        }
+    }
+}
+
+/// Iterations `t0..t1` of a row of `n` where factor `f` of `r` loads, given
+/// the lins' values `v` at the row's first iteration: all of them when it
+/// is unguarded, else those where every guard comparison holds. Each
+/// side of a comparison is an `i64` everywhere in the box, so its value is
+/// exact and their difference is exact in `i128`.
+fn span(r: &ReduceNest, f: usize, v: &[i64; MAX_LINS], n: usize) -> (usize, usize) {
+    let Some(g) = &r.guards[f] else {
+        return (0, n);
+    };
+    let d = r.levels.len() - 1;
+    let (mut t0, mut t1) = (0i128, n as i128);
+    for &(a, b, strict) in &g.cmps {
+        // The comparison holds at iteration `t` iff `r0 + c * t <= 0`.
+        let r0 = v[a] as i128 - v[b] as i128 + strict as i128;
+        let c = r.lins[a].strides[d] as i128 - r.lins[b].strides[d] as i128;
+        if c > 0 {
+            t1 = t1.min(floor_div_pos(-r0, c) + 1);
+        } else if c < 0 {
+            t0 = t0.max(-floor_div_pos(-r0, -c));
+        } else if r0 > 0 {
+            return (0, 0);
+        }
+    }
+    if t0 < t1 {
+        (t0 as usize, t1 as usize)
+    } else {
+        (0, 0)
+    }
+}
+
+/// `floor(a / b)` for `b > 0`, without a division for the usual `b = 1`.
+fn floor_div_pos(a: i128, b: i128) -> i128 {
+    if b == 1 {
+        a
+    } else {
+        a.div_euclid(b)
+    }
+}
+
+/// A factor of a reduce nest along a row: its value at iteration `t`.
+trait RowFactor: Copy {
+    fn get(&self, t: usize) -> f64;
+}
+
+/// Element `at + t * step` of `data` at iteration `t`.
+#[derive(Clone, Copy)]
+struct Plain<'a> {
+    data: &'a [f32],
+    at: usize,
+    step: usize,
+}
+
+impl RowFactor for Plain<'_> {
+    #[inline(always)]
+    fn get(&self, t: usize) -> f64 {
+        self.data[self.at.wrapping_add(t.wrapping_mul(self.step))] as f64
+    }
+}
+
+/// [`Plain`] where `t0 <= t < t1`, `konst` elsewhere.
+#[derive(Clone, Copy)]
+struct Guarded<'a> {
+    plain: Plain<'a>,
+    t0: usize,
+    t1: usize,
+    konst: f64,
+}
+
+impl RowFactor for Guarded<'_> {
+    #[inline(always)]
+    fn get(&self, t: usize) -> f64 {
+        if t.wrapping_sub(self.t0) < self.t1 - self.t0 {
+            self.plain.get(t)
+        } else {
+            self.konst
+        }
+    }
+}
+
+/// Runs `n` iterations of `s[si] = (s[si] as f64 + x * y) as f32`, `si`
+/// advancing by `ss` (wrapping, so a negative stride works), keeping the
+/// sum in a register while `ss` is zero.
+#[inline(always)]
+fn mac_row(
+    s: &mut [f32],
+    mut si: usize,
+    ss: usize,
+    n: usize,
+    x: impl RowFactor,
+    y: impl RowFactor,
+) {
+    if ss == 0 {
+        let mut acc = s[si];
+        for t in 0..n {
+            acc = (acc as f64 + x.get(t) * y.get(t)) as f32;
+        }
+        s[si] = acc;
+    } else {
+        for t in 0..n {
+            s[si] = (s[si] as f64 + x.get(t) * y.get(t)) as f32;
+            si = si.wrapping_add(ss);
+        }
+    }
+}
+
+/// The slots of a reduce nest's `S`, to write, and of its two factors, to
+/// read: the compiler admits no factor in `S`'s own slot.
+#[inline(always)]
+fn split_slots(slots: &mut [Slot], [s, x, y]: [u16; 3]) -> (&mut Slot, &Slot, &Slot) {
+    let s = s as usize;
+    let (before, rest) = slots.split_at_mut(s);
+    let (slot, after) = rest.split_first_mut().expect("a nest names its slots");
+    let (before, after): (&[Slot], &[Slot]) = (before, after);
+    let other = |i: u16| match (i as usize).checked_sub(s + 1) {
+        Some(k) => &after[k],
+        None => &before[i as usize],
+    };
+    (slot, other(x), other(y))
+}
+
+impl Machine<'_> {
+    /// Runs reduce nest `r`, whose scalar code starts at `start`, as one
+    /// op: every iteration in the walker's row-major order, each rounding
+    /// the walker's `f64` sum to `f32` as its store does, and counting one
+    /// store; returns the op after the scalar code. Returns `start`, having
+    /// changed nothing, if the box is empty, an access is out of bounds or
+    /// an integer leaves `i64` anywhere in it: the scalar code then runs,
+    /// and stores and faults where the walker does. Each access goes
+    /// through its slot's `base`, so in a barriered nest a lane's own
+    /// allocation is the current lane's copy.
+    pub(super) fn run_reduce(
+        &mut self,
+        r: &ReduceNest,
+        start: usize,
+        ints: &mut [i64],
+    ) -> Result<usize> {
+        let ran =
+            matches!(r.guards, [None, None]) && self.run_row(r, ints) || self.run_box(r, ints);
+        Ok(if ran {
+            start + r.scalar_len as usize
+        } else {
+            start
+        })
+    }
+
+    /// Runs reduce nest `r` a row at a time. Returns whether it ran; if
+    /// not, it changed nothing.
+    #[inline(never)]
+    fn run_box(&mut self, r: &ReduceNest, ints: &mut [i64]) -> bool {
+        let mut b = NestBox {
+            depth: r.levels.len(),
+            lo: [0; MAX_DEPTH],
+            hi: [0; MAX_DEPTH],
+        };
+        let mut volume = 1u64;
+        for (j, l) in r.levels.iter().enumerate() {
+            let (first, limit) = (ints[l.lo as usize], ints[l.limit as usize]);
+            if first >= limit {
+                return false;
+            }
+            (b.lo[j], b.hi[j]) = (first, limit - 1);
+            match volume.checked_mul(limit.abs_diff(first)) {
+                Some(v) => volume = v,
+                None => return false,
+            }
+        }
+        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots);
+        let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
+            (&mut s.buf.data, &x.buf.data, &y.buf.data)
+        else {
+            return false;
+        };
+        // Every lin is an `i64` all over the box, so the values `rows`
+        // keeps are exact; `S`'s index and an unguarded factor's are in
+        // bounds all over it too.
+        let lens = [
+            Some(s.len),
+            r.guards[0].is_none().then_some(x.len),
+            r.guards[1].is_none().then_some(y.len),
+        ];
+        let mut vals = [0i64; MAX_LINS];
+        for (i, lin) in r.lins.iter().enumerate() {
+            let Some((first, min, max)) = b.range(lin, ints[lin.base as usize]) else {
+                return false;
+            };
+            if let Some(&Some(len)) = lens.get(i) {
+                if min < 0 || max as u64 >= len as u64 {
+                    return false;
+                }
+            }
+            vals[i] = first;
+        }
+        let (d, n) = (b.depth - 1, b.row_len());
+        let stride = |i: usize| r.lins[i].strides[d];
+        // A guarded factor loads only where its guard holds: in each row,
+        // both ends of that span are in bounds, and so every index between.
+        // Rows that differ only at levels the factor and its guard do not
+        // move along are checked once.
+        for (f, slot) in [x, y].into_iter().enumerate() {
+            let Some(g) = &r.guards[f] else {
+                continue;
+            };
+            let seen = |i: usize| i == f + 1 || g.cmps.iter().any(|&(a, b, _)| i == a || i == b);
+            let in_bounds = |v: &[i64; MAX_LINS]| {
+                let (t0, t1) = span(r, f, v, n);
+                let index = |t: usize| v[f + 1].wrapping_add(stride(f + 1).wrapping_mul(t as i64));
+                let len = slot.len as u64;
+                t0 == t1 || (index(t0) as u64) < len && (index(t1 - 1) as u64) < len
+            };
+            if !b.seen_by(&r.lins, seen).rows(&r.lins, vals, in_bounds) {
+                return false;
+            }
+        }
+        let plain = |f: usize, v: &[i64; MAX_LINS]| Plain {
+            data: [xs, ys][f],
+            at: [x.base, y.base][f].wrapping_add(v[f + 1] as usize),
+            step: stride(f + 1) as usize,
+        };
+        let guarded = |f: usize, v: &[i64; MAX_LINS]| {
+            let (t0, t1) = span(r, f, v, n);
+            let konst = r.guards[f].as_ref().map_or(0.0, |g| g.konst);
+            Guarded {
+                plain: plain(f, v),
+                t0,
+                t1,
+                konst,
+            }
+        };
+        let (ss, sbase) = (stride(0) as usize, s.base);
+        let si = |v: &[i64; MAX_LINS]| sbase.wrapping_add(v[0] as usize);
+        match (r.guards[0].is_some(), r.guards[1].is_some()) {
+            (false, false) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, plain(0, v), plain(1, v));
+                true
+            }),
+            (true, false) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, guarded(0, v), plain(1, v));
+                true
+            }),
+            (false, true) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, plain(0, v), guarded(1, v));
+                true
+            }),
+            (true, true) => b.rows(&r.lins, vals, |v| {
+                mac_row(sv, si(v), ss, n, guarded(0, v), guarded(1, v));
+                true
+            }),
+        };
+        self.stores += volume;
+        for l in &r.levels {
+            ints[l.counter as usize] = ints[l.limit as usize];
+        }
+        true
+    }
+
+    /// Runs unguarded reduce nest `r` as one row, when it is one: when
+    /// every level walks each access on from where the level inside it
+    /// ends, as a dense layer's split reduction does, the iterations in
+    /// row-major order are one run at the innermost strides, and its bounds
+    /// check is both ends of each access. Returns whether it ran; if not,
+    /// it changed nothing.
+    fn run_row(&mut self, r: &ReduceNest, ints: &mut [i64]) -> bool {
+        let (lins, d) = (&r.lins[..3], r.levels.len() - 1);
+        // The row's length, the extent of the level inside the current one,
+        // and each access's index at the first iteration.
+        let (mut n, mut inner) = (1u64, 1i64);
+        let mut firsts = [0i64; 3];
+        for (i, at) in firsts.iter_mut().enumerate() {
+            *at = ints[lins[i].base as usize];
+        }
+        for (j, l) in r.levels.iter().enumerate().rev() {
+            let (first, limit) = (ints[l.lo as usize], ints[l.limit as usize]);
+            let extent = limit.wrapping_sub(first);
+            if first >= limit || extent <= 0 {
+                return false;
+            }
+            for (lin, at) in lins.iter().zip(&mut firsts) {
+                let s = lin.strides[j];
+                if j < d && lin.strides[j + 1].checked_mul(inner) != Some(s) {
+                    return false;
+                }
+                match s.checked_mul(first).and_then(|k| at.checked_add(k)) {
+                    Some(k) => *at = k,
+                    None => return false,
+                }
+            }
+            match n.checked_mul(extent as u64) {
+                Some(m) => (n, inner) = (m, extent),
+                None => return false,
+            }
+        }
+        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots);
+        let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
+            (&mut s.buf.data, &x.buf.data, &y.buf.data)
+        else {
+            return false;
+        };
+        // Where in its slot's storage each access starts, if it is in
+        // bounds at both ends of the row, and so everywhere between.
+        let last = i64::try_from(n - 1).unwrap_or(i64::MAX);
+        let mut starts = [0usize; 3];
+        for (i, (base, len)) in [(s.base, s.len), (x.base, x.len), (y.base, y.len)]
+            .into_iter()
+            .enumerate()
+        {
+            let at = firsts[i];
+            let Some(end) = lins[i].strides[d]
+                .checked_mul(last)
+                .and_then(|k| at.checked_add(k))
+            else {
+                return false;
+            };
+            if (at as u64) >= len as u64 || (end as u64) >= len as u64 {
+                return false;
+            }
+            starts[i] = base + at as usize;
+        }
+        let [si, xi, yi] = starts;
+        let step = |i: usize| r.lins[i].strides[d] as usize;
+        let (x, y) = (
+            Plain {
+                data: xs,
+                at: xi,
+                step: step(1),
+            },
+            Plain {
+                data: ys,
+                at: yi,
+                step: step(2),
+            },
+        );
+        mac_row(sv, si, step(0), n as usize, x, y);
+        self.stores += n;
+        for l in &r.levels {
+            ints[l.counter as usize] = ints[l.limit as usize];
+        }
+        true
+    }
+}
+
+/// An affine integer of a reduce nest under construction: `rest` plus
+/// `strides[j]` times the variable of level `j`, outermost first, where
+/// `rest` is invariant in every level.
+#[derive(Clone)]
+struct LinPlan {
+    rest: Affine,
+    strides: Vec<i64>,
+}
+
+/// A reduce nest under construction: [`ReduceNest`] over value numbers,
+/// so that the loop around it can take it over as a new outermost level.
+#[derive(Clone)]
+pub(super) struct NestPlan {
+    /// Counter, first iteration and limit of each level, outermost first.
+    levels: Vec<(Vid, Vid, Vid)>,
+    slots: [u16; 3],
+    lins: Vec<LinPlan>,
+    guards: [Option<Guard>; 2],
+    /// The handoff it compiled to.
+    handoff: usize,
+}
+
+impl Compiler<'_> {
+    /// The one-level reduce nest of loop `l`, and the ops in front of the
+    /// loop that its integers use. `None`, with nothing changed, unless
+    /// `body` is `S[s] = S[s] + a * b` ([`mac_form`]) with `S` a float32
+    /// buffer held as `f32`, both factors' buffers other than `S` and held
+    /// as `f32`, and every index and guard side affine in the loop
+    /// variable with every other term invariant in the loop.
+    pub(super) fn plan_nest(&mut self, l: &OpenLoop, body: &Stmt) -> Option<(Vec<Op>, NestPlan)> {
+        let form = mac_form(body)?;
+        let mut slots = [0u16; 3];
+        let buffers = [form.acc, form.factors[0].buffer, form.factors[1].buffer];
+        for (slot, buffer) in slots.iter_mut().zip(buffers) {
+            let &V::Handle(_, s) = self.vars.get(&buffer.id())? else {
+                return None;
+            };
+            *slot = s;
+        }
+        let [s, x, y] = slots;
+        let held_f32 = |slot: u16| self.slots[slot as usize].storage == Storage::F32;
+        let float32 = self.slots[s as usize].dtype == DType::float32();
+        if !(float32 && slots.iter().all(|&s| held_f32(s))) || x == s || y == s {
+            return None;
+        }
+        // The integers: `S` as stored and as loaded, each factor's index,
+        // then both sides of each guard comparison.
+        let mut ints = vec![form.at[0], form.at[1]];
+        ints.extend(form.factors.iter().map(|f| f.index));
+        for f in &form.factors {
+            ints.extend(f.cmps.iter().flat_map(|&(a, b, _)| [a, b]));
+        }
+        if ints.len() > MAX_LINS + 1 {
+            return None;
+        }
+        let before = self.clone();
+        self.open_level(self.cur_frame());
+        let shadowed = self.vars.insert(l.var, V::Int(l.counter));
+        let affines: Vec<Affine> = ints.iter().map(|e| self.affine(e)).collect();
+        self.unbind(l.var, shadowed);
+        let level = self.close_level();
+        let inner = self.cur_level() + 1;
+        let lins: Option<Vec<LinPlan>> = affines
+            .into_iter()
+            .map(|a| {
+                let (rest, stride) = self.split(a, l.counter, inner)?;
+                Some(LinPlan {
+                    rest,
+                    strides: vec![stride],
+                })
+            })
+            .collect();
+        match lins {
+            Some(mut lins) if level.body.is_empty() && same(&lins[0], &lins[1]) => {
+                lins.remove(1);
+                let mut next = 3;
+                let guards = form.factors.map(|f| {
+                    let konst = f.konst?;
+                    let cmps = f
+                        .cmps
+                        .iter()
+                        .map(|&(_, _, strict)| {
+                            next += 2;
+                            (next - 2, next - 1, strict)
+                        })
+                        .collect();
+                    Some(Guard { cmps, konst })
+                });
+                let plan = NestPlan {
+                    levels: vec![(l.counter, l.lo, l.limit)],
+                    slots,
+                    lins,
+                    guards,
+                    handoff: 0,
+                };
+                Some((level.pre, plan))
+            }
+            _ => {
+                *self = before;
+                None
+            }
+        }
+    }
+
+    /// `inner`, the reduce nest that the body of loop `l` compiled to, with
+    /// `l` as its new outermost level; `None`, with nothing changed, unless
+    /// every inner level's range and every term of every integer but `l`'s
+    /// variable is invariant in `l`. `body` is the loop's scalar code, from
+    /// which the inner nest's `Yield` is taken out: the new nest falls back
+    /// to the scalar code of every level.
+    pub(super) fn lift(
+        &mut self,
+        inner: NestPlan,
+        l: &OpenLoop,
+        body: &mut Vec<Op>,
+    ) -> Option<NestPlan> {
+        let level = self.cur_level() + 1;
+        let invariant = |v: Vid| self.values[v as usize].level < level;
+        let ranges = inner
+            .levels
+            .iter()
+            .all(|&(_, lo, limit)| invariant(lo) && invariant(limit));
+        if inner.levels.len() == MAX_DEPTH || !ranges {
+            return None;
+        }
+        let mut lins = Vec::with_capacity(inner.lins.len());
+        for lin in &inner.lins {
+            let (rest, stride) = self.split(lin.rest.clone(), l.counter, level)?;
+            let mut strides = vec![stride];
+            strides.extend(&lin.strides);
+            lins.push(LinPlan { rest, strides });
+        }
+        let at = body
+            .iter()
+            .position(|op| op.code == Code::Yield && op.a as usize == inner.handoff)?;
+        body.remove(at);
+        debug_assert_eq!(self.handoffs.len(), inner.handoff + 1);
+        self.handoffs.truncate(inner.handoff);
+        let mut levels = vec![(l.counter, l.lo, l.limit)];
+        levels.extend(inner.levels);
+        Some(NestPlan {
+            levels,
+            lins,
+            ..inner
+        })
+    }
+
+    /// Computes the bases of `plan`'s integers in ops placed in front of
+    /// the loop, which are returned with the `Yield` that hands the nest
+    /// over; the nest's scalar code is `scalar_len` ops. The plan is kept
+    /// for the loop around this one.
+    pub(super) fn nest_handoff(&mut self, mut plan: NestPlan, scalar_len: u16) -> (Vec<Op>, Op) {
+        self.open_level(self.cur_frame());
+        let bases: Vec<Vid> = plan
+            .lins
+            .iter()
+            .map(|lin| self.materialize(lin.rest.clone()))
+            .collect();
+        let level = self.close_level();
+        debug_assert!(level.body.is_empty(), "every term is invariant");
+        let lins = plan
+            .lins
+            .iter()
+            .zip(bases)
+            .map(|(lin, base)| {
+                let mut strides = [0; MAX_DEPTH];
+                strides[..lin.strides.len()].copy_from_slice(&lin.strides);
+                Lin {
+                    base: self.reg(base),
+                    strides,
+                }
+            })
+            .collect();
+        let levels = plan
+            .levels
+            .iter()
+            .map(|&(counter, lo, limit)| NestLevel {
+                counter: self.values[counter as usize].reg,
+                lo: self.reg(lo),
+                limit: self.reg(limit),
+            })
+            .collect();
+        self.handoffs.push(ReduceNest {
+            levels,
+            slots: plan.slots,
+            lins,
+            guards: plan.guards.clone(),
+            scalar_len,
+        });
+        plan.handoff = self.handoffs.len() - 1;
+        let op = Op::new(Code::Yield, 0, plan.handoff as u16, 0, 0);
+        self.nest = Some(plan);
+        (level.pre, op)
+    }
+
+    /// `a` as `rest + stride * k`, with `k` the counter of the loop at
+    /// `level`: `None` if a term of `rest` varies at that level or deeper.
+    fn split(&self, mut a: Affine, k: Vid, level: usize) -> Option<(Affine, i64)> {
+        let stride = match a.terms.iter().position(|&(v, _)| v == k) {
+            Some(p) => a.terms.remove(p).1,
+            None => 0,
+        };
+        let invariant = a
+            .terms
+            .iter()
+            .all(|&(v, _)| self.values[v as usize].level < level);
+        invariant.then_some((a, stride))
+    }
+}
+
+/// Whether a loop of `kind` may be a level of a reduce nest.
+pub(super) fn nests(kind: ForKind) -> bool {
+    matches!(
+        kind,
+        ForKind::Serial | ForKind::Unrolled | ForKind::Vectorized
+    )
+}
+
+/// Whether two affine integers of a reduce nest are the same.
+fn same(a: &LinPlan, b: &LinPlan) -> bool {
+    let terms = |l: &LinPlan| {
+        let mut t = l.rest.terms.clone();
+        t.sort_unstable();
+        t
+    };
+    a.rest.c == b.rest.c && a.strides == b.strides && terms(a) == terms(b)
+}
+
+/// A loop body `S[s] = S[s] + a * b`: a float sum, in either order, of `S`
+/// loaded where it is stored and a float product of two factors, every
+/// access unpredicated.
+struct MacForm<'a> {
+    acc: &'a Var,
+    /// `s` as stored and as loaded.
+    at: [&'a Expr; 2],
+    factors: [FactorForm<'a>; 2],
+}
+
+/// `buffer[index]`, or, with `konst`, `select(c, buffer[index], konst)`
+/// where `c` is the conjunction of `cmps`: `(a, b, strict)` is integer
+/// `a < b`, or `a <= b` unless strict.
+struct FactorForm<'a> {
+    buffer: &'a Var,
+    index: &'a Expr,
+    cmps: Vec<(&'a Expr, &'a Expr, bool)>,
+    konst: Option<f64>,
+}
+
+/// `body` as a [`MacForm`]. Float addition and multiplication commute, so
+/// the order of the sum does not matter, and the factors keep theirs.
+fn mac_form(body: &Stmt) -> Option<MacForm<'_>> {
+    fn load(e: &Expr) -> Option<(&Var, &Expr)> {
+        match &*e.0 {
+            ExprNode::Load {
+                buffer,
+                index,
+                predicate: None,
+            } => Some((buffer, index)),
+            _ => None,
+        }
+    }
+    /// The conjunction `c` as comparisons, if it is one of integer
+    /// `< <= > >=` comparisons.
+    fn conjunction<'a>(c: &'a Expr, out: &mut Vec<(&'a Expr, &'a Expr, bool)>) -> Option<()> {
+        match &*c.0 {
+            ExprNode::And { a, b } => {
+                conjunction(a, out)?;
+                conjunction(b, out)
+            }
+            ExprNode::Cmp { op, a, b } if !a.dtype().is_float() => {
+                out.push(match op {
+                    CmpOp::Lt => (a, b, true),
+                    CmpOp::Le => (a, b, false),
+                    CmpOp::Gt => (b, a, true),
+                    CmpOp::Ge => (b, a, false),
+                    CmpOp::Eq | CmpOp::Ne => return None,
+                });
+                Some(())
+            }
+            _ => None,
+        }
+    }
+    fn factor(e: &Expr) -> Option<FactorForm<'_>> {
+        if let Some((buffer, index)) = load(e) {
+            return Some(FactorForm {
+                buffer,
+                index,
+                cmps: Vec::new(),
+                konst: None,
+            });
+        }
+        let ExprNode::Select {
+            cond,
+            then_case,
+            else_case,
+        } = &*e.0
+        else {
+            return None;
+        };
+        let (buffer, index) = load(then_case)?;
+        let &ExprNode::FloatImm { value, .. } = &*else_case.0 else {
+            return None;
+        };
+        let mut cmps = Vec::new();
+        conjunction(cond, &mut cmps)?;
+        Some(FactorForm {
+            buffer,
+            index,
+            cmps,
+            konst: Some(value),
+        })
+    }
+    fn product(e: &Expr) -> Option<[FactorForm<'_>; 2]> {
+        match &*e.0 {
+            ExprNode::Binary {
+                op: BinOp::Mul,
+                a,
+                b,
+            } if a.dtype().is_float() => Some([factor(a)?, factor(b)?]),
+            _ => None,
+        }
+    }
+    let StmtNode::Store {
+        buffer,
+        index,
+        value,
+        predicate: None,
+    } = &*body.0
+    else {
+        return None;
+    };
+    let ExprNode::Binary {
+        op: BinOp::Add,
+        a,
+        b,
+    } = &*value.0
+    else {
+        return None;
+    };
+    let stored = |&(s, _): &(&Var, &Expr)| s.id() == buffer.id();
+    let ((_, at), factors) = match (load(a).filter(stored), product(b)) {
+        (Some(acc), Some(factors)) => (acc, factors),
+        _ => (load(b).filter(stored)?, product(a)?),
+    };
+    a.dtype().is_float().then_some(MacForm {
+        acc: buffer,
+        at: [index, at],
+        factors,
+    })
+}
