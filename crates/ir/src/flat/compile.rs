@@ -199,7 +199,7 @@ impl<'a> Compiler<'a> {
             errors: self.errors,
             hw_calls: self.hw_calls,
             nests: self.nests,
-            handoffs: self.handoffs,
+            handoffs: self.handoffs.into_boxed_slice(),
         }
     }
 

@@ -343,8 +343,9 @@ pub struct Program {
     hw_calls: Vec<HwCall>,
     nests: Vec<Nest>,
     /// What each `Yield` hands over to [`Program::execute`], or, in a
-    /// barriered nest, to [`Machine::run_nest`].
-    handoffs: Vec<ReduceNest>,
+    /// barriered nest, to [`Machine::run_nest`]. Exactly sized: a `Vec`
+    /// keeps room for four nests in a program that has one.
+    handoffs: Box<[ReduceNest]>,
 }
 
 impl Program {
