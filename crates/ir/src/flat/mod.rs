@@ -67,10 +67,14 @@
 //!
 //! A reduce nest is entered through a `Yield` op that returns from the
 //! dispatch loop to [`Program::execute`] (in a barriered nest, to the
-//! lanes' scheduler), which runs it and resumes after it: work
-//! outside the dispatch loop does not perturb how the dispatch loop's
-//! registers are allocated. A barrier has an op of its own, so a `Yield`
-//! always means a handoff.
+//! lanes' scheduler), which runs it and resumes after it: work outside the
+//! dispatch loop does not perturb how the dispatch loop's registers are
+//! allocated. A barrier has an op of its own, so a `Yield` always means a
+//! handoff.
+//!
+//! The compiler is in `compile`, the dispatch loop and the lanes'
+//! scheduler in `machine`, and the reduce nest, compiled and run, in
+//! `nest`.
 //!
 //! Limits the walker does not have, each raised as
 //! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
