@@ -302,6 +302,52 @@ struct StageData {
     guards: Vec<(Expr, IterKind)>,
 }
 
+impl StageData {
+    /// Rewrites the stage's pieces by `to` in place.
+    fn rename(&mut self, to: &IdMap<VarId, Expr>) {
+        let mut r = Renamer {
+            to,
+            memo: IdMap::default(),
+        };
+        for e in self.var_expr.values_mut() {
+            *e = tvm_ir::Mutator::mutate_expr(&mut r, e);
+        }
+        for e in &mut self.realize_min {
+            *e = tvm_ir::Mutator::mutate_expr(&mut r, e);
+        }
+        for (g, _) in &mut self.guards {
+            *g = tvm_ir::Mutator::mutate_expr(&mut r, g);
+        }
+    }
+}
+
+/// Substitutes variables, rewriting a subtree that pieces share once so the
+/// results share it too (a split parent's expression holds its children's).
+struct Renamer<'a> {
+    to: &'a IdMap<VarId, Expr>,
+    /// Shared nodes by address, each with its rewrite; holding the input
+    /// keeps the address from being reused while the memo lives.
+    memo: IdMap<usize, (Expr, Expr)>,
+}
+
+impl tvm_ir::Mutator for Renamer<'_> {
+    fn mutate_expr(&mut self, e: &Expr) -> Expr {
+        if let ExprNode::Var(v) = &*e.0 {
+            return self.to.get(&v.id()).unwrap_or(e).clone();
+        }
+        if Arc::strong_count(&e.0) == 1 {
+            return self.default_mutate_expr(e);
+        }
+        let key = Arc::as_ptr(&e.0) as usize;
+        if let Some((_, out)) = self.memo.get(&key) {
+            return out.clone();
+        }
+        let out = self.default_mutate_expr(e);
+        self.memo.insert(key, (e.clone(), out.clone()));
+        out
+    }
+}
+
 /// Lowers a schedule into a function over `args` (placeholders then
 /// outputs, in the order the caller wants parameters bound).
 pub fn lower(sched: &Schedule, args: &[Tensor], name: &str) -> Result<LoweredFunc, TeError> {
@@ -329,16 +375,37 @@ pub fn lower_with(
 /// loop annotations (vectorize/unroll/parallel/pragma), so it can be
 /// cached and re-emitted for every annotation variant of the same
 /// structural configuration — see [`PlanCache`].
+///
+/// A plan writes each thread-bound leaf as its tag's canonical variable in
+/// the pieces every index is built from (realize mins, leaf-coordinate
+/// expressions, guards), so emission builds each kernel's loop tree once.
 pub struct LowerPlan {
     bodies: IdMap<OpId, ComputeBody>,
     data: IdMap<OpId, StageData>,
     attach_map: IdMap<(OpId, VarId), Vec<OpId>>,
     thread_vars: HashMap<ThreadTag, (Var, i64)>,
+    /// Stages whose pieces keep their own leaves (see [`raw_stages`]).
+    raw: IdSet<OpId>,
 }
 
 /// Runs the analysis half of lowering (inlining, bound inference,
 /// attachment/thread pre-scans) without emitting code.
 pub fn plan_schedule(sched: &Schedule) -> Result<LowerPlan, TeError> {
+    let mut plan = plan_in_leaves(sched)?;
+    let bound = bound_leaves(sched, &plan.thread_vars);
+    if !bound.is_empty() {
+        plan.raw = raw_stages(sched, &plan.bodies, &plan.data, &bound);
+        for (op, sd) in plan.data.iter_mut() {
+            if !plan.raw.contains(op) {
+                sd.rename(&bound);
+            }
+        }
+    }
+    Ok(plan)
+}
+
+/// A plan whose pieces are all in the stages' own leaves.
+fn plan_in_leaves(sched: &Schedule) -> Result<LowerPlan, TeError> {
     let bodies = {
         let _s = tvm_obs::span("effective_bodies");
         effective_bodies(sched)
@@ -388,7 +455,132 @@ pub fn plan_schedule(sched: &Schedule) -> Result<LowerPlan, TeError> {
         data,
         attach_map,
         thread_vars,
+        raw: IdSet::default(),
     })
+}
+
+/// Every thread-bound leaf emission opens a loop level for (the leaves
+/// before a tensorized region), mapped to its tag's canonical variable.
+fn bound_leaves(
+    sched: &Schedule,
+    thread_vars: &HashMap<ThreadTag, (Var, i64)>,
+) -> IdMap<VarId, Expr> {
+    let canonical: HashMap<ThreadTag, Expr> = thread_vars
+        .iter()
+        .map(|(tag, (v, _))| (*tag, v.to_expr()))
+        .collect();
+    let mut out: IdMap<VarId, Expr> = IdMap::default();
+    for stage in &sched.stages {
+        if matches!(stage.attach, Attach::Inline) {
+            continue;
+        }
+        for leaf in &stage.leaf_iters[..loop_end(stage)] {
+            let tag = stage.iter_attrs.get(&leaf.var.id()).and_then(|a| a.thread);
+            if let Some(tv) = tag.and_then(|t| canonical.get(&t)) {
+                out.insert(leaf.var.id(), tv.clone());
+            }
+        }
+    }
+    out
+}
+
+/// The stages emitted in their own leaves, whose statements take the
+/// canonical thread variables once built. Renaming a stage's pieces before
+/// emission would change what `simplify` sees in two cases:
+///
+/// * a bound data leaf under the reduce loop: the reset nest loops over it
+///   as a serial variable, and only the update nest unifies it;
+/// * two leaves of one tag in one stage's pieces (its own leaves, its
+///   realize min, the mins of the tensors it reads): once both are the
+///   canonical variable, `merge_terms` and `structural_eq` merge them.
+///
+/// A tensor a raw stage reads is raw too, so that an index and the min it
+/// is rebased by are in the same variables.
+fn raw_stages(
+    sched: &Schedule,
+    bodies: &IdMap<OpId, ComputeBody>,
+    data: &IdMap<OpId, StageData>,
+    bound: &IdMap<VarId, Expr>,
+) -> IdSet<OpId> {
+    let mut raw: IdSet<OpId> = IdSet::default();
+    let mut reads: IdMap<OpId, Vec<OpId>> = IdMap::default();
+    for stage in &sched.stages {
+        let op = stage.op_id();
+        let (Some(sd), Some(body)) = (data.get(&op), bodies.get(&op)) else {
+            continue;
+        };
+        let read = read_ops(body.source_expr());
+        let reset = matches!(body, ComputeBody::Reduce { .. })
+            && reset_leaves(&stage.leaf_iters, loop_end(stage))
+                .any(|l| bound.contains_key(&l.var.id()));
+        // Canonical variable -> the leaf first seen for it.
+        let mut seen: IdMap<VarId, VarId> = IdMap::default();
+        let mut clash = false;
+        let mut note = |v: VarId| {
+            if let Some(c) = bound.get(&v).and_then(Expr::as_var) {
+                clash |= seen.insert(c.id(), v).is_some_and(|p| p != v);
+            }
+        };
+        stage.leaf_iters.iter().for_each(|l| note(l.var.id()));
+        let mins = read.iter().filter_map(|q| data.get(q)).chain([sd]);
+        for m in mins.flat_map(|d| &d.realize_min) {
+            tvm_ir::collect_vars(m).iter().for_each(|v| note(v.id()));
+        }
+        if reset || clash {
+            raw.insert(op);
+        }
+        reads.insert(op, read);
+    }
+    let mut work: Vec<OpId> = raw.iter().copied().collect();
+    while let Some(op) = work.pop() {
+        for q in &reads[&op] {
+            if reads.contains_key(q) && raw.insert(*q) {
+                work.push(*q);
+            }
+        }
+    }
+    raw
+}
+
+/// The tensors `e` reads, each once, in first-read order.
+fn read_ops(e: &Expr) -> Vec<OpId> {
+    struct R(Vec<OpId>);
+    impl tvm_ir::Visitor for R {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let ExprNode::Call { name, .. } = &*e.0 {
+                if let Some(id) = crate::tensor::parse_read_key(name) {
+                    if !self.0.contains(&id) {
+                        self.0.push(id);
+                    }
+                }
+            }
+            self.walk_expr(e);
+        }
+    }
+    let mut r = R(Vec::new());
+    tvm_ir::Visitor::visit_expr(&mut r, e);
+    r.0
+}
+
+/// Where a stage's loop levels end: at its tensorized region, or after its
+/// last leaf.
+fn loop_end(stage: &Stage) -> usize {
+    stage
+        .tensorize_at
+        .as_ref()
+        .and_then(|(vid, _)| stage.leaf_iters.iter().position(|l| l.var.id() == *vid))
+        .unwrap_or(stage.leaf_iters.len())
+}
+
+/// The data leaves a reduction's reset nest loops over: those from the first
+/// reduce leaf up to `end`, the stage's [`loop_end`].
+fn reset_leaves(leaves: &[IterVar], end: usize) -> impl Iterator<Item = &IterVar> {
+    let p = leaves
+        .iter()
+        .position(|l| l.kind == IterKind::Reduce)
+        .unwrap_or(0)
+        .min(end);
+    leaves[p..end].iter().filter(|l| l.kind == IterKind::Data)
 }
 
 /// Emits a lowered function from a pre-computed [`LowerPlan`]. `sched`
@@ -403,108 +595,9 @@ pub fn emit_planned(
     opts: &LowerOptions,
 ) -> Result<LoweredFunc, TeError> {
     LOWERINGS.fetch_add(1, Ordering::Relaxed);
-    let data = &plan.data;
-
-    // Buffer variables: params first (stable across calls), then internals.
-    let mut buffers: IdMap<OpId, Var> = IdMap::default();
-    for t in args {
-        buffers.insert(t.op_id(), Var::new(t.name(), t.dtype()));
-    }
-    for id in data.keys() {
-        if !buffers.contains_key(id) {
-            if let Some(stage) = sched.stage_by_op(*id) {
-                buffers.insert(*id, Var::new(stage.tensor.name(), stage.tensor.dtype()));
-            } else if let Some(t) = sched.tensor(*id) {
-                buffers.insert(*id, Var::new(t.name(), t.dtype()));
-            }
-        }
-    }
-
-    let mut em = Emitter {
-        sched,
-        plan,
-        buffers,
-        thread_sub: IdMap::default(),
-    };
-
-    // Emit root stages in order, wrapping non-param roots in allocations.
-    let emit_span = tvm_obs::span("emit");
-    let mut pieces: Vec<(OpId, Stmt)> = Vec::new();
-    for stage in &sched.stages {
-        if matches!(stage.attach, Attach::Root) {
-            let mut s = tvm_obs::span("emit_stage");
-            s.arg("stage", stage.tensor.name());
-            pieces.push((stage.op_id(), em.emit_root(stage.op_id())?));
-        }
-    }
-    drop(emit_span);
-    let param_ids: IdSet<OpId> = args.iter().map(|t| t.op_id()).collect();
-    let mut body = Stmt::nop();
-    for (op, nest) in pieces.into_iter().rev() {
-        body = Stmt::seq(vec![nest, body]);
-        if !param_ids.contains(&op) {
-            let sd = &data[&op];
-            let extent: i64 = sd.realize_ext.iter().product::<i64>().max(1);
-            let stage = sched.stage_by_op(op).expect("root stage");
-            body = Stmt::allocate(
-                &em.buffers[&op],
-                stage.tensor.dtype(),
-                extent,
-                stage.scope,
-                body,
-            );
-        }
-    }
-
-    // Wrap the kernel with one canonical loop per bound thread axis:
-    // threadIdx innermost, blockIdx outermost.
-    for tag in [
-        ThreadTag::ThreadIdxX,
-        ThreadTag::ThreadIdxY,
-        ThreadTag::ThreadIdxZ,
-        ThreadTag::BlockIdxX,
-        ThreadTag::BlockIdxY,
-        ThreadTag::BlockIdxZ,
-    ] {
-        if let Some((v, ext)) = em.plan.thread_vars.get(&tag) {
-            body = Stmt::loop_(v, 0, *ext, ForKind::ThreadBinding(tag), body);
-        }
-    }
-
-    let params: Vec<Var> = args
-        .iter()
-        .map(|t| em.buffers[&t.op_id()].clone())
-        .collect();
-    let param_extents: Vec<usize> = args.iter().map(|t| t.numel() as usize).collect();
-
-    let body = {
-        let _s = tvm_obs::span("hoist_shared_allocs");
-        hoist_shared_allocs(&body)
-    };
-    let body = {
-        let _s = tvm_obs::span(if opts.dae_sync {
-            "lower_dae"
-        } else {
-            "lower_vthreads"
-        });
-        if opts.dae_sync {
-            crate::vthread::lower_dae(&body)
-        } else {
-            crate::vthread::lower_vthreads(&body)
-        }
-    };
-    let body = {
-        let _s = tvm_obs::span("simplify");
-        tvm_ir::simplify_stmt(&body)
-    };
-
-    Ok(LoweredFunc {
-        name: name.to_string(),
-        param_dtypes: args.iter().map(|t| t.dtype()).collect(),
-        param_extents,
-        params,
-        body,
-    })
+    let em = Emitter::new(sched, plan, args);
+    let body = em.emit_roots(args)?;
+    Ok(em.finish(body, args, name, opts))
 }
 
 /// Applies `compute_inline` substitution, returning effective bodies for
@@ -889,6 +982,7 @@ fn divmod_mixes_ranged(e: &Expr, ranged: &dyn Fn(&Var) -> bool) -> bool {
             op: BinOp::Div | BinOp::Mod,
             a,
             b,
+            ..
         } => {
             let vars = tvm_ir::collect_vars(a);
             let mixes = vars.iter().any(ranged) && vars.iter().any(|v| !ranged(v));
@@ -1110,10 +1204,9 @@ struct Emitter<'a> {
     sched: &'a Schedule,
     plan: &'a LowerPlan,
     buffers: IdMap<OpId, Var>,
-    /// Thread-bound leaf -> canonical thread variable, recorded while the
-    /// current root stage's nest (attached stages included) is emitted and
-    /// applied to that nest in one substitution.
-    thread_sub: IdMap<VarId, Expr>,
+    /// Thread-bound leaf -> canonical thread variable, for the plan's raw
+    /// stages; empty when it has none.
+    bound: IdMap<VarId, Expr>,
 }
 
 struct Plan {
@@ -1126,46 +1219,176 @@ struct Plan {
     ten_pos: Option<usize>,
 }
 
-impl Emitter<'_> {
+impl<'a> Emitter<'a> {
+    fn new(sched: &'a Schedule, plan: &'a LowerPlan, args: &[Tensor]) -> Self {
+        // Buffer variables: params first (stable across calls), then internals.
+        let mut buffers: IdMap<OpId, Var> = IdMap::default();
+        for t in args {
+            buffers.insert(t.op_id(), Var::new(t.name(), t.dtype()));
+        }
+        for id in plan.data.keys() {
+            if !buffers.contains_key(id) {
+                if let Some(stage) = sched.stage_by_op(*id) {
+                    buffers.insert(*id, Var::new(stage.tensor.name(), stage.tensor.dtype()));
+                } else if let Some(t) = sched.tensor(*id) {
+                    buffers.insert(*id, Var::new(t.name(), t.dtype()));
+                }
+            }
+        }
+        let bound = if plan.raw.is_empty() {
+            IdMap::default()
+        } else {
+            bound_leaves(sched, &plan.thread_vars)
+        };
+        Emitter {
+            sched,
+            plan,
+            buffers,
+            bound,
+        }
+    }
+
+    /// Emits the root stages in order, wrapping non-param roots in
+    /// allocations.
+    fn emit_roots(&self, args: &[Tensor]) -> Result<Stmt, TeError> {
+        let emit_span = tvm_obs::span("emit");
+        let mut pieces: Vec<(OpId, Stmt)> = Vec::new();
+        for stage in &self.sched.stages {
+            if matches!(stage.attach, Attach::Root) {
+                let mut s = tvm_obs::span("emit_stage");
+                s.arg("stage", stage.tensor.name());
+                pieces.push((stage.op_id(), self.emit_stage(stage.op_id())?));
+            }
+        }
+        drop(emit_span);
+        let param_ids: IdSet<OpId> = args.iter().map(|t| t.op_id()).collect();
+        let mut body = Stmt::nop();
+        for (op, nest) in pieces.into_iter().rev() {
+            body = Stmt::seq(vec![nest, body]);
+            if !param_ids.contains(&op) {
+                let sd = &self.plan.data[&op];
+                let extent: i64 = sd.realize_ext.iter().product::<i64>().max(1);
+                let stage = self.sched.stage_by_op(op).expect("root stage");
+                body = Stmt::allocate(
+                    &self.buffers[&op],
+                    stage.tensor.dtype(),
+                    extent,
+                    stage.scope,
+                    body,
+                );
+            }
+        }
+        Ok(body)
+    }
+
+    /// Wraps the emitted roots in the thread loops and runs the post passes.
+    fn finish(&self, body: Stmt, args: &[Tensor], name: &str, opts: &LowerOptions) -> LoweredFunc {
+        // One canonical loop per bound thread axis: threadIdx innermost,
+        // blockIdx outermost.
+        let mut body = body;
+        for tag in [
+            ThreadTag::ThreadIdxX,
+            ThreadTag::ThreadIdxY,
+            ThreadTag::ThreadIdxZ,
+            ThreadTag::BlockIdxX,
+            ThreadTag::BlockIdxY,
+            ThreadTag::BlockIdxZ,
+        ] {
+            if let Some((v, ext)) = self.plan.thread_vars.get(&tag) {
+                body = Stmt::loop_(v, 0, *ext, ForKind::ThreadBinding(tag), body);
+            }
+        }
+
+        let params: Vec<Var> = args
+            .iter()
+            .map(|t| self.buffers[&t.op_id()].clone())
+            .collect();
+        let param_extents: Vec<usize> = args.iter().map(|t| t.numel() as usize).collect();
+
+        let body = {
+            let _s = tvm_obs::span("hoist_shared_allocs");
+            hoist_shared_allocs(&body)
+        };
+        let body = {
+            let _s = tvm_obs::span(if opts.dae_sync {
+                "lower_dae"
+            } else {
+                "lower_vthreads"
+            });
+            if opts.dae_sync {
+                crate::vthread::lower_dae(&body)
+            } else {
+                crate::vthread::lower_vthreads(&body)
+            }
+        };
+        let body = {
+            let _s = tvm_obs::span("simplify");
+            tvm_ir::simplify_stmt(&body)
+        };
+
+        LoweredFunc {
+            name: name.to_string(),
+            param_dtypes: args.iter().map(|t| t.dtype()).collect(),
+            param_extents,
+            params,
+            body,
+        }
+    }
+
     fn strides_of(&self, op: OpId) -> Vec<i64> {
         let exts = &self.plan.data[&op].realize_ext;
         row_major_strides(exts)
     }
 
-    /// Applies the stage's coordinate substitution, then converts tensor
+    /// Applies the stage's coordinate substitution and converts tensor
     /// reads to flat buffer loads rebased into each producer's realize
-    /// region. Order matters: realize mins reference consumer *loop*
-    /// variables which may coincide with this stage's axis variables, so
-    /// they must be added after the substitution has run.
-    fn convert_body_expr(&self, e: &Expr, axis_sub: &IdMap<VarId, Expr>) -> Result<Expr, TeError> {
-        let substituted = tvm_ir::substitute(e, axis_sub);
-        self.convert_reads(&substituted)
-    }
-
-    fn convert_reads(&self, e: &Expr) -> Result<Expr, TeError> {
+    /// region, in one walk. A read's indices are substituted before it is
+    /// converted, and the realize mins it is rebased by are not: they
+    /// reference consumer *loop* variables which may coincide with this
+    /// stage's axis variables. `raw` says which variables the stage's
+    /// pieces are in (see [`raw_stages`]).
+    fn convert_body_expr(
+        &self,
+        e: &Expr,
+        axis_sub: &IdMap<VarId, Expr>,
+        raw: bool,
+    ) -> Result<Expr, TeError> {
         struct C<'b, 'c> {
             em: &'b Emitter<'c>,
+            sub: &'b IdMap<VarId, Expr>,
+            raw: bool,
             error: Option<TeError>,
         }
         impl tvm_ir::Mutator for C<'_, '_> {
             fn mutate_expr(&mut self, e: &Expr) -> Expr {
-                if let ExprNode::Call { name, args, .. } = &*e.0 {
-                    if let Some(id) = crate::tensor::parse_read_key(name) {
-                        let args: Vec<Expr> = args.iter().map(|a| self.mutate_expr(a)).collect();
-                        match self.em.flat_read(id, &args) {
-                            Ok(load) => return load,
-                            Err(te) => {
-                                self.error.get_or_insert(te);
-                                return e.clone();
+                match &*e.0 {
+                    ExprNode::Var(v) => {
+                        if let Some(to) = self.sub.get(&v.id()) {
+                            return to.clone();
+                        }
+                    }
+                    ExprNode::Call { name, args, .. } => {
+                        if let Some(id) = crate::tensor::parse_read_key(name) {
+                            let args: Vec<Expr> =
+                                args.iter().map(|a| self.mutate_expr(a)).collect();
+                            match self.em.flat_read(id, &args, self.raw) {
+                                Ok(load) => return load,
+                                Err(te) => {
+                                    self.error.get_or_insert(te);
+                                    return e.clone();
+                                }
                             }
                         }
                     }
+                    _ => {}
                 }
                 self.default_mutate_expr(e)
             }
         }
         let mut c = C {
             em: self,
+            sub: axis_sub,
+            raw,
             error: None,
         };
         let out = tvm_ir::Mutator::mutate_expr(&mut c, e);
@@ -1175,7 +1398,18 @@ impl Emitter<'_> {
         }
     }
 
-    fn flat_read(&self, id: OpId, idx: &[Expr]) -> Result<Expr, TeError> {
+    /// `id`'s realize min on axis `d` in the variables of a reader that is
+    /// `raw` or not: a renamed reader renames a raw tensor's min.
+    fn read_min(&self, id: OpId, sd: &StageData, d: usize, raw: bool) -> Expr {
+        let min = &sd.realize_min[d];
+        if !raw && self.plan.raw.contains(&id) {
+            tvm_ir::substitute(min, &self.bound)
+        } else {
+            min.clone()
+        }
+    }
+
+    fn flat_read(&self, id: OpId, idx: &[Expr], raw: bool) -> Result<Expr, TeError> {
         let buf = self
             .buffers
             .get(&id)
@@ -1188,7 +1422,7 @@ impl Emitter<'_> {
         let strides = row_major_strides(&sd.realize_ext);
         let mut flat = Expr::int(0);
         for (d, e) in idx.iter().enumerate() {
-            let local = e.clone() - sd.realize_min[d].clone();
+            let local = e.clone() - self.read_min(id, sd, d, raw);
             flat = flat + local * Expr::int(strides[d]);
         }
         Ok(Expr::load(buf, tvm_ir::simplify(&flat)))
@@ -1200,6 +1434,7 @@ impl Emitter<'_> {
             .stage_by_op(op)
             .ok_or_else(|| TeError::msg("missing stage"))?;
         let sd = &self.plan.data[&op];
+        let raw = self.plan.raw.contains(&op);
         let body =
             self.plan.bodies.get(&op).ok_or_else(|| {
                 TeError::msg(format!("stage `{}` has no body", stage.tensor.name()))
@@ -1303,26 +1538,20 @@ impl Emitter<'_> {
         let (init_stmt, body_stmt, init_loop_leaves) = match ten {
             None => match body {
                 ComputeBody::Plain(e) => {
-                    let val = self.convert_body_expr(e, &axis_sub)?;
+                    let val = self.convert_body_expr(e, &axis_sub, raw)?;
                     let st = guard(Stmt::store(&self_buf, store_idx.clone(), val), &all_guards);
                     (None, st, Vec::new())
                 }
                 ComputeBody::Reduce {
                     combiner, source, ..
                 } => {
-                    let val = self.convert_body_expr(source, &axis_sub)?;
+                    let val = self.convert_body_expr(source, &axis_sub, raw)?;
                     let acc = Expr::load(&self_buf, store_idx.clone());
                     let upd = Stmt::store(&self_buf, store_idx.clone(), combiner.combine(acc, val));
                     let upd = guard(upd, &all_guards);
                     let init = Stmt::store(&self_buf, store_idx.clone(), combiner.identity(dtype));
                     let init = guard(init, &data_guards);
-                    let p = init_pos.expect("reduce has init pos");
-                    let end = ten_pos.unwrap_or(leaves.len());
-                    let init_leaves: Vec<IterVar> = leaves[p..end]
-                        .iter()
-                        .filter(|l| l.kind == IterKind::Data)
-                        .cloned()
-                        .collect();
+                    let init_leaves = reset_leaves(&leaves, leaves.len()).cloned().collect();
                     (Some(init), upd, init_leaves)
                 }
             },
@@ -1380,7 +1609,7 @@ impl Emitter<'_> {
                     let mut flat = Expr::int(0);
                     for (d, e) in idx.iter().enumerate() {
                         let e = tvm_ir::substitute(e, &axis_sub);
-                        let local = e - tsd.realize_min[d].clone();
+                        let local = e - self.read_min(id, tsd, d, raw);
                         flat = flat + local * Expr::int(tstr[d]);
                     }
                     let off = tvm_ir::simplify(&tvm_ir::substitute(&flat, &zero_sub));
@@ -1395,14 +1624,21 @@ impl Emitter<'_> {
                 let imp = (intrin.0.lower)(&inputs, &output);
                 // When the whole reduction sits inside the tensorized
                 // region, the reset belongs at the tensorize position.
-                let p = init_pos.unwrap_or(0).min(tp);
-                let init_leaves: Vec<IterVar> = leaves[p..tp]
-                    .iter()
-                    .filter(|l| l.kind == IterKind::Data)
-                    .cloned()
-                    .collect();
+                let init_leaves = reset_leaves(&leaves, tp).cloned().collect();
                 (imp.reset, imp.body, init_leaves)
             }
+        };
+        let (init_stmt, body_stmt) = if raw {
+            // A raw stage's statements take the canonical thread variables
+            // once built; its reset nest keeps looping over its own leaves.
+            let mut keep = self.bound.clone();
+            for l in &init_loop_leaves {
+                keep.remove(&l.var.id());
+            }
+            let init = init_stmt.map(|s| tvm_ir::substitute_stmt(&s, &keep));
+            (init, tvm_ir::substitute_stmt(&body_stmt, &self.bound))
+        } else {
+            (init_stmt, body_stmt)
         };
 
         Ok(Plan {
@@ -1416,23 +1652,12 @@ impl Emitter<'_> {
         })
     }
 
-    /// Emits a root stage's nest and unifies its thread-bound leaves with
-    /// the canonical thread variables.
-    fn emit_root(&mut self, op: OpId) -> Result<Stmt, TeError> {
-        let nest = self.emit_stage(op)?;
-        if self.thread_sub.is_empty() {
-            return Ok(nest);
-        }
-        let sub = std::mem::take(&mut self.thread_sub);
-        Ok(tvm_ir::substitute_stmt(&nest, &sub))
-    }
-
-    fn emit_stage(&mut self, op: OpId) -> Result<Stmt, TeError> {
+    fn emit_stage(&self, op: OpId) -> Result<Stmt, TeError> {
         let plan = self.plan_stage(op)?;
         self.emit_from(&plan, 0)
     }
 
-    fn emit_from(&mut self, plan: &Plan, idx: usize) -> Result<Stmt, TeError> {
+    fn emit_from(&self, plan: &Plan, idx: usize) -> Result<Stmt, TeError> {
         if Some(idx) == plan.ten_pos || idx == plan.leaves.len() {
             // A reduction fully covered by the tensorized region needs its
             // reset emitted right before the intrinsic body.
@@ -1495,15 +1720,14 @@ impl Emitter<'_> {
             .unwrap_or_default();
         let loop_stmt = if let Some(tag) = attr.thread {
             // Thread-bound loops are elided here: every leaf bound to the
-            // same tag unifies with the pre-scanned canonical variable, and
-            // the kernel is wrapped with a single loop nest per tag at the
-            // end of lowering (all statements in a kernel execute on every
-            // thread, as on real hardware). A stage binding fewer
+            // same tag is the pre-scanned canonical variable in the plan's
+            // pieces, and the kernel is wrapped with a single loop nest per
+            // tag at the end of lowering (all statements in a kernel execute
+            // on every thread, as on real hardware). A stage binding fewer
             // iterations than the canonical extent runs under a guard.
             let (tv, text) = self.plan.thread_vars.get(&tag).cloned().ok_or_else(|| {
                 TeError::msg(format!("thread axis {} not pre-scanned", tag.name()))
             })?;
-            self.thread_sub.insert(leaf.var.id(), tv.to_expr());
             if ext < text {
                 Stmt::if_then(tv.to_expr().lt(Expr::int(ext)), inner)
             } else {
@@ -1531,18 +1755,8 @@ impl Emitter<'_> {
                 init = Stmt::for_(&l.var, 0, e, init);
             }
             // The reset loops over every data leaf under the reduction,
-            // thread-bound ones included, so those leaves unify here, in the
-            // update nest only, and not in the root's substitution.
-            let under: IdMap<VarId, Expr> = plan
-                .init_loop_leaves
-                .iter()
-                .filter_map(|l| self.thread_sub.remove_entry(&l.var.id()))
-                .collect();
-            let loop_stmt = if under.is_empty() {
-                loop_stmt
-            } else {
-                tvm_ir::substitute_stmt(&loop_stmt, &under)
-            };
+            // thread-bound ones included (those stay in their own leaves in
+            // the reset; see `raw_stages`).
             Ok(Stmt::seq(vec![init, loop_stmt]))
         } else {
             Ok(loop_stmt)
@@ -1845,6 +2059,154 @@ mod expansion_oracle {
         });
         let e = plan_schedule(&s).err().expect("cycle");
         assert!(e.to_string().contains("cyclic iter relation"), "{e}");
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod emission_oracle {
+    //! Emission against the two-pass emission it replaced, which built every
+    //! root nest in the stages' own leaves and then rebuilt the whole nest
+    //! with one substitution of the thread-bound leaves; a reset nest's
+    //! loops kept their own variable.
+
+    use super::*;
+    use crate::{compute, create_schedule, placeholder, reduce_axis, sum, ScheduleError};
+    use tvm_ir::Mutator;
+
+    /// Substitutes `map` for free variables: a loop over a mapped variable
+    /// binds it in its body.
+    struct Free<'a>(&'a IdMap<VarId, Expr>);
+
+    impl Mutator for Free<'_> {
+        fn mutate_expr(&mut self, e: &Expr) -> Expr {
+            if let ExprNode::Var(v) = &*e.0 {
+                if let Some(to) = self.0.get(&v.id()) {
+                    return to.clone();
+                }
+            }
+            self.default_mutate_expr(e)
+        }
+
+        fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
+            if let StmtNode::For { var, .. } = &*s.0 {
+                if self.0.contains_key(&var.id()) {
+                    let mut inner = self.0.clone();
+                    inner.remove(&var.id());
+                    return Free(&inner).default_mutate_stmt(s);
+                }
+            }
+            self.default_mutate_stmt(s)
+        }
+    }
+
+    fn two_pass(sched: &Schedule, args: &[Tensor]) -> Result<LoweredFunc, TeError> {
+        let plan = plan_in_leaves(sched)?;
+        let em = Emitter::new(sched, &plan, args);
+        let nest = em.emit_roots(args)?;
+        let nest = Free(&bound_leaves(sched, &plan.thread_vars)).mutate_stmt(&nest);
+        Ok(em.finish(nest, args, "k", &LowerOptions::default()))
+    }
+
+    /// Asserts that both emissions print the same body; returns the names
+    /// of the stages the plan keeps in their own leaves.
+    fn check(sched: &Schedule, args: &[Tensor]) -> Vec<String> {
+        let want = two_pass(sched, args).expect("the reference lowers");
+        let got = lower(sched, args, "k").expect("lowers");
+        assert_eq!(got.body.to_string(), want.body.to_string());
+        let plan = plan_schedule(sched).expect("plans");
+        let mut raw: Vec<String> = sched
+            .stages
+            .iter()
+            .filter(|st| plan.raw.contains(&st.op_id()))
+            .map(|st| st.tensor.name().to_string())
+            .collect();
+        raw.sort();
+        raw
+    }
+
+    fn matmul(m: i64, n: i64, k: i64) -> (Tensor, Tensor, Tensor) {
+        let a = placeholder(&[m, k], DType::float32(), "A");
+        let b = placeholder(&[k, n], DType::float32(), "B");
+        let kk = reduce_axis(k, "k");
+        let c = compute(&[m, n], "C", |i| {
+            sum(
+                a.at(&[i[0].clone(), kk.expr()]) * b.at(&[kk.expr(), i[1].clone()]),
+                std::slice::from_ref(&kk),
+            )
+        });
+        (a, b, c)
+    }
+
+    #[test]
+    fn cooperative_shared_fetch_is_renamed_in_the_plan() -> Result<(), ScheduleError> {
+        let (a, b, c) = matmul(32, 32, 16);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let cl = s.cache_write(&c, MemScope::Local)?;
+        let ax = c.op.axes();
+        let (by, bx, yb, xb) = s.tile(&c, &ax[0], &ax[1], 8, 8)?;
+        let (ty, yi) = s.split(&c, &yb, 2)?;
+        let (tx, xi) = s.split(&c, &xb, 2)?;
+        s.reorder(&c, &[&by, &bx, &ty, &tx, &yi, &xi])?;
+        s.bind(&c, &by, ThreadTag::BlockIdxY)?;
+        s.bind(&c, &bx, ThreadTag::BlockIdxX)?;
+        s.bind(&c, &ty, ThreadTag::ThreadIdxY)?;
+        s.bind(&c, &tx, ThreadTag::ThreadIdxX)?;
+        s.compute_at(&cl, &c, &tx)?;
+        let (ko, _ki) = s.split(&cl, &cl.op.reduce_axes()[0], 4)?;
+        let asb = s.cache_read(&a, MemScope::Shared, &[&cl])?;
+        let bsb = s.cache_read(&b, MemScope::Shared, &[&cl])?;
+        s.compute_at(&asb, &cl, &ko)?;
+        s.compute_at(&bsb, &cl, &ko)?;
+        for t in [&asb, &bsb] {
+            let sax = t.op.axes();
+            let fused = s.fuse(t, &sax[0], &sax[1])?;
+            let (o, r) = s.split(t, &fused, 16)?;
+            let (ty2, tx2) = s.split(t, &r, 4)?;
+            s.bind(t, &ty2, ThreadTag::ThreadIdxY)?;
+            s.bind(t, &tx2, ThreadTag::ThreadIdxX)?;
+            let _ = o;
+        }
+        assert!(check(&s, &[a, b, c]).is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn a_bound_leaf_under_the_reduction_keeps_its_reset_loop() -> Result<(), ScheduleError> {
+        // The reset stage reads a local tile attached under its bound
+        // leaf, which must stay in the same variables as the stage.
+        let (a, b, c) = matmul(8, 16, 4);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        let bl = s.cache_read(&b, MemScope::Local, &[&c])?;
+        let ax = c.op.axes();
+        let r = c.op.reduce_axes();
+        let (jo, ji) = s.split(&c, &ax[1], 4)?;
+        s.reorder(&c, &[&ax[0], &r[0], &jo, &ji])?;
+        s.bind(&c, &ax[0], ThreadTag::BlockIdxX)?;
+        s.bind(&c, &jo, ThreadTag::ThreadIdxX)?;
+        s.compute_at(&bl, &c, &jo)?;
+        assert_eq!(check(&s, &[a, b, c]), ["B.local", "C"]);
+        Ok(())
+    }
+
+    #[test]
+    fn two_leaves_of_one_tag_meet_in_a_producer() -> Result<(), ScheduleError> {
+        // `P` sits under `C`'s bound leaf in local memory and binds the same
+        // tag, so its min and its own leaf are both `threadIdx.x`.
+        let a = placeholder(&[16, 32], DType::float32(), "A");
+        let p = compute(&[16, 32], "P", |i| a.at(i) + 1);
+        let c = compute(&[16, 32], "C", |i| p.at(i) * 2);
+        let mut s = create_schedule(std::slice::from_ref(&c));
+        s.set_scope(&p, MemScope::Local)?;
+        let ax = c.op.axes();
+        let (xo, _xi) = s.split(&c, &ax[1], 8)?;
+        s.bind(&c, &ax[0], ThreadTag::BlockIdxX)?;
+        s.bind(&c, &xo, ThreadTag::ThreadIdxX)?;
+        s.compute_at(&p, &c, &xo)?;
+        let pax = p.op.axes();
+        let (po, _pi) = s.split(&p, &pax[1], 2)?;
+        s.bind(&p, &po, ThreadTag::ThreadIdxX)?;
+        assert_eq!(check(&s, &[a, c]), ["P"]);
         Ok(())
     }
 }

@@ -14,6 +14,14 @@
 //! simplified, so the simplifier sees each one with loops cut to a unit
 //! extent: all of them, or every other depth, which leaves ranged loops
 //! around and inside the inlined ones.
+//!
+//! Emission writes thread-bound leaves as the canonical thread variables
+//! while it builds a kernel, where it used to build each nest in the
+//! stages' own leaves and substitute the whole nest after. The two-pass
+//! emission is kept as a reference in `tvm-te`'s unit tests
+//! (`lower::emission_oracle`), which an integration test cannot call; here
+//! the printed bodies of the whole corpus are held to what the two-pass
+//! emission printed for them, by digest.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -298,19 +306,64 @@ fn simplifier_matches_substitution_on_zoo_kernels() {
     }
 }
 
+/// Lowered bodies of 1,000 `tvm_verify::generate`d schedules.
+fn generated_kernels() -> Vec<(String, LoweredFunc)> {
+    let kinds = tvm_verify::ALL_WORKLOADS;
+    (0..1000)
+        .map(|case| {
+            let kind = kinds[case % kinds.len()];
+            let seed = tvm_verify::case_seed(0x51AB, case);
+            let w = tvm_verify::build(kind);
+            let trace = tvm_verify::generate(kind, &w, seed);
+            let mut s = create_schedule(std::slice::from_ref(&w.output));
+            tvm_verify::apply_trace(&mut s, &trace).expect("generated traces apply");
+            let f = tvm_te::lower(&s, &w.args, "gen").expect("generated schedules lower");
+            (format!("{kind}/{seed}"), f)
+        })
+        .collect()
+}
+
 #[test]
 fn simplifier_matches_substitution_on_generated_schedules() {
-    let kinds = tvm_verify::ALL_WORKLOADS;
-    for case in 0..1000 {
-        let kind = kinds[case % kinds.len()];
-        let seed = tvm_verify::case_seed(0x51AB, case);
-        let w = tvm_verify::build(kind);
-        let trace = tvm_verify::generate(kind, &w, seed);
-        let mut s = create_schedule(std::slice::from_ref(&w.output));
-        tvm_verify::apply_trace(&mut s, &trace).expect("generated traces apply");
-        let f = tvm_te::lower(&s, &w.args, "gen").expect("generated schedules lower");
-        check_simplify_cuts(&format!("{kind}/{seed}"), &f.body);
+    for (name, f) in generated_kernels() {
+        check_simplify_cuts(&name, &f.body);
     }
+}
+
+/// FNV-1a over every kernel's name and printed body.
+fn digest(kernels: &[(String, LoweredFunc)]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for (name, f) in kernels {
+        for b in name.bytes().chain([0]).chain(f.body.to_string().bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Digests of the corpus as the two-pass emission printed it (captured
+/// on the commit before emission renamed thread-bound leaves in the plan).
+const TWO_PASS: &[(&str, usize, u64)] = &[
+    ("zoo", 465, 0xb05bcd9fc84d3876),
+    ("tasks", 482, 0x7f6c3fbc425a0076),
+    ("generated", 1000, 0x1f7487365a6aa44a),
+];
+
+#[test]
+fn emission_prints_what_the_two_pass_emission_printed() {
+    let got = [
+        ("zoo", zoo_kernels()),
+        ("tasks", task_kernels(100)),
+        ("generated", generated_kernels()),
+    ]
+    .map(|(name, ks)| (name, ks.len(), digest(&ks)));
+    let table: String = got
+        .iter()
+        .map(|(n, len, d)| format!("    (\"{n}\", {len}, 0x{d:016x}),\n"))
+        .collect();
+    let want: Vec<(&str, usize, u64)> = TWO_PASS.to_vec();
+    assert_eq!(got.to_vec(), want, "printed bodies moved; now:\n{table}");
 }
 
 fn store(buf: &Var, index: Expr) -> Stmt {
