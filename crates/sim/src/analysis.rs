@@ -311,9 +311,11 @@ impl Walker {
     /// Interval width of `index` with loops `d..` ranging and the outer
     /// ones at their minimum, for every depth `d` in `0..=depth`. One map
     /// serves every depth: it starts with all loops ranging and pins one
-    /// more loop per depth. A loop whose range passes `i64` is left
-    /// unbounded; where the width is unknown, the footprint is the trip
-    /// count of the loops at that depth, the most it can be.
+    /// more loop per depth, and the width is evaluated again only where
+    /// the newly pinned variable occurs in `index`. A loop whose range
+    /// passes `i64` is left unbounded; where the width is unknown, the
+    /// footprint is the trip count of the loops at that depth, the most it
+    /// can be.
     fn footprints(&self, index: &Expr) -> Vec<f64> {
         let mut bounds: IdMap<VarId, Interval> =
             IdMap::with_capacity_and_hasher(self.loops.len(), Default::default());
@@ -323,22 +325,27 @@ impl Walker {
                 None => bounds.remove(&l.var.id()),
             };
         }
+        let reads = tvm_ir::collect_vars(index);
         let mut footprints = Vec::with_capacity(self.loops.len() + 1);
+        let mut width = None;
         for d in 0..=self.loops.len() {
+            let mut changed = d == 0;
             if d > 0 {
                 // A loop shadowed by an inner loop of the same variable
                 // leaves the inner range in place.
                 let l = &self.loops[d - 1];
                 if !self.loops[d..].iter().any(|m| m.var == l.var) {
                     bounds.insert(l.var.id(), Interval::point(l.min));
+                    changed = reads.contains(&l.var);
                 }
             }
-            footprints.push(
-                match tvm_ir::eval_interval(index, &bounds).and_then(|iv| iv.extent()) {
-                    Some(n) => n as f64,
-                    None => self.loops[d..].iter().map(|l| l.extent as f64).product(),
-                },
-            );
+            if changed {
+                width = tvm_ir::eval_interval(index, &bounds).and_then(|iv| iv.extent());
+            }
+            footprints.push(match width {
+                Some(n) => n as f64,
+                None => self.loops[d..].iter().map(|l| l.extent as f64).product(),
+            });
         }
         footprints
     }
@@ -364,7 +371,7 @@ impl Walker {
 
     fn visit_expr(&mut self, e: &Expr) {
         match &*e.0 {
-            ExprNode::Binary { op, a, b } => {
+            ExprNode::Binary { op, a, b, .. } => {
                 self.visit_expr(a);
                 self.visit_expr(b);
                 let cost = match op {
