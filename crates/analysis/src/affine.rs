@@ -161,7 +161,7 @@ pub fn normalize(e: &Expr) -> Option<LinForm> {
         ExprNode::IntImm { value, .. } => Some(LinForm::constant(*value)),
         ExprNode::Var(v) => Some(LinForm::var(v)),
         ExprNode::Cast { dtype, value } if dtype.is_int() => normalize(value),
-        ExprNode::Binary { op, a, b } => {
+        ExprNode::Binary { op, a, b, .. } => {
             let op = *op;
             match op {
                 BinOp::Add => Some(normalize(a)?.add(&normalize(b)?)),
@@ -338,7 +338,7 @@ pub fn eval_const(e: &Expr, env: &HashMap<VarId, i64>) -> Option<i64> {
         ExprNode::IntImm { value, .. } => Some(*value),
         ExprNode::Var(v) => env.get(&v.id()).copied(),
         ExprNode::Cast { dtype, value } if dtype.is_int() => eval_const(value, env),
-        ExprNode::Binary { op, a, b } => {
+        ExprNode::Binary { op, a, b, .. } => {
             let x = eval_const(a, env)?;
             let y = eval_const(b, env)?;
             match op {

@@ -172,8 +172,14 @@ pub enum ExprNode {
     /// Value conversion between numeric types, with saturation-free
     /// truncation semantics for narrowing integer casts.
     Cast { dtype: DType, value: Expr },
-    /// Binary arithmetic.
-    Binary { op: BinOp, a: Expr, b: Expr },
+    /// Binary arithmetic. `dtype` is the type of `a`, stored by
+    /// [`Expr::binary`] so that asking for it costs no walk.
+    Binary {
+        op: BinOp,
+        dtype: DType,
+        a: Expr,
+        b: Expr,
+    },
     /// Comparison producing `bool`.
     Cmp { op: CmpOp, a: Expr, b: Expr },
     /// Logical and (short-circuit semantics are not observable: exprs are
@@ -337,7 +343,7 @@ impl Expr {
             ExprNode::StringImm(_) => DType::uint(8),
             ExprNode::Var(v) => v.dtype(),
             ExprNode::Cast { dtype, .. } => *dtype,
-            ExprNode::Binary { a, .. } => a.dtype(),
+            ExprNode::Binary { dtype, .. } => *dtype,
             ExprNode::Cmp { a, .. } => DType::bool_().with_lanes(a.dtype().lanes),
             ExprNode::And { a, .. } | ExprNode::Or { a, .. } | ExprNode::Not { a } => {
                 DType::bool_().with_lanes(a.dtype().lanes)
@@ -382,7 +388,8 @@ impl Expr {
 
     /// Builds a binary node without simplification.
     pub fn binary(op: BinOp, a: Expr, b: Expr) -> Expr {
-        Expr::new(ExprNode::Binary { op, a, b })
+        let dtype = a.dtype();
+        Expr::new(ExprNode::Binary { op, dtype, a, b })
     }
 
     /// Builds a comparison node.
@@ -556,11 +563,13 @@ fn structural_eq(a: &Expr, b: &Expr) -> bool {
                 op: o1,
                 a: a1,
                 b: b1,
+                ..
             },
             Binary {
                 op: o2,
                 a: a2,
                 b: b2,
+                ..
             },
         ) => o1 == o2 && structural_eq(a1, a2) && structural_eq(b1, b2),
         (
@@ -814,6 +823,13 @@ mod tests {
         assert!(x.to_expr().lt(Expr::f32(0.0)).dtype().is_bool());
         let b = Var::new("buf", DType::float16());
         assert_eq!(Expr::load(&b, Expr::int(0)).dtype(), DType::float16());
+    }
+
+    #[test]
+    fn a_stored_dtype_does_not_grow_a_node() {
+        // The largest variant (`Call`) sets the size: `Binary`'s dtype
+        // fits beside its operator, so no tree grows by a byte.
+        assert_eq!(std::mem::size_of::<ExprNode>(), 56);
     }
 
     #[test]

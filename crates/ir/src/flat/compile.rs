@@ -814,6 +814,7 @@ impl<'a> Compiler<'a> {
                 op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul),
                 a,
                 b,
+                ..
             } if !a.dtype().is_float() => {
                 let mut x = self.affine(a);
                 let y = self.affine(b);
@@ -933,7 +934,7 @@ impl<'a> Compiler<'a> {
                     })
                 }
             }
-            Binary { op, a, b } => self.binary(e, *op, a, b),
+            Binary { op, a, b, .. } => self.binary(e, *op, a, b),
             Cmp { op, a, b } => {
                 let float = a.dtype().is_float();
                 let (x, y) = if float {
@@ -1266,7 +1267,7 @@ impl<'a> Compiler<'a> {
             IntImm { .. } | FloatImm { .. } => true,
             Var(v) => matches!(self.vars.get(&v.id()), Some(V::Int(_) | V::Float(_))),
             Cast { value, .. } => self.speculable(value),
-            Binary { op, a, b } => {
+            Binary { op, a, b, .. } => {
                 let float = a.dtype().is_float();
                 let safe = match op {
                     BinOp::Div | BinOp::Mod => float || b.as_int().is_some_and(|k| k != 0),

@@ -802,6 +802,7 @@ fn mac_form(body: &Stmt) -> Option<MacForm<'_>> {
                 op: BinOp::Mul,
                 a,
                 b,
+                ..
             } if a.dtype().is_float() => Some([factor(a)?, factor(b)?]),
             _ => None,
         }
@@ -819,6 +820,7 @@ fn mac_form(body: &Stmt) -> Option<MacForm<'_>> {
         op: BinOp::Add,
         a,
         b,
+        ..
     } = &*value.0
     else {
         return None;

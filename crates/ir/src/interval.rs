@@ -140,7 +140,7 @@ pub fn eval_interval<S: BuildHasher + Clone>(
         IntImm { value, .. } => Some(Interval::point(*value)),
         Var(v) => bounds.get(&v.id()).copied(),
         Cast { value, dtype } if dtype.is_int() => eval_interval(value, bounds),
-        Binary { op, a, b } => {
+        Binary { op, a, b, .. } => {
             let ia = eval_interval(a, bounds)?;
             let ib = eval_interval(b, bounds)?;
             match op {

@@ -49,7 +49,7 @@ pub fn fmt_expr(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         StringImm(s) => write!(f, "{s:?}"),
         Var(v) => write!(f, "{}", v.name()),
         Cast { dtype, value } => write!(f, "{dtype}({value})"),
-        Binary { op, a, b } => match op {
+        Binary { op, a, b, .. } => match op {
             BinOp::Min | BinOp::Max => write!(f, "{}({a}, {b})", binop_str(*op)),
             // A float division is true division; `//` is integer floor
             // division, as both engines compute them.

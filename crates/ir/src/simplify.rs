@@ -137,6 +137,7 @@ impl Simplifier {
                         op: BinOp::Add,
                         a: x,
                         b: c1e,
+                        ..
                     },
                 ) = (b.as_int(), &*a.0)
                 {
@@ -189,6 +190,7 @@ impl Simplifier {
                         op: BinOp::Mul,
                         a: x,
                         b: c1e,
+                        ..
                     },
                 ) = (b.as_int(), &*a.0)
                 {
@@ -298,6 +300,7 @@ fn linearize(e: &Expr) -> Option<Linear> {
             op: BinOp::Add,
             a,
             b,
+            ..
         } => {
             let (ta, ca) = linearize(a)?;
             let (tb, cb) = linearize(b)?;
@@ -307,6 +310,7 @@ fn linearize(e: &Expr) -> Option<Linear> {
             op: BinOp::Sub,
             a,
             b,
+            ..
         } => {
             let (ta, ca) = linearize(a)?;
             let (tb, cb) = linearize(b)?;
@@ -316,6 +320,7 @@ fn linearize(e: &Expr) -> Option<Linear> {
             op: BinOp::Mul,
             a,
             b,
+            ..
         } => {
             let (lin, c) = if let Some(c) = b.as_int() {
                 (linearize(a)?, c)
@@ -425,7 +430,7 @@ impl Mutator for Simplifier {
         // Binary and compare nodes are built by their rules, once, and only
         // when an operand changed or something folded.
         match &*e.0 {
-            ExprNode::Binary { op, a, b } => {
+            ExprNode::Binary { op, a, b, .. } => {
                 let (a, b) = (self.mutate_expr(a), self.mutate_expr(b));
                 return self.simplify_binary(*op, a, b, Some(e));
             }
@@ -586,7 +591,7 @@ pub fn eval_const(e: &Expr, value: &impl Fn(VarId) -> Option<i64>) -> Option<i64
     match &*e.0 {
         ExprNode::IntImm { value: v, .. } => Some(*v),
         ExprNode::Var(v) => value(v.id()),
-        ExprNode::Binary { op, a, b } => {
+        ExprNode::Binary { op, a, b, .. } => {
             Simplifier::fold_int_binop(*op, eval_const(a, value)?, eval_const(b, value)?)
         }
         _ => None,

@@ -48,16 +48,12 @@ pub trait Mutator {
                     value: v,
                 })
             }
-            Binary { op, a, b } => {
+            Binary { op, a, b, .. } => {
                 let (na, nb) = (self.mutate_expr(a), self.mutate_expr(b));
                 if na.same_as(a) && nb.same_as(b) {
                     return e.clone();
                 }
-                Expr::new(Binary {
-                    op: *op,
-                    a: na,
-                    b: nb,
-                })
+                Expr::binary(*op, na, nb)
             }
             Cmp { op, a, b } => {
                 let (na, nb) = (self.mutate_expr(a), self.mutate_expr(b));

@@ -139,7 +139,7 @@ impl Walker {
                     quantize(Value::Float(v.as_float()?), *dtype)
                 }
             }
-            Binary { op, a, b } => {
+            Binary { op, a, b, .. } => {
                 let va = self.eval(a)?;
                 let vb = self.eval(b)?;
                 eval_binop(*op, va, vb, a.dtype().is_float())
