@@ -285,15 +285,44 @@ impl Graph {
         self.add(OpType::Add, vec![a, b], shape, name)
     }
 
-    /// Consumers of each node.
-    pub fn consumers(&self) -> Vec<Vec<NodeId>> {
-        let mut out = vec![Vec::new(); self.nodes.len()];
+    /// Consumers of each node: `consumers()[i]` lists the nodes reading
+    /// node `i`, in node order, once per input edge.
+    pub fn consumers(&self) -> Consumers {
+        let mut start = vec![0usize; self.nodes.len() + 1];
         for n in &self.nodes {
             for &i in &n.inputs {
-                out[i.0].push(n.id);
+                start[i.0 + 1] += 1;
             }
         }
-        out
+        for i in 0..self.nodes.len() {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![NodeId(0); start[self.nodes.len()]];
+        for n in &self.nodes {
+            for &i in &n.inputs {
+                ids[next[i.0]] = n.id;
+                next[i.0] += 1;
+            }
+        }
+        Consumers { start, ids }
+    }
+}
+
+/// Every node's consumers in one flat list (see [`Graph::consumers`]);
+/// indexing by a node's position gives its slice.
+#[derive(Clone, Debug)]
+pub struct Consumers {
+    /// Node `i`'s consumers are `ids[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    ids: Vec<NodeId>,
+}
+
+impl std::ops::Index<usize> for Consumers {
+    type Output = [NodeId];
+
+    fn index(&self, i: usize) -> &[NodeId] {
+        &self.ids[self.start[i]..self.start[i + 1]]
     }
 }
 
@@ -330,5 +359,11 @@ mod tests {
         assert_eq!(g.node(r).inputs, vec![c]);
         let cons = g.consumers();
         assert_eq!(cons[c.0], vec![r]);
+        // One entry per input edge; a node nothing reads has none.
+        let twice = g.add_op(r, r, "twice");
+        let cons = g.consumers();
+        assert_eq!(cons[r.0], [twice, twice]);
+        assert!(cons[twice.0].is_empty());
+        assert_eq!(cons[x.0], [c]);
     }
 }

@@ -15,7 +15,7 @@ pub mod verify;
 pub mod workloads;
 
 pub use fusion::{fuse, FusedGraph, Group, GroupKey};
-pub use ir::{Graph, Node, NodeId, OpType, Pattern};
+pub use ir::{Consumers, Graph, Node, NodeId, OpType, Pattern};
 pub use layout::{cpu_preference, transform_layouts};
 pub use memplan::{plan_memory, MemoryPlan};
 pub use verify::{verify_build, verify_graph, GraphReport, KernelView};
