@@ -303,8 +303,15 @@ struct StageData {
 }
 
 impl StageData {
-    /// Rewrites the stage's pieces by `to` in place.
-    fn rename(&mut self, to: &IdMap<VarId, Expr>) {
+    /// Rewrites the stage's pieces by `to` in place. Only the expressions
+    /// of the axes emission substitutes (`stage`'s axes and `body`'s reduce
+    /// axes) are kept: the others served bound inference only.
+    fn rename(&mut self, stage: &Stage, body: &ComputeBody, to: &IdMap<VarId, Expr>) {
+        let mut axes: Vec<VarId> = stage.tensor.op.axes().iter().map(|a| a.var.id()).collect();
+        if let ComputeBody::Reduce { axes: raxes, .. } = body {
+            axes.extend(raxes.iter().map(|r| r.var.id()));
+        }
+        self.var_expr.retain(|id, _| axes.contains(id));
         let mut r = Renamer {
             to,
             memo: IdMap::default(),
@@ -322,7 +329,8 @@ impl StageData {
 }
 
 /// Substitutes variables, rewriting a subtree that pieces share once so the
-/// results share it too (a split parent's expression holds its children's).
+/// results share it too (the axes of a fuse hold the fused expression, a
+/// guard its split parent's).
 struct Renamer<'a> {
     to: &'a IdMap<VarId, Expr>,
     /// Shared nodes by address, each with its rewrite; holding the input
@@ -395,9 +403,13 @@ pub fn plan_schedule(sched: &Schedule) -> Result<LowerPlan, TeError> {
     let bound = bound_leaves(sched, &plan.thread_vars);
     if !bound.is_empty() {
         plan.raw = raw_stages(sched, &plan.bodies, &plan.data, &bound);
-        for (op, sd) in plan.data.iter_mut() {
-            if !plan.raw.contains(op) {
-                sd.rename(&bound);
+        for stage in &sched.stages {
+            let op = stage.op_id();
+            let (Some(sd), Some(body)) = (plan.data.get_mut(&op), plan.bodies.get(&op)) else {
+                continue;
+            };
+            if !plan.raw.contains(&op) {
+                sd.rename(stage, body, &bound);
             }
         }
     }
@@ -465,7 +477,7 @@ fn bound_leaves(
     sched: &Schedule,
     thread_vars: &HashMap<ThreadTag, (Var, i64)>,
 ) -> IdMap<VarId, Expr> {
-    let canonical: HashMap<ThreadTag, Expr> = thread_vars
+    let canonical: Vec<(ThreadTag, Expr)> = thread_vars
         .iter()
         .map(|(tag, (v, _))| (*tag, v.to_expr()))
         .collect();
@@ -475,8 +487,10 @@ fn bound_leaves(
             continue;
         }
         for leaf in &stage.leaf_iters[..loop_end(stage)] {
-            let tag = stage.iter_attrs.get(&leaf.var.id()).and_then(|a| a.thread);
-            if let Some(tv) = tag.and_then(|t| canonical.get(&t)) {
+            let Some(tag) = stage.iter_attrs.get(&leaf.var.id()).and_then(|a| a.thread) else {
+                continue;
+            };
+            if let Some((_, tv)) = canonical.iter().find(|(t, _)| *t == tag) {
                 out.insert(leaf.var.id(), tv.clone());
             }
         }
@@ -502,64 +516,84 @@ fn raw_stages(
     data: &IdMap<OpId, StageData>,
     bound: &IdMap<VarId, Expr>,
 ) -> IdSet<OpId> {
+    // The bound leaves in each stage's realize min.
+    let mut in_min: IdMap<OpId, Vec<VarId>> = IdMap::default();
+    for (op, sd) in data {
+        let mut vars = Vec::new();
+        for m in sd.realize_min.iter().filter(|m| m.as_int().is_none()) {
+            for v in tvm_ir::collect_vars(m) {
+                if bound.contains_key(&v.id()) {
+                    vars.push(v.id());
+                }
+            }
+        }
+        if !vars.is_empty() {
+            in_min.insert(*op, vars);
+        }
+    }
     let mut raw: IdSet<OpId> = IdSet::default();
-    let mut reads: IdMap<OpId, Vec<OpId>> = IdMap::default();
     for stage in &sched.stages {
         let op = stage.op_id();
-        let (Some(sd), Some(body)) = (data.get(&op), bodies.get(&op)) else {
+        let (Some(_), Some(body)) = (data.get(&op), bodies.get(&op)) else {
             continue;
         };
-        let read = read_ops(body.source_expr());
         let reset = matches!(body, ComputeBody::Reduce { .. })
             && reset_leaves(&stage.leaf_iters, loop_end(stage))
                 .any(|l| bound.contains_key(&l.var.id()));
-        // Canonical variable -> the leaf first seen for it.
-        let mut seen: IdMap<VarId, VarId> = IdMap::default();
+        // (canonical variable, the leaf first seen for it)
+        let mut seen: Vec<(VarId, VarId)> = Vec::new();
         let mut clash = false;
-        let mut note = |v: VarId| {
-            if let Some(c) = bound.get(&v).and_then(Expr::as_var) {
-                clash |= seen.insert(c.id(), v).is_some_and(|p| p != v);
+        let leaves = stage.leaf_iters.iter().map(|l| l.var.id());
+        let mins = std::iter::once(op)
+            .chain(read_ops(sched, op))
+            .filter_map(|q| in_min.get(&q))
+            .flatten()
+            .copied();
+        for v in leaves.chain(mins) {
+            let Some(c) = bound.get(&v).and_then(Expr::as_var) else {
+                continue;
+            };
+            match seen.iter().find(|(id, _)| *id == c.id()) {
+                Some((_, first)) => clash |= *first != v,
+                None => seen.push((c.id(), v)),
             }
-        };
-        stage.leaf_iters.iter().for_each(|l| note(l.var.id()));
-        let mins = read.iter().filter_map(|q| data.get(q)).chain([sd]);
-        for m in mins.flat_map(|d| &d.realize_min) {
-            tvm_ir::collect_vars(m).iter().for_each(|v| note(v.id()));
         }
         if reset || clash {
             raw.insert(op);
         }
-        reads.insert(op, read);
     }
     let mut work: Vec<OpId> = raw.iter().copied().collect();
     while let Some(op) = work.pop() {
-        for q in &reads[&op] {
-            if reads.contains_key(q) && raw.insert(*q) {
-                work.push(*q);
+        for q in read_ops(sched, op) {
+            if data.contains_key(&q) && sched.stage_by_op(q).is_some() && raw.insert(q) {
+                work.push(q);
             }
         }
     }
     raw
 }
 
-/// The tensors `e` reads, each once, in first-read order.
-fn read_ops(e: &Expr) -> Vec<OpId> {
-    struct R(Vec<OpId>);
-    impl tvm_ir::Visitor for R {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprNode::Call { name, .. } = &*e.0 {
-                if let Some(id) = crate::tensor::parse_read_key(name) {
-                    if !self.0.contains(&id) {
-                        self.0.push(id);
-                    }
-                }
+/// The ops stage `op` reads once inlined stages are substituted into it.
+fn read_ops(sched: &Schedule, op: OpId) -> Vec<OpId> {
+    let mut out = Vec::new();
+    let mut work = vec![op];
+    while let Some(id) = work.pop() {
+        let Some(spec) = sched.spec(id) else {
+            continue;
+        };
+        for t in &spec.reads {
+            let q = t.op_id();
+            let inlined = sched
+                .stage_by_op(q)
+                .is_some_and(|st| matches!(st.attach, Attach::Inline));
+            if inlined {
+                work.push(q);
+            } else if !out.contains(&q) {
+                out.push(q);
             }
-            self.walk_expr(e);
         }
     }
-    let mut r = R(Vec::new());
-    tvm_ir::Visitor::visit_expr(&mut r, e);
-    r.0
+    out
 }
 
 /// Where a stage's loop levels end: at its tensorized region, or after its
@@ -1918,7 +1952,7 @@ mod expansion_oracle {
     /// expression equals the reference's, and a split parent's expression
     /// holds its inner child's by pointer. Returns the splits checked.
     fn check(sched: &Schedule) -> usize {
-        let plan = plan_schedule(sched).expect("plans");
+        let plan = plan_in_leaves(sched).expect("plans");
         let mut splits = 0;
         for stage in &sched.stages {
             let Some(sd) = plan.data.get(&stage.op_id()) else {
