@@ -312,10 +312,7 @@ impl StageData {
             axes.extend(raxes.iter().map(|r| r.var.id()));
         }
         self.var_expr.retain(|id, _| axes.contains(id));
-        let mut r = Renamer {
-            to,
-            memo: IdMap::default(),
-        };
+        let mut r = Renamer::new(to);
         for e in self.var_expr.values_mut() {
             *e = tvm_ir::Mutator::mutate_expr(&mut r, e);
         }
@@ -336,6 +333,15 @@ struct Renamer<'a> {
     /// Shared nodes by address, each with its rewrite; holding the input
     /// keeps the address from being reused while the memo lives.
     memo: IdMap<usize, (Expr, Expr)>,
+}
+
+impl<'a> Renamer<'a> {
+    fn new(to: &'a IdMap<VarId, Expr>) -> Self {
+        Renamer {
+            to,
+            memo: IdMap::default(),
+        }
+    }
 }
 
 impl tvm_ir::Mutator for Renamer<'_> {
@@ -1669,8 +1675,9 @@ impl<'a> Emitter<'a> {
             for l in &init_loop_leaves {
                 keep.remove(&l.var.id());
             }
-            let init = init_stmt.map(|s| tvm_ir::substitute_stmt(&s, &keep));
-            (init, tvm_ir::substitute_stmt(&body_stmt, &self.bound))
+            let rename = |s: &Stmt, to| tvm_ir::Mutator::mutate_stmt(&mut Renamer::new(to), s);
+            let init = init_stmt.map(|s| rename(&s, &keep));
+            (init, rename(&body_stmt, &self.bound))
         } else {
             (init_stmt, body_stmt)
         };
