@@ -2233,11 +2233,14 @@ mod emission_oracle {
     #[test]
     fn two_leaves_of_one_tag_meet_in_a_producer() -> Result<(), ScheduleError> {
         // `P` sits under `C`'s bound leaf in local memory and binds the same
-        // tag, so its min and its own leaf are both `threadIdx.x`.
+        // tag. Its read of the shared tile `A.shared` (which ranges over
+        // both bound leaves) rebases to `C_i1.o * 8 + P_i1.o * 2`; renamed
+        // first, the two terms would fold into `threadIdx.x * 10`.
         let a = placeholder(&[16, 32], DType::float32(), "A");
         let p = compute(&[16, 32], "P", |i| a.at(i) + 1);
         let c = compute(&[16, 32], "C", |i| p.at(i) * 2);
         let mut s = create_schedule(std::slice::from_ref(&c));
+        let ash = s.cache_read(&a, MemScope::Shared, &[&p])?;
         s.set_scope(&p, MemScope::Local)?;
         let ax = c.op.axes();
         let (xo, _xi) = s.split(&c, &ax[1], 8)?;
@@ -2245,9 +2248,10 @@ mod emission_oracle {
         s.bind(&c, &xo, ThreadTag::ThreadIdxX)?;
         s.compute_at(&p, &c, &xo)?;
         let pax = p.op.axes();
-        let (po, _pi) = s.split(&p, &pax[1], 2)?;
+        let (po, pi) = s.split(&p, &pax[1], 2)?;
         s.bind(&p, &po, ThreadTag::ThreadIdxX)?;
-        assert_eq!(check(&s, &[a, c]), ["P"]);
+        s.compute_at(&ash, &p, &pi)?;
+        assert_eq!(check(&s, &[a, c]), ["A.shared", "P"]);
         Ok(())
     }
 }
