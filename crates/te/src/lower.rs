@@ -296,6 +296,7 @@ struct StageData {
     /// Extent of every itervar of the stage.
     extents: IdMap<VarId, i64>,
     /// Root/intermediate itervar -> expression in leaf vars (local coords).
+    /// A renamed stage keeps its root axes' only (see [`StageData::rename`]).
     var_expr: IdMap<VarId, Expr>,
     /// Guard predicates (local coords) from non-perfect splits, with the
     /// root axis kind of the guarded variable.
@@ -540,7 +541,7 @@ fn raw_stages(
     let mut raw: IdSet<OpId> = IdSet::default();
     for stage in &sched.stages {
         let op = stage.op_id();
-        let (Some(_), Some(body)) = (data.get(&op), bodies.get(&op)) else {
+        let Some(body) = bodies.get(&op) else {
             continue;
         };
         let reset = matches!(body, ComputeBody::Reduce { .. })
@@ -571,7 +572,7 @@ fn raw_stages(
     let mut work: Vec<OpId> = raw.iter().copied().collect();
     while let Some(op) = work.pop() {
         for q in read_ops(sched, op) {
-            if data.contains_key(&q) && sched.stage_by_op(q).is_some() && raw.insert(q) {
+            if sched.stage_by_op(q).is_some() && raw.insert(q) {
                 work.push(q);
             }
         }
