@@ -1323,10 +1323,15 @@ impl<'a> Emitter<'a> {
     }
 
     /// Wraps the emitted roots in the thread loops and runs the post passes.
-    fn finish(&self, body: Stmt, args: &[Tensor], name: &str, opts: &LowerOptions) -> LoweredFunc {
+    fn finish(
+        &self,
+        mut body: Stmt,
+        args: &[Tensor],
+        name: &str,
+        opts: &LowerOptions,
+    ) -> LoweredFunc {
         // One canonical loop per bound thread axis: threadIdx innermost,
         // blockIdx outermost.
-        let mut body = body;
         for tag in [
             ThreadTag::ThreadIdxX,
             ThreadTag::ThreadIdxY,
