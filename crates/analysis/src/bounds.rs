@@ -18,10 +18,10 @@
 
 use std::collections::HashMap;
 
-use tvm_ir::{eval_interval, Expr, ExprNode, Interval, Stmt, StmtNode, Var, VarId};
+use tvm_ir::{eval_interval, Expr, ExprNode, Interval, Stmt, StmtNode, Var, VarId, Visitor};
 
 use crate::affine::eval_const;
-use crate::{Diagnostic, Severity};
+use crate::{loop_range, Diagnostic, RangeScope, Severity};
 
 /// Counters for the bounds pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -62,7 +62,7 @@ pub fn check(
     for p in params.iter().skip(param_extents.len()) {
         ck.extents.entry(p.id()).or_insert(None);
     }
-    ck.stmt(body);
+    ck.visit_stmt(body);
     (ck.diags, ck.stats)
 }
 
@@ -75,31 +75,27 @@ struct Check {
     stats: BoundsStats,
 }
 
-impl Check {
-    fn stmt(&mut self, s: &Stmt) {
+impl RangeScope for Check {
+    fn ranges(&mut self) -> &mut HashMap<VarId, Interval> {
+        &mut self.ranges
+    }
+}
+
+impl Visitor for Check {
+    fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
             StmtNode::LetStmt { var, value, body } => {
-                self.expr(value);
-                let prev = eval_interval(value, &self.ranges)
-                    .and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.stmt(body);
-                self.restore(var.id(), prev);
-            }
-            StmtNode::AttrStmt { value, body, .. } => {
-                self.expr(value);
-                self.stmt(body);
+                self.visit_expr(value);
+                let iv = eval_interval(value, &self.ranges);
+                self.with_range(var, iv, |ck| ck.visit_stmt(body));
             }
             StmtNode::Store {
                 buffer,
                 index,
-                value,
                 predicate,
+                ..
             } => {
-                self.expr(index);
-                self.expr(value);
-                if let Some(p) = predicate {
-                    self.expr(p);
-                }
+                self.walk_stmt(s);
                 self.access(buffer, index, predicate.as_ref(), true);
             }
             StmtNode::Allocate {
@@ -108,12 +104,12 @@ impl Check {
                 body,
                 ..
             } => {
-                self.expr(extent);
+                self.visit_expr(extent);
                 let ext = eval_interval(extent, &self.ranges)
                     .filter(|iv| iv.min == iv.max)
                     .map(|iv| iv.min);
                 let prev = self.extents.insert(buffer.id(), ext);
-                self.stmt(body);
+                self.visit_stmt(body);
                 match prev {
                     Some(p) => {
                         self.extents.insert(buffer.id(), p);
@@ -130,74 +126,28 @@ impl Check {
                 body,
                 ..
             } => {
-                self.expr(min);
-                self.expr(extent);
-                let range = match (
-                    eval_interval(min, &self.ranges),
-                    eval_interval(extent, &self.ranges),
-                ) {
-                    (Some(m), Some(e)) if e.max >= 1 => Some(Interval {
-                        min: m.min,
-                        max: m.max.saturating_add(e.max - 1),
-                    }),
-                    _ => None,
-                };
-                let prev = range.and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.stmt(body);
-                self.restore(var.id(), prev);
-            }
-            StmtNode::Seq(items) => {
-                for item in items {
-                    self.stmt(item);
-                }
+                self.visit_expr(min);
+                self.visit_expr(extent);
+                let iv = loop_range(min, extent, &self.ranges);
+                self.with_range(var, iv, |ck| ck.visit_stmt(body));
             }
             StmtNode::IfThenElse {
                 cond,
                 then_case,
                 else_case,
             } => {
-                self.expr(cond);
-                self.guards.push(cond.clone());
-                self.stmt(then_case);
-                self.guards.pop();
+                self.visit_expr(cond);
+                self.guarded(cond.clone(), |ck| ck.visit_stmt(then_case));
                 if let Some(e) = else_case {
-                    self.guards.push(cond.clone().not());
-                    self.stmt(e);
-                    self.guards.pop();
+                    self.guarded(cond.clone().not(), |ck| ck.visit_stmt(e));
                 }
             }
-            StmtNode::Evaluate(e) => self.expr(e),
-            StmtNode::Barrier | StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => {}
+            _ => self.walk_stmt(s),
         }
     }
 
-    fn restore(&mut self, id: VarId, prev: Option<Interval>) {
-        match prev {
-            Some(iv) => {
-                self.ranges.insert(id, iv);
-            }
-            None => {
-                self.ranges.remove(&id);
-            }
-        }
-    }
-
-    /// Walks an expression for nested loads.
-    fn expr(&mut self, e: &Expr) {
+    fn visit_expr(&mut self, e: &Expr) {
         match &*e.0 {
-            ExprNode::IntImm { .. }
-            | ExprNode::FloatImm { .. }
-            | ExprNode::StringImm(_)
-            | ExprNode::Var(_) => {}
-            ExprNode::Cast { value, .. } => self.expr(value),
-            ExprNode::Binary { a, b, .. }
-            | ExprNode::Cmp { a, b, .. }
-            | ExprNode::And { a, b }
-            | ExprNode::Or { a, b } => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprNode::Not { a } => self.expr(a),
             ExprNode::Select {
                 cond,
                 then_case,
@@ -206,43 +156,34 @@ impl Check {
                 // `select` guards its operands: the padding idiom
                 // `select(0 <= i && i < n, A[i], 0)` relies on the
                 // condition to keep the load in range.
-                self.expr(cond);
-                self.guards.push(cond.clone());
-                self.expr(then_case);
-                self.guards.pop();
-                self.guards.push(cond.clone().not());
-                self.expr(else_case);
-                self.guards.pop();
+                self.visit_expr(cond);
+                self.guarded(cond.clone(), |ck| ck.visit_expr(then_case));
+                self.guarded(cond.clone().not(), |ck| ck.visit_expr(else_case));
             }
             ExprNode::Load {
                 buffer,
                 index,
                 predicate,
             } => {
-                self.expr(index);
-                if let Some(p) = predicate {
-                    self.expr(p);
-                }
+                self.walk_expr(e);
                 self.access(buffer, index, predicate.as_ref(), false);
             }
-            ExprNode::Ramp { base, stride, .. } => {
-                self.expr(base);
-                self.expr(stride);
-            }
-            ExprNode::Broadcast { value, .. } => self.expr(value),
             ExprNode::Let { var, value, body } => {
-                self.expr(value);
-                let prev = eval_interval(value, &self.ranges)
-                    .and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.expr(body);
-                self.restore(var.id(), prev);
+                self.visit_expr(value);
+                let iv = eval_interval(value, &self.ranges);
+                self.with_range(var, iv, |ck| ck.visit_expr(body));
             }
-            ExprNode::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
+            _ => self.walk_expr(e),
         }
+    }
+}
+
+impl Check {
+    /// Runs `f` under the extra guard `g`.
+    fn guarded(&mut self, g: Expr, f: impl FnOnce(&mut Self)) {
+        self.guards.push(g);
+        f(self);
+        self.guards.pop();
     }
 
     fn access(&mut self, buffer: &Var, index: &Expr, predicate: Option<&Expr>, is_store: bool) {

@@ -38,15 +38,20 @@
 //! machinery, so diagnostics from both layers render, sort and golden-test
 //! identically.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod affine;
 pub mod bounds;
 pub mod race;
 pub mod ssa;
 pub mod sync;
 
+use std::collections::HashMap;
 use std::fmt;
 
-use tvm_ir::{BufferScopes, LoweredFunc, MemScope, Stmt, Var};
+use tvm_ir::{
+    eval_interval, BufferScopes, Expr, Interval, LoweredFunc, MemScope, Stmt, Var, VarId,
+};
 
 /// How bad a finding is. `Error` findings are definite rule violations;
 /// `Warning` findings are suspicious but not provably wrong.
@@ -229,4 +234,40 @@ fn buffer_scopes(body: &Stmt, params: &[Var]) -> BufferScopes {
         .collect();
     scopes.extend(body.alloc_scopes());
     scopes
+}
+
+/// A pass that tracks the interval of each loop and let variable in scope
+/// (`bounds`, and `race` both outside and inside a concurrent loop).
+trait RangeScope: Sized {
+    fn ranges(&mut self) -> &mut HashMap<VarId, Interval>;
+
+    /// Runs `f` with `var` ranging over `iv`, then restores the enclosing
+    /// scope. With no `iv`, an enclosing range of `var` stays visible in
+    /// `f` and is dropped after it.
+    fn with_range(&mut self, var: &Var, iv: Option<Interval>, f: impl FnOnce(&mut Self)) {
+        let prev = iv.and_then(|iv| self.ranges().insert(var.id(), iv));
+        f(self);
+        match prev {
+            Some(iv) => {
+                self.ranges().insert(var.id(), iv);
+            }
+            None => {
+                self.ranges().remove(&var.id());
+            }
+        }
+    }
+}
+
+/// The interval a `For` over `[min, min + extent)` gives its variable;
+/// `None` when a bound has no interval or the loop may run no iteration.
+fn loop_range(min: &Expr, extent: &Expr, ranges: &HashMap<VarId, Interval>) -> Option<Interval> {
+    let m = eval_interval(min, ranges)?;
+    let e = eval_interval(extent, ranges)?;
+    if e.max < 1 {
+        return None;
+    }
+    Some(Interval {
+        min: m.min,
+        max: m.max.saturating_add(e.max - 1),
+    })
 }

@@ -47,14 +47,14 @@ use std::collections::{HashMap, HashSet};
 
 use tvm_ir::{
     collect_vars, eval_interval, BufferScopes, Expr, ExprNode, ForKind, Interval, MemScope, Stmt,
-    StmtNode, Var, VarId,
+    StmtNode, Var, VarId, Visitor,
 };
 
 use crate::affine::{
     atom_eq, atom_interval, form_eq, form_interval, guard_constraints, normalize, Atom, LinForm,
     RangeEnv,
 };
-use crate::{Diagnostic, Severity};
+use crate::{loop_range, Diagnostic, RangeScope, Severity};
 
 /// Checks `body` (with `params` as global buffers) for races.
 pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
@@ -63,7 +63,7 @@ pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
         ranges: HashMap::new(),
         diags: Vec::new(),
     };
-    w.stmt(body);
+    w.visit_stmt(body);
     w.diags
 }
 
@@ -84,15 +84,22 @@ fn loop_desc(kind: ForKind) -> &'static str {
     }
 }
 
-/// Top-level walk: finds concurrent loops and tracks outer ranges.
+/// Top-level walk: finds concurrent loops and tracks outer ranges. It
+/// reads no expression.
 struct Walk {
     scopes: BufferScopes,
     ranges: HashMap<VarId, Interval>,
     diags: Vec<Diagnostic>,
 }
 
-impl Walk {
-    fn stmt(&mut self, s: &Stmt) {
+impl RangeScope for Walk {
+    fn ranges(&mut self) -> &mut HashMap<VarId, Interval> {
+        &mut self.ranges
+    }
+}
+
+impl Visitor for Walk {
+    fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
             StmtNode::For {
                 var,
@@ -109,36 +116,20 @@ impl Walk {
                         }
                     }
                 }
-                let prev = range.and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.stmt(body);
-                restore(&mut self.ranges, var.id(), prev);
+                self.with_range(var, range, |w| w.visit_stmt(body));
             }
             StmtNode::LetStmt { var, value, body } => {
-                let prev = eval_interval(value, &self.ranges)
-                    .and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.stmt(body);
-                restore(&mut self.ranges, var.id(), prev);
+                let iv = eval_interval(value, &self.ranges);
+                self.with_range(var, iv, |w| w.visit_stmt(body));
             }
-            StmtNode::AttrStmt { body, .. } | StmtNode::Allocate { body, .. } => self.stmt(body),
-            StmtNode::Seq(items) => {
-                for item in items {
-                    self.stmt(item);
-                }
-            }
-            StmtNode::IfThenElse {
-                then_case,
-                else_case,
-                ..
-            } => {
-                self.stmt(then_case);
-                if let Some(e) = else_case {
-                    self.stmt(e);
-                }
-            }
-            _ => {}
+            _ => self.walk_stmt(s),
         }
     }
 
+    fn visit_expr(&mut self, _: &Expr) {}
+}
+
+impl Walk {
     fn analyze_loop(&mut self, v: &Var, v_range: Interval, kind: ForKind, body: &Stmt) {
         let barrier_sensitive = matches!(kind, ForKind::ThreadBinding(t) if !t.is_block());
         let shared_exempt = matches!(kind, ForKind::ThreadBinding(t) if t.is_block());
@@ -156,13 +147,14 @@ impl Walk {
             private: HashSet::new(),
             tainted: HashSet::new(),
             guards: Vec::new(),
-            regions: vec![Vec::new()],
+            region: Vec::new(),
+            closed: Vec::new(),
         };
-        col.collect(body);
+        col.visit_stmt(body);
 
         let uniform = col.uniform_buffers();
         let mut reported: HashSet<VarId> = HashSet::new();
-        for region in &col.regions {
+        for region in col.regions() {
             for i in 0..region.len() {
                 for j in i..region.len() {
                     let (a, b) = (&region[i], &region[j]);
@@ -209,29 +201,6 @@ impl Walk {
     }
 }
 
-fn loop_range(min: &Expr, extent: &Expr, ranges: &HashMap<VarId, Interval>) -> Option<Interval> {
-    let m = eval_interval(min, ranges)?;
-    let e = eval_interval(extent, ranges)?;
-    if e.max < 1 {
-        return None;
-    }
-    Some(Interval {
-        min: m.min,
-        max: m.max.saturating_add(e.max - 1),
-    })
-}
-
-fn restore(map: &mut HashMap<VarId, Interval>, id: VarId, prev: Option<Interval>) {
-    match prev {
-        Some(iv) => {
-            map.insert(id, iv);
-        }
-        None => {
-            map.remove(&id);
-        }
-    }
-}
-
 /// One recorded buffer access inside the analyzed loop body.
 struct Access {
     buffer: Var,
@@ -260,30 +229,24 @@ struct Collector<'a> {
     /// Let-bound variables whose value depends on the loop variable.
     tainted: HashSet<VarId>,
     guards: Vec<Expr>,
-    /// Barrier-phase groups; only same-group pairs are unordered.
-    regions: Vec<Vec<Access>>,
+    /// The open barrier phase; only same-phase pairs are unordered.
+    region: Vec<Access>,
+    /// The non-empty phases closed before it, in program order.
+    closed: Vec<Vec<Access>>,
 }
 
-impl Collector<'_> {
-    fn new_region(&mut self) {
-        if self.regions.last().is_some_and(|r| !r.is_empty()) {
-            self.regions.push(Vec::new());
-        }
+impl RangeScope for Collector<'_> {
+    fn ranges(&mut self) -> &mut HashMap<VarId, Interval> {
+        &mut self.ranges
     }
+}
 
-    fn mentions_v(&self, e: &Expr) -> bool {
-        collect_vars(e)
-            .iter()
-            .any(|x| x.id() == self.v.id() || self.tainted.contains(&x.id()))
-    }
-
-    fn collect(&mut self, s: &Stmt) {
+/// Records the body's accesses. Loop bounds, allocation extents and
+/// attribute values are not read: they are evaluated once, outside any
+/// iteration.
+impl Visitor for Collector<'_> {
+    fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
-            StmtNode::Seq(items) => {
-                for item in items {
-                    self.collect(item);
-                }
-            }
             StmtNode::Barrier => {
                 if self.barrier_sensitive {
                     self.new_region();
@@ -296,56 +259,46 @@ impl Collector<'_> {
                 kind,
                 body,
             } => {
-                let range = loop_range(min, extent, &self.ranges);
-                let prev = range.and_then(|iv| self.ranges.insert(var.id(), iv));
                 let lockstep = self.barrier_sensitive
                     && matches!(kind, ForKind::Serial | ForKind::Unrolled)
                     && body.contains_barrier();
-                if lockstep {
-                    // All threads execute iteration k together (barriers
-                    // inside keep them in step), so cross-iteration pairs
-                    // are ordered; check same-iteration pairs with the
-                    // loop variable pinned equal.
-                    self.new_region();
-                    let was_pinned = !self.pinned.insert(var.id());
-                    self.collect(body);
-                    if !was_pinned {
-                        self.pinned.remove(&var.id());
+                let range = loop_range(min, extent, &self.ranges);
+                self.with_range(var, range, |col| {
+                    if lockstep {
+                        // All threads execute iteration k together
+                        // (barriers inside keep them in step), so
+                        // cross-iteration pairs are ordered; check
+                        // same-iteration pairs with the loop variable
+                        // pinned equal.
+                        col.new_region();
+                        let was_pinned = !col.pinned.insert(var.id());
+                        col.visit_stmt(body);
+                        if !was_pinned {
+                            col.pinned.remove(&var.id());
+                        }
+                        col.new_region();
+                    } else {
+                        col.visit_stmt(body);
                     }
-                    self.new_region();
-                } else {
-                    self.collect(body);
-                }
-                restore(&mut self.ranges, var.id(), prev);
+                });
             }
             StmtNode::Allocate { buffer, body, .. } => {
                 self.private.insert(buffer.id());
-                self.collect(body);
+                self.visit_stmt(body);
             }
             StmtNode::LetStmt { var, value, body } => {
-                self.record_reads(value);
-                if self.mentions_v(value) {
-                    self.tainted.insert(var.id());
-                }
-                let prev = eval_interval(value, &self.ranges)
-                    .and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.collect(body);
-                restore(&mut self.ranges, var.id(), prev);
+                self.bind(var, value, |col| col.visit_stmt(body));
             }
-            StmtNode::AttrStmt { body, .. } => self.collect(body),
+            StmtNode::AttrStmt { body, .. } => self.visit_stmt(body),
             StmtNode::IfThenElse {
                 cond,
                 then_case,
                 else_case,
             } => {
-                self.record_reads(cond);
-                self.guards.push(cond.clone());
-                self.collect(then_case);
-                self.guards.pop();
+                self.visit_expr(cond);
+                self.guarded(cond.clone(), |col| col.visit_stmt(then_case));
                 if let Some(e) = else_case {
-                    self.guards.push(cond.clone().not());
-                    self.collect(e);
-                    self.guards.pop();
+                    self.guarded(cond.clone().not(), |col| col.visit_stmt(e));
                 }
             }
             StmtNode::Store {
@@ -354,80 +307,74 @@ impl Collector<'_> {
                 value,
                 predicate,
             } => {
-                self.record_reads(index);
-                self.record_reads(value);
-                if let Some(p) = predicate {
-                    self.record_reads(p);
-                }
+                self.walk_stmt(s);
                 self.push_access(buffer, index, true, Some(value.clone()), predicate.clone());
             }
-            StmtNode::Evaluate(e) => self.record_reads(e),
-            StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => {}
+            _ => self.walk_stmt(s),
         }
     }
 
-    /// Records read accesses for every `Load` nested in `e`.
-    fn record_reads(&mut self, e: &Expr) {
+    fn visit_expr(&mut self, e: &Expr) {
         match &*e.0 {
-            ExprNode::IntImm { .. }
-            | ExprNode::FloatImm { .. }
-            | ExprNode::StringImm(_)
-            | ExprNode::Var(_) => {}
-            ExprNode::Cast { value, .. } => self.record_reads(value),
-            ExprNode::Binary { a, b, .. }
-            | ExprNode::Cmp { a, b, .. }
-            | ExprNode::And { a, b }
-            | ExprNode::Or { a, b } => {
-                self.record_reads(a);
-                self.record_reads(b);
-            }
-            ExprNode::Not { a } => self.record_reads(a),
             ExprNode::Select {
                 cond,
                 then_case,
                 else_case,
             } => {
                 // `select` guards its operands (cf. the padding idiom).
-                self.record_reads(cond);
-                self.guards.push(cond.clone());
-                self.record_reads(then_case);
-                self.guards.pop();
-                self.guards.push(cond.clone().not());
-                self.record_reads(else_case);
-                self.guards.pop();
+                self.visit_expr(cond);
+                self.guarded(cond.clone(), |col| col.visit_expr(then_case));
+                self.guarded(cond.clone().not(), |col| col.visit_expr(else_case));
             }
             ExprNode::Load {
                 buffer,
                 index,
                 predicate,
             } => {
-                self.record_reads(index);
-                if let Some(p) = predicate {
-                    self.record_reads(p);
-                }
+                self.walk_expr(e);
                 self.push_access(buffer, index, false, None, predicate.clone());
             }
-            ExprNode::Ramp { base, stride, .. } => {
-                self.record_reads(base);
-                self.record_reads(stride);
-            }
-            ExprNode::Broadcast { value, .. } => self.record_reads(value),
             ExprNode::Let { var, value, body } => {
-                self.record_reads(value);
-                if self.mentions_v(value) {
-                    self.tainted.insert(var.id());
-                }
-                let prev = eval_interval(value, &self.ranges)
-                    .and_then(|iv| self.ranges.insert(var.id(), iv));
-                self.record_reads(body);
-                restore(&mut self.ranges, var.id(), prev);
+                self.bind(var, value, |col| col.visit_expr(body));
             }
-            ExprNode::Call { args, .. } => {
-                for a in args {
-                    self.record_reads(a);
-                }
-            }
+            _ => self.walk_expr(e),
         }
+    }
+}
+
+impl Collector<'_> {
+    fn new_region(&mut self) {
+        if !self.region.is_empty() {
+            self.closed.push(std::mem::take(&mut self.region));
+        }
+    }
+
+    /// The barrier phases, in program order.
+    fn regions(&self) -> impl Iterator<Item = &Vec<Access>> {
+        self.closed.iter().chain([&self.region])
+    }
+
+    fn mentions_v(&self, e: &Expr) -> bool {
+        collect_vars(e)
+            .iter()
+            .any(|x| x.id() == self.v.id() || self.tainted.contains(&x.id()))
+    }
+
+    /// Runs `f` under the extra guard `g`.
+    fn guarded(&mut self, g: Expr, f: impl FnOnce(&mut Self)) {
+        self.guards.push(g);
+        f(self);
+        self.guards.pop();
+    }
+
+    /// Reads `value`, then runs `f` with `var` bound to it.
+    fn bind(&mut self, var: &Var, value: &Expr, f: impl FnOnce(&mut Self)) {
+        self.visit_expr(value);
+        if self.mentions_v(value) {
+            self.tainted.insert(var.id());
+        }
+        let iv = eval_interval(value, &self.ranges);
+        self.with_range(var, iv, f);
     }
 
     fn push_access(
@@ -477,8 +424,7 @@ impl Collector<'_> {
         if let Some((lane, iv)) = lane_range {
             ranges.insert(lane.id(), iv);
         }
-        let region = self.regions.last_mut().expect("region stack non-empty");
-        region.push(Access {
+        self.region.push(Access {
             buffer: buffer.clone(),
             index,
             write,
@@ -495,15 +441,14 @@ impl Collector<'_> {
     /// iteration-invariant index/value from other uniform buffers).
     fn uniform_buffers(&self) -> HashSet<VarId> {
         let mut uniform: HashSet<VarId> = self
-            .regions
-            .iter()
+            .regions()
             .flatten()
             .map(|a| a.buffer.id())
             .chain(self.scopes.keys().copied())
             .collect();
         loop {
             let mut changed = false;
-            for a in self.regions.iter().flatten() {
+            for a in self.regions().flatten() {
                 if a.write
                     && uniform.contains(&a.buffer.id())
                     && !self.write_is_uniform(a, &uniform)
@@ -828,56 +773,18 @@ fn intersect_guards(a: &[Expr], b: &[Expr]) -> Vec<Expr> {
         .collect()
 }
 
+/// Adds every buffer `e` loads from to `out`.
 fn loads_of(e: &Expr, out: &mut HashSet<VarId>) {
-    match &*e.0 {
-        ExprNode::IntImm { .. }
-        | ExprNode::FloatImm { .. }
-        | ExprNode::StringImm(_)
-        | ExprNode::Var(_) => {}
-        ExprNode::Cast { value, .. } => loads_of(value, out),
-        ExprNode::Binary { a, b, .. }
-        | ExprNode::Cmp { a, b, .. }
-        | ExprNode::And { a, b }
-        | ExprNode::Or { a, b } => {
-            loads_of(a, out);
-            loads_of(b, out);
-        }
-        ExprNode::Not { a } => loads_of(a, out),
-        ExprNode::Select {
-            cond,
-            then_case,
-            else_case,
-        } => {
-            loads_of(cond, out);
-            loads_of(then_case, out);
-            loads_of(else_case, out);
-        }
-        ExprNode::Load {
-            buffer,
-            index,
-            predicate,
-        } => {
-            out.insert(buffer.id());
-            loads_of(index, out);
-            if let Some(p) = predicate {
-                loads_of(p, out);
+    struct Loads<'a>(&'a mut HashSet<VarId>);
+    impl Visitor for Loads<'_> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let ExprNode::Load { buffer, .. } = &*e.0 {
+                self.0.insert(buffer.id());
             }
-        }
-        ExprNode::Ramp { base, stride, .. } => {
-            loads_of(base, out);
-            loads_of(stride, out);
-        }
-        ExprNode::Broadcast { value, .. } => loads_of(value, out),
-        ExprNode::Let { value, body, .. } => {
-            loads_of(value, out);
-            loads_of(body, out);
-        }
-        ExprNode::Call { args, .. } => {
-            for a in args {
-                loads_of(a, out);
-            }
+            self.walk_expr(e);
         }
     }
+    Loads(out).visit_expr(e);
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use std::collections::HashSet;
 
-use tvm_ir::{Expr, ExprNode, Stmt, StmtNode, Var, VarId};
+use tvm_ir::{Expr, ExprNode, Stmt, StmtNode, Var, VarId, Visitor};
 
 use crate::{Diagnostic, Severity};
 
@@ -22,7 +22,7 @@ pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
         reported: HashSet::new(),
         diags: Vec::new(),
     };
-    ck.stmt(body);
+    ck.visit_stmt(body);
     ck.diags
 }
 
@@ -45,54 +45,35 @@ impl Check {
         }
     }
 
-    /// Binds `v`, reporting a rebind if already in scope. Returns whether
-    /// the caller owns the binding (and must unbind on scope exit).
-    fn bind(&mut self, v: &Var) -> bool {
-        if self.scope.insert(v.id()) {
-            true
-        } else {
-            if self.reported.insert((v.id(), true)) {
-                self.diags.push(Diagnostic {
-                    pass: "ssa",
-                    severity: Severity::Error,
-                    message: format!("variable `{}` rebound while still in scope", v.name()),
-                    witness: None,
-                });
-            }
-            false
+    /// Runs `f` with `v` bound, reporting a rebind if `v` is already in
+    /// scope (the enclosing binding then stays in scope after `f`).
+    fn bound(&mut self, v: &Var, f: impl FnOnce(&mut Self)) {
+        let owned = self.scope.insert(v.id());
+        if !owned && self.reported.insert((v.id(), true)) {
+            self.diags.push(Diagnostic {
+                pass: "ssa",
+                severity: Severity::Error,
+                message: format!("variable `{}` rebound while still in scope", v.name()),
+                witness: None,
+            });
         }
-    }
-
-    fn unbind(&mut self, v: &Var, owned: bool) {
+        f(self);
         if owned {
             self.scope.remove(&v.id());
         }
     }
+}
 
-    fn stmt(&mut self, s: &Stmt) {
+impl Visitor for Check {
+    fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
             StmtNode::LetStmt { var, value, body } => {
-                self.expr(value);
-                let owned = self.bind(var);
-                self.stmt(body);
-                self.unbind(var, owned);
+                self.visit_expr(value);
+                self.bound(var, |ck| ck.visit_stmt(body));
             }
-            StmtNode::AttrStmt { value, body, .. } => {
-                self.expr(value);
-                self.stmt(body);
-            }
-            StmtNode::Store {
-                buffer,
-                index,
-                value,
-                predicate,
-            } => {
+            StmtNode::Store { buffer, .. } => {
                 self.use_var(buffer);
-                self.expr(index);
-                self.expr(value);
-                if let Some(p) = predicate {
-                    self.expr(p);
-                }
+                self.walk_stmt(s);
             }
             StmtNode::Allocate {
                 buffer,
@@ -100,10 +81,8 @@ impl Check {
                 body,
                 ..
             } => {
-                self.expr(extent);
-                let owned = self.bind(buffer);
-                self.stmt(body);
-                self.unbind(buffer, owned);
+                self.visit_expr(extent);
+                self.bound(buffer, |ck| ck.visit_stmt(body));
             }
             StmtNode::For {
                 var,
@@ -113,82 +92,26 @@ impl Check {
                 ..
             } => {
                 // The loop variable is not in scope in its own bounds.
-                self.expr(min);
-                self.expr(extent);
-                let owned = self.bind(var);
-                self.stmt(body);
-                self.unbind(var, owned);
+                self.visit_expr(min);
+                self.visit_expr(extent);
+                self.bound(var, |ck| ck.visit_stmt(body));
             }
-            StmtNode::Seq(items) => {
-                for item in items {
-                    self.stmt(item);
-                }
-            }
-            StmtNode::IfThenElse {
-                cond,
-                then_case,
-                else_case,
-            } => {
-                self.expr(cond);
-                self.stmt(then_case);
-                if let Some(e) = else_case {
-                    self.stmt(e);
-                }
-            }
-            StmtNode::Evaluate(e) => self.expr(e),
-            StmtNode::Barrier | StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => {}
+            _ => self.walk_stmt(s),
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
+    fn visit_expr(&mut self, e: &Expr) {
         match &*e.0 {
-            ExprNode::IntImm { .. } | ExprNode::FloatImm { .. } | ExprNode::StringImm(_) => {}
             ExprNode::Var(v) => self.use_var(v),
-            ExprNode::Cast { value, .. } => self.expr(value),
-            ExprNode::Binary { a, b, .. }
-            | ExprNode::Cmp { a, b, .. }
-            | ExprNode::And { a, b }
-            | ExprNode::Or { a, b } => {
-                self.expr(a);
-                self.expr(b);
-            }
-            ExprNode::Not { a } => self.expr(a),
-            ExprNode::Select {
-                cond,
-                then_case,
-                else_case,
-            } => {
-                self.expr(cond);
-                self.expr(then_case);
-                self.expr(else_case);
-            }
-            ExprNode::Load {
-                buffer,
-                index,
-                predicate,
-            } => {
+            ExprNode::Load { buffer, .. } => {
                 self.use_var(buffer);
-                self.expr(index);
-                if let Some(p) = predicate {
-                    self.expr(p);
-                }
+                self.walk_expr(e);
             }
-            ExprNode::Ramp { base, stride, .. } => {
-                self.expr(base);
-                self.expr(stride);
-            }
-            ExprNode::Broadcast { value, .. } => self.expr(value),
             ExprNode::Let { var, value, body } => {
-                self.expr(value);
-                let owned = self.bind(var);
-                self.expr(body);
-                self.unbind(var, owned);
+                self.visit_expr(value);
+                self.bound(var, |ck| ck.visit_expr(body));
             }
-            ExprNode::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
+            _ => self.walk_expr(e),
         }
     }
 }

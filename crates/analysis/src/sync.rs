@@ -24,6 +24,7 @@ use std::collections::HashSet;
 
 use tvm_ir::{
     collect_vars, BufferScopes, Expr, ExprNode, ForKind, MemScope, Stmt, StmtNode, Var, VarId,
+    Visitor,
 };
 
 use crate::{Diagnostic, Severity};
@@ -39,7 +40,7 @@ pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
         reported_divergent_barrier: false,
         diags: Vec::new(),
     };
-    ck.stmt(body);
+    ck.visit_stmt(body);
     ck.diags
 }
 
@@ -63,8 +64,10 @@ impl Check {
             .iter()
             .any(|v| self.thread_vars.contains(&v.id()))
     }
+}
 
-    fn stmt(&mut self, s: &Stmt) {
+impl Visitor for Check {
+    fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
             StmtNode::Barrier => {
                 if self.divergent > 0 && !self.reported_divergent_barrier {
@@ -78,6 +81,7 @@ impl Check {
                 }
                 self.dirty.clear();
             }
+            // The loop bounds are not walked: they only decide divergence.
             StmtNode::For {
                 var,
                 min,
@@ -95,9 +99,9 @@ impl Check {
                 // Walk twice when the body touches shared memory so a
                 // fill at the end of iteration k is paired with reads at
                 // the start of iteration k+1.
-                self.stmt(body);
+                self.visit_stmt(body);
                 if touches_shared(body, &self.scopes) {
-                    self.stmt(body);
+                    self.visit_stmt(body);
                 }
                 if bound_thread {
                     self.thread_vars.remove(&var.id());
@@ -111,185 +115,115 @@ impl Check {
                 then_case,
                 else_case,
             } => {
-                self.expr(cond);
+                self.visit_expr(cond);
                 let divergent = self.mentions_thread(cond);
                 if divergent {
                     self.divergent += 1;
                 }
                 // Either branch may or may not run per thread: dirt from
                 // one branch survives into the join.
-                self.stmt(then_case);
+                self.visit_stmt(then_case);
                 if let Some(e) = else_case {
-                    self.stmt(e);
+                    self.visit_stmt(e);
                 }
                 if divergent {
                     self.divergent -= 1;
                 }
             }
-            StmtNode::Store {
-                buffer,
-                index,
-                value,
-                predicate,
-            } => {
-                self.expr(index);
-                self.expr(value);
-                if let Some(p) = predicate {
-                    self.expr(p);
-                }
+            StmtNode::Store { buffer, index, .. } => {
+                self.walk_stmt(s);
                 if matches!(self.scopes.get(&buffer.id()), Some((MemScope::Shared, _)))
                     && self.mentions_thread(index)
                 {
                     self.dirty.insert(buffer.id());
                 }
             }
-            StmtNode::LetStmt { value, body, .. } => {
-                self.expr(value);
-                self.stmt(body);
-            }
-            StmtNode::AttrStmt { value, body, .. } => {
-                self.expr(value);
-                self.stmt(body);
-            }
-            StmtNode::Allocate { extent, body, .. } => {
-                self.expr(extent);
-                self.stmt(body);
-            }
-            StmtNode::Seq(items) => {
-                for item in items {
-                    self.stmt(item);
-                }
-            }
-            StmtNode::Evaluate(e) => self.expr(e),
-            StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => {}
+            _ => self.walk_stmt(s),
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match &*e.0 {
-            ExprNode::IntImm { .. }
-            | ExprNode::FloatImm { .. }
-            | ExprNode::StringImm(_)
-            | ExprNode::Var(_) => {}
-            ExprNode::Cast { value, .. } => self.expr(value),
-            ExprNode::Binary { a, b, .. }
-            | ExprNode::Cmp { a, b, .. }
-            | ExprNode::And { a, b }
-            | ExprNode::Or { a, b } => {
-                self.expr(a);
-                self.expr(b);
+    fn visit_expr(&mut self, e: &Expr) {
+        self.walk_expr(e);
+        if let ExprNode::Load { buffer, index, .. } = &*e.0 {
+            if self.dirty.contains(&buffer.id()) && self.reported_dirty.insert(buffer.id()) {
+                let name = self
+                    .scopes
+                    .get(&buffer.id())
+                    .map_or(buffer.name(), |(_, b)| b.name());
+                self.diags.push(Diagnostic {
+                    pass: "sync",
+                    severity: Severity::Error,
+                    message: format!(
+                        "read of shared `{name}` before a barrier publishes its cooperative fill"
+                    ),
+                    witness: Some(format!("index `{index}`")),
+                });
             }
-            ExprNode::Not { a } => self.expr(a),
-            ExprNode::Select {
-                cond,
+        }
+    }
+}
+
+/// Whether `s` stores to or loads from a shared buffer. The search skips
+/// loop bounds, allocation extents, attribute values, branch conditions,
+/// and the index and predicate of a store and the predicate of a load.
+fn touches_shared(s: &Stmt, scopes: &BufferScopes) -> bool {
+    let mut t = TouchesShared {
+        scopes,
+        found: false,
+    };
+    t.visit_stmt(s);
+    t.found
+}
+
+struct TouchesShared<'a> {
+    scopes: &'a BufferScopes,
+    found: bool,
+}
+
+impl TouchesShared<'_> {
+    fn note(&mut self, buffer: &Var) {
+        self.found |= matches!(self.scopes.get(&buffer.id()), Some((MemScope::Shared, _)));
+    }
+}
+
+impl Visitor for TouchesShared<'_> {
+    fn visit_stmt(&mut self, s: &Stmt) {
+        if self.found {
+            return;
+        }
+        match &*s.0 {
+            StmtNode::Store { buffer, value, .. } => {
+                self.note(buffer);
+                self.visit_expr(value);
+            }
+            StmtNode::AttrStmt { body, .. }
+            | StmtNode::Allocate { body, .. }
+            | StmtNode::For { body, .. } => self.visit_stmt(body),
+            StmtNode::IfThenElse {
                 then_case,
                 else_case,
+                ..
             } => {
-                self.expr(cond);
-                self.expr(then_case);
-                self.expr(else_case);
-            }
-            ExprNode::Load {
-                buffer,
-                index,
-                predicate,
-            } => {
-                self.expr(index);
-                if let Some(p) = predicate {
-                    self.expr(p);
-                }
-                if self.dirty.contains(&buffer.id()) && self.reported_dirty.insert(buffer.id()) {
-                    let name = self
-                        .scopes
-                        .get(&buffer.id())
-                        .map_or(buffer.name(), |(_, b)| b.name());
-                    self.diags.push(Diagnostic {
-                        pass: "sync",
-                        severity: Severity::Error,
-                        message: format!(
-                            "read of shared `{name}` before a barrier publishes its cooperative fill"
-                        ),
-                        witness: Some(format!("index `{index}`")),
-                    });
+                self.visit_stmt(then_case);
+                if let Some(e) = else_case {
+                    self.visit_stmt(e);
                 }
             }
-            ExprNode::Ramp { base, stride, .. } => {
-                self.expr(base);
-                self.expr(stride);
-            }
-            ExprNode::Broadcast { value, .. } => self.expr(value),
-            ExprNode::Let { value, body, .. } => {
-                self.expr(value);
-                self.expr(body);
-            }
-            ExprNode::Call { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
+            _ => self.walk_stmt(s),
         }
     }
-}
 
-fn touches_shared(s: &Stmt, scopes: &BufferScopes) -> bool {
-    let shared = |v: &Var| matches!(scopes.get(&v.id()), Some((MemScope::Shared, _)));
-    match &*s.0 {
-        StmtNode::Store { buffer, value, .. } => {
-            shared(buffer) || expr_touches_shared(value, scopes)
+    fn visit_expr(&mut self, e: &Expr) {
+        if self.found {
+            return;
         }
-        StmtNode::Evaluate(e) => expr_touches_shared(e, scopes),
-        StmtNode::LetStmt { value, body, .. } => {
-            expr_touches_shared(value, scopes) || touches_shared(body, scopes)
+        match &*e.0 {
+            ExprNode::Load { buffer, index, .. } => {
+                self.note(buffer);
+                self.visit_expr(index);
+            }
+            _ => self.walk_expr(e),
         }
-        StmtNode::AttrStmt { body, .. }
-        | StmtNode::Allocate { body, .. }
-        | StmtNode::For { body, .. } => touches_shared(body, scopes),
-        StmtNode::Seq(items) => items.iter().any(|i| touches_shared(i, scopes)),
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => {
-            touches_shared(then_case, scopes)
-                || else_case
-                    .as_ref()
-                    .is_some_and(|e| touches_shared(e, scopes))
-        }
-        _ => false,
-    }
-}
-
-fn expr_touches_shared(e: &Expr, scopes: &BufferScopes) -> bool {
-    match &*e.0 {
-        ExprNode::Load { buffer, index, .. } => {
-            matches!(scopes.get(&buffer.id()), Some((MemScope::Shared, _)))
-                || expr_touches_shared(index, scopes)
-        }
-        ExprNode::Cast { value, .. } | ExprNode::Broadcast { value, .. } => {
-            expr_touches_shared(value, scopes)
-        }
-        ExprNode::Binary { a, b, .. }
-        | ExprNode::Cmp { a, b, .. }
-        | ExprNode::And { a, b }
-        | ExprNode::Or { a, b } => expr_touches_shared(a, scopes) || expr_touches_shared(b, scopes),
-        ExprNode::Not { a } => expr_touches_shared(a, scopes),
-        ExprNode::Select {
-            cond,
-            then_case,
-            else_case,
-        } => {
-            expr_touches_shared(cond, scopes)
-                || expr_touches_shared(then_case, scopes)
-                || expr_touches_shared(else_case, scopes)
-        }
-        ExprNode::Ramp { base, stride, .. } => {
-            expr_touches_shared(base, scopes) || expr_touches_shared(stride, scopes)
-        }
-        ExprNode::Let { value, body, .. } => {
-            expr_touches_shared(value, scopes) || expr_touches_shared(body, scopes)
-        }
-        ExprNode::Call { args, .. } => args.iter().any(|a| expr_touches_shared(a, scopes)),
-        _ => false,
     }
 }
 
