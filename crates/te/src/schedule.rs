@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use tvm_ir::{Expr, IdMap, MemScope, ThreadTag, Var, VarId};
 
-use crate::tensor::{compute_with_axes, ComputeBody, ComputeSpec, IterVar, OpId, Tensor};
+use crate::tensor::{compute_with_axes, ComputeBody, ComputeSpec, IterKind, IterVar, OpId, Tensor};
 use crate::tensorize::TensorIntrin;
 
 /// Typed error raised by schedule primitives instead of panicking: a bad
@@ -42,6 +42,17 @@ pub enum ScheduleError {
     },
     /// `fuse` on two leaves that are not adjacent in the current order.
     NotAdjacent {
+        /// Requested outer leaf.
+        outer: String,
+        /// Requested inner leaf.
+        inner: String,
+        /// Stage being fused.
+        stage: String,
+    },
+    /// `fuse` of a reduce leaf with a data leaf: the fused loop could only
+    /// take one kind, so the reduction's reset nest would not cover the
+    /// data part.
+    FuseMixedKinds {
         /// Requested outer leaf.
         outer: String,
         /// Requested inner leaf.
@@ -106,6 +117,15 @@ impl fmt::Display for ScheduleError {
                 f,
                 "fuse of `{outer}` and `{inner}` on `{stage}` requires adjacent \
                  leaves (reorder first)"
+            ),
+            ScheduleError::FuseMixedKinds {
+                outer,
+                inner,
+                stage,
+            } => write!(
+                f,
+                "fuse of `{outer}` and `{inner}` on `{stage}` mixes a reduce leaf \
+                 with a data leaf"
             ),
             ScheduleError::InlineOutput { stage } => {
                 write!(f, "cannot inline output stage `{stage}`")
@@ -457,9 +477,15 @@ impl Schedule {
                 stage: stage.tensor.name().to_string(),
             });
         }
-        let kind = outer.kind;
+        if (outer.kind == IterKind::Reduce) != (inner.kind == IterKind::Reduce) {
+            return Err(ScheduleError::FuseMixedKinds {
+                outer: outer.var.name().to_string(),
+                inner: inner.var.name().to_string(),
+                stage: stage.tensor.name().to_string(),
+            });
+        }
         let fused = IterVar {
-            kind,
+            kind: outer.kind,
             ..IterVar::derived(format!("{}.{}.f", outer.var.name(), inner.var.name()))
         };
         stage.relations.push(IterRelation::Fuse {

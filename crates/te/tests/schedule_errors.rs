@@ -124,6 +124,22 @@ fn cache_write_after_split_errors() {
 }
 
 #[test]
+fn fusing_a_reduce_leaf_with_a_data_leaf_errors() {
+    let (_a, _b, c) = mm(8);
+    let mut s = create_schedule(std::slice::from_ref(&c));
+    let ax = c.op.axes();
+    let r = c.op.reduce_axes();
+    s.reorder(&c, &[&ax[0], &r[0], &ax[1]]).unwrap();
+    let err = s.fuse(&c, &ax[0], &r[0]).unwrap_err();
+    assert!(matches!(err, ScheduleError::FuseMixedKinds { .. }), "{err}");
+    assert!(err.to_string().contains("mixes a reduce leaf"), "{err}");
+    // The stage is untouched and two leaves of one kind still fuse.
+    assert_eq!(s.stage(&c).unwrap().leaf_iters.len(), 3);
+    s.reorder(&c, &[&ax[0], &ax[1], &r[0]]).unwrap();
+    s.fuse(&c, &ax[0], &ax[1]).unwrap();
+}
+
+#[test]
 fn compute_at_inlined_consumer_is_diagnosed() {
     // B is inlined into C, then A's cache stage attaches to B: the lowering
     // error must name both stages and point at the inlining.

@@ -1,11 +1,14 @@
 //! Trace application: replays a [`Primitive`] list onto a fresh schedule.
 //!
-//! Every primitive is validated before the underlying `tvm-te` call so that
-//! arbitrary (e.g. shrunk) traces fail with an `Err` instead of a panic
-//! wherever possible; the residual panic paths (bound inference on exotic
-//! attach shapes) are caught by the differential runner.
+//! `tvm-te`'s schedule primitives reject what they cannot apply (a split
+//! factor below 1, a mixed-kind fuse, inlining an output or a reduction,
+//! misplaced caching) with a `ScheduleError`. Trace replay adds only the
+//! checks `te` has no rule for, so that arbitrary (e.g. shrunk) traces fail
+//! with an `Err` instead of a panic or a silent no-op wherever possible;
+//! the residual panic paths (bound inference on exotic attach shapes) are
+//! caught by the differential runner.
 
-use tvm_te::{ComputeBody, IterKind, Schedule, Tensor};
+use tvm_te::{IterKind, Schedule, Tensor};
 
 use crate::trace::{parse_scope, parse_thread_tag, Primitive};
 
@@ -53,8 +56,8 @@ pub fn apply_one(s: &mut Schedule, p: &Primitive) -> Result<(), String> {
             leaf: li,
             factor,
         } => {
-            if *factor < 1 || *factor > 4096 {
-                return Err(format!("bad split factor {factor}"));
+            if *factor > 4096 {
+                return Err(format!("split factor {factor} is above 4096"));
             }
             let t = stage_tensor(s, stage)?;
             let iv = leaf(s, &t, *li)?;
@@ -64,9 +67,6 @@ pub fn apply_one(s: &mut Schedule, p: &Primitive) -> Result<(), String> {
             let t = stage_tensor(s, stage)?;
             let outer = leaf(s, &t, *pos)?;
             let inner = leaf(s, &t, *pos + 1)?;
-            if (outer.kind == IterKind::Reduce) != (inner.kind == IterKind::Reduce) {
-                return Err("cannot fuse a reduce leaf with a data leaf".into());
-            }
             s.fuse(&t, &outer, &inner).map_err(|e| e.to_string())?;
         }
         Primitive::Reorder { stage, perm } => {
@@ -135,13 +135,6 @@ pub fn apply_one(s: &mut Schedule, p: &Primitive) -> Result<(), String> {
         }
         Primitive::ComputeInline { stage } => {
             let t = stage_tensor(s, stage)?;
-            let st = s.stage(&t).map_err(|e| e.to_string())?;
-            if st.is_output {
-                return Err(format!("cannot inline output stage `{stage}`"));
-            }
-            if !matches!(t.op.body(), Some(ComputeBody::Plain(_))) {
-                return Err(format!("cannot inline reduction stage `{stage}`"));
-            }
             s.compute_inline(&t).map_err(|e| e.to_string())?;
         }
         Primitive::CacheRead {
@@ -155,9 +148,6 @@ pub fn apply_one(s: &mut Schedule, p: &Primitive) -> Result<(), String> {
                 .iter()
                 .map(|r| stage_tensor(s, r))
                 .collect::<Result<_, _>>()?;
-            if readers.is_empty() {
-                return Err("cache_read needs at least one reader".into());
-            }
             // Readers must currently consume the tensor, otherwise the
             // rewrite is a silent no-op and the cache stage computes dead
             // values of a possibly-stale body.
@@ -172,15 +162,6 @@ pub fn apply_one(s: &mut Schedule, p: &Primitive) -> Result<(), String> {
         Primitive::CacheWrite { tensor, scope } => {
             let t = stage_tensor(s, tensor)?;
             let scope = parse_scope(scope).ok_or_else(|| format!("unknown scope `{scope}`"))?;
-            {
-                let st = s.stage(&t).map_err(|e| e.to_string())?;
-                if !st.relations.is_empty() {
-                    return Err(format!("cache_write on already-scheduled stage `{tensor}`"));
-                }
-            }
-            if t.op.body().is_none() {
-                return Err(format!("cache_write target `{tensor}` has no body"));
-            }
             s.cache_write(&t, scope).map_err(|e| e.to_string())?;
         }
     }
