@@ -18,7 +18,6 @@
 //! therefore be killed at any record boundary and resumed to the
 //! identical final best configuration.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use tvm_json::Value;
@@ -33,7 +32,7 @@ use crate::tuner::TuneResult;
 pub struct DbRecord {
     /// Task name (workload + target).
     pub task: String,
-    /// 1-based trial number within the task (0 in legacy logs).
+    /// 1-based trial number within the task.
     pub trial: u64,
     /// Config index within the task's space.
     pub config_index: u64,
@@ -90,11 +89,9 @@ impl JournalLine {
     }
 }
 
-/// Pre-journal logs carry neither `crc` nor `trial`, and a trial line has
-/// no `kind`: its canonical string alone leads with `trial`.
+/// A trial line has no `kind`: its canonical string alone leads with
+/// `trial`.
 impl Record for JournalLine {
-    const CRC_OPTIONAL: bool = true;
-
     fn fields(&self) -> Vec<(&'static str, Field)> {
         let kind = |k: &str| ("kind", Field::Str(k.into()));
         match self {
@@ -132,10 +129,7 @@ impl Record for JournalLine {
             }),
             _ => Ok(JournalLine::Trial(DbRecord {
                 task,
-                trial: match line.get("trial") {
-                    Some(_) => u64_field(line, "trial")?,
-                    None => 0,
-                },
+                trial: u64_field(line, "trial")?,
                 config_index: u64_field(line, "config_index")?,
                 config: str_field(line, "config")?,
                 cost_ms: f64_field(line, "cost_ms")?,
@@ -143,15 +137,13 @@ impl Record for JournalLine {
         }
     }
 
-    /// First writer wins for a task's meta and signature; legacy trials
-    /// are numbered after the load, so they never collide.
+    /// First writer wins for a task's meta and signature.
     fn dedup_key(&self) -> Option<String> {
-        match self {
-            JournalLine::Meta { task, .. } => Some(format!("meta of task `{task}`")),
-            JournalLine::Sig { task, .. } => Some(format!("signature of task `{task}`")),
-            JournalLine::Trial(rec) if rec.trial == 0 => None,
-            JournalLine::Trial(rec) => Some(format!("task `{}`, trial {}", rec.task, rec.trial)),
-        }
+        Some(match self {
+            JournalLine::Meta { task, .. } => format!("meta of task `{task}`"),
+            JournalLine::Sig { task, .. } => format!("signature of task `{task}`"),
+            JournalLine::Trial(rec) => format!("task `{}`, trial {}", rec.task, rec.trial),
+        })
     }
 }
 
@@ -240,19 +232,7 @@ impl Database {
                 db.records.push(rec);
             }
         }
-        db.number_legacy_trials();
         Ok((db, report))
-    }
-
-    /// Legacy logs carry no trial numbers: count them per task, in file
-    /// order.
-    fn number_legacy_trials(&mut self) {
-        let mut counts: HashMap<String, u64> = HashMap::new();
-        for rec in self.records.iter_mut().filter(|r| r.trial == 0) {
-            let n = counts.entry(rec.task.clone()).or_insert(0);
-            *n += 1;
-            rec.trial = *n;
-        }
     }
 }
 
@@ -288,7 +268,6 @@ impl Journal {
         let (log, lines, report) = Log::open(path)?;
         let mut journal = Journal::over(log);
         lines.into_iter().for_each(|line| journal.absorb(line));
-        journal.db.number_legacy_trials();
         Ok((journal, report))
     }
 
@@ -568,15 +547,5 @@ mod tests {
         assert_eq!(j.signature("t"), Some(&[0.5, -2.0, f64::INFINITY][..]));
         assert_eq!(j.db.records.len(), 1);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn legacy_lines_without_checksum_still_load() {
-        let legacy = r#"{"task": "t", "config_index": 2, "config": "k=8", "cost_ms": 1.5}"#;
-        let Ok(Some(JournalLine::Trial(rec))) = JournalLine::parse(legacy) else {
-            panic!("legacy line must parse as a trial");
-        };
-        assert_eq!(rec.cost_ms, 1.5);
-        assert_eq!(rec.trial, 0, "legacy records carry no trial number");
     }
 }

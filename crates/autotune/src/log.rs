@@ -76,10 +76,6 @@ impl Field {
 
 /// One client's line format.
 pub trait Record: Sized {
-    /// True only for a format that predates checksums: a line without a
-    /// `crc` field is then accepted unverified.
-    const CRC_OPTIONAL: bool = false;
-
     /// The record as named fields. All of them, joined by `|` in this
     /// order, are the canonical string; all but those with an empty name
     /// are the line's JSON members (the log adds `crc`).
@@ -165,20 +161,16 @@ pub fn parse_line<R: Record>(line: &str) -> Result<Option<R>, LineError> {
         return Ok(None);
     }
     let v = tvm_json::from_str(line).map_err(|e| LineError::Malformed(e.to_string()))?;
-    let stored_crc = match v.get("crc") {
-        Some(c) => Some(
-            c.as_i64()
-                .and_then(|c| u32::try_from(c).ok())
-                .ok_or_else(|| LineError::Malformed("crc must be a 32-bit integer".into()))?,
-        ),
-        None if R::CRC_OPTIONAL => None,
-        None => return Err(LineError::Malformed("missing field `crc`".into())),
-    };
+    let stored_crc = member(&v, "crc")
+        .map_err(LineError::Malformed)?
+        .as_i64()
+        .and_then(|c| u32::try_from(c).ok())
+        .ok_or_else(|| LineError::Malformed("crc must be a 32-bit integer".into()))?;
     let rec = R::decode(&v).map_err(LineError::Malformed)?;
-    match stored_crc {
-        Some(crc) if crc != checksum(&rec.fields()) => Err(LineError::Checksum),
-        _ => Ok(Some(rec)),
+    if stored_crc != checksum(&rec.fields()) {
+        return Err(LineError::Checksum);
     }
+    Ok(Some(rec))
 }
 
 /// What a load recovered and what it had to drop. Every non-blank line is

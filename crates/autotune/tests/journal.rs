@@ -101,6 +101,26 @@ fn checksum_mismatch_is_detected_and_dropped() {
 }
 
 #[test]
+fn trial_line_without_crc_is_dropped_as_malformed() {
+    let path = tmp("tvm_rs_journal_no_crc.jsonl");
+    let lines = sample_lines(3);
+    // A damaged `crc` key leaves a line that is otherwise a whole trial.
+    let renamed = lines[1].replace("\"crc\"", "\"crx\"");
+    assert_ne!(renamed, lines[1], "test must actually rename the key");
+    assert!(
+        matches!(JournalLine::parse(&renamed), Err(LineError::Malformed(_))),
+        "{:?}",
+        JournalLine::parse(&renamed)
+    );
+    let text = format!("{}\n{}\n{}\n", lines[0], renamed, lines[2]);
+    std::fs::write(&path, &text).expect("write");
+    let (db, report) = Database::load_with_report(&path).expect("load");
+    assert_eq!(db.records.len(), 2);
+    assert_eq!(report.dropped_corrupt, 1, "{report:?}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn duplicate_records_are_deduplicated_and_reported() {
     let path = tmp("tvm_rs_journal_dup.jsonl");
     let lines = sample_lines(3);

@@ -89,9 +89,9 @@ fn lifecycle_journal(rng: &mut StdRng, n: usize) -> Vec<LifecycleRecord> {
 }
 
 /// Damages a well-formed log file. At most one byte of any line changes:
-/// a format that still reads checksum-less legacy lines (the tuner's)
-/// cannot tell a damaged `crc` key plus a damaged payload from such a
-/// line, and no checksum scheme could.
+/// every line must carry its `crc`, so a damaged `crc` key drops the line
+/// as malformed, and a checksum promises to catch only small damage: a
+/// line changed in several places may collide with another valid line.
 fn damage(rng: &mut StdRng, lines: &[String]) -> Vec<u8> {
     let mut damaged: Vec<Vec<u8>> = Vec::new();
     for line in lines {
