@@ -7,8 +7,10 @@
 //! 1. **Compile-time** — `expr_variant_name` / `stmt_variant_name` match
 //!    every variant *without a wildcard arm*. Adding a variant to either
 //!    enum makes this test fail to compile, forcing an audit of every
-//!    walker (ir::visit, ir::simplify, ir::interp, ir::printer, and the
-//!    tvm-analysis passes).
+//!    walker (ir::visit, ir::simplify, ir::interp, ir::printer). The
+//!    tvm-analysis passes need none: they walk through `Visitor` and
+//!    override only the nodes they judge, so a new variant reaches them
+//!    through `walk_expr` / `walk_stmt`.
 //! 2. **Run-time** — a program containing every variant is walked by the
 //!    default `Visitor` and rebuilt by the identity `Mutator`; the
 //!    visitor must reach every node kind and the mutator must reproduce
