@@ -241,9 +241,8 @@ impl RangeScope for Collector<'_> {
     }
 }
 
-/// Records the body's accesses. Loop bounds, allocation extents and
-/// attribute values are not read: they are evaluated once, outside any
-/// iteration.
+/// Records the body's accesses. A load in a loop bound, an allocation
+/// extent or an attribute value is not recorded.
 impl Visitor for Collector<'_> {
     fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
