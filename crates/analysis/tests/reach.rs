@@ -16,7 +16,7 @@ use tvm_ir::{
     Var,
 };
 
-type Place<T> = Box<dyn Fn(Expr) -> T>;
+type Place<'a, T> = Box<dyn Fn(Expr) -> T + 'a>;
 
 /// The buffers and variables of one test program. `g` and `h` are the
 /// parameters; the loop that holds the carrier writes `g` (and `s`) at
@@ -59,7 +59,7 @@ impl Fx {
     }
 
     /// Each expression kind with the hole in each of its children.
-    fn exprs(&self) -> Vec<(&'static str, Place<Expr>)> {
+    fn exprs(&self) -> Vec<(&'static str, Place<'_, Expr>)> {
         let bin = |a: Expr, b: Expr| {
             Expr::new(ExprNode::Binary {
                 op: BinOp::Add,
@@ -96,19 +96,13 @@ impl Fx {
                 lanes: 2,
             })
         };
-        let let_ = |t: &Var, value: Expr, body: Expr| {
+        let let_ = |value: Expr, body: Expr| {
             Expr::new(ExprNode::Let {
-                var: t.clone(),
+                var: self.t.clone(),
                 value,
                 body,
             })
         };
-        let (h1, h2, t1, t2) = (
-            self.h.clone(),
-            self.h.clone(),
-            self.t.clone(),
-            self.t.clone(),
-        );
         vec![
             ("Cast", Box::new(|e: Expr| e.cast(DType::int32()))),
             ("Binary a", Box::new(move |e| bin(e, Expr::int(1)))),
@@ -142,10 +136,10 @@ impl Fx {
                 "Select else",
                 Box::new(move |e| select(Expr::int(1), Expr::int(0), e)),
             ),
-            ("Load index", Box::new(move |e| load(&h1, e, None))),
+            ("Load index", Box::new(move |e| load(&self.h, e, None))),
             (
                 "Load predicate",
-                Box::new(move |e| load(&h2, Expr::int(0), Some(e))),
+                Box::new(move |e| load(&self.h, Expr::int(0), Some(e))),
             ),
             ("Ramp base", Box::new(move |e| ramp(e, Expr::int(1)))),
             ("Ramp stride", Box::new(move |e| ramp(Expr::int(0), e))),
@@ -153,8 +147,8 @@ impl Fx {
                 "Broadcast",
                 Box::new(|e| Expr::new(ExprNode::Broadcast { value: e, lanes: 2 })),
             ),
-            ("Let value", Box::new(move |e| let_(&t1, e, Expr::int(0)))),
-            ("Let body", Box::new(move |e| let_(&t2, Expr::int(0), e))),
+            ("Let value", Box::new(move |e| let_(e, Expr::int(0)))),
+            ("Let body", Box::new(move |e| let_(Expr::int(0), e))),
             (
                 "Call args",
                 Box::new(|e| {
@@ -170,7 +164,7 @@ impl Fx {
     }
 
     /// Each statement kind with the hole in each expression it carries.
-    fn stmts(&self) -> Vec<(&'static str, Place<Stmt>)> {
+    fn stmts(&self) -> Vec<(&'static str, Place<'_, Stmt>)> {
         let nop = || Stmt::new(StmtNode::Evaluate(Expr::int(0)));
         let store = |l: &Var, index: Expr, value: Expr, predicate: Option<Expr>| {
             Stmt::new(StmtNode::Store {
@@ -180,15 +174,12 @@ impl Fx {
                 predicate,
             })
         };
-        let (t, m) = (self.t.clone(), self.m.clone());
-        let (l1, l2, l3) = (self.l.clone(), self.l.clone(), self.l.clone());
-        let (j1, j2) = (self.j.clone(), self.j.clone());
         vec![
             (
                 "LetStmt value",
                 Box::new(move |e| {
                     Stmt::new(StmtNode::LetStmt {
-                        var: t.clone(),
+                        var: self.t.clone(),
                         value: e,
                         body: nop(),
                     })
@@ -206,27 +197,29 @@ impl Fx {
             ),
             (
                 "Store index",
-                Box::new(move |e| store(&l1, e, Expr::f32(0.0), None)),
+                Box::new(move |e| store(&self.l, e, Expr::f32(0.0), None)),
             ),
             (
                 "Store value",
-                Box::new(move |e| store(&l2, Expr::int(0), e, None)),
+                Box::new(move |e| store(&self.l, Expr::int(0), e, None)),
             ),
             (
                 "Store predicate",
-                Box::new(move |e| store(&l3, Expr::int(0), Expr::f32(0.0), Some(e))),
+                Box::new(move |e| store(&self.l, Expr::int(0), Expr::f32(0.0), Some(e))),
             ),
             (
                 "Allocate extent",
-                Box::new(move |e| Stmt::allocate(&m, DType::float32(), e, MemScope::Local, nop())),
+                Box::new(move |e| {
+                    Stmt::allocate(&self.m, DType::float32(), e, MemScope::Local, nop())
+                }),
             ),
             (
                 "For min",
-                Box::new(move |e| Stmt::loop_(&j1, e, 1, ForKind::Serial, nop())),
+                Box::new(move |e| Stmt::loop_(&self.j, e, 1, ForKind::Serial, nop())),
             ),
             (
                 "For extent",
-                Box::new(move |e| Stmt::loop_(&j2, 0, e, ForKind::Serial, nop())),
+                Box::new(move |e| Stmt::loop_(&self.j, 0, e, ForKind::Serial, nop())),
             ),
             (
                 "IfThenElse cond",
