@@ -49,7 +49,7 @@ struct Frame {
 }
 
 /// One loop level under construction (level 0 is the function body).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(super) struct Level {
     frame: usize,
     /// Ops hoisted in front of this level's loop header; they use the
@@ -166,7 +166,8 @@ impl<'a> Compiler<'a> {
             });
         }
         self.stmt(&func.body);
-        let mut ops = self.levels.pop().expect("level 0 stays open").body;
+        // Level 0 stays open, so this is the function body.
+        let mut ops = self.close_level().body;
         // Every index an op carries is a `u16`; one that wrapped on the way
         // here is never executed.
         let sizes = [
@@ -317,7 +318,9 @@ impl<'a> Compiler<'a> {
         let op = Op::new(code, d, f[0], f[1], f[2]);
         if level == cur {
             self.levels[cur].body.push(op);
-            self.scopes.last_mut().expect("a scope is open").push(key);
+            if let Some(scope) = self.scopes.last_mut() {
+                scope.push(key);
+            }
         } else {
             let next = &mut self.levels[level + 1];
             next.pre.push(op);
@@ -380,7 +383,7 @@ impl<'a> Compiler<'a> {
     }
 
     fn pop_scope(&mut self) {
-        for key in self.scopes.pop().expect("a scope is open") {
+        for key in self.scopes.pop().into_iter().flatten() {
             self.vn.remove(&key);
         }
     }
@@ -443,9 +446,11 @@ impl<'a> Compiler<'a> {
         self.push_scope();
     }
 
+    /// Closes the innermost open level and its scope, and returns it. Each
+    /// level is closed once, level 0 by `finish`, so one is always open.
     pub(super) fn close_level(&mut self) -> Level {
         self.pop_scope();
-        self.levels.pop().expect("a level is open")
+        self.levels.pop().unwrap_or_default()
     }
 
     fn open_loop(&mut self, var: &Var, lo: Vid, n: Vid) -> OpenLoop {
@@ -863,7 +868,7 @@ impl<'a> Compiler<'a> {
     pub(super) fn materialize(&mut self, mut a: Affine) -> Vid {
         a.terms
             .sort_by_key(|&(v, _)| (self.values[v as usize].level, v));
-        let mut acc = (a.c != 0 || a.terms.is_empty()).then(|| self.iconst(a.c));
+        let mut acc = (a.c != 0).then(|| self.iconst(a.c));
         for (v, k) in a.terms {
             acc = Some(match (acc, k) {
                 (None, 1) => v,
@@ -879,7 +884,7 @@ impl<'a> Compiler<'a> {
                 }
             });
         }
-        acc.expect("an affine form has a constant or a term")
+        acc.unwrap_or_else(|| self.iconst(0))
     }
 
     fn expr(&mut self, e: &Expr) -> V {
@@ -1211,7 +1216,8 @@ impl<'a> Compiler<'a> {
     fn pure_call(&mut self, name: &str, args: &[Expr], dtype: DType) -> V {
         let vals: Vec<V> = args.iter().map(|a| self.expr(a)).collect();
         let arity = if name == "pow" { 2 } else { 1 };
-        let known = unary_index(name).is_some() || name == "pow" || name == "popcount";
+        let unary = unary_index(name);
+        let known = unary.is_some() || name == "pow" || name == "popcount";
         if !known {
             self.raise(InterpError::UnknownIntrinsic(name.to_string()));
             return self.dummy(dtype.is_float());
@@ -1220,24 +1226,25 @@ impl<'a> Compiler<'a> {
             self.raise(InterpError::Malformed("missing intrinsic arg".into()));
             return self.dummy(dtype.is_float());
         }
-        match name {
-            "pow" => {
+        match (name, unary) {
+            ("pow", _) => {
                 let (x, y) = (self.as_float(vals[0]), self.as_float(vals[1]));
                 V::Float(self.op(Code::FPow, Kind::Float, &[x, y]))
             }
-            "popcount" => {
+            ("popcount", _) => {
                 let x = self.as_int(vals[0]);
                 V::Int(self.op(Code::IPopcount, Kind::Int, &[x]))
             }
-            "abs" if !dtype.is_float() => {
+            ("abs", _) if !dtype.is_float() => {
                 let x = self.as_int(vals[0]);
                 V::Int(self.op(Code::IAbs, Kind::Int, &[x]))
             }
-            _ => {
+            (_, Some(f)) => {
                 let x = self.as_float(vals[0]);
-                let f = unary_index(name).expect("checked above");
                 V::Float(self.pure(Code::FUnary, Kind::Float, &[x], Some(f), false))
             }
+            // Every other name was raised as unknown above.
+            (_, None) => self.dummy(dtype.is_float()),
         }
     }
 

@@ -4,6 +4,8 @@
 use super::compile::{Affine, OpenLoop, Vid, V};
 use super::*;
 
+mod row;
+
 /// Most loop levels one reduce nest spans.
 const MAX_DEPTH: usize = 8;
 
@@ -104,24 +106,51 @@ impl NestBox {
         b
     }
 
-    /// Calls `f` with the value of every lin at the first iteration of each
-    /// row, rows in row-major order, until it returns `false`; returns
-    /// whether every call returned `true`. `vals` holds the values at the
-    /// box's first point. Values are kept with wrapping arithmetic, so one
-    /// that is an `i64` at a point is exact there.
-    fn rows(
+    /// The value of every lin at the first iteration of the row at outer
+    /// point `k`, `vals` holding them at the box's first point.
+    fn point(&self, lins: &[Lin], vals: &[i64; MAX_LINS], k: &[i64; MAX_DEPTH]) -> [i64; MAX_LINS] {
+        let moved: [i64; MAX_DEPTH] = std::array::from_fn(|j| k[j].wrapping_sub(self.lo[j]));
+        let mut at = *vals;
+        for (v, lin) in at.iter_mut().zip(lins) {
+            for (s, m) in lin.strides.iter().zip(&moved[..self.depth - 1]) {
+                *v = v.wrapping_add(s.wrapping_mul(*m));
+            }
+        }
+        at
+    }
+
+    /// Calls `row` for each row in row-major order, until it returns
+    /// `false`, with the row's outer point, the outermost level stepped to
+    /// reach it (`depth - 1` for the first row) and the values of the
+    /// first `N` lins at its first iteration, `at` at the first row;
+    /// returns whether every call returned `true`. A step of level `j`
+    /// adds each lin's stride along `j`, less the way back of every level
+    /// between `j` and the innermost. Values wrap, so one that is an `i64`
+    /// at a point is exact there.
+    #[inline(always)]
+    fn each_row<const N: usize>(
         &self,
         lins: &[Lin],
-        mut vals: [i64; MAX_LINS],
-        mut f: impl FnMut(&[i64; MAX_LINS]) -> bool,
+        mut at: [i64; N],
+        mut row: impl FnMut(&[i64; MAX_DEPTH], usize, [i64; N]) -> bool,
     ) -> bool {
-        let mut k = self.lo;
+        let d = self.depth - 1;
+        let mut carry = [[0i64; N]; MAX_DEPTH];
+        let mut back = [0i64; N];
+        for j in (0..d).rev() {
+            let extent = self.hi[j].wrapping_sub(self.lo[j]);
+            for ((c, b), lin) in carry[j].iter_mut().zip(&mut back).zip(lins) {
+                *c = lin.strides[j].wrapping_sub(*b);
+                *b = b.wrapping_add(lin.strides[j].wrapping_mul(extent));
+            }
+        }
+        let (mut k, mut stepped) = (self.lo, d);
         loop {
-            if !f(&vals) {
+            if !row(&k, stepped, at) {
                 return false;
             }
             // The odometer over every level but the innermost.
-            let mut j = self.depth - 1;
+            let mut j = d;
             loop {
                 if j == 0 {
                     return true;
@@ -129,17 +158,14 @@ impl NestBox {
                 j -= 1;
                 if k[j] < self.hi[j] {
                     k[j] += 1;
-                    for (v, lin) in vals.iter_mut().zip(lins) {
-                        *v = v.wrapping_add(lin.strides[j]);
-                    }
                     break;
                 }
-                let back = self.hi[j].wrapping_sub(self.lo[j]);
                 k[j] = self.lo[j];
-                for (v, lin) in vals.iter_mut().zip(lins) {
-                    *v = v.wrapping_sub(lin.strides[j].wrapping_mul(back));
-                }
             }
+            for (v, c) in at.iter_mut().zip(carry[j]) {
+                *v = v.wrapping_add(c);
+            }
+            stepped = j;
         }
     }
 }
@@ -183,11 +209,6 @@ fn floor_div_pos(a: i128, b: i128) -> i128 {
     }
 }
 
-/// A factor of a reduce nest along a row: its value at iteration `t`.
-trait RowFactor: Copy {
-    fn get(&self, t: usize) -> f64;
-}
-
 /// Element `at + t * step` of `data` at iteration `t`.
 #[derive(Clone, Copy)]
 struct Plain<'a> {
@@ -196,30 +217,10 @@ struct Plain<'a> {
     step: usize,
 }
 
-impl RowFactor for Plain<'_> {
+impl Plain<'_> {
     #[inline(always)]
     fn get(&self, t: usize) -> f64 {
         self.data[self.at.wrapping_add(t.wrapping_mul(self.step))] as f64
-    }
-}
-
-/// [`Plain`] where `t0 <= t < t1`, `konst` elsewhere.
-#[derive(Clone, Copy)]
-struct Guarded<'a> {
-    plain: Plain<'a>,
-    t0: usize,
-    t1: usize,
-    konst: f64,
-}
-
-impl RowFactor for Guarded<'_> {
-    #[inline(always)]
-    fn get(&self, t: usize) -> f64 {
-        if t.wrapping_sub(self.t0) < self.t1 - self.t0 {
-            self.plain.get(t)
-        } else {
-            self.konst
-        }
     }
 }
 
@@ -227,14 +228,7 @@ impl RowFactor for Guarded<'_> {
 /// advancing by `ss` (wrapping, so a negative stride works), keeping the
 /// sum in a register while `ss` is zero.
 #[inline(always)]
-fn mac_row(
-    s: &mut [f32],
-    mut si: usize,
-    ss: usize,
-    n: usize,
-    x: impl RowFactor,
-    y: impl RowFactor,
-) {
+fn mac_row(s: &mut [f32], mut si: usize, ss: usize, n: usize, x: Plain, y: Plain) {
     if ss == 0 {
         let mut acc = s[si];
         for t in 0..n {
@@ -250,18 +244,19 @@ fn mac_row(
 }
 
 /// The slots of a reduce nest's `S`, to write, and of its two factors, to
-/// read: the compiler admits no factor in `S`'s own slot.
+/// read: the compiler admits no factor in `S`'s own slot. `None` if a slot
+/// is not in `slots`.
 #[inline(always)]
-fn split_slots(slots: &mut [Slot], [s, x, y]: [u16; 3]) -> (&mut Slot, &Slot, &Slot) {
+fn split_slots(slots: &mut [Slot], [s, x, y]: [u16; 3]) -> Option<(&mut Slot, &Slot, &Slot)> {
     let s = s as usize;
-    let (before, rest) = slots.split_at_mut(s);
-    let (slot, after) = rest.split_first_mut().expect("a nest names its slots");
+    let (before, rest) = slots.split_at_mut_checked(s)?;
+    let (slot, after) = rest.split_first_mut()?;
     let (before, after): (&[Slot], &[Slot]) = (before, after);
     let other = |i: u16| match (i as usize).checked_sub(s + 1) {
-        Some(k) => &after[k],
-        None => &before[i as usize],
+        Some(k) => after.get(k),
+        None => before.get(i as usize),
     };
-    (slot, other(x), other(y))
+    Some((slot, other(x)?, other(y)?))
 }
 
 impl Machine<'_> {
@@ -310,13 +305,15 @@ impl Machine<'_> {
                 None => return false,
             }
         }
-        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots);
+        let Some((s, x, y)) = split_slots(&mut self.mem.slots, r.slots) else {
+            return false;
+        };
         let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
             (&mut s.buf.data, &x.buf.data, &y.buf.data)
         else {
             return false;
         };
-        // Every lin is an `i64` all over the box, so the values `rows`
+        // Every lin is an `i64` all over the box, so the values `each_row`
         // keeps are exact; `S`'s index and an unguarded factor's are in
         // bounds all over it too.
         let lens = [
@@ -353,45 +350,25 @@ impl Machine<'_> {
                 let len = slot.len as u64;
                 t0 == t1 || (index(t0) as u64) < len && (index(t1 - 1) as u64) < len
             };
-            if !b.seen_by(&r.lins, seen).rows(&r.lins, vals, in_bounds) {
+            if !b
+                .seen_by(&r.lins, seen)
+                .each_row(&r.lins, vals, |_, _, v| in_bounds(&v))
+            {
                 return false;
             }
         }
-        let plain = |f: usize, v: &[i64; MAX_LINS]| Plain {
-            data: [xs, ys][f],
-            at: [x.base, y.base][f].wrapping_add(v[f + 1] as usize),
-            step: stride(f + 1) as usize,
-        };
-        let guarded = |f: usize, v: &[i64; MAX_LINS]| {
-            let (t0, t1) = span(r, f, v, n);
-            let konst = r.guards[f].as_ref().map_or(0.0, |g| g.konst);
-            Guarded {
-                plain: plain(f, v),
-                t0,
-                t1,
-                konst,
-            }
-        };
-        let (ss, sbase) = (stride(0) as usize, s.base);
-        let si = |v: &[i64; MAX_LINS]| sbase.wrapping_add(v[0] as usize);
-        match (r.guards[0].is_some(), r.guards[1].is_some()) {
-            (false, false) => b.rows(&r.lins, vals, |v| {
-                mac_row(sv, si(v), ss, n, plain(0, v), plain(1, v));
-                true
-            }),
-            (true, false) => b.rows(&r.lins, vals, |v| {
-                mac_row(sv, si(v), ss, n, guarded(0, v), plain(1, v));
-                true
-            }),
-            (false, true) => b.rows(&r.lins, vals, |v| {
-                mac_row(sv, si(v), ss, n, plain(0, v), guarded(1, v));
-                true
-            }),
-            (true, true) => b.rows(&r.lins, vals, |v| {
-                mac_row(sv, si(v), ss, n, guarded(0, v), guarded(1, v));
-                true
-            }),
-        };
+        // Where `S` and each factor are in their slots' storage at the
+        // box's first point, wrapping: exact where they load or store.
+        let bases = [s.base, x.base, y.base];
+        let at = std::array::from_fn(|i| (bases[i] as i64).wrapping_add(vals[i]));
+        row::run(r, &b, &vals, at, sv, [xs, ys]);
+        self.ran(r, volume, ints)
+    }
+
+    /// Records that reduce nest `r`, of `volume` iterations, ran: its
+    /// stores, and each level's counter at its limit, where the scalar code
+    /// leaves it. Returns `true`.
+    fn ran(&mut self, r: &ReduceNest, volume: u64, ints: &mut [i64]) -> bool {
         self.stores += volume;
         for l in &r.levels {
             ints[l.counter as usize] = ints[l.limit as usize];
@@ -435,7 +412,9 @@ impl Machine<'_> {
                 None => return false,
             }
         }
-        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots);
+        let Some((s, x, y)) = split_slots(&mut self.mem.slots, r.slots) else {
+            return false;
+        };
         let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
             (&mut s.buf.data, &x.buf.data, &y.buf.data)
         else {
@@ -476,11 +455,7 @@ impl Machine<'_> {
             },
         );
         mac_row(sv, si, step(0), n as usize, x, y);
-        self.stores += n;
-        for l in &r.levels {
-            ints[l.counter as usize] = ints[l.limit as usize];
-        }
-        true
+        self.ran(r, n, ints)
     }
 }
 

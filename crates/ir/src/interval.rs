@@ -62,6 +62,14 @@ impl Interval {
         }
     }
 
+    /// The least interval holding every candidate.
+    fn hull([a, b, c, d]: [i64; 4]) -> Interval {
+        Interval {
+            min: a.min(b).min(c).min(d),
+            max: a.max(b).max(c).max(d),
+        }
+    }
+
     fn mul(self, o: Interval) -> Interval {
         let cands = [
             self.min.saturating_mul(o.min),
@@ -69,10 +77,7 @@ impl Interval {
             self.max.saturating_mul(o.min),
             self.max.saturating_mul(o.max),
         ];
-        Interval {
-            min: *cands.iter().min().expect("non-empty"),
-            max: *cands.iter().max().expect("non-empty"),
-        }
+        Interval::hull(cands)
     }
 
     fn floordiv(self, o: Interval) -> Option<Interval> {
@@ -86,10 +91,7 @@ impl Interval {
             floor_div(self.max, o.min),
             floor_div(self.max, o.max),
         ];
-        Some(Interval {
-            min: *cands.iter().min().expect("non-empty"),
-            max: *cands.iter().max().expect("non-empty"),
-        })
+        Some(Interval::hull(cands))
     }
 
     fn floormod(self, o: Interval) -> Option<Interval> {

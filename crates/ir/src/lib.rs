@@ -20,6 +20,8 @@
 //!   barrier semantics. Its oracle, a tree walker, lives with the other
 //!   oracles in `tvm_verify::reference`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dtype;
 pub mod expr;
 pub mod flat;

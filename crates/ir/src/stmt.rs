@@ -244,10 +244,9 @@ impl Stmt {
                 _ => flat.push(s),
             }
         }
-        if flat.len() == 1 {
-            flat.pop().expect("len checked")
-        } else {
-            Stmt::new(StmtNode::Seq(flat))
+        match <[Stmt; 1]>::try_from(flat) {
+            Ok([only]) => only,
+            Err(flat) => Stmt::new(StmtNode::Seq(flat)),
         }
     }
 

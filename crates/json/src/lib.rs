@@ -6,6 +6,8 @@
 //! differential-fuzzing reproducer files. Numbers keep an integer/float
 //! distinction so shapes and indices round-trip exactly.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -2,6 +2,8 @@
 //! ResNet-18, MobileNet, the Deep Q Network, the DCGAN generator and the
 //! LSTM language model, matching the paper's benchmark suite.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use tvm_graph::{Conv2dWorkload, DenseWorkload, DepthwiseConv2dWorkload, Graph, NodeId, OpType};
 
 fn conv_wl(size: i64, in_c: i64, out_c: i64, kernel: i64, stride: i64) -> Conv2dWorkload {

@@ -10,6 +10,8 @@
 //! module, so every later run, on any executor over the same
 //! `Arc<Module>`, only executes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
@@ -133,12 +135,6 @@ impl NDArray {
             shape: shape.to_vec(),
             data: vec![0.0; shape.iter().product::<i64>() as usize],
         }
-    }
-
-    /// Tensor from contents. Panics on a shape/length mismatch; request
-    /// paths should use [`NDArray::try_new`].
-    pub fn new(shape: &[i64], data: Vec<f32>) -> NDArray {
-        Self::try_new(shape, data).expect("shape/data length mismatch")
     }
 
     /// Tensor from contents, rejecting length mismatches and negative

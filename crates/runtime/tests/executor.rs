@@ -83,8 +83,11 @@ fn two_stage_module() -> (Module, tvm_graph::NodeId) {
 fn kernels_chain_through_intermediates() {
     let (module, _out) = two_stage_module();
     let mut ex = GraphExecutor::new(module);
-    ex.set_input("data", NDArray::new(&[1, 4], vec![0.0, 1.0, 2.0, 3.0]))
-        .expect("bind");
+    ex.set_input(
+        "data",
+        NDArray::try_new(&[1, 4], vec![0.0, 1.0, 2.0, 3.0]).expect("shape matches data"),
+    )
+    .expect("bind");
     let ms = ex.run().expect("runs");
     assert!((ms - 0.75).abs() < 1e-12, "kernel times accumulate: {ms}");
     assert_eq!(
@@ -97,12 +100,18 @@ fn kernels_chain_through_intermediates() {
 fn rerun_with_new_input_updates_output() {
     let (module, _) = two_stage_module();
     let mut ex = GraphExecutor::new(module);
-    ex.set_input("data", NDArray::new(&[1, 4], vec![1.0; 4]))
-        .expect("bind");
+    ex.set_input(
+        "data",
+        NDArray::try_new(&[1, 4], vec![1.0; 4]).expect("shape matches data"),
+    )
+    .expect("bind");
     ex.run().expect("runs");
     assert_eq!(ex.get_output(0).expect("output").data, vec![9.0; 4]);
-    ex.set_input("data", NDArray::new(&[1, 4], vec![0.0; 4]))
-        .expect("bind");
+    ex.set_input(
+        "data",
+        NDArray::try_new(&[1, 4], vec![0.0; 4]).expect("shape matches data"),
+    )
+    .expect("bind");
     ex.run().expect("runs");
     assert_eq!(ex.get_output(0).expect("output").data, vec![3.0; 4]);
 }
@@ -184,8 +193,11 @@ fn interpreter_fault_names_the_kernel_and_reads_like_a_sentence() {
     let (mut module, _) = two_stage_module();
     module.kernels[1].func = affine_kernel(8, 3.0, 0.0, "k2");
     let mut ex = GraphExecutor::new(module);
-    ex.set_input("data", NDArray::new(&[1, 4], vec![1.0; 4]))
-        .expect("bind");
+    ex.set_input(
+        "data",
+        NDArray::try_new(&[1, 4], vec![1.0; 4]).expect("shape matches data"),
+    )
+    .expect("bind");
     let err = ex.run().unwrap_err();
     assert_eq!(
         err.to_string(),
@@ -226,13 +238,16 @@ fn a_faulted_run_leaves_no_output_of_the_run_before() {
     );
     module.kernels[1].func.params = vec![src, dst];
     let mut ex = GraphExecutor::new(module);
-    let clean = NDArray::new(&[1, 4], vec![0.0, 1.0, 0.0, 1.0]);
+    let clean = NDArray::try_new(&[1, 4], vec![0.0, 1.0, 0.0, 1.0]).expect("shape matches data");
     ex.set_input("data", clean.clone()).expect("bind");
     assert_eq!(ex.run().expect("in bounds"), 0.75);
     assert_eq!(ex.get_output(0).expect("output").data, vec![3.0; 4]);
 
-    ex.set_input("data", NDArray::new(&[1, 4], vec![0.0, 1.0, 2.0, 0.0]))
-        .expect("bind");
+    ex.set_input(
+        "data",
+        NDArray::try_new(&[1, 4], vec![0.0, 1.0, 2.0, 0.0]).expect("shape matches data"),
+    )
+    .expect("bind");
     let err = ex.run().unwrap_err();
     assert!(matches!(
         err,
@@ -295,10 +310,16 @@ fn params_are_seeded_and_overridable() {
         target_name: "test".into(),
     };
     let mut ex = GraphExecutor::new(module);
-    ex.set_input("data", NDArray::new(&[1, 2], vec![10.0, 20.0]))
-        .expect("bind");
-    ex.set_param("w", NDArray::new(&[1, 2], vec![1.0, 2.0]))
-        .expect("bind");
+    ex.set_input(
+        "data",
+        NDArray::try_new(&[1, 2], vec![10.0, 20.0]).expect("shape matches data"),
+    )
+    .expect("bind");
+    ex.set_param(
+        "w",
+        NDArray::try_new(&[1, 2], vec![1.0, 2.0]).expect("shape matches data"),
+    )
+    .expect("bind");
     assert!(
         matches!(
             ex.set_param("w", NDArray::zeros(&[2, 2])),

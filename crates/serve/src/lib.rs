@@ -25,6 +25,8 @@
 //!   recovers from torn tails to the last committed lifecycle transition.
 //!   Compiled modules are a memo of `tvm::build`, never persisted.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod batch;
 pub mod cache;
 pub mod model;

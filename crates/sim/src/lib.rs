@@ -8,6 +8,8 @@
 //! from); [`cost`] turns a summary into estimated cycles on a
 //! [`target::Target`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod analysis;
 pub mod cost;
 pub mod fault;

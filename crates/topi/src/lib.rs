@@ -8,6 +8,8 @@
 //! ([`workloads`]) belong to `tvm-graph`, whose nodes carry them; they are
 //! re-exported here under their old paths.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod baselines;
 pub mod bitserial;
 pub mod nn;

@@ -1590,3 +1590,242 @@ fn a_split_reduction_runs_as_one_row() {
         assert_eq!((run.result.is_ok(), run.stores), (x_len == 12, stores));
     }
 }
+
+/// SplitMix64, the seeded draws of the generated nests below.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[(self.next() % from.len() as u64) as usize]
+    }
+
+    fn values(&mut self, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| (self.next() % 2001) as f32 / 256.0 - 3.9)
+            .collect()
+    }
+}
+
+/// How a guard cuts one row: where it holds, as iterations `t0..t1` of
+/// `n`, named by which ends of the row it leaves out.
+fn span_kind(holds: &[bool]) -> &'static str {
+    match (
+        holds.iter().position(|&h| h),
+        holds.iter().rposition(|&h| h),
+    ) {
+        (None, _) | (_, None) => "empty",
+        (Some(0), Some(last)) if last + 1 == holds.len() => "full",
+        (Some(0), _) => "cut at the right",
+        (_, Some(last)) if last + 1 == holds.len() => "cut at the left",
+        _ => "cut at both ends",
+    }
+}
+
+/// `-1`, `0`, `1` or `> 1`: how the tests below name a stride.
+fn stride_name(s: i64) -> String {
+    if s > 1 {
+        "> 1".into()
+    } else {
+        s.to_string()
+    }
+}
+
+#[test]
+fn generated_guarded_nests_agree_with_the_walker() {
+    // MAC nests of one to five levels, with one or both factors (now and
+    // then neither) a padded read `select(lo <= g < hi, X[x], k)`: every
+    // index affine in every level, the innermost strides drawn from -1, 0,
+    // 1 and more for the factors and 0, 1 and more for `S`, and each guard
+    // placed to leave rows empty, cut at either or both ends, or full. Each
+    // nest must form as generated and run as the walker does, bit for bit.
+    let mut draw = Draw(0x7E57_0041);
+    let mut seen: HashMap<String, usize> = HashMap::new();
+    let mut see = |what: String| *seen.entry(what).or_default() += 1;
+    for case in 0..300 {
+        let depth = 1 + (draw.next() % 5) as usize;
+        let vars: Vec<Var> = (0..depth).map(|j| Var::int(format!("l{j}"))).collect();
+        let mut extents: Vec<i64> = (0..depth - 1).map(|_| draw.pick(&[1, 2, 3])).collect();
+        extents.push(draw.pick(&[1, 2, 3, 5, 7]));
+        let n = extents[depth - 1];
+        // Strides along every level, the innermost last; each index is
+        // shifted so that its least value over the box is 0.
+        let strides = |draw: &mut Draw, inner: &[i64], outer: &[i64]| -> Vec<i64> {
+            let mut s: Vec<i64> = (0..depth - 1).map(|_| draw.pick(outer)).collect();
+            s.push(draw.pick(inner));
+            s
+        };
+        let affine = |s: &[i64]| -> (Expr, i64) {
+            let low: i64 = s
+                .iter()
+                .zip(&extents)
+                .map(|(&c, &e)| c.min(0) * (e - 1))
+                .sum();
+            let high: i64 = s
+                .iter()
+                .zip(&extents)
+                .map(|(&c, &e)| c.max(0) * (e - 1))
+                .sum();
+            let e = vars
+                .iter()
+                .zip(s)
+                .fold(Expr::int(-low), |e, (v, &c)| e + v.clone() * c);
+            (e, high - low + 1)
+        };
+        let s_strides = strides(&mut draw, &[0, 1, 2, 3], &[0, 1, 4, 9]);
+        let (at, s_len) = affine(&s_strides);
+        let guarded = match draw.next() % 7 {
+            0 | 1 => [true, false],
+            2 | 3 => [false, true],
+            4 | 5 => [true, true],
+            _ => [false, false],
+        };
+        let (x, y) = (
+            Var::new("X", DType::float32()),
+            Var::new("Y", DType::float32()),
+        );
+        let mut lens = [0i64; 2];
+        let mut factors = Vec::new();
+        let mut guards = Vec::new();
+        for (f, buffer) in [&x, &y].into_iter().enumerate() {
+            let s = strides(&mut draw, &[-1, 0, 1, 2, 3], &[-2, -1, 0, 1, 3]);
+            see(format!("factor stride {}", stride_name(s[depth - 1])));
+            let (index, len) = affine(&s);
+            lens[f] = len;
+            if !guarded[f] {
+                factors.push(Expr::load(buffer, index));
+                continue;
+            }
+            // The guard's side: its innermost stride decides which end of
+            // a row it cuts; `lo` and `hi` are placed around its range.
+            let g = strides(&mut draw, &[-1, 1, 2], &[-1, 0, 1, 2]);
+            let (side, range) = affine(&g);
+            let (lo, hi) = match draw.next() % 5 {
+                0 => (range, range + 3),
+                1 => (0, range),
+                2 => (1, range),
+                3 => (1, range - 1),
+                _ => (range / 2, range),
+            };
+            let konst = draw.pick(&[0.0, -0.0, 1.5, -2.25]);
+            guards.push((g, lo, hi));
+            factors.push(padded(within(side, lo, hi), buffer, index, konst));
+        }
+        // Which rows each guard leaves empty, cuts or keeps whole.
+        let points = extents[..depth - 1]
+            .iter()
+            .fold(vec![vec![]], |points, &e| {
+                let grown = points
+                    .iter()
+                    .flat_map(|p: &Vec<i64>| (0..e).map(move |k| [p.clone(), vec![k]].concat()));
+                grown.collect()
+            });
+        for (g, lo, hi) in &guards {
+            let shift: i64 = g
+                .iter()
+                .zip(&extents)
+                .map(|(&c, &e)| c.min(0) * (e - 1))
+                .sum();
+            for point in &points {
+                let holds: Vec<bool> = (0..n)
+                    .map(|t| {
+                        let k = point.iter().chain([&t]);
+                        let v = g.iter().zip(k).map(|(c, k)| c * k).sum::<i64>() - shift;
+                        *lo <= v && v < *hi
+                    })
+                    .collect();
+                see(format!("span {}", span_kind(&holds)));
+            }
+        }
+        see(format!("S stride {}", stride_name(s_strides[depth - 1])));
+        if n == 1 {
+            see("row of 1".into());
+        }
+        let s = Var::new("S", DType::float32());
+        let [a, b]: [Expr; 2] = factors.try_into().expect("two factors");
+        let mut body = mac_of(&s, at, a, b);
+        let kinds = [ForKind::Serial, ForKind::Unrolled, ForKind::Vectorized];
+        for j in (0..depth).rev() {
+            body = Stmt::loop_(&vars[j], 0, extents[j], draw.pick(&kinds), body);
+        }
+        let f = f32_func(
+            vec![x, y, s],
+            vec![lens[0] as usize, lens[1] as usize, s_len as usize],
+            body,
+        );
+        let guarded = guarded.iter().filter(|&&g| g).count();
+        assert_eq!(
+            nests_f32(&f),
+            (vec![depth], guarded),
+            "case {case}:\n{}",
+            f.body
+        );
+        let arrays = [
+            draw.values(lens[0] as usize),
+            draw.values(lens[1] as usize),
+            draw.values(s_len as usize),
+        ];
+        let run = agreed(&f, f32_buffers(arrays.to_vec()), |_| {});
+        let volume: i64 = extents.iter().product();
+        assert_eq!((run.result.is_ok(), run.stores), (true, volume as u64));
+    }
+    let wanted = [
+        "span empty",
+        "span cut at the left",
+        "span cut at the right",
+        "span cut at both ends",
+        "span full",
+        "factor stride -1",
+        "factor stride 0",
+        "factor stride 1",
+        "factor stride > 1",
+        "S stride 0",
+        "S stride 1",
+        "S stride > 1",
+        "row of 1",
+    ];
+    for what in wanted {
+        assert!(seen.contains_key(what), "no case has {what}: {seen:?}");
+    }
+}
+
+#[test]
+fn a_constant_piece_multiplies_inf_and_nan_and_flips_the_sign_of_zero() {
+    // S[i] (and, summed, S[0]) += (X[i - 2] if 2 <= i < 5 else 0.0) * Y[i]
+    // from S = -0.0: outside the span the constant still multiplies Y, so
+    // 0 * inf and 0 * NaN are NaN, and -0.0 + 0.0 * 1.5 is +0.0. A kernel
+    // that skipped the constant's pieces would leave -0.0, and no NaN.
+    let (s, x, y, k) = sxyk();
+    let inf = f32::INFINITY;
+    let ys = vec![inf, 1.5, 2.0, -0.5, 4.0, f32::NAN, -1.25, 3.0];
+    let xs = vec![0.75, -2.0, 1.0];
+    let a = padded(within(k.to_expr(), 2, 5), &x, k.clone() - 2, 0.0);
+    for (at, s_len) in [(k.to_expr(), 8), (Expr::int(0), 1)] {
+        let body = mac_of(&s, at, a.clone(), Expr::load(&y, k.to_expr()));
+        let f = f32_func(
+            vec![x.clone(), y.clone(), s.clone()],
+            vec![3, 8, s_len],
+            Stmt::for_(&k, 0, 8, body),
+        );
+        assert_eq!(nests_f32(&f), (vec![1], 1));
+        let got = both_held(&f, &[xs.clone(), ys.clone(), vec![-0.0; s_len]]);
+        let term = |i: usize| if (2..5).contains(&i) { xs[i - 2] } else { 0.0 };
+        if s_len == 8 {
+            let want: Vec<f32> = (0..8).map(|i| dot(-0.0, [(term(i), ys[i])])).collect();
+            assert!(got[2][0].is_nan() && got[2][5].is_nan(), "{:?}", got[2]);
+            assert_eq!(got[2][1].to_bits(), 0.0f32.to_bits());
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got[2][1..5]), bits(&want[1..5]));
+            assert_eq!(bits(&got[2][6..]), bits(&want[6..]));
+        } else {
+            assert!(got[2][0].is_nan(), "{:?}", got[2]);
+        }
+    }
+}
