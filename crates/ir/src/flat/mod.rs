@@ -52,15 +52,17 @@
 //! * *Exact*: the op runs the walker's iterations in its row-major order,
 //!   each `S[s] = (S[s] as f64 + a as f64 * b as f64) as f32`, the walker's
 //!   arithmetic and store rounding, and counts one store per iteration. In
-//!   each innermost row a guard is an interval, found by division from the
-//!   comparisons' affine forms; outside it the factor is `k` and nothing
-//!   is loaded. An unguarded nest whose every level walks each access on
-//!   from where the level inside it ends (a split reduction `k.o × k.i`)
-//!   runs as one row.
+//!   each innermost row a guard holds on an interval, its span, found by
+//!   division from the comparisons' affine forms once per distinct value of
+//!   their sides; outside it the factor is `k` and nothing is loaded. The
+//!   span ends cut each row into pieces, and each piece runs over slices
+//!   taken once for it. An unguarded nest whose every level walks each
+//!   access on from where the level inside it ends (a split reduction
+//!   `k.o × k.i`) runs as one row.
 //! * *Replay*: before it writes anything, the op checks with checked
 //!   arithmetic that every integer stays an `i64` over the nest's box and
 //!   that `S` and every unguarded factor stay in bounds at its corners; a
-//!   guarded factor is checked at both ends of its interval in each row.
+//!   guarded factor is checked at both ends of its span in each row.
 //!   The indices are affine, so every index between is in bounds too. If
 //!   the box is empty or a check fails, the scalar code of every level
 //!   runs instead and stores and faults where the walker does.
@@ -74,7 +76,7 @@
 //!
 //! The compiler is in `compile`, the dispatch loop and the lanes'
 //! scheduler in `machine`, and the reduce nest, compiled and run, in
-//! `nest`.
+//! `nest`, its row kernel in `nest::row`.
 //!
 //! Limits the walker does not have, each raised as
 //! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
