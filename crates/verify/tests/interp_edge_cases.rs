@@ -1614,8 +1614,8 @@ impl Draw {
     }
 }
 
-/// How a guard cuts one row: where it holds, as iterations `t0..t1` of
-/// `n`, named by which ends of the row it leaves out.
+/// How a guard cuts one row, given whether it holds at each iteration:
+/// named by which ends of the row it leaves out.
 fn span_kind(holds: &[bool]) -> &'static str {
     match (
         holds.iter().position(|&h| h),
