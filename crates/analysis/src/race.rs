@@ -241,8 +241,7 @@ impl RangeScope for Collector<'_> {
     }
 }
 
-/// Records the body's accesses. A load in a loop bound, an allocation
-/// extent or an attribute value is not recorded.
+/// Records the body's accesses.
 impl Visitor for Collector<'_> {
     fn visit_stmt(&mut self, s: &Stmt) {
         match &*s.0 {
@@ -258,6 +257,8 @@ impl Visitor for Collector<'_> {
                 kind,
                 body,
             } => {
+                self.visit_expr(min);
+                self.visit_expr(extent);
                 let lockstep = self.barrier_sensitive
                     && matches!(kind, ForKind::Serial | ForKind::Unrolled)
                     && body.contains_barrier();
@@ -281,14 +282,13 @@ impl Visitor for Collector<'_> {
                     }
                 });
             }
-            StmtNode::Allocate { buffer, body, .. } => {
+            StmtNode::Allocate { buffer, .. } => {
                 self.private.insert(buffer.id());
-                self.visit_stmt(body);
+                self.walk_stmt(s);
             }
             StmtNode::LetStmt { var, value, body } => {
                 self.bind(var, value, |col| col.visit_stmt(body));
             }
-            StmtNode::AttrStmt { body, .. } => self.visit_stmt(body),
             StmtNode::IfThenElse {
                 cond,
                 then_case,

@@ -12,9 +12,12 @@
 //!    buffer whose index depends on a thread variable distributes the
 //!    fill across threads; until a barrier executes, another thread's
 //!    slots are not visible, so a subsequent load from that buffer is an
-//!    error. Loop bodies are walked twice so a fill at the bottom of an
-//!    iteration is seen by a load at the top of the next one (the
-//!    wrap-around case); a barrier at either edge clears the dirt.
+//!    error. A fill at the bottom of a loop iteration also meets the
+//!    loads at the top of the next one (the wrap-around case): each loop
+//!    body is walked once, and at its end the loads no barrier precedes
+//!    in it are checked against what the iteration leaves unpublished. A
+//!    second walk would find nothing else, because walking a body twice
+//!    leaves the same unpublished set as walking it once.
 //!
 //! Stores with a thread-invariant index are redundant identical writes
 //! under the lockstep model (every thread fills the whole buffer), which
@@ -36,6 +39,8 @@ pub fn check(body: &Stmt, params: &[Var]) -> Vec<Diagnostic> {
         thread_vars: HashSet::new(),
         divergent: 0,
         dirty: HashSet::new(),
+        exposed: Vec::new(),
+        open: false,
         reported_dirty: HashSet::new(),
         reported_divergent_barrier: false,
         diags: Vec::new(),
@@ -53,6 +58,11 @@ struct Check {
     /// Shared buffers with a cooperative (thread-distributed) fill not
     /// yet published by a barrier.
     dirty: HashSet<VarId>,
+    /// The innermost loop body's exposed reads so far: its first shared
+    /// load of each buffer that no barrier in the body precedes.
+    exposed: Vec<(Var, Expr)>,
+    /// Whether the innermost loop body has passed no barrier yet.
+    open: bool,
     reported_dirty: HashSet<VarId>,
     reported_divergent_barrier: bool,
     diags: Vec<Diagnostic>,
@@ -64,10 +74,41 @@ impl Check {
             .iter()
             .any(|v| self.thread_vars.contains(&v.id()))
     }
+
+    fn is_shared(&self, buffer: &Var) -> bool {
+        matches!(self.scopes.get(&buffer.id()), Some((MemScope::Shared, _)))
+    }
+
+    fn expose(&mut self, buffer: &Var, index: &Expr) {
+        if !self.exposed.iter().any(|(b, _)| b.id() == buffer.id()) {
+            self.exposed.push((buffer.clone(), index.clone()));
+        }
+    }
+
+    /// Reports a read of `buffer` at `index` if a fill of it is
+    /// unpublished and the buffer has not been reported yet.
+    fn check_read(&mut self, buffer: &Var, index: &Expr) {
+        if self.dirty.contains(&buffer.id()) && self.reported_dirty.insert(buffer.id()) {
+            let name = self
+                .scopes
+                .get(&buffer.id())
+                .map_or(buffer.name(), |(_, b)| b.name());
+            self.diags.push(Diagnostic {
+                pass: "sync",
+                severity: Severity::Error,
+                message: format!(
+                    "read of shared `{name}` before a barrier publishes its cooperative fill"
+                ),
+                witness: Some(format!("index `{index}`")),
+            });
+        }
+    }
 }
 
 impl Visitor for Check {
     fn visit_stmt(&mut self, s: &Stmt) {
+        #[cfg(test)]
+        tests::count_visit();
         match &*s.0 {
             StmtNode::Barrier => {
                 if self.divergent > 0 && !self.reported_divergent_barrier {
@@ -80,8 +121,8 @@ impl Visitor for Check {
                     });
                 }
                 self.dirty.clear();
+                self.open = false;
             }
-            // The loop bounds are not walked: they only decide divergence.
             StmtNode::For {
                 var,
                 min,
@@ -89,6 +130,8 @@ impl Visitor for Check {
                 kind,
                 body,
             } => {
+                self.visit_expr(min);
+                self.visit_expr(extent);
                 let divergent_bounds = self.mentions_thread(min) || self.mentions_thread(extent);
                 if divergent_bounds {
                     self.divergent += 1;
@@ -96,13 +139,20 @@ impl Visitor for Check {
                 let bound_thread = matches!(kind, ForKind::ThreadBinding(t) if !t.is_block())
                     && extent.as_int() != Some(1)
                     && self.thread_vars.insert(var.id());
-                // Walk twice when the body touches shared memory so a
-                // fill at the end of iteration k is paired with reads at
-                // the start of iteration k+1.
+                let outer = std::mem::take(&mut self.exposed);
+                let outer_open = std::mem::replace(&mut self.open, true);
                 self.visit_stmt(body);
-                if touches_shared(body, &self.scopes) {
-                    self.visit_stmt(body);
+                // Iteration k+1 starts with what iteration k leaves dirty.
+                // The body's exposed reads are exposed in the enclosing
+                // body too if no barrier came before the loop.
+                let exposed = std::mem::replace(&mut self.exposed, outer);
+                for (buffer, index) in &exposed {
+                    self.check_read(buffer, index);
+                    if outer_open {
+                        self.expose(buffer, index);
+                    }
                 }
+                self.open &= outer_open;
                 if bound_thread {
                     self.thread_vars.remove(&var.id());
                 }
@@ -132,9 +182,7 @@ impl Visitor for Check {
             }
             StmtNode::Store { buffer, index, .. } => {
                 self.walk_stmt(s);
-                if matches!(self.scopes.get(&buffer.id()), Some((MemScope::Shared, _)))
-                    && self.mentions_thread(index)
-                {
+                if self.is_shared(buffer) && self.mentions_thread(index) {
                     self.dirty.insert(buffer.id());
                 }
             }
@@ -142,103 +190,15 @@ impl Visitor for Check {
         }
     }
 
-    // Nearly all of this pass's time is expression walking: loop bodies
-    // that touch shared memory are walked twice at every depth. This test
-    // is small enough to inline into `walk_expr`, which then reaches every
-    // node but a load by a direct call. Over the 465 distinct zoo kernels
-    // the pass takes 1.1x a hand-written recursion's time this way, and
-    // 1.3x with the load arm inline.
-    #[inline]
     fn visit_expr(&mut self, e: &Expr) {
-        match &*e.0 {
-            ExprNode::Load { buffer, index, .. } => self.visit_load(e, buffer, index),
-            _ => self.walk_expr(e),
-        }
-    }
-}
-
-impl Check {
-    /// A load's children, then whether it reads an unpublished fill.
-    #[inline(never)]
-    fn visit_load(&mut self, e: &Expr, buffer: &Var, index: &Expr) {
+        #[cfg(test)]
+        tests::count_visit();
         self.walk_expr(e);
-        if self.dirty.contains(&buffer.id()) && self.reported_dirty.insert(buffer.id()) {
-            let name = self
-                .scopes
-                .get(&buffer.id())
-                .map_or(buffer.name(), |(_, b)| b.name());
-            self.diags.push(Diagnostic {
-                pass: "sync",
-                severity: Severity::Error,
-                message: format!(
-                    "read of shared `{name}` before a barrier publishes its cooperative fill"
-                ),
-                witness: Some(format!("index `{index}`")),
-            });
-        }
-    }
-}
-
-/// Whether `s` stores to or loads from a shared buffer. The search skips
-/// loop bounds, allocation extents, attribute values, branch conditions,
-/// and the index and predicate of a store and the predicate of a load.
-fn touches_shared(s: &Stmt, scopes: &BufferScopes) -> bool {
-    let mut t = TouchesShared {
-        scopes,
-        found: false,
-    };
-    t.visit_stmt(s);
-    t.found
-}
-
-struct TouchesShared<'a> {
-    scopes: &'a BufferScopes,
-    found: bool,
-}
-
-impl TouchesShared<'_> {
-    fn note(&mut self, buffer: &Var) {
-        self.found |= matches!(self.scopes.get(&buffer.id()), Some((MemScope::Shared, _)));
-    }
-}
-
-impl Visitor for TouchesShared<'_> {
-    fn visit_stmt(&mut self, s: &Stmt) {
-        if self.found {
-            return;
-        }
-        match &*s.0 {
-            StmtNode::Store { buffer, value, .. } => {
-                self.note(buffer);
-                self.visit_expr(value);
+        if let ExprNode::Load { buffer, index, .. } = &*e.0 {
+            self.check_read(buffer, index);
+            if self.open && self.is_shared(buffer) {
+                self.expose(buffer, index);
             }
-            StmtNode::AttrStmt { body, .. }
-            | StmtNode::Allocate { body, .. }
-            | StmtNode::For { body, .. } => self.visit_stmt(body),
-            StmtNode::IfThenElse {
-                then_case,
-                else_case,
-                ..
-            } => {
-                self.visit_stmt(then_case);
-                if let Some(e) = else_case {
-                    self.visit_stmt(e);
-                }
-            }
-            _ => self.walk_stmt(s),
-        }
-    }
-
-    fn visit_expr(&mut self, e: &Expr) {
-        if self.found {
-            return;
-        }
-        match &*e.0 {
-            ExprNode::Load { buffer, index, .. } => {
-                self.note(buffer);
-                self.visit_expr(index);
-            }
-            _ => self.walk_expr(e),
         }
     }
 }
@@ -246,7 +206,43 @@ impl Visitor for TouchesShared<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use tvm_ir::{DType, ThreadTag};
+
+    thread_local! {
+        static VISITS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Counts one `visit_stmt` or `visit_expr` call of this thread's
+    /// `Check`.
+    pub(super) fn count_visit() {
+        VISITS.with(|v| v.set(v.get() + 1));
+    }
+
+    /// `check(body)` and the visits it made.
+    fn counted_check(body: &Stmt, params: &[Var]) -> (Vec<Diagnostic>, usize) {
+        VISITS.with(|v| v.set(0));
+        let diags = check(body, params);
+        (diags, VISITS.with(Cell::get))
+    }
+
+    /// Statement and expression nodes of `body`, each counted once.
+    fn node_count(body: &Stmt) -> usize {
+        struct Count(usize);
+        impl Visitor for Count {
+            fn visit_stmt(&mut self, s: &Stmt) {
+                self.0 += 1;
+                self.walk_stmt(s);
+            }
+            fn visit_expr(&mut self, e: &Expr) {
+                self.0 += 1;
+                self.walk_expr(e);
+            }
+        }
+        let mut c = Count(0);
+        c.visit_stmt(body);
+        c.0
+    }
 
     fn thread_loop(tx: &Var, extent: i64, body: Stmt) -> Stmt {
         Stmt::loop_(
@@ -366,5 +362,33 @@ mod tests {
             thread_loop(&tx, 4, Stmt::seq(vec![fill, read])),
         );
         assert!(check(&body, &[a, o]).is_empty());
+    }
+
+    #[test]
+    fn a_deep_shared_loop_nest_is_walked_once() {
+        // 16 serial loops, each reading and cooperatively filling shared
+        // `S`, under one thread loop: the read at the top of the
+        // innermost body meets the fill at its bottom one iteration on.
+        let s = Var::new("S", DType::float32());
+        let a = Var::new("A", DType::float32());
+        let tx = Var::int("tx");
+        let mut body = Stmt::store(&s, tx.to_expr(), Expr::load(&a, tx.to_expr()));
+        for d in 0..16 {
+            let k = Var::int(format!("k{d}"));
+            let read = Stmt::store(&a, tx.to_expr(), Expr::load(&s, k.to_expr()));
+            body = Stmt::for_(&k, 0, 2, Stmt::seq(vec![read, body]));
+        }
+        let body = Stmt::allocate(
+            &s,
+            DType::float32(),
+            4,
+            MemScope::Shared,
+            thread_loop(&tx, 4, body),
+        );
+        let (diags, visits) = counted_check(&body, &[a]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("`S`"), "{diags:?}");
+        let nodes = node_count(&body);
+        assert!(visits <= 2 * nodes, "{visits} visits for {nodes} nodes");
     }
 }

@@ -1,14 +1,8 @@
 //! Every pass reaches every node. A leaf expression (a load, or an unbound
 //! variable) is nested under each expression kind, and that expression is
-//! placed in each statement position that carries one; the passes must
-//! see the leaf everywhere except in the children they skip on purpose:
-//!
-//! * `race` reads no loop bound, allocation extent or attribute value;
-//! * `sync` reads no loop bound.
-//!
-//! `sync`'s walk-twice test (`touches_shared`) skips more, but walking a
-//! body twice is idempotent unless the body fills a shared buffer, so no
-//! verdict shows it.
+//! placed in each statement position that carries one; every pass must see
+//! the leaf in every position, loop bounds, allocation extents and
+//! attribute values included.
 
 use tvm_analysis::{analyze_stmt, race, ssa, sync, AnalysisOptions};
 use tvm_ir::{
@@ -274,13 +268,12 @@ fn ssa_flags_an_unbound_variable_in_every_position() {
 }
 
 #[test]
-fn race_reads_every_position_but_bounds_extents_and_attribute_values() {
+fn race_reads_every_position() {
     let fx = Fx::new();
     // `G[i]` is written by every iteration; a read of `G[0]` in another
     // iteration overlaps it.
     let write = Stmt::store(&fx.g, fx.i.to_expr(), Expr::f32(1.0));
     let leaf = Expr::load(&fx.g, Expr::int(0));
-    let skipped = ["AttrStmt value", "Allocate extent", "For min", "For extent"];
     let races = |carrier: Stmt| {
         let body = fx.program(ForKind::Parallel, write.clone(), carrier);
         race::check(&body, &fx.params())
@@ -290,17 +283,13 @@ fn race_reads_every_position_but_bounds_extents_and_attribute_values() {
     }
     for (at, carrier) in fx.placements(&leaf) {
         let diags = races(carrier);
-        if skipped.iter().any(|s| at.ends_with(s)) {
-            assert!(diags.is_empty(), "{at} is read: {diags:?}");
-        } else {
-            assert_eq!(diags.len(), 1, "{at}: {diags:?}");
-            assert!(diags[0].message.contains("race on `G`"), "{at}: {diags:?}");
-        }
+        assert_eq!(diags.len(), 1, "{at}: {diags:?}");
+        assert!(diags[0].message.contains("race on `G`"), "{at}: {diags:?}");
     }
 }
 
 #[test]
-fn sync_reads_every_position_but_loop_bounds() {
+fn sync_reads_every_position() {
     let fx = Fx::new();
     // Each thread fills its own slot of shared `S`; no barrier publishes
     // the fill before the carrier reads `S[0]`.
@@ -310,11 +299,7 @@ fn sync_reads_every_position_but_loop_bounds() {
     for (at, carrier) in fx.placements(&leaf) {
         let body = fx.program(threads, fill.clone(), carrier);
         let diags = sync::check(&body, &fx.params());
-        if at.ends_with("For min") || at.ends_with("For extent") {
-            assert!(diags.is_empty(), "{at} is read: {diags:?}");
-        } else {
-            assert_eq!(diags.len(), 1, "{at}: {diags:?}");
-            assert!(diags[0].message.contains("shared `S`"), "{at}: {diags:?}");
-        }
+        assert_eq!(diags.len(), 1, "{at}: {diags:?}");
+        assert!(diags[0].message.contains("shared `S`"), "{at}: {diags:?}");
     }
 }

@@ -29,6 +29,8 @@
 //!   from its nearest feature-space neighbor's best configurations;
 //! * [`error`] — typed errors for the request/measure paths.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod config;
 pub mod db;
 pub mod error;

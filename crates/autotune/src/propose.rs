@@ -245,8 +245,7 @@ impl Proposer for Genetic {
         }
         for &(child, cost) in measured {
             let worst = self.pop.iter_mut().max_by(|a, b| a.1.total_cmp(&b.1));
-            let worst = worst.expect("population is non-empty");
-            if cost < worst.1 {
+            if let Some(worst) = worst.filter(|w| cost < w.1) {
                 *worst = (child, cost);
             }
         }

@@ -363,10 +363,11 @@ impl SketchTask {
         order.extend(inners.iter());
         s.reorder(out, &order)?;
         let attach = if cfg.try_get("at")? == 1 {
-            &outers[0]
+            outers.first()
         } else {
-            outers.last().expect("anchor has spatial axes")
+            outers.last()
         };
+        let attach = attach.ok_or_else(|| TeError::msg("the anchor has no spatial axis"))?;
         s.compute_at(&cl, out, attach)?;
         let cl_reduces = cl.op.reduce_axes();
         let (ko, ki) = s.split(&cl, &cl_reduces[0], cfg.try_get("r0")?)?;

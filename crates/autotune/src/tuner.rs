@@ -21,6 +21,7 @@
 //! order, and each annealing chain owns its own seeded RNG.
 
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -473,7 +474,8 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
 /// Runs the optimizer on a task (direct simulator measurement, no pool,
 /// no journal).
 pub fn tune(task: &TuningTask, opts: &TuneOptions, kind: TunerKind) -> TuneResult {
-    tune_with(task, opts, kind, None, None).expect("tuning without a journal cannot fail on io")
+    let Ok(result) = search(task, opts, kind, None, ());
+    result
 }
 
 /// Runs the optimizer with optional fault-tolerant measurement and
@@ -501,36 +503,73 @@ pub fn tune_with(
     opts: &TuneOptions,
     kind: TunerKind,
     pool: Option<&mut Tracker>,
-    mut journal: Option<&mut Journal>,
+    journal: Option<&mut Journal>,
 ) -> std::io::Result<TuneResult> {
-    let _tune_span = tvm_obs::span_with(
-        "tune",
-        &[("task", &task.name), ("tuner", &format!("{kind:?}"))],
-    );
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut cache = MeasureCache::new(task);
-    let pool_before: Option<PoolStats> = pool.as_ref().map(|t| t.pool_stats().clone());
-    cache.pool = pool.map(Mutex::new);
+    match journal {
+        Some(j) => search(task, opts, kind, pool, j),
+        None => {
+            let Ok(result) = search(task, opts, kind, pool, ());
+            Ok(result)
+        }
+    }
+}
 
-    // Effective options: `warm_start` may be filled from the journal's
-    // nearest neighbor below.
-    let mut eff = opts.clone();
-    // Trials already journaled by a previous (killed) run: replayed from
-    // the memo cache and not appended again.
-    let mut journaled = 0usize;
-    if let Some(j) = journal.as_deref_mut() {
+/// Where a run's trials are journaled: a [`Journal`], or nowhere (`()`,
+/// whose error type says it cannot fail).
+trait TrialLog {
+    type Error;
+
+    /// Prepares the log for `task` before its first trial: replays what a
+    /// previous run journaled into `cache`, may fill `eff.warm_start`, and
+    /// returns how many trials it replayed.
+    fn resume(
+        &mut self,
+        _task: &TuningTask,
+        _cache: &MeasureCache,
+        _eff: &mut TuneOptions,
+    ) -> Result<usize, Self::Error> {
+        Ok(0)
+    }
+
+    /// Records trial number `trial`: config `idx` (`cfg`) cost `cost_ms`.
+    fn append(
+        &mut self,
+        _task: &TuningTask,
+        _trial: usize,
+        _idx: u64,
+        _cfg: &ConfigEntity,
+        _cost_ms: f64,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+impl TrialLog for () {
+    type Error = Infallible;
+}
+
+impl TrialLog for &mut Journal {
+    type Error = std::io::Error;
+
+    fn resume(
+        &mut self,
+        task: &TuningTask,
+        cache: &MeasureCache,
+        eff: &mut TuneOptions,
+    ) -> std::io::Result<usize> {
+        let j = &mut **self;
         if let Some(seed) = j.meta_seed(&task.name) {
-            if seed != opts.seed {
+            if seed != eff.seed {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!(
                         "journal for task `{}` was written with seed {seed}, not {}",
-                        task.name, opts.seed
+                        task.name, eff.seed
                     ),
                 ));
             }
         }
-        j.append_meta(&task.name, opts.seed)?;
+        j.append_meta(&task.name, eff.seed)?;
         // Fingerprint the task in invariant feature space: the signature
         // is journaled (first writer wins, so replays append nothing) and
         // locates the nearest already-tuned neighbor for warm-starting.
@@ -549,11 +588,55 @@ pub fn tune_with(
             j.append_sig(&task.name, &sig)?;
         }
         let prior = j.trials_for(&task.name);
-        journaled = prior.len();
-        for rec in prior {
+        for rec in &prior {
             cache.preload_cost(rec.config_index, rec.cost_ms);
         }
+        Ok(prior.len())
     }
+
+    fn append(
+        &mut self,
+        task: &TuningTask,
+        trial: usize,
+        idx: u64,
+        cfg: &ConfigEntity,
+        cost_ms: f64,
+    ) -> std::io::Result<()> {
+        Journal::append(
+            self,
+            DbRecord {
+                task: task.name.clone(),
+                trial: trial as u64,
+                config_index: idx,
+                config: cfg.summary(),
+                cost_ms,
+            },
+        )
+    }
+}
+
+/// [`tune_with`] over any [`TrialLog`].
+fn search<L: TrialLog>(
+    task: &TuningTask,
+    opts: &TuneOptions,
+    kind: TunerKind,
+    pool: Option<&mut Tracker>,
+    mut log: L,
+) -> Result<TuneResult, L::Error> {
+    let _tune_span = tvm_obs::span_with(
+        "tune",
+        &[("task", &task.name), ("tuner", &format!("{kind:?}"))],
+    );
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut cache = MeasureCache::new(task);
+    let pool_before: Option<PoolStats> = pool.as_ref().map(|t| t.pool_stats().clone());
+    cache.pool = pool.map(Mutex::new);
+
+    // Effective options: `warm_start` may be filled from the journal's
+    // nearest neighbor. Trials already journaled by a previous (killed)
+    // run are replayed from the memo cache and not appended again.
+    let mut eff = opts.clone();
+    let journaled = log.resume(task, &cache, &mut eff)?;
 
     let opts = &eff;
     let (mut proposer, model_spec) = proposer_for(kind, &task.space, opts, &mut rng);
@@ -595,15 +678,7 @@ pub fn tune_with(
             let cfg = task.space.get(idx);
             let trial = history.len() + 1;
             if trial > journaled {
-                if let Some(j) = journal.as_deref_mut() {
-                    j.append(DbRecord {
-                        task: task.name.clone(),
-                        trial: trial as u64,
-                        config_index: idx,
-                        config: cfg.summary(),
-                        cost_ms: cost,
-                    })?;
-                }
+                log.append(task, trial, idx, &cfg, cost)?;
             }
             history.push(TrialRecord {
                 trial,

@@ -145,37 +145,44 @@ impl GroupBuild {
     }
 }
 
-fn emit_compute(g: &Graph, gb: &mut GroupBuild, id: NodeId, member_ids: &[NodeId]) -> Tensor {
+fn emit_compute(
+    g: &Graph,
+    gb: &mut GroupBuild,
+    id: NodeId,
+    member_ids: &[NodeId],
+) -> Result<Tensor, TeError> {
     let node = g.node(id);
-    let arg = |gb: &mut GroupBuild, i: usize| -> Tensor {
+    let arg = |gb: &mut GroupBuild, i: usize| -> Result<Tensor, TeError> {
         let inp = node.inputs[i];
-        if member_ids.contains(&inp) {
-            gb.tensors
-                .get(&inp)
-                .expect("members emitted in topo order")
-                .clone()
-        } else {
-            gb.input_tensor(g, inp)
+        if !member_ids.contains(&inp) {
+            return Ok(gb.input_tensor(g, inp));
         }
+        gb.tensors.get(&inp).cloned().ok_or_else(|| {
+            TeError::msg(format!(
+                "`{}` reads member `{}` before it is emitted",
+                node.name,
+                g.node(inp).name
+            ))
+        })
     };
     let out = match &node.op {
         OpType::Conv2d(w) => {
-            let data = arg(gb, 0);
-            let weight = arg(gb, 1);
+            let data = arg(gb, 0)?;
+            let weight = arg(gb, 1)?;
             gb.conv
                 .insert(topi::conv2d_compute(&data, &weight, w))
                 .out
                 .clone()
         }
         OpType::DepthwiseConv2d(w) => {
-            let data = arg(gb, 0);
-            let weight = arg(gb, 1);
+            let data = arg(gb, 0)?;
+            let weight = arg(gb, 1)?;
             let op = topi::depthwise_conv2d_compute(&data, &weight, w);
             gb.conv.insert(op).out.clone()
         }
         OpType::Dense(w) => {
-            let data = arg(gb, 0);
-            let weight = arg(gb, 1);
+            let data = arg(gb, 0)?;
+            let weight = arg(gb, 1)?;
             topi::dense_compute(&data, &weight, w)
         }
         OpType::Conv2dTranspose {
@@ -186,60 +193,60 @@ fn emit_compute(g: &Graph, gb: &mut GroupBuild, id: NodeId, member_ids: &[NodeId
             stride,
             out_pad,
         } => {
-            let data = arg(gb, 0);
-            let weight = arg(gb, 1);
+            let data = arg(gb, 0)?;
+            let weight = arg(gb, 1)?;
             let op = topi::conv2d_transpose_compute(
                 &data, &weight, 1, *in_c, *in_size, *out_c, *kernel, *stride, *out_pad,
             );
             gb.conv.insert(op).out.clone()
         }
-        OpType::Relu => topi::relu(&arg(gb, 0)),
+        OpType::Relu => topi::relu(&arg(gb, 0)?),
         OpType::BiasAdd => {
-            let x = arg(gb, 0);
-            let b = arg(gb, 1);
+            let x = arg(gb, 0)?;
+            let b = arg(gb, 1)?;
             topi::bias_add(&x, &b)
         }
         OpType::BatchNorm => {
-            let x = arg(gb, 0);
-            let sc = arg(gb, 1);
-            let sh = arg(gb, 2);
+            let x = arg(gb, 0)?;
+            let sc = arg(gb, 1)?;
+            let sh = arg(gb, 2)?;
             topi::batch_norm(&x, &sc, &sh)
         }
         OpType::Add => {
-            let a = arg(gb, 0);
-            let b = arg(gb, 1);
+            let a = arg(gb, 0)?;
+            let b = arg(gb, 1)?;
             topi::add(&a, &b)
         }
         OpType::Multiply => {
-            let a = arg(gb, 0);
-            let b = arg(gb, 1);
+            let a = arg(gb, 0)?;
+            let b = arg(gb, 1)?;
             topi::multiply(&a, &b)
         }
-        OpType::Tanh => topi::tanh_t(&arg(gb, 0)),
-        OpType::Sigmoid => topi::sigmoid_t(&arg(gb, 0)),
-        OpType::Softmax => topi::softmax(&arg(gb, 0)),
+        OpType::Tanh => topi::tanh_t(&arg(gb, 0)?),
+        OpType::Sigmoid => topi::sigmoid_t(&arg(gb, 0)?),
+        OpType::Softmax => topi::softmax(&arg(gb, 0)?),
         OpType::MaxPool2d {
             window,
             stride,
             pad,
         } => {
-            let x = arg(gb, 0);
+            let x = arg(gb, 0)?;
             topi::max_pool2d(&x, *window, *stride, *pad)
         }
-        OpType::GlobalAvgPool => topi::global_avg_pool(&arg(gb, 0)),
-        OpType::Flatten => topi::flatten(&arg(gb, 0)),
-        OpType::Reshape => topi::reshape(&arg(gb, 0), &node.shape),
+        OpType::GlobalAvgPool => topi::global_avg_pool(&arg(gb, 0)?),
+        OpType::Flatten => topi::flatten(&arg(gb, 0)?),
+        OpType::Reshape => topi::reshape(&arg(gb, 0)?, &node.shape),
         OpType::LayoutTransform { .. } => {
             // Semantically an identity copy that marks the layout boundary;
             // it pays the copy cost the transform would.
-            let x = arg(gb, 0);
+            let x = arg(gb, 0)?;
             let xs = x.clone();
             compute(&node.shape, format!("{}_copy", node.name), |i| xs.at(i))
         }
         OpType::Input | OpType::Param => unreachable!("inputs are not group members"),
     };
     gb.tensors.insert(id, out.clone());
-    out
+    Ok(out)
 }
 
 /// Untuned tiles by knob name, for a space with no record in the database;
@@ -407,7 +414,7 @@ pub fn build_group(
         _ => (&group.nodes[..], group.output),
     };
     for &m in members {
-        emit_compute(g, &mut gb, m, members);
+        emit_compute(g, &mut gb, m, members)?;
     }
     let out_t = gb.tensors[&written].clone();
     let mut s = create_schedule(std::slice::from_ref(&out_t));

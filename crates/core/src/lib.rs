@@ -20,6 +20,8 @@
 //! assert_eq!(m.get_output(0).unwrap().shape, vec![1, 18]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod compiler;
 pub mod frontend;
 

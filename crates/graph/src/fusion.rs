@@ -46,10 +46,11 @@ pub struct GroupKey {
     members: Vec<(OpType, Vec<i64>, DType, Vec<Edge>)>,
     /// Shape and dtype of each external, in first-use order.
     externals: Vec<(Vec<i64>, DType)>,
-    /// Position of the master among the members.
-    master: usize,
+    /// Position of the master among the members (`None` in a malformed
+    /// group, which `verify_graph` rejects).
+    master: Option<usize>,
     /// Position of the output among the members.
-    output: usize,
+    output: Option<usize>,
 }
 
 impl GroupKey {
@@ -82,8 +83,8 @@ impl GroupKey {
         let key = GroupKey {
             members,
             externals,
-            master: position(group.master).expect("the master is a member"),
-            output: position(group.output).expect("the output is a member"),
+            master: position(group.master),
+            output: position(group.output),
         };
         (key, args)
     }

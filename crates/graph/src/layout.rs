@@ -31,14 +31,15 @@ pub fn cpu_preference(block: i64) -> impl Fn(&Graph, NodeId) -> String {
 /// inserted.
 pub fn transform_layouts(g: &Graph, prefer: &PreferenceFn) -> (Graph, usize) {
     let mut out = Graph::new();
-    // Map old ids -> (new id, layout tag of its output).
-    let mut mapped: Vec<Option<(NodeId, String)>> = vec![None; g.nodes.len()];
+    // Map old ids -> (new id, layout tag of its output). Nodes are in
+    // construction order, so every input is mapped before its consumer.
+    let mut mapped: Vec<(NodeId, String)> = Vec::with_capacity(g.nodes.len());
     let mut inserted = 0usize;
     for node in &g.nodes {
         let want = prefer(g, node.id);
         let mut new_inputs = Vec::with_capacity(node.inputs.len());
         for &inp in &node.inputs {
-            let (nid, have) = mapped[inp.0].clone().expect("topological order");
+            let (nid, have) = mapped[inp.0].clone();
             // Params adapt for free at deployment time (pre-packed).
             let is_param = matches!(g.node(inp).op, OpType::Param);
             if have != want && !is_param && !matches!(node.op, OpType::Flatten) {
@@ -62,11 +63,10 @@ pub fn transform_layouts(g: &Graph, prefer: &PreferenceFn) -> (Graph, usize) {
             node.dtype,
             node.name.clone(),
         );
-        mapped[node.id.0] = Some((nid, want));
+        mapped.push((nid, want));
     }
     for o in &g.outputs {
-        let (nid, _) = mapped[o.0].clone().expect("output mapped");
-        out.outputs.push(nid);
+        out.outputs.push(mapped[o.0].0);
     }
     (out, inserted)
 }

@@ -7,6 +7,8 @@
 //! Table 2 lists). `tvm-topi` re-exports them, so the graph layer, the
 //! graph runtime and the model zoo link no compiler or tuner crate.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod fusion;
 pub mod ir;
 pub mod layout;

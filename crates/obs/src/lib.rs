@@ -36,10 +36,12 @@
 //! assert!(reg.chrome_trace().starts_with('{'));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Hard cap on buffered span events per registry; beyond it events are
@@ -120,6 +122,13 @@ impl Registry {
         }
     }
 
+    /// The recorded state. A thread that panicked while holding it left
+    /// whole events and counts behind (each update is one push or one
+    /// add), so a poisoned lock is taken as is.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The process-wide registry every instrumented crate reports into.
     /// Disabled by default; `tvm-prof` (and tests) enable it.
     pub fn global() -> &'static Registry {
@@ -171,20 +180,20 @@ impl Registry {
         if !self.enabled() || delta == 0 {
             return;
         }
-        let mut st = self.state.lock().expect("obs state");
+        let mut st = self.state();
         *st.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Reads a single counter (0 if never incremented or recording is
     /// disabled) without cloning the whole counter map.
     pub fn counter_get(&self, name: &str) -> u64 {
-        let st = self.state.lock().expect("obs state");
+        let st = self.state();
         st.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Snapshot of all recorded span events, sorted by begin sequence.
     pub fn events(&self) -> Vec<SpanEvent> {
-        let st = self.state.lock().expect("obs state");
+        let st = self.state();
         let mut ev = st.events.clone();
         ev.sort_by_key(|e| e.seq);
         ev
@@ -192,23 +201,23 @@ impl Registry {
 
     /// Snapshot of the counters.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.state.lock().expect("obs state").counters.clone()
+        self.state().counters.clone()
     }
 
     /// Events dropped because the buffer hit [`MAX_EVENTS`].
     pub fn dropped(&self) -> u64 {
-        self.state.lock().expect("obs state").dropped
+        self.state().dropped
     }
 
     /// Clears all recorded events and counters (the enabled flag
     /// is untouched).
     pub fn reset(&self) {
-        let mut st = self.state.lock().expect("obs state");
+        let mut st = self.state();
         *st = State::default();
     }
 
     fn record(&self, ev: SpanEvent) {
-        let mut st = self.state.lock().expect("obs state");
+        let mut st = self.state();
         if st.events.len() >= MAX_EVENTS {
             st.dropped += 1;
             return;
@@ -298,7 +307,7 @@ impl Registry {
     /// self-contained JSON object.
     pub fn chrome_trace(&self) -> String {
         let events = self.events();
-        let st = self.state.lock().expect("obs state");
+        let st = self.state();
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
         let mut push = |out: &mut String, item: String| {
