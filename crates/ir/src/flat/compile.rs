@@ -194,7 +194,7 @@ impl<'a> Compiler<'a> {
             ops,
             ints: self.frames[0].ints as u16,
             floats: self.frames[0].floats as u16,
-            iconsts: self.iconsts,
+            iconsts: self.iconsts.into_boxed_slice(),
             fconsts: self.fconsts,
             slots: self.slots,
             errors: self.errors,
@@ -275,23 +275,14 @@ impl<'a> Compiler<'a> {
         self.reg_in(v, frame)
     }
 
-    /// Emits (or finds) the pure op `code` over `args`, with `lit` in the
-    /// field after them. Unless `pinned`, it is placed at the level of its
+    /// Emits (or finds) the pure op `code` over `args`, with `lits` in the
+    /// fields after them. Unless `pinned`, it is placed at the level of its
     /// deepest operand; a pinned op may fault and stays where it stands.
-    fn pure(
-        &mut self,
-        code: Code,
-        kind: Kind,
-        args: &[Vid],
-        lit: Option<u16>,
-        pinned: bool,
-    ) -> Vid {
+    fn pure(&mut self, code: Code, kind: Kind, args: &[Vid], lits: &[u16], pinned: bool) -> Vid {
         let mut key = [NONE; 3];
-        for (k, &v) in key.iter_mut().zip(args) {
+        let fields = args.iter().copied().chain(lits.iter().map(|&l| l as u32));
+        for (k, v) in key.iter_mut().zip(fields) {
             *k = v;
-        }
-        if let Some(l) = lit {
-            key[args.len()] = l as u32;
         }
         let key = Key(code, key);
         if let Some(&v) = self.vn.get(&key) {
@@ -311,9 +302,10 @@ impl<'a> Compiler<'a> {
         for (slot, &v) in f.iter_mut().zip(args) {
             *slot = self.reg_in(v, frame);
         }
-        if let Some(l) = lit {
-            f[args.len()] = l;
-        }
+        f[args.len()..]
+            .iter_mut()
+            .zip(lits)
+            .for_each(|(slot, &l)| *slot = l);
         let d = self.alloc(frame, kind);
         let op = Op::new(code, d, f[0], f[1], f[2]);
         if level == cur {
@@ -356,12 +348,12 @@ impl<'a> Compiler<'a> {
     /// [`Compiler::pure`] for the common case: register operands only, free
     /// to move.
     fn op(&mut self, code: Code, kind: Kind, args: &[Vid]) -> Vid {
-        self.pure(code, kind, args, None, false)
+        self.pure(code, kind, args, &[], false)
     }
 
     fn iconst(&mut self, value: i64) -> Vid {
         let k = intern(&mut self.iconsts, value, |c| c == value);
-        let v = self.pure(Code::IConst, Kind::Int, &[], Some(k), false);
+        let v = self.pure(Code::IConst, Kind::Int, &[], &[k], false);
         let info = &mut self.values[v as usize];
         info.konst = Some(value);
         info.is_bool = value == 0 || value == 1;
@@ -370,7 +362,7 @@ impl<'a> Compiler<'a> {
 
     fn fconst(&mut self, value: f64) -> Vid {
         let k = intern(&mut self.fconsts, value, |c| c.to_bits() == value.to_bits());
-        self.pure(Code::FConst, Kind::Float, &[], Some(k), false)
+        self.pure(Code::FConst, Kind::Float, &[], &[k], false)
     }
 
     fn push(&mut self, op: Op) {
@@ -929,7 +921,7 @@ impl<'a> Compiler<'a> {
                         return V::Int(x);
                     }
                     let spec = t.bits as u16 | ((t.code == TypeCode::Int) as u16) << 8;
-                    V::Int(self.pure(Code::IQuant, Kind::Int, &[x], Some(spec), false))
+                    V::Int(self.pure(Code::IQuant, Kind::Int, &[x], &[spec], false))
                 } else {
                     let x = self.as_float(v);
                     V::Float(match t.bits {
@@ -1073,13 +1065,19 @@ impl<'a> Compiler<'a> {
         if matches!(op, Add | Sub | Mul) {
             return V::Int(self.int_of(e));
         }
-        let (x, y) = (self.int_of(a), self.int_of(b));
-        let nonzero = self.values[y as usize].konst.is_some_and(|k| k != 0);
+        let x = self.int_of(a);
+        let y = self.affine(b);
+        let konst = y.as_const();
+        if let (Div | Mod, Some(k @ 1..)) = (op, konst) {
+            return V::Int(self.by_constant(x, k, op == Mod));
+        }
+        let y = self.materialize(y);
+        // Only a zero divisor faults: a division by any other constant may
+        // move.
+        let checked = konst.is_none_or(|k| k == 0);
         let (code, pinned) = match op {
-            Div if nonzero => (Code::IDivNz, false),
-            Mod if nonzero => (Code::IModNz, false),
-            Div => (Code::IDiv, true),
-            Mod => (Code::IMod, true),
+            Div => (Code::IDiv, checked),
+            Mod => (Code::IMod, checked),
             Min => (Code::IMin, false),
             Max => (Code::IMax, false),
             BitAnd => (Code::IAnd, false),
@@ -1089,7 +1087,27 @@ impl<'a> Compiler<'a> {
             Shr => (Code::IShr, false),
             Add | Sub | Mul => unreachable!("affine ops are handled above"),
         };
-        V::Int(self.pure(code, Kind::Int, &[x, y], None, pinned))
+        V::Int(self.pure(code, Kind::Int, &[x, y], &[], pinned))
+    }
+
+    /// `x // k`, or `x % k` when `rem`, for a constant `k > 0`: the quotient
+    /// a multiply-high by the [`magic`] of `k` (`x` itself when `k` is one),
+    /// the remainder `x - k * (x // k)`. The magic is the op's literals, the
+    /// multiplier in the constant pool, so a division takes no register: in
+    /// a barriered nest every lane holds a copy of each constant it uses.
+    fn by_constant(&mut self, x: Vid, k: i64, rem: bool) -> Vid {
+        let q = if k == 1 {
+            x
+        } else {
+            let (m, shift) = magic(k);
+            let m = intern(&mut self.iconsts, m as i64, |c| c == m as i64);
+            self.pure(Code::IDivNz, Kind::Int, &[x], &[m, shift], false)
+        };
+        if !rem {
+            return q;
+        }
+        let k = self.iconst(k);
+        self.op(Code::IMulSub, Kind::Int, &[x, q, k])
     }
 
     /// `a && b` (`skip` = `JumpIfZero`) or `a || b` (`JumpIfNonZero`): `b`
@@ -1241,7 +1259,7 @@ impl<'a> Compiler<'a> {
             }
             (_, Some(f)) => {
                 let x = self.as_float(vals[0]);
-                V::Float(self.pure(Code::FUnary, Kind::Float, &[x], Some(f), false))
+                V::Float(self.pure(Code::FUnary, Kind::Float, &[x], &[f], false))
             }
             // Every other name was raised as unknown above.
             (_, None) => self.dummy(dtype.is_float()),
@@ -1300,6 +1318,20 @@ impl<'a> Compiler<'a> {
             | Call { .. } => false,
         }
     }
+}
+
+/// The multiplier `m` and shift `l - 1` by which [`Code::IDivNz`] divides
+/// by `k >= 2`: `l = ceil(log2 k)` and `m = ceil(2^(63 + l) / k)`. Then
+/// `floor(n / k) = (n * m) >> (63 + l)` for every `0 <= n < 2^63`
+/// (Granlund and Montgomery, PLDI 1994, with 63-bit dividends):
+/// `m * k - 2^(63 + l) < k <= 2^l`, so the product overshoots `n / k` by
+/// less than `1 / k`. `2^(l-1) < k` keeps `m` below `2^64`; a power of two
+/// `2^l` gets `m = 2^63`, a shift by `l`.
+pub(super) fn magic(k: i64) -> (u64, u16) {
+    let k = k as u128;
+    let l = 128 - (k - 1).leading_zeros();
+    let m = (1u128 << (63 + l)).div_ceil(k);
+    (m as u64, (l - 1) as u16)
 }
 
 /// Index of `value` in `pool`, added if `same` finds no equal. An index past
@@ -1364,6 +1396,7 @@ mod tests {
 
     use super::*;
     use crate::expr::Expr;
+    use crate::interval::floor_div;
 
     /// Each op's code and fields.
     fn ops(p: &Program) -> Vec<(Code, u16, u16, u16, u16)> {
@@ -1446,6 +1479,91 @@ mod tests {
         same_as_serial(&[(&o, Storage::F32)], |kind| {
             Stmt::loop_(&i, 0, 11, kind, store.clone())
         });
+    }
+
+    #[test]
+    fn the_magic_of_every_divisor_floors_exactly() {
+        // Every `k` from 2 to 2^14, powers of two above it, the largest
+        // `k`, and dividends at both ends of `i64`, around each multiple of
+        // `k` there, and drawn from a xorshift.
+        let large = [
+            (1i64 << 31) - 1,
+            1_000_000_007,
+            (1 << 62) + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let ks = (2..1i64 << 14).chain((15..63).map(|j| 1 << j)).chain(large);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for k in ks {
+            let (m, shift) = magic(k);
+            let top = i64::MAX - i64::MAX % k;
+            let mut ns = vec![
+                i64::MIN,
+                i64::MIN + 1,
+                -1,
+                0,
+                1,
+                i64::MAX,
+                top,
+                -top,
+                -top - 1,
+            ];
+            ns.extend([
+                -k - 1,
+                -k,
+                -k + 1,
+                k - 1,
+                k,
+                k.wrapping_add(1),
+                top - 1,
+                -top + 1,
+            ]);
+            for _ in 0..16 {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                ns.push(seed as i64);
+            }
+            for n in ns {
+                let q = super::super::machine::div_magic(n, m, shift as u32);
+                assert_eq!(q, floor_div(n, k), "{n} // {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_positive_constant_divisor_reaches_a_hardware_divide() {
+        // O[i] = A[i] // k + A[i] % k for each constant `k`, and by `A[0]`.
+        let (a, o, i) = (
+            Var::new("A", DType::int64()),
+            Var::new("O", DType::int64()),
+            Var::int("i"),
+        );
+        let program = |k: Expr| {
+            let x = Expr::load(&a, i.to_expr());
+            let value = x.clone().floordiv(k.clone()) + x % k;
+            let func = LoweredFunc {
+                name: "t".into(),
+                params: vec![a.clone(), o.clone()],
+                param_dtypes: vec![DType::int64(); 2],
+                param_extents: vec![16; 2],
+                body: Stmt::for_(&i, 0, 16, Stmt::store(&o, i.to_expr(), value)),
+            };
+            let held = [(Storage::I64, DType::int64()); 2];
+            Program::compile(&func, &held, &HashMap::new())
+        };
+        let codes = |p: &Program| p.ops.iter().map(|o| o.code).collect::<Vec<_>>();
+        for k in [1, 2, 8, 1 << 40, 3, 10, i64::MAX] {
+            let p = program(Expr::int(k));
+            assert_eq!(p.hardware_divides(), 0, "{k}: {:?}", codes(&p));
+            assert_eq!(codes(&p).contains(&Code::IDivNz), k > 1, "{k}");
+            assert!(codes(&p).contains(&Code::IMulSub), "{k}");
+        }
+        // A negative constant and a variable divide in hardware, once for
+        // `//` and once for `%` (each reads its own `A[i]`).
+        assert_eq!(program(Expr::int(-3)).hardware_divides(), 2);
+        assert_eq!(program(Expr::load(&a, Expr::int(0))).hardware_divides(), 2);
     }
 
     #[test]

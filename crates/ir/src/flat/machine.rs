@@ -29,6 +29,17 @@ fn wrap_int(v: i64, spec: u16) -> i64 {
     }
 }
 
+/// `floor(n / k)`, `m` and `shift` being [`magic`](super::compile::magic)`(k)`.
+/// With `s` all ones when `n` is negative, `n ^ s` is `n` or `-n - 1`, in
+/// `0..2^63` either way, and `floor(n / k) = !floor((-n - 1) / k)` for a
+/// negative `n`.
+#[inline(always)]
+pub(super) fn div_magic(n: i64, m: u64, shift: u32) -> i64 {
+    let s = n >> 63;
+    let q = ((((n ^ s) as u64 as u128) * m as u128) >> 64) as u64 >> shift;
+    q as i64 ^ s
+}
+
 #[cold]
 fn wrong_storage(slot: &Slot) -> InterpError {
     InterpError::Malformed(format!(
@@ -66,6 +77,7 @@ impl Machine<'_> {
                 ISub => ints[d] = ints[a].wrapping_sub(ints[b]),
                 IMul => ints[d] = ints[a].wrapping_mul(ints[b]),
                 IMulAdd => ints[d] = ints[a].wrapping_add(ints[b].wrapping_mul(ints[c])),
+                IMulSub => ints[d] = ints[a].wrapping_sub(ints[b].wrapping_mul(ints[c])),
                 IDiv | IMod => {
                     if ints[b] == 0 {
                         return Err(InterpError::DivideByZero);
@@ -76,8 +88,7 @@ impl Machine<'_> {
                         floor_mod(ints[a], ints[b])
                     };
                 }
-                IDivNz => ints[d] = floor_div(ints[a], ints[b]),
-                IModNz => ints[d] = floor_mod(ints[a], ints[b]),
+                IDivNz => ints[d] = div_magic(ints[a], program.iconsts[b] as u64, c as u32),
                 IMin => ints[d] = ints[a].min(ints[b]),
                 IMax => ints[d] = ints[a].max(ints[b]),
                 IAnd => ints[d] = ints[a] & ints[b],

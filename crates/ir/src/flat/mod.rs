@@ -12,7 +12,9 @@
 //!   preheader of the next loop in — common subexpressions are computed
 //!   once and loop-invariant ones leave the loop. Integer `+ - *` is
 //!   regrouped as an affine sum ordered by level first, which is exact
-//!   because the walker computes them wrapping in `i64`;
+//!   because the walker computes them wrapping in `i64`. A `//` or `%` by
+//!   a positive constant is a multiply-high and a shift, never a hardware
+//!   divide;
 //! * loads, stores, checked division, intrinsic calls and faults stay where
 //!   the statement stands, so they happen in the walker's order and raise
 //!   the walker's errors.
@@ -58,7 +60,9 @@
 //!   span ends cut each row into pieces, and each piece runs over slices
 //!   taken once for it. An unguarded nest whose every level walks each
 //!   access on from where the level inside it ends (a split reduction
-//!   `k.o × k.i`) runs as one row.
+//!   `k.o × k.i`; which nests can is known when they are compiled) runs as
+//!   one row. An unguarded nest whose `S` moves along no level keeps its
+//!   sum in a register for the whole box.
 //! * *Replay*: before it writes anything, the op checks with checked
 //!   arithmetic that every integer stays an `i64` over the nest's box and
 //!   that `S` and every unguarded factor stay in bounds at its corners; a
@@ -165,12 +169,17 @@ enum Code {
     IMul,
     /// `i[d] = i[a] + i[b] * i[c]`
     IMulAdd,
-    /// Floor division; faults on zero.
+    /// `i[d] = i[a] - i[b] * i[c]`: a constant `a % k` is
+    /// `IMulSub(a, a // k, k)`, which wraps to the exact remainder.
+    IMulSub,
+    /// Floor division and modulus by a variable or a negative constant;
+    /// they fault on zero.
     IDiv,
     IMod,
-    /// Floor division by a register known to hold a non-zero constant.
+    /// `i[d] = floor(i[a] / k)` for a constant `k >= 2`, as a multiply-high
+    /// by `iconsts[b]` and a shift right by `c`, the magic of `k`
+    /// (`compile::magic`), so no positive constant divisor reaches `IDiv`.
     IDivNz,
-    IModNz,
     IMin,
     IMax,
     IAnd,
@@ -341,7 +350,9 @@ pub struct Program {
     ops: Vec<Op>,
     ints: u16,
     floats: u16,
-    iconsts: Vec<i64>,
+    /// Exactly sized, as `handoffs` is: `IDivNz`'s multipliers join the
+    /// pool, and a `Vec` would double its room for one more.
+    iconsts: Box<[i64]>,
     fconsts: Vec<f64>,
     /// Parameters first, then one per `Allocate`.
     slots: Vec<SlotDecl>,
@@ -390,6 +401,14 @@ impl Program {
     /// Loop levels of each reduce nest, in program order.
     pub fn reduce_depths(&self) -> Vec<usize> {
         self.handoffs.iter().map(|r| r.levels.len()).collect()
+    }
+
+    /// Number of integer divisions and moduli run as a hardware divide:
+    /// those by a variable or a non-positive constant. One by a positive
+    /// constant is a multiply-high and a shift (`IDivNz`).
+    pub fn hardware_divides(&self) -> usize {
+        let divides = |op: &&Op| matches!(op.code, Code::IDiv | Code::IMod);
+        self.ops.iter().filter(divides).count()
     }
 
     /// Number of factors, over every reduce nest, that are a guarded

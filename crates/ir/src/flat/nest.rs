@@ -21,14 +21,17 @@ const MAX_LINS: usize = 15;
 #[derive(Clone)]
 pub(super) struct ReduceNest {
     /// Outermost first.
-    pub(super) levels: Vec<NestLevel>,
+    pub(super) levels: Box<[NestLevel]>,
     /// Slots of `S` and of the two factors' buffers.
     slots: [u16; 3],
     /// The indices of `S` and of the two factors, then both sides of every
     /// guard comparison.
-    lins: Vec<Lin>,
+    lins: Box<[Lin]>,
     /// Each factor's guard, if it has one.
     pub(super) guards: [Option<Guard>; 2],
+    /// Whether the nest may run as one row ([`Machine::run_row`]): it is
+    /// unguarded, and its strides chain ([`chains`]).
+    row: bool,
     scalar_len: u16,
 }
 
@@ -275,8 +278,7 @@ impl Machine<'_> {
         start: usize,
         ints: &mut [i64],
     ) -> Result<usize> {
-        let ran =
-            matches!(r.guards, [None, None]) && self.run_row(r, ints) || self.run_box(r, ints);
+        let ran = r.row && self.run_row(r, ints) || self.run_box(r, ints);
         Ok(if ran {
             start + r.scalar_len as usize
         } else {
@@ -380,8 +382,9 @@ impl Machine<'_> {
     /// every level walks each access on from where the level inside it
     /// ends, as a dense layer's split reduction does, the iterations in
     /// row-major order are one run at the innermost strides, and its bounds
-    /// check is both ends of each access. Returns whether it ran; if not,
-    /// it changed nothing.
+    /// check is both ends of each access. Only a nest whose strides
+    /// [`chains`] comes here; this checks the extents. Returns whether it
+    /// ran; if not, it changed nothing.
     ///
     /// [`Self::run_box`] runs the same nests through `row::run`, one row
     /// per innermost level, so this is a fast path and not a second
@@ -628,7 +631,7 @@ impl Compiler<'_> {
             .collect();
         let level = self.close_level();
         debug_assert!(level.body.is_empty(), "every term is invariant");
-        let lins = plan
+        let lins: Box<[Lin]> = plan
             .lins
             .iter()
             .zip(bases)
@@ -650,11 +653,13 @@ impl Compiler<'_> {
                 limit: self.reg(limit),
             })
             .collect();
+        let row = matches!(plan.guards, [None, None]) && chains(&lins, plan.levels.len());
         self.handoffs.push(ReduceNest {
             levels,
             slots: plan.slots,
             lins,
             guards: plan.guards.clone(),
+            row,
             scalar_len,
         });
         plan.handoff = self.handoffs.len() - 1;
@@ -676,6 +681,27 @@ impl Compiler<'_> {
             .all(|&(v, _)| self.values[v as usize].level < level);
         invariant.then_some((a, stride))
     }
+}
+
+/// Whether the three accesses' strides, `lins[..3]`, let a nest of `depth`
+/// levels run as one row: at each level, every access's stride is one
+/// common positive multiple of its stride one level in, or both are zero.
+/// [`Machine::run_row`] then checks that the multiple is the inner level's
+/// extent, which is known only at run time.
+fn chains(lins: &[Lin], depth: usize) -> bool {
+    (1..depth).all(|j| {
+        let mut common = None;
+        lins.iter().take(3).all(|lin| {
+            let (outer, inner) = (lin.strides[j - 1], lin.strides[j]);
+            if inner == 0 {
+                return outer == 0;
+            }
+            match (outer.checked_rem(inner), outer.checked_div(inner)) {
+                (Some(0), Some(q)) if q > 0 => *common.get_or_insert(q) == q,
+                _ => false,
+            }
+        })
+    })
 }
 
 /// Whether a loop of `kind` may be a level of a reduce nest.
@@ -819,4 +845,90 @@ fn mac_form(body: &Stmt) -> Option<MacForm<'_>> {
         at: [index, at],
         factors,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reduce nests `body` compiles to, over float32 buffers `S`, `X`
+    /// and `W` of 4,096.
+    fn handoffs(body: impl Fn(&Var, &Var, &Var) -> Stmt) -> Vec<ReduceNest> {
+        let [s, x, w] = ["S", "X", "W"].map(|n| Var::new(n, DType::float32()));
+        let func = LoweredFunc {
+            name: "t".into(),
+            body: body(&s, &x, &w),
+            params: vec![s, x, w],
+            param_dtypes: vec![DType::float32(); 3],
+            param_extents: vec![4096; 3],
+        };
+        Program::compile_f32(&func).handoffs.into_vec()
+    }
+
+    /// `S[s] = S[s] + X[x] * W[w]`.
+    fn mac(s: &Var, x: &Var, w: &Var, at: [Expr; 3]) -> Stmt {
+        let [si, xi, wi] = at;
+        let sum = Expr::load(s, si.clone()) + Expr::load(x, xi) * Expr::load(w, wi);
+        Stmt::store(s, si, sum)
+    }
+
+    #[test]
+    fn a_gpu_conv_lane_is_no_row_and_a_split_dense_reduction_is() {
+        // A `titanx` conv lane: `conv[0]` over `rh × rw × rc.i`, the data
+        // tile read at `rc.i * 100 + (rh + 2) * 10 + rw`, the weight tile
+        // at `rc.i * 9 + rh * 3 + rw`. No level walks on from the one
+        // inside it.
+        let (rh, rw, rc) = (Var::int("rh"), Var::int("rw"), Var::int("rc.i"));
+        let conv = handoffs(|s, x, w| {
+            let data = rc.clone() * 100 + (rh.clone() + 2) * 10 + rw.clone();
+            let weight = rc.clone() * 9 + rh.clone() * 3 + rw.clone();
+            let body = mac(s, x, w, [Expr::int(0), data, weight]);
+            Stmt::for_(
+                &rh,
+                0,
+                3,
+                Stmt::for_(&rw, 0, 3, Stmt::for_(&rc, 0, 8, body)),
+            )
+        });
+        assert_eq!(
+            (conv.len(), conv[0].levels.len(), conv[0].row),
+            (1, 3, false)
+        );
+        // A dense layer's `k.o × k.i` into `S[j]`: `A[8 k.o + k.i]` and
+        // `B[(8 k.o + k.i) * 16 + j]` walk on, 8 times the inner stride.
+        let (j, ko, ki) = (Var::int("j"), Var::int("k.o"), Var::int("k.i"));
+        let dense = handoffs(|s, x, w| {
+            let k = ko.clone() * 8 + ki.clone();
+            let body = mac(s, x, w, [j.to_expr(), k.clone(), k * 16 + j.clone()]);
+            let k_loops = Stmt::for_(&ko, 0, 4, Stmt::for_(&ki, 0, 8, body));
+            Stmt::loop_(&j, 0, 16, ForKind::Parallel, k_loops)
+        });
+        assert_eq!(
+            (dense.len(), dense[0].levels.len(), dense[0].row),
+            (1, 2, true)
+        );
+    }
+
+    #[test]
+    fn strides_chain_by_one_common_positive_multiple() {
+        let lin = |strides: &[i64]| {
+            let mut l = Lin {
+                base: 0,
+                strides: [0; MAX_DEPTH],
+            };
+            l.strides[..strides.len()].copy_from_slice(strides);
+            l
+        };
+        let chain = |s: [&[i64]; 3]| chains(&s.map(lin), s[0].len());
+        assert!(chain([&[0, 0], &[8, 1], &[128, 16]]));
+        assert!(chain([&[-8, -1], &[0, 0], &[24, 3]]));
+        assert!(chain([&[5], &[1], &[2]]));
+        // Two multiples, a negative one, a stride out of nothing, a
+        // remainder, and `i64::MIN / -1`.
+        assert!(!chain([&[0, 0], &[8, 1], &[64, 16]]));
+        assert!(!chain([&[0, 0], &[-8, 1], &[-128, 16]]));
+        assert!(!chain([&[1, 0], &[8, 1], &[128, 16]]));
+        assert!(!chain([&[0, 0], &[9, 2], &[0, 0]]));
+        assert!(!chain([&[0, 0], &[i64::MIN, -1], &[0, 0]]));
+    }
 }

@@ -85,11 +85,13 @@ impl Interval {
         if o.min <= 0 && o.max >= 0 {
             return None;
         }
+        // `i64::MIN // -1` wraps, and a wrapped corner bounds nothing.
+        let corner = |a: i64, b: i64| a.checked_div(b).map(|_| floor_div(a, b));
         let cands = [
-            floor_div(self.min, o.min),
-            floor_div(self.min, o.max),
-            floor_div(self.max, o.min),
-            floor_div(self.max, o.max),
+            corner(self.min, o.min)?,
+            corner(self.min, o.max)?,
+            corner(self.max, o.min)?,
+            corner(self.max, o.max)?,
         ];
         Some(Interval::hull(cands))
     }
@@ -115,19 +117,23 @@ impl Interval {
     }
 }
 
-/// Floor division matching the IR's integer `Div` semantics.
+/// Floor division matching the IR's integer `Div` semantics. Like the
+/// IR's `+ - *` it wraps: `i64::MIN // -1` is `i64::MIN`. Panics when `b`
+/// is zero.
 pub fn floor_div(a: i64, b: i64) -> i64 {
     let q = a.wrapping_div(b);
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
+    if (a.wrapping_rem(b) != 0) && ((a < 0) != (b < 0)) {
         q - 1
     } else {
         q
     }
 }
 
-/// Floor modulus matching the IR's integer `Mod` semantics.
+/// Floor modulus matching the IR's integer `Mod` semantics: the sign of
+/// `b`, and `i64::MIN % -1` is `0`. Panics when `b` is zero.
 pub fn floor_mod(a: i64, b: i64) -> i64 {
-    a - floor_div(a, b) * b
+    // The result is an `i64`, so the wrapping arithmetic is exact.
+    a.wrapping_sub(floor_div(a, b).wrapping_mul(b))
 }
 
 /// Computes a conservative interval for an integer expression given

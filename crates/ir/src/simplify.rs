@@ -53,9 +53,8 @@ impl Simplifier {
             BinOp::Sub => a.checked_sub(b)?,
             BinOp::Mul => a.checked_mul(b)?,
             BinOp::Div => {
-                if b == 0 {
-                    return None;
-                }
+                // Declines a zero divisor and `i64::MIN // -1`, which wraps.
+                a.checked_div(b)?;
                 floor_div(a, b)
             }
             BinOp::Mod => {

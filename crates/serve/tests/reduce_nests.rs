@@ -7,10 +7,11 @@
 //! `titanx` kernel has a `vectorized` loop, because GPU schedules bind
 //! threads instead of vectorizing; each thread's reduction over its shared
 //! tiles, inside a barriered nest, is one reduce nest: `rh × rw × rc.i` in
-//! a conv kernel.
+//! a conv kernel. Every integer `//` and `%` in these kernels is by a
+//! positive constant, and none runs as a hardware divide.
 
 use tvm_graph::Graph;
-use tvm_ir::{ForKind, Stmt, StmtNode, Visitor};
+use tvm_ir::{BinOp, Expr, ExprNode, ForKind, Stmt, StmtNode, Visitor};
 use tvm_serve::Model;
 use tvm_sim::{arm_a53, titanx, Target};
 
@@ -128,4 +129,45 @@ fn every_gpu_dense_and_conv_reduction_runs_as_a_reduce_loop() {
         let depth = if k.kernel.contains("conv2d") { 3 } else { 1 };
         assert_eq!(k.nests, [depth], "{}", k.kernel);
     }
+}
+
+/// Integer `//` and `%` in a kernel's body.
+#[derive(Default)]
+struct Divides(usize);
+
+impl Visitor for Divides {
+    fn visit_expr(&mut self, e: &Expr) {
+        if let ExprNode::Binary {
+            op: BinOp::Div | BinOp::Mod,
+            a,
+            ..
+        } = &*e.0
+        {
+            self.0 += !a.dtype().is_float() as usize;
+        }
+        self.walk_expr(e);
+    }
+}
+
+#[test]
+fn no_kernel_divides_by_a_constant_in_hardware() {
+    // The `infer_*` models, `infer_gpu_sched`'s 8x8 CNN among them, on both
+    // targets: every divisor is a tile constant, a multiply-high and a
+    // shift.
+    let mut graphs = models();
+    graphs.push(("residual_cnn8", tvm_models::residual_cnn(8)));
+    let mut divides = 0;
+    for target in [arm_a53(), titanx()] {
+        for (name, graph) in &graphs {
+            let module = tvm::build(graph, &target, &tvm::BuildOptions::default()).expect("builds");
+            for k in &module.kernels {
+                let mut d = Divides::default();
+                d.visit_stmt(&k.func.body);
+                divides += d.0;
+                let at = format!("{name} {} on {}", k.name, target.name());
+                assert_eq!(k.program().hardware_divides(), 0, "{at}");
+            }
+        }
+    }
+    assert!(divides > 100, "only {divides} divisions to check");
 }

@@ -21,6 +21,8 @@
 //! assert_eq!(bufs[1], vec![2.0, 4.0, 6.0, 8.0]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod lower;
 pub mod rewrite;
 pub mod schedule;

@@ -667,13 +667,10 @@ fn effective_bodies(sched: &Schedule) -> IdMap<OpId, ComputeBody> {
             .iter()
             .map(|iv| iv.var.clone())
             .collect();
-        let keys: Vec<OpId> = bodies.keys().copied().collect();
-        for key in keys {
-            if key == id {
-                continue;
+        for (&key, b) in bodies.iter_mut() {
+            if key != id {
+                *b = crate::rewrite::inline_reads(b, id, &axes, &expr);
             }
-            let b = bodies.remove(&key).expect("key exists");
-            bodies.insert(key, crate::rewrite::inline_reads(&b, id, &axes, &expr));
         }
         bodies.remove(&id);
     }
@@ -1309,7 +1306,7 @@ impl<'a> Emitter<'a> {
             if !param_ids.contains(&op) {
                 let sd = &self.plan.data[&op];
                 let extent: i64 = sd.realize_ext.iter().product::<i64>().max(1);
-                let stage = self.sched.stage_by_op(op).expect("root stage");
+                let stage = self.stage(op)?;
                 body = Stmt::allocate(
                     &self.buffers[&op],
                     stage.tensor.dtype(),
@@ -1474,11 +1471,15 @@ impl<'a> Emitter<'a> {
         Ok(Expr::load(buf, tvm_ir::simplify(&flat)))
     }
 
-    fn plan_stage(&self, op: OpId) -> Result<Plan, TeError> {
-        let stage = self
-            .sched
+    /// The stage that computes `op`.
+    fn stage(&self, op: OpId) -> Result<&'a Stage, TeError> {
+        self.sched
             .stage_by_op(op)
-            .ok_or_else(|| TeError::msg("missing stage"))?;
+            .ok_or_else(|| TeError::msg("missing stage"))
+    }
+
+    fn plan_stage(&self, op: OpId) -> Result<Plan, TeError> {
+        let stage = self.stage(op)?;
         let sd = &self.plan.data[&op];
         let raw = self.plan.raw.contains(&op);
         let body =
@@ -1581,7 +1582,7 @@ impl<'a> Emitter<'a> {
             ComputeBody::Plain(_) => None,
         };
 
-        let (init_stmt, body_stmt, init_loop_leaves) = match ten {
+        let (init_stmt, body_stmt, init_loop_leaves) = match ten.zip(ten_pos) {
             None => match body {
                 ComputeBody::Plain(e) => {
                     let val = self.convert_body_expr(e, &axis_sub, raw)?;
@@ -1601,8 +1602,7 @@ impl<'a> Emitter<'a> {
                     (Some(init), upd, init_leaves)
                 }
             },
-            Some((_, intrin)) => {
-                let tp = ten_pos.expect("position resolved");
+            Some(((_, intrin), tp)) => {
                 // Guards may not reference tensorized leaves.
                 let ten_ids: IdSet<VarId> = leaves[tp..].iter().map(|l| l.var.id()).collect();
                 for (g, _) in &sd.guards {
@@ -1714,7 +1714,7 @@ impl<'a> Emitter<'a> {
             }
             return Ok(plan.body_stmt.clone());
         }
-        let stage = self.sched.stage_by_op(plan.op).expect("stage exists");
+        let stage = self.stage(plan.op)?;
         let sd = &self.plan.data[&plan.op];
         let leaf = plan.leaves[idx].clone();
         let ext = *sd
@@ -1732,7 +1732,7 @@ impl<'a> Emitter<'a> {
             let mut items: Vec<Stmt> = Vec::new();
             let mut allocs: Vec<(Var, DType, i64, MemScope)> = Vec::new();
             for p in list {
-                let p_stage = self.sched.stage_by_op(p).expect("attached stage exists");
+                let p_stage = self.stage(p)?;
                 let scope = p_stage.scope;
                 let dtype = p_stage.tensor.dtype();
                 let buf = self.buffers[&p].clone();

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use tvm_ir::expr::{CallKind, ExprNode};
-use tvm_ir::{DType, Expr, IdMap, Range, Var};
+use tvm_ir::{DType, Expr, IdMap, Range, TypeCode, Var};
 
 static NEXT_OP_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -123,13 +123,14 @@ impl Combiner {
             Combiner::Sum => Expr::zero(dtype),
             Combiner::Max => Expr::min_value(dtype),
             Combiner::Min => {
-                // max_value = -(min_value) for floats; for ints use bitwise
-                // complement of min.
+                // The bitwise complement of `min_value` for a signed
+                // integer, `i64::MAX` for an unsigned one.
                 if dtype.is_float() {
                     Expr::float_of(f64::INFINITY, dtype)
+                } else if dtype.code == TypeCode::UInt || dtype.bits >= 64 {
+                    Expr::int_of(i64::MAX, dtype)
                 } else {
-                    let mn = Expr::min_value(dtype).as_int().expect("int min");
-                    Expr::int_of(if mn == 0 { i64::MAX } else { -mn - 1 }, dtype)
+                    Expr::int_of((1i64 << (dtype.bits - 1)) - 1, dtype)
                 }
             }
         }

@@ -185,3 +185,33 @@ fn proved_comparisons_hold_at_every_point() {
         }
     }
 }
+
+#[test]
+fn i64_min_by_minus_one_wraps_and_is_neither_folded_nor_bounded() {
+    // The only `i64` quotient that overflows wraps, as the IR's `+ - *` do:
+    // `i64::MIN // -1` is `i64::MIN`, remainder `0`, in the reference
+    // functions and in the walker's evaluation.
+    let min = i64::MIN;
+    assert_eq!((floor_div(min, -1), floor_mod(min, -1)), (min, 0));
+    let div = Expr::int(min) / Expr::int(-1);
+    let md = Expr::int(min) % Expr::int(-1);
+    assert_eq!(eval_int(&div, &[]).unwrap(), min);
+    assert_eq!(eval_int(&md, &[]).unwrap(), 0);
+    // The simplifier declines to fold the wrapped quotient, as it declines
+    // an overflowing `*`, and folds the exact remainder.
+    assert_eq!(simplify(&div).as_int(), None, "{}", simplify(&div));
+    let product = Expr::int(min) * Expr::int(-1);
+    assert_eq!(simplify(&product).as_int(), None);
+    assert_eq!(simplify(&md).as_int(), Some(0));
+    // A wrapped corner would bound `x // -1` by `[0, i64::MIN]`'s hull:
+    // interval analysis declines instead, and bounds the range one above.
+    let (x, y) = (Var::int("x"), Var::int("y"));
+    let mut bounds: HashMap<VarId, Interval> = HashMap::new();
+    bounds.insert(y.id(), Interval::new(-2, -1));
+    for (lo, want) in [(min, None), (min + 1, Some(Interval::new(0, i64::MAX)))] {
+        bounds.insert(x.id(), Interval::new(lo, 0));
+        assert_eq!(eval_interval(&(x.clone() / -1), &bounds), want, "{lo}");
+        let by_y = eval_interval(&(x.clone() / y.clone()), &bounds);
+        assert_eq!(by_y.is_some(), want.is_some(), "{lo}");
+    }
+}

@@ -1591,6 +1591,51 @@ fn a_split_reduction_runs_as_one_row() {
     }
 }
 
+#[test]
+fn a_lane_sum_over_a_box_that_is_no_row_rounds_at_every_iteration() {
+    // S[0] += X[20 rc + 5 rh + rw] * Y[35 - (9 rc + 3 rh + rw)] over
+    // rh, rw in 0..3 and rc in 0..4, a GPU conv lane's shape with the
+    // weight walked backwards: no level walks on from the one inside it,
+    // so the nest runs a row at a time with `S` in a register over the
+    // whole box, and its 36 sums still round to f32 one by one, in order.
+    // With X one element short the box check fails and the scalar code
+    // faults after 35 stores.
+    let (s, x, y, _) = sxyk();
+    let (rh, rw, rc) = (Var::int("rh"), Var::int("rw"), Var::int("rc"));
+    let xi = rc.clone() * 20 + rh.clone() * 5 + rw.clone();
+    let yi = Expr::int(35) - (rc.clone() * 9 + rh.clone() * 3 + rw.clone());
+    let body = mac(&s, Expr::int(0), &x, xi, &y, yi);
+    let lane = Stmt::for_(
+        &rc,
+        0,
+        4,
+        Stmt::for_(&rh, 0, 3, Stmt::for_(&rw, 0, 3, body)),
+    );
+    let order = (0..4).flat_map(|c| (0..3).flat_map(move |h| (0..3).map(move |w| (c, h, w))));
+    for x_len in [73, 72] {
+        let f = f32_func(
+            vec![x.clone(), y.clone(), s.clone()],
+            vec![x_len, 36, 1],
+            lane.clone(),
+        );
+        assert_eq!(nests_f32(&f), (vec![3], 0));
+        let xs: Vec<f32> = (0..x_len).map(|v| 1.0 / (v as f32 + 3.0)).collect();
+        let ys: Vec<f32> = (0..36).map(|v| 0.1 + v as f32 * 0.37).collect();
+        let arrays = [xs.clone(), ys.clone(), vec![0.75]];
+        let run = agreed(&f, f32_buffers(arrays.to_vec()), |_| {});
+        if x_len == 73 {
+            let pairs = order
+                .clone()
+                .map(|(c, h, w)| (xs[20 * c + 5 * h + w], ys[35 - (9 * c + 3 * h + w)]));
+            let want = dot(0.75, pairs);
+            assert_eq!(run.buffers[2].to_f32()[0].to_bits(), want.to_bits());
+            assert_eq!((run.result.is_ok(), run.stores), (true, 36));
+        } else {
+            assert_eq!((run.result.is_ok(), run.stores), (false, 35));
+        }
+    }
+}
+
 /// SplitMix64, the seeded draws of the generated nests below.
 struct Draw(u64);
 
@@ -1827,5 +1872,64 @@ fn a_constant_piece_multiplies_inf_and_nan_and_flips_the_sign_of_zero() {
         } else {
             assert!(got[2][0].is_nan(), "{:?}", got[2]);
         }
+    }
+}
+
+#[test]
+fn constant_division_floors_exactly_in_both_engines() {
+    // `Q[i] = X[i] // k` and `R[i] = X[i] % k` over `int64` dividends at the
+    // ends of `i64`, around `0` and `±k`, and drawn from a seed, for every
+    // `k` in 1..=1024 (shifts and masks at the powers of two, multiply-high
+    // elsewhere), large odd `k`, and negative `k`, which divide in
+    // hardware. `i64::MIN // -1` wraps to `i64::MIN`, remainder `0`.
+    let (x, q, r, i) = (
+        Var::new("X", DType::int64()),
+        Var::new("Q", DType::int64()),
+        Var::new("R", DType::int64()),
+        Var::int("i"),
+    );
+    let large = [(1i64 << 31) - 1, 1_000_000_007, (1 << 62) + 1, i64::MAX];
+    let mut draw = Draw(43);
+    for k in (1..=1024).chain(large).chain([-1, -3, -16]) {
+        let mut xs = vec![
+            i64::MIN,
+            i64::MIN + 1,
+            -k - 1,
+            -k,
+            -1,
+            0,
+            k - 1,
+            k,
+            i64::MAX,
+        ];
+        xs.extend((0..7).map(|_| draw.next() as i64));
+        let n = xs.len();
+        let at = || Expr::load(&x, i.to_expr());
+        let body = Stmt::for_(
+            &i,
+            0,
+            n as i64,
+            Stmt::seq(vec![
+                Stmt::store(&q, i.to_expr(), at().floordiv(Expr::int(k))),
+                Stmt::store(&r, i.to_expr(), at() % Expr::int(k)),
+            ]),
+        );
+        let f = func(
+            vec![x.clone(), q.clone(), r.clone()],
+            vec![DType::int64(); 3],
+            vec![n; 3],
+            body,
+        );
+        let bufs = vec![
+            Buffer::from_i64(DType::int64(), &xs),
+            Buffer::zeros(DType::int64(), n),
+            Buffer::zeros(DType::int64(), n),
+        ];
+        let hardware = if k > 0 { 0 } else { 2 };
+        assert_eq!(program(&f, &bufs).hardware_divides(), hardware, "{k}");
+        let got = both(&f, bufs).expect("no divisor is zero");
+        let want = |op: fn(i64, i64) -> i64| xs.iter().map(|&v| op(v, k)).collect::<Vec<_>>();
+        assert_eq!(got[1].to_i64(), want(tvm_ir::floor_div), "{xs:?} // {k}");
+        assert_eq!(got[2].to_i64(), want(tvm_ir::floor_mod), "{xs:?} % {k}");
     }
 }
