@@ -53,16 +53,19 @@
 //!   registers and its own copy of `S` when it is thread-local.
 //! * *Exact*: the op runs the walker's iterations in its row-major order,
 //!   each `S[s] = (S[s] as f64 + a as f64 * b as f64) as f32`, the walker's
-//!   arithmetic and store rounding, and counts one store per iteration. In
-//!   each innermost row a guard holds on an interval, its span, found by
-//!   division from the comparisons' affine forms once per distinct value of
-//!   their sides; outside it the factor is `k` and nothing is loaded. The
-//!   span ends cut each row into pieces, and each piece runs over slices
-//!   taken once for it. An unguarded nest whose every level walks each
-//!   access on from where the level inside it ends (a split reduction
-//!   `k.o × k.i`; which nests can is known when they are compiled) runs as
-//!   one row. An unguarded nest whose `S` moves along no level keeps its
-//!   sum in a register for the whole box.
+//!   arithmetic and store rounding, and counts one store per iteration, on
+//!   one of two kernels chosen when the nest is compiled. An unguarded nest
+//!   whose `S` moves along no level (a dense reduction, a GPU lane's
+//!   accumulator; [`Program::register_sums`] counts them) keeps its sum in
+//!   a register for the whole box: the innermost level and each level
+//!   around it that both factors walk on through from where the level
+//!   inside it ends (a split `k.o × k.i`) join into one row, and an
+//!   odometer steps the levels outside it. Every other nest runs a row at
+//!   a time. In each innermost row a guard holds on an interval, its span,
+//!   found by division from the comparisons' affine forms once per
+//!   distinct value of their sides; outside it the factor is `k` and
+//!   nothing is loaded. The span ends cut each row into pieces, and each
+//!   piece runs over slices taken once for it.
 //! * *Replay*: before it writes anything, the op checks with checked
 //!   arithmetic that every integer stays an `i64` over the nest's box and
 //!   that `S` and every unguarded factor stay in bounds at its corners; a
@@ -409,6 +412,12 @@ impl Program {
     pub fn hardware_divides(&self) -> usize {
         let divides = |op: &&Op| matches!(op.code, Code::IDiv | Code::IMod);
         self.ops.iter().filter(divides).count()
+    }
+
+    /// Number of reduce nests that keep their sum in a register for their
+    /// whole box: unguarded, with `S` one element all over it.
+    pub fn register_sums(&self) -> usize {
+        self.handoffs.iter().filter(|r| r.acc).count()
     }
 
     /// Number of factors, over every reduce nest, that are a guarded

@@ -1,5 +1,7 @@
 //! Reduce nests: the plan a loop nest compiles to, the lift that adds a
-//! level, and the box and row a nest runs over.
+//! level, and the two kernels a nest runs on, chosen when it is compiled:
+//! its sum in a register ([`Machine::run_acc`]), or its box a row at a
+//! time, each row cut into pieces (`row`).
 
 use super::compile::{Affine, OpenLoop, Vid, V};
 use super::*;
@@ -29,9 +31,9 @@ pub(super) struct ReduceNest {
     lins: Box<[Lin]>,
     /// Each factor's guard, if it has one.
     pub(super) guards: [Option<Guard>; 2],
-    /// Whether the nest may run as one row ([`Machine::run_row`]): it is
-    /// unguarded, and its strides chain ([`chains`]).
-    row: bool,
+    /// Whether the nest keeps its sum in a register ([`Machine::run_acc`]):
+    /// it is unguarded, and `S` moves along no level.
+    pub(super) acc: bool,
     scalar_len: u16,
 }
 
@@ -212,40 +214,6 @@ fn floor_div_pos(a: i128, b: i128) -> i128 {
     }
 }
 
-/// Element `at + t * step` of `data` at iteration `t`.
-#[derive(Clone, Copy)]
-struct Plain<'a> {
-    data: &'a [f32],
-    at: usize,
-    step: usize,
-}
-
-impl Plain<'_> {
-    #[inline(always)]
-    fn get(&self, t: usize) -> f64 {
-        self.data[self.at.wrapping_add(t.wrapping_mul(self.step))] as f64
-    }
-}
-
-/// Runs `n` iterations of `s[si] = (s[si] as f64 + x * y) as f32`, `si`
-/// advancing by `ss` (wrapping, so a negative stride works), keeping the
-/// sum in a register while `ss` is zero.
-#[inline(always)]
-fn mac_row(s: &mut [f32], mut si: usize, ss: usize, n: usize, x: Plain, y: Plain) {
-    if ss == 0 {
-        let mut acc = s[si];
-        for t in 0..n {
-            acc = (acc as f64 + x.get(t) * y.get(t)) as f32;
-        }
-        s[si] = acc;
-    } else {
-        for t in 0..n {
-            s[si] = (s[si] as f64 + x.get(t) * y.get(t)) as f32;
-            si = si.wrapping_add(ss);
-        }
-    }
-}
-
 /// The slots of a reduce nest's `S`, to write, and of its two factors, to
 /// read: the compiler admits no factor in `S`'s own slot. `None` if a slot
 /// is not in `slots`.
@@ -278,7 +246,11 @@ impl Machine<'_> {
         start: usize,
         ints: &mut [i64],
     ) -> Result<usize> {
-        let ran = r.row && self.run_row(r, ints) || self.run_box(r, ints);
+        let ran = if r.acc {
+            self.run_acc(r, ints).is_some()
+        } else {
+            self.run_box(r, ints)
+        };
         Ok(if ran {
             start + r.scalar_len as usize
         } else {
@@ -286,8 +258,9 @@ impl Machine<'_> {
         })
     }
 
-    /// Runs reduce nest `r` a row at a time. Returns whether it ran; if
-    /// not, it changed nothing.
+    /// Runs reduce nest `r`, guarded or with an `S` that moves, a row at a
+    /// time, each row cut into pieces at its guards' span ends. Returns
+    /// whether it ran; if not, it changed nothing.
     #[inline(never)]
     fn run_box(&mut self, r: &ReduceNest, ints: &mut [i64]) -> bool {
         let mut b = NestBox {
@@ -364,111 +337,142 @@ impl Machine<'_> {
         let bases = [s.base, x.base, y.base];
         let at = std::array::from_fn(|i| (bases[i] as i64).wrapping_add(vals[i]));
         row::run(r, &b, &vals, at, sv, [xs, ys]);
-        self.ran(r, volume, ints)
+        self.ran(r, volume, ints);
+        true
     }
 
     /// Records that reduce nest `r`, of `volume` iterations, ran: its
     /// stores, and each level's counter at its limit, where the scalar code
-    /// leaves it. Returns `true`.
-    fn ran(&mut self, r: &ReduceNest, volume: u64, ints: &mut [i64]) -> bool {
+    /// leaves it.
+    fn ran(&mut self, r: &ReduceNest, volume: u64, ints: &mut [i64]) {
         self.stores += volume;
         for l in &r.levels {
             ints[l.counter as usize] = ints[l.limit as usize];
         }
-        true
     }
 
-    /// Runs unguarded reduce nest `r` as one row, when it is one: when
-    /// every level walks each access on from where the level inside it
-    /// ends, as a dense layer's split reduction does, the iterations in
-    /// row-major order are one run at the innermost strides, and its bounds
-    /// check is both ends of each access. Only a nest whose strides
-    /// [`chains`] comes here; this checks the extents. Returns whether it
-    /// ran; if not, it changed nothing.
-    ///
-    /// [`Self::run_box`] runs the same nests through `row::run`, one row
-    /// per innermost level, so this is a fast path and not a second
-    /// meaning. It stays because it pays: every reduce nest of
-    /// `serve_engine`'s batch-1 dense layers (2.4M in a 3 s run) runs
-    /// here, and a build without it, coalescing contiguous levels in
-    /// `run_box` instead, served 53.5-55.0k op/s against 68.5-75.9k, with
-    /// `infer_cpu_sched` 7 % and `infer_gpu_sched` 5 % slower by median
-    /// (2-core host, 3 alternating pairs of 6 s runs).
-    fn run_row(&mut self, r: &ReduceNest, ints: &mut [i64]) -> bool {
-        let (lins, d) = (&r.lins[..3], r.levels.len() - 1);
-        // The row's length, the extent of the level inside the current one,
-        // and each access's index at the first iteration.
-        let (mut n, mut inner) = (1u64, 1i64);
-        let mut firsts = [0i64; 3];
-        for (i, at) in firsts.iter_mut().enumerate() {
-            *at = ints[lins[i].base as usize];
-        }
-        for (j, l) in r.levels.iter().enumerate().rev() {
-            let (first, limit) = (ints[l.lo as usize], ints[l.limit as usize]);
-            let extent = limit.wrapping_sub(first);
-            if first >= limit || extent <= 0 {
-                return false;
-            }
-            for (lin, at) in lins.iter().zip(&mut firsts) {
-                let s = lin.strides[j];
-                if j < d && lin.strides[j + 1].checked_mul(inner) != Some(s) {
-                    return false;
-                }
-                match s.checked_mul(first).and_then(|k| at.checked_add(k)) {
-                    Some(k) => *at = k,
-                    None => return false,
-                }
-            }
-            match n.checked_mul(extent as u64) {
-                Some(m) => (n, inner) = (m, extent),
-                None => return false,
-            }
-        }
-        let Some((s, x, y)) = split_slots(&mut self.mem.slots, r.slots) else {
-            return false;
+    /// Runs reduce nest `r`, unguarded and with `S` one element all over
+    /// its box (a dense layer's reduction, a GPU lane's accumulator), with
+    /// the sum in a register from the box's first iteration to its last.
+    /// The innermost level and each level around it that both factors walk
+    /// on through, from where the level inside it ends (a split `k.o ×
+    /// k.i`), are one row at the innermost strides; [`rows`] steps the
+    /// levels outside the row. `S` is loaded once and stored once: no
+    /// factor is in its slot and nothing in the box can fault, so the
+    /// stores skipped in between cannot be observed. `None` if it did not
+    /// run; it then changed nothing.
+    fn run_acc(&mut self, r: &ReduceNest, ints: &mut [i64]) -> Option<()> {
+        let (d, [_, lx, ly]) = (r.levels.len() - 1, [0, 1, 2].map(|i| &r.lins[i]));
+        let inner = [lx.strides[d], ly.strides[d]];
+        // One checked pass, innermost level first: the box's volume, each
+        // factor's index at its first point, the row (levels `outer..`, of
+        // `n` iterations) and each factor's least and greatest offset from
+        // its first index, a joined level's reach being the row's.
+        let mut first = [ints[lx.base as usize], ints[ly.base as usize]];
+        let (mut down, mut up) = ([0i64; 2], [0i64; 2]);
+        let (mut volume, mut n, mut outer) = (1u64, 1i64, r.levels.len());
+        let mut reach = |f: usize, by: i64| {
+            let to = if by < 0 { &mut down[f] } else { &mut up[f] };
+            *to = to.checked_add(by)?;
+            Some(())
         };
+        for (j, l) in r.levels.iter().enumerate().rev() {
+            let (lo, limit) = (ints[l.lo as usize], ints[l.limit as usize]);
+            if lo >= limit {
+                return None;
+            }
+            let extent = limit.checked_sub(lo)?;
+            volume = volume.checked_mul(extent as u64)?;
+            let strides = [lx.strides[j], ly.strides[j]];
+            for (first, s) in first.iter_mut().zip(strides) {
+                *first = first.checked_add(s.checked_mul(lo)?)?;
+            }
+            let joins = |f: usize| inner[f].checked_mul(n) == Some(strides[f]);
+            if outer == j + 1 && joins(0) && joins(1) {
+                (n, outer) = (n.checked_mul(extent)?, j);
+            } else {
+                for (f, s) in strides.into_iter().enumerate() {
+                    reach(f, s.checked_mul(extent - 1)?)?;
+                }
+            }
+        }
+        for (f, s) in inner.into_iter().enumerate() {
+            reach(f, s.checked_mul(n - 1)?)?;
+        }
+        let (s, x, y) = split_slots(&mut self.mem.slots, r.slots)?;
         let (Data::F32(sv), Data::F32(xs), Data::F32(ys)) =
             (&mut s.buf.data, &x.buf.data, &y.buf.data)
         else {
-            return false;
+            return None;
         };
-        // Where in its slot's storage each access starts, if it is in
-        // bounds at both ends of the row, and so everywhere between.
-        let last = i64::try_from(n - 1).unwrap_or(i64::MAX);
-        let mut starts = [0usize; 3];
-        for (i, (base, len)) in [(s.base, s.len), (x.base, x.len), (y.base, y.len)]
-            .into_iter()
-            .enumerate()
-        {
-            let at = firsts[i];
-            let Some(end) = lins[i].strides[d]
-                .checked_mul(last)
-                .and_then(|k| at.checked_add(k))
-            else {
-                return false;
-            };
-            if (at as u64) >= len as u64 || (end as u64) >= len as u64 {
-                return false;
-            }
-            starts[i] = base + at as usize;
+        let si = ints[r.lins[0].base as usize];
+        if si as u64 >= s.len as u64 {
+            return None;
         }
-        let [si, xi, yi] = starts;
-        let step = |i: usize| r.lins[i].strides[d] as usize;
-        let (x, y) = (
-            Plain {
-                data: xs,
-                at: xi,
-                step: step(1),
-            },
-            Plain {
-                data: ys,
-                at: yi,
-                step: step(2),
-            },
-        );
-        mac_row(sv, si, step(0), n as usize, x, y);
-        self.ran(r, n, ints)
+        let mut at = [0usize; 2];
+        for (f, slot) in [x, y].into_iter().enumerate() {
+            let (least, most) = (first[f].checked_add(down[f])?, first[f].checked_add(up[f])?);
+            if least < 0 || most as u64 >= slot.len as u64 {
+                return None;
+            }
+            at[f] = slot.base + first[f] as usize;
+        }
+        let factors: [&[f32]; 2] = [xs, ys];
+        let steps = inner.map(|s| s as usize);
+        let sum = &mut sv[s.base + si as usize];
+        *sum = if outer == 0 {
+            row(*sum, factors, at, steps, n as u64)
+        } else {
+            rows(r, ints, outer, *sum, factors, at, n as u64)
+        };
+        self.ran(r, volume, ints);
+        Some(())
     }
+}
+
+/// `acc` after the `n` iterations of a row from `at`, each factor stepping
+/// on by `steps`, each rounding the walker's `f64` sum to `f32`. The steps
+/// wrap, so a negative stride works.
+#[inline(always)]
+fn row(mut acc: f32, [xs, ys]: [&[f32]; 2], at: [usize; 2], steps: [usize; 2], n: u64) -> f32 {
+    let ([mut x, mut y], [sx, sy]) = (at, steps);
+    for _ in 0..n {
+        acc = (acc as f64 + xs[x] as f64 * ys[y] as f64) as f32;
+        (x, y) = (x.wrapping_add(sx), y.wrapping_add(sy));
+    }
+    acc
+}
+
+/// [`Machine::run_acc`]'s rows of `n` when levels `..outer` are outside
+/// the row: `acc` after each row in row-major order, the first from `at`,
+/// the levels outside stepped by [`NestBox::each_row`] over a box whose
+/// innermost level stands for the row. Out of line, so that a nest that
+/// is one row sets up no odometer.
+#[inline(never)]
+fn rows(
+    r: &ReduceNest,
+    ints: &[i64],
+    outer: usize,
+    mut acc: f32,
+    factors: [&[f32]; 2],
+    at: [usize; 2],
+    n: u64,
+) -> f32 {
+    let mut b = NestBox {
+        depth: outer + 1,
+        lo: [0; MAX_DEPTH],
+        hi: [0; MAX_DEPTH],
+    };
+    for (j, l) in r.levels[..outer].iter().enumerate() {
+        (b.lo[j], b.hi[j]) = (ints[l.lo as usize], ints[l.limit as usize] - 1);
+    }
+    let d = r.levels.len() - 1;
+    let steps = [1, 2].map(|i| r.lins[i].strides[d] as usize);
+    b.each_row(&r.lins[1..3], at.map(|a| a as i64), |_, _, at| {
+        acc = row(acc, factors, at.map(|a| a as usize), steps, n);
+        true
+    });
+    acc
 }
 
 /// An affine integer of a reduce nest under construction: `rest` plus
@@ -653,13 +657,13 @@ impl Compiler<'_> {
                 limit: self.reg(limit),
             })
             .collect();
-        let row = matches!(plan.guards, [None, None]) && chains(&lins, plan.levels.len());
+        let acc = matches!(plan.guards, [None, None]) && lins[0].strides == [0; MAX_DEPTH];
         self.handoffs.push(ReduceNest {
             levels,
             slots: plan.slots,
             lins,
             guards: plan.guards.clone(),
-            row,
+            acc,
             scalar_len,
         });
         plan.handoff = self.handoffs.len() - 1;
@@ -681,27 +685,6 @@ impl Compiler<'_> {
             .all(|&(v, _)| self.values[v as usize].level < level);
         invariant.then_some((a, stride))
     }
-}
-
-/// Whether the three accesses' strides, `lins[..3]`, let a nest of `depth`
-/// levels run as one row: at each level, every access's stride is one
-/// common positive multiple of its stride one level in, or both are zero.
-/// [`Machine::run_row`] then checks that the multiple is the inner level's
-/// extent, which is known only at run time.
-fn chains(lins: &[Lin], depth: usize) -> bool {
-    (1..depth).all(|j| {
-        let mut common = None;
-        lins.iter().take(3).all(|lin| {
-            let (outer, inner) = (lin.strides[j - 1], lin.strides[j]);
-            if inner == 0 {
-                return outer == 0;
-            }
-            match (outer.checked_rem(inner), outer.checked_div(inner)) {
-                (Some(0), Some(q)) if q > 0 => *common.get_or_insert(q) == q,
-                _ => false,
-            }
-        })
-    })
 }
 
 /// Whether a loop of `kind` may be a level of a reduce nest.
@@ -873,11 +856,10 @@ mod tests {
     }
 
     #[test]
-    fn a_gpu_conv_lane_is_no_row_and_a_split_dense_reduction_is() {
+    fn a_gpu_conv_lane_and_a_split_dense_reduction_keep_the_sum_in_a_register() {
         // A `titanx` conv lane: `conv[0]` over `rh × rw × rc.i`, the data
         // tile read at `rc.i * 100 + (rh + 2) * 10 + rw`, the weight tile
-        // at `rc.i * 9 + rh * 3 + rw`. No level walks on from the one
-        // inside it.
+        // at `rc.i * 9 + rh * 3 + rw`.
         let (rh, rw, rc) = (Var::int("rh"), Var::int("rw"), Var::int("rc.i"));
         let conv = handoffs(|s, x, w| {
             let data = rc.clone() * 100 + (rh.clone() + 2) * 10 + rw.clone();
@@ -891,11 +873,11 @@ mod tests {
             )
         });
         assert_eq!(
-            (conv.len(), conv[0].levels.len(), conv[0].row),
-            (1, 3, false)
+            (conv.len(), conv[0].levels.len(), conv[0].acc),
+            (1, 3, true)
         );
-        // A dense layer's `k.o × k.i` into `S[j]`: `A[8 k.o + k.i]` and
-        // `B[(8 k.o + k.i) * 16 + j]` walk on, 8 times the inner stride.
+        // A dense layer's `k.o × k.i` into `S[j]`, `j` bound outside the
+        // nest.
         let (j, ko, ki) = (Var::int("j"), Var::int("k.o"), Var::int("k.i"));
         let dense = handoffs(|s, x, w| {
             let k = ko.clone() * 8 + ki.clone();
@@ -904,31 +886,42 @@ mod tests {
             Stmt::loop_(&j, 0, 16, ForKind::Parallel, k_loops)
         });
         assert_eq!(
-            (dense.len(), dense[0].levels.len(), dense[0].row),
+            (dense.len(), dense[0].levels.len(), dense[0].acc),
             (1, 2, true)
         );
     }
 
     #[test]
-    fn strides_chain_by_one_common_positive_multiple() {
-        let lin = |strides: &[i64]| {
-            let mut l = Lin {
-                base: 0,
-                strides: [0; MAX_DEPTH],
-            };
-            l.strides[..strides.len()].copy_from_slice(strides);
-            l
-        };
-        let chain = |s: [&[i64]; 3]| chains(&s.map(lin), s[0].len());
-        assert!(chain([&[0, 0], &[8, 1], &[128, 16]]));
-        assert!(chain([&[-8, -1], &[0, 0], &[24, 3]]));
-        assert!(chain([&[5], &[1], &[2]]));
-        // Two multiples, a negative one, a stride out of nothing, a
-        // remainder, and `i64::MIN / -1`.
-        assert!(!chain([&[0, 0], &[8, 1], &[64, 16]]));
-        assert!(!chain([&[0, 0], &[-8, 1], &[-128, 16]]));
-        assert!(!chain([&[1, 0], &[8, 1], &[128, 16]]));
-        assert!(!chain([&[0, 0], &[9, 2], &[0, 0]]));
-        assert!(!chain([&[0, 0], &[i64::MIN, -1], &[0, 0]]));
+    fn a_guarded_conv_nest_and_a_nest_whose_sum_moves_run_in_pieces() {
+        // An `arm_a53` conv row: `S[i]` over `rw × i`, the data read under
+        // its padding guard `0 <= i + rw - 1 < 8`.
+        let (rw, i) = (Var::int("rw"), Var::int("i"));
+        let guarded = handoffs(|s, x, w| {
+            let at = i.clone() + rw.clone() - 1;
+            let inside = at.clone().ge(Expr::int(0)).and(at.clone().lt(Expr::int(8)));
+            let pixel = Expr::select(inside, Expr::load(x, at), Expr::f32(0.0));
+            let sum = Expr::load(s, i.to_expr()) + pixel * Expr::load(w, rw.to_expr());
+            let body = Stmt::store(s, i.to_expr(), sum);
+            Stmt::for_(&rw, 0, 3, Stmt::for_(&i, 0, 8, body))
+        });
+        assert_eq!(
+            (guarded.len(), guarded[0].levels.len(), guarded[0].acc),
+            (1, 2, false)
+        );
+        // The same sums unguarded into `S[i]`, which moves along the
+        // innermost level, and into `S[o]` over `o × k`, which moves along
+        // the outer one.
+        let (o, k) = (Var::int("o"), Var::int("k"));
+        for (at, inner) in [(i.to_expr(), &i), (o.to_expr(), &k)] {
+            let moving = handoffs(|s, x, w| {
+                let body = mac(s, x, w, [at.clone(), inner.to_expr(), inner.to_expr()]);
+                let outer = if inner.name() == "i" { &rw } else { &o };
+                Stmt::for_(outer, 0, 3, Stmt::for_(inner, 0, 8, body))
+            });
+            assert_eq!(
+                (moving.len(), moving[0].levels.len(), moving[0].acc),
+                (1, 2, false)
+            );
+        }
     }
 }

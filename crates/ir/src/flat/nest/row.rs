@@ -197,50 +197,9 @@ pub(super) fn run(
 ) {
     let (d, n) = (b.depth - 1, b.row_len());
     let steps = [0, 1, 2].map(|i| r.lins[i].strides[d]);
-    let unguarded = matches!(r.guards, [None, None]);
-    if unguarded && r.lins[0].strides == [0; MAX_DEPTH] {
-        // `S` is one element all over the box (a GPU lane's accumulator, a
-        // full reduction): its sum stays in a register from the box's first
-        // iteration to its last, and each factor's index steps on by
-        // element, across rows by `each_row`'s carry. No factor is in `S`'s
-        // slot and nothing in the box can fault, so the stores skipped in
-        // between cannot be observed.
-        let (sx, sy) = (steps[1] as usize, steps[2] as usize);
-        let s = &mut sv[at[0] as usize];
-        let mut acc = *s;
-        b.each_row(&r.lins[1..], [at[1], at[2]], |_, _, [x, y]| {
-            let (mut x, mut y) = (x as usize, y as usize);
-            for _ in 0..n {
-                acc = (acc as f64 + xs[x] as f64 * ys[y] as f64) as f32;
-                (x, y) = (x.wrapping_add(sx), y.wrapping_add(sy));
-            }
-            true
-        });
-        *s = acc;
-        return;
-    }
-    if unguarded && steps.iter().all(|&s| s >= 0) {
-        // Unguarded: every row is one piece, and each access walks it
-        // the same way in every row, so the row loop is compiled for
-        // the walks. A nest with a negative stride takes the path
-        // below, where each row is one piece too, so that only these
-        // walks get a row loop of their own.
-        let ss = steps[0];
-        walk!(steps[1], xs, None, |wx| {
-            walk!(steps[2], ys, None, |wy| {
-                sink!(ss, |mac| {
-                    b.each_row(&r.lins, at, |_, _, [s, x, y]| {
-                        mac(sv, s as usize, n, ss, wx(x as usize, n), wy(y as usize, n));
-                        true
-                    })
-                })
-            })
-        });
-        return;
-    }
-    // Guarded: a factor's span, and so the cut of the row into pieces,
-    // changes only at a row that steps a level along which a side of
-    // a guard moves, or one inside it.
+    // A factor's span, and so the cut of the row into pieces, changes only
+    // at a row that steps a level along which a side of a guard moves, or
+    // one inside it. An unguarded row is one piece.
     let moves = r.guards.iter().flatten().fold(0, |m, g| {
         let moved = |i: usize, j: usize| r.lins[i].strides[j] != 0;
         let side = |j: usize| g.cmps.iter().any(|&(a, c, _)| moved(a, j) || moved(c, j));

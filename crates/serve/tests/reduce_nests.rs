@@ -7,8 +7,10 @@
 //! `titanx` kernel has a `vectorized` loop, because GPU schedules bind
 //! threads instead of vectorizing; each thread's reduction over its shared
 //! tiles, inside a barriered nest, is one reduce nest: `rh × rw × rc.i` in
-//! a conv kernel. Every integer `//` and `%` in these kernels is by a
-//! positive constant, and none runs as a hardware divide.
+//! a conv kernel. Every dense nest on both targets and every `titanx` conv
+//! nest keeps its sum in a register; no `arm_a53` conv nest does. Every
+//! integer `//` and `%` in these kernels is by a positive constant, and
+//! none runs as a hardware divide.
 
 use tvm_graph::Graph;
 use tvm_ir::{BinOp, Expr, ExprNode, ForKind, Stmt, StmtNode, Visitor};
@@ -36,6 +38,8 @@ struct Loops {
     /// Loop levels of each reduce nest.
     nests: Vec<usize>,
     guarded: usize,
+    /// Reduce nests that keep their sum in a register.
+    register_sums: usize,
 }
 
 impl Visitor for Loops {
@@ -60,6 +64,7 @@ fn loops(target: &Target) -> Vec<Loops> {
                 kernel: format!("{name} {}", k.name),
                 nests: program.reduce_depths(),
                 guarded: program.guarded_factors(),
+                register_sums: program.register_sums(),
                 ..Loops::default()
             };
             assert_eq!(program.reduce_loops(), l.nests.len());
@@ -82,6 +87,7 @@ fn every_cpu_conv_accumulation_runs_as_one_depth_five_nest() {
         // `rh, rw, rc.i, conv_i1, conv_i3`, the data read under its
         // padding guard.
         assert_eq!((&k.nests[..], k.guarded), (&[5][..], 1), "{}", k.kernel);
+        assert_eq!(k.register_sums, 0, "{}: its sum moves", k.kernel);
         // Two `vectorized` loops, and one nest: the MAC loop is its
         // innermost level, the epilogue is in no nest.
         assert_eq!(k.vectorized, 2, "{}: a MAC loop and an epilogue", k.kernel);
@@ -104,7 +110,7 @@ fn every_cpu_dense_reduction_runs_as_a_reduce_loop() {
         // `k.o × k.i` where the reduction is split in two, `k.i` alone
         // where it fits one tile.
         assert_eq!(k.nests, [1 + k.k_outer], "{}", k.kernel);
-        assert_eq!(k.guarded, 0, "{}", k.kernel);
+        assert_eq!((k.guarded, k.register_sums), (0, 1), "{}", k.kernel);
     }
 }
 
@@ -125,9 +131,14 @@ fn every_gpu_dense_and_conv_reduction_runs_as_a_reduce_loop() {
     assert_eq!(reductions.len(), 10, "{kernels:?}");
     for k in reductions {
         // A conv thread's `rh × rw × rc.i` over its shared tiles; a dense
-        // thread's `k.i`.
+        // thread's `k.i`. Each keeps its thread's sum in a register.
         let depth = if k.kernel.contains("conv2d") { 3 } else { 1 };
-        assert_eq!(k.nests, [depth], "{}", k.kernel);
+        assert_eq!(
+            (&k.nests[..], k.register_sums),
+            (&[depth][..], 1),
+            "{}",
+            k.kernel
+        );
     }
 }
 

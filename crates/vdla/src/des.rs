@@ -115,19 +115,17 @@ pub fn simulate_monolithic(stream: &[VdlaInstr], spec: &VdlaSpec) -> VdlaRunResu
 
 /// Simulates the pipeline over an instruction stream.
 pub fn simulate(stream: &[VdlaInstr], spec: &VdlaSpec) -> Result<VdlaRunResult, DesError> {
-    // Split the stream per unit, preserving program order within a unit.
+    // Split the stream per unit, preserving program order within a unit;
+    // each unit's state is at `unit as usize`, its position in `units`.
     let units = [PipeStage::Load, PipeStage::Compute, PipeStage::Store];
-    let mut per_unit: HashMap<PipeStage, Vec<&VdlaInstr>> = HashMap::new();
-    for u in units {
-        per_unit.insert(u, Vec::new());
-    }
+    let mut per_unit: [Vec<&VdlaInstr>; 3] = Default::default();
     for i in stream {
-        per_unit.get_mut(&i.unit()).expect("unit exists").push(i);
+        per_unit[i.unit() as usize].push(i);
     }
 
-    let mut pc: HashMap<PipeStage, usize> = units.iter().map(|u| (*u, 0)).collect();
-    let mut time: HashMap<PipeStage, f64> = units.iter().map(|u| (*u, 0.0)).collect();
-    let mut busy: HashMap<PipeStage, f64> = units.iter().map(|u| (*u, 0.0)).collect();
+    let mut pc = [0usize; 3];
+    let mut time = [0.0f64; 3];
+    let mut busy = [0.0f64; 3];
     let mut queues: HashMap<(PipeStage, PipeStage), VecDeque<f64>> = HashMap::new();
 
     let mut macs = 0u64;
@@ -137,33 +135,23 @@ pub fn simulate(stream: &[VdlaInstr], spec: &VdlaSpec) -> Result<VdlaRunResult, 
 
     loop {
         let mut progress = false;
-        for u in units {
-            loop {
-                let stream_u = &per_unit[&u];
-                let i = pc[&u];
-                if i >= stream_u.len() {
-                    break;
-                }
-                let instr = stream_u[i];
+        for u in 0..units.len() {
+            while let Some(&instr) = per_unit[u].get(pc[u]) {
                 match instr {
                     VdlaInstr::Push { from, to } => {
-                        let t = time[&u];
-                        queues.entry((*from, *to)).or_default().push_back(t);
+                        queues.entry((*from, *to)).or_default().push_back(time[u]);
                     }
                     VdlaInstr::Pop { by, from } => {
                         let q = queues.entry((*from, *by)).or_default();
                         match q.pop_front() {
-                            Some(push_time) => {
-                                let t = time.get_mut(&u).expect("unit");
-                                *t = t.max(push_time);
-                            }
+                            Some(push_time) => time[u] = time[u].max(push_time),
                             None => break, // blocked on the token
                         }
                     }
                     work => {
                         let lat = latency(work, spec);
-                        *time.get_mut(&u).expect("unit") += lat;
-                        *busy.get_mut(&u).expect("unit") += lat;
+                        time[u] += lat;
+                        busy[u] += lat;
                         match work {
                             VdlaInstr::Gemm { macs: m } => macs += m,
                             VdlaInstr::Alu { ops } => alu_ops += ops,
@@ -174,25 +162,26 @@ pub fn simulate(stream: &[VdlaInstr], spec: &VdlaSpec) -> Result<VdlaRunResult, 
                         }
                     }
                 }
-                *pc.get_mut(&u).expect("unit") += 1;
+                pc[u] += 1;
                 executed += 1;
                 progress = true;
             }
         }
-        let done = units.iter().all(|u| pc[u] >= per_unit[u].len());
+        let done = (0..units.len()).all(|u| pc[u] >= per_unit[u].len());
         if done {
             break;
         }
         if !progress {
             return Err(DesError(format!(
                 "deadlock: pcs {:?} of {:?}",
-                units.iter().map(|u| pc[u]).collect::<Vec<_>>(),
-                units.iter().map(|u| per_unit[u].len()).collect::<Vec<_>>()
+                pc,
+                per_unit.each_ref().map(Vec::len)
             )));
         }
     }
 
-    let cycles = time.values().cloned().fold(0.0, f64::max);
+    let cycles = time.into_iter().fold(0.0, f64::max);
+    let busy = units.into_iter().zip(busy).collect();
     Ok(VdlaRunResult {
         cycles,
         busy,

@@ -9,6 +9,8 @@
 //! pipeline simulator (the "FPGA"), and the [`intrin`] tensor intrinsic +
 //! functional models used by tensorized schedules.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod des;
 pub mod intrin;
 pub mod isa;

@@ -94,22 +94,22 @@ fn cross_group_edge(g: &Graph, fused: &FusedGraph) -> Option<(usize, usize)> {
 /// Injects one guaranteed-illegal mutation into the plan or grouping;
 /// returns a description of what was broken.
 fn mutate(g: &Graph, fused: &mut FusedGraph, plan: &mut MemoryPlan, kind: u32) -> &'static str {
-    match kind {
+    let edge = cross_group_edge(g, fused);
+    match (kind, edge) {
         // Alias a consumer group's output with the producer it reads:
         // the producer is still live at the consumer's write.
-        0 if cross_group_edge(g, fused).is_some() => {
-            let (pg, gi) = cross_group_edge(g, fused).unwrap();
+        (0, Some((pg, gi))) => {
             let victim = fused.groups[gi].output;
             plan.storage_of[victim.0] = plan.storage_of[fused.groups[pg].output.0];
             "alias consumer output with live producer slot"
         }
         // Shrink a slot below its largest occupant.
-        1 if !plan.slot_sizes.is_empty() => {
+        (1, _) if !plan.slot_sizes.is_empty() => {
             plan.slot_sizes[0] = plan.slot_sizes[0].saturating_sub(1);
             "shrink slot below its occupant"
         }
         // Drop a slot's alignment below its occupants' dtype width.
-        2 if !plan.slot_aligns.is_empty() => {
+        (2, _) if !plan.slot_aligns.is_empty() => {
             plan.slot_aligns[0] = 1;
             "drop slot alignment to 1 byte"
         }
@@ -117,8 +117,8 @@ fn mutate(g: &Graph, fused: &mut FusedGraph, plan: &mut MemoryPlan, kind: u32) -
         // output still has the rest of the graph reading it (external
         // consumer of a fused intermediate), falling back to the alias
         // mutation when the graph is a single group.
-        _ => {
-            if let Some((pg, gi)) = cross_group_edge(g, fused) {
+        (_, edge) => {
+            if let Some((pg, gi)) = edge {
                 let moved = fused.groups[pg].nodes.clone();
                 for &m in &moved {
                     fused.group_of[m.0] = gi;

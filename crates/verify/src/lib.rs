@@ -29,6 +29,8 @@
 //! assert!(report.failures.is_empty());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod apply;
 pub mod diff;
 pub mod generate;
@@ -182,10 +184,10 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
             }
             Outcome::Invalid(_) => report.invalid += 1,
             ref failing => {
-                let kind_str = failing.failure_kind().expect("failure");
+                let class = failing.failure_kind();
                 // Minimize: a candidate must fail with the same class.
                 let shrunk = shrink(&trace, |cand| {
-                    run_case(kind, seed, cand).failure_kind() == Some(kind_str)
+                    run_case(kind, seed, cand).failure_kind() == class
                 });
                 report.failures.push(CaseFailure::recorded(
                     Repro {

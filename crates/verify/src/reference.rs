@@ -229,20 +229,18 @@ impl Walker {
     }
 
     fn load_any(&mut self, id: VarId, idx: i64, name: &str) -> Result<Value> {
-        match self.thread_key(id) {
-            Some(key) => self.thread_bufs[&key].get(idx, name),
+        let key = self.thread_key(id);
+        match key.and_then(|key| self.thread_bufs.get(&key)) {
+            Some(buf) => buf.get(idx, name),
             None => self.mem.load(id, idx),
         }
     }
 
     fn store_any(&mut self, id: VarId, idx: i64, val: Value, name: &str) -> Result<()> {
         self.stores += 1;
-        match self.thread_key(id) {
-            Some(key) => self
-                .thread_bufs
-                .get_mut(&key)
-                .expect("found")
-                .set(idx, val, name),
+        let key = self.thread_key(id);
+        match key.and_then(|key| self.thread_bufs.get_mut(&key)) {
+            Some(buf) => buf.set(idx, val, name),
             None => self.mem.store(id, idx, val),
         }
     }

@@ -1683,6 +1683,24 @@ fn stride_name(s: i64) -> String {
     }
 }
 
+/// `Σ s[j] * vars[j]` over levels of `extents`, shifted so that its least
+/// value over the box is 0, and the number of values from there to its
+/// greatest.
+fn shifted(vars: &[Var], extents: &[i64], s: &[i64]) -> (Expr, i64) {
+    let reach = |pick: fn(i64) -> i64| -> i64 {
+        s.iter()
+            .zip(extents)
+            .map(|(&c, &e)| pick(c) * (e - 1))
+            .sum()
+    };
+    let (low, high) = (reach(|c| c.min(0)), reach(|c| c.max(0)));
+    let e = vars
+        .iter()
+        .zip(s)
+        .fold(Expr::int(-low), |e, (v, &c)| e + v.clone() * c);
+    (e, high - low + 1)
+}
+
 #[test]
 fn generated_guarded_nests_agree_with_the_walker() {
     // MAC nests of one to five levels, with one or both factors (now and
@@ -1707,23 +1725,7 @@ fn generated_guarded_nests_agree_with_the_walker() {
             s.push(draw.pick(inner));
             s
         };
-        let affine = |s: &[i64]| -> (Expr, i64) {
-            let low: i64 = s
-                .iter()
-                .zip(&extents)
-                .map(|(&c, &e)| c.min(0) * (e - 1))
-                .sum();
-            let high: i64 = s
-                .iter()
-                .zip(&extents)
-                .map(|(&c, &e)| c.max(0) * (e - 1))
-                .sum();
-            let e = vars
-                .iter()
-                .zip(s)
-                .fold(Expr::int(-low), |e, (v, &c)| e + v.clone() * c);
-            (e, high - low + 1)
-        };
+        let affine = |s: &[i64]| shifted(&vars, &extents, s);
         let s_strides = strides(&mut draw, &[0, 1, 2, 3], &[0, 1, 4, 9]);
         let (at, s_len) = affine(&s_strides);
         let guarded = match draw.next() % 7 {
@@ -1821,6 +1823,68 @@ fn generated_guarded_nests_agree_with_the_walker() {
         let volume: i64 = extents.iter().product();
         assert_eq!((run.result.is_ok(), run.stores), (true, volume as u64));
     }
+    // Unguarded nests into one element of `S`, which keep the sum in a
+    // register: the innermost level joins each level around it along which
+    // both factors walk on from where the level inside it ends (the inner
+    // stride times the iterations inside it, negative ones too), and an
+    // odometer steps the rest. Each outer level is drawn to join or not.
+    for case in 0..200 {
+        let depth = 2 + (draw.next() % 4) as usize;
+        let vars: Vec<Var> = (0..depth).map(|j| Var::int(format!("l{j}"))).collect();
+        let mut extents: Vec<i64> = (0..depth - 1).map(|_| draw.pick(&[1, 2, 3])).collect();
+        extents.push(draw.pick(&[1, 2, 3, 5, 7]));
+        let inner = [0, 1].map(|_| draw.pick(&[-2, -1, 0, 1, 3]));
+        let mut strides = inner.map(|s| vec![s; depth]);
+        let mut inside = extents[depth - 1];
+        for j in (0..depth - 1).rev() {
+            let join = !draw.next().is_multiple_of(3);
+            for (f, s) in strides.iter_mut().enumerate() {
+                s[j] = if join {
+                    inner[f] * inside
+                } else {
+                    draw.pick(&[-5, -1, 0, 2, 7])
+                };
+            }
+            inside *= extents[j];
+        }
+        // How many outer levels join, as the kernel finds them.
+        let mut joined = 0;
+        let mut inside = extents[depth - 1];
+        for j in (0..depth - 1).rev() {
+            if strides.iter().zip(inner).any(|(s, i)| s[j] != i * inside) {
+                break;
+            }
+            joined += 1;
+            inside *= extents[j];
+        }
+        see(match joined {
+            0 => "no level joins".into(),
+            j if j == depth - 1 => "every level joins".into(),
+            _ => "some levels join".into(),
+        });
+        if strides.iter().flatten().any(|&s| s < 0) {
+            see("negative stride into a register sum".into());
+        }
+        let [x, y, s] = ["X", "Y", "S"].map(|n| Var::new(n, DType::float32()));
+        let [(xi, x_len), (yi, y_len)] = [0, 1].map(|f| shifted(&vars, &extents, &strides[f]));
+        let mut body = mac(&s, Expr::int(1), &x, xi, &y, yi);
+        let kinds = [ForKind::Serial, ForKind::Unrolled, ForKind::Vectorized];
+        for j in (0..depth).rev() {
+            body = Stmt::loop_(&vars[j], 0, extents[j], draw.pick(&kinds), body);
+        }
+        let f = f32_func(vec![x, y, s], vec![x_len as usize, y_len as usize, 2], body);
+        let p = Program::compile_f32(&f);
+        let formed = (p.reduce_depths(), p.guarded_factors(), p.register_sums());
+        assert_eq!(formed, (vec![depth], 0, 1), "case {case}:\n{}", f.body);
+        let arrays = [
+            draw.values(x_len as usize),
+            draw.values(y_len as usize),
+            draw.values(2),
+        ];
+        let run = agreed(&f, f32_buffers(arrays.to_vec()), |_| {});
+        let volume: i64 = extents.iter().product();
+        assert_eq!((run.result.is_ok(), run.stores), (true, volume as u64));
+    }
     let wanted = [
         "span empty",
         "span cut at the left",
@@ -1835,6 +1899,10 @@ fn generated_guarded_nests_agree_with_the_walker() {
         "S stride 1",
         "S stride > 1",
         "row of 1",
+        "every level joins",
+        "some levels join",
+        "no level joins",
+        "negative stride into a register sum",
     ];
     for what in wanted {
         assert!(seen.contains_key(what), "no case has {what}: {seen:?}");

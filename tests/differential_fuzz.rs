@@ -130,8 +130,9 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
     // The two fuzz tiers above share one seed, so the 48 static-oracle cases
     // are the first 48 of these 60. Some of them run a multiply-accumulate
     // nest as one reduce op: one of several levels, and one whose factor is
-    // a padded read.
-    let (mut compared, mut reduce_loops) = (0, 0);
+    // a padded read. Both kernels run: a sum kept in a register, and rows
+    // cut into pieces.
+    let (mut compared, mut reduce_loops, mut register_sums) = (0, 0, 0);
     let (mut deepest, mut guarded) = (0, 0);
     for case in 0..60 {
         let kind = ALL_WORKLOADS[case % ALL_WORKLOADS.len()];
@@ -149,6 +150,7 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         compared += 1;
         let program = tvm_ir::Program::compile_f32(&f);
         reduce_loops += program.reduce_loops();
+        register_sums += program.register_sums();
         deepest = program
             .reduce_depths()
             .into_iter()
@@ -156,7 +158,14 @@ fn flat_engine_matches_the_walker_on_the_pinned_traces() {
         guarded += program.guarded_factors();
     }
     assert_eq!(compared, 60);
-    assert!(reduce_loops > 0, "no pinned trace runs a reduce loop");
+    assert!(
+        register_sums > 0,
+        "no pinned trace keeps a sum in a register"
+    );
+    assert!(
+        reduce_loops > register_sums,
+        "no pinned trace runs a reduce nest in pieces"
+    );
     assert!(deepest >= 2, "no pinned trace runs a nest of two levels");
     assert!(guarded > 0, "no pinned trace runs a guarded factor");
 }
