@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -167,10 +167,6 @@ pub struct TuneStats {
     /// Config lookups served (measurements + explorer scorings); lookups
     /// minus lowerings = memo-cache hits.
     pub lookups: usize,
-    /// Contended acquisitions of this run's measurement memo-cache lock.
-    pub lock_waits: u64,
-    /// Nanoseconds spent waiting on those contended locks.
-    pub lock_wait_ns: u64,
     /// Retry/quarantine/fault counters from the device pool (zeros when
     /// the run measured without a pool).
     pub pool: PoolStats,
@@ -261,9 +257,6 @@ pub(crate) struct MeasureCache<'a> {
     lowerings: AtomicUsize,
     simulations: AtomicUsize,
     lookups: AtomicUsize,
-    /// Contended acquisitions of the slot-map lock, and the total wait.
-    lock_waits: AtomicU64,
-    lock_wait_ns: AtomicU64,
     /// Per-phase parallel work durations, harvested into the result.
     work: Mutex<WorkLog>,
     /// When set, measurements dispatch through the fault-tolerant device
@@ -281,8 +274,6 @@ impl<'a> MeasureCache<'a> {
             lowerings: AtomicUsize::new(0),
             simulations: AtomicUsize::new(0),
             lookups: AtomicUsize::new(0),
-            lock_waits: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
             work: Mutex::new(WorkLog::default()),
             pool: None,
         }
@@ -296,19 +287,11 @@ impl<'a> MeasureCache<'a> {
         let _ = slot.cost.get_or_init(|| cost);
     }
 
-    /// Locks the slot map, recording the wait when contended. Poisoned
-    /// locks are recovered: the map only holds `Arc`s to per-slot
-    /// `OnceLock`s, so a panicking peer cannot leave it torn.
+    /// Locks the slot map. Poisoned locks are recovered: the map only
+    /// holds `Arc`s to per-slot `OnceLock`s, so a panicking peer cannot
+    /// leave it torn.
     fn lock_slots(&self) -> MutexGuard<'_, HashMap<u64, Arc<CacheSlot>>> {
-        if let Ok(g) = self.slots.try_lock() {
-            return g;
-        }
-        let start = Instant::now();
-        let g = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let ns = start.elapsed().as_nanos() as u64;
-        self.lock_waits.fetch_add(1, Ordering::Relaxed);
-        self.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        g
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Records one parallelizable phase's per-item durations.
@@ -374,8 +357,6 @@ impl<'a> MeasureCache<'a> {
             lowerings: self.lowerings.load(Ordering::Relaxed),
             simulations: self.simulations.load(Ordering::Relaxed),
             lookups: self.lookups.load(Ordering::Relaxed),
-            lock_waits: self.lock_waits.load(Ordering::Relaxed),
-            lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
             ..TuneStats::default()
         }
     }

@@ -43,4 +43,6 @@ pub use simplify::{eval_const, simplify, simplify_stmt, simplify_with, Simplifie
 pub use stmt::{
     BufferScopes, ForKind, LoweredFunc, MemScope, PipeStage, Stmt, StmtNode, ThreadTag,
 };
-pub use visit::{collect_vars, substitute, substitute_one, substitute_stmt, Mutator, Visitor};
+pub use visit::{
+    collect_vars, find_stmt, substitute, substitute_one, substitute_stmt, Mutator, Visitor,
+};

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use crate::dtype::DType;
 use crate::expr::{Expr, Var, VarId};
 use crate::idhash::IdMap;
+use crate::visit::{find_stmt, Visitor};
 
 /// Each allocated buffer's memory scope and `Var`, keyed by its id
 /// ([`Stmt::alloc_scopes`]).
@@ -308,60 +309,27 @@ impl Stmt {
 
     /// True if a `Barrier` statement occurs anywhere in this statement.
     pub fn contains_barrier(&self) -> bool {
-        match &*self.0 {
-            StmtNode::Barrier => true,
-            StmtNode::For { body, .. }
-            | StmtNode::LetStmt { body, .. }
-            | StmtNode::AttrStmt { body, .. }
-            | StmtNode::Allocate { body, .. } => body.contains_barrier(),
-            StmtNode::Seq(items) => items.iter().any(Stmt::contains_barrier),
-            StmtNode::IfThenElse {
-                then_case,
-                else_case,
-                ..
-            } => {
-                then_case.contains_barrier()
-                    || else_case.as_ref().is_some_and(Stmt::contains_barrier)
-            }
-            _ => false,
-        }
+        find_stmt(self, |s| matches!(&*s.0, StmtNode::Barrier).then_some(true))
     }
 
     /// The scope of every buffer `Allocate`d anywhere in this statement.
     /// Buffers it does not allocate, such as function parameters, are
     /// absent; callers treat them as global.
     pub fn alloc_scopes(&self) -> BufferScopes {
-        fn walk(s: &Stmt, out: &mut BufferScopes) {
-            match &*s.0 {
-                StmtNode::Allocate {
-                    buffer,
-                    scope,
-                    body,
-                    ..
-                } => {
-                    out.insert(buffer.id(), (*scope, buffer.clone()));
-                    walk(body, out);
+        struct Scopes(BufferScopes);
+        impl Visitor for Scopes {
+            fn visit_expr(&mut self, _: &Expr) {}
+
+            fn visit_stmt(&mut self, s: &Stmt) {
+                if let StmtNode::Allocate { buffer, scope, .. } = &*s.0 {
+                    self.0.insert(buffer.id(), (*scope, buffer.clone()));
                 }
-                StmtNode::For { body, .. }
-                | StmtNode::LetStmt { body, .. }
-                | StmtNode::AttrStmt { body, .. } => walk(body, out),
-                StmtNode::Seq(items) => items.iter().for_each(|i| walk(i, out)),
-                StmtNode::IfThenElse {
-                    then_case,
-                    else_case,
-                    ..
-                } => {
-                    walk(then_case, out);
-                    if let Some(e) = else_case {
-                        walk(e, out);
-                    }
-                }
-                _ => {}
+                self.walk_stmt(s);
             }
         }
-        let mut out = BufferScopes::default();
-        walk(self, &mut out);
-        out
+        let mut v = Scopes(BufferScopes::default());
+        v.visit_stmt(self);
+        v.0
     }
 }
 
@@ -387,67 +355,6 @@ pub struct LoweredFunc {
     pub param_extents: Vec<usize>,
     /// Function body.
     pub body: Stmt,
-}
-
-impl LoweredFunc {
-    /// Total dynamic thread-block count if the function binds block axes
-    /// (product of blockIdx extents), else 1.
-    pub fn grid_size(&self) -> usize {
-        let mut n = 1usize;
-        collect_thread_extents(&self.body, true, &mut n);
-        n
-    }
-
-    /// Threads per block if the function binds thread axes, else 1.
-    pub fn block_size(&self) -> usize {
-        let mut n = 1usize;
-        collect_thread_extents(&self.body, false, &mut n);
-        n
-    }
-}
-
-fn collect_thread_extents(s: &Stmt, block: bool, acc: &mut usize) {
-    match &*s.0 {
-        StmtNode::For {
-            kind: ForKind::ThreadBinding(tag),
-            extent,
-            body,
-            ..
-        } => {
-            if tag.is_block() == block {
-                if let Some(e) = extent.as_int() {
-                    *acc = acc.saturating_mul(e.max(1) as usize);
-                }
-            }
-            collect_thread_extents(body, block, acc);
-        }
-        StmtNode::For { body, .. }
-        | StmtNode::LetStmt { body, .. }
-        | StmtNode::AttrStmt { body, .. }
-        | StmtNode::Allocate { body, .. } => collect_thread_extents(body, block, acc),
-        StmtNode::Seq(v) => {
-            // Thread nests are not duplicated across sequence arms in our
-            // lowering; take the first arm that contains one.
-            let before = *acc;
-            for st in v {
-                collect_thread_extents(st, block, acc);
-                if *acc != before {
-                    break;
-                }
-            }
-        }
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => {
-            collect_thread_extents(then_case, block, acc);
-            if let Some(e) = else_case {
-                collect_thread_extents(e, block, acc);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]
@@ -476,34 +383,36 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_block_size() {
-        let buf = Var::new("b", DType::float32());
-        let bx = Var::int("bx");
-        let tx = Var::int("tx");
-        let body = Stmt::store(&buf, tx.to_expr(), Expr::f32(0.0));
-        let inner = Stmt::loop_(
-            &tx,
-            0,
-            128,
-            ForKind::ThreadBinding(ThreadTag::ThreadIdxX),
-            body,
+    fn barriers_and_allocations_are_found_in_every_branch() {
+        let (out, tmp) = (
+            Var::new("o", DType::float32()),
+            Var::new("t", DType::float32()),
         );
-        let outer = Stmt::loop_(
-            &bx,
-            0,
-            64,
-            ForKind::ThreadBinding(ThreadTag::BlockIdxX),
-            inner,
-        );
-        let f = LoweredFunc {
-            name: "k".into(),
-            params: vec![buf],
-            param_dtypes: vec![DType::float32()],
-            param_extents: vec![128],
-            body: outer,
+        let (i, x) = (Var::int("i"), Var::int("x"));
+        let store = Stmt::store(&out, Expr::int(0), Expr::f32(1.0));
+        let branchy = |else_case: Stmt| {
+            Stmt::new(StmtNode::IfThenElse {
+                cond: i.to_expr().lt(Expr::int(1)),
+                then_case: store.clone(),
+                else_case: Some(else_case),
+            })
         };
-        assert_eq!(f.grid_size(), 64);
-        assert_eq!(f.block_size(), 128);
+        let nest = |leaf: Stmt| {
+            let let_ = Stmt::new(StmtNode::LetStmt {
+                var: x.clone(),
+                value: Expr::int(2),
+                body: branchy(leaf),
+            });
+            Stmt::for_(&i, 0, 4, Stmt::attr("k", Expr::int(0), let_))
+        };
+        let barrier = Stmt::seq(vec![store.clone(), Stmt::new(StmtNode::Barrier)]);
+        assert!(nest(barrier).contains_barrier());
+        assert!(!nest(store.clone()).contains_barrier());
+        let alloc = Stmt::allocate(&tmp, DType::float32(), 8, MemScope::Shared, store.clone());
+        let scopes = nest(alloc).alloc_scopes();
+        assert_eq!(scopes.len(), 1);
+        assert_eq!(scopes[&tmp.id()].0, MemScope::Shared);
+        assert!(nest(store.clone()).alloc_scopes().is_empty());
     }
 
     #[test]

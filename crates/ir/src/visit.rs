@@ -455,6 +455,35 @@ pub fn substitute_one(e: &Expr, var: &Var, with: &Expr) -> Expr {
     substitute(e, &map)
 }
 
+/// True when `judge` finds a hit in `s`. It is asked about each statement,
+/// outermost first, and answers `Some(hit)` for the statement's whole
+/// subtree or `None` to go on into its children. Expressions are not read.
+pub fn find_stmt(s: &Stmt, judge: impl FnMut(&Stmt) -> Option<bool>) -> bool {
+    struct Find<F> {
+        judge: F,
+        found: bool,
+    }
+    impl<F: FnMut(&Stmt) -> Option<bool>> Visitor for Find<F> {
+        fn visit_expr(&mut self, _: &Expr) {}
+
+        fn visit_stmt(&mut self, s: &Stmt) {
+            if self.found {
+                return;
+            }
+            match (self.judge)(s) {
+                Some(hit) => self.found = hit,
+                None => self.walk_stmt(s),
+            }
+        }
+    }
+    let mut f = Find {
+        judge,
+        found: false,
+    };
+    f.visit_stmt(s);
+    f.found
+}
+
 /// Collects the set of free variables referenced by an expression.
 pub fn collect_vars(e: &Expr) -> Vec<Var> {
     struct C {

@@ -14,7 +14,7 @@ use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
 use tvm_ir::{
     BinOp, CallKind, DType, Expr, ForKind, IdMap, Interval, LoweredFunc, MemScope, Stmt, ThreadTag,
-    Var, VarId,
+    Var, VarId, Visitor,
 };
 
 /// One loop on the stack, outermost first.
@@ -168,7 +168,7 @@ pub fn analyze(func: &LoweredFunc) -> ProgramAnalysis {
         out: ProgramAnalysis::default(),
         cond_scale: 1.0,
     };
-    w.walk(&func.body);
+    w.visit_stmt(&func.body);
     w.out
 }
 
@@ -179,98 +179,6 @@ impl Walker {
 
     fn in_kind(&self, pred: impl Fn(ForKind) -> bool) -> bool {
         self.loops.iter().any(|l| pred(l.kind))
-    }
-
-    fn walk(&mut self, s: &Stmt) {
-        match &*s.0 {
-            StmtNode::For {
-                var,
-                min,
-                extent,
-                kind,
-                body,
-            } => {
-                let lo = min.as_int().unwrap_or(0);
-                let n = extent.as_int().unwrap_or(1).max(0);
-                if let ForKind::ThreadBinding(tag) = kind {
-                    *self.out.thread_extents.entry(*tag).or_insert(1) *= n.max(1);
-                }
-                if !matches!(kind, ForKind::Unrolled | ForKind::ThreadBinding(_)) {
-                    self.out.loop_iterations += self.trips() * n as f64;
-                }
-                if matches!(kind, ForKind::Parallel) && self.out.parallel_extent == 1 {
-                    self.out.parallel_extent = n.max(1);
-                }
-                self.loops.push(LoopLevel {
-                    var: var.clone(),
-                    min: lo,
-                    extent: n.max(1),
-                    kind: *kind,
-                });
-                let enclosing = self.shared_loops.take();
-                self.walk(body);
-                self.loops.pop();
-                self.shared_loops = enclosing;
-            }
-            StmtNode::Seq(items) => {
-                for it in items {
-                    self.walk(it);
-                }
-            }
-            StmtNode::Allocate {
-                buffer,
-                dtype,
-                extent,
-                scope,
-                body,
-            } => {
-                self.buffers
-                    .insert(buffer.id(), (buffer.name().into(), *scope));
-                let bytes = extent.as_int().unwrap_or(0) as f64 * dtype.bytes() as f64;
-                *self.out.alloc_bytes.entry(*scope).or_insert(0.0) += bytes;
-                self.walk(body);
-            }
-            StmtNode::Store {
-                buffer,
-                index,
-                value,
-                predicate,
-            } => {
-                self.record_access(buffer, index, true);
-                self.visit_expr(value);
-                // Address arithmetic is folded into addressing modes and is
-                // not counted as compute.
-                if let Some(p) = predicate {
-                    self.visit_expr(p);
-                    self.out.branches += self.trips();
-                }
-            }
-            StmtNode::IfThenElse {
-                cond,
-                then_case,
-                else_case,
-            } => {
-                self.visit_expr(cond);
-                self.out.branches += self.trips();
-                self.walk(then_case);
-                if let Some(e) = else_case {
-                    // Both branches cost; assume the predicate is mostly
-                    // true (guards) and weight the else branch lightly.
-                    let saved = self.cond_scale;
-                    self.cond_scale *= 0.5;
-                    self.walk(e);
-                    self.cond_scale = saved;
-                }
-            }
-            StmtNode::Evaluate(e) => self.visit_expr(e),
-            StmtNode::Barrier => self.out.barriers += self.trips(),
-            StmtNode::LetStmt { value, body, .. } => {
-                self.visit_expr(value);
-                self.walk(body);
-            }
-            StmtNode::AttrStmt { body, .. } => self.walk(body),
-            StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => {}
-        }
     }
 
     fn record_access(&mut self, buffer: &Var, index: &Expr, is_store: bool) {
@@ -368,12 +276,114 @@ impl Walker {
             _ => -1,
         }
     }
+}
+
+/// The walk reads every child except five, which it skips because reading
+/// them would count address arithmetic as compute: store and load indices
+/// (summarized by [`Walker::record_access`] instead), loop bounds,
+/// allocation extents and attribute values. A load inside one of those is
+/// not recorded either. An expression adds its own count after its
+/// children's: the `f64` sums depend on that order in their last bits.
+impl Visitor for Walker {
+    fn visit_stmt(&mut self, s: &Stmt) {
+        match &*s.0 {
+            StmtNode::For {
+                var,
+                min,
+                extent,
+                kind,
+                body,
+            } => {
+                // Skip: the bounds.
+                let lo = min.as_int().unwrap_or(0);
+                let n = extent.as_int().unwrap_or(1).max(0);
+                if let ForKind::ThreadBinding(tag) = kind {
+                    *self.out.thread_extents.entry(*tag).or_insert(1) *= n.max(1);
+                }
+                if !matches!(kind, ForKind::Unrolled | ForKind::ThreadBinding(_)) {
+                    self.out.loop_iterations += self.trips() * n as f64;
+                }
+                if matches!(kind, ForKind::Parallel) && self.out.parallel_extent == 1 {
+                    self.out.parallel_extent = n.max(1);
+                }
+                self.loops.push(LoopLevel {
+                    var: var.clone(),
+                    min: lo,
+                    extent: n.max(1),
+                    kind: *kind,
+                });
+                let enclosing = self.shared_loops.take();
+                self.visit_stmt(body);
+                self.loops.pop();
+                self.shared_loops = enclosing;
+            }
+            StmtNode::Allocate {
+                buffer,
+                dtype,
+                extent,
+                scope,
+                body,
+            } => {
+                // Skip: the extent.
+                self.buffers
+                    .insert(buffer.id(), (buffer.name().into(), *scope));
+                let bytes = extent.as_int().unwrap_or(0) as f64 * dtype.bytes() as f64;
+                *self.out.alloc_bytes.entry(*scope).or_insert(0.0) += bytes;
+                self.visit_stmt(body);
+            }
+            StmtNode::Store {
+                buffer,
+                index,
+                value,
+                predicate,
+            } => {
+                // Skip: the index.
+                self.record_access(buffer, index, true);
+                self.visit_expr(value);
+                if let Some(p) = predicate {
+                    self.visit_expr(p);
+                    self.out.branches += self.trips();
+                }
+            }
+            StmtNode::IfThenElse {
+                cond,
+                then_case,
+                else_case,
+            } => {
+                self.visit_expr(cond);
+                self.out.branches += self.trips();
+                self.visit_stmt(then_case);
+                if let Some(e) = else_case {
+                    // Both branches cost; assume the predicate is mostly
+                    // true (guards) and weight the else branch lightly.
+                    let saved = self.cond_scale;
+                    self.cond_scale *= 0.5;
+                    self.visit_stmt(e);
+                    self.cond_scale = saved;
+                }
+            }
+            StmtNode::Barrier => self.out.barriers += self.trips(),
+            // Skip: the value.
+            StmtNode::AttrStmt { body, .. } => self.visit_stmt(body),
+            _ => self.walk_stmt(s),
+        }
+    }
 
     fn visit_expr(&mut self, e: &Expr) {
         match &*e.0 {
-            ExprNode::Binary { op, a, b, .. } => {
-                self.visit_expr(a);
-                self.visit_expr(b);
+            ExprNode::Load {
+                buffer,
+                index,
+                predicate,
+            } => {
+                // Skip: the index.
+                self.record_access(buffer, index, false);
+                if let Some(p) = predicate {
+                    self.visit_expr(p);
+                }
+            }
+            ExprNode::Binary { op, a, .. } => {
+                self.walk_expr(e);
                 let cost = match op {
                     BinOp::Div | BinOp::Mod if a.dtype().is_float() => 4.0,
                     _ => 1.0,
@@ -387,46 +397,16 @@ impl Walker {
                     self.out.parallel_flops += t;
                 }
             }
-            ExprNode::Cmp { a, b, .. } => {
-                self.visit_expr(a);
-                self.visit_expr(b);
+            ExprNode::Cmp { .. } => {
+                self.walk_expr(e);
                 self.out.flops += self.trips();
             }
-            ExprNode::And { a, b } | ExprNode::Or { a, b } => {
-                self.visit_expr(a);
-                self.visit_expr(b);
-            }
-            ExprNode::Not { a } | ExprNode::Cast { value: a, .. } => self.visit_expr(a),
-            ExprNode::Select {
-                cond,
-                then_case,
-                else_case,
-            } => {
-                self.visit_expr(cond);
-                self.visit_expr(then_case);
-                self.visit_expr(else_case);
+            ExprNode::Select { .. } => {
+                self.walk_expr(e);
                 self.out.branches += self.trips();
             }
-            ExprNode::Load {
-                buffer,
-                index,
-                predicate,
-            } => {
-                self.record_access(buffer, index, false);
-                if let Some(p) = predicate {
-                    self.visit_expr(p);
-                }
-            }
-            ExprNode::Let { value, body, .. } => {
-                self.visit_expr(value);
-                self.visit_expr(body);
-            }
-            ExprNode::Call {
-                name, args, kind, ..
-            } => {
-                for a in args {
-                    self.visit_expr(a);
-                }
+            ExprNode::Call { name, kind, .. } => {
+                self.walk_expr(e);
                 match kind {
                     // Transcendentals cost ~8 scalar ops; popcount is a
                     // near-native instruction.
@@ -443,12 +423,7 @@ impl Walker {
                     }
                 }
             }
-            ExprNode::Ramp { base, stride, .. } => {
-                self.visit_expr(base);
-                self.visit_expr(stride);
-            }
-            ExprNode::Broadcast { value, .. } => self.visit_expr(value),
-            _ => {}
+            _ => self.walk_expr(e),
         }
     }
 }

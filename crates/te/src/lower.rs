@@ -29,8 +29,8 @@ use std::time::Instant;
 use tvm_ir::expr::ExprNode;
 use tvm_ir::stmt::StmtNode;
 use tvm_ir::{
-    DType, Expr, ForKind, IdMap, IdSet, Interval, LoweredFunc, MemScope, Stmt, ThreadTag, Var,
-    VarId,
+    BinOp, DType, Expr, ForKind, IdMap, IdSet, Interval, LoweredFunc, MemScope, Stmt, ThreadTag,
+    Var, VarId, Visitor,
 };
 
 use crate::schedule::{Attach, IterRelation, LoopAnn, Schedule, Stage};
@@ -1014,56 +1014,34 @@ fn read_regions(
 /// expressions (the span of `(outer*c + inner) // m` depends on `outer`),
 /// so [`compute_region`] must fall back to the full axis for them.
 fn divmod_mixes_ranged(e: &Expr, ranged: &dyn Fn(&Var) -> bool) -> bool {
-    use tvm_ir::{BinOp, ExprNode};
-    match &*e.0 {
-        ExprNode::Binary {
-            op: BinOp::Div | BinOp::Mod,
-            a,
-            b,
-            ..
-        } => {
-            let vars = tvm_ir::collect_vars(a);
-            let mixes = vars.iter().any(ranged) && vars.iter().any(|v| !ranged(v));
-            mixes || divmod_mixes_ranged(a, ranged) || divmod_mixes_ranged(b, ranged)
-        }
-        ExprNode::Binary { a, b, .. } | ExprNode::Cmp { a, b, .. } => {
-            divmod_mixes_ranged(a, ranged) || divmod_mixes_ranged(b, ranged)
-        }
-        ExprNode::And { a, b } | ExprNode::Or { a, b } => {
-            divmod_mixes_ranged(a, ranged) || divmod_mixes_ranged(b, ranged)
-        }
-        ExprNode::Not { a }
-        | ExprNode::Cast { value: a, .. }
-        | ExprNode::Broadcast { value: a, .. } => divmod_mixes_ranged(a, ranged),
-        ExprNode::Select {
-            cond,
-            then_case,
-            else_case,
-        } => {
-            divmod_mixes_ranged(cond, ranged)
-                || divmod_mixes_ranged(then_case, ranged)
-                || divmod_mixes_ranged(else_case, ranged)
-        }
-        ExprNode::Ramp { base, stride, .. } => {
-            divmod_mixes_ranged(base, ranged) || divmod_mixes_ranged(stride, ranged)
-        }
-        ExprNode::Let { value, body, .. } => {
-            divmod_mixes_ranged(value, ranged) || divmod_mixes_ranged(body, ranged)
-        }
-        ExprNode::Load {
-            index, predicate, ..
-        } => {
-            divmod_mixes_ranged(index, ranged)
-                || predicate
-                    .as_ref()
-                    .is_some_and(|p| divmod_mixes_ranged(p, ranged))
-        }
-        ExprNode::Call { args, .. } => args.iter().any(|a| divmod_mixes_ranged(a, ranged)),
-        ExprNode::IntImm { .. }
-        | ExprNode::FloatImm { .. }
-        | ExprNode::StringImm(_)
-        | ExprNode::Var(_) => false,
+    struct Mixes<'a> {
+        ranged: &'a dyn Fn(&Var) -> bool,
+        found: bool,
     }
+    impl Visitor for Mixes<'_> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if self.found {
+                return;
+            }
+            if let ExprNode::Binary {
+                op: BinOp::Div | BinOp::Mod,
+                a,
+                ..
+            } = &*e.0
+            {
+                let vars = tvm_ir::collect_vars(a);
+                let ranged = self.ranged;
+                self.found = vars.iter().any(ranged) && vars.iter().any(|v| !ranged(v));
+            }
+            self.walk_expr(e);
+        }
+    }
+    let mut m = Mixes {
+        ranged,
+        found: false,
+    };
+    m.visit_expr(e);
+    m.found
 }
 
 type ResolvedIters = (IdMap<VarId, i64>, IdMap<VarId, Expr>, Vec<(Expr, IterKind)>);

@@ -378,21 +378,11 @@ pub fn interleave(body: &Stmt, var: &Var, lo: i64, n: i64) -> Stmt {
 /// True when the subtree contains a pipeline boundary: a DMA pragma region
 /// or dependence tokens.
 fn has_boundary(s: &Stmt) -> bool {
-    match &*s.0 {
-        StmtNode::AttrStmt { key, .. } if key.starts_with("pragma.") => true,
-        StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => true,
-        StmtNode::For { body, .. } => has_boundary(body),
-        StmtNode::Seq(items) => items.iter().any(has_boundary),
-        StmtNode::Allocate { body, .. }
-        | StmtNode::AttrStmt { body, .. }
-        | StmtNode::LetStmt { body, .. } => has_boundary(body),
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => has_boundary(then_case) || else_case.as_ref().is_some_and(has_boundary),
-        _ => false,
-    }
+    tvm_ir::find_stmt(s, |s| match &*s.0 {
+        StmtNode::AttrStmt { key, .. } if key.starts_with("pragma.") => Some(true),
+        StmtNode::PushDep { .. } | StmtNode::PopDep { .. } => Some(true),
+        _ => None,
+    })
 }
 
 /// True when the statement contains a loop that must stay shared across
@@ -400,23 +390,13 @@ fn has_boundary(s: &Stmt) -> bool {
 /// software-pipeline loop the copies interleave within. Everything else —
 /// including pure-compute loop nests and the tokens bracketing them — is
 /// duplicated whole per copy so each copy's token/op bracket stays intact.
+/// A pragma region is a leaf here: its loops are not looked into.
 fn contains_shared_loop(s: &Stmt) -> bool {
-    match &*s.0 {
-        StmtNode::AttrStmt { key, .. } if key.starts_with("pragma.") => false,
-        StmtNode::For { body, .. } => has_boundary(body),
-        StmtNode::Seq(items) => items.iter().any(contains_shared_loop),
-        StmtNode::Allocate { body, .. }
-        | StmtNode::AttrStmt { body, .. }
-        | StmtNode::LetStmt { body, .. } => contains_shared_loop(body),
-        StmtNode::IfThenElse {
-            then_case,
-            else_case,
-            ..
-        } => {
-            contains_shared_loop(then_case) || else_case.as_ref().is_some_and(contains_shared_loop)
-        }
-        _ => false,
-    }
+    tvm_ir::find_stmt(s, |s| match &*s.0 {
+        StmtNode::AttrStmt { key, .. } if key.starts_with("pragma.") => Some(false),
+        StmtNode::For { body, .. } => Some(has_boundary(body)),
+        _ => None,
+    })
 }
 
 fn dup_for_copy(s: &Stmt, var: &Var, copy: &CopySubst) -> Stmt {

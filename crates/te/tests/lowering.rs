@@ -204,8 +204,9 @@ fn gpu_matmul_with_thread_binding() {
     s.bind(&c, &ty, ThreadTag::ThreadIdxY).unwrap();
     s.bind(&c, &tx, ThreadTag::ThreadIdxX).unwrap();
     let f = lower_verified(&s, &[a, b, c], "mm_gpu");
-    assert_eq!(f.grid_size(), 16);
-    assert_eq!(f.block_size(), 16);
+    let an = tvm_sim::analyze(&f);
+    assert_eq!(an.grid_blocks(), 16);
+    assert_eq!(an.block_threads(), 16);
     check_matmul(&f, 16, 16, 16);
 }
 

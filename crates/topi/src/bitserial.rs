@@ -7,15 +7,11 @@
 //! value. An ARM-style bit-serial dot-product micro-kernel is exposed as a
 //! tensor intrinsic (§4.3's "handcrafted micro-kernels" use case).
 
-use std::sync::Arc;
-
-use tvm_autotune::{ConfigEntity, ConfigSpace, TuningTask};
-use tvm_ir::{DType, Expr, Interp, LoweredFunc, Stmt, Value};
+use tvm_autotune::planned::{planned_task, AnnPoints};
+use tvm_autotune::{ConfigSpace, TuningTask};
+use tvm_ir::{DType, Expr, Interp, Stmt, Value};
 use tvm_sim::{SimOptions, Target};
-use tvm_te::{
-    compute, create_schedule, lower, placeholder, reduce_axis, sum, TeError, TensorIntrin,
-    TensorIntrinImpl,
-};
+use tvm_te::{compute, placeholder, reduce_axis, sum, TensorIntrin, TensorIntrinImpl};
 
 use crate::workloads::Conv2dWorkload;
 
@@ -188,7 +184,9 @@ pub fn bitserial_sim_options(blocks: i64, pixels: i64) -> SimOptions {
     opts
 }
 
-/// Tuning task for the plain (non-tensorized) bit-serial conv.
+/// Tuning task for the plain (non-tensorized) bit-serial conv. The
+/// annotation knobs: `unroll` unrolls the innermost reduction `r[4]`, `vec`
+/// vectorizes `owi`, `par` parallelizes `oco` (multi-threaded only).
 pub fn bitserial_task(w: BitserialWorkload, target: Target, threaded: bool) -> TuningTask {
     let mut space = ConfigSpace::new();
     let o = w.conv.out_size();
@@ -197,42 +195,33 @@ pub fn bitserial_task(w: BitserialWorkload, target: Target, threaded: bool) -> T
     space.define_knob("vec", &[0, 1]);
     space.define_knob("par", if threaded { &[0, 1] } else { &[0] });
     space.define_knob("unroll", &[0, 1]);
-    let _t2 = target.clone();
-    let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let (a, wt, out) = bitserial_conv2d(&w);
-        let mut s = create_schedule(std::slice::from_ref(&out));
-        let ax = out.op.axes(); // oc, oh, ow
-        let (oco, oci) = s.split(&out, &ax[0], cfg.get("tile_oc"))?;
-        let (owo, owi) = s.split(&out, &ax[2], cfg.get("tile_ow"))?;
-        let r = out.op.reduce_axes();
-        s.reorder(
-            &out,
-            &[
-                &oco, &ax[1], &owo, &r[0], &r[1], &r[2], &r[3], &r[4], &oci, &owi,
-            ],
-        )?;
-        if cfg.get("vec") == 1 {
-            s.vectorize(&out, &owi)?;
-        }
-        if cfg.get("par") == 1 {
-            s.parallel(&out, &oco)?;
-        }
-        if cfg.get("unroll") == 1 {
-            s.unroll(&out, &r[4])?;
-        }
-        lower(
-            &s,
-            &[a, wt, out],
-            &format!("bitserial_{}", w.conv.describe()),
-        )
-    };
-    TuningTask {
-        name: format!("bitserial_{}@{}", w.conv.describe(), target.name()),
+    let (a, wt, out) = bitserial_conv2d(&w);
+    let args = [a, wt, out.clone()];
+    planned_task(
+        format!("bitserial_{}@{}", w.conv.describe(), target.name()),
         space,
-        builder: Arc::new(builder),
         target,
-        sim_opts: Default::default(),
-    }
+        std::slice::from_ref(&args[2]),
+        &args,
+        format!("bitserial_{}", w.conv.describe()),
+        move |s, cfg| {
+            let ax = out.op.axes(); // oc, oh, ow
+            let (oco, oci) = s.split(&out, &ax[0], cfg.get("tile_oc"))?;
+            let (owo, owi) = s.split(&out, &ax[2], cfg.get("tile_ow"))?;
+            let r = out.op.reduce_axes();
+            s.reorder(
+                &out,
+                &[
+                    &oco, &ax[1], &owo, &r[0], &r[1], &r[2], &r[3], &r[4], &oci, &owi,
+                ],
+            )?;
+            Ok(AnnPoints {
+                unroll: vec![(out.clone(), r[4].clone())],
+                vec: vec![(out.clone(), owi)],
+                par: Some((out.clone(), oco)),
+            })
+        },
+    )
 }
 
 /// Packs float activations (quantized to `a_bits`) into bitplane words.

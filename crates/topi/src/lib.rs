@@ -32,8 +32,7 @@ pub use schedules::{
     schedule_injective, task_name,
 };
 pub use winograd::{
-    apply_winograd_schedule, transform_weights_host, winograd_conv2d, winograd_space,
-    winograd_task, WinogradOp,
+    transform_weights_host, winograd_conv2d, winograd_space, winograd_task, WinogradOp,
 };
 pub use workloads::{
     dqn_convs, mobilenet_dwconvs, resnet18_convs, Conv2dWorkload, DenseWorkload,

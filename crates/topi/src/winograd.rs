@@ -9,14 +9,11 @@
 //! multiplication count 2.25x. Weights are transformed once at deployment
 //! ("weight pre-transformed"), inputs per tile at runtime.
 
-use std::sync::Arc;
-
+use tvm_autotune::planned::{planned_task, AnnPoints};
 use tvm_autotune::{ConfigEntity, ConfigSpace, TuningTask};
-use tvm_ir::{DType, Expr, LoweredFunc};
+use tvm_ir::{DType, Expr};
 use tvm_sim::Target;
-use tvm_te::{
-    compute, create_schedule, lower, placeholder, reduce_axis, sum, Schedule, TeError, Tensor,
-};
+use tvm_te::{compute, placeholder, reduce_axis, sum, Schedule, TeError, Tensor};
 
 use crate::workloads::Conv2dWorkload;
 
@@ -194,19 +191,20 @@ pub fn transform_weights_host(wts: &[f32], oc: usize, ic: usize) -> Vec<f32> {
     out
 }
 
-/// Applies a schedule to the Winograd pipeline: tile the batched-GEMM
+/// The structural half of the Winograd schedule: tile the batched-GEMM
 /// stage, inline the transforms' constant matrices, schedule the inverse
-/// transform injectively.
+/// transform injectively. The annotation knobs' loops are returned: `vec`
+/// vectorizes `pi`, `par` parallelizes `oco`.
 ///
 /// CPU targets only: the pipeline's three root stages need grid-level
 /// synchronization on a GPU (three kernel launches), and this stack lowers
 /// one kernel per schedule.
-pub fn apply_winograd_schedule(
+fn apply_winograd_structural(
     s: &mut Schedule,
     op: &WinogradOp,
     target: &Target,
     cfg: &ConfigEntity,
-) -> Result<(), TeError> {
+) -> Result<AnnPoints, TeError> {
     if target.is_gpu() {
         return Err(TeError::msg(
             "winograd scheduling is CPU-only here (see docs)",
@@ -228,27 +226,24 @@ pub fn apply_winograd_schedule(
     let r = m.op.reduce_axes();
     let (rco, rci) = s.split(m, &r[0], cfg.get("tile_rc"))?;
     s.reorder(m, &[&ax[0], &ax[1], &oco, &po, &rco, &rci, &oci, &pi])?;
-    if cfg.get("vec") == 1 {
-        s.vectorize(m, &pi)?;
-    }
-    if cfg.get("par") == 1 {
-        s.parallel(m, &oco)?;
-    }
     // V and the inverse transform get generic schedules in their own right.
     crate::schedules::schedule_injective(s, &op.out, target)?;
     let vax = op.v.op.axes();
     s.parallel(&op.v, &vax[2])?;
-    Ok(())
+    Ok(AnnPoints {
+        unroll: Vec::new(),
+        vec: vec![(m.clone(), pi)],
+        par: Some((m.clone(), oco)),
+    })
 }
 
 /// The Winograd schedule space.
-pub fn winograd_space(w: &Conv2dWorkload, target: &Target) -> ConfigSpace {
+pub fn winograd_space(w: &Conv2dWorkload) -> ConfigSpace {
     let mut space = ConfigSpace::new();
     let tiles = (w.out_size() / 2) * (w.out_size() / 2);
     space.define_split("tile_oc", w.out_c, 16);
     space.define_split("tile_p", tiles, 32);
     space.define_split("tile_rc", w.in_c, 32);
-    let _ = target;
     space.define_knob("vec", &[0, 1]);
     space.define_knob("par", &[0, 1]);
     space
@@ -256,25 +251,18 @@ pub fn winograd_space(w: &Conv2dWorkload, target: &Target) -> ConfigSpace {
 
 /// Tuning task for the pre-transformed Winograd convolution.
 pub fn winograd_task(w: Conv2dWorkload, dtype: DType, target: Target) -> TuningTask {
-    let space = winograd_space(&w, &target);
+    let op = winograd_conv2d(&w, dtype);
+    let args = [op.data.clone(), op.weight_t.clone(), op.out.clone()];
     let t2 = target.clone();
-    let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let op = winograd_conv2d(&w, dtype);
-        let mut s = create_schedule(std::slice::from_ref(&op.out));
-        apply_winograd_schedule(&mut s, &op, &t2, cfg)?;
-        lower(
-            &s,
-            &[op.data.clone(), op.weight_t.clone(), op.out.clone()],
-            &format!("wino_{}", w.describe()),
-        )
-    };
-    TuningTask {
-        name: format!("wino_{}@{}", w.describe(), target.name()),
-        space,
-        builder: Arc::new(builder),
+    planned_task(
+        format!("wino_{}@{}", w.describe(), target.name()),
+        winograd_space(&w),
         target,
-        sim_opts: Default::default(),
-    }
+        std::slice::from_ref(&args[2]),
+        &args,
+        format!("wino_{}", w.describe()),
+        move |s, cfg| apply_winograd_structural(s, &op, &t2, cfg),
+    )
 }
 
 #[cfg(test)]

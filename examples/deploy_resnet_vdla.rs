@@ -76,6 +76,7 @@ fn main() {
         }
     }
     println!("functional check vs reference: max abs error {max_err:.2e}");
+    assert!(max_err < 1e-3, "the VDLA program computes a wrong product");
 
     // Pipeline timing: monolithic vs decoupled access-execute.
     let spec = VdlaSpec {
@@ -95,4 +96,5 @@ fn main() {
         dae.compute_utilization() * 100.0
     );
     println!("latency hiding speedup: {:.2}x", mono.cycles / dae.cycles);
+    assert!(dae.cycles < mono.cycles, "virtual threads hid no latency");
 }

@@ -1,7 +1,8 @@
 //! Lowering identity: what `te` emits, what the simulator charges for it and
 //! which configurations a task rejects, hashed over seeded configurations of
-//! the five tasks the perf ledger tunes and over every kernel of one
-//! ResNet-18 build per target. The digests were captured on the commit
+//! the five tasks the perf ledger tunes, of the Winograd and bit-serial tasks
+//! Figs. 15 and 18 tune, and over every kernel of one ResNet-18 build per
+//! target. The digests were captured on the commit
 //! before tree rewrites started sharing unchanged subtrees, `te::emit`
 //! substituted thread variables once per root stage and the tuner analyzed
 //! each candidate once; a lowering change that moves one printed byte or one
@@ -16,6 +17,7 @@ use tvm::BuildOptions;
 use tvm_autotune::TuningTask;
 use tvm_ir::DType;
 use tvm_sim::{arm_a53, estimate_with, mali_t860, titanx, SimOptions, Target};
+use tvm_topi::bitserial::{bitserial_task, BitserialWorkload};
 use tvm_topi::{self as topi, Conv2dWorkload, DenseWorkload};
 
 /// Seeded configurations hashed per task.
@@ -139,13 +141,17 @@ fn digest_build(target: &Target) -> (u64, u64) {
 /// when the fallback schedule attached a group's unplaced producers under
 /// the output's thread axis (the pooling, global-average and softmax
 /// kernels), and every body row when the printer began to print a float
-/// division as `/`.
+/// division as `/`. The Winograd and bit-serial rows were captured on the
+/// commit before those two tasks were built with `planned_task`.
 const GOLDEN: &[(&str, u64)] = &[
     ("dense/titanx/template", 0x66b326ac8cae84f3),
     ("conv2d_c7/titanx/template", 0xaaad0e34335968e5),
     ("conv2d_c7/arm_a53/template", 0x4d7f234932ae7bba),
     ("dense/titanx/sketch", 0xa6e22b282d9fff60),
     ("conv2d_c7/titanx/sketch", 0x36a1368213f22a68),
+    ("winograd_c6/arm_a53", 0xc17139c6813cd87a),
+    ("bitserial_c2/arm_a53/1t", 0x3a390b130cd55965),
+    ("bitserial_c2/arm_a53/mt", 0x560ecb827f34e4ea),
     ("resnet18@32/titanx/costs", 0x41b48f691f7405f9),
     ("resnet18@32/titanx", 0xed779c2fb9c0a60f),
     ("resnet18@32/arm_a53/costs", 0x3ea72d6c13e26c79),
@@ -216,6 +222,44 @@ fn conv2d_sketch_on_titanx_lowers_identically() {
         topi::conv2d_sketch_task(c7(), DType::float32(), titanx()).expect("conv2d is sketchable"),
         0x1005,
     );
+}
+
+/// The Winograd task Fig. 15 tunes for C6 on `arm_a53`.
+#[test]
+fn winograd_c6_on_arm_a53_lowers_identically() {
+    check_task(
+        "winograd_c6/arm_a53",
+        topi::winograd_task(topi::resnet18_convs()[5], DType::float32(), arm_a53()),
+        0x1006,
+    );
+}
+
+/// The single- and multi-threaded bit-serial tasks Fig. 18 tunes for C2:
+/// the packed input is pre-padded, so the operator runs pad-free.
+#[test]
+fn bitserial_c2_on_arm_a53_lowers_identically() {
+    let c = topi::resnet18_convs()[1];
+    let w = BitserialWorkload {
+        conv: Conv2dWorkload {
+            pad: 0,
+            size: c.size + 2 * c.pad,
+            ..c
+        },
+        a_bits: 2,
+        w_bits: 1,
+    };
+    let actual: Vec<(String, u64)> = [
+        (false, "bitserial_c2/arm_a53/1t", 0x1007),
+        (true, "bitserial_c2/arm_a53/mt", 0x1008),
+    ]
+    .iter()
+    .map(|&(threaded, name, seed)| {
+        let (d, valid) = digest_task(&bitserial_task(w, arm_a53(), threaded), seed);
+        assert!(valid * 2 > CONFIGS, "{name}: only {valid} valid configs");
+        (name.to_string(), d)
+    })
+    .collect();
+    check(&actual);
 }
 
 #[test]
