@@ -1,6 +1,6 @@
 //! `tvm-graph` — the computational graph IR and high-level optimizations
 //! (§3): operator fusion by pattern category, static memory planning with
-//! buffer reuse, constant folding, and data-layout transformation.
+//! buffer reuse, and data-layout transformation.
 //!
 //! It also owns the operator shape descriptors a graph node carries
 //! ([`workloads`]: conv2d, depthwise conv2d and dense, plus the paper's

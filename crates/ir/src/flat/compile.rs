@@ -1250,7 +1250,14 @@ impl<'a> Compiler<'a> {
                 V::Float(self.op(Code::FPow, Kind::Float, &[x, y]))
             }
             ("popcount", _) => {
-                let x = self.as_int(vals[0]);
+                // Count within the operand's width: a negative narrow word
+                // is sign-extended in its `i64` register.
+                let mut x = self.as_int(vals[0]);
+                let operand = args[0].dtype();
+                if !operand.is_float() && operand.bits < 64 {
+                    let mask = self.iconst((1i64 << operand.bits) - 1);
+                    x = self.op(Code::IAnd, Kind::Int, &[x, mask]);
+                }
                 V::Int(self.op(Code::IPopcount, Kind::Int, &[x]))
             }
             ("abs", _) if !dtype.is_float() => {

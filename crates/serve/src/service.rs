@@ -26,10 +26,16 @@
 //!   (from the running latency distribution) re-issues on a second
 //!   healthy device; first result wins, and the replicas' output digests
 //!   must agree — silent divergence is refused, never served.
+//!
+//! A batch reaches the device pool only as a *replica* (`Service::replica`):
+//! its module's kernels run as jobs on the pool, and, if every job
+//! succeeded, the batch executes on the device that ran them. The primary,
+//! the hedge, the canary candidate and the canary cross-check are each one
+//! replica, dispatched in that order, and `disagreements` is the one
+//! comparison of two replicas' rows.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use tvm::target::arm_a53;
 use tvm_autotune::db::crc32;
@@ -281,6 +287,20 @@ struct InFlight {
     records: Vec<ResponseRecord>,
 }
 
+/// One run of a batch on the pool, and its rows: see [`Service::replica`].
+struct Replica {
+    /// Charged service time: run times, backoff, and the timeout budget
+    /// of every failed attempt.
+    ms: f64,
+    /// The device that produced the accepted result.
+    device: Option<usize>,
+    /// Kernels that failed outright.
+    failed: u64,
+    /// The batch's output rows, or the first kernel failure, or the
+    /// execution's error.
+    rows: Result<Vec<Vec<f32>>, ServeError>,
+}
+
 /// One model's canary observation window (while a candidate exists).
 #[derive(Clone, Copy, Debug, Default)]
 struct CanaryWindow {
@@ -477,15 +497,22 @@ impl Service {
         }
     }
 
-    /// Running service-time estimate for a model (median of the window);
-    /// `None` until enough batches completed to trust it.
-    fn est_service_ms(&self, model: Model) -> Option<f64> {
+    /// The model's latency window, sorted, when it holds at least `min`
+    /// samples.
+    fn sorted_latency(&self, model: Model, min: usize) -> Option<Vec<f64>> {
         let h = self.latency.get(&model)?;
-        if h.len() < 4 {
+        if h.len() < min {
             return None;
         }
         let mut v: Vec<f64> = h.iter().copied().collect();
         v.sort_by(f64::total_cmp);
+        Some(v)
+    }
+
+    /// Running service-time estimate for a model (median of the window);
+    /// `None` until enough batches completed to trust it.
+    fn est_service_ms(&self, model: Model) -> Option<f64> {
+        let v = self.sorted_latency(model, 4)?;
         Some(v[v.len() / 2])
     }
 
@@ -503,12 +530,7 @@ impl Service {
         if !self.cfg.hedge.enabled {
             return None;
         }
-        let h = self.latency.get(&model)?;
-        if h.len() < self.cfg.hedge.min_samples.max(1) {
-            return None;
-        }
-        let mut v: Vec<f64> = h.iter().copied().collect();
-        v.sort_by(f64::total_cmp);
+        let v = self.sorted_latency(model, self.cfg.hedge.min_samples.max(1))?;
         let q = self.cfg.hedge.quantile.clamp(0.0, 1.0);
         let idx = (((v.len() - 1) as f64 * q).round() as usize).min(v.len() - 1);
         Some((v[idx] * self.cfg.hedge.factor).max(self.cfg.hedge.min_threshold_ms))
@@ -629,36 +651,27 @@ impl Service {
         }
     }
 
-    fn reject(&mut self, req: Request, err: ServeError, responses: &mut Vec<ResponseRecord>) {
-        let rec = ResponseRecord {
-            id: req.id,
-            tenant: req.tenant,
-            model: req.model,
-            arrival_ms: req.arrival_ms,
-            done_ms: self.now_ms,
-            batch_size: 0,
-            bucket: 0,
-            outcome: ServeOutcome::Rejected(err),
-        };
+    /// Answers a request that never reaches a batch, at the current time.
+    fn answer_now(
+        &mut self,
+        req: &Request,
+        outcome: ServeOutcome,
+        responses: &mut Vec<ResponseRecord>,
+    ) {
+        let rec = record_for(req, self.now_ms, 0, 0, outcome);
         self.note_outcome(&rec);
         responses.push(rec);
     }
 
+    fn reject(&mut self, req: Request, err: ServeError, responses: &mut Vec<ResponseRecord>) {
+        self.answer_now(&req, ServeOutcome::Rejected(err), responses);
+    }
+
     fn expire(&mut self, req: Request, responses: &mut Vec<ResponseRecord>) {
-        let rec = ResponseRecord {
-            id: req.id,
-            tenant: req.tenant,
-            model: req.model,
-            arrival_ms: req.arrival_ms,
-            done_ms: self.now_ms,
-            batch_size: 0,
-            bucket: 0,
-            outcome: ServeOutcome::DeadlineExceeded {
-                deadline_ms: req.deadline_ms,
-            },
+        let outcome = ServeOutcome::DeadlineExceeded {
+            deadline_ms: req.deadline_ms,
         };
-        self.note_outcome(&rec);
-        responses.push(rec);
+        self.answer_now(&req, outcome, responses);
     }
 
     fn admit_arrivals(
@@ -772,47 +785,61 @@ impl Service {
         }
     }
 
-    /// Runs one module's kernels as jobs on the device pool, excluding
-    /// `banned` devices. Returns the charged service time, the device
-    /// that produced the accepted result, the first failure (if any),
-    /// and how many kernels failed outright.
-    fn run_on_pool(
+    /// One replica of a batch: `module`'s kernels run as jobs on the
+    /// device pool, never on a `banned` device, and then, if every job
+    /// succeeded, the batch executes under `version` on the device that
+    /// produced the accepted result.
+    fn replica(
         &mut self,
-        module: &Arc<tvm_runtime::Module>,
+        module: &tvm_runtime::Module,
+        model: Model,
+        bucket: i64,
+        reqs: &[Request],
+        version: &ModelVersion,
         banned: &[usize],
-    ) -> (f64, Option<usize>, Option<ServeError>, u64) {
-        // `tvm::build` costed each kernel on this target when it lowered it.
-        let costs_ms: Vec<f64> = module.kernels.iter().map(|k| k.est_ms).collect();
-        let outcomes = self
-            .tracker
-            .run_costs(self.cache.target().name(), &costs_ms, banned);
-        let mut total = 0.0;
+    ) -> Replica {
+        let outcomes = {
+            let _sp = tvm_obs::span("serve.execute.pool");
+            // `tvm::build` costed each kernel on this target when it lowered it.
+            let costs_ms: Vec<f64> = module.kernels.iter().map(|k| k.est_ms).collect();
+            self.tracker
+                .run_costs(self.cache.target().name(), &costs_ms, banned)
+        };
+        let mut ms = 0.0;
         let mut device = None;
-        let mut failure: Option<ServeError> = None;
         let mut failed = 0u64;
-        for (k, o) in module.kernels.iter().zip(&outcomes) {
-            total += o.backoff_ms;
-            match &o.ms {
-                Ok(ms) => {
-                    total += ms;
+        let mut failure: Option<ServeError> = None;
+        // Consumed here, so the outcomes are freed before the batch runs.
+        for (k, o) in module.kernels.iter().zip(outcomes) {
+            ms += o.backoff_ms;
+            match o.ms {
+                Ok(t) => {
+                    ms += t;
                     device = o.device;
                 }
                 Err(e) => {
-                    total += self.cfg.retry.timeout_ms * o.attempts as f64;
+                    ms += self.cfg.retry.timeout_ms * o.attempts as f64;
                     failed += 1;
-                    if failure.is_none() {
-                        failure = Some(ServeError::DeviceFailure {
-                            kernel: k.name.clone(),
-                            detail: e.to_string(),
-                        });
-                    }
+                    failure.get_or_insert_with(|| ServeError::DeviceFailure {
+                        kernel: k.name.clone(),
+                        detail: e.to_string(),
+                    });
                 }
             }
         }
         if self.tracker.health().iter().all(|h| h.dead) {
             self.all_dead = true;
         }
-        (total, device, failure, failed)
+        let rows = match failure {
+            Some(e) => Err(e),
+            None => self.execute_batch(model, bucket, reqs, version, device),
+        };
+        Replica {
+            ms,
+            device,
+            failed,
+            rows,
+        }
     }
 
     fn flush(&mut self, model: Model, responses: &mut Vec<ResponseRecord>) {
@@ -854,133 +881,61 @@ impl Service {
             }
         };
 
-        // Timing + fault handling: each kernel is one job on the pool.
-        let (primary_ms, primary_dev, primary_err, _pf) = {
-            let _sp = tvm_obs::span("serve.execute.pool");
-            self.run_on_pool(&module, &[])
-        };
-        if let Some(e) = primary_err {
-            let done = self.now_ms + primary_ms;
-            let records = reqs
-                .iter()
-                .map(|r| {
-                    record_for(
-                        r,
-                        done,
-                        reqs.len(),
-                        bucket,
-                        ServeOutcome::Rejected(e.clone()),
-                    )
-                })
-                .collect();
-            self.occupy_lane(done, records);
+        // A failed primary refuses the batch and leaves no latency sample.
+        let primary = self.replica(&module, model, bucket, &reqs, &stable, &[]);
+        if primary.failed > 0 {
+            self.answer_batch(&reqs, bucket, self.now_ms + primary.ms, primary.rows);
             return;
         }
 
         // Hedge: when the primary straggles past the adaptive threshold
         // and a second healthy device exists, re-issue there. The batch
         // completes at whichever replica finishes first (the secondary
-        // is launched `threshold` after the primary).
-        let mut service_ms = primary_ms;
-        let mut winner_dev = primary_dev;
-        let mut hedge_dev: Option<usize> = None;
-        if let Some(thr) = self.hedge_threshold_ms(model) {
-            if primary_ms > thr && self.tracker.usable_count() > 1 {
-                if let Some(pd) = primary_dev {
-                    let _sp = tvm_obs::span_with("serve.hedge", &[("model", model.name())]);
-                    self.stats.hedge.issued += 1;
-                    let (sec_ms, sec_dev, sec_err, _sf) = self.run_on_pool(&module, &[pd]);
-                    if sec_err.is_none() {
-                        if let Some(sd) = sec_dev {
-                            hedge_dev = Some(sd);
-                            let hedged_done = thr + sec_ms;
-                            if hedged_done < service_ms {
-                                service_ms = hedged_done;
-                                winner_dev = Some(sd);
-                                self.stats.hedge.wins += 1;
-                            }
+        // is launched `threshold` after the primary), and both replicas'
+        // digests must agree, or neither answer is served.
+        let mut service_ms = primary.ms;
+        let mut rows = primary.rows;
+        if let (Some(thr), Some(pd)) = (self.hedge_threshold_ms(model), primary.device) {
+            if primary.ms > thr && self.tracker.usable_count() > 1 {
+                let _sp = tvm_obs::span_with("serve.hedge", &[("model", model.name())]);
+                self.stats.hedge.issued += 1;
+                let hedge = self.replica(&module, model, bucket, &reqs, &stable, &[pd]);
+                if hedge.failed == 0 {
+                    let won = thr + hedge.ms < service_ms;
+                    let (first, second) = if won {
+                        service_ms = thr + hedge.ms;
+                        self.stats.hedge.wins += 1;
+                        (hedge.rows, rows)
+                    } else {
+                        (rows, hedge.rows)
+                    };
+                    rows = match (first, second) {
+                        (Ok(a), Ok(b)) if disagreements(&a, &b) > 0 => {
+                            self.stats.hedge.divergences += 1;
+                            Err(ServeError::SilentDivergence {
+                                model: model.name().to_string(),
+                            })
                         }
-                    }
+                        (Ok(a), Ok(_)) => Ok(a),
+                        (Err(e), _) | (_, Err(e)) => Err(e),
+                    };
                 }
             }
         }
         // The latency window records *unhedged* service times, so the
         // threshold tracks the device distribution, not its own effect.
-        self.record_latency(model, primary_ms);
-
-        // Functional execution: bit-exact; the executing device matters
-        // only to the fault plan's version-corruption oracle.
-        let result = self.execute_batch(model, bucket, &reqs, &stable, winner_dev);
-        let result = match (result, hedge_dev, primary_dev) {
-            (Ok(rows), Some(sd), Some(pd)) => {
-                // Both replicas computed the batch: their digests must
-                // agree, or neither answer is served.
-                let loser = if winner_dev == Some(sd) { pd } else { sd };
-                match self.execute_batch(model, bucket, &reqs, &stable, Some(loser)) {
-                    Ok(other) => {
-                        let diverged = rows
-                            .iter()
-                            .zip(&other)
-                            .any(|(a, b)| row_digest(a) != row_digest(b));
-                        if diverged {
-                            self.stats.hedge.divergences += 1;
-                            Err(ServeError::SilentDivergence {
-                                model: model.name().to_string(),
-                            })
-                        } else {
-                            Ok(rows)
-                        }
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            (r, _, _) => r,
-        };
+        self.record_latency(model, primary.ms);
 
         // Canary shadow: while a candidate exists, a deterministic
         // fraction of batches also executes on the candidate version,
         // feeding the promote-or-rollback health gate. Tenants are still
         // served the stable bits computed above.
-        if let Ok(rows) = &result {
+        if let Ok(served) = &rows {
             if self.versions.candidate(model).is_some() {
-                let rows = rows.clone();
-                self.canary_shadow(model, bucket, &reqs, &rows, &stable);
+                self.canary_shadow(model, bucket, &reqs, served, &stable);
             }
         }
-
-        let done = self.now_ms + service_ms;
-        let records: Vec<ResponseRecord> = match result {
-            Ok(rows) => reqs
-                .iter()
-                .zip(rows)
-                .map(|(r, row)| {
-                    let digest = row_digest(&row);
-                    record_for(
-                        r,
-                        done,
-                        reqs.len(),
-                        bucket,
-                        ServeOutcome::Ok {
-                            digest,
-                            output: self.cfg.keep_outputs.then_some(row),
-                        },
-                    )
-                })
-                .collect(),
-            Err(e) => reqs
-                .iter()
-                .map(|r| {
-                    record_for(
-                        r,
-                        done,
-                        reqs.len(),
-                        bucket,
-                        ServeOutcome::Rejected(e.clone()),
-                    )
-                })
-                .collect(),
-        };
-        self.occupy_lane(done, records);
+        self.answer_batch(&reqs, bucket, self.now_ms + service_ms, rows);
     }
 
     /// Shadow-executes one canary batch on the candidate version and
@@ -1014,50 +969,25 @@ impl Service {
                 failures += self.cfg.rollout.max_candidate_failures + 1;
             }
             Ok(cmodule) => {
-                let (_sh_ms, sh_dev, sh_err, sh_failed) = self.run_on_pool(&cmodule, &[]);
-                failures += sh_failed;
-                if sh_err.is_none() {
-                    match self.execute_batch(model, bucket, reqs, &cand, sh_dev) {
-                        Err(_) => failures += 1,
-                        Ok(crows) => {
-                            if cand.weights == stable.weights {
-                                // Bit-compatible rollout (re-tuned
-                                // artifact, same weights): the candidate
-                                // must reproduce the served bits.
-                                mismatches += crows
-                                    .iter()
-                                    .zip(served)
-                                    .filter(|(c, s)| row_digest(c) != row_digest(s))
-                                    .count() as u64;
-                            } else if let Some(sd) = sh_dev {
-                                // New weights legitimately change the
-                                // outputs; the oracle becomes the
-                                // candidate against itself on a second
-                                // device (refutes per-replica rot).
-                                if self.tracker.usable_count() > 1 {
-                                    let (_m2, rdev, rerr, rfailed) =
-                                        self.run_on_pool(&cmodule, &[sd]);
-                                    failures += rfailed;
-                                    if rerr.is_none() {
-                                        if let Some(rd) = rdev {
-                                            if let Ok(rrows) = self.execute_batch(
-                                                model,
-                                                bucket,
-                                                reqs,
-                                                &cand,
-                                                Some(rd),
-                                            ) {
-                                                mismatches += crows
-                                                    .iter()
-                                                    .zip(&rrows)
-                                                    .filter(|(a, b)| row_digest(a) != row_digest(b))
-                                                    .count()
-                                                    as u64;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
+                let run = self.replica(&cmodule, model, bucket, reqs, &cand, &[]);
+                // Its failed kernels, or one failure when the pool ran
+                // clean and the execution failed.
+                failures += run.failed.max(u64::from(run.rows.is_err()));
+                if let Ok(crows) = &run.rows {
+                    if cand.weights == stable.weights {
+                        // Bit-compatible rollout (re-tuned artifact, same
+                        // weights): the candidate must reproduce the
+                        // served bits.
+                        mismatches += disagreements(crows, served);
+                    } else if let Some(sd) = run.device.filter(|_| self.tracker.usable_count() > 1)
+                    {
+                        // New weights legitimately change the outputs; the
+                        // oracle becomes the candidate against itself on a
+                        // second device (refutes per-replica rot).
+                        let check = self.replica(&cmodule, model, bucket, reqs, &cand, &[sd]);
+                        failures += check.failed;
+                        if let Ok(rrows) = &check.rows {
+                            mismatches += disagreements(crows, rrows);
                         }
                     }
                 }
@@ -1161,11 +1091,37 @@ impl Service {
         Ok(rows)
     }
 
-    fn occupy_lane(&mut self, done_at: f64, records: Vec<ResponseRecord>) {
+    /// Answers every request of a batch at `done` with its row of `rows`,
+    /// or with the batch's error, and holds a lane until then.
+    fn answer_batch(
+        &mut self,
+        reqs: &[Request],
+        bucket: i64,
+        done: f64,
+        rows: Result<Vec<Vec<f32>>, ServeError>,
+    ) {
+        let n = reqs.len();
+        let records = match rows {
+            Ok(rows) => reqs
+                .iter()
+                .zip(rows)
+                .map(|(r, row)| {
+                    let outcome = ServeOutcome::Ok {
+                        digest: row_digest(&row),
+                        output: self.cfg.keep_outputs.then_some(row),
+                    };
+                    record_for(r, done, n, bucket, outcome)
+                })
+                .collect(),
+            Err(e) => reqs
+                .iter()
+                .map(|r| record_for(r, done, n, bucket, ServeOutcome::Rejected(e.clone())))
+                .collect(),
+        };
         let lane = self.free_lane().unwrap_or(0);
-        self.lanes[lane] = done_at;
+        self.lanes[lane] = done;
         self.in_flight.push(InFlight {
-            done_at,
+            done_at: done,
             lane,
             records,
         });
@@ -1196,6 +1152,14 @@ fn record_for(
         bucket,
         outcome,
     }
+}
+
+/// How many rows two replicas of one batch disagree on, by digest.
+fn disagreements(a: &[Vec<f32>], b: &[Vec<f32>]) -> u64 {
+    a.iter()
+        .zip(b)
+        .filter(|(x, y)| row_digest(x) != row_digest(y))
+        .count() as u64
 }
 
 /// CRC-32 over an output row's exact bit pattern.

@@ -200,7 +200,9 @@ impl Walker {
             } => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
                 match kind {
-                    CallKind::PureIntrinsic => eval_pure_intrinsic(name, &vals, *dtype),
+                    CallKind::PureIntrinsic => {
+                        eval_pure_intrinsic(name, &vals, args.first().map(Expr::dtype), *dtype)
+                    }
                     CallKind::HardwareIntrinsic => {
                         if !self.effects_active() {
                             return Ok(Value::Int(0));
@@ -550,7 +552,13 @@ fn eval_binop(op: BinOp, a: Value, b: Value, float: bool) -> Result<Value> {
     }
 }
 
-fn eval_pure_intrinsic(name: &str, args: &[Value], dtype: DType) -> Result<Value> {
+/// `name` applied to `args`; `operand` is the first argument's type.
+fn eval_pure_intrinsic(
+    name: &str,
+    args: &[Value],
+    operand: Option<DType>,
+    dtype: DType,
+) -> Result<Value> {
     let unary = |f: fn(f64) -> f64| -> Result<Value> {
         Ok(Value::Float(f(args
             .first()
@@ -577,7 +585,17 @@ fn eval_pure_intrinsic(name: &str, args: &[Value], dtype: DType) -> Result<Value
             let b = args[1].as_float()?;
             Ok(Value::Float(a.powf(b)))
         }
-        "popcount" => Ok(Value::Int(args[0].as_int()?.count_ones() as i64)),
+        "popcount" => {
+            // The ones of the operand's word, not of its sign extension.
+            let x = args[0].as_int()? as u64;
+            let bits = operand.filter(|t| !t.is_float()).map_or(64, |t| t.bits);
+            let word = if bits < 64 {
+                x & ((1u64 << bits) - 1)
+            } else {
+                x
+            };
+            Ok(Value::Int(i64::from(word.count_ones())))
+        }
         other => Err(InterpError::UnknownIntrinsic(other.to_string())),
     }
 }

@@ -215,6 +215,58 @@ fn uint2_stores_wrap_in_params_and_allocations() {
 }
 
 #[test]
+fn popcount_counts_within_its_operands_width() {
+    // -1 at int8, int32 and int64, a uint32 word with bit 31 set, and that
+    // word stored into an int32 allocation, where it becomes i32::MIN and
+    // is held sign-extended.
+    let inputs = [
+        (DType::int8(), -1),
+        (DType::int32(), -1),
+        (DType::int64(), -1),
+        (DType::uint(32), 1 << 31),
+    ];
+    let vars: Vec<Var> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, &(t, _))| Var::new(format!("I{i}"), t))
+        .collect();
+    let out = Var::new("O", DType::int64());
+    let word = Var::new("W", DType::int32());
+    let popcount = |v: &Var| {
+        Expr::call(
+            "popcount",
+            vec![Expr::load(v, Expr::int(0))],
+            DType::int32(),
+        )
+    };
+    let mut stores: Vec<Stmt> = vars
+        .iter()
+        .enumerate()
+        .map(|(i, v)| Stmt::store(&out, Expr::int(i as i64), popcount(v)))
+        .collect();
+    stores.push(Stmt::store(&word, Expr::int(0), Expr::int(1 << 31)));
+    stores.push(Stmt::store(&out, Expr::int(4), popcount(&word)));
+    let body = Stmt::allocate(
+        &word,
+        DType::int32(),
+        1,
+        MemScope::Global,
+        Stmt::seq(stores),
+    );
+    let mut params = vars;
+    params.push(out);
+    let mut dtypes: Vec<DType> = inputs.iter().map(|&(t, _)| t).collect();
+    dtypes.push(DType::int64());
+    let mut bufs: Vec<Buffer> = inputs
+        .iter()
+        .map(|&(t, x)| Buffer::from_i64(t, &[x]))
+        .collect();
+    bufs.push(Buffer::zeros(DType::int64(), 5));
+    let got = both(&func(params, dtypes, vec![1, 1, 1, 1, 5], body), bufs).expect("runs");
+    assert_eq!(got[4].to_i64(), vec![8, 32, 64, 1, 1]);
+}
+
+#[test]
 fn f16_buffer_rounds_on_store() {
     let out = Var::new("O", DType::float16());
     let tmp = Var::new("T", DType::float16());

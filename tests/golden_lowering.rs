@@ -2,11 +2,11 @@
 //! which configurations a task rejects, hashed over seeded configurations of
 //! the five tasks the perf ledger tunes, of the Winograd and bit-serial tasks
 //! Figs. 15 and 18 tune, and over every kernel of one ResNet-18 build per
-//! target. The digests were captured on the commit
-//! before tree rewrites started sharing unchanged subtrees, `te::emit`
-//! substituted thread variables once per root stage and the tuner analyzed
-//! each candidate once; a lowering change that moves one printed byte or one
-//! bit of simulated cost changes a digest.
+//! target. Each task and each build has two rows: a *program* row (what was
+//! lowered, or why it was rejected) and a *price* row (what the simulator
+//! charges for it). A lowering change that moves one printed byte moves a
+//! program row; a simulator change that moves one bit of cost moves only
+//! price rows, which is how such a change shows it left lowering alone.
 //!
 //! When a digest legitimately changes, the failing test prints its rows of
 //! the table in source form.
@@ -68,52 +68,59 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Printed body, simulated cost and verdict of `CONFIGS` seeded
-/// configurations of `task`, and how many of them it accepted.
-fn digest_task(task: &TuningTask, seed: u64) -> (u64, usize) {
+/// Two digests over `CONFIGS` seeded configurations of `task`, and how many
+/// of them it accepted. The program digest is over each configuration's
+/// index, verdict and printed body (or rejection text); the price digest is
+/// over the index and simulated cost of each accepted one. A lowering change
+/// moves the first, a simulator change only the second.
+fn digest_task(task: &TuningTask, seed: u64) -> (u64, u64, usize) {
     let mut state = seed;
-    let mut h = Fnv::new();
+    let mut program = Fnv::new();
+    let mut price = Fnv::new();
     let mut valid = 0usize;
     for _ in 0..CONFIGS {
         let idx = next(&mut state) % task.space.size().max(1);
         let cfg = task.space.get(idx);
-        h.u64(idx);
+        program.u64(idx);
         match (task.builder)(&cfg) {
             Ok(f) => {
                 valid += 1;
-                h.u64(1);
-                h.str(&f.body.to_string());
-                h.u64(
+                program.u64(1);
+                program.str(&f.body.to_string());
+                price.u64(idx);
+                price.u64(
                     estimate_with(&f, &task.target, &task.sim_opts)
                         .millis()
                         .to_bits(),
                 );
             }
             Err(e) => {
-                h.u64(0);
-                h.str(&e.to_string());
+                program.u64(0);
+                program.str(&e.to_string());
             }
         }
     }
-    (h.0, valid)
+    (program.0, price.0, valid)
 }
 
-/// One `resnet18(32)` build for `target`, as two digests. The first is over
-/// every kernel's name, the cost the build recorded and the cost the
-/// simulator gives its function now; the second adds the printed body of
-/// each distinct kernel. A build hands the first kernel of a structure to
-/// every repeat, so a repeat prints the first occurrence's buffer names:
-/// bodies are pinned once per shared program cell.
+/// One `resnet18(32)` build for `target`, as two digests. The program
+/// digest is over the kernel count and the printed body of each distinct
+/// kernel; the price digest is over every kernel's name, the cost the build
+/// recorded and the cost the simulator gives its function now. A build hands
+/// the first kernel of a structure to every repeat, so a repeat prints the
+/// first occurrence's buffer names: bodies are pinned once per shared
+/// program cell.
 fn digest_build(target: &Target) -> (u64, u64) {
     let module =
         tvm::build(&tvm_models::resnet18(32), target, &BuildOptions::default()).expect("builds");
-    let mut costs = Fnv::new();
-    let mut bodies = Fnv::new();
-    costs.u64(module.kernels.len() as u64);
+    let mut program = Fnv::new();
+    let mut price = Fnv::new();
+    program.u64(module.kernels.len() as u64);
+    price.u64(module.kernels.len() as u64);
     for (i, k) in module.kernels.iter().enumerate() {
-        costs.str(&k.name);
-        costs.u64(k.est_ms.to_bits());
-        costs.u64(
+        price.str(&k.name);
+        price.u64(k.est_ms.to_bits());
+        price.u64(
             estimate_with(&k.func, target, &SimOptions::default())
                 .millis()
                 .to_bits(),
@@ -122,42 +129,47 @@ fn digest_build(target: &Target) -> (u64, u64) {
             .iter()
             .any(|e| Arc::ptr_eq(&e.program, &k.program));
         if !repeat {
-            bodies.u64(i as u64);
-            bodies.str(&k.func.body.to_string());
+            program.u64(i as u64);
+            program.str(&k.func.body.to_string());
         }
     }
-    bodies.u64(costs.0);
-    (costs.0, bodies.0)
+    (program.0, price.0)
 }
 
-/// The five task rows were captured on the parent of the commit that
-/// introduced this file. The six `resnet18@32` rows were re-captured on the
-/// commit that gave each fused group one schedule (its master's template
-/// applied to the group's output, with fallback tiles when the database has
-/// no record): every kernel with a templated master moved, the pooling,
-/// global-average and softmax kernels did not. Debug and release builds
-/// check the same table, and with one candidate per group that now covers
-/// which kernel ships, not only what it costs. The GPU rows moved again
-/// when the fallback schedule attached a group's unplaced producers under
-/// the output's thread axis (the pooling, global-average and softmax
-/// kernels), and every body row when the printer began to print a float
-/// division as `/`. The Winograd and bit-serial rows were captured on the
-/// commit before those two tasks were built with `planned_task`.
+/// Every row was captured on the commit before rows were split into a
+/// program and a price: each `…/price` row of a build is that commit's
+/// `…/costs` row under a new name. The lowering the program rows pin has
+/// moved before, and each time every row named here was re-captured: when
+/// each fused group got one schedule (its master's template with fallback
+/// tiles), when the GPU fallback attached a group's unplaced producers
+/// under the output's thread axis, when the printer began to print a float
+/// division as `/`, and before the Winograd and bit-serial tasks were built
+/// with `planned_task`. Debug and release builds check the same table. The
+/// two GPU targets lower ResNet-18 to the same bodies and differ only in
+/// price.
 const GOLDEN: &[(&str, u64)] = &[
-    ("dense/titanx/template", 0x66b326ac8cae84f3),
-    ("conv2d_c7/titanx/template", 0xaaad0e34335968e5),
-    ("conv2d_c7/arm_a53/template", 0x4d7f234932ae7bba),
-    ("dense/titanx/sketch", 0xa6e22b282d9fff60),
-    ("conv2d_c7/titanx/sketch", 0x36a1368213f22a68),
-    ("winograd_c6/arm_a53", 0xc17139c6813cd87a),
-    ("bitserial_c2/arm_a53/1t", 0x3a390b130cd55965),
-    ("bitserial_c2/arm_a53/mt", 0x560ecb827f34e4ea),
-    ("resnet18@32/titanx/costs", 0x41b48f691f7405f9),
-    ("resnet18@32/titanx", 0xed779c2fb9c0a60f),
-    ("resnet18@32/arm_a53/costs", 0x3ea72d6c13e26c79),
-    ("resnet18@32/arm_a53", 0xfd0172c1c33af547),
-    ("resnet18@32/mali_t860/costs", 0x791439b9cbec1761),
-    ("resnet18@32/mali_t860", 0xd7787af12cc35b1b),
+    ("dense/titanx/template/program", 0x84b9808e5ff6be7c),
+    ("dense/titanx/template/price", 0xf4aea46cf1098af1),
+    ("conv2d_c7/titanx/template/program", 0xa2df525300d74ab7),
+    ("conv2d_c7/titanx/template/price", 0xef1d3a49dc4ae947),
+    ("conv2d_c7/arm_a53/template/program", 0x86556acab1865609),
+    ("conv2d_c7/arm_a53/template/price", 0x010feda1c02a9ff2),
+    ("dense/titanx/sketch/program", 0x654e54a175647207),
+    ("dense/titanx/sketch/price", 0xc155ef0e88161ffd),
+    ("conv2d_c7/titanx/sketch/program", 0x9377f1dce55fe2e6),
+    ("conv2d_c7/titanx/sketch/price", 0x41d02da3e7f5ca3a),
+    ("winograd_c6/arm_a53/program", 0x72a136be453a0859),
+    ("winograd_c6/arm_a53/price", 0x74461b077361c7ce),
+    ("bitserial_c2/arm_a53/1t/program", 0xa91281ecef615641),
+    ("bitserial_c2/arm_a53/1t/price", 0xffd3b6f29b8e55f8),
+    ("bitserial_c2/arm_a53/mt/program", 0x9ad5c0e7dc988cbe),
+    ("bitserial_c2/arm_a53/mt/price", 0xfeef9dfa76c06862),
+    ("resnet18@32/titanx/program", 0xa1cf9c21869ef6d0),
+    ("resnet18@32/titanx/price", 0x41b48f691f7405f9),
+    ("resnet18@32/arm_a53/program", 0x054bb574a6ac00f2),
+    ("resnet18@32/arm_a53/price", 0x3ea72d6c13e26c79),
+    ("resnet18@32/mali_t860/program", 0xa1cf9c21869ef6d0),
+    ("resnet18@32/mali_t860/price", 0x791439b9cbec1761),
 ];
 
 fn check(actual: &[(String, u64)]) {
@@ -172,11 +184,20 @@ fn check(actual: &[(String, u64)]) {
     }
 }
 
-fn check_task(name: &str, task: TuningTask, seed: u64) {
-    let (d, valid) = digest_task(&task, seed);
-    // A digest over nothing but rejections would pin no lowering.
+/// The program and price rows of one task, after checking that it accepted
+/// enough configurations: a digest over nothing but rejections would pin no
+/// lowering.
+fn task_rows(name: &str, task: &TuningTask, seed: u64) -> [(String, u64); 2] {
+    let (program, price, valid) = digest_task(task, seed);
     assert!(valid * 2 > CONFIGS, "{name}: only {valid} valid configs");
-    check(&[(name.to_string(), d)]);
+    [
+        (format!("{name}/program"), program),
+        (format!("{name}/price"), price),
+    ]
+}
+
+fn check_task(name: &str, task: TuningTask, seed: u64) {
+    check(&task_rows(name, &task, seed));
 }
 
 #[test]
@@ -253,10 +274,8 @@ fn bitserial_c2_on_arm_a53_lowers_identically() {
         (true, "bitserial_c2/arm_a53/mt", 0x1008),
     ]
     .iter()
-    .map(|&(threaded, name, seed)| {
-        let (d, valid) = digest_task(&bitserial_task(w, arm_a53(), threaded), seed);
-        assert!(valid * 2 > CONFIGS, "{name}: only {valid} valid configs");
-        (name.to_string(), d)
+    .flat_map(|&(threaded, name, seed)| {
+        task_rows(name, &bitserial_task(w, arm_a53(), threaded), seed)
     })
     .collect();
     check(&actual);
@@ -271,10 +290,10 @@ fn resnet18_kernels_lower_identically_on_every_target() {
     ]
     .iter()
     .flat_map(|(name, t)| {
-        let (costs, bodies) = digest_build(t);
+        let (program, price) = digest_build(t);
         [
-            (format!("resnet18@32/{name}/costs"), costs),
-            (format!("resnet18@32/{name}"), bodies),
+            (format!("resnet18@32/{name}/program"), program),
+            (format!("resnet18@32/{name}/price"), price),
         ]
     })
     .collect();
