@@ -43,8 +43,8 @@ struct Frame {
     /// Values of enclosing frames used here, and the window register each
     /// is copied into on nest entry.
     imports: HashMap<Vid, Reg>,
-    live_ints: Vec<(Reg, Reg)>,
-    live_floats: Vec<(Reg, Reg)>,
+    import_ints: Vec<(Reg, Reg)>,
+    import_floats: Vec<(Reg, Reg)>,
     lane_slots: Vec<(u16, usize)>,
 }
 
@@ -188,7 +188,7 @@ impl<'a> Compiler<'a> {
             ops = vec![Op::new(Code::Raise, 0, 0, 0, 0)];
             self.handoffs.clear();
         }
-        Program {
+        let mut program = Program {
             name: func.name.clone(),
             params: params.to_vec(),
             ops,
@@ -201,7 +201,9 @@ impl<'a> Compiler<'a> {
             hw_calls: self.hw_calls,
             nests: self.nests,
             handoffs: self.handoffs.into_boxed_slice(),
-        }
+        };
+        live::keep(&mut program);
+        program
     }
 
     // --- registers, values, placement -------------------------------------
@@ -264,8 +266,8 @@ impl<'a> Compiler<'a> {
         let f = &mut self.frames[frame];
         f.imports.insert(v, inner);
         match info.kind {
-            Kind::Int => f.live_ints.push((outer, inner)),
-            Kind::Float => f.live_floats.push((outer, inner)),
+            Kind::Int => f.import_ints.push((outer, inner)),
+            Kind::Float => f.import_floats.push((outer, inner)),
         }
         inner
     }
@@ -733,8 +735,10 @@ impl<'a> Compiler<'a> {
             len: level.body.len() as u16,
             ints: f.ints as u16,
             floats: f.floats as u16,
-            live_ints: f.live_ints,
-            live_floats: f.live_floats,
+            import_ints: f.import_ints,
+            import_floats: f.import_floats,
+            keep_ints: Box::default(),
+            keep_floats: Box::default(),
             lane_slots: f.lane_slots,
         });
         let cur = self.cur_level();
@@ -1094,7 +1098,8 @@ impl<'a> Compiler<'a> {
     /// a multiply-high by the [`magic`] of `k` (`x` itself when `k` is one),
     /// the remainder `x - k * (x // k)`. The magic is the op's literals, the
     /// multiplier in the constant pool, so a division takes no register: in
-    /// a barriered nest every lane holds a copy of each constant it uses.
+    /// a barriered nest a constant is a register of the lanes' shared
+    /// window, filled once per nest entry.
     fn by_constant(&mut self, x: Vid, k: i64, rem: bool) -> Vid {
         let q = if k == 1 {
             x

@@ -259,35 +259,54 @@ impl Machine<'_> {
     }
 
     /// Runs the lanes of `nest`, whose code starts at `start`, in turns
-    /// from barrier to barrier. A reduce nest a lane yields runs on that
-    /// lane's window, within its turn.
+    /// from barrier to barrier, on one register window: each lane holds
+    /// its kept registers, copied into the window when its turn starts and
+    /// back out when it stops at a barrier. A reduce nest a lane yields
+    /// runs on the window, within its turn.
     fn run_nest(&mut self, nest: &Nest, start: usize, ints: &[i64], floats: &[f64]) -> Result<()> {
         let mut lanes = 1usize;
         for &(_, _, n) in &nest.axes {
-            lanes = lanes.saturating_mul(ints[n as usize].max(0) as usize);
+            let n = ints[n as usize].max(0) as usize;
+            lanes = lanes.checked_mul(n).ok_or_else(too_many_lanes)?;
         }
         if lanes == 0 {
             return Ok(());
         }
-        let (ni, nf) = (nest.ints as usize, nest.floats as usize);
-        let mut lane_ints = vec![0i64; lanes * ni];
-        let mut lane_floats = vec![0f64; lanes * nf];
+        let (keep_ints, keep_floats) = (&nest.keep_ints[..], &nest.keep_floats[..]);
+        let (ki, kf) = (keep_ints.len(), keep_floats.len());
+        // What every lane holds, at most 8 bytes an element: its kept
+        // registers, its `pc` and its allocations. Checked before anything
+        // is allocated, so that each product below is in range.
+        let per_lane = nest
+            .lane_slots
+            .iter()
+            .try_fold((ki + kf + 1) * 8, |bytes, &(_, n)| {
+                bytes.checked_add(n.checked_mul(8)?)
+            });
+        let bytes = per_lane.and_then(|b| b.checked_mul(lanes));
+        if bytes.is_none_or(|b| b > isize::MAX as usize) {
+            return Err(too_many_lanes());
+        }
+        let mut wi = vec![0i64; nest.ints as usize];
+        let mut wf = vec![0f64; nest.floats as usize];
+        for &(outer, inner) in &nest.import_ints {
+            wi[inner as usize] = ints[outer as usize];
+        }
+        for &(outer, inner) in &nest.import_floats {
+            wf[inner as usize] = floats[outer as usize];
+        }
+        let mut row_ints = Vec::with_capacity(lanes * ki);
+        let mut row_floats = Vec::with_capacity(lanes * kf);
         for lane in 0..lanes {
-            let wi = &mut lane_ints[lane * ni..(lane + 1) * ni];
-            let wf = &mut lane_floats[lane * nf..(lane + 1) * nf];
-            for &(outer, inner) in &nest.live_ints {
-                wi[inner as usize] = ints[outer as usize];
-            }
-            for &(outer, inner) in &nest.live_floats {
-                wf[inner as usize] = floats[outer as usize];
-            }
             // Row-major: the last axis varies fastest.
-            let mut rest = lane as i64;
+            let mut rest = lane;
             for &(var, lo, n) in nest.axes.iter().rev() {
-                let n = ints[n as usize];
-                wi[var as usize] = ints[lo as usize].wrapping_add(rest % n);
+                let n = ints[n as usize] as usize;
+                wi[var as usize] = ints[lo as usize].wrapping_add((rest % n) as i64);
                 rest /= n;
             }
+            row_ints.extend(keep_ints.iter().map(|&r| wi[r as usize]));
+            row_floats.extend(keep_floats.iter().map(|&r| wf[r as usize]));
         }
         for &(slot, extent) in &nest.lane_slots {
             let slot = &mut self.mem.slots[slot as usize];
@@ -299,23 +318,38 @@ impl Machine<'_> {
         loop {
             let mut waiting = 0;
             for (lane, pc) in pcs.iter_mut().enumerate() {
+                if *pc == end {
+                    continue;
+                }
                 for &(slot, extent) in &nest.lane_slots {
                     self.mem.slots[slot as usize].base = lane * extent;
                 }
-                let wi = &mut lane_ints[lane * ni..(lane + 1) * ni];
-                let wf = &mut lane_floats[lane * nf..(lane + 1) * nf];
+                let ri = &mut row_ints[lane * ki..(lane + 1) * ki];
+                let rf = &mut row_floats[lane * kf..(lane + 1) * kf];
+                for (&r, &v) in keep_ints.iter().zip(&*ri) {
+                    wi[r as usize] = v;
+                }
+                for (&r, &v) in keep_floats.iter().zip(&*rf) {
+                    wf[r as usize] = v;
+                }
                 loop {
-                    match self.run(*pc, end, wi, wf)? {
+                    match self.run(*pc, end, &mut wi, &mut wf)? {
                         Stop::Yield(next) => {
                             let a = self.program.ops[next - 1].a as usize;
                             let Some(r) = self.program.handoffs.get(a) else {
                                 return Err(malformed("a nest yields no reduce nest"));
                             };
-                            *pc = self.run_reduce(r, next, wi)?;
+                            *pc = self.run_reduce(r, next, &mut wi)?;
                         }
                         Stop::Barrier(next) => {
                             *pc = next;
                             waiting += 1;
+                            for (&r, v) in keep_ints.iter().zip(ri) {
+                                *v = wi[r as usize];
+                            }
+                            for (&r, v) in keep_floats.iter().zip(rf) {
+                                *v = wf[r as usize];
+                            }
                             break;
                         }
                         Stop::End => {
@@ -335,4 +369,9 @@ impl Machine<'_> {
             }
         }
     }
+}
+
+#[cold]
+fn too_many_lanes() -> InterpError {
+    InterpError::Unsupported("a thread nest whose lanes do not fit in memory".into())
 }

@@ -21,11 +21,16 @@
 //!
 //! A thread nest that contains a barrier becomes a `Nest`: its body is
 //! compiled once, for one thread (a *lane*), into a frame with registers of
-//! its own. At run time every lane gets a window of those registers and its
-//! own copy of the allocations made inside the nest, and the lanes take
-//! turns in row-major thread order, each running until its next barrier:
-//! every statement runs once per thread, between the same barriers as on
-//! hardware (§4.2). A nest without barriers is compiled as plain loops.
+//! its own. At run time the lanes share one window of those registers, into
+//! which the values the nest reads from outside it, constants included,
+//! are copied once on entry. Each lane gets its own copy of the allocations
+//! made inside the nest, and a row of only the registers it writes that are
+//! live where a turn starts (found by a liveness pass, `live`): its row is
+//! copied into the window when its turn starts and back out when it stops
+//! at a barrier. The lanes take turns in row-major thread order, each
+//! running until its next barrier: every statement runs once per thread,
+//! between the same barriers as on hardware (§4.2). A nest without
+//! barriers is compiled as plain loops.
 //!
 //! A `vectorized` loop is compiled as a `serial` one is, and its iterations
 //! run one at a time, as the walker runs them: §4.1's `vectorize` is a
@@ -81,15 +86,16 @@
 //! allocated. A barrier has an op of its own, so a `Yield` always means a
 //! handoff.
 //!
-//! The compiler is in `compile`, the dispatch loop and the lanes'
-//! scheduler in `machine`, and the reduce nest, compiled and run, in
-//! `nest`, its row kernel in `nest::row`.
+//! The compiler is in `compile`, the lanes' liveness pass in `live`, the
+//! dispatch loop and the lanes' scheduler in `machine`, and the reduce
+//! nest, compiled and run, in `nest`, its row kernel in `nest::row`.
 //!
 //! Limits the walker does not have, each raised as
 //! [`InterpError::Unsupported`]: more than 65,535 ops or registers in one
 //! function, an allocation of non-constant extent inside a barriered nest,
-//! and a `select` between buffer handles. A `select` (or predicated load)
-//! whose arms are an integer and a float yields a float.
+//! a barriered nest whose lanes' rows and allocations do not fit in one
+//! allocation, and a `select` between buffer handles. A `select` (or
+//! predicated load) whose arms are an integer and a float yields a float.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -103,6 +109,7 @@ use crate::interval::{floor_div, floor_mod};
 use crate::stmt::{ForKind, LoweredFunc, Stmt, StmtNode};
 
 mod compile;
+mod live;
 mod machine;
 mod nest;
 
@@ -328,8 +335,8 @@ struct HwCall {
     ret: Option<(Kind, Reg)>,
 }
 
-/// A barriered thread nest. Register numbers on the `inner` side index a
-/// lane's window.
+/// A barriered thread nest. Register numbers on the `inner` side index the
+/// nest's window, which its lanes share.
 #[derive(Clone)]
 struct Nest {
     /// Thread variable (inner) and the registers of the enclosing frame
@@ -337,11 +344,20 @@ struct Nest {
     axes: Vec<(Reg, Reg, Reg)>,
     /// Ops of lane code following the `Nest` op.
     len: u16,
+    /// Registers of the window.
     ints: u16,
     floats: u16,
-    /// `(outer, inner)` registers copied into each lane's window on entry.
-    live_ints: Vec<(Reg, Reg)>,
-    live_floats: Vec<(Reg, Reg)>,
+    /// `(outer, inner)`: values of the enclosing frame the lane code reads,
+    /// copied into the window once on entry. No lane writes them.
+    import_ints: Vec<(Reg, Reg)>,
+    import_floats: Vec<(Reg, Reg)>,
+    /// The registers the lane code writes, its thread axes included, that
+    /// are live where a turn starts: at the first op, or right after a
+    /// barrier (`live::keep`). Each lane holds its own copy of only these,
+    /// copied into the window when its turn starts and back out when it
+    /// stops at a barrier.
+    keep_ints: Box<[Reg]>,
+    keep_floats: Box<[Reg]>,
     /// Allocations made inside the nest, one copy per lane: `(slot, extent)`.
     lane_slots: Vec<(u16, usize)>,
 }
@@ -427,6 +443,14 @@ impl Program {
             .iter()
             .map(|r| r.guards.iter().flatten().count())
             .sum()
+    }
+
+    /// Registers of each barriered nest's window, and how many of them
+    /// each of its lanes keeps of its own, in program order.
+    pub fn lane_registers(&self) -> Vec<(usize, usize)> {
+        let window = |n: &Nest| n.ints as usize + n.floats as usize;
+        let kept = |n: &Nest| n.keep_ints.len() + n.keep_floats.len();
+        self.nests.iter().map(|n| (window(n), kept(n))).collect()
     }
 
     pub(crate) fn takes_f32_arrays(&self) -> bool {

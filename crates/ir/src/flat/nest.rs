@@ -37,6 +37,27 @@ pub(super) struct ReduceNest {
     scalar_len: u16,
 }
 
+impl ReduceNest {
+    /// The registers its `Yield` reads: each level's first iteration and
+    /// limit, and each integer's base.
+    pub(super) fn reads(&self) -> impl Iterator<Item = Reg> + '_ {
+        let bounds = self.levels.iter().flat_map(|l| [l.lo, l.limit]);
+        bounds.chain(self.lins.iter().map(|lin| lin.base))
+    }
+
+    /// The registers it writes when it runs: each level's counter, left at
+    /// its limit. When it cannot run, its scalar code writes them instead.
+    pub(super) fn counters(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.levels.iter().map(|l| l.counter)
+    }
+
+    /// Ops of scalar code after its `Yield`, which the nest skips when it
+    /// runs.
+    pub(super) fn scalar_len(&self) -> usize {
+        self.scalar_len as usize
+    }
+}
+
 /// Registers of a nest level's loop variable, first iteration and limit.
 #[derive(Clone, Copy)]
 pub(super) struct NestLevel {

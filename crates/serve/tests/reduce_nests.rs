@@ -10,7 +10,9 @@
 //! a conv kernel. Every dense nest on both targets and every `titanx` conv
 //! nest keeps its sum in a register; no `arm_a53` conv nest does. Every
 //! integer `//` and `%` in these kernels is by a positive constant, and
-//! none runs as a hardware divide.
+//! none runs as a hardware divide. The lanes of every `titanx` barriered
+//! nest share one register window and each keeps only a handful of
+//! registers of its own.
 
 use tvm_graph::Graph;
 use tvm_ir::{BinOp, Expr, ExprNode, ForKind, Stmt, StmtNode, Visitor};
@@ -181,4 +183,42 @@ fn no_kernel_divides_by_a_constant_in_hardware() {
         }
     }
     assert!(divides > 100, "only {divides} divisions to check");
+}
+
+#[test]
+fn every_gpu_lane_keeps_only_the_registers_that_live_across_a_barrier() {
+    // `(window, kept)` of each barriered nest in each `titanx` kernel of the
+    // three `infer_gpu_sched` models: the lanes share the window and each
+    // keeps a row of its own of the registers it writes that live across a
+    // barrier: its thread axes, and the few values it computes before one
+    // barrier and reads after it (a dense lane's `k.o` counter among them).
+    // The kernels without a barrier have no such nest.
+    let want: [(&str, &[(usize, usize)]); 9] = [
+        ("mlp_b1 fused_dense_relu", &[(35, 8)]),
+        ("mlp_b1 fused_dense", &[(35, 4)]),
+        ("mlp_b1 fused_softmax", &[]),
+        ("tiny_cnn_b1 fused_conv2d_relu", &[(101, 4)]),
+        ("tiny_cnn_b1 fused_max_pool2d_flatten", &[]),
+        ("tiny_cnn_b1 fused_dense", &[(36, 4)]),
+        ("tiny_cnn_b1 fused_softmax", &[]),
+        ("residual_cnn8 fused_conv2d_batch_norm_relu", &[(105, 4)]),
+        ("residual_cnn8 fused_conv2d_add_relu", &[(99, 4)]),
+    ];
+    let models = [
+        ("mlp_b1", Model::Mlp.build_graph(1)),
+        ("tiny_cnn_b1", Model::TinyCnn.build_graph(1)),
+        ("residual_cnn8", tvm_models::residual_cnn(8)),
+    ];
+    let mut got = Vec::new();
+    for (name, graph) in models {
+        let module = tvm::build(&graph, &titanx(), &tvm::BuildOptions::default()).expect("builds");
+        for k in &module.kernels {
+            got.push((format!("{name} {}", k.name), k.program().lane_registers()));
+        }
+    }
+    let want: Vec<(String, Vec<(usize, usize)>)> = want
+        .iter()
+        .map(|(k, r)| (k.to_string(), r.to_vec()))
+        .collect();
+    assert_eq!(got, want);
 }

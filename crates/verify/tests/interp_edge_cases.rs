@@ -441,6 +441,31 @@ fn let_bound_before_a_barrier_keeps_its_value_in_the_flat_engine() {
 }
 
 #[test]
+fn a_thread_count_past_usize_is_unsupported_and_allocates_nothing() {
+    // Two axes of 2^32 threads each: their product does not fit a `usize`,
+    // so the flat engine refuses the nest before it sets up any lane. The
+    // walker would run the 2^64 threads one by one, so it is not asked.
+    let out = Var::new("O", DType::float32());
+    let (ty, tx) = (Var::int("ty"), Var::int("tx"));
+    let body = Stmt::seq(vec![
+        Stmt::store(&out, Expr::int(0), Expr::f32(1.0)),
+        barrier(),
+    ]);
+    let axis =
+        |var: &Var, tag, body| Stmt::loop_(var, 0, 1i64 << 32, ForKind::ThreadBinding(tag), body);
+    let nest = axis(
+        &ty,
+        ThreadTag::ThreadIdxY,
+        axis(&tx, ThreadTag::ThreadIdxX, body),
+    );
+    let f = f32_func(vec![out], vec![1], nest);
+    let mut arrays = vec![vec![0.0f32]];
+    let err = Interp::new().run_f32(&f, &mut arrays).unwrap_err();
+    assert!(matches!(err, InterpError::Unsupported(_)), "{err}");
+    assert_eq!(arrays[0], vec![0.0]);
+}
+
+#[test]
 fn hardware_intrinsic_writes_through_a_handle() {
     // fill(T, base, n, v) on a scratch allocation inside a loop, then a
     // copy out: the handler addresses the allocation by its variable.
