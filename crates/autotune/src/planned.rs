@@ -1,20 +1,29 @@
 //! The back half every tuning-task builder shares, whether its schedule
 //! structure comes from a hand-written template (`tvm-topi`) or a sketch
-//! ([`crate::sketch`]): plan a structure once, then turn each candidate
-//! into a clone + annotate + [`emit_planned`], held to the target's limits
-//! ([`Target::check_limits`], the check `tvm::build` makes too) with the
-//! one [`ProgramAnalysis`] that the tuner then reads features and simulated
-//! cost from ([`build_analyzed`]).
+//! ([`crate::sketch`]): lower each structure once, with every annotation
+//! point marked ([`mark_points`]), and derive each candidate from that
+//! kernel by relabeling the marked loops ([`relabel_loops`]); no candidate
+//! clones, annotates, emits or simplifies a schedule again. A structure
+//! whose points cannot be relabeled (a point on a `vthread` leaf, or one
+//! that is not a leaf) keeps its schedule and plan, and each of its
+//! candidates is a clone + annotate + [`emit_planned`]. Either way the
+//! candidate is held to the target's limits ([`Target::check_limits`], the
+//! check `tvm::build` makes too) with the one [`ProgramAnalysis`] that the
+//! tuner then reads features and simulated cost from ([`build_analyzed`]).
+//!
+//! So [`tvm_te::lower_stats`] counts one emission per plan miss plus one
+//! per later candidate of a structure that cannot be relabeled, and a
+//! relabel for every other candidate.
 
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use tvm_ir::{LoweredFunc, Stmt, ThreadTag};
+use tvm_ir::{ForKind, IdMap, LoweredFunc, Stmt, ThreadTag, VarId};
 use tvm_sim::{analyze, ProgramAnalysis, Target};
 use tvm_te::{
-    create_schedule, emit_planned, plan_schedule, IterVar, LowerOptions, LowerPlan, PlanCache,
-    Schedule, TeError, Tensor,
+    create_schedule, emit_planned, mark_points, plan_schedule, relabel_loops, IterVar, LoopAnn,
+    LowerOptions, LowerPlan, PlanCache, Schedule, TeError, Tensor,
 };
 
 use crate::config::{ConfigEntity, ConfigSpace};
@@ -22,8 +31,8 @@ use crate::tuner::TuningTask;
 
 /// Knobs that only annotate loops (vectorize / parallel / unroll) without
 /// changing loop structure, bounds or dataflow. Configurations differing
-/// only in these share one [`LowerPlan`] — the incremental-lowering cache
-/// is keyed on everything else.
+/// only in these share one plan-cache entry, which is keyed on everything
+/// else.
 const ANNOTATION_KNOBS: [&str; 3] = ["vec", "par", "unroll"];
 
 /// Digest of the structural (non-annotation) part of a configuration,
@@ -42,8 +51,7 @@ fn structural_key(cfg: &ConfigEntity) -> u64 {
 }
 
 /// Where a structure's annotation knobs land: which loops `unroll`, `vec`
-/// and `par` mark, captured while applying the structural schedule so the
-/// annotations can be re-applied to a cloned schedule on a plan-cache hit.
+/// and `par` mark, captured while applying the structural schedule.
 #[derive(Clone, Default)]
 pub struct AnnPoints {
     /// `unroll = k` unrolls the first `k` entries.
@@ -54,6 +62,58 @@ pub struct AnnPoints {
     pub par: Option<(Tensor, IterVar)>,
 }
 
+impl AnnPoints {
+    /// Every point, whatever the knobs choose.
+    fn all(&self) -> impl Iterator<Item = &(Tensor, IterVar)> + Clone {
+        self.unroll.iter().chain(&self.vec).chain(&self.par)
+    }
+
+    /// The leaf variables the points name.
+    fn leaves(&self) -> PointLeaves {
+        let leaf = |(_, iv): &(Tensor, IterVar)| iv.var.id();
+        PointLeaves {
+            unroll: self.unroll.iter().map(leaf).collect(),
+            vec: self.vec.iter().map(leaf).collect(),
+            par: self.par.as_ref().map(leaf),
+        }
+    }
+}
+
+/// A structure's annotation points as the leaf variables they name, which
+/// is all a relabeled candidate needs of them (the tensors would keep each
+/// structure's cache stages alive).
+struct PointLeaves {
+    unroll: Vec<VarId>,
+    vec: Vec<VarId>,
+    par: Option<VarId>,
+}
+
+/// The annotations `cfg` chooses among a structure's points, in the order
+/// they are applied (a leaf annotated twice keeps the last): `unroll = k`
+/// the first `k` of `unroll`, then `vec = 1` every `vec` point, then
+/// `par = 1` the `par` point. Missing knobs (e.g. no `vec` on GPU spaces)
+/// read as 0.
+fn chosen<'a, P>(
+    cfg: &ConfigEntity,
+    unroll: &'a [P],
+    vec: &'a [P],
+    par: Option<&'a P>,
+) -> impl Iterator<Item = (&'a P, LoopAnn)> {
+    let knob = |name: &str| {
+        cfg.values
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let n = knob("unroll").clamp(0, unroll.len() as i64) as usize;
+    let vec = if knob("vec") == 1 { vec } else { &[] };
+    let par = par.filter(|_| knob("par") == 1);
+    let with = |ann| move |p| (p, ann);
+    (unroll[..n].iter().map(with(LoopAnn::Unroll)))
+        .chain(vec.iter().map(with(LoopAnn::Vectorize)))
+        .chain(par.into_iter().map(with(LoopAnn::Parallel)))
+}
+
 /// Applies the annotation-only knobs of `cfg` at the recorded points.
 /// Missing knobs (e.g. no `vec` on GPU spaces) read as 0.
 pub fn apply_annotations(
@@ -61,25 +121,9 @@ pub fn apply_annotations(
     cfg: &ConfigEntity,
     points: &AnnPoints,
 ) -> Result<(), TeError> {
-    let knob = |name: &str| {
-        cfg.values
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    let n = knob("unroll").clamp(0, points.unroll.len() as i64) as usize;
-    for (t, iv) in &points.unroll[..n] {
-        s.unroll(t, iv)?;
-    }
-    if knob("vec") == 1 {
-        for (t, iv) in &points.vec {
-            s.vectorize(t, iv)?;
-        }
-    }
-    if knob("par") == 1 {
-        if let Some((t, iv)) = &points.par {
-            s.parallel(t, iv)?;
-        }
+    let (unroll, vec, par) = (&points.unroll, &points.vec, points.par.as_ref());
+    for ((t, iv), ann) in chosen(cfg, unroll, vec, par) {
+        s.annotate(t, iv, ann)?;
     }
     Ok(())
 }
@@ -135,14 +179,21 @@ pub(crate) fn build_analyzed(
     Ok((func, an))
 }
 
-/// A structurally-scheduled candidate family cached per structural key:
-/// the schedule (pre-annotation), its lowering plan, and the annotation
-/// points. Emitting a candidate from this is a clone + annotate +
-/// [`emit_planned`] — no re-inlining or bound inference.
-struct Planned {
-    sched: Schedule,
-    plan: LowerPlan,
-    points: AnnPoints,
+/// One structure's plan-cache entry: what its candidates are derived from.
+enum Planned {
+    /// The structure's kernel emitted with every annotation point marked
+    /// (or the emission's error, which no annotation changes), each point
+    /// leaf's own loop kind, and the points' leaves. A candidate relabels
+    /// the kernel's marked loops; the schedule and plan are gone.
+    Marked {
+        func: Result<LoweredFunc, TeError>,
+        base: IdMap<VarId, ForKind>,
+        leaves: PointLeaves,
+    },
+    /// A structure [`mark_points`] refused: the schedule (pre-annotation),
+    /// its plan and the points, from which each candidate is a clone +
+    /// annotate + [`emit_planned`]. Boxed: no template or sketch makes one.
+    Emitted(Box<(Schedule, LowerPlan, AnnPoints)>),
 }
 
 /// Builds the tuning task over `space` whose candidates are `structural`
@@ -169,25 +220,39 @@ pub fn planned_task(
     let limits = target.clone();
     let cache: PlanCache<Planned> = PlanCache::default();
     let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
+        let emit = |s: &Schedule, plan: &LowerPlan| {
+            emit_planned(s, plan, &args, &func_name, &LowerOptions::default())
+        };
         let planned = cache.get_or_build(structural_key(cfg), || -> Result<Planned, TeError> {
             let mut sched = create_schedule(&outputs);
             let points = structural(&mut sched, cfg)?;
             let plan = plan_schedule(&sched)?;
-            Ok(Planned {
-                sched,
-                plan,
-                points,
+            Ok(match mark_points(&mut sched, points.all()) {
+                Some(base) => Planned::Marked {
+                    func: emit(&sched, &plan),
+                    base,
+                    leaves: points.leaves(),
+                },
+                None => Planned::Emitted(Box::new((sched, plan, points))),
             })
         })?;
-        let mut s = planned.sched.clone();
-        apply_annotations(&mut s, cfg, &planned.points)?;
-        let f = emit_planned(
-            &s,
-            &planned.plan,
-            &args,
-            &func_name,
-            &LowerOptions::default(),
-        )?;
+        let f = match &*planned {
+            Planned::Marked { func, base, leaves } => {
+                let marked = func.as_ref().map_err(TeError::clone)?;
+                let mut kinds = base.clone();
+                let (unroll, vec, par) = (&leaves.unroll, &leaves.vec, leaves.par.as_ref());
+                for (&leaf, ann) in chosen(cfg, unroll, vec, par) {
+                    kinds.insert(leaf, ann.loop_kind());
+                }
+                relabel_loops(marked, &kinds)
+            }
+            Planned::Emitted(per_candidate) => {
+                let (sched, plan, points) = &**per_candidate;
+                let mut s = sched.clone();
+                apply_annotations(&mut s, cfg, points)?;
+                emit(&s, plan)?
+            }
+        };
         let an = analyze(&f);
         limits
             .check_limits(&an)

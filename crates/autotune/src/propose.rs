@@ -257,7 +257,7 @@ impl Proposer for Genetic {
 /// the kind of rules a hand-written cost model encodes. Deliberately
 /// ignores the memory hierarchy's actual behavior (that is the "model
 /// bias" the paper's Table 1 calls out).
-fn predefined_score(an: &tvm_sim::ProgramAnalysis) -> f64 {
+pub(crate) fn predefined_score(an: &tvm_sim::ProgramAnalysis) -> f64 {
     let vec_frac = if an.flops > 0.0 {
         an.vector_flops / an.flops
     } else {
@@ -311,11 +311,7 @@ impl Proposer for Predefined {
         let sample_idx: Vec<u64> = (0..sample).map(|_| r.space.random_index(rng)).collect();
         let mut scored: Vec<(u64, f64)> = sample_idx
             .par_iter()
-            .map(|&idx| {
-                r.cache
-                    .lowered(idx)
-                    .map(|c| (idx, predefined_score(&c.analysis)))
-            })
+            .map(|&idx| r.cache.lowered(idx).map(|c| (idx, c.score)))
             .collect::<Vec<Option<(u64, f64)>>>()
             .into_iter()
             .flatten()

@@ -31,7 +31,7 @@ use tvm_te::{ComputeBody, IterVar, Schedule, TeError, Tensor};
 
 use crate::config::{ConfigEntity, ConfigSpace};
 use crate::error::TuneError;
-use crate::planned::{cooperative_load, planned_task, AnnPoints};
+use crate::planned::{apply_annotations, cooperative_load, planned_task, AnnPoints};
 use crate::tuner::TuningTask;
 
 /// Cap on tile-knob options (divisors up to this bound).
@@ -276,6 +276,14 @@ impl SketchTask {
             s.compute_inline(t)?;
         }
         Ok(())
+    }
+
+    /// Applies the configuration `cfg` to a fresh schedule: its derivation,
+    /// then its annotation knobs. This is the candidate a
+    /// [`sketch_task`]'s builder lowers.
+    pub fn apply_schedule(&self, s: &mut Schedule, cfg: &ConfigEntity) -> Result<(), TeError> {
+        let points = self.apply(s, cfg)?;
+        apply_annotations(s, cfg, &points)
     }
 
     /// Applies the derivation selected by `cfg` to a fresh schedule.

@@ -12,13 +12,14 @@
 //! evaluation per DESIGN.md.
 //!
 //! The whole loop — lower → analyze → feature-extract → simulate → anneal —
-//! runs on rayon workers, and every candidate (one lowering, one
-//! `ProgramAnalysis`, its feature vector, its simulated cost) is memoized
-//! per run keyed by config index, so duplicate configs proposed by the
-//! explorers are never re-lowered, re-analyzed or re-simulated. The run is
-//! bit-for-bit deterministic for a fixed seed at any worker count: batches
-//! are proposed serially, measured in parallel, and recorded in proposal
-//! order, and each annealing chain owns its own seeded RNG.
+//! runs on rayon workers, and every candidate (one lowering and one
+//! `ProgramAnalysis`, kept as its feature vector, its simulated cost and its
+//! static score) is memoized per run keyed by config index, so duplicate
+//! configs proposed by the explorers are never re-lowered, re-analyzed or
+//! re-simulated. The run is bit-for-bit deterministic for a fixed seed at
+//! any worker count: batches are proposed serially, measured in parallel,
+//! and recorded in proposal order, and each annealing chain owns its own
+//! seeded RNG.
 
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
@@ -31,7 +32,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use tvm_ir::LoweredFunc;
-use tvm_sim::{estimate_analysis, ProgramAnalysis, SimOptions, Target};
+use tvm_sim::{estimate_analysis, SimOptions, Target};
 use tvm_te::TeError;
 
 use crate::config::{ConfigEntity, ConfigSpace};
@@ -39,7 +40,7 @@ use crate::db::{DbRecord, Journal};
 use crate::gbt::{fit_more, Gbt, GbtParams};
 use crate::planned::build_analyzed;
 use crate::pool::{DeviceHealth, PoolStats, Tracker};
-use crate::propose::{proposer_for, Round};
+use crate::propose::{predefined_score, proposer_for, Round};
 
 /// Template callback: lowers one configuration, or rejects it with an
 /// error. `Send + Sync` so measurement workers can lower configs
@@ -160,7 +161,10 @@ pub struct TrialRecord {
 /// needs them.
 #[derive(Clone, Debug, Default)]
 pub struct TuneStats {
-    /// Template-builder invocations (lowerings actually performed).
+    /// Template-builder calls: one per distinct config the run looked up.
+    /// A planned task's builder emits a kernel only for a new structure and
+    /// relabels one otherwise, so [`tvm_te::lower_stats`] counts fewer
+    /// emissions than this (see [`crate::planned`]).
     pub lowerings: usize,
     /// Simulator evaluations actually performed.
     pub simulations: usize,
@@ -225,14 +229,18 @@ impl TuneResult {
 // ------------------------------------------------------------ memo cache
 
 /// A memoized candidate: what one lowering and one analysis of a valid
-/// config leave behind.
+/// config leave behind. The function and its analysis are dropped once
+/// these are read from them: every scored candidate's loop tree and
+/// per-access records would otherwise stay alive for the whole run.
 pub(crate) struct Candidate {
     /// Feature vector the cost model scores.
     pub(crate) feats: Arc<Vec<f64>>,
-    /// The analysis the features came from and the simulated cost will.
-    /// The function itself is dropped: every scored candidate's loop tree
-    /// would otherwise stay alive for the whole run.
-    pub(crate) analysis: ProgramAnalysis,
+    /// Fault-free simulated cost on the task's target, under the task's
+    /// simulator options: what measuring the config records, or hands the
+    /// device pool.
+    pub(crate) est_ms: f64,
+    /// The predefined cost model's static score (higher is better).
+    pub(crate) score: f64,
 }
 
 /// `None` for invalid configs (builder error).
@@ -318,10 +326,12 @@ impl<'a> MeasureCache<'a> {
             .get_or_init(|| {
                 self.lowerings.fetch_add(1, Ordering::Relaxed);
                 let cfg = self.task.space.get(idx);
-                let (_func, analysis) = build_analyzed(self.task, &cfg).ok()?;
+                let (_func, an) = build_analyzed(self.task, &cfg).ok()?;
+                let task = self.task;
                 Some(Arc::new(Candidate {
-                    feats: Arc::new(crate::features::extract_analysis(&analysis)),
-                    analysis,
+                    feats: Arc::new(crate::features::extract_analysis(&an)),
+                    est_ms: estimate_analysis(&an, &task.target, &task.sim_opts).millis(),
+                    score: predefined_score(&an),
                 }))
             })
             .clone()
@@ -332,12 +342,6 @@ impl<'a> MeasureCache<'a> {
         self.lowered_in(idx, &self.slot(idx))
     }
 
-    /// A candidate's fault-free cost on the task's target, under the
-    /// task's simulator options.
-    fn cost_of(&self, c: &Candidate) -> f64 {
-        estimate_analysis(&c.analysis, &self.task.target, &self.task.sim_opts).millis()
-    }
-
     /// Simulated cost (and features when valid) for a config; memoized.
     fn measure(&self, idx: u64) -> (f64, Option<Arc<Vec<f64>>>) {
         let slot = self.slot(idx);
@@ -346,7 +350,7 @@ impl<'a> MeasureCache<'a> {
             None => f64::INFINITY,
             Some(c) => {
                 self.simulations.fetch_add(1, Ordering::Relaxed);
-                self.cost_of(c)
+                c.est_ms
             }
         });
         (cost, lowered.map(|c| Arc::clone(&c.feats)))
@@ -413,7 +417,7 @@ fn measure_batch(cache: &MeasureCache, batch: &[u64]) -> Vec<(f64, Option<Arc<Ve
         match low {
             Some(c) => {
                 jobs.push(idx);
-                costs_ms.push(cache.cost_of(c));
+                costs_ms.push(c.est_ms);
             }
             None => {
                 let _ = slot.cost.get_or_init(|| f64::INFINITY);

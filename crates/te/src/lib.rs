@@ -31,8 +31,8 @@ pub mod tensorize;
 pub mod vthread;
 
 pub use lower::{
-    emit_planned, lower, lower_stats, lower_with, plan_schedule, LowerOptions, LowerPlan,
-    LowerStats, PlanCache, TeError,
+    emit_planned, lower, lower_stats, lower_with, mark_points, plan_schedule, relabel_loops,
+    LowerOptions, LowerPlan, LowerStats, PlanCache, TeError,
 };
 pub use schedule::{
     create_schedule, Attach, IterAttr, IterRelation, LoopAnn, Schedule, ScheduleError, Stage,

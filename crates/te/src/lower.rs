@@ -19,6 +19,10 @@
 //! 4. **Post passes** — shared allocations are hoisted out of thread loops,
 //!    virtual threads are lowered to an interleaved instruction stream with
 //!    explicit DAE tokens (§4.4), and the result is simplified.
+//!
+//! A tuning task that tries many annotation variants of one structure
+//! emits it once with every annotation point marked ([`mark_points`]) and
+//! derives each variant by rewriting loop kinds ([`relabel_loops`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -115,10 +119,12 @@ pub struct LowerOptions {
 }
 
 // Process-wide lowering counters, surfaced through [`lower_stats`]: full
-// emissions vs. incremental plan reuse, and how often workers queue on the
-// plan cache lock. They count whether or not `tvm-obs` is recording
-// (`tests/lower_stats.rs`), because the perf ledger reads them with it off.
+// emissions vs. incremental plan reuse and relabeled variants, and how
+// often workers queue on the plan cache lock. They count whether or not
+// `tvm-obs` is recording (`tests/lower_stats.rs`), because the perf ledger
+// reads them with it off.
 static LOWERINGS: AtomicU64 = AtomicU64::new(0);
+static RELABELS: AtomicU64 = AtomicU64::new(0);
 static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
 static PLAN_LOCK_WAITS: AtomicU64 = AtomicU64::new(0);
@@ -128,8 +134,14 @@ static PLAN_LOCK_WAIT_NS: AtomicU64 = AtomicU64::new(0);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LowerStats {
     /// Full schedule emissions ([`emit_planned`] calls, including those
-    /// reached through [`lower`] / [`lower_with`]).
+    /// reached through [`lower`] / [`lower_with`]). A planned tuning task
+    /// emits once per structure (a plan miss) and once more for each later
+    /// candidate of a structure whose annotation points it cannot relabel;
+    /// every other candidate is a [`LowerStats::relabels`].
     pub lowerings: u64,
+    /// Annotation variants derived from a marked emission by
+    /// [`relabel_loops`] instead of emitted.
+    pub relabels: u64,
     /// [`PlanCache`] lookups served from a cached [`LowerPlan`].
     pub plan_hits: u64,
     /// [`PlanCache`] lookups that had to build a fresh plan.
@@ -144,6 +156,7 @@ pub struct LowerStats {
 pub fn lower_stats() -> LowerStats {
     LowerStats {
         lowerings: LOWERINGS.load(Ordering::Relaxed),
+        relabels: RELABELS.load(Ordering::Relaxed),
         plan_hits: PLAN_HITS.load(Ordering::Relaxed),
         plan_misses: PLAN_MISSES.load(Ordering::Relaxed),
         lock_waits: PLAN_LOCK_WAITS.load(Ordering::Relaxed),
@@ -639,6 +652,100 @@ pub fn emit_planned(
     let em = Emitter::new(sched, plan, args);
     let body = em.emit_roots(args)?;
     Ok(em.finish(body, args, name, opts))
+}
+
+/// Marks every leaf in `points` with [`LoopAnn::Unroll`] for
+/// [`relabel_loops`], and returns each marked leaf's own loop kind: the
+/// kind its loop has when no annotation knob touches it.
+///
+/// Returns `None`, leaving `sched` untouched, when some point cannot be
+/// relabeled: it is not a leaf of its stage (annotating it is an error the
+/// variant must report), or the structure already annotates it
+/// [`LoopAnn::VThread`] (a virtual thread is lowered by rewriting its nest,
+/// not by its loop kind). Such a structure emits each variant with
+/// [`emit_planned`].
+pub fn mark_points<'a>(
+    sched: &mut Schedule,
+    points: impl IntoIterator<Item = &'a (Tensor, IterVar)> + Clone,
+) -> Option<IdMap<VarId, ForKind>> {
+    let mut base: IdMap<VarId, ForKind> = IdMap::default();
+    for (t, iv) in points.clone() {
+        let stage = sched.stage(t).ok()?;
+        if !stage.leaf_iters.iter().any(|l| l.var == iv.var) {
+            return None;
+        }
+        let ann = stage.iter_attrs.get(&iv.var.id()).and_then(|a| a.ann);
+        if ann == Some(LoopAnn::VThread) {
+            return None;
+        }
+        base.insert(iv.var.id(), ann.map_or(ForKind::Serial, LoopAnn::loop_kind));
+    }
+    for (t, iv) in points {
+        sched.unroll(t, iv).ok()?;
+    }
+    Some(base)
+}
+
+/// Derives one annotation variant of a kernel from its marked emission,
+/// without emitting it again.
+///
+/// `marked` is [`emit_planned`]'s output for a schedule whose annotation
+/// points were marked by [`mark_points`], and `kinds` gives each point
+/// leaf's loop kind in the variant (the base kinds [`mark_points`]
+/// returned, overridden by the variant's annotations). Every `Unrolled`
+/// loop over a leaf in `kinds` takes that leaf's kind; every other loop
+/// keeps its own.
+///
+/// The result is exactly `emit_planned` of the variant's own schedule (the
+/// structure with the variant's annotations and no marks): emission reads
+/// a vectorize, unroll or parallel annotation in one place, as the kind of
+/// the loop it writes over the leaf, and no later pass (shared-allocation
+/// hoisting, virtual-thread lowering, simplification) reads a loop's kind
+/// unless it is `VThread` or a thread binding. Two rules keep it exact:
+///
+/// * A reduction's reset nest loops over the same data leaves as the
+///   update, with a `Serial` loop whatever their annotation; only the
+///   marked (`Unrolled`) loops are relabeled, so the reset stays `Serial`.
+/// * A thread-bound leaf has no loop of its own (the kernel's one loop per
+///   tag replaces it), so a point on it has nothing to relabel.
+///
+/// `tests/relabel_exactness.rs` holds every planned tuning task and
+/// generated schedules to this, byte for byte and analysis field for field.
+pub fn relabel_loops(marked: &LoweredFunc, kinds: &IdMap<VarId, ForKind>) -> LoweredFunc {
+    struct Relabel<'a> {
+        kinds: &'a IdMap<VarId, ForKind>,
+    }
+    impl tvm_ir::Mutator for Relabel<'_> {
+        // Only loop kinds change: no expression is rewritten.
+        fn mutate_expr(&mut self, e: &Expr) -> Expr {
+            e.clone()
+        }
+
+        fn mutate_stmt(&mut self, s: &Stmt) -> Stmt {
+            if let StmtNode::For {
+                var,
+                min,
+                extent,
+                kind: ForKind::Unrolled,
+                body,
+            } = &*s.0
+            {
+                if let Some(&kind) = self.kinds.get(&var.id()) {
+                    let b = self.mutate_stmt(body);
+                    if kind == ForKind::Unrolled && b.same_as(body) {
+                        return s.clone();
+                    }
+                    return Stmt::loop_(var, min.clone(), extent.clone(), kind, b);
+                }
+            }
+            self.default_mutate_stmt(s)
+        }
+    }
+    RELABELS.fetch_add(1, Ordering::Relaxed);
+    LoweredFunc {
+        body: tvm_ir::Mutator::mutate_stmt(&mut Relabel { kinds }, &marked.body),
+        ..marked.clone()
+    }
 }
 
 /// Applies `compute_inline` substitution, returning effective bodies for
@@ -1759,13 +1866,9 @@ impl<'a> Emitter<'a> {
                 inner
             }
         } else {
-            let kind = match attr.ann {
-                Some(LoopAnn::Vectorize) => ForKind::Vectorized,
-                Some(LoopAnn::Unroll) => ForKind::Unrolled,
-                Some(LoopAnn::Parallel) => ForKind::Parallel,
-                Some(LoopAnn::VThread) => ForKind::VThread,
-                None => ForKind::Serial,
-            };
+            // The one place a vectorize / unroll / parallel annotation is
+            // read, which is what `relabel_loops` relies on.
+            let kind = attr.ann.map_or(ForKind::Serial, LoopAnn::loop_kind);
             let f = Stmt::loop_(&leaf.var, 0, ext, kind, inner);
             match &attr.pragma {
                 Some(key) => Stmt::attr(format!("pragma.{key}"), Expr::int(ext), f),

@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use tvm_ir::{Expr, IdMap, MemScope, ThreadTag, Var, VarId};
+use tvm_ir::{Expr, ForKind, IdMap, MemScope, ThreadTag, Var, VarId};
 
 use crate::tensor::{compute_with_axes, ComputeBody, ComputeSpec, IterKind, IterVar, OpId, Tensor};
 use crate::tensorize::TensorIntrin;
@@ -163,6 +163,19 @@ pub enum LoopAnn {
     Parallel,
     /// Virtual thread for DAE latency hiding (§4.4).
     VThread,
+}
+
+impl LoopAnn {
+    /// The kind of the loop emission writes over a leaf so annotated (a
+    /// leaf without an annotation gets a `Serial` loop).
+    pub fn loop_kind(self) -> ForKind {
+        match self {
+            LoopAnn::Vectorize => ForKind::Vectorized,
+            LoopAnn::Unroll => ForKind::Unrolled,
+            LoopAnn::Parallel => ForKind::Parallel,
+            LoopAnn::VThread => ForKind::VThread,
+        }
+    }
 }
 
 /// Per-itervar schedule attributes.
@@ -541,7 +554,15 @@ impl Schedule {
         self.annotate(t, iv, LoopAnn::VThread)
     }
 
-    fn annotate(&mut self, t: &Tensor, iv: &IterVar, ann: LoopAnn) -> Result<(), ScheduleError> {
+    /// Sets a leaf itervar's loop annotation: what [`Schedule::vectorize`],
+    /// [`Schedule::unroll`], [`Schedule::parallel`] and
+    /// [`Schedule::vthread`] do. The last annotation of a leaf wins.
+    pub fn annotate(
+        &mut self,
+        t: &Tensor,
+        iv: &IterVar,
+        ann: LoopAnn,
+    ) -> Result<(), ScheduleError> {
         let stage = self.stage_mut(t)?;
         stage.leaf_pos(iv)?; // validate
         stage.attr_mut(iv).ann = Some(ann);

@@ -7,11 +7,14 @@
 //! value. An ARM-style bit-serial dot-product micro-kernel is exposed as a
 //! tensor intrinsic (§4.3's "handcrafted micro-kernels" use case).
 
-use tvm_autotune::planned::{planned_task, AnnPoints};
-use tvm_autotune::{ConfigSpace, TuningTask};
+use tvm_autotune::planned::{apply_annotations, planned_task, AnnPoints};
+use tvm_autotune::{ConfigEntity, ConfigSpace, TuningTask};
 use tvm_ir::{DType, Expr, Interp, Stmt, Value};
 use tvm_sim::{SimOptions, Target};
-use tvm_te::{compute, placeholder, reduce_axis, sum, TensorIntrin, TensorIntrinImpl};
+use tvm_te::{
+    compute, placeholder, reduce_axis, sum, Schedule, TeError, Tensor, TensorIntrin,
+    TensorIntrinImpl,
+};
 
 use crate::workloads::Conv2dWorkload;
 
@@ -204,24 +207,43 @@ pub fn bitserial_task(w: BitserialWorkload, target: Target, threaded: bool) -> T
         std::slice::from_ref(&args[2]),
         &args,
         format!("bitserial_{}", w.conv.describe()),
-        move |s, cfg| {
-            let ax = out.op.axes(); // oc, oh, ow
-            let (oco, oci) = s.split(&out, &ax[0], cfg.get("tile_oc"))?;
-            let (owo, owi) = s.split(&out, &ax[2], cfg.get("tile_ow"))?;
-            let r = out.op.reduce_axes();
-            s.reorder(
-                &out,
-                &[
-                    &oco, &ax[1], &owo, &r[0], &r[1], &r[2], &r[3], &r[4], &oci, &owi,
-                ],
-            )?;
-            Ok(AnnPoints {
-                unroll: vec![(out.clone(), r[4].clone())],
-                vec: vec![(out.clone(), owi)],
-                par: Some((out.clone(), oco)),
-            })
-        },
+        move |s, cfg| apply_bitserial_structural(s, &out, cfg),
     )
+}
+
+/// Applies a bit-serial schedule configuration to the kernel's output
+/// stage `out` (the third tensor [`bitserial_conv2d`] returns).
+pub fn apply_bitserial_schedule(
+    s: &mut Schedule,
+    out: &Tensor,
+    cfg: &ConfigEntity,
+) -> Result<(), TeError> {
+    let points = apply_bitserial_structural(s, out, cfg)?;
+    apply_annotations(s, cfg, &points)
+}
+
+/// The structural half of the bit-serial template: channel and width
+/// tiles outside the bit loops, the tiles' insides innermost.
+fn apply_bitserial_structural(
+    s: &mut Schedule,
+    out: &Tensor,
+    cfg: &ConfigEntity,
+) -> Result<AnnPoints, TeError> {
+    let ax = out.op.axes(); // oc, oh, ow
+    let (oco, oci) = s.split(out, &ax[0], cfg.get("tile_oc"))?;
+    let (owo, owi) = s.split(out, &ax[2], cfg.get("tile_ow"))?;
+    let r = out.op.reduce_axes();
+    s.reorder(
+        out,
+        &[
+            &oco, &ax[1], &owo, &r[0], &r[1], &r[2], &r[3], &r[4], &oci, &owi,
+        ],
+    )?;
+    Ok(AnnPoints {
+        unroll: vec![(out.clone(), r[4].clone())],
+        vec: vec![(out.clone(), owi)],
+        par: Some((out.clone(), oco)),
+    })
 }
 
 /// Packs float activations (quantized to `a_bits`) into bitplane words.

@@ -9,7 +9,7 @@
 //! multiplication count 2.25x. Weights are transformed once at deployment
 //! ("weight pre-transformed"), inputs per tile at runtime.
 
-use tvm_autotune::planned::{planned_task, AnnPoints};
+use tvm_autotune::planned::{apply_annotations, planned_task, AnnPoints};
 use tvm_autotune::{ConfigEntity, ConfigSpace, TuningTask};
 use tvm_ir::{DType, Expr};
 use tvm_sim::Target;
@@ -235,6 +235,18 @@ fn apply_winograd_structural(
         vec: vec![(m.clone(), pi)],
         par: Some((m.clone(), oco)),
     })
+}
+
+/// Applies a Winograd schedule configuration (CPU targets only; see
+/// [`winograd_task`]).
+pub fn apply_winograd_schedule(
+    s: &mut Schedule,
+    op: &WinogradOp,
+    target: &Target,
+    cfg: &ConfigEntity,
+) -> Result<(), TeError> {
+    let points = apply_winograd_structural(s, op, target, cfg)?;
+    apply_annotations(s, cfg, &points)
 }
 
 /// The Winograd schedule space.
