@@ -4,16 +4,14 @@
 //! point marked ([`mark_points`]), and derive each candidate from that
 //! kernel by relabeling the marked loops ([`relabel_loops`]); no candidate
 //! clones, annotates, emits or simplifies a schedule again. A structure
-//! whose points cannot be relabeled (a point on a `vthread` leaf, or one
-//! that is not a leaf) keeps its schedule and plan, and each of its
-//! candidates is a clone + annotate + [`emit_planned`]. Either way the
+//! that fails (its template, its lowering, or a point [`mark_points`]
+//! refuses) gives each of its candidates that one error. A relabeled
 //! candidate is held to the target's limits ([`Target::check_limits`], the
 //! check `tvm::build` makes too) with the one [`ProgramAnalysis`] that the
 //! tuner then reads features and simulated cost from ([`build_analyzed`]).
 //!
-//! So [`tvm_te::lower_stats`] counts one emission per plan miss plus one
-//! per later candidate of a structure that cannot be relabeled, and a
-//! relabel for every other candidate.
+//! So [`tvm_te::lower_stats`] counts one plan miss per structure, one
+//! emission per structure that lowers, and a relabel per candidate of it.
 
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
@@ -22,8 +20,8 @@ use std::sync::Arc;
 use tvm_ir::{ForKind, IdMap, LoweredFunc, Stmt, ThreadTag, VarId};
 use tvm_sim::{analyze, ProgramAnalysis, Target};
 use tvm_te::{
-    create_schedule, emit_planned, mark_points, plan_schedule, relabel_loops, IterVar, LoopAnn,
-    LowerOptions, LowerPlan, PlanCache, Schedule, TeError, Tensor,
+    create_schedule, lower, mark_points, relabel_loops, IterVar, LoopAnn, PlanCache, Schedule,
+    TeError, Tensor,
 };
 
 use crate::config::{ConfigEntity, ConfigSpace};
@@ -52,7 +50,7 @@ fn structural_key(cfg: &ConfigEntity) -> u64 {
 
 /// Where a structure's annotation knobs land: which loops `unroll`, `vec`
 /// and `par` mark, captured while applying the structural schedule.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct AnnPoints {
     /// `unroll = k` unrolls the first `k` entries.
     pub unroll: Vec<(Tensor, IterVar)>,
@@ -179,21 +177,13 @@ pub(crate) fn build_analyzed(
     Ok((func, an))
 }
 
-/// One structure's plan-cache entry: what its candidates are derived from.
-enum Planned {
-    /// The structure's kernel emitted with every annotation point marked
-    /// (or the emission's error, which no annotation changes), each point
-    /// leaf's own loop kind, and the points' leaves. A candidate relabels
-    /// the kernel's marked loops; the schedule and plan are gone.
-    Marked {
-        func: Result<LoweredFunc, TeError>,
-        base: IdMap<VarId, ForKind>,
-        leaves: PointLeaves,
-    },
-    /// A structure [`mark_points`] refused: the schedule (pre-annotation),
-    /// its plan and the points, from which each candidate is a clone +
-    /// annotate + [`emit_planned`]. Boxed: no template or sketch makes one.
-    Emitted(Box<(Schedule, LowerPlan, AnnPoints)>),
+/// A structure that lowers: its kernel emitted with every annotation point
+/// marked, each point leaf's own loop kind, and the points' leaves. A
+/// candidate relabels the kernel's marked loops; the schedule is gone.
+struct Marked {
+    func: LoweredFunc,
+    base: IdMap<VarId, ForKind>,
+    leaves: PointLeaves,
 }
 
 /// Builds the tuning task over `space` whose candidates are `structural`
@@ -218,41 +208,27 @@ pub fn planned_task(
 ) -> TuningTask {
     let (outputs, args) = (outputs.to_vec(), args.to_vec());
     let limits = target.clone();
-    let cache: PlanCache<Planned> = PlanCache::default();
+    // Each structure's outcome: its marked kernel, or the error every
+    // candidate of it gets (no annotation changes either).
+    let cache: PlanCache<Result<Marked, TeError>> = PlanCache::default();
     let builder = move |cfg: &ConfigEntity| -> Result<LoweredFunc, TeError> {
-        let emit = |s: &Schedule, plan: &LowerPlan| {
-            emit_planned(s, plan, &args, &func_name, &LowerOptions::default())
-        };
-        let planned = cache.get_or_build(structural_key(cfg), || -> Result<Planned, TeError> {
+        let outcome = cache.get_or_build(structural_key(cfg), || {
             let mut sched = create_schedule(&outputs);
             let points = structural(&mut sched, cfg)?;
-            let plan = plan_schedule(&sched)?;
-            Ok(match mark_points(&mut sched, points.all()) {
-                Some(base) => Planned::Marked {
-                    func: emit(&sched, &plan),
-                    base,
-                    leaves: points.leaves(),
-                },
-                None => Planned::Emitted(Box::new((sched, plan, points))),
+            let base = mark_points(&mut sched, points.all())?;
+            Ok(Marked {
+                func: lower(&sched, &args, &func_name)?,
+                base,
+                leaves: points.leaves(),
             })
-        })?;
-        let f = match &*planned {
-            Planned::Marked { func, base, leaves } => {
-                let marked = func.as_ref().map_err(TeError::clone)?;
-                let mut kinds = base.clone();
-                let (unroll, vec, par) = (&leaves.unroll, &leaves.vec, leaves.par.as_ref());
-                for (&leaf, ann) in chosen(cfg, unroll, vec, par) {
-                    kinds.insert(leaf, ann.loop_kind());
-                }
-                relabel_loops(marked, &kinds)
-            }
-            Planned::Emitted(per_candidate) => {
-                let (sched, plan, points) = &**per_candidate;
-                let mut s = sched.clone();
-                apply_annotations(&mut s, cfg, points)?;
-                emit(&s, plan)?
-            }
-        };
+        });
+        let Marked { func, base, leaves } = (*outcome).as_ref().map_err(TeError::clone)?;
+        let mut kinds = base.clone();
+        let (unroll, vec, par) = (&leaves.unroll, &leaves.vec, leaves.par.as_ref());
+        for (&leaf, ann) in chosen(cfg, unroll, vec, par) {
+            kinds.insert(leaf, ann.loop_kind());
+        }
+        let f = relabel_loops(func, &kinds);
         let an = analyze(&f);
         limits
             .check_limits(&an)

@@ -2,13 +2,15 @@
 //! counters behind a thread-safe registry, with two exporters (a
 //! human-readable span tree and Chrome `trace_event` JSON).
 //!
-//! Every layer of the stack reports spans into this crate: `te::lower`
-//! times its passes, the graph executor times kernels, the autotuner times
-//! its phases and the serving engine its requests. Counters are only for
-//! what nothing else owns (the executor's `runtime.*` counts): a per-run
-//! count lives in its run's report (`TuneStats`, `ServiceStats`) and is not
-//! copied here, because one process-global registry sums every concurrent
-//! tuner or service.
+//! Four crates report spans into this crate: `tvm-te` (`te::lower` times
+//! its passes), `tvm-autotune` (the tuner's phases), `tvm-runtime` (the
+//! graph executor's kernels) and `tvm-serve` (requests and artifact
+//! builds). `tvm-graph`, `tvm-sim`, `tvm::build` and `tvm-analysis` emit
+//! none yet; instrumenting them is ROADMAP item 5's "Attributed builds".
+//! Counters are only for what nothing else owns (the executor's
+//! `runtime.*` counts): a per-run count lives in its run's report
+//! (`TuneStats`, `ServiceStats`) and is not copied here, because one
+//! process-global registry sums every concurrent tuner or service.
 //!
 //! The crate is deliberately **zero-dependency** (std only) so it can sit
 //! below everything else without cycles, and recording is designed so that

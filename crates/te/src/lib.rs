@@ -38,8 +38,8 @@ pub use schedule::{
     create_schedule, Attach, IterAttr, IterRelation, LoopAnn, Schedule, ScheduleError, Stage,
 };
 pub use tensor::{
-    collect_reads, compute, compute_with_axes, max_reduce, min_reduce, noted_reads, placeholder,
-    reduce_axis, sum, Combiner, ComputeBody, ComputeSpec, IterKind, IterVar, OpId, OpKind, OpNode,
-    OpRef, Tensor,
+    collect_reads, compute, compute_with_axes, max_reduce, noted_reads, placeholder, reduce_axis,
+    sum, Combiner, ComputeBody, ComputeSpec, IterKind, IterVar, OpId, OpKind, OpNode, OpRef,
+    Tensor,
 };
 pub use tensorize::{BufferSlice, TensorIntrin, TensorIntrinImpl, TensorIntrinNode};

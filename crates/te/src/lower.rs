@@ -60,6 +60,15 @@ pub enum TeError {
         /// True when the consumer stage is marked `compute_inline`.
         consumer_inlined: bool,
     },
+    /// An annotation point on a leaf the structure already runs as a
+    /// virtual thread: annotating it would replace the virtual thread, so
+    /// [`mark_points`] refuses it.
+    VThreadPoint {
+        /// The point's itervar.
+        iter: String,
+        /// Its stage.
+        stage: String,
+    },
 }
 
 impl TeError {
@@ -95,6 +104,11 @@ impl fmt::Display for TeError {
                     write!(f, " (is the attachment circular?)")
                 }
             }
+            TeError::VThreadPoint { iter, stage } => write!(
+                f,
+                "lowering error: annotation point `{iter}` of stage `{stage}` is a virtual \
+                 thread, which an annotation would replace"
+            ),
         }
     }
 }
@@ -119,15 +133,14 @@ pub struct LowerOptions {
 }
 
 // Process-wide lowering counters, surfaced through [`lower_stats`]: full
-// emissions vs. incremental plan reuse and relabeled variants, and how
-// often workers queue on the plan cache lock. They count whether or not
+// emissions vs. plan-cache reuse and relabeled variants, and how long
+// workers queue on the plan cache lock. They count whether or not
 // `tvm-obs` is recording (`tests/lower_stats.rs`), because the perf ledger
 // reads them with it off.
 static LOWERINGS: AtomicU64 = AtomicU64::new(0);
 static RELABELS: AtomicU64 = AtomicU64::new(0);
 static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-static PLAN_LOCK_WAITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_LOCK_WAIT_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide lowering counters.
@@ -135,19 +148,16 @@ static PLAN_LOCK_WAIT_NS: AtomicU64 = AtomicU64::new(0);
 pub struct LowerStats {
     /// Full schedule emissions ([`emit_planned`] calls, including those
     /// reached through [`lower`] / [`lower_with`]). A planned tuning task
-    /// emits once per structure (a plan miss) and once more for each later
-    /// candidate of a structure whose annotation points it cannot relabel;
-    /// every other candidate is a [`LowerStats::relabels`].
+    /// emits at most once per structure (a plan miss whose structure
+    /// lowers); each candidate is a [`LowerStats::relabels`].
     pub lowerings: u64,
     /// Annotation variants derived from a marked emission by
     /// [`relabel_loops`] instead of emitted.
     pub relabels: u64,
-    /// [`PlanCache`] lookups served from a cached [`LowerPlan`].
+    /// [`PlanCache`] lookups served from a cached entry.
     pub plan_hits: u64,
-    /// [`PlanCache`] lookups that had to build a fresh plan.
+    /// [`PlanCache`] lookups that had to build a fresh entry.
     pub plan_misses: u64,
-    /// Contended acquisitions of a [`PlanCache`] lock.
-    pub lock_waits: u64,
     /// Total nanoseconds spent waiting on contended [`PlanCache`] locks.
     pub lock_wait_ns: u64,
 }
@@ -159,7 +169,6 @@ pub fn lower_stats() -> LowerStats {
         relabels: RELABELS.load(Ordering::Relaxed),
         plan_hits: PLAN_HITS.load(Ordering::Relaxed),
         plan_misses: PLAN_MISSES.load(Ordering::Relaxed),
-        lock_waits: PLAN_LOCK_WAITS.load(Ordering::Relaxed),
         lock_wait_ns: PLAN_LOCK_WAIT_NS.load(Ordering::Relaxed),
     }
 }
@@ -174,7 +183,6 @@ fn lock_timed<'m, T>(m: &'m Mutex<T>) -> MutexGuard<'m, T> {
     let start = Instant::now();
     let g = m.lock().unwrap_or_else(|e| e.into_inner());
     let ns = start.elapsed().as_nanos() as u64;
-    PLAN_LOCK_WAITS.fetch_add(1, Ordering::Relaxed);
     PLAN_LOCK_WAIT_NS.fetch_add(ns, Ordering::Relaxed);
     g
 }
@@ -185,8 +193,9 @@ fn lock_timed<'m, T>(m: &'m Mutex<T>) -> MutexGuard<'m, T> {
 /// of a schedule configuration (splits, reorders, bindings, attachments);
 /// annotation-only knobs (vectorize/unroll/parallel) do not change the
 /// plan, so simulated-annealing neighbors that only toggle them reuse the
-/// cached bound inference and dataflow analysis. Misses build outside the
-/// lock — concurrent duplicate builds are harmless (first insert wins).
+/// cached entry (a planned tuning task's marked kernel, or the error its
+/// structure lowers to). Misses build outside the lock — concurrent
+/// duplicate builds are harmless (first insert wins).
 pub struct PlanCache<T> {
     inner: Mutex<PlanMap<T>>,
     cap: usize,
@@ -230,28 +239,25 @@ impl<T> PlanCache<T> {
     }
 
     /// Returns the cached value for `key`, building it with `build` on a
-    /// miss. The build runs outside the lock.
-    pub fn get_or_build<E>(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
+    /// miss. The build runs outside the lock; a value that can fail caches
+    /// its failure too (`T = Result<_, _>`), so a key is built once.
+    pub fn get_or_build(&self, key: u64, build: impl FnOnce() -> T) -> Arc<T> {
         {
             let mut inner = lock_timed(&self.inner);
             if let Some(entry) = inner.map.get_mut(&key) {
                 PLAN_HITS.fetch_add(1, Ordering::Relaxed);
                 entry.referenced = true;
-                return Ok(Arc::clone(&entry.value));
+                return Arc::clone(&entry.value);
             }
         }
         PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build()?);
+        let built = Arc::new(build());
         let mut inner = lock_timed(&self.inner);
         // A racing duplicate build may have inserted while we were
         // building; first insert wins (and counts as a reference).
         if let Some(entry) = inner.map.get_mut(&key) {
             entry.referenced = true;
-            return Ok(Arc::clone(&entry.value));
+            return Arc::clone(&entry.value);
         }
         while inner.map.len() >= self.cap {
             // Second chance: rotate referenced entries to the back with
@@ -285,7 +291,7 @@ impl<T> PlanCache<T> {
             },
         );
         inner.queue.push_back(key);
-        Ok(built)
+        built
     }
 
     /// Number of currently cached plans.
@@ -658,32 +664,33 @@ pub fn emit_planned(
 /// [`relabel_loops`], and returns each marked leaf's own loop kind: the
 /// kind its loop has when no annotation knob touches it.
 ///
-/// Returns `None`, leaving `sched` untouched, when some point cannot be
-/// relabeled: it is not a leaf of its stage (annotating it is an error the
-/// variant must report), or the structure already annotates it
-/// [`LoopAnn::VThread`] (a virtual thread is lowered by rewriting its nest,
-/// not by its loop kind). Such a structure emits each variant with
-/// [`emit_planned`].
+/// Refuses, leaving `sched` untouched, a point that is not a leaf of its
+/// stage ([`ScheduleError::NotALeaf`](crate::ScheduleError::NotALeaf)) or
+/// that the structure already annotates [`LoopAnn::VThread`]
+/// ([`TeError::VThreadPoint`]: a virtual thread is lowered by rewriting its
+/// nest, not by its loop kind, and annotating the leaf would replace it).
+/// Either is a bug of the template that named the point.
 pub fn mark_points<'a>(
     sched: &mut Schedule,
     points: impl IntoIterator<Item = &'a (Tensor, IterVar)> + Clone,
-) -> Option<IdMap<VarId, ForKind>> {
+) -> Result<IdMap<VarId, ForKind>, TeError> {
     let mut base: IdMap<VarId, ForKind> = IdMap::default();
     for (t, iv) in points.clone() {
-        let stage = sched.stage(t).ok()?;
-        if !stage.leaf_iters.iter().any(|l| l.var == iv.var) {
-            return None;
-        }
+        let stage = sched.stage(t)?;
+        stage.leaf_pos(iv)?;
         let ann = stage.iter_attrs.get(&iv.var.id()).and_then(|a| a.ann);
         if ann == Some(LoopAnn::VThread) {
-            return None;
+            return Err(TeError::VThreadPoint {
+                iter: iv.var.name().to_string(),
+                stage: stage.tensor.name().to_string(),
+            });
         }
         base.insert(iv.var.id(), ann.map_or(ForKind::Serial, LoopAnn::loop_kind));
     }
     for (t, iv) in points {
-        sched.unroll(t, iv).ok()?;
+        sched.unroll(t, iv)?;
     }
-    Some(base)
+    Ok(base)
 }
 
 /// Derives one annotation variant of a kernel from its marked emission,

@@ -274,7 +274,7 @@ impl Stage {
     }
 
     /// Position of an itervar among the leaves.
-    fn leaf_pos(&self, iv: &IterVar) -> Result<usize, ScheduleError> {
+    pub(crate) fn leaf_pos(&self, iv: &IterVar) -> Result<usize, ScheduleError> {
         self.leaf_iters
             .iter()
             .position(|l| l.var == iv.var)

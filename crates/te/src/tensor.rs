@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use tvm_ir::expr::{CallKind, ExprNode};
-use tvm_ir::{DType, Expr, IdMap, Range, TypeCode, Var};
+use tvm_ir::{DType, Expr, IdMap, Range, Var};
 
 static NEXT_OP_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -112,8 +112,6 @@ pub enum Combiner {
     Sum,
     /// `max=` with identity `min_value(dtype)`.
     Max,
-    /// `min=` with identity `max_value(dtype)` (negated min identity).
-    Min,
 }
 
 impl Combiner {
@@ -122,17 +120,6 @@ impl Combiner {
         match self {
             Combiner::Sum => Expr::zero(dtype),
             Combiner::Max => Expr::min_value(dtype),
-            Combiner::Min => {
-                // The bitwise complement of `min_value` for a signed
-                // integer, `i64::MAX` for an unsigned one.
-                if dtype.is_float() {
-                    Expr::float_of(f64::INFINITY, dtype)
-                } else if dtype.code == TypeCode::UInt || dtype.bits >= 64 {
-                    Expr::int_of(i64::MAX, dtype)
-                } else {
-                    Expr::int_of((1i64 << (dtype.bits - 1)) - 1, dtype)
-                }
-            }
         }
     }
 
@@ -141,7 +128,6 @@ impl Combiner {
         match self {
             Combiner::Sum => acc + val,
             Combiner::Max => acc.max(val),
-            Combiner::Min => acc.min(val),
         }
     }
 }
@@ -196,15 +182,6 @@ pub fn sum(source: Expr, axes: &[IterVar]) -> ComputeBody {
 pub fn max_reduce(source: Expr, axes: &[IterVar]) -> ComputeBody {
     ComputeBody::Reduce {
         combiner: Combiner::Max,
-        source,
-        axes: axes.to_vec(),
-    }
-}
-
-/// Builds a min reduction body.
-pub fn min_reduce(source: Expr, axes: &[IterVar]) -> ComputeBody {
-    ComputeBody::Reduce {
-        combiner: Combiner::Min,
         source,
         axes: axes.to_vec(),
     }
@@ -641,6 +618,5 @@ mod tests {
             .as_float()
             .expect("imm")
             .is_infinite());
-        assert_eq!(Combiner::Min.identity(DType::int8()).as_int(), Some(127));
     }
 }

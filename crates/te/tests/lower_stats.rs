@@ -29,7 +29,7 @@ fn lowering_counters_count_with_obs_off() {
     // (a miss), the second reuses that plan (a hit). Both emit.
     let cache = PlanCache::default();
     let build = || {
-        let plan = cache.get_or_build(0, || plan_schedule(&s)).expect("plans");
+        let plan = cache.get_or_build(0, || plan_schedule(&s).expect("plans"));
         emit_planned(&s, &plan, &args, "copy", &LowerOptions::default()).expect("emits");
     };
     let first = lower_stats();

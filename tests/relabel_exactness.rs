@@ -16,19 +16,22 @@
 //!   calls directly. Some structures put a point on a `vthread` leaf or on
 //!   an axis that is no longer a leaf, which `mark_points` must refuse.
 //!
-//! Both report the share of candidates that fell back to emitting; the
-//! second also how often a point leaf had a loop that must not be relabeled
-//! (a reduction's reset nest) or no marked loop at all (a thread-bound or
-//! unit-extent leaf). Relabeling every loop over a point leaf, reset nests
-//! included, fails both tests.
+//! A task builds each structure once (one plan miss), whether it lowers or
+//! fails, and a structure whose point `mark_points` refuses gives every
+//! candidate that one error. The generated-schedule test also reports how
+//! often a point leaf had a loop that must not be relabeled (a reduction's
+//! reset nest) or no marked loop at all (a thread-bound or unit-extent
+//! leaf). Relabeling every loop over a point leaf, reset nests included,
+//! fails both relabeling tests.
 //!
 //! The tests take one lock: the `tvm-te` counters they read are
 //! process-wide.
 
+use std::collections::HashSet;
 use std::fmt::Write;
 use std::sync::Mutex;
 
-use tvm_autotune::planned::{apply_annotations, planned_task, AnnPoints};
+use tvm_autotune::planned::{planned_task, AnnPoints};
 use tvm_autotune::{ConfigEntity, ConfigSpace, SketchTask, TuningTask};
 use tvm_ir::stmt::StmtNode;
 use tvm_ir::{DType, ForKind, IdMap, LoweredFunc, Stmt, VarId, Visitor};
@@ -307,6 +310,12 @@ fn cases(target: &Target) -> Vec<Case> {
     out
 }
 
+/// The structural part of `cfg`: every knob a candidate does not relabel.
+fn structure(cfg: &ConfigEntity) -> Vec<(String, i64)> {
+    let structural = |(n, _): &&(String, i64)| !ANNOTATION_KNOBS.contains(&n.as_str());
+    cfg.values.iter().filter(structural).cloned().collect()
+}
+
 /// `cfg` under every combination of the space's annotation knobs.
 fn annotation_variants(task: &TuningTask, cfg: &ConfigEntity) -> Vec<ConfigEntity> {
     let mut out = vec![cfg.clone()];
@@ -342,23 +351,31 @@ fn every_planned_task_relabels_like_it_emits() {
             tasks += 1;
             let space = &case.task.space;
             let mut rng = 0x4e1a_be15 ^ tasks;
+            let (mut structures, mut misses) = (HashSet::new(), 0);
             for _ in 0..8 {
                 let base = space.get(next(&mut rng) % space.size().max(1));
+                structures.insert(structure(&base));
                 for cfg in annotation_variants(&case.task, &base) {
                     let before = lower_stats();
                     let got = (case.task.builder)(&cfg);
                     let after = lower_stats();
-                    // An emission with no relabel is a candidate that fell
-                    // back to emitting; a rejected structure does neither.
-                    let relabels = after.relabels - before.relabels;
-                    relabeled += relabels;
-                    emitted += u64::from(relabels == 0 && after.lowerings > before.lowerings);
+                    misses += after.plan_misses - before.plan_misses;
+                    relabeled += after.relabels - before.relabels;
+                    emitted += after.lowerings - before.lowerings;
                     candidates += 1;
                     accepted += u64::from(got.is_ok());
                     let what = format!("{} {}", case.task.name, cfg.summary());
                     assert_same(&what, got, case.emitted(&cfg));
                 }
             }
+            // A structure that fails is cached as its error, so no
+            // candidate of it builds it again.
+            assert_eq!(
+                misses,
+                structures.len() as u64,
+                "{}: plan misses against distinct structures",
+                case.task.name
+            );
         }
     }
     assert_eq!(tasks, 24, "every task on every target");
@@ -368,8 +385,7 @@ fn every_planned_task_relabels_like_it_emits() {
     );
     eprintln!(
         "{tasks} tasks: {candidates} candidates, {accepted} accepted, {relabeled} relabeled, \
-         {emitted} emitted (fallback share {:.3})",
-        emitted as f64 / candidates as f64
+         {emitted} structures emitted"
     );
 }
 
@@ -432,7 +448,7 @@ fn generated_schedules_relabel_like_they_emit() {
                 r.stages.iter().map(|s| &s.iter_attrs).collect::<Vec<_>>()
             );
             assert!(
-                mark_points(&mut r, &with_bad).is_none(),
+                mark_points(&mut r, &with_bad).is_err(),
                 "case {case}: not refused"
             );
             let after = format!(
@@ -473,10 +489,9 @@ fn generated_schedules_relabel_like_they_emit() {
         }
     }
     eprintln!(
-        "{structures} structures: {refused} refused (fallback share {:.3}), {candidates} \
-         candidates relabeled; {reset} with a reset loop over a point, {bound} with no marked \
-         loop (every point thread-bound or of unit extent)",
-        refused as f64 / structures as f64
+        "{structures} structures: {refused} refused, {candidates} candidates relabeled; {reset} \
+         with a reset loop over a point, {bound} with no marked loop (every point thread-bound \
+         or of unit extent)"
     );
     assert!(
         refused > 0 && reset > 0 && bound > 0,
@@ -497,8 +512,12 @@ fn vthread_rows(c: &Tensor, s: &mut Schedule, cfg: &ConfigEntity) -> Result<AnnP
     })
 }
 
+/// Annotating a `vthread` leaf would replace the virtual thread, so the
+/// structure is a template bug: each of its candidates gets the one typed
+/// error naming the point, built once per structure, never emitted or
+/// relabeled.
 #[test]
-fn a_structure_with_a_vthread_point_emits_each_candidate() {
+fn a_structure_with_a_vthread_point_is_refused_once() {
     let _g = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let n = 16;
     let a = placeholder(&[n, n], DType::float32(), "A");
@@ -525,30 +544,28 @@ fn a_structure_with_a_vthread_point_emits_each_candidate() {
         "mm".into(),
         move |s, cfg| vthread_rows(&c2, s, cfg),
     );
-    let mut accepted = 0;
+    let before = lower_stats();
+    let mut structures = HashSet::new();
     for idx in 0..task.space.size() {
         let cfg = task.space.get(idx);
-        let before = lower_stats();
-        let got = (task.builder)(&cfg);
-        let after = lower_stats();
-        assert_eq!(
-            after.relabels,
-            before.relabels,
-            "{}: relabeled",
-            cfg.summary()
-        );
-        assert_eq!(
-            after.lowerings,
-            before.lowerings + 1,
-            "{}: not emitted",
-            cfg.summary()
-        );
+        structures.insert(structure(&cfg));
         let mut s = create_schedule(std::slice::from_ref(&c));
-        let want = vthread_rows(&c, &mut s, &cfg)
-            .and_then(|points| apply_annotations(&mut s, &cfg, &points))
-            .and_then(|()| lower(&s, &args, "mm"));
-        accepted += usize::from(got.is_ok());
-        assert_same(&cfg.summary(), got, want);
+        let points = vthread_rows(&c, &mut s, &cfg).expect("the structure applies");
+        let (_, io) = &points.unroll[0];
+        match (task.builder)(&cfg) {
+            Err(TeError::VThreadPoint { iter, stage }) => {
+                assert_eq!((iter.as_str(), stage.as_str()), (io.var.name(), "C"))
+            }
+            got => panic!("{}: {:?}", cfg.summary(), got.map(|_| ())),
+        }
     }
-    assert!(accepted > 0);
+    let after = lower_stats();
+    assert!(structures.len() > 1 && structures.len() < task.space.size() as usize);
+    assert_eq!(
+        after.plan_misses - before.plan_misses,
+        structures.len() as u64,
+        "one plan miss per structure"
+    );
+    assert_eq!(after.lowerings, before.lowerings, "emitted");
+    assert_eq!(after.relabels, before.relabels, "relabeled");
 }
